@@ -10,9 +10,9 @@ builder, and records cells/second plus structural figures in
 ``test_cached_vs_reference_speedup`` additionally pits the incremental
 aggregate cache against the recompute-from-scratch reference scorer
 (``SummaryBuilder(reference_scoring=True)``, the pre-cache implementation) on
-the largest default grid, and ``test_shared_vs_copied_merge_speedup`` pits the
-cell-aliasing structural merge against the legacy deep-copy merge
-(``SummaryBuilder(copy_on_merge=True)``) on a merge-heavy binary-arity build.
+the largest default grid, and ``test_merge_heavy_build_shares_cells`` records
+the throughput and the cell-sharing factor (cell-map slots per ``Cell``
+object) of a merge-heavy binary-arity build.
 """
 
 import json
@@ -144,13 +144,13 @@ def test_cached_vs_reference_speedup(benchmark):
 
 
 @pytest.mark.benchmark(group="construction-scaling")
-def test_shared_vs_copied_merge_speedup(benchmark):
-    """Cell-aliasing merges vs legacy deep-copy merges on a merge-heavy build.
+def test_merge_heavy_build_shares_cells(benchmark):
+    """A merge-heavy build keeps one ``Cell`` per key however deep the tree.
 
     ``max_children=2`` makes the arity enforcement merge on essentially every
-    overflow, so the cost of ``_merge_children``'s child-union pass dominates:
-    the legacy path deep-copied O(covered cells) grades/statistics/peer sets
-    per merge, the aliasing path inserts references and copies only on write.
+    overflow, so ``_merge_children``'s child-union pass dominates and the
+    tree is deep: every node on a key's root path holds a cell-map slot for
+    it, all aliasing the one object — slots grow with depth, cells do not.
     """
     n_attrs, n_labels, n_cells = DEFAULT_SWEEP[-1]
     cells = _cell_stream(n_attrs, n_labels, n_cells)
@@ -161,28 +161,29 @@ def test_shared_vs_copied_merge_speedup(benchmark):
         builder.incorporate_all(cells)
         return builder
 
-    t0 = time.perf_counter()
-    copying = SummaryBuilder(parameters, copy_on_merge=True)
-    copying.incorporate_all(cells)
-    copying_elapsed = time.perf_counter() - t0
-
     builder = benchmark.pedantic(build_shared, iterations=1, rounds=3)
     shared_elapsed = mean_seconds(benchmark)
     if shared_elapsed is None:  # --benchmark-disable: time one run directly
         t0 = time.perf_counter()
         builder = build_shared()
         shared_elapsed = time.perf_counter() - t0
-    speedup = copying_elapsed / shared_elapsed if shared_elapsed > 0 else None
+    nodes = list(builder.root.iter_subtree())
+    slots = sum(len(node.cells) for node in nodes)
+    objects = len({id(cell) for node in nodes for cell in node.cells.values()})
     benchmark.extra_info["merge_sharing"] = json.dumps(
         {
             "cells": n_cells,
             "grid_size": n_labels**n_attrs,
-            "copying_seconds": copying_elapsed,
             "shared_seconds": shared_elapsed,
-            "speedup": speedup,
+            "cells_per_second": n_cells / shared_elapsed if shared_elapsed > 0 else None,
+            "cell_slots": slots,
+            "cell_objects": objects,
+            "slots_per_cell": slots / objects,
         }
     )
-    # Both merge strategies must build the same summary.
-    assert len(builder.root.cells) == len(copying.root.cells)
-    assert builder.root.tuple_count == pytest.approx(copying.root.tuple_count)
-    assert speedup is not None and speedup >= 1.8
+    # One object per distinct key, and the stream's whole mass under the root.
+    assert objects == len(builder.root.cells) == len({cell.key for cell in cells})
+    assert builder.root.tuple_count == pytest.approx(
+        sum(cell.tuple_count for cell in cells)
+    )
+    assert slots / objects >= 3.0

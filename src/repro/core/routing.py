@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.config import ProtocolConfig
 from repro.core.content import ContentModel
@@ -379,7 +379,7 @@ class QueryRouter:
         domain: Domain,
         responding_peers: Iterable[str],
         originator: str,
-        known_summary_peers: Iterable[str] = (),
+        known_summary_peers: Collection[str] = (),
         target_domains: int = 1,
     ) -> int:
         """Messages of one inter-domain flooding round started from ``domain``.
@@ -426,7 +426,8 @@ class QueryRouter:
             if self.flooding_cache_enabled:
                 self._flood_cache[key] = cache_tag + (len(outside),)
             flood_messages += len(outside)
-        known = [sp for sp in known_summary_peers if sp != domain.summary_peer_id]
-        flood_messages += min(len(known), max(0, target_domains))
+        # Long-range links: the known summary peers (distinct ids) but its own.
+        own = domain.summary_peer_id in known_summary_peers
+        flood_messages += min(len(known_summary_peers) - own, max(0, target_domains))
         self._counter.record_type(MessageType.FLOOD_QUERY, flood_messages)
         return request_messages + flood_messages

@@ -57,12 +57,12 @@ class Cell:
         Peer-extent contribution (which peers own records in this cell);
         empty for purely local, single-database summaries.
     owner:
-        Copy-on-write tag: the single :class:`~repro.saintetiq.summary.Summary`
-        node allowed to mutate this cell in place.  Structural merges alias
-        cells between a node and its children instead of deep-copying them;
-        a node absorbing into a cell it does not own must copy it first.
-        ``None`` (freshly mapped or deserialized cells) means "owned by
-        nobody": the first absorbing node takes a private copy.
+        The leaf :class:`~repro.saintetiq.summary.Summary` that holds this
+        key.  A builder-managed hierarchy keeps one ``Cell`` object per key,
+        aliased by every node on ``owner``'s root path, so a cell absorbed
+        into a covered key is merged once and its delta applied along that
+        path.  ``None`` for cells outside a hierarchy (freshly mapped,
+        copied, decoded, or held by a free-standing node).
     """
 
     key: CellKey

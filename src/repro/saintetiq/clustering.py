@@ -19,20 +19,22 @@ The O(depth · arity) bound only holds because the scoring loop consumes the
 aggregates each :class:`~repro.saintetiq.summary.Summary` materializes instead
 of rescanning covered cells.  The division of labour is:
 
-* **Deltas are owned by** ``Summary.absorb_cell`` — the only way cells enter a
-  node during incorporation.  It folds the incoming cell's contribution into
-  the cached profile / mass / intent / peer-extent / statistics, so by the
-  time :meth:`SummaryBuilder._choose_operator` runs, ``node.profile`` already
+* **Deltas are owned by** ``Summary.apply_cell_delta`` — applied at every
+  node a cell enters or is merged under, so by the time
+  :meth:`SummaryBuilder._choose_operator` runs, ``node.profile`` already
   reflects the cell absorbed at that level.
+* **One cell per key.**  Every node on a key's root-to-leaf path aliases the
+  same ``Cell`` object and ``Cell.owner`` is the leaf holding it, so a cell
+  for a covered key needs no descent: it is merged into the shared cell once
+  and its delta applied along ``owner``'s root path.  Only a *new* key pays
+  the scored descent, so leaves stay in one-to-one correspondence with
+  populated grid cells and the hierarchy size is bounded by the
+  background-knowledge grid (Section 6.1.1 of the paper).
 * **Structural operators** (merge, split, arity enforcement) never edit cell
-  maps in place; merge builds the replacement node's cache as a child-union
-  merge via ``Summary.recompute_from_children``, and split leaves every
-  surviving node's cell map (hence cache) untouched.  The merged node's cell
-  map *aliases* its children's cells (copy-on-write, keyed on ``Cell.owner``)
-  so a structural merge costs O(covered cells) dict inserts, not O(covered
-  cells) deep copies of grades/statistics/peer sets;
-  ``SummaryBuilder(copy_on_merge=True)`` restores the legacy deep-copy merge
-  for A/B benchmarking.
+  maps in place; merge builds the replacement node's cell map (aliasing its
+  children's cells) and cache as a child-union merge via
+  ``Summary.recompute_from_children``, and split leaves every surviving
+  node's cell map (hence cache) untouched.
 * **Dirty flags are set** only by wholesale cell-map replacement (constructor
   supplied maps, ``Summary.invalidate_cache``) and **cleared** by the next
   aggregate access (lazy one-pass rebuild) or by
@@ -228,13 +230,11 @@ class SummaryBuilder:
         parameters: Optional[ClusteringParameters] = None,
         *,
         reference_scoring: bool = False,
-        copy_on_merge: bool = False,
     ) -> None:
         self._parameters = parameters or ClusteringParameters()
         self._root = Summary()
         self._incorporated = 0
         self._reference_scoring = reference_scoring
-        self._copy_on_merge = copy_on_merge
 
     @property
     def root(self) -> Summary:
@@ -270,7 +270,17 @@ class SummaryBuilder:
         """Incorporate one populated cell into the hierarchy."""
         if not cell.key:
             raise SummaryError("cannot incorporate an empty cell")
-        self._incorporate_at(self._root, cell.copy())
+        shared = self._root.cells.get(cell.key)
+        if shared is None:
+            self._incorporate_at(self._root, cell.copy())
+        else:
+            # Covered key: no operator choice, no child scans, no copies.
+            # Deltas go first so a cell of this very tree merges consistently.
+            node = shared.owner
+            while node is not None:
+                node.apply_cell_delta(cell)
+                node = node.parent
+            shared.merge(cell)
         self._incorporated += 1
 
     def incorporate_all(self, cells: Iterable[Cell]) -> int:
@@ -283,6 +293,7 @@ class SummaryBuilder:
     def adopt_root(self, root: Summary, incorporated: int) -> None:
         """Install an externally rebuilt tree (exact deserialization).
 
+        ``root`` must hold one shared cell per key (see the module notes).
         ``incorporated`` restores the mutation counter so caches keyed on
         :attr:`mutation_count` stay coherent with the original builder.
         Subsequent :meth:`incorporate` calls continue from that count, exactly
@@ -296,10 +307,15 @@ class SummaryBuilder:
     # -- incorporation logic -------------------------------------------------------
 
     def _incorporate_at(self, node: Summary, cell: Cell) -> None:
-        node.absorb_cell(cell)
+        """Scored descent of a cell whose key is new to the tree."""
+        node.alias_cell(cell)
 
         if node.is_leaf:
-            self._handle_leaf(node, cell)
+            if len(node.cells) > 1:
+                # Leaf invariant — a leaf covers exactly one cell key: expand
+                # it into one child per key.  (One key: a fresh root.)
+                for covered in node.cells.values():
+                    self._create_leaf(node, covered)
             return
 
         host = self._choose_operator(node, cell)
@@ -309,18 +325,11 @@ class SummaryBuilder:
         self._incorporate_at(host, cell)
         self._enforce_arity(node)
 
-    def _handle_leaf(self, node: Summary, cell: Cell) -> None:
-        """Keep the leaf invariant: every leaf covers exactly one cell key."""
-        existing_keys = set(node.cells)
-        if len(existing_keys) <= 1:
-            # Either a fresh root or a leaf holding the same cell key: the
-            # absorb in the caller already merged the counts.
-            return
-        # The leaf now covers several keys: expand it into one child per key.
-        for key, covered in node.cells.items():
-            child = Summary()
-            child.absorb_cell(covered)
-            node.add_child(child)
+    @staticmethod
+    def _create_leaf(parent: Summary, cell: Cell) -> None:
+        child = Summary()
+        child.alias_cell(cell)
+        parent.add_child(child)
 
     def _choose_operator(self, node: Summary, cell: Cell) -> Optional[Summary]:
         """Pick the operator with the best partition score; return the host child.
@@ -328,15 +337,6 @@ class SummaryBuilder:
         Returning ``None`` means a new child was created and the descent stops.
         """
         children = node.children
-
-        # A cell key already present in the tree must always be routed back to
-        # the subtree that holds it: leaves stay in one-to-one correspondence
-        # with populated grid cells, which keeps the hierarchy size bounded by
-        # the background-knowledge grid (Section 6.1.1 of the paper).
-        for child in children:
-            if cell.key in child.cells:
-                return child
-
         cell_profile = _cell_profile(cell)
         profiles = [self._profile_of(child) for child in children]
 
@@ -361,9 +361,7 @@ class SummaryBuilder:
             assert argument is not None
             return children[argument]
         if operator == "create":
-            new_child = Summary()
-            new_child.absorb_cell(cell)
-            node.add_child(new_child)
+            self._create_leaf(node, cell)
             self._enforce_arity(node)
             return None
         if operator == "merge":
@@ -548,9 +546,9 @@ class SummaryBuilder:
         parent.remove_child(second)
         merged.add_child(first)
         merged.add_child(second)
-        # Cell map and cached aggregates in one child-union pass (cells are
-        # aliased, not copied, unless the legacy A/B mode asks otherwise).
-        merged.recompute_from_children(copy_cells=self._copy_on_merge)
+        # Cell map (aliasing the children's cells) and cached aggregates in
+        # one child-union pass.
+        merged.recompute_from_children()
         parent.add_child(merged)
         return merged
 

@@ -38,7 +38,7 @@ from repro.fuzzy.linguistic import Descriptor
 from repro.saintetiq.cell import Cell
 from repro.saintetiq.clustering import ClusteringParameters, SummaryBuilder
 from repro.saintetiq.mapping import MappingService
-from repro.saintetiq.summary import Summary, collect_leaf_cells
+from repro.saintetiq.summary import Summary
 
 #: Rough per-summary storage footprint used by the cost model (Section 6.1.1).
 DEFAULT_SUMMARY_SIZE_BYTES = 512
@@ -119,12 +119,8 @@ class SummaryHierarchy:
                 added += 1
         return added
 
-    def incorporate_cell(self, cell: Cell) -> None:
-        """Incorporate an externally produced cell (used by hierarchy merging)."""
-        self._builder.incorporate(cell)
-
     def incorporate_cells(self, cells: Iterable[Cell]) -> int:
-        """Incorporate a batch of externally produced cells; returns how many."""
+        """Incorporate externally produced cells (hierarchy merging); returns how many."""
         return self._builder.incorporate_all(cells)
 
     # -- structure metrics -----------------------------------------------------------
@@ -159,9 +155,10 @@ class SummaryHierarchy:
     def leaves(self) -> List[Summary]:
         return self.root.leaves()
 
-    def leaf_cells(self) -> List[Cell]:
-        """The populated cells at the leaves (input of hierarchy merging)."""
-        return collect_leaf_cells(self.root)
+    def iter_leaf_cells(self) -> Iterable[Cell]:
+        """The populated cells at the leaves, in leaf order — live, read-only."""
+        for leaf in self.root.leaves():
+            yield from leaf.cells.values()
 
     def peer_extent(self) -> Set[str]:
         """All peers contributing data to this hierarchy (Definition 4)."""
@@ -250,8 +247,7 @@ class SummaryHierarchy:
             parameters=self._builder.parameters,
             owner=self._owner,
         )
-        clone._builder = SummaryBuilder(self._builder.parameters)
-        clone._builder.incorporate_all(self.leaf_cells())
+        clone.incorporate_cells(self.iter_leaf_cells())
         clone._records_processed = self._records_processed
         return clone
 
@@ -261,12 +257,18 @@ class SummaryHierarchy:
         * every internal node's cell map is the union of its children's,
         * every leaf covers at least one cell (once the hierarchy is non-empty),
         * the generalization partial order of Definition 2 holds along edges,
-        * every node's cached aggregates match a from-scratch recomputation.
+        * every node's cached aggregates match a from-scratch recomputation,
+        * each key has one ``Cell`` object, aliased by exactly the nodes on the
+          root path of the leaf it names as ``owner``.
         """
         if self.is_empty():
             return
+        shared = self.root.cells
         for node in self.root.iter_subtree():
             node.check_cache()
+            for key, cell in node.cells.items():
+                if cell is not shared[key] or (node.is_leaf and cell.owner is not node):
+                    raise SummaryError(f"node {node.node_id} does not share cell {key}")
             if node.is_leaf:
                 if not node.cells:
                     raise SummaryError(f"leaf {node.node_id} covers no cell")

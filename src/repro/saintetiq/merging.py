@@ -38,7 +38,7 @@ def merge_into(target: SummaryHierarchy, source: SummaryHierarchy) -> int:
             "cannot merge hierarchies summarizing different attribute sets: "
             f"{target.attributes} vs {source.attributes}"
         )
-    return target.incorporate_cells(source.leaf_cells())
+    return target.incorporate_cells(source.iter_leaf_cells())
 
 
 def merge_hierarchies(
@@ -50,7 +50,7 @@ def merge_hierarchies(
 
     The first hierarchy provides the background knowledge and attribute set;
     every subsequent one is merged leaf-by-leaf.  The inputs are left
-    untouched (their cells are copied).
+    untouched (a cell is copied when its key is new to the merged summary).
     """
     iterator = iter(hierarchies)
     try:

@@ -17,17 +17,18 @@ the same canonical bytes share one stored snapshot).
 
 Rehydration is *exact*: :func:`hierarchy_from_dict` rebuilds the serialized
 tree node by node — cached aggregate profiles are re-established by the
-absorb deltas, every cell's copy-on-write :attr:`Cell.owner` tag is set to its
-containing node, and the builder's mutation counter is restored — so a
-roundtripped hierarchy absorbs and merges byte-identically to the original
-instead of being re-clustered from its leaf cells.
+absorb deltas, each key's cell is decoded once at its leaf (its
+:attr:`Cell.owner`) and aliased by the leaf's ancestors, and the builder's
+mutation counter is restored — so a roundtripped hierarchy absorbs and merges
+byte-identically to the original instead of being re-clustered from its leaf
+cells.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.exceptions import SummaryError
 from repro.fuzzy.background import BackgroundKnowledge
@@ -62,9 +63,15 @@ def content_hash(payload: Any) -> str:
     return hashlib.sha256(canonical_encode(payload)).hexdigest()
 
 
+def hierarchy_snapshot(hierarchy: SummaryHierarchy) -> Tuple[str, str]:
+    """``(content address, canonical JSON text)`` from one encoding pass."""
+    encoded = canonical_json(hierarchy_to_dict(hierarchy))
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest(), encoded
+
+
 def hierarchy_content_hash(hierarchy: SummaryHierarchy) -> str:
     """Content address of a hierarchy (equal hierarchies hash identically)."""
-    return content_hash(hierarchy_to_dict(hierarchy))
+    return hierarchy_snapshot(hierarchy)[0]
 
 
 # -- cells ----------------------------------------------------------------------
@@ -149,13 +156,49 @@ def summary_to_dict(summary: Summary) -> Dict[str, Any]:
 
 
 def summary_from_dict(payload: Dict[str, Any]) -> Summary:
-    """Decode a summary subtree."""
-    summary = Summary()
-    for cell_payload in payload.get("cells", []):
-        summary.absorb_cell(cell_from_dict(cell_payload))
+    """Decode a summary subtree (one shared ``Cell`` per key, as encoded)."""
+    return _subtree_from_dict(payload)[0]
+
+
+#: ``repr`` of a serialized cell key -> (the key's one cell, its leaf entry).
+_HeldCells = Dict[str, Tuple[Cell, Dict[str, Any]]]
+
+
+def _subtree_from_dict(payload: Dict[str, Any]) -> Tuple[Summary, _HeldCells]:
+    """Decode a subtree and the cells its leaves hold.
+
+    Children are decoded first; an internal node then aliases its leaves'
+    cells by key instead of decoding its own entries, which must equal the
+    leaf's — the encoder wrote both from the same object.
+    """
+    node = Summary()
+    held: _HeldCells = {}
     for child_payload in payload.get("children", []):
-        summary.add_child(summary_from_dict(child_payload))
-    return summary
+        child, child_held = _subtree_from_dict(child_payload)
+        node.add_child(child)
+        held.update(child_held)
+    entries = payload.get("cells", [])
+    for entry in entries:
+        raw_key = repr(entry.get("key"))
+        if node.children:
+            cell, leaf_entry = held.get(raw_key, (None, None))
+            if entry != leaf_entry:
+                raise SummaryError(
+                    f"malformed summary payload: an ancestor's entry for cell "
+                    f"{raw_key} differs from its leaf's"
+                )
+        else:
+            cell = cell_from_dict(entry)
+            held[raw_key] = (cell, entry)
+        node.alias_cell(cell)
+    # What the children cover, counted with repeats (a leaf: its own entries).
+    covered = sum(len(child.cells) for child in node.children) or len(entries)
+    if not len(entries) == len(node.cells) == len(held) == covered:
+        raise SummaryError(
+            "malformed summary payload: a node's cells are not the disjoint "
+            "union of its children's"
+        )
+    return node, held
 
 
 # -- hierarchies ----------------------------------------------------------------------
@@ -192,8 +235,8 @@ def hierarchy_from_dict(
 
     Decoding is structure-preserving: the serialized tree is adopted as-is
     (no re-clustering), each node's cached aggregates are rebuilt by the
-    absorb deltas, each cell is owned by its containing node, and the
-    builder's mutation counter resumes from the serialized value — further
+    absorb deltas, each key's cell is shared along its leaf's root path, and
+    the builder's mutation counter resumes from the serialized value — further
     ``absorb``/``merge``/``incorporate`` calls behave byte-identically to the
     same calls on the original hierarchy.
     """

@@ -14,13 +14,12 @@ asking for — descriptor-weight profile, total tuple mass, per-attribute intent
 label sets, peer-extent, attribute statistics — instead of rescanning
 ``cells`` on each access.  The cache follows a delta protocol:
 
-* :meth:`absorb_cell` applies the incoming cell's contribution as a delta
-  (cell maps only ever grow during incorporation, so deltas are additive);
+* :meth:`absorb_cell` / :meth:`alias_cell` apply the incoming cell's
+  contribution as a delta (:meth:`apply_cell_delta`; cell maps only ever grow
+  during incorporation, so deltas are additive);
 * :meth:`recompute_from_children` re-establishes both the cell map *and* the
   cached aggregates as a child-union merge of the children's caches, without
-  revisiting individual descriptors per covered cell; the rebuilt map aliases
-  the children's cells (copy-on-write via :attr:`Cell.owner`) instead of
-  deep-copying O(covered cells) of grades/statistics/peer sets;
+  revisiting individual descriptors per covered cell;
 * wholesale replacement of ``cells`` (constructor-supplied maps, deep copies)
   marks the cache *dirty*; the next aggregate access rebuilds it from the cell
   map in one pass (:meth:`invalidate_cache` exposes the same hook to any
@@ -28,6 +27,9 @@ label sets, peer-extent, attribute statistics — instead of rescanning
 
 :meth:`check_cache` recomputes everything from scratch and raises on any
 divergence; :meth:`SummaryHierarchy.validate` calls it on every node.
+
+Nodes of a hierarchy share one :class:`Cell` per key (:meth:`alias_cell`, see
+:attr:`Cell.owner`); a free-standing node copies (:meth:`absorb_cell`).
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ class Summary:
             stats.merge(cell.statistics)
         return profile, mass, labels, peers, stats
 
-    def _apply_cell_delta(self, cell: Cell) -> None:
+    def apply_cell_delta(self, cell: Cell) -> None:
         """Fold one incoming cell's contribution into the cached aggregates."""
         if self._dirty:
             return  # a full rebuild is pending anyway
@@ -288,32 +290,26 @@ class Summary:
     # -- cell bookkeeping --------------------------------------------------------
 
     def absorb_cell(self, cell: Cell) -> None:
-        """Fold a cell (copied) into this node's own extent.
-
-        The cell map may alias cells owned by descendants (structural merges
-        share instead of copying); a node only mutates cells it owns, taking a
-        private copy-on-write otherwise.  Because incorporation descends from
-        the root, every ancestor breaks its alias for a key *before* the
-        owning descendant mutates that cell in place.
-        """
+        """Fold a cell into this free-standing node's own extent (by copy)."""
         existing = self.cells.get(cell.key)
         if existing is None:
-            owned = cell.copy()
-            owned.owner = self
-            self.cells[cell.key] = owned
+            self.cells[cell.key] = cell.copy()
         else:
-            if existing.owner is not self:
-                existing = existing.copy()
-                existing.owner = self
-                self.cells[cell.key] = existing
             existing.merge(cell)
-        self._apply_cell_delta(cell)
+        self.apply_cell_delta(cell)
+
+    def alias_cell(self, cell: Cell) -> None:
+        """Cover a new key with the shared ``cell``; a leaf becomes its ``owner``."""
+        self.cells[cell.key] = cell
+        if not self.children:
+            cell.owner = self
+        self.apply_cell_delta(cell)
 
     def absorb_cells(self, cells: Iterable[Cell]) -> None:
         for cell in cells:
             self.absorb_cell(cell)
 
-    def recompute_from_children(self, *, copy_cells: bool = False) -> None:
+    def recompute_from_children(self) -> None:
         """Rebuild this node's cell map as the union of its children's.
 
         Internal nodes of the hierarchy always satisfy this invariant; it is
@@ -321,13 +317,11 @@ class Summary:
         cached aggregates are rebuilt alongside by merging the children's
         caches — no per-cell descriptor walk.
 
-        The rebuilt map *aliases* the children's cells instead of deep-copying
-        them: only keys covered by several children need a fresh merged copy
-        (owned by this node), so a structural merge of disjoint extents costs
-        one dict insert per covered cell rather than one deep copy.  Aliased
-        cells stay owned by the child; :meth:`absorb_cell` copies on write
-        before this node ever mutates one.  ``copy_cells=True`` restores the
-        legacy deep-copy behaviour (kept for A/B benchmarking).
+        The rebuilt map *aliases* the children's cells: a structural merge
+        costs one dict insert per covered cell, and the node joins each key's
+        shared root path.  Children of a builder-managed node cover disjoint
+        keys; for hand-built children that overlap, the shared key gets a
+        merged private copy.
         """
         if not self.children:
             return
@@ -338,25 +332,17 @@ class Summary:
         peers: Set[str] = set()
         stats = StatisticsBundle()
         for child in self.children:
-            if not rebuilt and not copy_cells:
+            if not rebuilt:
                 # Fast path for the first child: a wholesale shallow copy.
                 rebuilt = dict(child.cells)
             else:
                 for key, cell in child.cells.items():
                     existing = rebuilt.get(key)
                     if existing is None:
-                        if copy_cells:
-                            copied = cell.copy()
-                            copied.owner = self
-                            rebuilt[key] = copied
-                        else:
-                            rebuilt[key] = cell
+                        rebuilt[key] = cell
                     else:
-                        if existing.owner is not self:
-                            existing = existing.copy()
-                            existing.owner = self
-                            rebuilt[key] = existing
-                        existing.merge(cell)
+                        rebuilt[key] = existing.copy()
+                        rebuilt[key].merge(cell)
             child._ensure_cache()
             mass += child._mass
             for descriptor, weight in child._profile.items():
@@ -409,20 +395,3 @@ def summary_from_cells(cells: Iterable[Cell]) -> Summary:
     if not summary.cells:
         raise SummaryError("cannot build a summary from an empty cell collection")
     return summary
-
-
-def collect_leaf_cells(root: Summary) -> List[Cell]:
-    """The populated cells at the leaves of ``root``'s subtree, key-merged.
-
-    Shared by hierarchy merging and (de)serialization: both rebuild a summary
-    from the finest-grained extent, so sibling leaves covering the same key
-    (possible after structural operators) are merged into one cell copy.
-    """
-    merged: Dict[CellKey, Cell] = {}
-    for leaf in root.leaves():
-        for key, cell in leaf.cells.items():
-            if key in merged:
-                merged[key].merge(cell)
-            else:
-                merged[key] = cell.copy()
-    return list(merged.values())

@@ -209,9 +209,18 @@ class StoreBackend(abc.ABC):
     def __init__(self) -> None:
         self._closed = False
 
-    @abc.abstractmethod
     def put(self, kind: str, key: str, payload: Dict[str, Any]) -> None:
         """Store ``payload`` under ``(kind, key)``, overwriting any previous value."""
+        self._ensure_open()
+        try:
+            encoded = json.dumps(payload, **_ENCODER)
+        except (TypeError, ValueError) as exc:
+            raise StoreError(f"payload for {kind}/{key} is not JSON-compatible: {exc}")
+        self.put_encoded(kind, key, encoded)
+
+    @abc.abstractmethod
+    def put_encoded(self, kind: str, key: str, encoded: str) -> None:
+        """:meth:`put` for a payload already in its canonical JSON text."""
 
     @abc.abstractmethod
     def get(self, kind: str, key: str) -> Dict[str, Any]:
@@ -294,13 +303,9 @@ class InMemoryBackend(StoreBackend):
         super().__init__()
         self._objects: Dict[str, Dict[str, str]] = {}
 
-    def put(self, kind: str, key: str, payload: Dict[str, Any]) -> None:
+    def put_encoded(self, kind: str, key: str, encoded: str) -> None:
         self._ensure_open()
         _check_names(kind, key)
-        try:
-            encoded = json.dumps(payload, **_ENCODER)
-        except (TypeError, ValueError) as exc:
-            raise StoreError(f"payload for {kind}/{key} is not JSON-compatible: {exc}")
         self._objects.setdefault(kind, {})[key] = encoded
 
     def get(self, kind: str, key: str) -> Dict[str, Any]:
@@ -390,14 +395,10 @@ class JsonDirectoryBackend(StoreBackend):
         _check_names(kind, key)
         return self._root / kind / f"{key}.json"
 
-    def put(self, kind: str, key: str, payload: Dict[str, Any]) -> None:
+    def put_encoded(self, kind: str, key: str, encoded: str) -> None:
         self._ensure_open()
         path = self._path(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            encoded = json.dumps(payload, **_ENCODER)
-        except (TypeError, ValueError) as exc:
-            raise StoreError(f"payload for {kind}/{key} is not JSON-compatible: {exc}")
         # Atomic publish: the document is written to a uniquely named temp
         # file in the same directory, then renamed over the target.  Readers
         # (and the `*.json` key listing) never observe a half-written file —
@@ -516,13 +517,9 @@ class SqliteBackend(StoreBackend):
     def path(self) -> Path:
         return self._path
 
-    def put(self, kind: str, key: str, payload: Dict[str, Any]) -> None:
+    def put_encoded(self, kind: str, key: str, encoded: str) -> None:
         self._ensure_open()
         _check_names(kind, key)
-        try:
-            encoded = json.dumps(payload, **_ENCODER)
-        except (TypeError, ValueError) as exc:
-            raise StoreError(f"payload for {kind}/{key} is not JSON-compatible: {exc}")
         with self._connection:
             self._connection.execute(
                 "INSERT OR REPLACE INTO objects (kind, key, payload) VALUES (?, ?, ?)",

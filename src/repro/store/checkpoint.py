@@ -76,6 +76,7 @@ from repro.network.metrics import MessageCounter
 from repro.network.overlay import Overlay
 from repro.network.peer import PeerRole
 from repro.saintetiq.clustering import ClusteringParameters
+from repro.saintetiq.serialization import hierarchy_snapshot
 from repro.store.backend import StoreBackend, open_store, owns_backend
 from repro.store.deltas import apply_patch, diff_documents
 from repro.store.lazy import DEFAULT_CACHE_SIZE, HierarchySource
@@ -203,10 +204,11 @@ def _config_from_payload(payload: Dict[str, Any]) -> ProtocolConfig:
 # -- domains ----------------------------------------------------------------------
 
 
-def _domain_payload(domain: Domain, snapshots: SnapshotStore) -> Dict[str, Any]:
+def _domain_payload(domain: Domain, snapshots: Dict[str, str]) -> Dict[str, Any]:
     summary_hash: Optional[str] = None
     if domain.global_summary is not None:
-        summary_hash = snapshots.put_hierarchy(domain.global_summary)
+        summary_hash, encoded = hierarchy_snapshot(domain.global_summary)
+        snapshots[summary_hash] = encoded
     return {
         "summary_peer_id": domain.summary_peer_id,
         "mode": domain.cooperation.mode.value,
@@ -344,10 +346,12 @@ def _database_from_payload(
 
 
 def _service_payload(
-    service: LocalSummaryService, snapshots: SnapshotStore
+    service: LocalSummaryService, snapshots: Dict[str, str]
 ) -> Dict[str, Any]:
+    summary_hash, encoded = hierarchy_snapshot(service.summary)
+    snapshots[summary_hash] = encoded
     return {
-        "summary": snapshots.put_hierarchy(service.summary),
+        "summary": summary_hash,
         "published_signature": sorted(
             [d.attribute, d.label] for d in service._published_signature  # noqa: SLF001
         ),
@@ -358,15 +362,15 @@ def _service_payload(
 # -- capture ----------------------------------------------------------------------
 
 
-def capture_session(session: "NetworkSession") -> Tuple[Dict[str, Any], SnapshotStore]:
+def capture_session(session: "NetworkSession") -> Tuple[Dict[str, Any], Dict[str, str]]:
     """Encode a session into a checkpoint payload (hierarchies kept aside).
 
-    Returns the payload and a staging in-memory snapshot store holding the
-    referenced hierarchies; :func:`save_session` copies both into the target
-    backend.
+    Returns the payload and the referenced hierarchies as ``content hash ->
+    canonical JSON text``, each encoded once; :func:`save_session` writes
+    both into the target backend.
     """
     system = session.system
-    snapshots = SnapshotStore(None)
+    snapshots: Dict[str, str] = {}
 
     simulator = system.simulator
     events = []
@@ -480,11 +484,10 @@ def save_session(
     """
     backend = open_store(target)
     try:
-        payload, staging = capture_session(session)
+        payload, staged = capture_session(session)
         destination = SnapshotStore(backend)
-        for digest in staging.hashes():
-            if not destination.contains(digest):
-                destination.put_payload(staging.get_payload(digest))
+        for digest in sorted(staged):
+            destination.put_encoded(digest, staged[digest])
         if base is not None:
             if base == name:
                 raise StoreError(

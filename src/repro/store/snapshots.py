@@ -19,7 +19,7 @@ from repro.saintetiq.hierarchy import SummaryHierarchy
 from repro.saintetiq.serialization import (
     content_hash,
     hierarchy_from_dict,
-    hierarchy_to_dict,
+    hierarchy_snapshot,
 )
 from repro.store.backend import StoreBackend, open_store
 
@@ -51,21 +51,12 @@ class SnapshotStore:
         callers can snapshot aggressively — per peer, per checkpoint, per
         sweep iteration — and pay for each distinct hierarchy once.
         """
-        payload = hierarchy_to_dict(hierarchy)
-        digest = content_hash(payload)
-        if not self._backend.contains(SNAPSHOT_KIND, digest):
-            self._backend.put(SNAPSHOT_KIND, digest, payload)
-            if self.observability is not None:
-                self.observability.inc("repro_store_puts_total", kind=SNAPSHOT_KIND)
-        elif self.observability is not None:
-            self.observability.inc("repro_store_dedup_hits_total", kind=SNAPSHOT_KIND)
-        return digest
+        return self.put_encoded(*hierarchy_snapshot(hierarchy))
 
-    def put_payload(self, payload: Dict[str, object]) -> str:
-        """Store an already-encoded hierarchy payload (checkpoint internals)."""
-        digest = content_hash(payload)
+    def put_encoded(self, digest: str, encoded: str) -> str:
+        """Store a hierarchy's canonical JSON text under its content hash."""
         if not self._backend.contains(SNAPSHOT_KIND, digest):
-            self._backend.put(SNAPSHOT_KIND, digest, payload)
+            self._backend.put_encoded(SNAPSHOT_KIND, digest, encoded)
             if self.observability is not None:
                 self.observability.inc("repro_store_puts_total", kind=SNAPSHOT_KIND)
         elif self.observability is not None:
@@ -88,11 +79,6 @@ class SnapshotStore:
         if self.observability is not None:
             self.observability.inc("repro_store_gets_total", kind=SNAPSHOT_KIND)
         return hierarchy
-
-    def get_payload(self, digest: str) -> Dict[str, object]:
-        if self.observability is not None:
-            self.observability.inc("repro_store_gets_total", kind=SNAPSHOT_KIND)
-        return self._backend.get(SNAPSHOT_KIND, digest)
 
     def contains(self, digest: str) -> bool:
         return self._backend.contains(SNAPSHOT_KIND, digest)

@@ -147,6 +147,29 @@ class TestFloodingCost:
         assert cost >= 1
 
 
+    def test_own_summary_peer_is_not_a_long_range_link(self):
+        overlay = Overlay.generate(TopologyConfig(peer_count=20, seed=3))
+        own = overlay.peer_ids[0]
+        domain = Domain.create(own)
+
+        def flood_queries(known):
+            router = QueryRouter()
+            router.flooding_cost(
+                overlay,
+                domain,
+                responding_peers=[],
+                originator=overlay.peer_ids[1],
+                known_summary_peers=known,
+                target_domains=2,
+            )
+            return router.counter.count(MessageType.FLOOD_QUERY)
+
+        alone = flood_queries(())
+        assert flood_queries({own: None}.keys()) == alone
+        assert flood_queries({own: None, "spX": None}.keys()) == alone + 1
+        assert flood_queries(["spX", "spY", "spZ"]) == alone + 2  # target_domains caps
+
+
 class TestSetMatchingEquivalence:
     """Set-intersection responding peers == the per-peer reference loop."""
 

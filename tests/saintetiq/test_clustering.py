@@ -12,6 +12,7 @@ from repro.saintetiq.clustering import (
     SummaryBuilder,
     partition_score,
 )
+from repro.saintetiq.serialization import cell_to_dict
 
 
 def _cell(labels, count=1.0):
@@ -145,23 +146,32 @@ class TestSummaryBuilder:
 
 
 class TestMergeCellSharing:
-    """Structural merges alias cells (copy-on-write) instead of deep-copying."""
+    """Every node on a key's root path aliases the key's one cell."""
 
-    def _merge_heavy_builder(self, cells, **kwargs):
-        builder = SummaryBuilder(ClusteringParameters(max_children=2), **kwargs)
+    def _merge_heavy_builder(self, cells):
+        builder = SummaryBuilder(ClusteringParameters(max_children=2))
         builder.incorporate_all(cells)
         return builder
 
     def test_shared_and_copied_merges_build_identical_trees(self):
+        """The tree's shared cells equal a flat copy-then-merge per key."""
         cells = _random_cells(60, seed=5)
-        shared = self._merge_heavy_builder([c.copy() for c in cells])
-        copied = self._merge_heavy_builder(
-            [c.copy() for c in cells], copy_on_merge=True
+        shared = self._merge_heavy_builder(cells)
+        copied = {}
+        for cell in cells:
+            if cell.key in copied:
+                copied[cell.key].merge(cell)
+            else:
+                copied[cell.key] = cell.copy()
+        assert {key: cell_to_dict(cell) for key, cell in shared.root.cells.items()} == {
+            key: cell_to_dict(cell) for key, cell in copied.items()
+        }
+        assert shared.root.tuple_count == pytest.approx(
+            sum(cell.tuple_count for cell in cells)
         )
-        assert set(shared.root.cells) == set(copied.root.cells)
-        assert shared.root.tuple_count == pytest.approx(copied.root.tuple_count)
-        for key, cell in shared.root.cells.items():
-            assert cell.tuple_count == pytest.approx(copied.root.cells[key].tuple_count)
+        for node in shared.root.iter_subtree():
+            for key, cell in node.cells.items():
+                assert cell is shared.root.cells[key]
 
     def test_merged_nodes_alias_children_cells(self):
         builder = self._merge_heavy_builder(_random_cells(40, seed=6))
@@ -180,7 +190,7 @@ class TestMergeCellSharing:
             node.check_cache()
 
     def test_only_owner_mutates_a_shared_cell(self):
-        """Absorbing into an aliased key copies before mutating (COW)."""
+        """A cell for a covered key is merged once, into its leaf's cell."""
         builder = SummaryBuilder(ClusteringParameters(max_children=2))
         cells = _random_cells(30, seed=8)
         builder.incorporate_all(cells)
@@ -188,6 +198,9 @@ class TestMergeCellSharing:
         # descent path must keep map and cached profile in sync even where
         # its entry aliased a descendant's cell.
         for cell in list(builder.root.cells.values()):
+            before = cell.tuple_count
             builder.incorporate(cell.copy())
+            assert cell.tuple_count == 2 * before
+            assert cell.owner.is_leaf and cell.owner.cells == {cell.key: cell}
         for node in builder.root.iter_subtree():
             node.check_cache()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.database.generator import PatientGenerator
+from repro.exceptions import SummaryError
 from repro.saintetiq.hierarchy import DEFAULT_SUMMARY_SIZE_BYTES, SummaryHierarchy
 
 
@@ -55,7 +56,7 @@ class TestMetrics:
         hierarchy = SummaryHierarchy(numeric_background, attributes=["age", "bmi"])
         records = generator.records(40)
         hierarchy.add_records(records)
-        mass = sum(cell.tuple_count for cell in hierarchy.leaf_cells())
+        mass = sum(cell.tuple_count for cell in hierarchy.iter_leaf_cells())
         assert mass == pytest.approx(hierarchy.root.tuple_count)
 
     def test_leaf_count_bounded_by_grid(self, numeric_background):
@@ -99,6 +100,25 @@ class TestSnapshotAndValidation:
         hierarchy = SummaryHierarchy(numeric_background, attributes=["age", "bmi"])
         hierarchy.add_records(generator.records(80))
         hierarchy.validate()
+
+    def test_validate_rejects_a_private_copy_of_a_shared_cell(self, numeric_background):
+        hierarchy = SummaryHierarchy(numeric_background, attributes=["age", "bmi"])
+        hierarchy.add_records(PatientGenerator(seed=6).records(80))
+        leaf = hierarchy.leaves()[0]
+        (key,) = leaf.cells
+        leaf.cells[key] = leaf.cells[key].copy()
+        with pytest.raises(SummaryError, match="does not share cell"):
+            hierarchy.validate()
+
+    def test_validate_rejects_an_owner_that_is_not_the_holding_leaf(
+        self, numeric_background
+    ):
+        hierarchy = SummaryHierarchy(numeric_background, attributes=["age", "bmi"])
+        hierarchy.add_records(PatientGenerator(seed=6).records(80))
+        (cell,) = hierarchy.leaves()[0].cells.values()
+        cell.owner = hierarchy.root
+        with pytest.raises(SummaryError):
+            hierarchy.validate()
 
     def test_validate_passes_on_empty_hierarchy(self, numeric_background):
         SummaryHierarchy(numeric_background).validate()

@@ -22,7 +22,7 @@ class TestMergeInto:
         second = _hierarchy("p2", seed=2)
         expected = first.root.tuple_count + second.root.tuple_count
         merged = merge_into(first, second)
-        assert merged == len(second.leaf_cells())
+        assert merged == len(list(second.iter_leaf_cells()))
         assert first.root.tuple_count == pytest.approx(expected)
 
     def test_merge_unions_peer_extents(self):

@@ -144,7 +144,7 @@ class TestExactRehydration:
     """Regression: rehydration restores caches, owners and the mutation counter.
 
     The pre-store decoder re-clustered the leaf cells from scratch, which lost
-    the serialized structure and the copy-on-write/cache state of PRs 1–2.
+    the serialized structure and the shared-cell/cache state of the tree.
     """
 
     def test_roundtrip_preserves_tree_structure(self, numeric_background):
@@ -171,9 +171,39 @@ class TestExactRehydration:
         restored = hierarchy_from_dict(
             hierarchy_to_dict(original), numeric_background
         )
-        for node in restored.root.iter_subtree():
-            for cell in node.cells.values():
-                assert cell.owner is node
+        for key, cell in restored.root.cells.items():
+            # ``owner`` is the leaf holding the key, and exactly the nodes on
+            # its root path alias the key's one cell.
+            assert cell.owner.is_leaf
+            path = []
+            node = cell.owner
+            while node is not None:
+                path.append(node)
+                node = node.parent
+            assert path[-1] is restored.root
+            holders = [n for n in restored.root.iter_subtree() if key in n.cells]
+            assert {id(n) for n in holders} == {id(n) for n in path}
+            assert all(n.cells[key] is cell for n in holders)
+
+    def test_inconsistent_ancestor_entry_raises(self, numeric_background):
+        """An ancestor's copy of a cell must equal its leaf's: one cell per key."""
+        payload = hierarchy_to_dict(_grown_hierarchy(numeric_background))
+        payload["root"]["cells"][0]["tuple_count"] += 1.0
+        with pytest.raises(SummaryError, match="differs from its leaf"):
+            hierarchy_from_dict(payload, numeric_background)
+
+    def test_ancestor_missing_a_descendants_key_raises(self, numeric_background):
+        payload = hierarchy_to_dict(_grown_hierarchy(numeric_background))
+        del payload["root"]["cells"][0]
+        with pytest.raises(SummaryError, match="disjoint union of its children"):
+            hierarchy_from_dict(payload, numeric_background)
+
+    def test_key_held_by_two_leaves_raises(self, numeric_background):
+        payload = hierarchy_to_dict(_grown_hierarchy(numeric_background))
+        root = payload["root"]
+        root["children"].append(root["children"][0])
+        with pytest.raises(SummaryError, match="disjoint union of its children"):
+            hierarchy_from_dict(payload, numeric_background)
 
     def test_mutation_counter_resumes(self, numeric_background):
         original = _grown_hierarchy(numeric_background)
