@@ -246,6 +246,7 @@ def main() -> None:
     print(f"  hierarchies materialized       : {lazy_stats['fetches']} "
           f"(lazy; only what the query touched)")
     client.shutdown()   # responds, then stops the daemon cleanly
+    client.close()      # the client kept one connection open for all of the above
     server.join(timeout=10.0)
     print()
 
@@ -395,6 +396,7 @@ def main() -> None:
           f"{health['workers_live']}/2 live after "
           f"{health['restarts_total']} restart(s)")
     fleet.shutdown()  # graceful drain: finish in-flight, then stop workers
+    fleet.close()
     supervisor.join(timeout=30.0)
 
 

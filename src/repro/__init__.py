@@ -110,6 +110,7 @@ local restore of the same checkpoint:
 True
 >>> client.shutdown()["status"]
 'shutting down'
+>>> client.close()  # the client keeps its connection open until told
 >>> server.join(timeout=10.0)
 
 One process is GIL-bound; serving scales past it with a **supervised

@@ -613,6 +613,7 @@ def _serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass
     finally:
+        server.close_connections()
         server.server_close()
         pool.close()
     return 0
@@ -670,7 +671,8 @@ def _metrics(args: argparse.Namespace) -> int:
     from repro.obs.registry import parse_prometheus
     from repro.serve.client import ServeClient
 
-    text = ServeClient(_daemon_url(args)).metrics()
+    with ServeClient(_daemon_url(args)) as client:
+        text = client.metrics()
     if args.json:
         print(json_module.dumps(parse_prometheus(text), indent=2, sort_keys=True))
     else:
@@ -683,7 +685,8 @@ def _trace(args: argparse.Namespace) -> int:
 
     from repro.serve.client import ServeClient
 
-    payload = ServeClient(_daemon_url(args)).trace(limit=args.limit)
+    with ServeClient(_daemon_url(args)) as client:
+        payload = client.trace(limit=args.limit)
     if args.json:
         print(json_module.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -15,9 +15,10 @@ process.  Three layers:
   loading, per-request state rollback), answering ``/query``,
   ``/query_batch``, ``/staleness``, ``/health``, ``/stats`` and
   ``/shutdown``.
-* :mod:`repro.serve.client` — a small urllib-based client reused by the CLI,
-  the tests and the load benchmark, with bounded jittered retry on
-  connection loss and typed overload/deadline/crash errors.
+* :mod:`repro.serve.client` — the client reused by the CLI, the tests and
+  the load benchmark: one kept-alive connection per calling thread
+  (:mod:`repro.serve.transport`), bounded jittered retry on connection loss
+  and typed overload/deadline/crash errors.
 * :mod:`repro.serve.supervisor` / :mod:`repro.serve.worker` — crash-safe
   multi-process serving: a supervisor forks N worker processes (each its own
   read-only restore), fronts them on one port with deadlines, load shedding
@@ -34,9 +35,10 @@ or in-process (tests, benchmarks)::
 
     from repro.serve import start_server, ServeClient
     server = start_server(session)                 # ephemeral port
-    client = ServeClient(server.url)
-    answers = client.query_batch(count=8)
-    client.shutdown(); server.join()
+    with ServeClient(server.url) as client:        # one connection, reused
+        answers = client.query_batch(count=8)
+        client.shutdown()
+    server.join()
 """
 
 from repro.serve.cache import ResponseCache, checkpoint_digest

@@ -1,10 +1,20 @@
-"""A small urllib client for the query service.
+"""The query service's client: one kept-alive connection per calling thread.
 
 :class:`ServeClient` is the single HTTP surface shared by the CLI, the
 concurrency tests and the load benchmark.  Every method mirrors one session
 call (`query`, ``query_batch``, ``staleness``...) and decodes the JSON body
 back into the session's typed results via :mod:`repro.serve.wire`, so calling
 code can compare a served answer with ``==`` against one computed locally.
+
+Connection lifecycle: the client owns a
+:class:`~repro.serve.transport.ConnectionPool` for its base URL.  The first
+request dials (Nagle off), later requests reuse the open HTTP/1.1
+connection, and threads sharing one client each get their own.  The daemon
+closes a connection that sat idle past its
+:data:`~repro.serve.server.IDLE_TIMEOUT_SECONDS`; the next request then
+re-dials transparently, which is not a retry.  :meth:`ServeClient.close` (or
+leaving the ``with`` block) closes the sockets — a client that makes one call
+and exits should be used as a context manager.
 
 Server-side failures (bad payloads, library errors) surface as
 :class:`~repro.exceptions.ServeError` carrying the server's message and the
@@ -14,15 +24,17 @@ subclasses: HTTP 503 raises :class:`~repro.exceptions.ServeOverloadError`
 :class:`~repro.exceptions.ServeDeadlineError`, 502 raises
 :class:`~repro.exceptions.WorkerCrashError`.
 
-Transport-level failures — connection refused while a server restarts,
-connection reset when a worker dies under the request — are retried with
-capped, jittered exponential backoff (``max_retries`` attempts, seeded for
-reproducibility).  Retries are safe because served answers are
-deterministic: the retried request returns the identical bytes or fails
-typed.  ``/shutdown`` is never retried (a reset there usually means the
+Transport-level failures — connection refused while a server restarts, a
+connection reset, dropped or cut short when a worker dies under the request —
+are retried with capped, jittered exponential backoff (``max_retries``
+attempts, seeded for reproducibility).  Retries are safe because served
+answers are deterministic: the retried request returns the identical bytes or
+fails typed.  ``/shutdown`` is never retried (a reset there usually means the
 shutdown *worked*).  Retries performed are counted on
 ``client.retries_total`` and, when a registry is attached, as
-``repro_client_retries_total``.
+``repro_client_retries_total``.  Anything else that keeps the client from an
+answer (timeout, unresolvable host, a malformed response) raises
+:class:`~repro.exceptions.ServeError` at once.
 
 A client built with a :class:`~repro.obs.trace.Tracer` opens a span around
 every request and ships its trace context in ``X-Repro-Trace-Id`` /
@@ -33,12 +45,12 @@ session does underneath) form one connected trace.
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Dict, List, Optional, Sequence
+from urllib.parse import urlsplit
 
 from repro.core.routing import RoutingPolicy
 from repro.core.session import QueryAnswer
@@ -53,6 +65,7 @@ from repro.exceptions import (
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.serve import wire
+from repro.serve.transport import ConnectionPool
 
 DEFAULT_TIMEOUT = 30.0
 
@@ -76,6 +89,16 @@ class ServeClient:
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.base_url = base_url.rstrip("/")
+        parts = urlsplit(self.base_url)
+        tls = parts.scheme == "https"
+        try:
+            host, port = parts.hostname, parts.port or (443 if tls else 80)
+        except ValueError:  # a port that is not a number
+            host = None
+        if parts.scheme not in ("http", "https") or not host:
+            raise ServeError(f"not an http(s) service URL: {base_url!r}")
+        self._pool = ConnectionPool(host, port, tls=tls)
+        self._path_prefix = parts.path
         self.timeout = timeout
         if tracer is not None and tracer.origin == "main":
             tracer.origin = "client"
@@ -126,24 +149,18 @@ class ServeClient:
         self, method: str, path: str, data: Optional[bytes], headers: Dict[str, str]
     ) -> bytes:
         """One HTTP exchange with bounded, jittered retry on connection loss."""
-        url = f"{self.base_url}{path}"
         retriable = path not in NO_RETRY_PATHS
         attempt = 0
         while True:
-            request = urllib.request.Request(
-                url, data=data, headers=headers, method=method
-            )
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    return response.read()
-            except urllib.error.HTTPError as exc:
-                raise self._server_error(exc) from exc
-            except (urllib.error.URLError, ConnectionError) as exc:
-                reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
-                lost = isinstance(reason, ConnectionError)
+                status, response_headers, body = self._pool.request(
+                    method, self._path_prefix + path, data, headers, self.timeout
+                )
+            except (OSError, http.client.HTTPException) as exc:
+                lost = isinstance(exc, (ConnectionError, http.client.IncompleteRead))
                 if not (retriable and lost) or attempt >= self.max_retries:
                     raise ServeError(
-                        f"cannot reach query service at {url}: {reason}"
+                        f"cannot reach query service at {self.base_url}{path}: {exc}"
                     ) from exc
                 delay = min(
                     self.retry_backoff_cap,
@@ -156,36 +173,54 @@ class ServeClient:
                 self.retries_total += 1
                 if self.registry is not None:
                     self.registry.inc("repro_client_retries_total", path=path)
+                continue
+            if status >= 400:
+                raise self._server_error(status, response_headers, body)
+            return body
 
     @staticmethod
-    def _server_error(exc: urllib.error.HTTPError) -> ServeError:
-        message = f"query service returned HTTP {exc.code}"
+    def _server_error(
+        status: int, headers: http.client.HTTPMessage, body: bytes
+    ) -> ServeError:
+        message = f"query service returned HTTP {status}"
         detail: Optional[Dict[str, Any]] = None
         try:
-            parsed = json.loads(exc.read().decode("utf-8"))
+            parsed = json.loads(body.decode("utf-8"))
             if isinstance(parsed, dict):
                 detail = parsed
-        except Exception:  # noqa: BLE001 - error bodies are best-effort
+        except ValueError:  # error bodies are best-effort
             detail = None
         kind = detail.get("type") if detail else None
         if detail and "error" in detail:
             suffix = f" [{kind}]" if kind else ""
             message = f"{message}: {detail['error']}{suffix}"
-        if exc.code == 503 or kind == "ServeOverloadError":
+        if status == 503 or kind == "ServeOverloadError":
             retry_after = 1.0
-            header = exc.headers.get("Retry-After") if exc.headers else None
-            for candidate in ((detail or {}).get("retry_after"), header):
+            for candidate in ((detail or {}).get("retry_after"), headers.get("Retry-After")):
                 try:
                     retry_after = float(candidate)  # type: ignore[arg-type]
                     break
                 except (TypeError, ValueError):
                     continue
             return ServeOverloadError(message, retry_after=retry_after)
-        if exc.code == 504 or kind == "ServeDeadlineError":
+        if status == 504 or kind == "ServeDeadlineError":
             return ServeDeadlineError(message)
-        if exc.code == 502 or kind == "WorkerCrashError":
+        if status == 502 or kind == "WorkerCrashError":
             return WorkerCrashError(message)
         return ServeError(message)
+
+    def close(self) -> None:
+        """Close this client's connections.
+
+        A closed client still answers, but dials per request from then on.
+        """
+        self._pool.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # -- request helpers ---------------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """The query-service daemon: HTTP/JSON over one shared read-only session.
 
 A :class:`SummaryQueryServer` is a stdlib
-:class:`~http.server.ThreadingHTTPServer` whose worker threads all answer
-against the same :class:`~repro.core.session.ReadOnlyNetworkSession`.  The
+:class:`~http.server.ThreadingHTTPServer` — one handler thread per client
+connection — whose threads all answer against the same
+:class:`~repro.core.session.ReadOnlyNetworkSession`.  The
 session serializes protocol execution and rolls its bookkeeping back after
 every request (see its docstring), so the daemon's answers are byte-identical
 to a fresh restore of the checkpoint no matter how many clients hammer it or
@@ -34,6 +35,24 @@ accumulates request latencies, lock wait/hold times and every protocol/store
 series.  Pass ``observability=None`` (or ``repro serve --no-obs``) to run the
 daemon uninstrumented.
 
+Connection lifecycle: the daemon speaks HTTP/1.1 with persistent
+connections.  A client opens a connection and may send any number of requests
+over it; one handler thread serves that connection until it ends, so threads
+number as many as open connections, not requests.  Every response leaves in
+one buffered write with Nagle off (separate header and body writes on a
+kept-alive socket would stall ~40 ms each on Nagle + delayed ACK), and every
+request body is consumed before the response is written, whatever the path
+or outcome, so the next request on the connection parses cleanly.  The
+daemon closes a connection when the client asks (``Connection: close``,
+HTTP/1.0), when it sat idle — or stalled mid-request — for
+:data:`IDLE_TIMEOUT_SECONDS`, when a request's body cannot be read safely
+(malformed, negative or oversize ``Content-Length``, chunked encoding: typed
+``400`` with ``Connection: close``), and when the daemon stops:
+:meth:`SummaryQueryServer.stop` stops accepting, half-closes every open
+connection so its handler finishes the request in hand and exits, and only
+then releases the session — a stopped daemon answers nothing, and a client
+holding a warm connection sees it closed, re-dials and is refused.
+
 Library errors surface as ``400`` with ``{"error": ..., "type": ...}``;
 anything unexpected is a ``500``.  Use :func:`start_server` for an in-process
 daemon on an ephemeral port (tests, benchmarks) and the ``repro serve`` CLI
@@ -44,6 +63,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -60,8 +80,125 @@ from repro.serve import wire
 #: encoded queries fits comfortably; anything bigger is a client bug).
 MAX_REQUEST_BYTES = 8 * 1024 * 1024
 
+#: Seconds a connection may sit idle between requests (or stall inside one)
+#: before the daemon closes it and its handler thread ends.
+IDLE_TIMEOUT_SECONDS = 30.0
+
+#: How long ``stop`` waits for handlers to finish the request they hold.
+_HANDLER_DRAIN_SECONDS = 5.0
+
 #: Sentinel: "no observability argument given" (the default builds a ring).
 _DEFAULT_OBS = object()
+
+
+class KeepAliveHTTPServer(ThreadingHTTPServer):
+    """A threading HTTP server that can end its kept-alive connections.
+
+    A persistent connection's handler thread outlives ``shutdown()`` — it
+    sits in a read waiting for the next request.  The server therefore
+    tracks every accepted connection until its handler is done, and
+    :meth:`close_connections` ends them all.
+    """
+
+    daemon_threads = True
+    allow_reuse_address = True
+
+    def __init__(self, address: Tuple[str, int], handler_class: Any) -> None:
+        super().__init__(address, handler_class)
+        self._open_connections: set = set()
+        self._connections_changed = threading.Condition()
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._connections_changed:
+            self._open_connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        super().shutdown_request(request)
+        with self._connections_changed:
+            self._open_connections.discard(request)
+            self._connections_changed.notify_all()
+
+    def close_connections(self) -> None:
+        """Half-close every open connection and wait for its handler to end.
+
+        Shutting down the *read* side wakes a handler idling between
+        requests with EOF, and lets one that is mid-request still write its
+        response before it sees the same EOF.  Call after ``shutdown()``, so
+        no new connection can slip in.
+        """
+        with self._connections_changed:
+            for connection in self._open_connections:
+                try:
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # the peer is already gone
+            self._connections_changed.wait_for(
+                lambda: not self._open_connections,
+                timeout=_HANDLER_DRAIN_SECONDS,
+            )
+
+
+class KeepAliveHandler(BaseHTTPRequestHandler):
+    """Request plumbing that keeps a persistent connection in sync."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_SECONDS
+    #: Buffered, so status line, headers and body leave in one send.
+    wbufsize = 64 * 1024
+
+    def handle_expect_100(self) -> bool:
+        proceed = super().handle_expect_100()
+        self.wfile.flush()  # the client is waiting for this line alone
+        return proceed
+
+    def consume_body(self) -> Optional[bytes]:
+        """The request body, consumed so the next request parses cleanly.
+
+        A body that cannot be read safely — malformed, negative or oversize
+        ``Content-Length``, or chunked encoding — is left on the socket:
+        the request is answered with a typed 400 that closes the connection,
+        and ``None`` returned.
+        """
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if self.headers.get("Transfer-Encoding"):
+            problem = "chunked request bodies are not supported"
+        elif not (declared.isascii() and declared.isdigit()):
+            problem = f"malformed Content-Length header {declared!r}"
+        elif len(declared) > 12 or int(declared) > MAX_REQUEST_BYTES:
+            problem = (
+                f"request body of {declared} bytes exceeds the "
+                f"{MAX_REQUEST_BYTES}-byte limit"
+            )
+        else:
+            length = int(declared)
+            return self.rfile.read(length) if length else b""
+        self.close_connection = True
+        self.send_json(400, {"error": problem, "type": "ServeError"})
+        return None
+
+    def send_body(
+        self,
+        status: int,
+        content_type: str,
+        body: bytes,
+        extra_headers: Optional[Dict[str, str]] = None,
+    ) -> None:
+        """Write one complete response and flush it."""
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in (extra_headers or {}).items():
+            self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
+        self.wfile.flush()
+
+    def send_json(self, status: int, payload: Dict[str, Any]) -> None:
+        self.send_body(status, "application/json", json.dumps(payload).encode("utf-8"))
 
 
 class SessionPool:
@@ -133,11 +270,8 @@ class SessionPool:
             session.close()
 
 
-class SummaryQueryServer(ThreadingHTTPServer):
+class SummaryQueryServer(KeepAliveHTTPServer):
     """HTTP daemon over a shared read-only session (or a pool of them)."""
-
-    daemon_threads = True
-    allow_reuse_address = True
 
     def __init__(
         self,
@@ -240,6 +374,7 @@ class SummaryQueryServer(ThreadingHTTPServer):
         self.shutdown()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
+        self.close_connections()
         self.server_close()
         if self.close_session_on_stop:
             self.pool.close()
@@ -250,10 +385,8 @@ class SummaryQueryServer(ThreadingHTTPServer):
         self._stop_thread.start()
 
 
-class _RequestHandler(BaseHTTPRequestHandler):
+class _RequestHandler(KeepAliveHandler):
     server: SummaryQueryServer
-
-    protocol_version = "HTTP/1.1"
 
     # -- plumbing ----------------------------------------------------------------------
 
@@ -261,22 +394,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
         if not self.server.quiet:
             super().log_message(format, *args)
 
-    def _respond(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length > MAX_REQUEST_BYTES:
-            raise ServeError(
-                f"request body of {length} bytes exceeds the "
-                f"{MAX_REQUEST_BYTES}-byte limit"
-            )
-        raw = self.rfile.read(length) if length else b""
+        raw = self._raw_body
         if not raw:
             return {}
         try:
@@ -286,6 +405,17 @@ class _RequestHandler(BaseHTTPRequestHandler):
         if not isinstance(payload, dict):
             raise ServeError("request body must be a JSON object")
         return payload
+
+    def _route(self, routes: Dict[str, Any], path: str) -> None:
+        """Consume the body, then dispatch ``path`` (or answer 404)."""
+        self._raw_body = self.consume_body()
+        if self._raw_body is None:
+            return
+        handler = routes.get(path)
+        if handler is None:
+            self.send_json(404, {"error": f"unknown path {self.path!r}"})
+            return
+        self._dispatch(handler)
 
     def _dispatch(self, handler) -> None:
         obs = self.server.observability
@@ -334,12 +464,11 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def _write_outcome(self, outcome) -> None:
         if outcome is not None:
             status, payload = outcome
-            self._respond(status, payload)
+            self.send_json(status, payload)
 
     # -- HTTP verbs --------------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        path = urlsplit(self.path).path
         routes = {
             "/health": self._handle_health,
             "/stats": self._handle_stats,
@@ -347,11 +476,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             "/metrics_snapshot": self._handle_metrics_snapshot,
             "/trace": self._handle_trace,
         }
-        handler = routes.get(path)
-        if handler is None:
-            self._respond(404, {"error": f"unknown path {self.path!r}"})
-            return
-        self._dispatch(handler)
+        self._route(routes, urlsplit(self.path).path)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         routes = {
@@ -360,11 +485,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             "/staleness": self._handle_staleness,
             "/shutdown": self._handle_shutdown,
         }
-        handler = routes.get(self.path)
-        if handler is None:
-            self._respond(404, {"error": f"unknown path {self.path!r}"})
-            return
-        self._dispatch(handler)
+        self._route(routes, self.path)
 
     # -- endpoints ---------------------------------------------------------------------
 
@@ -387,18 +508,17 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def _handle_metrics(self) -> None:
         obs = self.server.observability
         if obs is None:
-            self._respond(404, {"error": "observability is disabled on this server"})
+            self.send_json(404, {"error": "observability is disabled on this server"})
             return None
         self.server.record_request("metrics")
         obs.set_gauge(
             "repro_serve_uptime_seconds", time.time() - self.server.started_at
         )
-        body = obs.metrics.render_prometheus().encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self.send_body(
+            200,
+            "text/plain; version=0.0.4; charset=utf-8",
+            obs.metrics.render_prometheus().encode("utf-8"),
+        )
         return None
 
     def _handle_metrics_snapshot(self) -> Tuple[int, Dict[str, Any]]:
@@ -496,11 +616,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     def _handle_shutdown(self) -> None:
         self.server.record_request("shutdown")
-        # Flush the acknowledgement before stopping: in CLI mode the main
-        # thread exits serve_forever (and may exit the process) as soon as
-        # shutdown lands, which would otherwise race the response write.
-        self._respond(200, {"status": "shutting down"})
-        self.wfile.flush()
+        # The acknowledgement is flushed before stopping: in CLI mode the
+        # main thread exits serve_forever (and may exit the process) as soon
+        # as shutdown lands, which would otherwise race the response write.
+        self.send_json(200, {"status": "shutting down"})
         self.server.request_shutdown()
         return None
 

@@ -45,12 +45,31 @@ What the front process adds on top of raw forwarding:
   admitting new work, lets in-flight requests finish, then shuts workers
   down cleanly (HTTP shutdown, then SIGTERM, then SIGKILL).
 
+Connection lifecycle: both of the supervisor's hops are persistent HTTP/1.1.
+*Client → front*: the front port behaves exactly like the single daemon (see
+:mod:`repro.serve.server`) — one handler thread per client connection,
+responses in one write with Nagle off, request bodies always consumed, idle
+connections closed after :data:`~repro.serve.server.IDLE_TIMEOUT_SECONDS`,
+and every open connection ended by drain.  *Front → worker*: each
+:class:`WorkerHandle` owns a :class:`~repro.serve.transport.ConnectionPool`
+to its current incarnation's port, and everything the supervisor says to
+that worker — forwarded requests, the heartbeat poll, metrics collection,
+the polite ``/shutdown`` — goes through it, so a forward reuses a warm
+connection instead of dialling.  The pool is opened when the worker reports
+``READY`` and closed when the worker is declared failed, restarted (a new
+incarnation listens on a new port) or stopped.  A request's deadline is the
+socket timeout of the connection carrying it.  A pooled connection the
+worker closed while idle is re-dialled once, silently; a connection that
+dies *under* a request (reset, EOF before or inside the response, refused
+re-dial) means the worker is gone: the request is retried on another worker
+and the failure counted, exactly as before connections were kept.
+
 Start one from the command line with ``repro serve --store S --workers 4``
 or in-process for tests::
 
     sup = Supervisor(store, name="session", workers=2).start()
-    client = ServeClient(sup.url)
-    ...
+    with ServeClient(sup.url) as client:
+        ...
     sup.stop()
 """
 
@@ -59,21 +78,18 @@ from __future__ import annotations
 import http.client
 import json
 import os
-import socket
 import subprocess
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro.exceptions import ServeError
 from repro.obs.registry import MetricsRegistry
 from repro.serve.cache import ResponseCache, checkpoint_digest
-from repro.serve.server import MAX_REQUEST_BYTES
+from repro.serve.server import KeepAliveHandler, KeepAliveHTTPServer
+from repro.serve.transport import ConnectionPool
 from repro.serve.worker import READY_PREFIX
 
 #: Query-shaped endpoints the supervisor proxies to workers (everything else
@@ -91,6 +107,9 @@ class WorkerHandle:
         self.index = index
         self.process: Optional[subprocess.Popen] = None
         self.port: Optional[int] = None
+        #: Kept-alive connections to the current incarnation, ``None`` while
+        #: there is nobody to talk to (starting, backoff, stopped).
+        self.link: Optional[ConnectionPool] = None
         self.state = STARTING
         self.restarts = 0
         self.heartbeat_misses = 0
@@ -104,6 +123,31 @@ class WorkerHandle:
     @property
     def url(self) -> Optional[str]:
         return None if self.port is None else f"http://127.0.0.1:{self.port}"
+
+    def connect(self, port: int) -> None:
+        """A new incarnation listens on ``port``: talk to it from now on."""
+        self.port = port
+        self.link = ConnectionPool("127.0.0.1", port)
+
+    def disconnect(self) -> None:
+        """Drop the connections to an incarnation that is gone or going."""
+        link, self.link = self.link, None
+        if link is not None:
+            link.close()
+
+    def exchange(
+        self,
+        method: str,
+        path: str,
+        timeout: float,
+        body: Optional[bytes] = None,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> Tuple[int, http.client.HTTPMessage, bytes]:
+        """One request to the worker over its kept-alive link."""
+        link = self.link
+        if link is None:
+            raise ConnectionError(f"worker {self.index} has no live incarnation")
+        return link.request(method, path, body, headers or {}, timeout)
 
     def payload(self) -> Dict[str, Any]:
         return {
@@ -278,7 +322,7 @@ class Supervisor:
         fields = dict(
             part.split("=", 1) for part in line.strip().split()[1:] if "=" in part
         )
-        handle.port = int(fields["port"])
+        handle.connect(int(fields["port"]))
         handle.state = LIVE
 
     def stop(self) -> None:
@@ -302,6 +346,7 @@ class Supervisor:
             self._front.shutdown()
             if self._front_thread is not None:
                 self._front_thread.join(timeout=5.0)
+            self._front.close_connections()
             self._front.server_close()
         if self._health_thread is not None:
             self._health_thread.join(timeout=2 * self.heartbeat_interval + 5.0)
@@ -327,14 +372,12 @@ class Supervisor:
         if process is None:
             handle.state = STOPPED
             return
-        if process.poll() is None and handle.url is not None:
+        if process.poll() is None:
             try:  # polite first: the worker drains its own in-flight writes
-                request = urllib.request.Request(
-                    handle.url + "/shutdown", data=b"{}", method="POST"
-                )
-                urllib.request.urlopen(request, timeout=2.0).read()
-            except Exception:  # noqa: BLE001 - any failure falls through to signals
-                pass
+                handle.exchange("POST", "/shutdown", timeout=2.0, body=b"{}")
+            except (OSError, http.client.HTTPException):
+                pass  # any failure falls through to signals
+        handle.disconnect()
         try:
             process.wait(timeout=3.0)
         except subprocess.TimeoutExpired:
@@ -382,35 +425,34 @@ class Supervisor:
         # Heartbeat: poll the worker's snapshot endpoint (or /health when it
         # serves uninstrumented) — one round-trip doubles as liveness probe
         # and metrics collection.
-        url = handle.url
-        if url is None:
+        if handle.link is None:
             return
         try:
-            with urllib.request.urlopen(
-                url + "/metrics_snapshot", timeout=max(1.0, 4 * self.heartbeat_interval)
-            ) as response:
-                payload = json.loads(response.read().decode("utf-8"))
-            snapshot = payload.get("snapshot")
-            with self._lock:
-                handle.heartbeat_misses = 0
-                if isinstance(snapshot, dict):
-                    handle.last_snapshot = snapshot
-        except urllib.error.HTTPError as exc:
             # An HTTP *error response* still proves the worker is alive and
             # serving (e.g. /metrics_snapshot 400s when obs is disabled).
-            exc.close()
+            snapshot = self._poll_snapshot(
+                handle, timeout=max(1.0, 4 * self.heartbeat_interval)
+            )
             with self._lock:
                 handle.heartbeat_misses = 0
+                if snapshot is not None:
+                    handle.last_snapshot = snapshot
         except Exception:  # noqa: BLE001 - any probe failure is a miss
             with self._lock:
                 handle.heartbeat_misses += 1
                 missed = handle.heartbeat_misses >= self.heartbeat_miss_budget
             if missed:
-                # Hung (or unreachable) worker: treat like a crash.  SIGKILL
-                # is safe — the read-only discipline means no state is lost.
-                if process.poll() is None:
-                    process.kill()
+                # Hung (or unreachable) worker: treat like a crash.
                 self._note_failure(handle, reason="heartbeat")
+
+    @staticmethod
+    def _poll_snapshot(handle: WorkerHandle, timeout: float) -> Optional[Dict[str, Any]]:
+        """The worker's metrics snapshot, or ``None`` when it serves none."""
+        status, _, body = handle.exchange("GET", "/metrics_snapshot", timeout)
+        if status != 200:
+            return None
+        snapshot = json.loads(body.decode("utf-8")).get("snapshot")
+        return snapshot if isinstance(snapshot, dict) else None
 
     def _note_failure(self, handle: WorkerHandle, reason: str) -> None:
         """Mark a worker dead and schedule its restart with backoff."""
@@ -426,10 +468,18 @@ class Supervisor:
             if handle.last_snapshot is not None:
                 self._retired.merge_snapshot(handle.last_snapshot)
                 handle.last_snapshot = None
+        handle.disconnect()
         self.registry.inc("repro_supervisor_worker_failures_total", reason=reason)
         process = handle.process
-        if process is not None and process.stdout is not None:
-            process.stdout.close()
+        if process is not None:
+            # Failed means gone: a hung or merely unreachable worker must not
+            # outlive its replacement (SIGKILL is safe — the read-only
+            # discipline means no state is lost), and a dead one is reaped.
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            if process.stdout is not None:
+                process.stdout.close()
 
     def _restart(self, handle: WorkerHandle) -> None:
         try:
@@ -584,33 +634,17 @@ class Supervisor:
         headers: Dict[str, str],
         timeout: float,
     ) -> Tuple[int, str, bytes]:
-        url = handle.url
-        if url is None:
-            raise _WorkerGone()
-        request = urllib.request.Request(
-            url + path,
-            data=body if method == "POST" else None,
-            headers=headers,
-            method=method,
-        )
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                payload = response.read()
-                content_type = response.headers.get("Content-Type", "application/json")
-                return response.status, content_type, payload
-        except urllib.error.HTTPError as exc:
-            # Typed worker-side errors (400s...) relay verbatim to the client.
-            payload = exc.read()
-            content_type = exc.headers.get("Content-Type", "application/json")
-            return exc.code, content_type, payload
-        except urllib.error.URLError as exc:
-            if isinstance(exc.reason, (socket.timeout, TimeoutError)):
-                raise _DeadlineHit() from exc
-            raise _WorkerGone() from exc
-        except (socket.timeout, TimeoutError) as exc:
+            status, response_headers, payload = handle.exchange(
+                method, path, timeout, body if method == "POST" else None, headers
+            )
+        except TimeoutError as exc:
             raise _DeadlineHit() from exc
-        except (ConnectionError, http.client.HTTPException) as exc:
+        except (OSError, http.client.HTTPException) as exc:
             raise _WorkerGone() from exc
+        # Typed worker-side errors (400s...) relay verbatim to the client.
+        content_type = response_headers.get("Content-Type", "application/json")
+        return status, content_type, payload
 
     # -- introspection -----------------------------------------------------------------
 
@@ -656,16 +690,11 @@ class Supervisor:
         merged.merge_snapshot(self._retired.snapshot())
         for handle in self.workers:
             snapshot = None
-            url = handle.url
-            if handle.state == LIVE and url is not None:
+            if handle.state == LIVE:
                 try:
-                    with urllib.request.urlopen(
-                        url + "/metrics_snapshot", timeout=2.0
-                    ) as response:
-                        payload = json.loads(response.read().decode("utf-8"))
-                    snapshot = payload.get("snapshot")
+                    snapshot = self._poll_snapshot(handle, timeout=2.0)
                     with self._lock:
-                        if isinstance(snapshot, dict):
+                        if snapshot is not None:
                             handle.last_snapshot = snapshot
                 except Exception:  # noqa: BLE001 - fall back to the last poll
                     snapshot = None
@@ -685,93 +714,59 @@ class _DeadlineHit(Exception):
     """Internal: the forwarded request ran out of deadline budget."""
 
 
-class _FrontServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
+class _FrontServer(KeepAliveHTTPServer):
     def __init__(self, address: Tuple[str, int], supervisor: Supervisor) -> None:
         super().__init__(address, _FrontHandler)
         self.supervisor = supervisor
 
 
-class _FrontHandler(BaseHTTPRequestHandler):
+class _FrontHandler(KeepAliveHandler):
     server: _FrontServer
-
-    protocol_version = "HTTP/1.1"
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         if not self.server.supervisor.quiet:
             super().log_message(format, *args)
 
-    def _respond(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str = "application/json",
-        extra_headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _respond_json(self, status: int, payload: Dict[str, Any]) -> None:
-        self._respond(status, json.dumps(payload).encode("utf-8"))
-
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         supervisor = self.server.supervisor
         path = urlsplit(self.path).path
+        if self.consume_body() is None:
+            return
         if path == "/health":
-            self._respond_json(200, supervisor.health_payload())
+            self.send_json(200, supervisor.health_payload())
         elif path == "/stats":
-            self._respond_json(200, supervisor.health_payload())
+            self.send_json(200, supervisor.health_payload())
         elif path == "/metrics":
-            text = supervisor.merged_metrics().render_prometheus()
-            self._respond(
+            self.send_body(
                 200,
-                text.encode("utf-8"),
-                content_type="text/plain; version=0.0.4; charset=utf-8",
+                "text/plain; version=0.0.4; charset=utf-8",
+                supervisor.merged_metrics().render_prometheus().encode("utf-8"),
             )
         else:
-            self._respond_json(404, {"error": f"unknown path {self.path!r}"})
+            self.send_json(404, {"error": f"unknown path {self.path!r}"})
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         supervisor = self.server.supervisor
         path = urlsplit(self.path).path
+        body = self.consume_body()
+        if body is None:
+            return
         if path == "/shutdown":
-            self._respond_json(200, {"status": "shutting down"})
-            self.wfile.flush()
+            self.send_json(200, {"status": "shutting down"})
             supervisor.request_shutdown()
             return
         if path not in PROXIED_PATHS:
-            self._respond_json(404, {"error": f"unknown path {self.path!r}"})
+            self.send_json(404, {"error": f"unknown path {self.path!r}"})
             return
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length > MAX_REQUEST_BYTES:
-            self._respond_json(
-                400,
-                {
-                    "error": f"request body of {length} bytes exceeds the "
-                    f"{MAX_REQUEST_BYTES}-byte limit",
-                    "type": "ServeError",
-                },
-            )
-            return
-        body = self.rfile.read(length) if length else b""
         headers = {name: value for name, value in self.headers.items()}
         try:
             status, content_type, payload, extra = supervisor.dispatch(
                 "POST", path, body, headers
             )
         except Exception as exc:  # noqa: BLE001 - the front must not die
-            self._respond_json(
-                500, {"error": str(exc), "type": type(exc).__name__}
-            )
+            self.send_json(500, {"error": str(exc), "type": type(exc).__name__})
             return
-        self._respond(status, payload, content_type=content_type, extra_headers=extra)
+        self.send_body(status, content_type, payload, extra)
 
 
 def start_supervisor(store: str, **kwargs: Any) -> Supervisor:

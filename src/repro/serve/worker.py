@@ -11,8 +11,9 @@ The supervisor parses that line to learn where the worker listens; everything
 after it goes through HTTP.  The worker then serves until one of:
 
 * a ``POST /shutdown`` request (the supervisor's graceful path),
-* ``SIGTERM`` (the supervisor's firm path — finishes the in-flight requests
-  the daemon threads are writing, then exits cleanly), or
+* ``SIGTERM`` (the supervisor's firm path — stops accepting, lets the
+  handler threads finish the requests they hold, ends their kept-alive
+  connections, then exits cleanly), or
 * ``SIGKILL`` (a crash, the chaos harness's weapon of choice — the supervisor
   notices the exit and restarts a fresh worker; the read-only discipline
   guarantees the replacement answers byte-identically).
@@ -107,6 +108,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except KeyboardInterrupt:  # pragma: no cover - interactive use
         pass
     finally:
+        server.close_connections()
         server.server_close()
         if not session.closed:
             session.close()

@@ -35,6 +35,11 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from repro.exceptions import StoreError
 
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - no flock: stale-lock steals race
+    fcntl = None  # type: ignore[assignment]
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.store.gc import GcReport
 
@@ -99,15 +104,19 @@ class _WriteLock:
     considered **stale** — and stolen — when the recorded process no longer
     exists, or when a process with that pid exists but its start-time token
     differs from the recorded one (the pid was recycled by an unrelated
-    process after the writer crashed).  A torn or empty sidecar (the writer
-    crashed between creating and stamping the file) is likewise stale, not an
-    error.  Only an *unreadable* file (permissions, I/O) is treated as held,
-    erring on the safe side.
+    process after the writer crashed).  The stamp is written to a private
+    temp file and published with an atomic :func:`os.link` (which fails when
+    the name exists), so the sidecar is never visible unstamped and a
+    contender cannot take a holder that is mid-acquire for a crashed one.  A
+    torn or empty sidecar can only come from a crashed writer that created
+    the file before stamping it; it is stale, not an error.  Only an
+    *unreadable* file (permissions, I/O) is treated as held, erring on the
+    safe side.
 
-    Stealing is race-safe: a contender first claims the stale file with an
-    atomic :func:`os.rename` — exactly one concurrent contender wins that
-    rename — and only the winner retries the exclusive create.  Losers see a
-    fresh, live lock and fail with the usual typed :class:`StoreError`.
+    Stealing is race-safe: contenders remove a stale sidecar under an
+    ``flock`` of that very file (see :meth:`_reap_stale`), then race the
+    link — exactly one wins it.  Losers see a fresh, live lock and fail with
+    the usual typed :class:`StoreError`.
     """
 
     def __init__(self, path: Path, store: str) -> None:
@@ -116,13 +125,26 @@ class _WriteLock:
         self._acquired = False
 
     def acquire(self) -> None:
+        pid = os.getpid()
+        handle, stamp = tempfile.mkstemp(
+            prefix=f"{self._path.name}.stamp.", dir=self._path.parent
+        )
+        try:
+            with os.fdopen(handle, "w", encoding="utf-8") as stream:
+                stream.write(
+                    json.dumps({"pid": pid, "token": _pid_start_token(pid)})
+                )
+            self._publish(stamp)
+        finally:
+            os.unlink(stamp)
+
+    def _publish(self, stamp: str) -> None:
+        """Link the finished stamp into place, removing a stale lock first."""
         for attempt in (1, 2, 3):
             try:
-                handle = os.open(
-                    self._path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
-                )
+                os.link(stamp, self._path)
             except FileExistsError:
-                holder_pid, stale = self._holder_state()
+                holder_pid, stale = self._reap_stale()
                 if not stale or attempt == 3:
                     raise StoreError(
                         f"store {self._store} is already open for write "
@@ -130,43 +152,50 @@ class _WriteLock:
                         "the other backend first, or open read-only with "
                         "exclusive=False"
                     ) from None
-                # The recorded writer is gone (crashed without close()) or
-                # its pid was recycled: claim the stale file atomically —
-                # rename succeeds for exactly one concurrent contender — and
-                # retry the exclusive create.  A loser's rename fails, and
-                # its next create attempt finds the winner's live lock.
-                claim = self._path.with_name(
-                    f"{self._path.name}.steal.{os.getpid()}"
-                )
-                try:
-                    os.rename(self._path, claim)
-                except OSError:
-                    continue
-                try:
-                    os.unlink(claim)
-                except OSError:  # pragma: no cover - filesystem dependent
-                    pass
                 continue
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                pid = os.getpid()
-                stream.write(
-                    json.dumps({"pid": pid, "token": _pid_start_token(pid)})
-                )
             self._acquired = True
             return
 
-    def _holder_state(self) -> "tuple[Optional[int], bool]":
-        """The recorded holder pid and whether the lock is stale."""
+    def _reap_stale(self) -> "tuple[Optional[int], bool]":
+        """Unlink the sidecar if its holder is gone: ``(holder pid, stale)``.
+
+        Judging a file stale and unlinking it are two steps, and between
+        them another contender may already have removed that file and
+        published its own live stamp under the same name.  Contenders
+        therefore serialise on an ``flock`` of the sidecar *they judged*
+        (the open descriptor also pins its inode) and unlink only while the
+        name still refers to it; whoever comes second finds a different
+        file under the name and simply looks again.
+        """
         try:
-            raw = self._path.read_text(encoding="utf-8").strip()
+            handle = os.open(self._path, os.O_RDONLY)
         except FileNotFoundError:
-            # Another contender already stole and released (or is mid-steal):
-            # treat as stale so the create is simply retried.
-            return None, True
+            return None, True  # released or reaped meanwhile: retry the link
         except OSError:
             return None, False  # unreadable: assume held, err on the safe side
+        try:
+            if fcntl is not None:
+                fcntl.flock(handle, fcntl.LOCK_EX)  # released by os.close
+            try:
+                if not os.path.samestat(os.stat(self._path), os.fstat(handle)):
+                    return None, True
+                raw = os.read(handle, 4096).decode("utf-8").strip()
+            except FileNotFoundError:
+                return None, True
+            except (OSError, UnicodeDecodeError):
+                return None, False
+            holder_pid, stale = self._holder_state(raw)
+            if stale:
+                os.unlink(self._path)
+            return holder_pid, stale
+        finally:
+            os.close(handle)
+
+    @staticmethod
+    def _holder_state(raw: str) -> "tuple[Optional[int], bool]":
+        """The holder pid a stamp records and whether that holder is gone."""
         if not raw:
-            return None, True  # torn write: crashed before stamping
+            return None, True  # legacy torn write: crashed before stamping
         token: Optional[str] = None
         try:
             document = json.loads(raw)

@@ -32,8 +32,8 @@ def served(store_path):
     session = open_readonly_session(store_path)
     server = start_server(session, close_session_on_stop=True)
     sink = RingBufferSink()
-    client = ServeClient(server.url, tracer=Tracer(sink=sink))
-    yield server, client, sink
+    with ServeClient(server.url, tracer=Tracer(sink=sink)) as client:
+        yield server, client, sink
     if not session.closed:
         server.stop()
 
@@ -115,20 +115,20 @@ def test_stats_decodes_lazy_and_uptime(served):
 def test_served_answers_match_untraced_client(served):
     """Header propagation must not change what the server computes."""
     server, client, _sink = served
-    plain = ServeClient(server.url)
-    assert client.query(required_results=3) == plain.query(required_results=3)
+    with ServeClient(server.url) as plain:
+        assert client.query(required_results=3) == plain.query(required_results=3)
 
 
 def test_no_obs_server_rejects_observability_endpoints(store_path):
     session = open_readonly_session(store_path)
     server = start_server(session, close_session_on_stop=True, observability=None)
     try:
-        client = ServeClient(server.url)
-        client.query(required_results=3)  # still answers queries
-        with pytest.raises(ServeError, match="disabled"):
-            client.metrics()
-        with pytest.raises(ServeError, match="trace ring"):
-            client.trace()
+        with ServeClient(server.url) as client:
+            client.query(required_results=3)  # still answers queries
+            with pytest.raises(ServeError, match="disabled"):
+                client.metrics()
+            with pytest.raises(ServeError, match="trace ring"):
+                client.trace()
     finally:
         if not session.closed:
             server.stop()

@@ -72,23 +72,23 @@ class TestKillOnce:
     def test_sigkill_is_detected_restarted_and_accounted(
         self, supervisor, expected
     ):
-        client = ServeClient(supervisor.url, timeout=60.0, retry_seed=0)
-        assert client.query_batch(count=2) == expected[2]
-        monkey = ChaosMonkey(supervisor, seed=11)
-        old_pids = {h.index: h.pid for h in supervisor.workers}
-        killed = monkey.kill_once()
-        assert killed is not None
-        assert monkey.kills[0]["index"] == killed
+        with ServeClient(supervisor.url, timeout=60.0, retry_seed=0) as client:
+            assert client.query_batch(count=2) == expected[2]
+            monkey = ChaosMonkey(supervisor, seed=11)
+            old_pids = {h.index: h.pid for h in supervisor.workers}
+            killed = monkey.kill_once()
+            assert killed is not None
+            assert monkey.kills[0]["index"] == killed
 
-        payload = wait_for_recovery(supervisor, client)
-        restarted = next(
-            worker for worker in payload["workers"] if worker["index"] == killed
-        )
-        assert restarted["state"] == LIVE
-        assert restarted["restarts"] >= 1
-        assert restarted["pid"] != old_pids[killed]  # a fresh process
-        # The replacement answers byte-for-byte like its predecessor did.
-        assert client.query_batch(count=2) == expected[2]
+            payload = wait_for_recovery(supervisor, client)
+            restarted = next(
+                worker for worker in payload["workers"] if worker["index"] == killed
+            )
+            assert restarted["state"] == LIVE
+            assert restarted["restarts"] >= 1
+            assert restarted["pid"] != old_pids[killed]  # a fresh process
+            # The replacement answers byte-for-byte like its predecessor did.
+            assert client.query_batch(count=2) == expected[2]
 
 
 class TestChaosSchedule:
@@ -123,6 +123,7 @@ class TestChaosSchedule:
                     verdict = "ok" if answers == expected[count] else "wrong"
                     with lock:
                         outcomes.append((count, verdict, len(answers)))
+            client.close()
 
         clients = [
             threading.Thread(target=hammer, args=(seed,), daemon=True)
@@ -150,13 +151,13 @@ class TestChaosSchedule:
             o for o in outcomes if o[1] == "untyped"
         ]
 
-        client = ServeClient(supervisor.url, timeout=60.0, retry_seed=9)
-        payload = wait_for_recovery(supervisor, client)
-        assert payload["status"] == "ok"
-        assert payload["restarts_total"] >= 1
-        # And the recovered fleet still answers exactly like a fresh restore.
-        for count, answers in expected.items():
-            assert client.query_batch(count=count) == answers
+        with ServeClient(supervisor.url, timeout=60.0, retry_seed=9) as client:
+            payload = wait_for_recovery(supervisor, client)
+            assert payload["status"] == "ok"
+            assert payload["restarts_total"] >= 1
+            # The recovered fleet still answers exactly like a fresh restore.
+            for count, answers in expected.items():
+                assert client.query_batch(count=count) == answers
 
     def test_successful_responses_are_byte_identical(self, supervisor):
         """Raw wire bytes for one request never vary, whichever worker

@@ -1,10 +1,11 @@
 """ServeClient transport resilience: bounded jittered retry, typed errors.
 
-A worker dying under a request shows up client-side as a connection reset; a
-restarting server as connection refused.  Both are retried (safe — served
-answers are deterministic) a bounded number of times with jittered backoff,
-*except* for ``/shutdown`` where a reset usually means success.  Supervisor
-failure responses map to the typed exceptions callers branch on.
+A worker dying under a request shows up client-side as a connection reset,
+a hang-up before any response, or a response cut short; a restarting server
+as connection refused.  All are retried (safe — served answers are
+deterministic) a bounded number of times with jittered backoff, *except* for
+``/shutdown`` where a reset usually means success.  Supervisor failure
+responses map to the typed exceptions callers branch on.
 """
 
 import json
@@ -25,11 +26,26 @@ from repro.serve.client import ServeClient
 
 
 class StubServer(threading.Thread):
-    """Resets the first ``failures`` connections, then serves ``response``."""
+    """Fails the first ``failures`` connections, then serves ``response``.
 
-    def __init__(self, failures=0, status=200, headers=(), body=b'{"status": "ok"}'):
+    ``failure`` picks how a connection is lost: ``"reset"`` (a hard RST on
+    accept — ``ConnectionResetError``), ``"hangup"`` (the request is read,
+    then the socket closed without a byte — ``RemoteDisconnected``) or
+    ``"truncate"`` (headers promise more body than arrives —
+    ``IncompleteRead``).
+    """
+
+    def __init__(
+        self,
+        failures=0,
+        status=200,
+        headers=(),
+        body=b'{"status": "ok"}',
+        failure="reset",
+    ):
         super().__init__(daemon=True)
         self.failures = failures
+        self.failure = failure
         self.status = status
         self.extra_headers = headers
         self.body = body
@@ -52,13 +68,20 @@ class StubServer(threading.Thread):
                 return
             self.connections += 1
             if self.connections <= self.failures:
-                # SO_LINGER with zero timeout turns close() into a hard RST —
-                # exactly what a SIGKILLed worker's kernel sends.
-                conn.setsockopt(
-                    socket.SOL_SOCKET,
-                    socket.SO_LINGER,
-                    struct.pack("ii", 1, 0),
-                )
+                if self.failure == "reset":
+                    # SO_LINGER with zero timeout turns close() into a hard
+                    # RST — exactly what a SIGKILLed worker's kernel sends.
+                    conn.setsockopt(
+                        socket.SOL_SOCKET,
+                        socket.SO_LINGER,
+                        struct.pack("ii", 1, 0),
+                    )
+                else:
+                    conn.recv(65536)
+                    if self.failure == "truncate":
+                        conn.sendall(
+                            b"HTTP/1.0 200 X\r\nContent-Length: 64\r\n\r\n{"
+                        )
                 conn.close()
                 continue
             conn.recv(65536)
@@ -101,8 +124,9 @@ def fast_client(url, **kwargs):
 
 
 class TestConnectionRetry:
-    def test_reset_connections_are_retried_to_success(self, stub):
-        server = stub(failures=2)
+    @pytest.mark.parametrize("failure", ["reset", "hangup", "truncate"])
+    def test_lost_connections_are_retried_to_success(self, stub, failure):
+        server = stub(failures=2, failure=failure)
         registry = MetricsRegistry()
         client = fast_client(server.url, registry=registry)
         assert client.health() == {"status": "ok"}
@@ -185,3 +209,9 @@ class TestTypedServerErrors:
         with pytest.raises(ServeError, match="bad payload") as excinfo:
             client.health()
         assert type(excinfo.value) is ServeError
+
+
+@pytest.mark.parametrize("url", ["ftp://127.0.0.1:1", "127.0.0.1:8123", "http://h:port"])
+def test_a_url_the_client_cannot_dial_is_a_typed_error(url):
+    with pytest.raises(ServeError, match="not an http"):
+        ServeClient(url)

@@ -21,7 +21,8 @@ REQUIRED = 5
 def served(planned_store):
     session = open_readonly_session(planned_store)
     server = start_server(session, close_session_on_stop=True)
-    yield server, ServeClient(server.url), session
+    with ServeClient(server.url) as client:
+        yield server, client, session
     if not session.closed:
         server.stop()
 
@@ -89,8 +90,8 @@ def test_lazy_loading_materializes_only_touched_hierarchies(real_store):
     path, background = real_store
     session = open_readonly_session(path, background=background)
     server = start_server(session, close_session_on_stop=True)
+    client = ServeClient(server.url)
     try:
-        client = ServeClient(server.url)
         source = session.hierarchy_source
         assert source.fetches == 0, "opening must not materialize hierarchies"
 
@@ -116,5 +117,6 @@ def test_lazy_loading_materializes_only_touched_hierarchies(real_store):
         ]
         assert pending and all(pending)
     finally:
+        client.close()
         if not session.closed:
             server.stop()

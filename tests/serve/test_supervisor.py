@@ -37,7 +37,8 @@ def supervisor(planned_store):
 
 @pytest.fixture(scope="module")
 def client(supervisor):
-    return ServeClient(supervisor.url, timeout=60.0, retry_seed=0)
+    with ServeClient(supervisor.url, timeout=60.0, retry_seed=0) as client:
+        yield client
 
 
 @pytest.fixture(scope="module")
@@ -193,9 +194,9 @@ class TestGracefulDrain:
             heartbeat_interval=0.15,
             drain_timeout=5.0,
         ).start()
-        client = ServeClient(sup.url, timeout=60.0)
-        assert client.query(query_id=3) is not None
-        assert client.shutdown() == {"status": "shutting down"}
+        with ServeClient(sup.url, timeout=60.0) as client:
+            assert client.query(query_id=3) is not None
+            assert client.shutdown() == {"status": "shutting down"}
         sup.join(timeout=30.0)
         assert all(handle.state == STOPPED for handle in sup.workers)
         assert all(handle.process.poll() is not None for handle in sup.workers)

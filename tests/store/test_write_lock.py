@@ -16,6 +16,7 @@ import pytest
 
 from repro.exceptions import StoreError
 from repro.store import SqliteBackend
+from repro.store import backend as backend_module
 from repro.store.backend import _pid_start_token
 
 
@@ -139,3 +140,58 @@ class TestStealRace:
             assert len(losers) == 1
             assert "already open for write" in str(losers[0])
             assert not lock_path(store_path).exists()
+
+    def test_locker_paused_while_stamping_is_not_taken_for_a_torn_write(
+        self, store_path, monkeypatch
+    ):
+        """A locker frozen while it computes its stamp must never be visible
+        as an empty sidecar: a contender arriving meanwhile either finds no
+        lock at all or a fully stamped one, and of the two opens exactly one
+        succeeds while the other fails typed."""
+        paused, resume = threading.Event(), threading.Event()
+        real_token = backend_module._pid_start_token
+        first = {}
+
+        def stalling_token(pid):
+            if threading.current_thread() is first.get("thread") and not paused.is_set():
+                paused.set()
+                assert resume.wait(10.0)
+            return real_token(pid)
+
+        monkeypatch.setattr(backend_module, "_pid_start_token", stalling_token)
+
+        def open_first():
+            try:
+                backend = SqliteBackend(store_path)
+            except StoreError as exc:
+                first["result"] = exc
+            else:
+                first["result"] = "winner"
+                backend.close()
+
+        first["thread"] = threading.Thread(target=open_first)
+        first["thread"].start()
+        assert paused.wait(10.0)
+        try:
+            sidecar = lock_path(store_path)
+            assert not sidecar.exists() or json.loads(sidecar.read_text())["pid"]
+            try:
+                second = SqliteBackend(store_path)
+            except StoreError as exc:
+                second_result = exc
+            else:
+                second_result = "winner"
+        finally:
+            resume.set()
+            first["thread"].join(10.0)
+        assert not first["thread"].is_alive()
+        try:
+            results = [first["result"], second_result]
+            assert results.count("winner") == 1, results
+            loser = next(r for r in results if r != "winner")
+            assert isinstance(loser, StoreError)
+            assert "already open for write" in str(loser)
+        finally:
+            if second_result == "winner":
+                second.close()
+        assert not lock_path(store_path).exists()
