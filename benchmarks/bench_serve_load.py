@@ -25,11 +25,9 @@ import pytest
 from benchmarks.conftest import attach_table, full_scale
 from repro.experiments.reporting import ExperimentTable
 from repro.serve import ServeClient, start_server
-from repro.serve.server import SessionPool
 from repro.serve.supervisor import Supervisor
 from repro.store.checkpoint import (
     open_readonly_session,
-    open_readonly_session_pool,
     restore_session,
     save_session,
 )
@@ -47,13 +45,6 @@ QUERIES_PER_REQUEST = 2
 #: measure an order of magnitude above this; the slack absorbs shared CI
 #: runners, not regressions.
 MIN_GUARD_QPS = 25.0
-#: Pool size for the pooled-daemon comparison (``repro serve --pool N``).
-POOL_SIZE = 4
-#: Floor for pooled/single throughput at 16 clients.  The pool removes the
-#: single-session lock plateau, but the per-request work is pure Python, so
-#: on one CPython process the GIL — not the lock — can become the next
-#: ceiling; the guard therefore only demands the pool costs nothing.
-MIN_POOL_RATIO = 0.75
 #: Worker processes for the supervised fleet (``repro serve --workers N``).
 WORKER_COUNT = 4
 #: Floor for supervised/single throughput at 16 clients.  Worker *processes*
@@ -93,30 +84,6 @@ def served(checkpoint_path):
 
     yield server, required
     if not readonly.closed:
-        server.stop()
-
-
-@pytest.fixture(scope="module")
-def served_pool(checkpoint_path):
-    """A pooled daemon (``repro serve --pool N``) over the same checkpoint."""
-    path = checkpoint_path
-    pool = SessionPool(open_readonly_session_pool(str(path), POOL_SIZE))
-    server = start_server(pool, close_session_on_stop=True)
-    required = max(1, round(0.1 * pool.primary.overlay.size))
-
-    # Correctness gate: every pool member must answer like a local restore.
-    local = restore_session(str(path)).query_batch(
-        count=QUERIES_PER_REQUEST, required_results=required
-    )
-    client = ServeClient(server.url)
-    for _member in range(POOL_SIZE):
-        over_http = client.query_batch(
-            count=QUERIES_PER_REQUEST, required_results=required
-        )
-        assert over_http == local, "pooled answers diverge from a local restore"
-
-    yield server, required
-    if not pool.primary.closed:
         server.stop()
 
 
@@ -273,58 +240,11 @@ def test_serve_throughput_guard(served, benchmark):
 
 
 @pytest.mark.benchmark(group="serve-load")
-def test_serve_pool_vs_single_session(served, served_pool, benchmark):
-    """Pooled daemon vs the single-session plateau at 16 concurrent clients.
-
-    The single daemon serializes requests on one session lock; the pool
-    round-robins over ``POOL_SIZE`` byte-identical restores, so requests only
-    queue on the (much shorter) per-member critical sections.  The printed
-    lock profile of both daemons shows where the waiting went.
-    """
-    single_server, required = served
-    pool_server, _pool_required = served_pool
-
-    def race():
-        single = _run_level(single_server.url, 16, required)
-        pooled = _run_level(pool_server.url, 16, required)
-        return {"single": single, "pooled": pooled}
-
-    result = benchmark.pedantic(race, rounds=1, iterations=1)
-    single_qps = result["single"]["qps"]
-    pooled_qps = result["pooled"]["qps"]
-    ratio = pooled_qps / single_qps
-    dispatched = pool_server.pool.dispatch_counts()
-    benchmark.extra_info.update(
-        {
-            "single_qps": single_qps,
-            "pooled_qps": pooled_qps,
-            "ratio": ratio,
-            "pool_dispatch": dispatched,
-        }
-    )
-    print(
-        f"\nserve pool ({POOL_SIZE} members) vs single at 16 clients: "
-        f"{pooled_qps:.1f} vs {single_qps:.1f} q/s ({ratio:.2f}x), "
-        f"dispatch {dispatched}"
-    )
-    _print_lock_profile(pool_server)
-
-    # The round-robin must actually spread the load across members...
-    assert sum(1 for count in dispatched if count > 0) > 1
-    # ...and pooling must never cost throughput (GIL-bound runs hover near
-    # 1x; lock-bound runs exceed it).
-    assert ratio >= MIN_POOL_RATIO, (
-        f"pooled throughput {pooled_qps:.1f} q/s fell to {ratio:.2f}x of the "
-        f"single-session daemon ({single_qps:.1f} q/s)"
-    )
-
-
-@pytest.mark.benchmark(group="serve-load")
 def test_serve_workers_vs_single_process(served, served_workers, benchmark):
     """Supervised worker fleet vs the single-process daemon at 16 clients.
 
-    In-process pooling hovers near 1x because every pool member shares one
-    GIL; worker *processes* execute protocol work truly in parallel.  On a
+    Handler threads of one process share one session lock and one GIL;
+    worker *processes* execute protocol work truly in parallel.  On a
     machine with >= ``WORKER_COUNT`` cores (the CI runners) the fleet is
     guarded at ``1.5x`` the single daemon; on smaller machines the processes
     time-slice one CPU and the guard only polices supervision overhead.

@@ -25,7 +25,7 @@ def test_table3_parameters(benchmark):
 def test_scenario_construction(benchmark):
     def build():
         scenario = SimulationScenario(peer_count=500, alpha=0.3, seed=0)
-        system = scenario.build_system()
+        system = scenario.session().system
         return system
 
     system = benchmark.pedantic(build, iterations=1, rounds=3)

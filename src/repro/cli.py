@@ -189,13 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         "identical answers per seed",
     )
     parser.add_argument(
-        "--pool",
-        type=int,
-        default=1,
-        help="serve: answer queries from a pool of POOL read-only sessions "
-        "sharing one store and hierarchy cache (default: 1)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -569,54 +562,33 @@ def _inspect_store_table(args: argparse.Namespace) -> ExperimentTable:
 
 def _serve(args: argparse.Namespace) -> int:
     from repro.exceptions import ConfigurationError
-    from repro.serve.server import SessionPool, SummaryQueryServer
-    from repro.store.checkpoint import (
-        open_readonly_session,
-        open_readonly_session_pool,
-    )
+    from repro.serve.server import serve_checkpoint
 
-    if args.pool < 1:
-        raise ConfigurationError(f"--pool needs at least 1 session, got {args.pool}")
     if args.workers < 1:
         raise ConfigurationError(
             f"--workers needs at least 1 process, got {args.workers}"
         )
     if args.workers > 1:
         return _serve_supervised(args)
-    if args.pool > 1:
-        pool = SessionPool(
-            open_readonly_session_pool(args.store, args.pool, name=args.name)
+
+    def banner(server) -> str:
+        session = server.session
+        endpoints = "" if args.no_obs else "; metrics on /metrics, spans on /trace"
+        return (
+            f"serving checkpoint {args.name!r} from {args.store} on {server.url} "
+            f"({session.overlay.size} peers, {len(session.domains)} domains; "
+            f"Ctrl-C or POST /shutdown to stop{endpoints})"
         )
-    else:
-        pool = SessionPool([open_readonly_session(args.store, name=args.name)])
-    session = pool.primary
-    kwargs = {}
-    if args.no_obs:
-        kwargs["observability"] = None
-    server = SummaryQueryServer(
-        (args.host, args.port),
-        pool,
-        checkpoint_name=args.name,
+
+    return serve_checkpoint(
+        args.store,
+        args.name,
+        args.host,
+        args.port,
+        banner,
+        observe=not args.no_obs,
         quiet=False,
-        close_session_on_stop=True,
-        **kwargs,
     )
-    endpoints = "" if args.no_obs else "; metrics on /metrics, spans on /trace"
-    pooled = f", pool of {pool.size}" if pool.size > 1 else ""
-    print(
-        f"serving checkpoint {args.name!r} from {args.store} on {server.url} "
-        f"({session.overlay.size} peers, {len(session.domains)} domains{pooled}; "
-        f"Ctrl-C or POST /shutdown to stop{endpoints})"
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close_connections()
-        server.server_close()
-        pool.close()
-    return 0
 
 
 def _serve_supervised(args: argparse.Namespace) -> int:

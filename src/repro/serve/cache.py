@@ -3,7 +3,7 @@
 Served answers are **deterministic by construction**: a read-only session
 rolls every piece of volatile state back after each request, so two identical
 requests against the same checkpoint produce byte-identical response bodies
-no matter when they run or which pool member / worker process answers them.
+no matter when they run or which worker process answers them.
 That turns response caching from a staleness trade-off into a provably
 correct optimization — a cache hit *is* the answer the worker would have
 computed.

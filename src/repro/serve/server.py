@@ -56,23 +56,26 @@ holding a warm connection sees it closed, re-dials and is refused.
 Library errors surface as ``400`` with ``{"error": ..., "type": ...}``;
 anything unexpected is a ``500``.  Use :func:`start_server` for an in-process
 daemon on an ephemeral port (tests, benchmarks) and the ``repro serve`` CLI
-command for a long-running one.
+command for a long-running one; that command and every supervised worker
+process run :func:`serve_checkpoint`, the one foreground bootstrap.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import signal
 import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.routing import RoutingPolicy
 from repro.core.session import ReadOnlyNetworkSession
 from repro.exceptions import ReproError, ServeError
+from repro.fuzzy.background import BackgroundKnowledge
 from repro.obs import Observability
 from repro.serve import wire
 
@@ -201,92 +204,20 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
         self.send_body(status, "application/json", json.dumps(payload).encode("utf-8"))
 
 
-class SessionPool:
-    """Round-robin pool of read-only sessions restored from one checkpoint.
-
-    A single :class:`~repro.core.session.ReadOnlyNetworkSession` serializes
-    every request on its internal lock, which caps a multi-client daemon's
-    throughput at one in-flight query.  A pool holds ``N`` independent
-    restores of the *same* checkpoint — all sharing one store backend and
-    one lazy :class:`~repro.store.lazy.HierarchySource` (see
-    :func:`repro.store.checkpoint.open_readonly_session_pool`) — and hands
-    requests out round-robin, so up to ``N`` requests execute their
-    protocol work concurrently.  Every member answers byte-identically (the
-    read-only rollback discipline guarantees it), so which member serves a
-    request is unobservable to clients.
-
-    The first member is the *primary*: it owns the shared backend when the
-    pool was opened from a path, so :meth:`close` releases the others first
-    and the primary last.
-    """
-
-    def __init__(self, sessions: Sequence[ReadOnlyNetworkSession]) -> None:
-        if not sessions:
-            raise ServeError("a session pool needs at least one session")
-        self._sessions = list(sessions)
-        self._lock = threading.Lock()
-        self._next = 0
-        self._dispatched = [0] * len(self._sessions)
-
-    @property
-    def size(self) -> int:
-        return len(self._sessions)
-
-    @property
-    def primary(self) -> ReadOnlyNetworkSession:
-        """The member used for stats/health reads (all members are equal)."""
-        return self._sessions[0]
-
-    @property
-    def sessions(self) -> List[ReadOnlyNetworkSession]:
-        return list(self._sessions)
-
-    def acquire(self) -> Tuple[int, ReadOnlyNetworkSession]:
-        """The next member, round-robin; returns ``(index, session)``."""
-        with self._lock:
-            index = self._next
-            self._next = (index + 1) % len(self._sessions)
-            self._dispatched[index] += 1
-        return index, self._sessions[index]
-
-    def dispatch_counts(self) -> List[int]:
-        """Requests dispatched to each member so far, by pool index."""
-        with self._lock:
-            return list(self._dispatched)
-
-    def install_observability(self, obs: Optional[Observability]) -> None:
-        """Install one shared hook on every member.
-
-        All members feed the same registry, so the pooled daemon's
-        ``repro_session_lock_wait_seconds`` / ``_hold_seconds`` histograms
-        aggregate lock contention across the whole pool.
-        """
-        for session in self._sessions:
-            session.install_observability(obs)
-
-    def close(self) -> None:
-        """Close every member; the backend-owning primary goes last."""
-        for session in reversed(self._sessions):
-            session.close()
-
-
 class SummaryQueryServer(KeepAliveHTTPServer):
-    """HTTP daemon over a shared read-only session (or a pool of them)."""
+    """HTTP daemon whose handler threads all answer from one read-only session."""
 
     def __init__(
         self,
         address: Tuple[str, int],
-        session: Union[ReadOnlyNetworkSession, SessionPool],
+        session: ReadOnlyNetworkSession,
         checkpoint_name: str = "session",
         quiet: bool = True,
         close_session_on_stop: bool = False,
         observability: Any = _DEFAULT_OBS,
     ) -> None:
         super().__init__(address, _RequestHandler)
-        self.pool = session if isinstance(session, SessionPool) else SessionPool([session])
-        #: The primary member — stats/health reads go here; query-shaped
-        #: requests acquire a member through :meth:`acquire_session` instead.
-        self.session = self.pool.primary
+        self.session = session
         self.checkpoint_name = checkpoint_name
         self.quiet = quiet
         self.close_session_on_stop = close_session_on_stop
@@ -295,22 +226,13 @@ class SummaryQueryServer(KeepAliveHTTPServer):
             observability.tracer.origin = "server"
         self.observability: Optional[Observability] = observability
         if observability is not None:
-            self.pool.install_observability(observability)
-            observability.set_gauge("repro_serve_pool_size", self.pool.size)
+            session.install_observability(observability)
         self.started_at = time.time()
         self._stats_lock = threading.Lock()
         self._request_counts: Dict[str, int] = {}
         self._queries_answered = 0
         self._thread: Optional[threading.Thread] = None
         self._stop_thread: Optional[threading.Thread] = None
-
-    def acquire_session(self) -> ReadOnlyNetworkSession:
-        """The pool member the current request should answer from."""
-        index, session = self.pool.acquire()
-        obs = self.observability
-        if obs is not None and self.pool.size > 1:
-            obs.inc("repro_serve_pool_dispatch_total", member=str(index))
-        return session
 
     # -- bookkeeping -------------------------------------------------------------------
 
@@ -337,10 +259,6 @@ class SummaryQueryServer(KeepAliveHTTPServer):
             "domains": len(session.domains),
             "planned": session.planned,
             "lazy": None if source is None else source.stats_payload(),
-            "pool": {
-                "size": self.pool.size,
-                "dispatched": self.pool.dispatch_counts(),
-            },
             "uptime_seconds": time.time() - self.started_at,
         }
 
@@ -377,7 +295,7 @@ class SummaryQueryServer(KeepAliveHTTPServer):
         self.close_connections()
         self.server_close()
         if self.close_session_on_stop:
-            self.pool.close()
+            self.session.close()
 
     def request_shutdown(self) -> None:
         """Asynchronous shutdown (used by the ``/shutdown`` endpoint)."""
@@ -569,7 +487,7 @@ class _RequestHandler(KeepAliveHandler):
 
     def _handle_query(self) -> Tuple[int, Dict[str, Any]]:
         payload = self._read_body()
-        session = self.server.acquire_session()
+        session = self.server.session
         options = self._query_options(payload)
         query = (
             None if payload.get("query") is None else wire.decode_query(payload["query"])
@@ -585,7 +503,7 @@ class _RequestHandler(KeepAliveHandler):
 
     def _handle_query_batch(self) -> Tuple[int, Dict[str, Any]]:
         payload = self._read_body()
-        session = self.server.acquire_session()
+        session = self.server.session
         options = self._query_options(payload)
         count = payload.get("count")
         queries: Optional[List[Any]] = None
@@ -603,7 +521,7 @@ class _RequestHandler(KeepAliveHandler):
 
     def _handle_staleness(self) -> Tuple[int, Dict[str, Any]]:
         payload = self._read_body()
-        session = self.server.acquire_session()
+        session = self.server.session
         if payload.get("count") is not None:
             snapshots = session.staleness_batch(int(payload["count"]))
             self.server.record_request("staleness")
@@ -625,7 +543,7 @@ class _RequestHandler(KeepAliveHandler):
 
 
 def start_server(
-    session: Union[ReadOnlyNetworkSession, SessionPool],
+    session: ReadOnlyNetworkSession,
     host: str = "127.0.0.1",
     port: int = 0,
     checkpoint_name: str = "session",
@@ -635,13 +553,12 @@ def start_server(
 ) -> SummaryQueryServer:
     """Serve ``session`` on a background thread; returns the running server.
 
-    ``session`` may be a single read-only session or a :class:`SessionPool`
-    (query-shaped requests then round-robin over the members).  ``port=0``
-    binds an ephemeral port — read the actual address off ``server.url``.
-    Stop with ``server.stop()`` (or a client-side ``/shutdown`` request,
-    which triggers the same clean teardown).  ``observability`` defaults to
-    a fresh ring-buffer instance; pass ``None`` to serve uninstrumented
-    (``/metrics`` and ``/trace`` then return errors).
+    Every handler thread answers from ``session``, which serializes them.
+    ``port=0`` binds an ephemeral port — read the actual address off
+    ``server.url``.  Stop with ``server.stop()`` (or a client-side
+    ``/shutdown`` request, which triggers the same clean teardown).
+    ``observability`` defaults to a fresh ring-buffer instance; pass ``None``
+    to serve uninstrumented (``/metrics`` and ``/trace`` then return errors).
     """
     server = SummaryQueryServer(
         (host, port),
@@ -652,3 +569,54 @@ def start_server(
         observability=observability,
     )
     return server.start_background()
+
+
+def serve_checkpoint(
+    store: str,
+    name: str,
+    host: str,
+    port: int,
+    banner: Callable[[SummaryQueryServer], str],
+    background: Optional[BackgroundKnowledge] = None,
+    observe: bool = True,
+    quiet: bool = True,
+) -> int:
+    """Serve one checkpoint in the foreground until stopped; returns 0.
+
+    The whole life of a serve process — ``repro serve`` and every
+    ``python -m repro.serve.worker`` alike: open ``name`` from ``store``
+    read-only, bind a :class:`SummaryQueryServer` over it, print
+    ``banner(server)`` on stdout (the one line a parent process waits for, so
+    it is flushed), and ``serve_forever`` on the calling thread.  ``POST
+    /shutdown``, ``SIGTERM`` and Ctrl-C all end the same way: stop accepting,
+    let the handler threads finish the requests they hold, end their
+    kept-alive connections, close the session and the store it owns.  Call
+    from the main thread (it installs the ``SIGTERM`` handler).
+    """
+    from repro.store.checkpoint import open_readonly_session
+
+    session = open_readonly_session(store, name=name, background=background)
+    server = SummaryQueryServer(
+        (host, port),
+        session,
+        checkpoint_name=name,
+        quiet=quiet,
+        close_session_on_stop=True,
+        observability=_DEFAULT_OBS if observe else None,
+    )
+
+    # shutdown() must not run on the serve_forever thread (it would deadlock
+    # waiting for itself), so hand it to a helper thread and let
+    # serve_forever return.
+    def _on_sigterm(signum, frame):  # noqa: ARG001 - signal API
+        threading.Thread(target=server.shutdown, daemon=True).start()
+
+    signal.signal(signal.SIGTERM, _on_sigterm)
+    print(banner(server), flush=True)
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        server.stop()
+    return 0

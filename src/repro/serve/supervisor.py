@@ -1,13 +1,13 @@
 """Crash-safe serving: a supervised fleet of worker processes, one front port.
 
-The single-process daemon (:mod:`repro.serve.server`) is GIL-bound: pooling
-sessions inside one CPython process measures ~1.0x q/s because protocol work
-is pure Python.  The :class:`Supervisor` takes the step the benchmarks have
-been pointing at: it forks ``N`` **worker processes** (each one
-``python -m repro.serve.worker`` over its own read-only restore of the same
-checkpoint; the store is opened with ``exclusive=False`` throughout, so the
-fleet coexists with at most one writer), and fronts them with a proxy on a
-single port.  Because answers are deterministic by construction — every
+The single-process daemon (:mod:`repro.serve.server`) answers one request at
+a time: its handler threads share one session lock, and protocol work is
+pure Python under one GIL, so more threads buy no throughput.  The
+:class:`Supervisor` parallelizes across processes instead: it forks ``N``
+**worker processes** (each one ``python -m repro.serve.worker`` over its own
+read-only restore of the same checkpoint; the store is opened with
+``exclusive=False`` throughout, so the fleet coexists with at most one
+writer), and fronts them with a proxy on a single port.  Because answers are deterministic by construction — every
 worker rolls its volatile state back after each request — which process
 answers a request is unobservable, and process-level recovery can be
 verified *byte for byte*.

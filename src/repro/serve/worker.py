@@ -1,9 +1,11 @@
 """The worker half of supervised serving: one process, one read-only restore.
 
-``python -m repro.serve.worker --store S --name N`` restores the checkpoint
+``python -m repro.serve.worker --store S --name N`` runs
+:func:`~repro.serve.server.serve_checkpoint`: it restores the checkpoint
 read-only (store opened with ``exclusive=False``, so any number of workers
-coexist with at most one writer), starts a :class:`SummaryQueryServer` on an
-ephemeral port, and prints exactly one handshake line on stdout::
+coexist with at most one writer), starts a
+:class:`~repro.serve.server.SummaryQueryServer` on an ephemeral port, and
+prints exactly one handshake line on stdout::
 
     READY port=<port> pid=<pid>
 
@@ -19,17 +21,15 @@ after it goes through HTTP.  The worker then serves until one of:
   guarantees the replacement answers byte-identically).
 
 Because every worker is a *process*, a fleet of them executes protocol work
-truly in parallel — this is what finally breaks the single-process GIL
-ceiling the serve benchmarks documented.
+truly in parallel, past the one-request-at-a-time ceiling of a single
+process.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import signal
 import sys
-import threading
 from typing import Optional, Sequence
 
 from repro.exceptions import ReproError
@@ -74,45 +74,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.serve.server import SummaryQueryServer
-    from repro.store.checkpoint import open_readonly_session
+    from repro.serve.server import serve_checkpoint
 
     args = build_parser().parse_args(argv)
-    session = open_readonly_session(
-        args.store, name=args.name, background=_background_from_name(args.background)
+    return serve_checkpoint(
+        args.store,
+        args.name,
+        args.host,
+        args.port,
+        lambda server: (
+            f"{READY_PREFIX} port={server.server_address[1]} pid={os.getpid()}"
+        ),
+        background=_background_from_name(args.background),
+        observe=not args.no_obs,
     )
-    kwargs = {}
-    if args.no_obs:
-        kwargs["observability"] = None
-    server = SummaryQueryServer(
-        (args.host, args.port),
-        session,
-        checkpoint_name=args.name,
-        quiet=True,
-        close_session_on_stop=True,
-        **kwargs,
-    )
-
-    # SIGTERM = the supervisor asking firmly.  shutdown() must not run on the
-    # serve_forever thread (it would deadlock waiting for itself), so hand it
-    # to a helper thread and let serve_forever return.
-    def _on_sigterm(signum, frame):  # noqa: ARG001 - signal API
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _on_sigterm)
-
-    port = server.server_address[1]
-    print(f"{READY_PREFIX} port={port} pid={os.getpid()}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive use
-        pass
-    finally:
-        server.close_connections()
-        server.server_close()
-        if not session.closed:
-            session.close()
-    return 0
 
 
 if __name__ == "__main__":

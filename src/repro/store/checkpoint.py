@@ -725,12 +725,14 @@ def open_readonly_session(
       costs the structural payload only, and a query workload materializes
       exactly the hierarchies it touches.
     * **Read-only** — the returned
-      :class:`~repro.core.session.ReadOnlyNetworkSession` answers queries and
-      staleness requests (concurrently, from many threads) but rejects every
-      mutating operation with
+      :class:`~repro.core.session.ReadOnlyNetworkSession` takes queries and
+      staleness requests from any number of threads and answers them one at
+      a time under its lock, rejects every mutating operation with
       :class:`~repro.exceptions.ReadOnlySessionError`, and rolls back all
       protocol-visible query bookkeeping after each request so answers stay
-      byte-identical to a fresh restore regardless of request order.
+      byte-identical to a fresh restore regardless of request order.  One
+      such session is all a serve process holds; processes, not sessions,
+      are the unit of parallelism (``repro serve --workers N``).
     * **Backend lifetime** — when ``target`` is a path the opened backend
       stays open for the session's lifetime (lazy loads need it); the session
       owns it and closes it in :meth:`ReadOnlyNetworkSession.close` (or on
@@ -757,60 +759,6 @@ def open_readonly_session(
         assert isinstance(session, ReadOnlyNetworkSession)
         session.bind_store(backend, owns_backend=owns, hierarchy_source=source)
         return session
-    except Exception:
-        if owns:
-            backend.close()
-        raise
-
-
-def open_readonly_session_pool(
-    target: Union[None, str, StoreBackend],
-    size: int,
-    name: str = DEFAULT_CHECKPOINT_NAME,
-    background: Optional[BackgroundKnowledge] = None,
-    cache_size: int = DEFAULT_CACHE_SIZE,
-) -> List["ReadOnlyNetworkSession"]:
-    """Open ``size`` independent read-only restores of one checkpoint.
-
-    All members share one store backend and one lazy
-    :class:`~repro.store.lazy.HierarchySource` (hierarchies are materialized
-    once, pool-wide), but each carries its own protocol state and request
-    lock — so up to ``size`` requests execute concurrently where a single
-    read-only session serializes them.  Every member answers byte-identically
-    to :func:`open_readonly_session` of the same checkpoint.
-
-    The first member owns the backend (when ``target`` is a path): close the
-    others first and it last, or wrap the list in
-    :class:`repro.serve.server.SessionPool` whose ``close()`` does exactly
-    that.
-    """
-    from repro.core.session import ReadOnlyNetworkSession
-
-    if size < 1:
-        raise StoreError(f"a session pool needs at least one member, got {size}")
-    backend = open_store(target, check_same_thread=False, exclusive=False)
-    owns = owns_backend(target)
-    sessions: List["ReadOnlyNetworkSession"] = []
-    try:
-        source = HierarchySource(
-            SnapshotStore(backend), background, cache_size=cache_size
-        )
-        for index in range(size):
-            session = _restore_session(
-                backend,
-                name,
-                background,
-                lazy=source,
-                session_cls=ReadOnlyNetworkSession,
-            )
-            assert isinstance(session, ReadOnlyNetworkSession)
-            session.bind_store(
-                backend,
-                owns_backend=owns and index == 0,
-                hierarchy_source=source,
-            )
-            sessions.append(session)
-        return sessions
     except Exception:
         if owns:
             backend.close()

@@ -7,18 +7,15 @@ and turns it into a ready-to-run
 the declarative :class:`~repro.core.session.SystemBuilder`:
 :meth:`SimulationScenario.session` for the multi-domain network,
 :meth:`SimulationScenario.single_domain_session` for the one-domain setting
-of Figures 4–6.  The legacy ``build_system`` / ``build_single_domain_system``
-methods remain as deprecated shims returning the bare engine.
+of Figures 4–6.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.config import ProtocolConfig
-from repro.core.protocol import SummaryManagementSystem
 from repro.core.session import NetworkSession, SystemBuilder
 from repro.exceptions import ConfigurationError
 from repro.network.churn import LifetimeDistribution
@@ -191,30 +188,6 @@ class SimulationScenario:
     def single_domain_session(self) -> NetworkSession:
         """The ready-to-run single-domain session (Figures 4–6 setting)."""
         return self.single_domain_builder().build()
-
-    # -- deprecated imperative shims -------------------------------------------------
-
-    def build_system(
-        self, summary_peers: Optional[List[str]] = None
-    ) -> SummaryManagementSystem:
-        """Deprecated: use :meth:`session` (or :meth:`builder`) instead."""
-        warnings.warn(
-            "SimulationScenario.build_system is deprecated; use "
-            "SimulationScenario.session(...).system instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.session(summary_peers=summary_peers).system
-
-    def build_single_domain_system(self) -> SummaryManagementSystem:
-        """Deprecated: use :meth:`single_domain_session` instead."""
-        warnings.warn(
-            "SimulationScenario.build_single_domain_system is deprecated; use "
-            "SimulationScenario.single_domain_session().system instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.single_domain_session().system
 
     def query_interval_seconds(self) -> float:
         """Average time between two consecutive queries in the whole network."""

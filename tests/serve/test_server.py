@@ -58,6 +58,10 @@ def test_health_and_stats(served):
 
     client.query_batch(count=2, required_results=REQUIRED)
     stats = client.stats()
+    assert set(stats) == {
+        "requests", "queries_answered", "peers", "domains", "planned", "lazy",
+        "uptime_seconds",
+    }
     assert stats["requests"]["query_batch"] == 1
     assert stats["queries_answered"] == 2
     assert stats["lazy"] == session.hierarchy_source.stats_payload()

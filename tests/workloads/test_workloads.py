@@ -121,14 +121,14 @@ class TestScenarios:
 
     def test_build_system_planned_mode(self):
         scenario = SimulationScenario(peer_count=48, seed=1)
-        system = scenario.build_system()
+        system = scenario.session().system
         assert system.overlay.size == 48
         assert system.content is not None
         assert len(system.domains) >= 1
 
     def test_build_single_domain_system(self):
         scenario = SimulationScenario(peer_count=48, seed=1)
-        system = scenario.build_single_domain_system()
+        system = scenario.single_domain_session().system
         assert len(system.domains) == 1
         domain = next(iter(system.domains.values()))
         assert len(domain.partner_ids) == 47
