@@ -7,12 +7,9 @@ fine background-knowledge grids, feeds a synthetic random cell stream to the
 builder, and records cells/second plus structural figures in
 ``extra_info`` — the series the ``BENCH_*.json`` perf trajectory tracks.
 
-``test_cached_vs_reference_speedup`` additionally pits the incremental
-aggregate cache against the recompute-from-scratch reference scorer
-(``SummaryBuilder(reference_scoring=True)``, the pre-cache implementation) on
-the largest default grid, and ``test_merge_heavy_build_shares_cells`` records
-the throughput and the cell-sharing factor (cell-map slots per ``Cell``
-object) of a merge-heavy binary-arity build.
+``test_merge_heavy_build_shares_cells`` records the throughput and the
+cell-sharing factor (cell-map slots per ``Cell`` object) of a merge-heavy
+binary-arity build on the largest default grid.
 """
 
 import json
@@ -104,43 +101,6 @@ def test_construction_is_near_linear(benchmark):
         {"chunk_cells": chunk, "timings": timings, "last_over_first": ratio}
     )
     assert ratio < 8.0, f"per-cell cost grew {ratio:.1f}x across the stream"
-
-
-@pytest.mark.benchmark(group="construction-scaling")
-def test_cached_vs_reference_speedup(benchmark):
-    """Incremental cache vs recompute-from-scratch on the largest default grid."""
-    n_attrs, n_labels, n_cells = DEFAULT_SWEEP[-1]
-    cells = _cell_stream(n_attrs, n_labels, n_cells)
-
-    def build_cached():
-        builder = SummaryBuilder()
-        builder.incorporate_all(cells)
-        return builder
-
-    t0 = time.perf_counter()
-    reference = SummaryBuilder(reference_scoring=True)
-    reference.incorporate_all(cells)
-    reference_elapsed = time.perf_counter() - t0
-
-    builder = benchmark.pedantic(build_cached, iterations=1, rounds=3)
-    cached_elapsed = mean_seconds(benchmark)
-    if cached_elapsed is None:  # --benchmark-disable: time one run directly
-        t0 = time.perf_counter()
-        builder = build_cached()
-        cached_elapsed = time.perf_counter() - t0
-    speedup = reference_elapsed / cached_elapsed if cached_elapsed > 0 else None
-    benchmark.extra_info["speedup"] = json.dumps(
-        {
-            "cells": n_cells,
-            "grid_size": n_labels**n_attrs,
-            "reference_seconds": reference_elapsed,
-            "cached_seconds": cached_elapsed,
-            "speedup": speedup,
-        }
-    )
-    # The cached and reference builders must also agree on the result.
-    assert len(builder.root.cells) == len(reference.root.cells)
-    assert speedup is not None and speedup >= 5.0
 
 
 @pytest.mark.benchmark(group="construction-scaling")

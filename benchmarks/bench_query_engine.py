@@ -1,19 +1,9 @@
-"""Query-engine benchmarks: repeated-query throughput and selection caching.
+"""Query-path benchmark: what observability costs the batched query path.
 
-``test_repeated_query_throughput_speedup`` is the acceptance benchmark (and
-CI guard) of the query-engine PR: at the 2000-peer Table-3 scale, a repeated
-planned-query workload driven through the indexed/memoized/batched path must
-run **≥ 5×** faster than the uncached reference (``query_engine_enabled =
-False``: a full online-peer scan per domain per query, per-query visit-order
-derivation), while producing byte-identical routing results.
-
-``test_selection_cache_speedup`` tracks the real-content side: repeated
-selections against an unchanged hierarchy through the inverted index +
-selection memo vs the pure tree walk.
-
-``test_obs_overhead_guard`` is the observability CI guard: the same batched
-workload with metrics+tracing installed must stay within
-``MAX_OBS_OVERHEAD`` of the uninstrumented run, and produce equal answers.
+``test_obs_overhead_guard`` is the observability CI guard: a repeated
+planned-query batch at the 2000-peer Table-3 scale with metrics+tracing
+installed must stay within ``MAX_OBS_OVERHEAD`` of the uninstrumented run,
+and produce equal answers.
 """
 
 import time
@@ -24,7 +14,7 @@ from benchmarks.conftest import full_scale
 from repro.core.routing import QueryRequest, RoutingPolicy
 from repro.workloads.registry import default_registry
 
-#: Network scale of the throughput guard: the paper's 2000-peer Table-3 point.
+#: Network scale of the guard: the paper's 2000-peer Table-3 point.
 THROUGHPUT_PEERS = 5000 if full_scale() else 2000
 #: Queries per measured leg; large enough that per-query costs dominate.
 THROUGHPUT_QUERIES = 60
@@ -50,71 +40,6 @@ def _requests(session, count):
         )
         for index in range(count)
     ]
-
-
-@pytest.mark.benchmark(group="query-engine-throughput")
-def test_repeated_query_throughput_speedup(benchmark):
-    """CI guard: batched+indexed querying ≥5× the uncached reference."""
-    session = _table3_session()
-    system = session.system
-
-    # Both legs pose the *same* query ids (the planned matches are drawn once
-    # per id and cached), so their routing results must be byte-identical.
-    # Draw every plan up front: neither measured leg pays the one-time RNG
-    # draws, keeping the comparison steady-state vs steady-state.
-    requests = _requests(session, THROUGHPUT_QUERIES)
-    content = session.content
-    for request in requests:
-        content.matching_peers(request.query_id)
-
-    def reference_leg():
-        return [
-            system.pose_query(
-                request.originator,
-                query_id=request.query_id,
-                policy=request.policy,
-                required_results=request.required_results,
-            )
-            for request in requests
-        ]
-
-    # Reference leg: legacy per-query derivation (full online scan per domain,
-    # pure per-query visit-order computation), posed sequentially.  Best of
-    # two runs, compared against the best fast round below: minima are robust
-    # to scheduling hiccups on shared CI runners.
-    system.query_engine_enabled = False
-    reference_seconds = float("inf")
-    for _run in range(2):
-        t0 = time.perf_counter()
-        reference_results = reference_leg()
-        reference_seconds = min(reference_seconds, time.perf_counter() - t0)
-
-    # Fast leg: the engine path, posed as one batch.
-    system.query_engine_enabled = True
-
-    def fast_leg():
-        return system.pose_queries(requests)
-
-    fast_results = benchmark.pedantic(fast_leg, rounds=3, iterations=1)
-    assert fast_results == reference_results
-
-    fast_seconds = benchmark.stats.stats.min if benchmark.stats else None
-    benchmark.extra_info["peers"] = session.overlay.size
-    benchmark.extra_info["queries_per_leg"] = THROUGHPUT_QUERIES
-    benchmark.extra_info["reference_seconds"] = reference_seconds
-    if fast_seconds:
-        speedup = reference_seconds / fast_seconds
-        benchmark.extra_info["fast_seconds"] = fast_seconds
-        benchmark.extra_info["speedup"] = speedup
-        print(
-            f"\nrepeated-query workload: reference {reference_seconds:.3f}s vs "
-            f"engine {fast_seconds:.3f}s — {speedup:.1f}x at "
-            f"{session.overlay.size} peers ({THROUGHPUT_QUERIES} queries/leg)"
-        )
-        assert speedup >= 5.0, (
-            f"query engine speedup {speedup:.2f}x is below the 5x bar at "
-            f"{session.overlay.size} peers"
-        )
 
 
 #: Enabled-observability ceiling on the repeated-query workload: the
@@ -185,73 +110,3 @@ def test_obs_overhead_guard(benchmark):
         f"observability overhead {overhead:.3f}x exceeds the "
         f"{MAX_OBS_OVERHEAD}x guard"
     )
-
-
-@pytest.mark.benchmark(group="query-engine-selection")
-def test_selection_cache_speedup(benchmark):
-    """Indexed+memoized selection vs the pure tree walk on repeated queries."""
-    import random
-
-    from repro.fuzzy.vocabularies import uniform_numeric_background_knowledge
-    from repro.querying.proposition import Clause, Proposition
-    from repro.querying.selection import select_summaries
-    from repro.saintetiq.hierarchy import SummaryHierarchy
-
-    labels_per_attribute = 8
-    attributes = {"a": (0.0, 100.0), "b": (0.0, 100.0), "c": (0.0, 100.0)}
-    background = uniform_numeric_background_knowledge(
-        attributes, labels_per_attribute=labels_per_attribute
-    )
-    hierarchy = SummaryHierarchy(background, attributes=list(attributes))
-    rng = random.Random(7)
-    hierarchy.add_records(
-        {name: rng.uniform(0, 100) for name in attributes}
-        for _ in range(6000 if full_scale() else 2500)
-    )
-    labels = sorted(
-        {d.label for d in hierarchy.signature() if d.attribute == "a"}
-    )
-    propositions = [
-        Proposition(
-            [
-                Clause(attribute, rng.sample(labels, rng.randint(1, 4)))
-                for attribute in rng.sample(sorted(attributes), rng.randint(1, 3))
-            ]
-        )
-        for _ in range(12)
-    ]
-    repeats = 50
-
-    t0 = time.perf_counter()
-    for _round in range(repeats):
-        for proposition in propositions:
-            select_summaries(hierarchy, proposition)
-    pure_seconds = time.perf_counter() - t0
-
-    def cached_rounds():
-        for _round in range(repeats):
-            for proposition in propositions:
-                hierarchy.select(proposition)
-
-    benchmark.pedantic(cached_rounds, rounds=3, iterations=1)
-
-    # Equivalence spot check on every query class.
-    for proposition in propositions:
-        pure = select_summaries(hierarchy, proposition)
-        fast = hierarchy.select(proposition)
-        assert pure.visited_nodes == fast.visited_nodes
-        assert [s.node_id for s in pure.summaries] == [
-            s.node_id for s in fast.summaries
-        ]
-
-    cached_seconds = benchmark.stats.stats.mean if benchmark.stats else None
-    benchmark.extra_info["nodes"] = hierarchy.node_count()
-    benchmark.extra_info["pure_seconds"] = pure_seconds
-    if cached_seconds:
-        benchmark.extra_info["selection_speedup"] = pure_seconds / cached_seconds
-        print(
-            f"\nselection: pure {pure_seconds:.3f}s vs cached "
-            f"{cached_seconds:.4f}s — {pure_seconds / cached_seconds:.0f}x over "
-            f"{hierarchy.node_count()} nodes, {len(propositions)} query classes "
-            f"x {repeats} repeats"
-        )

@@ -20,7 +20,7 @@ from repro.fuzzy.background import BackgroundKnowledge
 from repro.querying.aggregation import ApproximateAnswer, approximate_answer
 from repro.querying.proposition import Proposition
 from repro.querying.reformulation import reformulate
-from repro.querying.selection import QuerySelection, select_summaries
+from repro.querying.selection import QuerySelection
 
 
 @dataclass
@@ -48,16 +48,14 @@ def answer_in_domain(
     query: SelectionQuery,
     background: BackgroundKnowledge,
     already_flexible: bool = False,
-    use_selection_cache: bool = True,
 ) -> DomainAnswer:
     """Evaluate ``query`` against ``domain``'s global summary.
 
     Raises :class:`ProtocolError` if the domain has no global summary yet and
     :class:`QueryError` if the query cannot be reformulated under ``background``.
-    ``use_selection_cache=False`` forces the pure tree-walk selection (the
-    uncached reference path); the default goes through the hierarchy's
-    indexed, memoized engine — node-for-node identical, and the returned
-    ``selection`` is then a shared cached instance (treat it as read-only).
+    The selection comes from the hierarchy's indexed, memoized
+    :meth:`~repro.saintetiq.hierarchy.SummaryHierarchy.select`, so the
+    returned ``selection`` is a shared cached instance (treat it as read-only).
     """
     if not domain.has_global_summary():
         raise ProtocolError(
@@ -83,10 +81,7 @@ def answer_in_domain(
         )
     )
     assert domain.global_summary is not None  # has_global_summary() checked above
-    if use_selection_cache:
-        selection = domain.global_summary.select(proposition)
-    else:
-        selection = select_summaries(domain.global_summary, proposition)
+    selection = domain.global_summary.select(proposition)
     answer = approximate_answer(selection, proposition, flexible.select)
     return DomainAnswer(
         domain_id=domain.summary_peer_id,

@@ -25,7 +25,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set
 from repro.database.query import SelectionQuery
 from repro.exceptions import ConfigurationError
 from repro.querying.proposition import Proposition
-from repro.querying.selection import select_summaries
 from repro.saintetiq.hierarchy import SummaryHierarchy
 
 
@@ -61,22 +60,18 @@ class ContentModel(abc.ABC):
 class SummaryContentModel(ContentModel):
     """Relevance from real summaries, ground truth from real databases.
 
-    ``use_selection_cache`` picks how the global summary is explored: the
-    indexed + memoized engine path (:meth:`SummaryHierarchy.select`, the
-    default) or the pure tree walk (:func:`select_summaries`).  Both produce
-    node-for-node identical selections; the pure path is retained as the
-    uncached reference for equivalence tests and A/B benchmarks.
+    The global summary is explored through :meth:`SummaryHierarchy.select`,
+    the hierarchy's indexed, memoized selection — node for node the selection
+    of the pure tree walk :func:`~repro.querying.selection.select_summaries`.
     """
 
     def __init__(
         self,
         queries: Dict[int, SelectionQuery],
         databases: Dict[str, object],
-        use_selection_cache: bool = True,
     ) -> None:
         self._queries = queries
         self._databases = databases
-        self.use_selection_cache = use_selection_cache
 
     def register_query(self, query_id: int, query: SelectionQuery) -> None:
         self._queries[query_id] = query
@@ -90,10 +85,7 @@ class SummaryContentModel(ContentModel):
     ) -> Set[str]:
         if global_summary is None or proposition is None:
             return set()
-        if self.use_selection_cache:
-            selection = global_summary.select(proposition)
-        else:
-            selection = select_summaries(global_summary, proposition)
+        selection = global_summary.select(proposition)
         return selection.peer_extent_view().intersection(domain_partners)
 
     def truly_matching(self, query_id: int, peer_id: str) -> bool:

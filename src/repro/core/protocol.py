@@ -176,7 +176,6 @@ class SummaryManagementSystem:
         self._query_counter = 0
         self._query_results: List[QueryRoutingResult] = []
         self._batch_state: Optional[_QueryBatchState] = None
-        self._query_engine_enabled = True
         # The fault layer is opt-in: None means every protocol path runs its
         # historical, infallible-network code byte for byte.
         self._faults: Optional[FaultInjector] = None
@@ -238,27 +237,6 @@ class SummaryManagementSystem:
         return self._rng
 
     @property
-    def query_engine_enabled(self) -> bool:
-        """Whether queries run through the indexed/memoized fast path.
-
-        On by default.  Disabling it falls back to the legacy per-query
-        work — a full online-peer scan per domain and pure tree-walk
-        selection — which is byte-identical in every protocol-visible
-        outcome (routing sets, message counts, staleness) and is retained as
-        the uncached reference for equivalence tests and the
-        ``bench_query_engine`` A/B guard.
-        """
-        return self._query_engine_enabled
-
-    @query_engine_enabled.setter
-    def query_engine_enabled(self, enabled: bool) -> None:
-        self._query_engine_enabled = bool(enabled)
-        if isinstance(self._content, SummaryContentModel):
-            self._content.use_selection_cache = self._query_engine_enabled
-        self._router.use_set_matching = self._query_engine_enabled
-        self._router.flooding_cache_enabled = self._query_engine_enabled
-
-    @property
     def services(self) -> Dict[str, "LocalSummaryService"]:
         """Per-peer local summary services (real-content mode)."""
         return dict(self._services)
@@ -301,11 +279,7 @@ class SummaryManagementSystem:
                 service.rebuild_from_database()
             self._services[peer_id] = service
             peer.attach_summary(service.summary)
-        self._content = SummaryContentModel(
-            self._queries,
-            self._databases,
-            use_selection_cache=self._query_engine_enabled,
-        )
+        self._content = SummaryContentModel(self._queries, self._databases)
 
     def use_planned_content(
         self, matching_fraction: float = 0.1, seed: int = 0
@@ -1206,16 +1180,6 @@ class SummaryManagementSystem:
         policy: RoutingPolicy,
     ) -> DomainQueryOutcome:
         assert self._content is not None
-        if self._query_engine_enabled:
-            # The incrementally tracked set: identical to the scan below but
-            # O(1) to obtain (maintained by join/leave/churn events).
-            online = self._overlay.online_ids
-        else:
-            online = {
-                peer_id
-                for peer_id in self._overlay.peer_ids
-                if self._overlay.peer(peer_id).online
-            }
         described = self._described.get(domain.summary_peer_id)
         faults = self._faults
         if faults is not None and not (faults.partitioned or faults.lossy):
@@ -1226,7 +1190,7 @@ class SummaryManagementSystem:
             self._content,
             proposition=proposition,
             policy=policy,
-            online_peers=online,
+            online_peers=self._overlay.online_ids,
             described_partners=described,
             faults=faults,
             max_retries=self._config.query_max_retries,
@@ -1337,16 +1301,7 @@ class SummaryManagementSystem:
             partners = set(domain.partner_ids)
             described = self._described.get(sp_id, partners)
             stale = set(domain.old_partners())
-            if self._query_engine_enabled:
-                online = partners & online_ids
-            else:
-                # Legacy reference path: scan the per-peer flags directly.
-                online = {
-                    peer_id
-                    for peer_id in partners
-                    if self._overlay.peer(peer_id).online
-                }
-            scaffold.append((partners, described, stale, online))
+            scaffold.append((partners, described, stale, partners & online_ids))
         if state is not None:
             state.staleness_scaffold = scaffold
         return scaffold

@@ -160,15 +160,9 @@ class QueryRouter:
     ) -> None:
         self._config = config or ProtocolConfig()
         self._counter = counter if counter is not None else MessageCounter()
-        #: Answer "which contacted peers truly match" with one set operation
-        #: (``ContentModel.matching_among``) instead of a per-peer
-        #: ``truly_matching`` loop.  The loop is retained as the equivalence
-        #: reference; both produce identical sets.
-        self.use_set_matching = True
-        #: Memoize each initiator's extra-domain neighbour count for
-        #: ``flooding_cost``, keyed on (overlay version, domain membership
-        #: version) so any overlay or partner-set mutation invalidates.
-        self.flooding_cache_enabled = True
+        #: ``flooding_cost``'s memo: (summary peer, initiator) -> (overlay
+        #: version, domain membership version, extra-domain neighbour count),
+        #: so any overlay or partner-set mutation invalidates.
         self._flood_cache: Dict[Tuple[str, str], Tuple[int, int, int]] = {}
         #: Metrics+trace hook (installed by the owning system); None keeps
         #: routing on the uninstrumented path.
@@ -335,14 +329,7 @@ class QueryRouter:
                         )
                 reachable -= lost
 
-        if self.use_set_matching:
-            outcome.responding_peers = content.matching_among(query_id, reachable)
-        else:
-            # Reference path: per-peer ground-truth loop (kept for
-            # equivalence tests against the set-intersection fast path).
-            for peer_id in sorted(reachable):
-                if content.truly_matching(query_id, peer_id):
-                    outcome.responding_peers.add(peer_id)
+        outcome.responding_peers = content.matching_among(query_id, reachable)
         outcome.false_positives = outcome.contacted_peers - outcome.responding_peers
 
         # One response message per matching peer.
@@ -352,12 +339,7 @@ class QueryRouter:
         # False negatives: partners holding matching data that were not contacted.
         candidates = partners if online_peers is None else partners & online_peers
         uncontacted = candidates - outcome.contacted_peers
-        if self.use_set_matching:
-            outcome.false_negatives = content.matching_among(query_id, uncontacted)
-        else:
-            for peer_id in sorted(uncontacted):
-                if content.truly_matching(query_id, peer_id):
-                    outcome.false_negatives.add(peer_id)
+        outcome.false_negatives = content.matching_among(query_id, uncontacted)
         return outcome
 
     def _routing_set(
@@ -403,15 +385,13 @@ class QueryRouter:
         domain_members: Optional[Set[str]] = None
         cache_tag = (overlay.version, domain.membership_version)
         for peer_id in sorted(initiators):
-            if self.flooding_cache_enabled:
-                key = (domain.summary_peer_id, peer_id)
-                entry = self._flood_cache.get(key)
-                if entry is not None and entry[:2] == cache_tag:
-                    flood_messages += entry[2]
-                    continue
+            key = (domain.summary_peer_id, peer_id)
+            entry = self._flood_cache.get(key)
+            if entry is not None and entry[:2] == cache_tag:
+                flood_messages += entry[2]
+                continue
             if peer_id not in overlay.graph:
-                if self.flooding_cache_enabled:
-                    self._flood_cache[key] = cache_tag + (0,)
+                self._flood_cache[key] = cache_tag + (0,)
                 continue
             if domain_members is None:
                 domain_members = set(domain.partner_ids) | {domain.summary_peer_id}
@@ -423,8 +403,7 @@ class QueryRouter:
             # One hop per extra-domain neighbour: the probe stops as soon as it
             # lands in another domain, and with high-degree superpeers almost
             # every extra-domain neighbour already belongs to one.
-            if self.flooding_cache_enabled:
-                self._flood_cache[key] = cache_tag + (len(outside),)
+            self._flood_cache[key] = cache_tag + (len(outside),)
             flood_messages += len(outside)
         # Long-range links: the known summary peers (distinct ids) but its own.
         own = domain.summary_peer_id in known_summary_peers

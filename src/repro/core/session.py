@@ -827,11 +827,7 @@ class NetworkSession:
                 continue
             try:
                 result = answer_in_domain(
-                    domain,
-                    flexible,
-                    background,
-                    already_flexible=True,
-                    use_selection_cache=self._system.query_engine_enabled,
+                    domain, flexible, background, already_flexible=True
                 )
             except QueryError:
                 # The query constrains attributes outside the background

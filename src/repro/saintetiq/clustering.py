@@ -46,9 +46,9 @@ of rescanning covered cells.  The division of labour is:
   ``node.profile`` — so the parent term of the score is computed once per
   level instead of once per candidate.
 
-``SummaryBuilder(reference_scoring=True)`` bypasses every cached aggregate and
-re-derives profiles from the cell maps with the naive four-way scoring — the
-slow reference implementation that equivalence tests compare against.
+No builder calls the naive scoring — :func:`partition_score`,
+:func:`_node_profile_fresh`, the four-way :func:`_candidates_reference`; it is
+the reference that tests compare each step's candidates against.
 """
 
 from __future__ import annotations
@@ -151,6 +151,52 @@ def partition_score(profiles: Sequence[Profile]) -> float:
     return score / len(profiles)
 
 
+def _candidates_reference(
+    parameters: ClusteringParameters,
+    children: Sequence[Summary],
+    profiles: Sequence[Profile],
+    cell_profile: Profile,
+    ranked: Sequence[int],
+) -> List[Tuple[float, str, Optional[int]]]:
+    """The original candidate construction: four full partition scores."""
+    best_index = ranked[0]
+    candidates: List[Tuple[float, str, Optional[int]]] = []
+
+    add_profiles = list(profiles)
+    add_profiles[best_index] = _combine_profiles(profiles[best_index], cell_profile)
+    candidates.append((partition_score(add_profiles), "add", best_index))
+
+    create_profiles = list(profiles) + [dict(cell_profile)]
+    candidates.append((partition_score(create_profiles), "create", None))
+
+    if parameters.enable_merge and len(children) >= 2:
+        second_index = ranked[1]
+        merge_profiles = [
+            profile
+            for index, profile in enumerate(profiles)
+            if index not in (best_index, second_index)
+        ]
+        merge_profiles.append(
+            _combine_profiles(
+                profiles[best_index], profiles[second_index], cell_profile
+            )
+        )
+        candidates.append((partition_score(merge_profiles), "merge", second_index))
+
+    best_child = children[best_index]
+    if parameters.enable_split and not best_child.is_leaf:
+        split_profiles = [
+            profile for index, profile in enumerate(profiles) if index != best_index
+        ]
+        split_profiles.extend(
+            _node_profile_fresh(grandchild) for grandchild in best_child.children
+        )
+        split_profiles.append(dict(cell_profile))
+        candidates.append((partition_score(split_profiles), "split", None))
+
+    return candidates
+
+
 def _quantize_score(score: float) -> float:
     """Round a partition score to 12 significant digits.
 
@@ -225,16 +271,10 @@ class _PartitionScorer:
 class SummaryBuilder:
     """Incrementally builds and maintains a summary hierarchy from cells."""
 
-    def __init__(
-        self,
-        parameters: Optional[ClusteringParameters] = None,
-        *,
-        reference_scoring: bool = False,
-    ) -> None:
+    def __init__(self, parameters: Optional[ClusteringParameters] = None) -> None:
         self._parameters = parameters or ClusteringParameters()
         self._root = Summary()
         self._incorporated = 0
-        self._reference_scoring = reference_scoring
 
     @property
     def root(self) -> Summary:
@@ -258,11 +298,6 @@ class SummaryBuilder:
         signatures — can key their validity on this counter.
         """
         return self._incorporated
-
-    def _profile_of(self, node: Summary) -> Profile:
-        if self._reference_scoring:
-            return _node_profile_fresh(node)
-        return node.profile
 
     # -- public API --------------------------------------------------------------
 
@@ -338,19 +373,12 @@ class SummaryBuilder:
         """
         children = node.children
         cell_profile = _cell_profile(cell)
-        profiles = [self._profile_of(child) for child in children]
+        profiles = [child.profile for child in children]
 
         ranked = self._rank_hosts(children, profiles, cell_profile)
         best_index = ranked[0]
 
-        if self._reference_scoring:
-            candidates = self._candidates_reference(
-                node, children, profiles, cell_profile, ranked
-            )
-        else:
-            candidates = self._candidates_cached(
-                node, children, profiles, cell_profile, ranked
-            )
+        candidates = self._candidates(node, children, profiles, cell_profile, ranked)
 
         score, operator, argument = max(
             candidates, key=lambda item: _quantize_score(item[0])
@@ -375,11 +403,11 @@ class SummaryBuilder:
         # new children with a plain "add" (no further structural operator, to
         # keep the incorporation cost bounded).
         new_children = node.children
-        new_profiles = [self._profile_of(child) for child in new_children]
+        new_profiles = [child.profile for child in new_children]
         best = self._rank_hosts(new_children, new_profiles, cell_profile)[0]
         return new_children[best]
 
-    def _candidates_cached(
+    def _candidates(
         self,
         node: Summary,
         children: Sequence[Summary],
@@ -447,63 +475,12 @@ class SummaryBuilder:
         if self._parameters.enable_split and not best_child.is_leaf:
             summed, count = scorer.without(best_index)
             for grandchild in best_child.children:
-                grandchild_profile = self._profile_of(grandchild)
+                grandchild_profile = grandchild.profile
                 summed += scorer.contribution(*_term_stats(grandchild_profile))
                 if grandchild_profile:
                     count += 1
             summed += scorer.contribution(cell_total, cell_squares)
             candidates.append((scorer.score(summed, count + 1), "split", None))
-
-        return candidates
-
-    def _candidates_reference(
-        self,
-        node: Summary,
-        children: Sequence[Summary],
-        profiles: Sequence[Profile],
-        cell_profile: Profile,
-        ranked: Sequence[int],
-    ) -> List[Tuple[float, str, Optional[int]]]:
-        """The original candidate construction: four full partition scores."""
-        del node  # the reference path re-derives the parent per candidate
-        best_index = ranked[0]
-        candidates: List[Tuple[float, str, Optional[int]]] = []
-
-        add_profiles = list(profiles)
-        add_profiles[best_index] = _combine_profiles(
-            profiles[best_index], cell_profile
-        )
-        candidates.append((partition_score(add_profiles), "add", best_index))
-
-        create_profiles = list(profiles) + [dict(cell_profile)]
-        candidates.append((partition_score(create_profiles), "create", None))
-
-        if self._parameters.enable_merge and len(children) >= 2:
-            second_index = ranked[1]
-            merge_profiles = [
-                profile
-                for index, profile in enumerate(profiles)
-                if index not in (best_index, second_index)
-            ]
-            merge_profiles.append(
-                _combine_profiles(
-                    profiles[best_index], profiles[second_index], cell_profile
-                )
-            )
-            candidates.append((partition_score(merge_profiles), "merge", second_index))
-
-        best_child = children[best_index]
-        if self._parameters.enable_split and not best_child.is_leaf:
-            split_profiles = [
-                profile
-                for index, profile in enumerate(profiles)
-                if index != best_index
-            ]
-            split_profiles.extend(
-                _node_profile_fresh(grandchild) for grandchild in best_child.children
-            )
-            split_profiles.append(dict(cell_profile))
-            candidates.append((partition_score(split_profiles), "split", None))
 
         return candidates
 
@@ -563,7 +540,7 @@ class SummaryBuilder:
     def _enforce_arity(self, node: Summary) -> None:
         """Keep the number of children at or below ``max_children``."""
         while len(node.children) > self._parameters.max_children:
-            profiles = [self._profile_of(child) for child in node.children]
+            profiles = [child.profile for child in node.children]
             index_a, index_b = _most_similar_pair(profiles)
             self._merge_children(node, node.children[index_a], node.children[index_b])
 

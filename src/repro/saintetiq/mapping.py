@@ -30,7 +30,6 @@ class MappingService:
         background: BackgroundKnowledge,
         attributes: Optional[Iterable[str]] = None,
         threshold: float = 0.0,
-        batch_absorb: bool = True,
     ) -> None:
         """
         Parameters
@@ -44,12 +43,6 @@ class MappingService:
         threshold:
             Minimum membership grade for a descriptor to take part in the
             mapping (an alpha-cut); 0 keeps every positive grade.
-        batch_absorb:
-            When true (the default), :meth:`map_records` groups the weighted
-            occurrences per cell and folds each cell's statistics in one
-            :meth:`~repro.saintetiq.cell.Cell.absorb_batch` call.  ``False``
-            restores the per-record ``absorb_record`` path; both produce
-            byte-identical cells.
         """
         self._background = background
         selected = list(attributes) if attributes is not None else background.attributes
@@ -62,7 +55,6 @@ class MappingService:
             raise BackgroundKnowledgeError("mapping needs at least one attribute")
         self._attributes = selected
         self._threshold = threshold
-        self._batch_absorb = batch_absorb
 
     @property
     def background(self) -> BackgroundKnowledge:
@@ -135,14 +127,14 @@ class MappingService:
         ``peer`` tags every produced cell with the owning peer identifier so
         that peer-extents can be propagated through the hierarchy.
 
-        The batch path hoists the per-attribute partition lookups out of the
-        per-record loop and memoizes the fuzzification of repeated attribute
-        values — real relations draw from small value domains (ages, BMI
-        classes...), so most fuzzifications are cache hits.  With
-        ``batch_absorb`` (the default) the weighted occurrences are also
+        The per-attribute partition lookups are hoisted out of the per-record
+        loop and the fuzzification of repeated attribute values is memoized —
+        real relations draw from small value domains (ages, BMI classes...),
+        so most fuzzifications are cache hits.  The weighted occurrences are
         grouped per cell and folded through :meth:`Cell.absorb_batch`, so each
         cell's statistics bookkeeping is updated once per relation.  The
-        produced cells are byte-identical to mapping each record individually.
+        produced cells are byte-identical to mapping each record individually
+        (:func:`map_records_reference`).
         """
         variables = [
             (attribute, self._background.variable(attribute))
@@ -157,12 +149,11 @@ class MappingService:
         combos: Dict[
             Tuple[int, ...], List[Tuple[CellKey, float, Dict[Descriptor, float]]]
         ] = {}
-        cells: Dict[CellKey, Cell] = {}
-        # Per-cell occurrence batches, folded once after the scan; ``None``
-        # selects the legacy per-record absorb path.
-        pending: Optional[
-            Dict[CellKey, List[Tuple[Mapping[str, object], float, Dict[Descriptor, float]]]]
-        ] = {} if self._batch_absorb else None
+        # Per-cell occurrence batches, in first-occurrence order, folded once
+        # after the scan.
+        pending: Dict[
+            CellKey, List[Tuple[Mapping[str, object], float, Dict[Descriptor, float]]]
+        ] = {}
         for record in records:
             per_attribute: List[List[Tuple[Descriptor, float]]] = []
             all_memoized = True
@@ -199,21 +190,16 @@ class MappingService:
             else:
                 expansion = self._combine(per_attribute)
             for key, weight, grades in expansion:
-                cell = cells.get(key)
-                if cell is None:
-                    cell = Cell(key=key)
-                    cells[key] = cell
-                if pending is None:
-                    cell.absorb_record(record, weight, grades, peer=peer)
-                else:
-                    bucket = pending.get(key)
-                    if bucket is None:
-                        bucket = []
-                        pending[key] = bucket
-                    bucket.append((record, weight, grades))
-        if pending:
-            for key, entries in pending.items():
-                cells[key].absorb_batch(entries, peer=peer)
+                bucket = pending.get(key)
+                if bucket is None:
+                    bucket = []
+                    pending[key] = bucket
+                bucket.append((record, weight, grades))
+        cells: Dict[CellKey, Cell] = {}
+        for key, entries in pending.items():
+            cell = Cell(key=key)
+            cell.absorb_batch(entries, peer=peer)
+            cells[key] = cell
         return cells
 
     def grid_size(self) -> int:
@@ -232,8 +218,7 @@ def map_records_reference(
     """The pre-batching relation mapping: one full lookup chain per record.
 
     Kept as the reference implementation the memoized batch path of
-    :meth:`MappingService.map_records` is validated and benchmarked against
-    (same pattern as the clustering engine's ``reference_scoring`` path).
+    :meth:`MappingService.map_records` is validated and benchmarked against.
     """
     cells: Dict[CellKey, Cell] = {}
     for record in records:

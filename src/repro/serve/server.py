@@ -303,6 +303,20 @@ class SummaryQueryServer(KeepAliveHTTPServer):
         self._stop_thread.start()
 
 
+_JSON_KINDS = {int: "non-negative integer", bool: "boolean", str: "string"}
+
+
+def _field(payload: Dict[str, Any], name: str, kind: type) -> Any:
+    """``payload[name]`` (absent or ``null``: ``None``), never coerced: any
+    other JSON type than ``kind`` is a :class:`ServeError`, i.e. a 400."""
+    value = payload.get(name)
+    if value is None:
+        return None
+    if type(value) is not kind or (kind is int and value < 0):
+        raise ServeError(f"{name!r} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
 class _RequestHandler(KeepAliveHandler):
     server: SummaryQueryServer
 
@@ -479,10 +493,10 @@ class _RequestHandler(KeepAliveHandler):
                 raise ServeError(f"unknown routing policy: {payload['policy']!r}") from exc
         for knob in ("required_results", "max_domains"):
             if payload.get(knob) is not None:
-                options[knob] = int(payload[knob])
+                options[knob] = _field(payload, knob, int)
         for knob in ("include_staleness", "include_answer"):
             if payload.get(knob) is not None:
-                options[knob] = bool(payload[knob])
+                options[knob] = _field(payload, knob, bool)
         return options
 
     def _handle_query(self) -> Tuple[int, Dict[str, Any]]:
@@ -493,9 +507,9 @@ class _RequestHandler(KeepAliveHandler):
             None if payload.get("query") is None else wire.decode_query(payload["query"])
         )
         answer = session.query(
-            payload.get("originator"),
+            _field(payload, "originator", str),
             query=query,
-            query_id=payload.get("query_id"),
+            query_id=_field(payload, "query_id", int),
             **options,
         )
         self.server.record_request("query", queries_answered=1)
@@ -505,13 +519,16 @@ class _RequestHandler(KeepAliveHandler):
         payload = self._read_body()
         session = self.server.session
         options = self._query_options(payload)
-        count = payload.get("count")
         queries: Optional[List[Any]] = None
         if payload.get("queries") is not None:
             queries = [wire.decode_query(q) for q in payload["queries"]]
         originators = payload.get("originators") or None
+        if originators is not None and not (
+            type(originators) is list and all(type(p) is str for p in originators)
+        ):
+            raise ServeError("'originators' must be a JSON list of strings")
         answers = session.query_batch(
-            count=None if count is None else int(count),
+            count=_field(payload, "count", int),
             queries=queries,
             originators=originators,
             **options,
@@ -522,13 +539,14 @@ class _RequestHandler(KeepAliveHandler):
     def _handle_staleness(self) -> Tuple[int, Dict[str, Any]]:
         payload = self._read_body()
         session = self.server.session
-        if payload.get("count") is not None:
-            snapshots = session.staleness_batch(int(payload["count"]))
+        count = _field(payload, "count", int)
+        if count is not None:
+            snapshots = session.staleness_batch(count)
             self.server.record_request("staleness")
             return 200, {
                 "snapshots": [wire.encode_staleness(s) for s in snapshots]
             }
-        snapshot = session.staleness(query_id=payload.get("query_id"))
+        snapshot = session.staleness(query_id=_field(payload, "query_id", int))
         self.server.record_request("staleness")
         return 200, {"staleness": wire.encode_staleness(snapshot)}
 

@@ -3,9 +3,9 @@
 The acceptance bar of the batched query engine: ``pose_queries`` /
 ``query_batch`` / ``staleness_snapshots`` must produce exactly the results
 of their sequential counterparts — same routing sets, query ids, message
-counters, staleness figures and RNG evolution — and the indexed fast path
-(``query_engine_enabled``) must be indistinguishable from the legacy
-full-scan path in every protocol-visible outcome.
+counters, staleness figures and RNG evolution.  (That the indexed path is
+indistinguishable from unindexed, full-scan answering is held by the recorded
+digests of ``tests/integration/test_query_engine_equivalence.py``.)
 """
 
 from __future__ import annotations
@@ -176,48 +176,6 @@ class TestStalenessBatch:
         session = _real_session()
         with pytest.raises(ProtocolError):
             session.staleness_batch(2)
-
-
-class TestQueryEngineToggle:
-    @pytest.mark.parametrize("seed", [0, 13])
-    def test_engine_off_is_byte_identical_planned(self, seed):
-        fast = _planned_session(seed=seed, churn=True)
-        legacy = _planned_session(seed=seed, churn=True)
-        legacy.system.query_engine_enabled = False
-        assert not legacy.system.query_engine_enabled
-
-        fast.run_until(1800.0)
-        legacy.run_until(1800.0)
-        fast_answers = fast.query_batch(count=6, required_results=3)
-        legacy_answers = legacy.query_many(count=6, required_results=3)
-        assert [a.routing for a in fast_answers] == [
-            a.routing for a in legacy_answers
-        ]
-        assert [a.staleness for a in fast_answers] == [
-            a.staleness for a in legacy_answers
-        ]
-        assert fast.system.counter.by_type() == legacy.system.counter.by_type()
-
-    def test_engine_off_is_byte_identical_real(self):
-        fast = _real_session(seed=8)
-        legacy = _real_session(seed=8)
-        legacy.system.query_engine_enabled = False
-        assert legacy.content.use_selection_cache is False
-        assert fast.content.use_selection_cache is True
-
-        query = paper_example_query()
-        for _round in range(3):
-            a = fast.query(query=query)
-            b = legacy.query(query=query)
-            assert a.routing == b.routing
-        assert fast.system.counter.by_type() == legacy.system.counter.by_type()
-
-    def test_toggle_reaches_existing_content_model(self):
-        session = _real_session(seed=8)
-        session.system.query_engine_enabled = False
-        assert session.content.use_selection_cache is False
-        session.system.query_engine_enabled = True
-        assert session.content.use_selection_cache is True
 
 
 class TestLegacyConstructionUnaffected:

@@ -8,6 +8,7 @@ from repro.core.domain import Domain
 from repro.core.freshness import Freshness
 from repro.core.routing import QueryRouter, RoutingPolicy
 from repro.network.messages import MessageType
+from repro.network.metrics import MessageCounter
 from repro.network.overlay import Overlay
 from repro.network.topology import TopologyConfig
 
@@ -171,7 +172,7 @@ class TestFloodingCost:
 
 
 class TestSetMatchingEquivalence:
-    """Set-intersection responding peers == the per-peer reference loop."""
+    """Set-intersection responding peers == the per-peer ``truly_matching`` loop."""
 
     def test_matching_among_equals_reference_loop(self, domain_and_content):
         _domain, content, peer_ids = domain_and_content
@@ -191,23 +192,30 @@ class TestSetMatchingEquivalence:
         content.mark_departed(peer_ids[3])
         domain.cooperation.mark_stale(peer_ids[7])
         online = set(peer_ids) - {peer_ids[5]}
+        partners = set(domain.partner_ids)
 
-        fast = QueryRouter()
-        reference = QueryRouter()
-        reference.use_set_matching = False
+        router = QueryRouter()
         for query_id in range(5):
-            via_sets = fast.route_in_domain(
+            outcome = router.route_in_domain(
                 query_id, domain, content, policy=policy, online_peers=online
             )
-            via_loop = reference.route_in_domain(
-                query_id, domain, content, policy=policy, online_peers=online
+            assert outcome.responding_peers == {
+                peer_id
+                for peer_id in outcome.contacted_peers & online
+                if content.truly_matching(query_id, peer_id)
+            }
+            assert outcome.false_negatives == {
+                peer_id
+                for peer_id in (partners & online) - outcome.contacted_peers
+                if content.truly_matching(query_id, peer_id)
+            }
+            assert outcome.false_positives == (
+                outcome.contacted_peers - outcome.responding_peers
             )
-            assert via_sets == via_loop
-        assert fast.counter.state_payload() == reference.counter.state_payload()
 
 
 class TestFloodingCostCache:
-    """Cached extra-domain neighbour counts == the uncached reference."""
+    """Memoized extra-domain neighbour counts == a fresh router's (empty memo)."""
 
     def _setup(self):
         overlay = Overlay.generate(TopologyConfig(peer_count=30, seed=2))
@@ -225,13 +233,13 @@ class TestFloodingCostCache:
     def test_cached_cost_equals_reference(self):
         overlay, domain, kwargs = self._setup()
         cached = QueryRouter()
-        reference = QueryRouter()
-        reference.flooding_cache_enabled = False
+        uncached_counter = MessageCounter()
         for _ in range(3):
+            uncached = QueryRouter(counter=uncached_counter)
             assert cached.flooding_cost(
                 overlay, domain, **kwargs
-            ) == reference.flooding_cost(overlay, domain, **kwargs)
-        assert cached.counter.state_payload() == reference.counter.state_payload()
+            ) == uncached.flooding_cost(overlay, domain, **kwargs)
+        assert cached.counter.state_payload() == uncached_counter.state_payload()
 
     def test_repeat_calls_hit_the_cache(self):
         overlay, domain, kwargs = self._setup()
@@ -250,11 +258,9 @@ class TestFloodingCostCache:
         # Removing a peer rewires neighbourhoods: cached counts are stale now.
         overlay.remove_peer(overlay.peer_ids[-1])
         assert overlay.version > version
-        reference = QueryRouter()
-        reference.flooding_cache_enabled = False
         assert router.flooding_cost(
             overlay, domain, **kwargs
-        ) == reference.flooding_cost(overlay, domain, **kwargs)
+        ) == QueryRouter().flooding_cost(overlay, domain, **kwargs)
 
     def test_status_flip_invalidates(self):
         overlay, domain, kwargs = self._setup()
@@ -271,8 +277,6 @@ class TestFloodingCostCache:
         router.flooding_cost(overlay, domain, **kwargs)
         # Absorbing the originator into the domain shrinks its outside set.
         domain.add_partner(kwargs["originator"], distance=1.0)
-        reference = QueryRouter()
-        reference.flooding_cache_enabled = False
         assert router.flooding_cost(
             overlay, domain, **kwargs
-        ) == reference.flooding_cost(overlay, domain, **kwargs)
+        ) == QueryRouter().flooding_cost(overlay, domain, **kwargs)

@@ -58,9 +58,18 @@ class TestOnlineIds:
             .build()
         )
         overlay = session.overlay
+        seen_offline = False
         for hour in (0.5, 1.0, 1.5, 2.0):
             session.run_until(hour * 3600.0)
             assert overlay.online_ids == _scanned_online(overlay), hour
+            seen_offline = seen_offline or len(overlay.online_ids) < overlay.size
+            # The per-domain form query routing and staleness sampling read.
+            for domain in session.domains.values():
+                partners = set(domain.partner_ids)
+                assert partners & overlay.online_ids == {
+                    peer_id for peer_id in partners if overlay.peer(peer_id).online
+                }, (hour, domain.summary_peer_id)
+        assert seen_offline, "the churn schedule never took a peer offline"
 
     def test_consistent_after_checkpoint_restore(self):
         from repro.core.session import SystemBuilder

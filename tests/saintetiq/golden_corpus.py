@@ -1,30 +1,37 @@
 """The fixed corpus behind ``golden_digests.json``.
 
-Byte-identity of the summary format is pinned by an oracle, not by a retained
-slow path: the SHA-256 of each corpus hierarchy's canonical encoding was
-recorded once from the commit *before* cells became shared between the nodes
-of a key's root path, and ``test_golden_digests.py`` holds every later commit
-to it.  Regenerate only for a deliberate format change::
+Byte-identity of the summary format and of the clustering's operator choices
+is pinned by an oracle, not by a retained slow path: the SHA-256 of each
+corpus tree's canonical encoding was recorded once — the format entries from
+the commit *before* cells became shared between the nodes of a key's root
+path, the ``scoring/`` entries from the last commit that could build through
+the naive four-way reference scorer and the per-record absorb loop — and
+``test_golden_digests.py`` holds every later commit to it.  Regenerate only
+for a deliberate format or clustering change::
 
     PYTHONPATH=src python tests/saintetiq/golden_corpus.py
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 from pathlib import Path
-from typing import Dict, Iterator, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
 from repro.database.generator import PatientGenerator
+from repro.fuzzy.linguistic import Descriptor
 from repro.fuzzy.vocabularies import medical_background_knowledge
-from repro.saintetiq.clustering import ClusteringParameters
+from repro.saintetiq.cell import Cell, make_cell_key
+from repro.saintetiq.clustering import ClusteringParameters, SummaryBuilder
 from repro.saintetiq.hierarchy import SummaryHierarchy
 from repro.saintetiq.merging import merge_hierarchies, merge_into
 from repro.saintetiq.serialization import (
-    encoded_size_bytes,
-    hierarchy_content_hash,
+    canonical_encode,
     hierarchy_from_dict,
     hierarchy_to_dict,
+    summary_to_dict,
 )
 
 FIXTURE = Path(__file__).with_name("golden_digests.json")
@@ -32,9 +39,35 @@ FIXTURE = Path(__file__).with_name("golden_digests.json")
 _PEERS = 6
 _RECORDS = 40
 
+#: Merge/split on and off, arity 2–4: every operator mix the scorer chooses from.
+PARAMETER_GRID = [
+    ClusteringParameters(max_children=2, enable_merge=True, enable_split=True),
+    ClusteringParameters(max_children=4, enable_merge=True, enable_split=True),
+    ClusteringParameters(max_children=4, enable_merge=False, enable_split=True),
+    ClusteringParameters(max_children=4, enable_merge=True, enable_split=False),
+    ClusteringParameters(max_children=3, enable_merge=False, enable_split=False),
+]
 
-def corpus() -> Iterator[Tuple[str, SummaryHierarchy]]:
-    """``(name, hierarchy)``: local summaries and merged global summaries."""
+
+def random_cells(count, n_attrs=3, n_labels=5, seed=0, peers=("p1", "p2", "p3")):
+    """A random stream of populated grid cells with fractional masses."""
+    rng = random.Random(seed)
+    cells = []
+    for _ in range(count):
+        key = make_cell_key(
+            Descriptor(f"a{index}", f"l{rng.randrange(n_labels)}")
+            for index in range(n_attrs)
+        )
+        cell = Cell(key=key, tuple_count=rng.uniform(0.05, 4.0))
+        cell.grades = {descriptor: rng.random() for descriptor in key}
+        cell.peers = {rng.choice(peers)}
+        cells.append(cell)
+    return cells
+
+
+def corpus() -> Iterator[Tuple[str, Dict[str, Any]]]:
+    """``(name, encodable payload)``: local and merged global summaries, then
+    the scorer's trees."""
     backgrounds = {
         "numeric": (medical_background_knowledge(include_categorical=False), ["age", "bmi"]),
         "medical": (medical_background_knowledge(), None),
@@ -51,26 +84,47 @@ def corpus() -> Iterator[Tuple[str, SummaryHierarchy]]:
                 )
                 local.add_records(PatientGenerator(seed=100 + peer).records(_RECORDS))
                 local_summaries.append(local)
-                yield f"{prefix}/local-{peer}", local
+                yield f"{prefix}/local-{peer}", hierarchy_to_dict(local)
             merged = merge_hierarchies(
                 local_summaries[:-1], parameters=parameters, owner="sp"
             )
-            yield f"{prefix}/global", merged
+            yield f"{prefix}/global", hierarchy_to_dict(merged)
             # A restored global summary keeps absorbing like the live one.
             restored = hierarchy_from_dict(hierarchy_to_dict(merged), background)
             merge_into(restored, local_summaries[-1])
             restored.add_records(PatientGenerator(seed=200).records(_RECORDS))
-            yield f"{prefix}/global-restored-grown", restored
+            yield f"{prefix}/global-restored-grown", hierarchy_to_dict(restored)
+    yield from _scoring_corpus()
+
+
+def _scoring_corpus() -> Iterator[Tuple[str, Dict[str, Any]]]:
+    """Trees whose *shape* is the scorer's output: one per operator mix."""
+    background = medical_background_knowledge(include_categorical=False)
+    records = PatientGenerator(seed=0, background=background).records(300)
+    for parameters in PARAMETER_GRID:
+        prefix = (
+            f"scoring/b{parameters.max_children}"
+            f"-merge{int(parameters.enable_merge)}-split{int(parameters.enable_split)}"
+        )
+        builder = SummaryBuilder(parameters)
+        builder.incorporate_all(random_cells(200, seed=11))
+        yield f"{prefix}/cells-200", summary_to_dict(builder.root)
+        hierarchy = SummaryHierarchy(
+            background, attributes=["age", "bmi"], parameters=parameters, owner="p"
+        )
+        hierarchy.add_records(records)
+        yield f"{prefix}/patients-300", hierarchy_to_dict(hierarchy)
 
 
 def digests() -> Dict[str, Dict[str, object]]:
-    return {
-        name: {
-            "sha256": hierarchy_content_hash(hierarchy),
-            "bytes": encoded_size_bytes(hierarchy),
+    recorded = {}
+    for name, payload in corpus():
+        encoded = canonical_encode(payload)
+        recorded[name] = {
+            "sha256": hashlib.sha256(encoded).hexdigest(),
+            "bytes": len(encoded),
         }
-        for name, hierarchy in corpus()
-    }
+    return recorded
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ folds each cell's bookkeeping once (``Cell.absorb_batch`` /
 ``StatisticsBundle.add_records``).  These tests assert *exact* float equality
 — not approx — against the per-record reference: the batch form must take the
 same floating-point rounding path, or checkpoints and Table-3 fingerprints
-would drift depending on an internal flag.
+would drift from the recorded ones.
 """
 
 import pytest
@@ -90,13 +90,6 @@ class TestMappingBatchAbsorb:
     @pytest.fixture
     def records(self):
         return [r.as_dict() for r in PatientGenerator(seed=17).relation(400)]
-
-    def test_batch_flag_paths_are_byte_identical(self, background, records):
-        batched = MappingService(background).map_records(records, peer="p1")
-        per_record = MappingService(background, batch_absorb=False).map_records(
-            records, peer="p1"
-        )
-        _assert_cells_byte_identical(batched, per_record)
 
     def test_batch_path_matches_reference_mapping(self, background, records):
         service = MappingService(background)

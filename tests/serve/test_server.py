@@ -7,10 +7,15 @@ checkpoint, and lazy loading materializes only the hierarchies the queries
 actually touch (asserted via the snapshot-fetch counters).
 """
 
+import http.client
+import json
+from urllib.parse import urlsplit
+
 import pytest
 
 from repro.exceptions import ServeError
 from repro.serve import ServeClient, start_server
+from repro.serve.supervisor import Supervisor
 from repro.store.checkpoint import open_readonly_session, restore_session
 from repro.workloads.queries import paper_example_query
 
@@ -79,6 +84,58 @@ def test_bad_payload_is_400_with_type(served):
         client._request("POST", "/query", {"policy": "bogus"})
     with pytest.raises(ServeError, match="400"):
         client._request("POST", "/query", {"query": {"not": "a query"}})
+
+
+@pytest.fixture(scope="module")
+def fronts(planned_store):
+    """One daemon and one 2-worker fleet over the same checkpoint."""
+    server = start_server(
+        open_readonly_session(planned_store), close_session_on_stop=True
+    )
+    fleet = Supervisor(planned_store, workers=2).start()
+    yield {"daemon": server.url, "fleet": fleet.url}
+    fleet.stop()
+    server.stop()
+
+
+@pytest.mark.parametrize("front", ["daemon", "fleet"])
+@pytest.mark.parametrize(
+    "path, body, follow_up",
+    [
+        ("/query_batch", {"count": "abc"}, {"count": 1}),
+        ("/staleness", {"count": "abc"}, {"count": 1}),
+        ("/query", {"required_results": "many"}, {"required_results": 2}),
+        ("/query", {"originator": 5}, {}),
+        ("/query", {"query_id": "x"}, {"query_id": 3}),
+        ("/query", {"include_staleness": "false"}, {"include_staleness": False}),
+        ("/query", {"max_domains": 3.7}, {"max_domains": 3}),
+    ],
+)
+def test_wrongly_typed_field_is_a_typed_400(fronts, front, path, body, follow_up):
+    url = urlsplit(fronts[front])
+    connection = http.client.HTTPConnection(url.hostname, url.port, timeout=30.0)
+
+    def exchange(method, target, payload=None):
+        connection.request(
+            method, target, None if payload is None else json.dumps(payload)
+        )
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+
+    try:
+        before = exchange("GET", "/health")[1]
+        status, error = exchange("POST", path, body)
+        assert (status, error["type"]) == (400, "ServeError"), error
+        (field,) = body
+        assert field in error["error"]
+        # The same connection stays usable, and the front neither retried
+        # the request nor held the 400 against a worker.
+        assert exchange("POST", path, follow_up)[0] == 200
+        after = exchange("GET", "/health")[1]
+        for counter in ("retries_total", "restarts_total", "workers_live"):
+            assert after.get(counter) == before.get(counter), counter
+    finally:
+        connection.close()
 
 
 def test_shutdown_endpoint_stops_server_and_closes_session(served):
