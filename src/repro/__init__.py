@@ -28,11 +28,11 @@ True
 >>> answer.staleness is not None  # planned mode bundles staleness accounting
 True
 
-Heavy query traffic goes through the **batched query engine**:
-``query_batch`` shares the per-query derivation work — domain visit orders,
-the incrementally tracked online-peer set, the hierarchies' inverted-index
-selection caches — across a whole batch, while staying byte-identical to
-posing the queries one by one:
+``query_batch`` poses several queries in one call — ``query`` once per
+request, in order.  What queries share is kept by the session itself, not by
+the batch: the maintained ``P_old`` and partner sets, each domain's derived
+routing sets (valid until the overlay, the cooperation list or the described
+set changes) and the hierarchies' inverted-index selection caches:
 
 >>> answers = session.query_batch(count=3, required_results=2)
 >>> [a.results >= 2 for a in answers]

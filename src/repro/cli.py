@@ -45,8 +45,8 @@ PATH`` (Prometheus text artifact) and ``--trace-out PATH`` (JSONL span
 artifact) to record what a run did.
 
 Query batches (``run-scenario``/``load-session`` ``--queries N``) run through
-``NetworkSession.query_batch`` — the indexed, memoized, shared-work query
-path, byte-identical to posing the queries one by one.
+``NetworkSession.query_batch``: the same indexed, memoized query path as a
+single ``query``, once per request.
 
 Every command accepts ``--sizes`` / ``--alphas`` / ``--hours`` / ``--seed``
 overrides and ``--json`` to emit machine-readable output; ``run-scenario``
@@ -262,6 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8123,
         help="bind port for serve (default: 8123; 0 picks an ephemeral port)",
+    )
+    parser.add_argument(
+        "--background",
+        help="serve: named background knowledge a real-content checkpoint "
+        "needs (e.g. 'medical'); planned checkpoints need none",
     )
     parser.add_argument(
         "--no-obs",
@@ -562,12 +567,14 @@ def _inspect_store_table(args: argparse.Namespace) -> ExperimentTable:
 
 def _serve(args: argparse.Namespace) -> int:
     from repro.exceptions import ConfigurationError
-    from repro.serve.server import serve_checkpoint
+    from repro.serve.server import background_from_name, serve_checkpoint
 
     if args.workers < 1:
         raise ConfigurationError(
             f"--workers needs at least 1 process, got {args.workers}"
         )
+    # Resolved before any worker is spawned: an unknown name is a usage error.
+    background = background_from_name(args.background)
     if args.workers > 1:
         return _serve_supervised(args)
 
@@ -586,6 +593,7 @@ def _serve(args: argparse.Namespace) -> int:
         args.host,
         args.port,
         banner,
+        background=background,
         observe=not args.no_obs,
         quiet=False,
     )
@@ -603,6 +611,7 @@ def _serve_supervised(args: argparse.Namespace) -> int:
         deadline_ms=args.deadline_ms,
         max_inflight=args.max_inflight,
         cache_size=args.cache_size,
+        background=args.background,
         quiet=False,
     )
     supervisor.start()

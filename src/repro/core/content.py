@@ -220,8 +220,7 @@ class PlannedContentModel(ContentModel):
         # peer is designated relevant if it matched the query according to the
         # descriptions recorded then.  Peers that departed or modified their
         # data since then are exactly the ones whose designation may be stale.
-        matching = self._plan(query_id)
-        return matching & set(domain_partners)
+        return self._plan(query_id).intersection(domain_partners)
 
     def truly_matching(self, query_id: int, peer_id: str) -> bool:
         if peer_id in self._departed_peers:

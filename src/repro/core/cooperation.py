@@ -9,16 +9,18 @@ taken by watching the fraction of old descriptions it records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set
 
 from repro.core.freshness import Freshness, FreshnessMode
 from repro.exceptions import ProtocolError
 
 
-@dataclass
-class CooperationEntry:
-    """One partner's entry in the cooperation list."""
+class CooperationEntry(NamedTuple):
+    """One partner's entry in the cooperation list.
+
+    Immutable: the list replaces an entry to change it, so the freshness it
+    indexes cannot be written behind its back.
+    """
 
     peer_id: str
     freshness: Freshness = Freshness.FRESH
@@ -27,17 +29,41 @@ class CooperationEntry:
 
 
 class CooperationList:
-    """The cooperation list of one global summary."""
+    """The cooperation list of one global summary.
+
+    Besides the entries, the list maintains two sets as part of its state,
+    updated by every mutator: the partner ids (:attr:`partner_set`) and
+    ``P_old`` (:attr:`old_set`).  The reconciliation trigger and the routing
+    sets read them instead of scanning the entries.
+    """
 
     def __init__(self, mode: FreshnessMode = FreshnessMode.ONE_BIT) -> None:
         self._entries: Dict[str, CooperationEntry] = {}
         self._mode = mode
+        self._partners: Set[str] = set()
+        self._old: Set[str] = set()
+        self._membership_version = 0
 
     # -- membership -----------------------------------------------------------------
 
     @property
     def mode(self) -> FreshnessMode:
         return self._mode
+
+    @property
+    def membership_version(self) -> int:
+        """Monotonic counter bumped whenever a partner is added or removed."""
+        return self._membership_version
+
+    def _store(self, peer_id: str, freshness: Freshness, now: float) -> CooperationEntry:
+        """Write one entry (in place when the id exists) and index its freshness."""
+        entry = CooperationEntry(peer_id, freshness, now)
+        self._entries[peer_id] = entry
+        if freshness.counts_as_old:
+            self._old.add(peer_id)
+        else:
+            self._old.discard(peer_id)
+        return entry
 
     def add_partner(
         self,
@@ -51,14 +77,17 @@ class CooperationList:
         ``Freshness.STALE`` (Section 4.3: "SP adds a new element to the
         cooperation list with a freshness value equal to one").
         """
-        entry = CooperationEntry(peer_id=peer_id, freshness=freshness, updated_at=now)
-        self._entries[peer_id] = entry
-        return entry
+        self._partners.add(peer_id)
+        self._membership_version += 1
+        return self._store(peer_id, freshness, now)
 
     def remove_partner(self, peer_id: str) -> None:
         if peer_id not in self._entries:
             raise ProtocolError(f"peer {peer_id!r} is not a partner")
         del self._entries[peer_id]
+        self._partners.discard(peer_id)
+        self._old.discard(peer_id)
+        self._membership_version += 1
 
     def is_partner(self, peer_id: str) -> bool:
         return peer_id in self._entries
@@ -83,11 +112,10 @@ class CooperationList:
     def set_freshness(
         self, peer_id: str, freshness: Freshness, now: float = 0.0
     ) -> None:
-        entry = self.entry(peer_id)
+        self.entry(peer_id)  # raises for a non-partner
         if self._mode is FreshnessMode.ONE_BIT and freshness is Freshness.UNAVAILABLE:
             freshness = Freshness.STALE
-        entry.freshness = freshness
-        entry.updated_at = now
+        self._store(peer_id, freshness, now)
 
     def mark_stale(self, peer_id: str, now: float = 0.0) -> None:
         self.set_freshness(peer_id, Freshness.STALE, now=now)
@@ -98,9 +126,9 @@ class CooperationList:
 
     def reset_all(self, now: float = 0.0) -> None:
         """Reset every entry to fresh (end of a reconciliation, Section 4.2.2)."""
-        for entry in self._entries.values():
-            entry.freshness = Freshness.FRESH
-            entry.updated_at = now
+        for peer_id in self._entries:
+            self._entries[peer_id] = CooperationEntry(peer_id, Freshness.FRESH, now)
+        self._old.clear()
 
     # -- views -----------------------------------------------------------------------------
 
@@ -108,21 +136,34 @@ class CooperationList:
     def partner_ids(self) -> List[str]:
         return list(self._entries)
 
+    @property
+    def partner_set(self) -> Set[str]:
+        """The partner ids as a set, maintained by the mutators.
+
+        This is the live set (O(1) to obtain, updated by every add/remove as
+        it happens) — treat it as read-only and do not hold it across
+        simulation events; copy it if you need a stable snapshot.
+        """
+        return self._partners
+
+    @property
+    def old_set(self) -> Set[str]:
+        """``P_old`` as a set, maintained by the mutators.
+
+        This is the live set (O(1) to obtain, updated by every freshness
+        change as it happens) — treat it as read-only and do not hold it
+        across simulation events; copy it if you need a stable snapshot.
+        """
+        return self._old
+
     def fresh_partners(self) -> List[str]:
-        """``P_fresh`` — partners whose descriptions are fresh."""
-        return [
-            entry.peer_id
-            for entry in self._entries.values()
-            if entry.freshness.is_fresh
-        ]
+        """``P_fresh`` — partners whose descriptions are fresh, in entry order."""
+        return [peer_id for peer_id in self._entries if peer_id not in self._old]
 
     def old_partners(self) -> List[str]:
-        """``P_old`` — partners whose descriptions are stale or unavailable."""
-        return [
-            entry.peer_id
-            for entry in self._entries.values()
-            if entry.freshness.counts_as_old
-        ]
+        """``P_old`` — partners whose descriptions are stale or unavailable,
+        in entry order."""
+        return [peer_id for peer_id in self._entries if peer_id in self._old]
 
     def unavailable_partners(self) -> List[str]:
         return [
@@ -135,8 +176,7 @@ class CooperationList:
         """``sum(v) / |CL|`` in 1-bit terms: the quantity compared to α."""
         if not self._entries:
             return 0.0
-        old = sum(1 for entry in self._entries.values() if entry.freshness.counts_as_old)
-        return old / len(self._entries)
+        return len(self._old) / len(self._entries)
 
     def needs_reconciliation(self, alpha: float) -> bool:
         """The trigger condition of Section 4.2.2."""
@@ -147,6 +187,17 @@ class CooperationList:
     def freshness_of(self, peer_id: str) -> Optional[Freshness]:
         entry = self._entries.get(peer_id)
         return entry.freshness if entry is not None else None
+
+    def validate(self) -> None:
+        """Check the maintained sets against a fresh scan of the entries."""
+        if self._partners != set(self._entries):
+            raise ProtocolError("the maintained partner set drifted from the entries")
+        scanned = {e.peer_id for e in self._entries.values() if e.freshness.counts_as_old}
+        if self._old != scanned:
+            raise ProtocolError(
+                "the maintained P_old drifted from the entries: "
+                f"{sorted(self._old ^ scanned)}"
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -18,6 +18,12 @@ class Domain:
     A domain is "the set of a superpeer and its clients": the superpeer acts
     as the *summary peer* (SP), stores the domain's global summary ``GS`` and
     its cooperation list ``CL``.
+
+    The partner set and ``P_old`` are state of the cooperation list
+    (``cooperation.partner_set`` / ``cooperation.old_set``): live sets,
+    read-only, not to be held across simulation events.  Membership changes
+    go through :meth:`add_partner` / :meth:`remove_partner` so the recorded
+    distances follow; ``cooperation.membership_version`` counts them.
     """
 
     summary_peer_id: str
@@ -29,9 +35,6 @@ class Domain:
     def __post_init__(self) -> None:
         self._global_summary: Optional[SummaryHierarchy] = None
         self._summary_loader: Optional[Callable[[], SummaryHierarchy]] = None
-        # Bumped on every partner add/remove; lets per-peer caches keyed on
-        # domain membership (e.g. the flooding-cost cache) invalidate cheaply.
-        self._membership_version = 0
 
     @classmethod
     def create(
@@ -54,11 +57,6 @@ class Domain:
     def is_partner(self, peer_id: str) -> bool:
         return self.cooperation.is_partner(peer_id)
 
-    @property
-    def membership_version(self) -> int:
-        """Monotonic counter bumped whenever the partner set changes."""
-        return self._membership_version
-
     def add_partner(
         self,
         peer_id: str,
@@ -68,12 +66,10 @@ class Domain:
     ) -> None:
         self.cooperation.add_partner(peer_id, freshness=freshness, now=now)
         self.partner_distances[peer_id] = distance
-        self._membership_version += 1
 
     def remove_partner(self, peer_id: str) -> None:
         self.cooperation.remove_partner(peer_id)
         self.partner_distances.pop(peer_id, None)
-        self._membership_version += 1
 
     def distance_to(self, peer_id: str) -> float:
         return self.partner_distances.get(peer_id, float("inf"))
@@ -165,6 +161,7 @@ class Domain:
         for peer_id in self.partner_ids:
             if peer_id not in self.partner_distances:
                 raise ProtocolError(f"partner {peer_id!r} has no recorded distance")
+        self.cooperation.validate()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

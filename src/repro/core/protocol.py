@@ -16,15 +16,14 @@ through this class, in one of two content modes:
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Set,
     Tuple,
@@ -36,6 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from repro.core.config import ProtocolConfig
 from repro.core.construction import ConstructionReport, DomainBuilder
 from repro.core.content import ContentModel, PlannedContentModel, SummaryContentModel
+from repro.core.cooperation import CooperationList
 from repro.core.domain import Domain
 from repro.core.dynamicity import ChurnHandler
 from repro.core.maintenance import ColdStartRecord, MaintenanceEngine
@@ -116,24 +116,24 @@ class StalenessSnapshot:
         ) / self.relevant_count
 
 
-class _QueryBatchState:
-    """Derived state shared by the queries of one batch.
+class _DomainSets(NamedTuple):
+    """The routing sets of one domain that depend on more than its cooperation list.
 
-    Nothing in here is protocol state: it only memoizes values that are
-    *recomputed identically* for every query of a batch (no simulation event
-    can run between batched queries, so domains, described sets and
-    cooperation lists cannot change mid-batch).
+    They are functions of checkpoint state — the cooperation list, the
+    described set and the peers' online flags — derived on first use and kept
+    until one of the stamps recorded beside them moves.  Internal: routing
+    only reads them and never hands them out.
     """
 
-    __slots__ = ("visit_orders", "staleness_scaffold")
-
-    def __init__(self) -> None:
-        #: home summary-peer id (or None) -> ordered domain visit list.
-        self.visit_orders: Dict[Optional[str], List[Domain]] = {}
-        #: Per-domain (partners, described, stale, online) tuples.
-        self.staleness_scaffold: Optional[
-            List[Tuple[Set[str], Set[str], Set[str], Set[str]]]
-        ] = None
+    cooperation: CooperationList
+    #: The ``_described`` value ``scope`` was derived from (None: no entry).
+    described: Optional[Set[str]]
+    #: ``(cooperation.membership_version, overlay.version)`` at derivation.
+    versions: Tuple[int, int]
+    #: ``partners ∩ described``: whom the global summary can designate.
+    scope: Set[str]
+    #: ``partners ∩ online``: who could have answered.
+    online_partners: Set[str]
 
 
 class SummaryManagementSystem:
@@ -168,14 +168,16 @@ class SummaryManagementSystem:
 
         self._domains: Dict[str, Domain] = {}
         self._assignment: Dict[str, str] = {}
+        # Each value is replaced wholesale, never mutated: its identity is one
+        # of the stamps ``_domain_sets`` keeps derived sets valid by.
         self._described: Dict[str, Set[str]] = {}
+        self._derived_sets: Dict[str, _DomainSets] = {}
         self._services: Dict[str, LocalSummaryService] = {}
         self._databases: Dict[str, LocalDatabase] = {}
         self._queries: Dict[int, SelectionQuery] = {}
         self._content: Optional[ContentModel] = None
         self._query_counter = 0
         self._query_results: List[QueryRoutingResult] = []
-        self._batch_state: Optional[_QueryBatchState] = None
         # The fault layer is opt-in: None means every protocol path runs its
         # historical, infallible-network code byte for byte.
         self._faults: Optional[FaultInjector] = None
@@ -616,6 +618,7 @@ class SummaryManagementSystem:
                     self._overlay, self._domains, self._assignment, peer_id, now=now
                 )
             self._described.pop(peer_id, None)
+            self._derived_sets.pop(peer_id, None)
             return
         if graceful:
             outcome = self._churn.peer_leave(
@@ -1112,6 +1115,7 @@ class SummaryManagementSystem:
         previous: Optional[Domain] = None
         results_gathered = 0  # running count: avoids re-summing per domain
         visited = 0  # domains actually reached (equals the index when merged)
+        flood_requests = flood_queries = 0
         for domain in ordered_domains:
             if max_domains is not None and visited >= max_domains:
                 break
@@ -1123,7 +1127,6 @@ class SummaryManagementSystem:
                 # nothing, and the answer is marked degraded instead of the
                 # query wedging or failing.
                 attempts = 1 + self._config.query_max_retries
-                self._counter.record_type(MessageType.QUERY, attempts)
                 if attempts > 1:
                     self._counter.record_retry(attempts - 1)
                 self._counter.record_dropped("partitioned", attempts)
@@ -1147,15 +1150,16 @@ class SummaryManagementSystem:
                 # Moving past the previous domain requires an inter-domain
                 # flooding round started from it (its responders, the
                 # originator and the summary peer probe further domains).
-                flooding = self._router.flooding_cost(
+                requests, floods = self._router.flooding_messages(
                     self._overlay,
                     previous,
-                    responding_peers=previous_outcome.responding_peers,
-                    originator=originator,
-                    known_summary_peers=self._domains.keys(),
-                    target_domains=1,
+                    previous_outcome.responding_peers,
+                    originator,
+                    self._domains.keys(),
+                    1,
                 )
-                result.flooding_messages += flooding
+                flood_requests += requests
+                flood_queries += floods
             outcome = self._route_in_domain(query_id, domain, proposition, policy)
             result.domain_outcomes.append(outcome)
             results_gathered += outcome.results
@@ -1164,11 +1168,25 @@ class SummaryManagementSystem:
             if required_results is not None and results_gathered >= required_results:
                 break
 
+        routed = sum(outcome.messages for outcome in result.domain_outcomes)
+        result.flooding_messages = flood_requests + flood_queries
         result.total_messages = (
-            sum(outcome.messages for outcome in result.domain_outcomes)
-            + result.flooding_messages
-            + result.unreachable_probe_messages
+            routed + result.flooding_messages + result.unreachable_probe_messages
         )
+        # The query's one tally.  A type is recorded — even with a count of
+        # zero — exactly when some step of the loop above sends it, which is
+        # what keeps the counter's payload the one per-message accounting gave.
+        counter = self._counter
+        if result.domain_outcomes or result.unreachable_domains:
+            counter.record_type(
+                MessageType.QUERY,
+                routed - results_gathered + result.unreachable_probe_messages,
+            )
+        if result.domain_outcomes:
+            counter.record_type(MessageType.QUERY_RESPONSE, results_gathered)
+        if len(result.domain_outcomes) > 1:
+            counter.record_type(MessageType.FLOOD_REQUEST, flood_requests)
+            counter.record_type(MessageType.FLOOD_QUERY, flood_queries)
         self._query_results.append(result)
         return result
 
@@ -1180,77 +1198,77 @@ class SummaryManagementSystem:
         policy: RoutingPolicy,
     ) -> DomainQueryOutcome:
         assert self._content is not None
-        described = self._described.get(domain.summary_peer_id)
+        sets = self._domain_sets(domain)
         faults = self._faults
         if faults is not None and not (faults.partitioned or faults.lossy):
             faults = None  # nothing can disturb this hop: keep the clean path
-        return self._router.route_in_domain(
+        return self._router.outcome_in_domain(
             query_id,
             domain,
             self._content,
-            proposition=proposition,
-            policy=policy,
-            online_peers=self._overlay.online_ids,
-            described_partners=described,
-            faults=faults,
-            max_retries=self._config.query_max_retries,
+            proposition,
+            policy,
+            sets.scope,
+            sets.online_partners,
+            self._overlay.online_ids,
+            True,
+            faults,
+            self._config.query_max_retries,
         )
 
+    def _domain_sets(self, domain: Domain) -> _DomainSets:
+        """``domain``'s derived routing sets, rebuilt only when a stamp moved."""
+        sp_id = domain.summary_peer_id
+        cooperation = domain.cooperation
+        described = self._described.get(sp_id)
+        versions = (cooperation.membership_version, self._overlay.version)
+        sets = self._derived_sets.get(sp_id)
+        if (
+            sets is None
+            or sets.versions != versions
+            or sets.cooperation is not cooperation
+            or sets.described is not described
+        ):
+            partners = cooperation.partner_set
+            sets = self._derived_sets[sp_id] = _DomainSets(
+                cooperation,
+                described,
+                versions,
+                partners if described is None else partners & described,
+                partners & self._overlay.online_ids,
+            )
+        return sets
+
     def _domain_visit_order(self, home: Optional[Domain]) -> List[Domain]:
-        state = self._batch_state
-        key = home.summary_peer_id if home is not None else None
-        if state is not None:
-            cached = state.visit_orders.get(key)
-            if cached is not None:
-                return cached
         domains = list(self._domains.values())
         if home is None:
-            ordered = domains
-        else:
-            ordered = [home]
-            ordered.extend(domain for domain in domains if domain is not home)
-        if state is not None:
-            state.visit_orders[key] = ordered
+            return domains
+        ordered = [home]
+        ordered.extend(domain for domain in domains if domain is not home)
         return ordered
 
-    @contextmanager
-    def shared_query_state(self) -> Iterator[None]:
-        """Share per-batch derived state across consecutive ``pose_query`` calls.
-
-        Inside the block, domain visit orders and staleness scaffolding are
-        computed once and reused — safe because no simulation event can run
-        between the queries of a batch, and byte-identical to recomputing
-        them per query.  Nestable (the outermost block owns the state).
-        """
-        if self._batch_state is not None:
-            yield
-            return
-        self._batch_state = _QueryBatchState()
-        try:
-            yield
-        finally:
-            self._batch_state = None
-
     def pose_queries(self, requests: Iterable[QueryRequest]) -> List[QueryRoutingResult]:
-        """Pose a batch of queries, sharing derived state across the batch.
+        """Pose a batch of queries: :meth:`pose_query` once per request, in order."""
+        return [
+            self.pose_query(
+                request.originator,
+                query=request.query,
+                query_id=request.query_id,
+                policy=request.policy,
+                required_results=request.required_results,
+                max_domains=request.max_domains,
+            )
+            for request in requests
+        ]
 
-        Results are byte-identical to calling :meth:`pose_query` once per
-        request in the same order (same routing sets, message counters, RNG
-        draws and query ids); only the repeated per-query derivation work is
-        shared.
-        """
-        with self.shared_query_state():
-            return [
-                self.pose_query(
-                    request.originator,
-                    query=request.query,
-                    query_id=request.query_id,
-                    policy=request.policy,
-                    required_results=request.required_results,
-                    max_domains=request.max_domains,
-                )
-                for request in requests
-            ]
+    def stale_described_count(self, sp_id: str) -> int:
+        """How many partners domain ``sp_id``'s global summary describes from
+        descriptions its cooperation list marks old (0 for an unknown domain)."""
+        domain = self._domains.get(sp_id)
+        described = self._described.get(sp_id)
+        if domain is None or described is None:
+            return 0
+        return len(domain.cooperation.old_set & described)
 
     # -- staleness measurement (Figures 4 and 5) -------------------------------------------------------
 
@@ -1265,69 +1283,42 @@ class SummaryManagementSystem:
             raise ProtocolError("staleness_snapshot requires planned content")
         if query_id is None:
             query_id = self.next_query_id()
-        return self._staleness_from_scaffold(query_id, self._staleness_scaffold())
+        return self._staleness_of(query_id)
 
     def staleness_snapshots(self, count: int) -> List[StalenessSnapshot]:
-        """Sample ``count`` staleness snapshots, sharing the per-domain scans.
-
-        Byte-identical to calling :meth:`staleness_snapshot` ``count`` times
-        back to back (same query ids, same plan draws): the per-domain
-        partner/described/stale/online sets cannot change between the
-        samples, so they are derived once for the whole batch.
-        """
+        """Sample ``count`` staleness snapshots: :meth:`staleness_snapshot`
+        ``count`` times back to back (consecutive query ids)."""
         if not isinstance(self._content, PlannedContentModel):
             raise ProtocolError("staleness_snapshot requires planned content")
-        with self.shared_query_state():
-            scaffold = self._staleness_scaffold()
-            return [
-                self._staleness_from_scaffold(self.next_query_id(), scaffold)
-                for _sample in range(count)
-            ]
+        return [self._staleness_of(self.next_query_id()) for _sample in range(count)]
 
-    def _staleness_scaffold(
-        self,
-    ) -> List[Tuple[Set[str], Set[str], Set[str], Set[str]]]:
-        """Per-domain ``(partners, described, stale, online)`` sets.
-
-        Memoized on the active batch state, if any (see
-        :meth:`shared_query_state`).
-        """
-        state = self._batch_state
-        if state is not None and state.staleness_scaffold is not None:
-            return state.staleness_scaffold
-        online_ids = self._overlay.online_ids
-        scaffold = []
-        for sp_id, domain in self._domains.items():
-            partners = set(domain.partner_ids)
-            described = self._described.get(sp_id, partners)
-            stale = set(domain.old_partners())
-            scaffold.append((partners, described, stale, partners & online_ids))
-        if state is not None:
-            state.staleness_scaffold = scaffold
-        return scaffold
-
-    def _staleness_from_scaffold(
-        self,
-        query_id: int,
-        scaffold: List[Tuple[Set[str], Set[str], Set[str], Set[str]]],
-    ) -> StalenessSnapshot:
+    def _staleness_of(self, query_id: int) -> StalenessSnapshot:
         assert isinstance(self._content, PlannedContentModel)
         content = self._content
         plan = content.matching_peers(query_id)
+        online_ids = self._overlay.online_ids
 
         relevant_count = 0
         worst_fp = worst_fn = real_fp = real_fn = 0
         p_mod = self._config.modification_probability
 
-        for partners, described, stale, online in scaffold:
+        for sp_id, domain in self._domains.items():
+            cooperation = domain.cooperation
+            described = self._described.get(sp_id)
+            if described is None:
+                described = cooperation.partner_set
             relevant = plan & described
             relevant_count += len(relevant)
+            stale = cooperation.old_set
+            if not stale:
+                continue
+            stale_relevant = relevant & stale
 
             # Worst case (Figure 4): every stale relevant peer contacted is a
             # false positive; every matching stale peer outside P_Q is a false
             # negative.
-            worst_fp += len(relevant & stale)
-            worst_fn += len((plan & partners & stale) - relevant)
+            worst_fp += len(stale_relevant)
+            worst_fn += len((plan & stale) - relevant)
 
             # Real case (Figure 5): a stale peer selected in P_Q only causes a
             # stale answer if its data actually changed with respect to the
@@ -1335,8 +1326,8 @@ class SummaryManagementSystem:
             # policy (V = P_Q ∩ P_fresh) false positives vanish and the only
             # residue is the false negatives: stale-but-unchanged peers that
             # were needlessly excluded.
-            for peer_id in relevant & stale:
-                departed = content.is_departed(peer_id) or peer_id not in online
+            for peer_id in stale_relevant:
+                departed = content.is_departed(peer_id) or peer_id not in online_ids
                 if departed:
                     # Its data is gone: a real false positive under the ALL
                     # policy, correctly excluded under the PRECISION policy.

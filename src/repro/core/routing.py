@@ -151,7 +151,14 @@ class QueryRoutingResult:
 
 
 class QueryRouter:
-    """Routes queries inside domains and accounts for every message."""
+    """Routes queries inside domains and accounts for every message.
+
+    :meth:`route_in_domain` and :meth:`flooding_cost` leave the counter
+    updated when they return.  :meth:`outcome_in_domain` and
+    :meth:`flooding_messages` are the same computations uncounted, for a caller
+    (``SummaryManagementSystem.pose_query``) that tallies a whole query's
+    messages once.
+    """
 
     def __init__(
         self,
@@ -160,10 +167,11 @@ class QueryRouter:
     ) -> None:
         self._config = config or ProtocolConfig()
         self._counter = counter if counter is not None else MessageCounter()
-        #: ``flooding_cost``'s memo: (summary peer, initiator) -> (overlay
-        #: version, domain membership version, extra-domain neighbour count),
-        #: so any overlay or partner-set mutation invalidates.
-        self._flood_cache: Dict[Tuple[str, str], Tuple[int, int, int]] = {}
+        #: ``flooding_messages``' memo: peer -> its online neighbours, valid for
+        #: one version of one overlay (any status or structural change drops
+        #: the lot), so it never holds more entries than the overlay has peers.
+        self._online_neighbours: Dict[str, Set[str]] = {}
+        self._neighbours_stamp: Tuple[Optional[Overlay], int] = (None, -1)
         #: Metrics+trace hook (installed by the owning system); None keeps
         #: routing on the uninstrumented path.
         self.observability = None
@@ -204,65 +212,87 @@ class QueryRouter:
         responds and becomes a false positive.  Partition-separated partners
         are cut deterministically without consuming randomness.
         """
-        obs = self.observability
-        # Per-domain metrics are recorded at the query level (from the domain
-        # outcomes) so this inner loop stays free of registry traffic; only
-        # detail-mode tracing pays a span here.
-        if obs is None or not obs.detail:
-            return self._route_in_domain(
-                query_id,
-                domain,
-                content,
-                proposition,
-                policy,
-                online_peers,
-                charge_summary_peer_hop,
-                described_partners,
-                faults,
-                max_retries,
-            )
-        with obs.span(
-            "route-domain", {"domain": domain.summary_peer_id, "query_id": query_id}
-        ) as span:
-            outcome = self._route_in_domain(
-                query_id,
-                domain,
-                content,
-                proposition,
-                policy,
-                online_peers,
-                charge_summary_peer_hop,
-                described_partners,
-                faults,
-                max_retries,
-            )
-            span.attrs.update(messages=outcome.messages, results=outcome.results)
+        partners = domain.cooperation.partner_set
+        outcome = self.outcome_in_domain(
+            query_id,
+            domain,
+            content,
+            proposition,
+            policy,
+            partners if described_partners is None else partners & described_partners,
+            partners if online_peers is None else partners & online_peers,
+            online_peers,
+            charge_summary_peer_hop,
+            faults,
+            max_retries,
+        )
+        self._counter.record_type(MessageType.QUERY, outcome.messages - outcome.results)
+        self._counter.record_type(MessageType.QUERY_RESPONSE, outcome.results)
         return outcome
 
-    def _route_in_domain(
+    def outcome_in_domain(
         self,
         query_id: int,
         domain: Domain,
         content: ContentModel,
         proposition: Optional[Proposition],
         policy: RoutingPolicy,
+        scope: Set[str],
+        candidates: Set[str],
         online_peers: Optional[Set[str]],
         charge_summary_peer_hop: bool,
-        described_partners: Optional[Set[str]],
+        faults: Optional[object],
+        max_retries: int,
+    ) -> DomainQueryOutcome:
+        """:meth:`route_in_domain` on sets the caller already holds, uncounted.
+
+        ``scope`` is ``partners ∩ described`` and ``candidates`` is
+        ``partners ∩ online``; both are only read.  QUERY and QUERY_RESPONSE
+        are left for the caller to record: ``outcome.results`` responses and
+        ``outcome.messages - outcome.results`` queries.  Drops and retries,
+        which only faults produce, are recorded here.
+        """
+        arguments = (
+            query_id,
+            domain,
+            content,
+            proposition,
+            policy,
+            scope,
+            candidates,
+            online_peers,
+            charge_summary_peer_hop,
+            faults,
+            max_retries,
+        )
+        obs = self.observability
+        # Per-domain metrics are recorded at the query level (from the domain
+        # outcomes) so this inner loop stays free of registry traffic; only
+        # detail-mode tracing pays a span here.
+        if obs is None or not obs.detail:
+            return self._outcome_in_domain(*arguments)
+        with obs.span(
+            "route-domain", {"domain": domain.summary_peer_id, "query_id": query_id}
+        ) as span:
+            outcome = self._outcome_in_domain(*arguments)
+            span.attrs.update(messages=outcome.messages, results=outcome.results)
+        return outcome
+
+    def _outcome_in_domain(
+        self,
+        query_id: int,
+        domain: Domain,
+        content: ContentModel,
+        proposition: Optional[Proposition],
+        policy: RoutingPolicy,
+        scope: Set[str],
+        candidates: Set[str],
+        online_peers: Optional[Set[str]],
+        charge_summary_peer_hop: bool,
         faults: Optional[object],
         max_retries: int,
     ) -> DomainQueryOutcome:
         obs = self.observability
-        outcome = DomainQueryOutcome(domain_id=domain.summary_peer_id)
-
-        if charge_summary_peer_hop:
-            # The originator (or the forwarding summary peer) sends the query
-            # to this domain's summary peer.
-            self._counter.record_type(MessageType.QUERY)
-            outcome.messages += 1
-
-        partners = set(domain.partner_ids)
-        scope = partners if described_partners is None else (partners & described_partners)
         if obs is None or not obs.detail:
             relevant = content.relevant_partners(
                 query_id, scope, domain.global_summary, proposition
@@ -276,18 +306,12 @@ class QueryRouter:
                     query_id, scope, domain.global_summary, proposition
                 )
                 selection.attrs["relevant"] = len(relevant)
-        outcome.relevant_peers = set(relevant)
 
         contacted = self._routing_set(domain, relevant, policy)
-        if online_peers is not None:
-            reachable = contacted & online_peers
-        else:
-            reachable = set(contacted)
-        outcome.contacted_peers = set(contacted)
-
-        # One query message per contacted peer.
-        self._counter.record_type(MessageType.QUERY, len(contacted))
-        outcome.messages += len(contacted)
+        reachable = contacted.copy() if online_peers is None else contacted & online_peers
+        # The originator (or the forwarding summary peer) sends the query to
+        # this domain's summary peer, which sends one to each contacted peer.
+        messages = len(contacted) + (1 if charge_summary_peer_hop else 0)
 
         if faults is not None:
             sp_id = domain.summary_peer_id
@@ -316,9 +340,8 @@ class QueryRouter:
                         lost.add(peer_id)
                 if retransmissions:
                     # Each retry is one more QUERY on the wire.
-                    self._counter.record_type(MessageType.QUERY, retransmissions)
                     self._counter.record_retry(retransmissions)
-                    outcome.messages += retransmissions
+                    messages += retransmissions
                     if obs is not None:
                         obs.inc("repro_query_retries_total", retransmissions)
                 if dropped:
@@ -329,29 +352,29 @@ class QueryRouter:
                         )
                 reachable -= lost
 
-        outcome.responding_peers = content.matching_among(query_id, reachable)
-        outcome.false_positives = outcome.contacted_peers - outcome.responding_peers
-
         # One response message per matching peer.
-        self._counter.record_type(MessageType.QUERY_RESPONSE, len(outcome.responding_peers))
-        outcome.messages += len(outcome.responding_peers)
-
+        responding = content.matching_among(query_id, reachable)
         # False negatives: partners holding matching data that were not contacted.
-        candidates = partners if online_peers is None else partners & online_peers
-        uncontacted = candidates - outcome.contacted_peers
-        outcome.false_negatives = content.matching_among(query_id, uncontacted)
-        return outcome
+        return DomainQueryOutcome(
+            domain_id=domain.summary_peer_id,
+            relevant_peers=set(relevant),
+            contacted_peers=contacted,
+            responding_peers=responding,
+            false_positives=contacted - responding,
+            false_negatives=content.matching_among(query_id, candidates - contacted),
+            messages=messages + len(responding),
+        )
 
     def _routing_set(
         self, domain: Domain, relevant: Set[str], policy: RoutingPolicy
     ) -> Set[str]:
+        """``V`` as a fresh set: ``P_Q``, ``P_Q ∩ P_fresh`` or ``P_Q ∪ P_old``."""
         if policy is RoutingPolicy.ALL:
             return set(relevant)
-        fresh = set(domain.fresh_partners())
-        old = set(domain.old_partners())
+        cooperation = domain.cooperation
         if policy is RoutingPolicy.PRECISION:
-            return relevant & fresh
-        return relevant | old
+            return (relevant & cooperation.partner_set) - cooperation.old_set
+        return relevant | cooperation.old_set
 
     # -- inter-domain flooding --------------------------------------------------------------
 
@@ -376,37 +399,44 @@ class QueryRouter:
         cover many domains quickly; ``target_domains`` bounds how many of those
         long-range links are actually used.
         """
-        responders = set(responding_peers)
-        initiators = responders | {originator}
-        request_messages = len(initiators)
+        request_messages, flood_messages = self.flooding_messages(
+            overlay, domain, responding_peers, originator, known_summary_peers, target_domains
+        )
         self._counter.record_type(MessageType.FLOOD_REQUEST, request_messages)
+        self._counter.record_type(MessageType.FLOOD_QUERY, flood_messages)
+        return request_messages + flood_messages
 
+    def flooding_messages(
+        self,
+        overlay: Overlay,
+        domain: Domain,
+        responding_peers: Iterable[str],
+        originator: str,
+        known_summary_peers: Collection[str],
+        target_domains: int,
+    ) -> Tuple[int, int]:
+        """:meth:`flooding_cost` as ``(FLOOD_REQUEST, FLOOD_QUERY)`` counts, uncounted."""
+        stamp = (overlay, overlay.version)
+        if self._neighbours_stamp != stamp:
+            self._online_neighbours.clear()
+            self._neighbours_stamp = stamp
+        memo = self._online_neighbours
+        partners = domain.cooperation.partner_set
+        sp_id = domain.summary_peer_id
+        initiators = {originator, *responding_peers}
         flood_messages = 0
-        domain_members: Optional[Set[str]] = None
-        cache_tag = (overlay.version, domain.membership_version)
-        for peer_id in sorted(initiators):
-            key = (domain.summary_peer_id, peer_id)
-            entry = self._flood_cache.get(key)
-            if entry is not None and entry[:2] == cache_tag:
-                flood_messages += entry[2]
-                continue
-            if peer_id not in overlay.graph:
-                self._flood_cache[key] = cache_tag + (0,)
-                continue
-            if domain_members is None:
-                domain_members = set(domain.partner_ids) | {domain.summary_peer_id}
-            outside = [
-                neighbour
-                for neighbour in overlay.neighbors(peer_id)
-                if neighbour not in domain_members
-            ]
+        for peer_id in initiators:
+            neighbours = memo.get(peer_id)
+            if neighbours is None:
+                if peer_id not in overlay.graph:
+                    continue
+                neighbours = memo[peer_id] = set(overlay.neighbors(peer_id))
             # One hop per extra-domain neighbour: the probe stops as soon as it
             # lands in another domain, and with high-degree superpeers almost
             # every extra-domain neighbour already belongs to one.
-            self._flood_cache[key] = cache_tag + (len(outside),)
-            flood_messages += len(outside)
+            outside = neighbours - partners
+            flood_messages += len(outside) - (sp_id in outside)
         # Long-range links: the known summary peers (distinct ids) but its own.
-        own = domain.summary_peer_id in known_summary_peers
+        own = sp_id in known_summary_peers
         flood_messages += min(len(known_summary_peers) - own, max(0, target_domains))
-        self._counter.record_type(MessageType.FLOOD_QUERY, flood_messages)
-        return request_messages + flood_messages
+        return len(initiators), flood_messages

@@ -61,7 +61,6 @@ from repro.core.construction import ConstructionReport
 from repro.core.content import ContentModel, PlannedContentModel
 from repro.core.domain import Domain
 from repro.core.protocol import (
-    QUERY_MESSAGE_TYPES,
     UPDATE_MESSAGE_TYPES,
     StalenessSnapshot,
     SummaryManagementSystem,
@@ -753,8 +752,7 @@ class NetworkSession:
         if originator is None:
             originator = self.default_originator()
         counter = system.counter
-        query_before = counter.count_types(list(QUERY_MESSAGE_TYPES))
-        update_before = counter.count_types(list(UPDATE_MESSAGE_TYPES))
+        update_before = counter.count_types(UPDATE_MESSAGE_TYPES)
         routing = system.pose_query(
             originator,
             query=query,
@@ -763,8 +761,7 @@ class NetworkSession:
             required_results=required_results,
             max_domains=max_domains,
         )
-        query_delta = counter.count_types(list(QUERY_MESSAGE_TYPES)) - query_before
-        update_delta = counter.count_types(list(UPDATE_MESSAGE_TYPES)) - update_before
+        update_delta = counter.count_types(UPDATE_MESSAGE_TYPES) - update_before
 
         if include_staleness is None:
             include_staleness = self.planned
@@ -785,24 +782,19 @@ class NetworkSession:
             answer=answer,
             staleness=staleness,
             degradation=self._degradation_report(routing),
-            query_messages=query_delta,
+            # What pose_query tallied on the counter for this query.
+            query_messages=routing.total_messages,
             update_messages=update_delta,
             posed_at=system.simulator.now,
         )
 
     def _degradation_report(self, routing: QueryRoutingResult) -> DegradationReport:
         """Derive the completeness report of one answer (pure reads only)."""
-        system = self._system
-        described_map = system.described
         stale_described: Dict[str, int] = {}
         for outcome in routing.domain_outcomes:
-            domain = system.domains.get(outcome.domain_id)
-            if domain is None:
-                continue
-            described = described_map.get(outcome.domain_id, set())
-            stale = set(domain.old_partners()) & described
+            stale = self._system.stale_described_count(outcome.domain_id)
             if stale:
-                stale_described[outcome.domain_id] = len(stale)
+                stale_described[outcome.domain_id] = stale
         return DegradationReport(
             unreachable_domains=list(routing.unreachable_domains),
             stale_described=stale_described,
@@ -897,13 +889,7 @@ class NetworkSession:
         include_staleness: Optional[bool] = None,
         include_answer: Optional[bool] = None,
     ) -> List[QueryAnswer]:
-        """Pose a batch of queries through the shared-work fast path.
-
-        The batch shares the per-query derivation work — domain visit orders,
-        staleness scaffolding, the hierarchy selection caches — across its
-        queries, while producing answers **byte-identical** to posing the
-        same queries one by one with :meth:`query` (same routing sets, query
-        ids, message counters, staleness figures and RNG state).
+        """Pose a batch of queries: :meth:`query` once per request, in order.
 
         Queries are given either like :meth:`query_many` (``count`` planned
         queries or an iterable of real ``queries``, with originators cycled
@@ -917,31 +903,29 @@ class NetworkSession:
                     "query_batch takes either requests or the query_many-style "
                     "count/queries/originators arguments, not both"
                 )
-            with self._system.shared_query_state():
-                return [
-                    self.query(
-                        request.originator,
-                        query=request.query,
-                        query_id=request.query_id,
-                        policy=request.policy,
-                        required_results=request.required_results,
-                        max_domains=request.max_domains,
-                        include_staleness=include_staleness,
-                        include_answer=include_answer,
-                    )
-                    for request in requests
-                ]
-        with self._system.shared_query_state():
-            return self.query_many(
-                count=count,
-                queries=queries,
-                originators=originators,
-                policy=policy,
-                required_results=required_results,
-                max_domains=max_domains,
-                include_staleness=include_staleness,
-                include_answer=include_answer,
-            )
+            return [
+                self.query(
+                    request.originator,
+                    query=request.query,
+                    query_id=request.query_id,
+                    policy=request.policy,
+                    required_results=request.required_results,
+                    max_domains=request.max_domains,
+                    include_staleness=include_staleness,
+                    include_answer=include_answer,
+                )
+                for request in requests
+            ]
+        return self.query_many(
+            count=count,
+            queries=queries,
+            originators=originators,
+            policy=policy,
+            required_results=required_results,
+            max_domains=max_domains,
+            include_staleness=include_staleness,
+            include_answer=include_answer,
+        )
 
     # -- persistence -------------------------------------------------------------------
 
@@ -1005,12 +989,8 @@ class NetworkSession:
         return self._system.staleness_snapshot(query_id=query_id)
 
     def staleness_batch(self, count: int) -> List[StalenessSnapshot]:
-        """Sample ``count`` staleness snapshots sharing the per-domain scans.
-
-        Byte-identical to ``[self.staleness() for _ in range(count)]`` (same
-        query ids and plan draws); the fig4/fig5 sweeps sample several
-        snapshots per simulation tick through this.
-        """
+        """``[self.staleness() for _ in range(count)]``; the fig4/fig5 sweeps
+        sample several snapshots per simulation tick through this."""
         return self._system.staleness_snapshots(count)
 
     # -- reporting ---------------------------------------------------------------------

@@ -74,7 +74,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.core.routing import RoutingPolicy
 from repro.core.session import ReadOnlyNetworkSession
-from repro.exceptions import ReproError, ServeError
+from repro.exceptions import ConfigurationError, ReproError, ServeError
 from repro.fuzzy.background import BackgroundKnowledge
 from repro.obs import Observability
 from repro.serve import wire
@@ -587,6 +587,17 @@ def start_server(
         observability=observability,
     )
     return server.start_background()
+
+
+def background_from_name(name: Optional[str]) -> Optional[BackgroundKnowledge]:
+    """Resolve a named background knowledge (real-content checkpoints)."""
+    if name is None:
+        return None
+    if name == "medical":
+        from repro.fuzzy.vocabularies import medical_background_knowledge
+
+        return medical_background_knowledge()
+    raise ConfigurationError(f"unknown background knowledge {name!r} (try: medical)")
 
 
 def serve_checkpoint(

@@ -32,21 +32,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro.exceptions import ReproError
-
 #: The stdout handshake prefix the supervisor greps for.
 READY_PREFIX = "READY"
-
-
-def _background_from_name(name: Optional[str]):
-    """Resolve a named background knowledge (real-content checkpoints)."""
-    if name is None:
-        return None
-    if name == "medical":
-        from repro.fuzzy.vocabularies import medical_background_knowledge
-
-        return medical_background_knowledge()
-    raise ReproError(f"unknown background knowledge {name!r} (try: medical)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.serve.server import serve_checkpoint
+    from repro.serve.server import background_from_name, serve_checkpoint
 
     args = build_parser().parse_args(argv)
     return serve_checkpoint(
@@ -85,7 +72,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         lambda server: (
             f"{READY_PREFIX} port={server.server_address[1]} pid={os.getpid()}"
         ),
-        background=_background_from_name(args.background),
+        background=background_from_name(args.background),
         observe=not args.no_obs,
     )
 

@@ -232,8 +232,9 @@ def _domain_from_payload(
 ) -> Domain:
     cooperation = CooperationList(FreshnessMode(payload["mode"]))
     for peer_id, freshness, updated_at in payload["entries"]:
-        entry = cooperation.add_partner(peer_id, now=float(updated_at))
-        entry.freshness = Freshness(int(freshness))
+        cooperation.add_partner(
+            peer_id, freshness=Freshness(int(freshness)), now=float(updated_at)
+        )
     domain = Domain(
         summary_peer_id=payload["summary_peer_id"],
         cooperation=cooperation,

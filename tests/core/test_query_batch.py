@@ -99,13 +99,6 @@ class TestPoseQueriesEquivalence:
         ]
         assert batch_results == seq_results
 
-    def test_batch_state_is_torn_down(self):
-        session = _planned_session(seed=2)
-        session.system.pose_queries(
-            [QueryRequest(originator=session.default_originator())]
-        )
-        assert session.system._batch_state is None  # noqa: SLF001
-
 
 class TestQueryBatchFacade:
     def test_query_batch_matches_query_many(self):

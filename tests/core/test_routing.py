@@ -7,6 +7,7 @@ from repro.core.content import PlannedContentModel
 from repro.core.domain import Domain
 from repro.core.freshness import Freshness
 from repro.core.routing import QueryRouter, RoutingPolicy
+from repro.core.session import SystemBuilder
 from repro.network.messages import MessageType
 from repro.network.metrics import MessageCounter
 from repro.network.overlay import Overlay
@@ -245,10 +246,13 @@ class TestFloodingCostCache:
         overlay, domain, kwargs = self._setup()
         router = QueryRouter()
         first = router.flooding_cost(overlay, domain, **kwargs)
-        entries = dict(router._flood_cache)
+        entries = dict(router._online_neighbours)
         assert entries, "the first call must populate the cache"
         assert router.flooding_cost(overlay, domain, **kwargs) == first
-        assert router._flood_cache == entries, "a repeat call must not recompute"
+        assert router._online_neighbours == entries
+        assert all(
+            router._online_neighbours[peer] is cached for peer, cached in entries.items()
+        ), "a repeat call must not recompute"
 
     def test_overlay_mutation_invalidates(self):
         overlay, domain, kwargs = self._setup()
@@ -280,3 +284,30 @@ class TestFloodingCostCache:
         assert router.flooding_cost(
             overlay, domain, **kwargs
         ) == QueryRouter().flooding_cost(overlay, domain, **kwargs)
+
+    def test_memo_is_bounded_by_the_peer_count(self):
+        """A long-lived session's memo cannot outgrow the overlay, whoever asks."""
+        session = (
+            SystemBuilder()
+            .topology(peer_count=400, average_degree=4)
+            .planned_content(hit_rate=0.1)
+            .churn(duration_seconds=3600.0)
+            .seed(5)
+            .build()
+        )
+        overlay = session.overlay
+        router = session.system._router  # noqa: SLF001
+        originators = session.partner_ids()[:300]
+        assert len(set(originators)) == 300
+        for originator in originators:
+            session.query(originator, required_results=40)
+        assert 0 < len(router._online_neighbours) <= overlay.size
+
+        version = overlay.version
+        session.run_until(1800.0)
+        assert overlay.version != version
+        session.query(originators[0], required_results=40)
+        memo = router._online_neighbours
+        assert 0 < len(memo) <= overlay.size
+        # Nothing derived from an earlier overlay version survives.
+        assert memo == {peer: set(overlay.neighbors(peer)) for peer in memo}
