@@ -19,7 +19,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.domain import Domain
 from repro.core.content import PlannedContentModel
 from repro.core.maintenance import MaintenanceEngine
-from repro.core.routing import QueryRouter, RoutingPolicy
+from repro.core.routing import QueryRouter, QueryScratch, RoutingPolicy
 from repro.network.overlay import Overlay
 from repro.network.topology import TopologyConfig
 from repro.workloads.scenarios import SimulationScenario
@@ -46,8 +46,12 @@ def test_ablation_routing_policy(benchmark, policy):
 
     def run():
         router = QueryRouter()
+        partners = domain.cooperation.partner_set
+        scratch = QueryScratch(lambda: 0, content)
         outcomes = [
-            router.route_in_domain(query_id, domain, content, policy=policy)
+            router.outcome_in_domain(
+                query_id, domain, scratch, None, policy, partners, partners, None
+            )
             for query_id in range(50)
         ]
         return outcomes

@@ -55,14 +55,13 @@ def test_obs_overhead_guard(benchmark):
     from repro.obs import Observability
 
     session = _table3_session()
-    system = session.system
     requests = _requests(session, THROUGHPUT_QUERIES)
     content = session.content
     for request in requests:
         content.matching_peers(request.query_id)
 
     def leg():
-        return system.pose_queries(requests)
+        return session.query_batch(requests=requests, include_staleness=False)
 
     # Warm every per-query cache once so both legs measure steady state.
     plain_results = leg()

@@ -10,10 +10,6 @@ concurrent clients must stay above ``MIN_GUARD_QPS``.
 Answers are verified against a local ``restore_session`` of the same
 checkpoint before any timing is trusted: a fast server that answers wrong is
 a failure, not a result.
-
-The latency profile also prints the daemon's session-lock wait-vs-hold
-histograms (from the server's default observability): hold time is the work
-per request, wait time is the queue in front of the shared session.
 """
 
 import os
@@ -156,36 +152,6 @@ def _run_level(url: str, clients: int, required: int) -> dict:
     }
 
 
-def _print_lock_profile(server) -> None:
-    """Print the session-lock wait-vs-hold histogram the daemon recorded.
-
-    Under concurrency the spread between the two distributions *is* the
-    queueing story: hold time is the work, wait time is the line in front
-    of it.  The histograms come from the server's default observability.
-    """
-    obs = server.observability
-    if obs is None:
-        return
-    wait = obs.metrics.histogram("repro_session_lock_wait_seconds")
-    hold = obs.metrics.histogram("repro_session_lock_hold_seconds")
-    if wait is None or hold is None:
-        return
-    print("\nsession lock wait vs hold (seconds):")
-    for name, histogram in (("wait", wait), ("hold", hold)):
-        mean = histogram.total_sum / histogram.total_count if histogram.total_count else 0.0
-        print(
-            f"  {name}: n={histogram.total_count} mean={mean * 1000:.2f}ms "
-            f"sum={histogram.total_sum:.3f}s"
-        )
-        cumulative = histogram.cumulative()
-        for bound, count in zip(histogram.buckets, cumulative):
-            if count:
-                share = count / histogram.total_count
-                print(f"    <= {bound:g}s: {count} ({share:.0%})")
-                if share >= 1.0:
-                    break
-
-
 @pytest.mark.benchmark(group="serve-load")
 def test_serve_load_latency_profile(served, benchmark):
     """Queries/sec and p50/p99 latency at 1/4/16/64 concurrent clients."""
@@ -200,13 +166,11 @@ def test_serve_load_latency_profile(served, benchmark):
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
 
-    _print_lock_profile(server)
-
     table = ExperimentTable(
         name=f"Serve load at {LOAD_PEERS} peers",
         columns=["clients", "requests", "qps", "p50_ms", "p99_ms"],
         expectation="one shared read-only session; latency grows with "
-        "queueing, throughput stays flat (requests serialize on the session)",
+        "queueing, throughput stays flat (handler threads share one GIL)",
         parameters={
             "peers": LOAD_PEERS,
             "queries_per_request": QUERIES_PER_REQUEST,
@@ -243,8 +207,8 @@ def test_serve_throughput_guard(served, benchmark):
 def test_serve_workers_vs_single_process(served, served_workers, benchmark):
     """Supervised worker fleet vs the single-process daemon at 16 clients.
 
-    Handler threads of one process share one session lock and one GIL;
-    worker *processes* execute protocol work truly in parallel.  On a
+    Handler threads of one process share one GIL; worker *processes*
+    execute protocol work truly in parallel.  On a
     machine with >= ``WORKER_COUNT`` cores (the CI runners) the fleet is
     guarded at ``1.5x`` the single daemon; on smaller machines the processes
     time-slice one CPU and the guard only polices supervision overhead.

@@ -78,22 +78,23 @@ DEFAULT_SIZES = [16, 100, 500]
 DEFAULT_ALPHAS = [0.1, 0.3, 0.8]
 
 
-def _parse_sizes(raw: Optional[str], fallback: List[int]) -> List[int]:
-    if not raw:
-        return list(fallback)
+def _parse_list(raw: str, convert: Callable[[str], object], what: str) -> list:
+    """An option's comma-separated value; argparse reports what this raises."""
     try:
-        return [int(token) for token in raw.split(",") if token.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid size list {raw!r}") from exc
+        values = [convert(token) for token in raw.split(",") if token.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"invalid {what} list {raw!r}")
+    return values
 
 
-def _parse_alphas(raw: Optional[str], fallback: List[float]) -> List[float]:
-    if not raw:
-        return list(fallback)
-    try:
-        return [float(token) for token in raw.split(",") if token.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid alpha list {raw!r}") from exc
+def _parse_sizes(raw: str) -> List[int]:
+    return _parse_list(raw, int, "size")
+
+
+def _parse_alphas(raw: str) -> List[float]:
+    return _parse_list(raw, float, "number")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,15 +223,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--intensities",
+        type=_parse_alphas,
+        default=[0.0, 0.05, 0.1, 0.2],
         help="comma-separated fault intensities for fault-sweep "
         "(default: 0,0.05,0.1,0.2)",
     )
     parser.add_argument(
         "--sizes",
+        type=_parse_sizes,
+        default=DEFAULT_SIZES,
         help="comma-separated domain/network sizes (default: 16,100,500)",
     )
     parser.add_argument(
         "--alphas",
+        type=_parse_alphas,
+        default=DEFAULT_ALPHAS,
         help="comma-separated freshness thresholds for fig4 (default: 0.1,0.3,0.8)",
     )
     parser.add_argument(
@@ -634,7 +641,7 @@ def _serve_supervised(args: argparse.Namespace) -> int:
 def _fault_sweep_table(args: argparse.Namespace) -> ExperimentTable:
     obs = _observability_from_args(args)
     table = run_fault_sweep(
-        intensities=_parse_alphas(args.intensities, [0.0, 0.05, 0.1, 0.2]),
+        intensities=args.intensities,
         seed=args.seed,
         observability=obs,
     )
@@ -735,8 +742,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _emit([table], args.json)
         return 0
 
-    sizes = _parse_sizes(args.sizes, DEFAULT_SIZES)
-    alphas = _parse_alphas(args.alphas, DEFAULT_ALPHAS)
+    sizes, alphas = args.sizes, args.alphas
     hours = args.hours if args.hours is not None else 6.0
     duration = hours * 3600.0
     args.seed = args.seed if args.seed is not None else 0

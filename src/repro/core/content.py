@@ -19,6 +19,7 @@ Two interchangeable models are provided:
 from __future__ import annotations
 
 import abc
+import copy
 import random
 from typing import Dict, Iterable, List, Mapping, Optional, Set
 
@@ -56,6 +57,18 @@ class ContentModel(abc.ABC):
             peer_id for peer_id in peers if self.truly_matching(query_id, peer_id)
         }
 
+    def register_query(self, query_id: int, query: SelectionQuery) -> None:
+        """Remember a posed real query (a no-op for models that evaluate none)."""
+
+    @abc.abstractmethod
+    def scratch_copy(self) -> "ContentModel":
+        """A throwaway twin that answers like this model without writing to it.
+
+        The twin owns a copy of what posing a query advances (registered
+        queries, drawn plans, the plan RNG) and shares, unwritten, everything
+        else.
+        """
+
 
 class SummaryContentModel(ContentModel):
     """Relevance from real summaries, ground truth from real databases.
@@ -75,6 +88,9 @@ class SummaryContentModel(ContentModel):
 
     def register_query(self, query_id: int, query: SelectionQuery) -> None:
         self._queries[query_id] = query
+
+    def scratch_copy(self) -> "SummaryContentModel":
+        return SummaryContentModel(dict(self._queries), self._databases)
 
     def relevant_partners(
         self,
@@ -151,6 +167,15 @@ class PlannedContentModel(ContentModel):
 
     def matching_peers(self, query_id: int) -> Set[str]:
         return self.plan_query(query_id)
+
+    def scratch_copy(self) -> "PlannedContentModel":
+        # The peer list and the modified / departed sets are shared: only
+        # maintenance writes them, never a query.
+        twin = copy.copy(self)
+        twin._rng = random.Random(0)  # any seed: the state is overwritten
+        twin._rng.setstate(self._rng.getstate())
+        twin._matching = dict(self._matching)
+        return twin
 
     # -- checkpoint state ------------------------------------------------------------------
 

@@ -82,10 +82,15 @@ class Domain:
 
         When the domain was restored lazily (read-only serving), the first
         access pulls the hierarchy from the snapshot store via the bound
-        loader; subsequent accesses return the materialized object.
+        loader; subsequent accesses return the materialized object.  Threads
+        may race through the first access: the loader is read once and
+        cleared only after the summary is published, so each of them sees
+        either a loader to call (one materialized object per digest is
+        ``HierarchySource.get``'s guarantee) or the published summary.
         """
-        if self._global_summary is None and self._summary_loader is not None:
-            self._global_summary = self._summary_loader()
+        loader = self._summary_loader
+        if loader is not None and self._global_summary is None:
+            self._global_summary = loader()
             self._summary_loader = None
         return self._global_summary
 

@@ -15,12 +15,12 @@ through this class, in one of two content modes:
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Dict,
-    Iterable,
     List,
     Mapping,
     NamedTuple,
@@ -41,9 +41,9 @@ from repro.core.dynamicity import ChurnHandler
 from repro.core.maintenance import ColdStartRecord, MaintenanceEngine
 from repro.core.routing import (
     DomainQueryOutcome,
-    QueryRequest,
     QueryRouter,
     QueryRoutingResult,
+    QueryScratch,
     RoutingPolicy,
 )
 from repro.core.freshness import Freshness
@@ -163,7 +163,7 @@ class SummaryManagementSystem:
         self._churn = ChurnHandler(
             self._config, self._counter, self._maintenance, rng=self._rng
         )
-        self._router = QueryRouter(self._config, self._counter)
+        self._router = QueryRouter()
         self._builder = DomainBuilder(self._config, rng=self._rng)
 
         self._domains: Dict[str, Domain] = {}
@@ -177,7 +177,6 @@ class SummaryManagementSystem:
         self._queries: Dict[int, SelectionQuery] = {}
         self._content: Optional[ContentModel] = None
         self._query_counter = 0
-        self._query_results: List[QueryRoutingResult] = []
         # The fault layer is opt-in: None means every protocol path runs its
         # historical, infallible-network code byte for byte.
         self._faults: Optional[FaultInjector] = None
@@ -228,10 +227,6 @@ class SummaryManagementSystem:
     @property
     def content(self) -> Optional[ContentModel]:
         return self._content
-
-    @property
-    def query_results(self) -> List[QueryRoutingResult]:
-        return list(self._query_results)
 
     @property
     def rng(self) -> random.Random:
@@ -996,14 +991,41 @@ class SummaryManagementSystem:
 
     # -- query processing --------------------------------------------------------------------------
 
-    def register_query(self, query: SelectionQuery) -> Tuple[int, Optional[Proposition]]:
+    def query_scratch(self) -> QueryScratch:
+        """Throwaway copies, at their current values, of all a query may advance.
+
+        Answering against the returned value — once or a whole batch — leaves
+        this system exactly as it was; the ids, draws and tallies the queries
+        would have left behind are on the scratch.
+        """
+        own = self._own_unless(None)
+        return QueryScratch(
+            itertools.count(self._query_counter).__next__,
+            own.content.scratch_copy(),
+            None if own.faults is None else own.faults.scratch_copy(),
+        )
+
+    def _own_unless(self, scratch: Optional[QueryScratch]) -> QueryScratch:
+        """``scratch``, or this system's own members: the query then advances
+        the system itself (simulator semantics)."""
+        if scratch is not None:
+            return scratch
+        if self._content is None:
+            raise ProtocolError(
+                "configure content first (attach_databases or use_planned_content)"
+            )
+        return QueryScratch(
+            self.next_query_id, self._content, self._faults, self._counter
+        )
+
+    def register_query(
+        self, query: SelectionQuery, scratch: QueryScratch
+    ) -> Tuple[int, Optional[Proposition]]:
         """Register a real query: returns its id and its proposition (if flexible)."""
-        query_id = self._query_counter
-        self._query_counter += 1
+        query_id = scratch.next_query_id()
         proposition: Optional[Proposition] = None
         if self._background is not None:
             flexible = reformulate(query, self._background)
-            self._queries[query_id] = flexible
             if flexible.is_flexible():
                 proposition = Proposition.from_query(
                     SelectionQuery(
@@ -1012,8 +1034,8 @@ class SummaryManagementSystem:
                         flexible.select,
                     )
                 )
-        else:
-            self._queries[query_id] = query
+            query = flexible
+        scratch.content.register_query(query_id, query)
         return query_id, proposition
 
     def next_query_id(self) -> int:
@@ -1030,6 +1052,7 @@ class SummaryManagementSystem:
         policy: RoutingPolicy = RoutingPolicy.ALL,
         required_results: Optional[int] = None,
         max_domains: Optional[int] = None,
+        scratch: Optional[QueryScratch] = None,
     ) -> QueryRoutingResult:
         """Pose a query at ``originator`` and route it with the SQ algorithm.
 
@@ -1038,11 +1061,13 @@ class SummaryManagementSystem:
         ``required_results`` is the ``C_t`` of the cost model: when one domain
         does not provide enough results, the routing extends to further
         domains through inter-domain flooding.
+
+        Everything the query advances — the next id, plan draws or the query
+        registry, fault draws and stats, the message tally — is advanced on
+        ``scratch`` (see :meth:`query_scratch`); without one, on the system
+        itself.
         """
-        if self._content is None:
-            raise ProtocolError(
-                "configure content first (attach_databases or use_planned_content)"
-            )
+        scratch = self._own_unless(scratch)
         if query is not None and query_id is not None:
             raise ProtocolError(
                 "pose_query accepts either query or query_id, not both: a real "
@@ -1050,20 +1075,20 @@ class SummaryManagementSystem:
             )
         proposition: Optional[Proposition] = None
         if query is not None:
-            query_id, proposition = self.register_query(query)
+            query_id, proposition = self.register_query(query, scratch)
         elif query_id is None:
-            query_id = self.next_query_id()
+            query_id = scratch.next_query_id()
 
+        route = (
+            scratch, originator, query_id, proposition, policy, required_results,
+            max_domains,
+        )
         obs = self._obs
         if obs is None:
-            return self._route_query(
-                originator, query_id, proposition, policy, required_results, max_domains
-            )
+            return self._route_query(*route)
         obs.inc("repro_queries_total")
         with obs.span("query", {"query_id": query_id, "originator": originator}) as span:
-            result = self._route_query(
-                originator, query_id, proposition, policy, required_results, max_domains
-            )
+            result = self._route_query(*route)
             span.attrs.update(
                 domains_visited=result.domains_visited,
                 messages=result.total_messages,
@@ -1090,6 +1115,7 @@ class SummaryManagementSystem:
 
     def _route_query(
         self,
+        scratch: QueryScratch,
         originator: str,
         query_id: int,
         proposition: Optional[Proposition],
@@ -1109,8 +1135,11 @@ class SummaryManagementSystem:
         if not ordered_domains:
             return result
 
-        faults = self._faults
+        counter = scratch.counter
+        faults = scratch.faults
         partition_active = faults is not None and faults.partitioned
+        online_ids = self._overlay.online_ids
+        max_retries = self._config.query_max_retries
         previous_outcome: Optional[DomainQueryOutcome] = None
         previous: Optional[Domain] = None
         results_gathered = 0  # running count: avoids re-summing per domain
@@ -1126,10 +1155,10 @@ class SummaryManagementSystem:
                 # its bounded retries) go unanswered, the domain contributes
                 # nothing, and the answer is marked degraded instead of the
                 # query wedging or failing.
-                attempts = 1 + self._config.query_max_retries
+                attempts = 1 + max_retries
                 if attempts > 1:
-                    self._counter.record_retry(attempts - 1)
-                self._counter.record_dropped("partitioned", attempts)
+                    counter.record_retry(attempts - 1)
+                counter.record_dropped("partitioned", attempts)
                 faults.stats.messages_dropped += attempts
                 faults.stats.retries += attempts - 1
                 faults.stats.unreachable_probes += 1
@@ -1160,7 +1189,19 @@ class SummaryManagementSystem:
                 )
                 flood_requests += requests
                 flood_queries += floods
-            outcome = self._route_in_domain(query_id, domain, proposition, policy)
+            sets = self._domain_sets(domain)
+            outcome = self._router.outcome_in_domain(
+                query_id,
+                domain,
+                scratch,
+                proposition,
+                policy,
+                sets.scope,
+                sets.online_partners,
+                online_ids,
+                True,
+                max_retries,
+            )
             result.domain_outcomes.append(outcome)
             results_gathered += outcome.results
             previous = domain
@@ -1176,7 +1217,6 @@ class SummaryManagementSystem:
         # The query's one tally.  A type is recorded — even with a count of
         # zero — exactly when some step of the loop above sends it, which is
         # what keeps the counter's payload the one per-message accounting gave.
-        counter = self._counter
         if result.domain_outcomes or result.unreachable_domains:
             counter.record_type(
                 MessageType.QUERY,
@@ -1187,34 +1227,7 @@ class SummaryManagementSystem:
         if len(result.domain_outcomes) > 1:
             counter.record_type(MessageType.FLOOD_REQUEST, flood_requests)
             counter.record_type(MessageType.FLOOD_QUERY, flood_queries)
-        self._query_results.append(result)
         return result
-
-    def _route_in_domain(
-        self,
-        query_id: int,
-        domain: Domain,
-        proposition: Optional[Proposition],
-        policy: RoutingPolicy,
-    ) -> DomainQueryOutcome:
-        assert self._content is not None
-        sets = self._domain_sets(domain)
-        faults = self._faults
-        if faults is not None and not (faults.partitioned or faults.lossy):
-            faults = None  # nothing can disturb this hop: keep the clean path
-        return self._router.outcome_in_domain(
-            query_id,
-            domain,
-            self._content,
-            proposition,
-            policy,
-            sets.scope,
-            sets.online_partners,
-            self._overlay.online_ids,
-            True,
-            faults,
-            self._config.query_max_retries,
-        )
 
     def _domain_sets(self, domain: Domain) -> _DomainSets:
         """``domain``'s derived routing sets, rebuilt only when a stamp moved."""
@@ -1247,20 +1260,6 @@ class SummaryManagementSystem:
         ordered.extend(domain for domain in domains if domain is not home)
         return ordered
 
-    def pose_queries(self, requests: Iterable[QueryRequest]) -> List[QueryRoutingResult]:
-        """Pose a batch of queries: :meth:`pose_query` once per request, in order."""
-        return [
-            self.pose_query(
-                request.originator,
-                query=request.query,
-                query_id=request.query_id,
-                policy=request.policy,
-                required_results=request.required_results,
-                max_domains=request.max_domains,
-            )
-            for request in requests
-        ]
-
     def stale_described_count(self, sp_id: str) -> int:
         """How many partners domain ``sp_id``'s global summary describes from
         descriptions its cooperation list marks old (0 for an unknown domain)."""
@@ -1272,29 +1271,39 @@ class SummaryManagementSystem:
 
     # -- staleness measurement (Figures 4 and 5) -------------------------------------------------------
 
-    def staleness_snapshot(self, query_id: Optional[int] = None) -> StalenessSnapshot:
+    def staleness_snapshot(
+        self, query_id: Optional[int] = None, scratch: Optional[QueryScratch] = None
+    ) -> StalenessSnapshot:
         """Sample the staleness of query answers across every domain.
 
         Only meaningful in planned-content mode: the plan provides the ground
         truth while the cooperation lists and described sets provide the
-        summary-side view.
+        summary-side view.  The id allocated and the plan drawn for a new
+        query land on ``scratch`` (default: the system itself).
         """
         if not isinstance(self._content, PlannedContentModel):
             raise ProtocolError("staleness_snapshot requires planned content")
+        scratch = self._own_unless(scratch)
         if query_id is None:
-            query_id = self.next_query_id()
-        return self._staleness_of(query_id)
+            query_id = scratch.next_query_id()
+        return self._staleness_of(query_id, scratch)
 
-    def staleness_snapshots(self, count: int) -> List[StalenessSnapshot]:
+    def staleness_snapshots(
+        self, count: int, scratch: Optional[QueryScratch] = None
+    ) -> List[StalenessSnapshot]:
         """Sample ``count`` staleness snapshots: :meth:`staleness_snapshot`
         ``count`` times back to back (consecutive query ids)."""
         if not isinstance(self._content, PlannedContentModel):
             raise ProtocolError("staleness_snapshot requires planned content")
-        return [self._staleness_of(self.next_query_id()) for _sample in range(count)]
+        scratch = self._own_unless(scratch)
+        return [
+            self._staleness_of(scratch.next_query_id(), scratch)
+            for _sample in range(count)
+        ]
 
-    def _staleness_of(self, query_id: int) -> StalenessSnapshot:
-        assert isinstance(self._content, PlannedContentModel)
-        content = self._content
+    def _staleness_of(self, query_id: int, scratch: QueryScratch) -> StalenessSnapshot:
+        content = scratch.content
+        assert isinstance(content, PlannedContentModel)
         plan = content.matching_peers(query_id)
         online_ids = self._overlay.online_ids
 

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Collection, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.config import ProtocolConfig
 from repro.core.content import ContentModel
 from repro.core.domain import Domain
 from repro.database.query import SelectionQuery
-from repro.network.messages import MessageType
+from repro.network.faults import FaultInjector
 from repro.network.metrics import MessageCounter
 from repro.network.overlay import Overlay
 from repro.querying.proposition import Proposition
@@ -73,8 +72,30 @@ class DomainQueryOutcome:
 
 
 @dataclass
+class QueryScratch:
+    """Everything answering a query may advance, as one value.
+
+    The query path reads the rest of the system and writes only here, so
+    whoever makes this value decides what a query leaves behind: a system's
+    own members (``pose_query`` without a scratch — the simulator's ids,
+    draws and counters move), or throwaway copies of them
+    (``SummaryManagementSystem.query_scratch`` — the system is never written).
+    """
+
+    #: Allocates the next query id.
+    next_query_id: Callable[[], int]
+    #: Planned content: the plan registry and its RNG; real content: the
+    #: registry of posed queries.
+    content: ContentModel
+    #: Link-loss draws and fault statistics; None on an infallible network.
+    faults: Optional[FaultInjector] = None
+    #: Where the messages are tallied: by type, dropped, retries.
+    counter: MessageCounter = field(default_factory=MessageCounter)
+
+
+@dataclass
 class QueryRequest:
-    """One query of a batch posed through ``pose_queries`` / ``query_batch``.
+    """One query of a batch posed through ``NetworkSession.query_batch``.
 
     Mirrors the parameters of ``SummaryManagementSystem.pose_query``: a real
     query (``query``), an already-allocated planned id (``query_id``), or
@@ -151,22 +172,18 @@ class QueryRoutingResult:
 
 
 class QueryRouter:
-    """Routes queries inside domains and accounts for every message.
+    """Routes queries inside domains and prices inter-domain flooding.
 
-    :meth:`route_in_domain` and :meth:`flooding_cost` leave the counter
-    updated when they return.  :meth:`outcome_in_domain` and
-    :meth:`flooding_messages` are the same computations uncounted, for a caller
-    (``SummaryManagementSystem.pose_query``) that tallies a whole query's
-    messages once.
+    One function per step, each returning what the step put on the wire:
+    :meth:`outcome_in_domain` (``outcome.results`` responses,
+    ``outcome.messages - outcome.results`` queries) and
+    :meth:`flooding_messages` (requests, probes).  The router keeps no
+    counter: the drops and retries that faults produce are tallied on the
+    :class:`QueryScratch` the caller hands in, where the caller also records
+    a whole query's messages once.
     """
 
-    def __init__(
-        self,
-        config: Optional[ProtocolConfig] = None,
-        counter: Optional[MessageCounter] = None,
-    ) -> None:
-        self._config = config or ProtocolConfig()
-        self._counter = counter if counter is not None else MessageCounter()
+    def __init__(self) -> None:
         #: ``flooding_messages``' memo: peer -> its online neighbours, valid for
         #: one version of one overlay (any status or structural change drops
         #: the lot), so it never holds more entries than the overlay has peers.
@@ -176,93 +193,49 @@ class QueryRouter:
         #: routing on the uninstrumented path.
         self.observability = None
 
-    @property
-    def counter(self) -> MessageCounter:
-        return self._counter
-
     # -- single-domain processing ----------------------------------------------------------
-
-    def route_in_domain(
-        self,
-        query_id: int,
-        domain: Domain,
-        content: ContentModel,
-        proposition: Optional[Proposition] = None,
-        policy: RoutingPolicy = RoutingPolicy.ALL,
-        online_peers: Optional[Set[str]] = None,
-        charge_summary_peer_hop: bool = True,
-        described_partners: Optional[Set[str]] = None,
-        faults: Optional[object] = None,
-        max_retries: int = 0,
-    ) -> DomainQueryOutcome:
-        """Process a query inside ``domain`` and account for its messages.
-
-        ``online_peers`` restricts ground-truth matching and response traffic
-        to currently reachable peers (an offline relevant peer produces no
-        response — it is a false positive if contacted).  ``described_partners``
-        restricts the scope the global summary can designate as relevant: a
-        partner that joined after the last reconciliation is not yet described
-        by the global summary, so it cannot appear in ``P_Q`` even though it
-        sits in the cooperation list.
-
-        ``faults`` (a :class:`~repro.network.faults.FaultInjector`) makes the
-        summary-peer → partner hops fallible: a contacted partner on a lossy
-        link is retried up to ``max_retries`` times (each retransmission is a
-        charged QUERY message); a partner the faults keep unreachable never
-        responds and becomes a false positive.  Partition-separated partners
-        are cut deterministically without consuming randomness.
-        """
-        partners = domain.cooperation.partner_set
-        outcome = self.outcome_in_domain(
-            query_id,
-            domain,
-            content,
-            proposition,
-            policy,
-            partners if described_partners is None else partners & described_partners,
-            partners if online_peers is None else partners & online_peers,
-            online_peers,
-            charge_summary_peer_hop,
-            faults,
-            max_retries,
-        )
-        self._counter.record_type(MessageType.QUERY, outcome.messages - outcome.results)
-        self._counter.record_type(MessageType.QUERY_RESPONSE, outcome.results)
-        return outcome
 
     def outcome_in_domain(
         self,
         query_id: int,
         domain: Domain,
-        content: ContentModel,
+        scratch: QueryScratch,
         proposition: Optional[Proposition],
         policy: RoutingPolicy,
         scope: Set[str],
         candidates: Set[str],
         online_peers: Optional[Set[str]],
-        charge_summary_peer_hop: bool,
-        faults: Optional[object],
-        max_retries: int,
+        charge_summary_peer_hop: bool = True,
+        max_retries: int = 0,
     ) -> DomainQueryOutcome:
-        """:meth:`route_in_domain` on sets the caller already holds, uncounted.
+        """Process a query inside ``domain``.
 
-        ``scope`` is ``partners ∩ described`` and ``candidates`` is
-        ``partners ∩ online``; both are only read.  QUERY and QUERY_RESPONSE
-        are left for the caller to record: ``outcome.results`` responses and
-        ``outcome.messages - outcome.results`` queries.  Drops and retries,
-        which only faults produce, are recorded here.
+        ``scope`` is ``partners ∩ described``, the partners the global summary
+        can designate as relevant: a partner that joined after the last
+        reconciliation is not yet described, so it cannot appear in ``P_Q``
+        even though it sits in the cooperation list.  ``candidates`` is
+        ``partners ∩ online``, who could have answered.  ``online_peers``
+        restricts response traffic to currently reachable peers (an offline
+        relevant peer produces no response — it is a false positive if
+        contacted).  All three are only read.
+
+        ``scratch.faults`` makes the summary-peer → partner hops fallible: a
+        contacted partner on a lossy link is retried up to ``max_retries``
+        times (each retransmission is a charged QUERY message); a partner the
+        faults keep unreachable never responds and becomes a false positive.
+        Partition-separated partners are cut deterministically without
+        consuming randomness.
         """
         arguments = (
             query_id,
             domain,
-            content,
+            scratch,
             proposition,
             policy,
             scope,
             candidates,
             online_peers,
             charge_summary_peer_hop,
-            faults,
             max_retries,
         )
         obs = self.observability
@@ -282,16 +255,16 @@ class QueryRouter:
         self,
         query_id: int,
         domain: Domain,
-        content: ContentModel,
+        scratch: QueryScratch,
         proposition: Optional[Proposition],
         policy: RoutingPolicy,
         scope: Set[str],
         candidates: Set[str],
         online_peers: Optional[Set[str]],
         charge_summary_peer_hop: bool,
-        faults: Optional[object],
         max_retries: int,
     ) -> DomainQueryOutcome:
+        content = scratch.content
         obs = self.observability
         if obs is None or not obs.detail:
             relevant = content.relevant_partners(
@@ -313,6 +286,7 @@ class QueryRouter:
         # this domain's summary peer, which sends one to each contacted peer.
         messages = len(contacted) + (1 if charge_summary_peer_hop else 0)
 
+        faults = scratch.faults
         if faults is not None:
             sp_id = domain.summary_peer_id
             if faults.partitioned:
@@ -321,7 +295,7 @@ class QueryRouter:
                 cut = {p for p in reachable if not faults.reachable(sp_id, p)}
                 if cut:
                     reachable -= cut
-                    self._counter.record_dropped("partitioned", len(cut))
+                    scratch.counter.record_dropped("partitioned", len(cut))
                     if obs is not None:
                         obs.inc(
                             "repro_fault_dropped_total", len(cut), reason="partitioned"
@@ -340,12 +314,12 @@ class QueryRouter:
                         lost.add(peer_id)
                 if retransmissions:
                     # Each retry is one more QUERY on the wire.
-                    self._counter.record_retry(retransmissions)
+                    scratch.counter.record_retry(retransmissions)
                     messages += retransmissions
                     if obs is not None:
                         obs.inc("repro_query_retries_total", retransmissions)
                 if dropped:
-                    self._counter.record_dropped("link loss", dropped)
+                    scratch.counter.record_dropped("link loss", dropped)
                     if obs is not None:
                         obs.inc(
                             "repro_fault_dropped_total", dropped, reason="link loss"
@@ -378,7 +352,7 @@ class QueryRouter:
 
     # -- inter-domain flooding --------------------------------------------------------------
 
-    def flooding_cost(
+    def flooding_messages(
         self,
         overlay: Overlay,
         domain: Domain,
@@ -386,8 +360,9 @@ class QueryRouter:
         originator: str,
         known_summary_peers: Collection[str] = (),
         target_domains: int = 1,
-    ) -> int:
-        """Messages of one inter-domain flooding round started from ``domain``.
+    ) -> Tuple[int, int]:
+        """One inter-domain flooding round started from ``domain``, as
+        ``(FLOOD_REQUEST, FLOOD_QUERY)`` message counts.
 
         The summary peer sends a flooding request to each answering peer of the
         current domain and to the originator; each of them forwards the query
@@ -399,23 +374,6 @@ class QueryRouter:
         cover many domains quickly; ``target_domains`` bounds how many of those
         long-range links are actually used.
         """
-        request_messages, flood_messages = self.flooding_messages(
-            overlay, domain, responding_peers, originator, known_summary_peers, target_domains
-        )
-        self._counter.record_type(MessageType.FLOOD_REQUEST, request_messages)
-        self._counter.record_type(MessageType.FLOOD_QUERY, flood_messages)
-        return request_messages + flood_messages
-
-    def flooding_messages(
-        self,
-        overlay: Overlay,
-        domain: Domain,
-        responding_peers: Iterable[str],
-        originator: str,
-        known_summary_peers: Collection[str],
-        target_domains: int,
-    ) -> Tuple[int, int]:
-        """:meth:`flooding_cost` as ``(FLOOD_REQUEST, FLOOD_QUERY)`` counts, uncounted."""
         stamp = (overlay, overlay.version)
         if self._neighbours_stamp != stamp:
             self._online_neighbours.clear()

@@ -57,11 +57,15 @@ class LocalSummaryService:
 
     @property
     def summary(self) -> SummaryHierarchy:
-        """The live local summary, materializing a pending lazy loader."""
-        if self._summary is None and self._summary_loader is not None:
-            summary = self._summary_loader()
-            self._summary_loader = None
-            self._summary = summary
+        """The live local summary, materializing a pending lazy loader.
+
+        Safe for threads racing through the first access: the loader is read
+        once and cleared only after everything learnt from the hierarchy is
+        published (see :attr:`Domain.global_summary`).
+        """
+        loader = self._summary_loader
+        if loader is not None and self._summary is None:
+            summary = loader()
             if self.observability is not None:
                 self.observability.inc("repro_service_lazy_materializations_total")
             # A lazily restored service learns its clustering setup from the
@@ -70,6 +74,8 @@ class LocalSummaryService:
                 self._attributes = list(summary.attributes)
             if self._parameters is None:
                 self._parameters = summary._builder.parameters
+            self._summary = summary
+            self._summary_loader = None
         assert self._summary is not None
         return self._summary
 

@@ -31,16 +31,11 @@ the CLI all construct networks through this module.
 
 from __future__ import annotations
 
-import threading
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Any,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -60,19 +55,20 @@ from repro.core.config import ProtocolConfig
 from repro.core.construction import ConstructionReport
 from repro.core.content import ContentModel, PlannedContentModel
 from repro.core.domain import Domain
-from repro.core.protocol import (
-    UPDATE_MESSAGE_TYPES,
-    StalenessSnapshot,
-    SummaryManagementSystem,
+from repro.core.protocol import StalenessSnapshot, SummaryManagementSystem
+from repro.core.routing import (
+    QueryRequest,
+    QueryRoutingResult,
+    QueryScratch,
+    RoutingPolicy,
 )
-from repro.core.routing import QueryRequest, QueryRoutingResult, RoutingPolicy
 from repro.database.engine import LocalDatabase
 from repro.database.query import SelectionQuery
 from repro.exceptions import ConfigurationError, QueryError, ReadOnlySessionError
 from repro.fuzzy.background import BackgroundKnowledge
 from repro.network.churn import LifetimeDistribution
-from repro.network.faults import FaultPlan, FaultStats
-from repro.network.metrics import MessageCounter, TrafficReport
+from repro.network.faults import FaultPlan
+from repro.network.metrics import TrafficReport
 from repro.network.overlay import Overlay
 from repro.network.simulator import Simulator
 from repro.network.topology import TopologyConfig
@@ -132,7 +128,8 @@ class QueryAnswer:
     degradation: Optional[DegradationReport] = None
     #: Query-side messages (query/response/flooding) this call added.
     query_messages: int = 0
-    #: Update-side messages (push/reconciliation) this call added — normally 0.
+    #: Update-side messages (push/reconciliation) this call added: 0, a query's
+    #: tally holds query-side types only.  Kept for the wire format.
     update_messages: int = 0
     #: Simulated time at which the query was posed.
     posed_at: float = 0.0
@@ -726,6 +723,10 @@ class NetworkSession:
 
     # -- the query surface -------------------------------------------------------------
 
+    def _scratch(self) -> Optional[QueryScratch]:
+        """What this session's requests advance: None is the system itself."""
+        return None
+
     def query(
         self,
         originator: Optional[str] = None,
@@ -740,28 +741,40 @@ class NetworkSession:
     ) -> QueryAnswer:
         """Pose one query and return everything it produced as a :class:`QueryAnswer`.
 
-        The routing itself is byte-identical to the legacy
-        ``system.pose_query(...)`` call: the session only *reads* the routing
-        result, the message counter and (in planned mode) the deterministic
-        staleness draws, so message counts and RNG state are unaffected.
+        The routing is ``system.pose_query(...)``: the session adds to it only
+        reads — of the routing result, the cooperation lists and (in planned
+        mode) the deterministic staleness draws — so message counts and RNG
+        state are those of the bare call.
 
         ``include_staleness`` defaults to planned-content mode;
         ``include_answer`` defaults to real-content mode with a real query.
         """
-        system = self._system
         if originator is None:
             originator = self.default_originator()
-        counter = system.counter
-        update_before = counter.count_types(UPDATE_MESSAGE_TYPES)
-        routing = system.pose_query(
-            originator,
-            query=query,
-            query_id=query_id,
-            policy=policy,
-            required_results=required_results,
-            max_domains=max_domains,
+        request = QueryRequest(
+            originator, query, query_id, policy, required_results, max_domains
         )
-        update_delta = counter.count_types(UPDATE_MESSAGE_TYPES) - update_before
+        return self._answer(self._scratch(), request, include_staleness, include_answer)
+
+    def _answer(
+        self,
+        scratch: Optional[QueryScratch],
+        request: QueryRequest,
+        include_staleness: Optional[bool],
+        include_answer: Optional[bool],
+    ) -> QueryAnswer:
+        """Answer ``request``, advancing ``scratch`` and nothing else."""
+        system = self._system
+        query = request.query
+        routing = system.pose_query(
+            request.originator,
+            query=query,
+            query_id=request.query_id,
+            policy=request.policy,
+            required_results=request.required_results,
+            max_domains=request.max_domains,
+            scratch=scratch,
+        )
 
         if include_staleness is None:
             include_staleness = self.planned
@@ -769,7 +782,7 @@ class NetworkSession:
         if include_staleness:
             # An explicit True on a real-content session reaches the engine
             # and raises its ProtocolError rather than silently yielding None.
-            staleness = system.staleness_snapshot(query_id=routing.query_id)
+            staleness = system.staleness_snapshot(routing.query_id, scratch)
 
         if include_answer is None:
             include_answer = query is not None and not self.planned
@@ -782,9 +795,8 @@ class NetworkSession:
             answer=answer,
             staleness=staleness,
             degradation=self._degradation_report(routing),
-            # What pose_query tallied on the counter for this query.
+            # What pose_query tallied for this query.
             query_messages=routing.total_messages,
-            update_messages=update_delta,
             posed_at=system.simulator.now,
         )
 
@@ -831,51 +843,6 @@ class NetworkSession:
                 merged.classes.extend(result.answer.classes)
         return merged
 
-    def query_many(
-        self,
-        count: Optional[int] = None,
-        queries: Optional[Iterable[SelectionQuery]] = None,
-        originators: Optional[Sequence[str]] = None,
-        *,
-        policy: RoutingPolicy = RoutingPolicy.ALL,
-        required_results: Optional[int] = None,
-        max_domains: Optional[int] = None,
-        include_staleness: Optional[bool] = None,
-        include_answer: Optional[bool] = None,
-    ) -> List[QueryAnswer]:
-        """Pose a batch of queries, cycling originators across the population.
-
-        Planned mode poses ``count`` plan-matched queries; real mode iterates
-        ``queries``.  Exactly one of the two must be given.
-        """
-        if (count is None) == (queries is None):
-            raise ConfigurationError(
-                "query_many takes either count (planned content) or queries "
-                "(real content), exactly one"
-            )
-        pool = list(originators) if originators else self.partner_ids()
-        if not pool:
-            pool = [self.default_originator()]
-        answers: List[QueryAnswer] = []
-        if count is not None:
-            iterator: Iterable[Optional[SelectionQuery]] = (None for _ in range(count))
-        else:
-            assert queries is not None
-            iterator = iter(queries)
-        for index, one_query in enumerate(iterator):
-            answers.append(
-                self.query(
-                    pool[index % len(pool)],
-                    query=one_query,
-                    policy=policy,
-                    required_results=required_results,
-                    max_domains=max_domains,
-                    include_staleness=include_staleness,
-                    include_answer=include_answer,
-                )
-            )
-        return answers
-
     def query_batch(
         self,
         count: Optional[int] = None,
@@ -891,41 +858,45 @@ class NetworkSession:
     ) -> List[QueryAnswer]:
         """Pose a batch of queries: :meth:`query` once per request, in order.
 
-        Queries are given either like :meth:`query_many` (``count`` planned
-        queries or an iterable of real ``queries``, with originators cycled
-        over the population) or as explicit
+        Queries are given as ``count`` planned queries or an iterable of real
+        ``queries`` (exactly one of the two; originators are cycled over
+        ``originators``, by default the partner population), or as explicit
         :class:`~repro.core.routing.QueryRequest` values via ``requests``
         (each request then carries its own originator/policy/limits).
         """
         if requests is not None:
             if count is not None or queries is not None or originators:
                 raise ConfigurationError(
-                    "query_batch takes either requests or the query_many-style "
+                    "query_batch takes either requests or the "
                     "count/queries/originators arguments, not both"
                 )
-            return [
-                self.query(
-                    request.originator,
-                    query=request.query,
-                    query_id=request.query_id,
-                    policy=request.policy,
-                    required_results=request.required_results,
-                    max_domains=request.max_domains,
-                    include_staleness=include_staleness,
-                    include_answer=include_answer,
+        elif (count is None) == (queries is None):
+            raise ConfigurationError(
+                "query_batch takes either count (planned content) or queries "
+                "(real content), exactly one"
+            )
+        else:
+            pool = list(originators) if originators else self.partner_ids()
+            if not pool:
+                pool = [self.default_originator()]
+            posed: Iterable[Optional[SelectionQuery]] = (
+                queries if count is None else [None] * count
+            )
+            requests = [
+                QueryRequest(
+                    pool[index % len(pool)],
+                    query=one_query,
+                    policy=policy,
+                    required_results=required_results,
+                    max_domains=max_domains,
                 )
-                for request in requests
+                for index, one_query in enumerate(posed)
             ]
-        return self.query_many(
-            count=count,
-            queries=queries,
-            originators=originators,
-            policy=policy,
-            required_results=required_results,
-            max_domains=max_domains,
-            include_staleness=include_staleness,
-            include_answer=include_answer,
-        )
+        scratch = self._scratch()
+        return [
+            self._answer(scratch, request, include_staleness, include_answer)
+            for request in requests
+        ]
 
     # -- persistence -------------------------------------------------------------------
 
@@ -986,12 +957,12 @@ class NetworkSession:
 
     def staleness(self, query_id: Optional[int] = None) -> StalenessSnapshot:
         """Sample current answer staleness (planned content only)."""
-        return self._system.staleness_snapshot(query_id=query_id)
+        return self._system.staleness_snapshot(query_id, self._scratch())
 
     def staleness_batch(self, count: int) -> List[StalenessSnapshot]:
         """``[self.staleness() for _ in range(count)]``; the fig4/fig5 sweeps
         sample several snapshots per simulation tick through this."""
-        return self._system.staleness_snapshots(count)
+        return self._system.staleness_snapshots(count, self._scratch())
 
     # -- reporting ---------------------------------------------------------------------
 
@@ -1037,26 +1008,27 @@ class ReadOnlyNetworkSession(NetworkSession):
     Obtained from :func:`repro.store.checkpoint.open_readonly_session`; it is
     the session shape ``repro serve`` runs on.  Three guarantees:
 
-    * **Shared without copying.**  Every thread answers against the same
-      restored system.  Request execution is serialized on an internal lock
-      (the protocol engine is single-threaded by design — plan draws,
-      message counters and query ids are global state), so concurrency buys
-      I/O and encoding overlap, never interleaved protocol state.
-    * **Frozen at the checkpoint.**  Posing a query mutates protocol
-      bookkeeping (query counter, result history, message counters, plan
-      RNG, fault stats).  Each outermost request captures that volatile
-      state up front and rolls it back on exit, so every request — from any
-      thread, in any order — answers exactly like the first request after a
-      fresh :func:`~repro.store.checkpoint.restore_session`.  Derived memo
-      caches (hierarchy selection caches, lazily materialized summaries)
-      deliberately stay warm: they are content-addressed derived state and
-      cannot alter protocol-visible outcomes.
+    * **Shared.**  Every thread answers against the same restored system, at
+      the same time: no request waits for another.
+    * **Never written.**  Each request — a query, a whole batch, a staleness
+      sample — advances a throwaway
+      :class:`~repro.core.routing.QueryScratch` made from the checkpoint's
+      values (next query id, plan registry and RNG or query registry, fault
+      RNG and stats, an empty message tally) and drops it, so every request —
+      from any thread, in any order — answers exactly like the first request
+      after a fresh :func:`~repro.store.checkpoint.restore_session`, a batch
+      like the first requests.  What a request does leave on the shared
+      system are memos of that immutable state — hierarchy indexes and
+      selection caches, lazily materialized summaries, per-domain routing
+      sets — each published whole and equal whichever thread computes it;
+      they cannot alter an answer.
     * **Mutation rejected.**  Simulation, store attachment and cold starts
       raise :class:`~repro.exceptions.ReadOnlySessionError`.
 
     The session may own the store backend it was opened from (lazy hierarchy
     loads read it on demand); :meth:`close` — or leaving a ``with`` block —
-    releases it.
+    releases it.  Let in-flight requests finish before closing: a request
+    that still needs the store after :meth:`close` fails.
     """
 
     def __init__(
@@ -1066,9 +1038,6 @@ class ReadOnlyNetworkSession(NetworkSession):
         horizon: Optional[float] = None,
     ) -> None:
         super().__init__(system, construction_report, horizon)
-        self._lock = threading.RLock()
-        self._frozen_depth = 0
-        self._volatile: Optional[Dict[str, Any]] = None
         self._backend: Optional["StoreBackend"] = None
         self._owns_backend = False
         self._hierarchy_source: Optional["HierarchySource"] = None
@@ -1104,13 +1073,10 @@ class ReadOnlyNetworkSession(NetworkSession):
 
     def close(self) -> None:
         """Release the session (closes the backend it owns). Idempotent."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            if self._backend is not None and self._owns_backend:
-                self._backend.close()
-            self._backend = None
+        self._closed = True
+        backend, self._backend = self._backend, None
+        if backend is not None and self._owns_backend:
+            backend.close()
 
     def __enter__(self) -> "ReadOnlyNetworkSession":
         return self
@@ -1118,109 +1084,12 @@ class ReadOnlyNetworkSession(NetworkSession):
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # -- the frozen-state discipline ---------------------------------------------------
+    # -- read surface: a throwaway scratch per request ---------------------------------
 
-    @contextmanager
-    def _frozen(self) -> Iterator[None]:
-        """Serialize a request and roll back its protocol bookkeeping.
-
-        With observability installed, each *outermost* request records how
-        long it waited for the session lock and how long it held it — the
-        two histograms behind the serve-lock saturation diagnosis.  The
-        metrics registry deliberately lives outside the volatile-state
-        rollback: accounting survives the rollback of the request it
-        measured.
-        """
-        obs = self._system.observability
-        waited_from = time.perf_counter() if obs is not None else 0.0
-        with self._lock:
-            acquired_at = time.perf_counter() if obs is not None else 0.0
-            if self._closed:
-                raise ReadOnlySessionError("this read-only session is closed")
-            self._frozen_depth += 1
-            outermost = self._frozen_depth == 1
-            if outermost:
-                self._volatile = self._capture_volatile()
-                if obs is not None:
-                    obs.observe(
-                        "repro_session_lock_wait_seconds", acquired_at - waited_from
-                    )
-            try:
-                yield
-            finally:
-                self._frozen_depth -= 1
-                if self._frozen_depth == 0:
-                    assert self._volatile is not None
-                    self._restore_volatile(self._volatile)
-                    self._volatile = None
-                if outermost and obs is not None:
-                    obs.observe(
-                        "repro_session_lock_hold_seconds",
-                        time.perf_counter() - acquired_at,
-                    )
-
-    def _capture_volatile(self) -> Dict[str, Any]:
-        system = self._system
-        content = system.content
-        saved: Dict[str, Any] = {
-            "query_counter": system._query_counter,  # noqa: SLF001
-            "results_len": len(system._query_results),  # noqa: SLF001
-            "counter": system.counter.state_payload(),
-        }
-        if isinstance(content, PlannedContentModel):
-            saved["content_rng"] = content._rng.getstate()  # noqa: SLF001
-            saved["plan_ids"] = set(content._matching)  # noqa: SLF001
-        else:
-            # Real content: registered queries live in one dict shared by
-            # reference between the system and its SummaryContentModel.
-            saved["query_ids"] = set(system._queries)  # noqa: SLF001
-        faults = system.faults
-        if faults is not None:
-            saved["faults_rng"] = faults.rng.getstate()
-            saved["faults_stats"] = faults.stats.state_payload()
-        return saved
-
-    def _restore_volatile(self, saved: Dict[str, Any]) -> None:
-        system = self._system
-        content = system.content
-        system._query_counter = saved["query_counter"]  # noqa: SLF001
-        del system._query_results[saved["results_len"]:]  # noqa: SLF001
-        counter = system.counter
-        counter.reset()
-        counter.merge(MessageCounter.from_state(saved["counter"]))
-        if isinstance(content, PlannedContentModel):
-            for query_id in set(content._matching) - saved["plan_ids"]:  # noqa: SLF001
-                del content._matching[query_id]  # noqa: SLF001
-            content._rng.setstate(saved["content_rng"])  # noqa: SLF001
-        else:
-            for query_id in set(system._queries) - saved["query_ids"]:  # noqa: SLF001
-                del system._queries[query_id]  # noqa: SLF001
-        faults = system.faults
-        if faults is not None and "faults_rng" in saved:
-            faults.rng.setstate(saved["faults_rng"])
-            faults.stats = FaultStats.from_state(saved["faults_stats"])
-
-    # -- read surface (serialized + rolled back) ---------------------------------------
-
-    def query(self, *args: Any, **kwargs: Any) -> QueryAnswer:
-        with self._frozen():
-            return super().query(*args, **kwargs)
-
-    def query_many(self, *args: Any, **kwargs: Any) -> List[QueryAnswer]:
-        with self._frozen():
-            return super().query_many(*args, **kwargs)
-
-    def query_batch(self, *args: Any, **kwargs: Any) -> List[QueryAnswer]:
-        with self._frozen():
-            return super().query_batch(*args, **kwargs)
-
-    def staleness(self, query_id: Optional[int] = None) -> StalenessSnapshot:
-        with self._frozen():
-            return super().staleness(query_id=query_id)
-
-    def staleness_batch(self, count: int) -> List[StalenessSnapshot]:
-        with self._frozen():
-            return super().staleness_batch(count)
+    def _scratch(self) -> QueryScratch:
+        if self._closed:
+            raise ReadOnlySessionError("this read-only session is closed")
+        return self._system.query_scratch()
 
     # -- mutation surface: rejected ----------------------------------------------------
 

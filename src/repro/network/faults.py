@@ -33,8 +33,9 @@ stream on the send path.  Two consequences the tests pin down:
 
 from __future__ import annotations
 
+import copy
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
@@ -456,6 +457,18 @@ class FaultInjector:
         self.stats.messages_dropped += 1 + budget
         self.stats.retries += budget
         return False, budget
+
+    def scratch_copy(self) -> "FaultInjector":
+        """A throwaway twin: its own RNG and stats at this injector's values.
+
+        The plan and the partition map are shared: a query reads them, only
+        fault events replace them.
+        """
+        twin = copy.copy(self)
+        twin.rng = random.Random(0)  # any seed: the state is overwritten
+        twin.rng.setstate(self.rng.getstate())
+        twin.stats = replace(self.stats)
+        return twin
 
     # -- serialisation -------------------------------------------------------------
 

@@ -77,8 +77,6 @@ _COUNT_HISTOGRAMS = (
 )
 _TIME_HISTOGRAMS = (
     ("repro_serve_request_seconds", "wall-clock time serving one HTTP request"),
-    ("repro_session_lock_wait_seconds", "wall-clock wait to acquire the session lock"),
-    ("repro_session_lock_hold_seconds", "wall-clock time holding the session lock"),
 )
 
 

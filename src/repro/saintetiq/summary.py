@@ -237,12 +237,15 @@ class Summary:
         as read-only.
         """
         self._ensure_cache()
-        if self._intent_view is None:
-            self._intent_view = {
+        view = self._intent_view
+        if view is None:
+            # Returned from the local: a thread racing this one through a
+            # first ``_rebuild_cache`` may reset the attribute in between.
+            view = self._intent_view = {
                 attribute: frozenset(values)
                 for attribute, values in self._labels.items()
             }
-        return self._intent_view
+        return view
 
     @property
     def descriptors(self) -> Set[Descriptor]:

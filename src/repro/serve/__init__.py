@@ -12,7 +12,7 @@ process.  Three layers:
 * :mod:`repro.serve.server` — a stdlib :class:`http.server.ThreadingHTTPServer`
   daemon over one shared
   :class:`~repro.core.session.ReadOnlyNetworkSession` (lazy hierarchy
-  loading, per-request state rollback), answering ``/query``,
+  loading, requests that never write it), answering ``/query``,
   ``/query_batch``, ``/staleness``, ``/health``, ``/stats`` and
   ``/shutdown``.
 * :mod:`repro.serve.client` — the client reused by the CLI, the tests and

@@ -1,7 +1,7 @@
 """Exact response caching for the serve layer.
 
-Served answers are **deterministic by construction**: a read-only session
-rolls every piece of volatile state back after each request, so two identical
+Served answers are **deterministic by construction**: a request reads the
+read-only session and writes nothing to it, so two identical
 requests against the same checkpoint produce byte-identical response bodies
 no matter when they run or which worker process answers them.
 That turns response caching from a staleness trade-off into a provably

@@ -3,12 +3,13 @@
 A :class:`SummaryQueryServer` is a stdlib
 :class:`~http.server.ThreadingHTTPServer` — one handler thread per client
 connection — whose threads all answer against the same
-:class:`~repro.core.session.ReadOnlyNetworkSession`.  The
-session serializes protocol execution and rolls its bookkeeping back after
-every request (see its docstring), so the daemon's answers are byte-identical
-to a fresh restore of the checkpoint no matter how many clients hammer it or
-in what order requests land.  Hierarchies are materialized lazily from the
-snapshot store on first touch; ``/stats`` exposes the fetch/hit counters.
+:class:`~repro.core.session.ReadOnlyNetworkSession`.  A request reads the
+restored system and writes only a throwaway scratch of its own (see the
+session's docstring): handler threads neither wait for each other nor leave
+anything behind, so the daemon's answers are byte-identical to a fresh restore
+of the checkpoint no matter how many clients hammer it or in what order
+requests land.  Hierarchies are materialized lazily from the snapshot store on
+first touch; ``/stats`` exposes the fetch/hit counters.
 
 Endpoints (all JSON unless noted):
 
@@ -29,11 +30,11 @@ POST      ``/shutdown``   acknowledges, then stops the server cleanly
 Observability is on by default (an in-memory span ring plus the metrics
 registry, installed on the shared session): every request runs under a span —
 adopting the client's ``X-Repro-Trace-Id``/``X-Repro-Parent-Id`` headers when
-present, so one trace follows a query from the client process through the
-session lock, per-domain routing and hierarchy selection — and the registry
-accumulates request latencies, lock wait/hold times and every protocol/store
-series.  Pass ``observability=None`` (or ``repro serve --no-obs``) to run the
-daemon uninstrumented.
+present, so one trace follows a query from the client process through
+per-domain routing and hierarchy selection — and the registry accumulates
+request latencies and every protocol/store series.  Pass
+``observability=None`` (or ``repro serve --no-obs``) to run the daemon
+uninstrumented.
 
 Connection lifecycle: the daemon speaks HTTP/1.1 with persistent
 connections.  A client opens a connection and may send any number of requests
@@ -571,7 +572,7 @@ def start_server(
 ) -> SummaryQueryServer:
     """Serve ``session`` on a background thread; returns the running server.
 
-    Every handler thread answers from ``session``, which serializes them.
+    Every handler thread answers from ``session``, which they only read.
     ``port=0`` binds an ephemeral port — read the actual address off
     ``server.url``.  Stop with ``server.stop()`` (or a client-side
     ``/shutdown`` request, which triggers the same clean teardown).

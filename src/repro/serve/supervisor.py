@@ -1,16 +1,16 @@
 """Crash-safe serving: a supervised fleet of worker processes, one front port.
 
-The single-process daemon (:mod:`repro.serve.server`) answers one request at
-a time: its handler threads share one session lock, and protocol work is
+The single-process daemon (:mod:`repro.serve.server`) computes one answer at
+a time: its handler threads share the session freely, but protocol work is
 pure Python under one GIL, so more threads buy no throughput.  The
 :class:`Supervisor` parallelizes across processes instead: it forks ``N``
 **worker processes** (each one ``python -m repro.serve.worker`` over its own
 read-only restore of the same checkpoint; the store is opened with
 ``exclusive=False`` throughout, so the fleet coexists with at most one
-writer), and fronts them with a proxy on a single port.  Because answers are deterministic by construction — every
-worker rolls its volatile state back after each request — which process
-answers a request is unobservable, and process-level recovery can be
-verified *byte for byte*.
+writer), and fronts them with a proxy on a single port.  Because answers are
+deterministic by construction — no request writes to the session it reads —
+which process answers a request is unobservable, and process-level recovery
+can be verified *byte for byte*.
 
 What the front process adds on top of raw forwarding:
 

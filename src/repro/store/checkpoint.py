@@ -39,9 +39,6 @@ Determinism notes
 * Dict insertion orders that are protocol-visible (domain visit order,
   cooperation-list partner order, partner distances) are serialized as
   ordered lists.
-
-The diagnostic ``query_results`` history of the engine is *not* part of a
-checkpoint: it records the past, which the restored session does not replay.
 """
 
 from __future__ import annotations
@@ -727,13 +724,14 @@ def open_readonly_session(
       exactly the hierarchies it touches.
     * **Read-only** — the returned
       :class:`~repro.core.session.ReadOnlyNetworkSession` takes queries and
-      staleness requests from any number of threads and answers them one at
-      a time under its lock, rejects every mutating operation with
-      :class:`~repro.exceptions.ReadOnlySessionError`, and rolls back all
-      protocol-visible query bookkeeping after each request so answers stay
+      staleness requests from any number of threads at once, rejects every
+      mutating operation with
+      :class:`~repro.exceptions.ReadOnlySessionError`, and hands each request
+      a throwaway copy of the little a query advances (next id, plan or query
+      registry, RNGs, tallies) instead of the system's own, so answers stay
       byte-identical to a fresh restore regardless of request order.  One
       such session is all a serve process holds; processes, not sessions,
-      are the unit of parallelism (``repro serve --workers N``).
+      are the unit of CPU parallelism (``repro serve --workers N``).
     * **Backend lifetime** — when ``target`` is a path the opened backend
       stays open for the session's lifetime (lazy loads need it); the session
       owns it and closes it in :meth:`ReadOnlyNetworkSession.close` (or on
@@ -742,8 +740,9 @@ def open_readonly_session(
     from repro.core.session import ReadOnlyNetworkSession
 
     # check_same_thread=False: server worker threads fetch lazy hierarchies
-    # and close the session; the HierarchySource and session locks serialize
-    # every post-open touch of the connection.
+    # and close the session; the HierarchySource lock serializes every
+    # post-open read of the connection, and the session is closed only once
+    # its requests have drained.
     backend = open_store(target, check_same_thread=False, exclusive=False)
     owns = owns_backend(target)
     try:

@@ -8,9 +8,13 @@ hierarchy is rehydrated from the :class:`~repro.store.snapshots.SnapshotStore`
 only on first touch.
 
 Because snapshots are content-addressed, two peers whose hierarchies hash to
-the same digest share one materialized object.  That sharing is only safe for
-sessions that never mutate hierarchies, which is why lazy loading is reserved
-for the read-only open mode (see :func:`repro.store.checkpoint.open_readonly_session`).
+the same digest share one materialized object, and so do all the threads
+answering from one session.  That sharing is safe because nothing a read-only
+session runs mutates a hierarchy: a query only fills the hierarchy's memos
+(aggregate caches, the query index, cached selections), each a function of
+the immutable tree and published whole, so concurrent first touches at worst
+compute the same value twice.  Lazy loading is therefore reserved for the
+read-only open mode (see :func:`repro.store.checkpoint.open_readonly_session`).
 
 The source keeps an LRU keyed by snapshot hash so a long-running server's
 working set stays bounded; consumers (``Domain``/``LocalSummaryService``)

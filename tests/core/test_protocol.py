@@ -92,11 +92,6 @@ class TestPlannedQueries:
         system.pose_query(next(iter(system.assignment)), required_results=3)
         assert system.counter.count_types(list(QUERY_MESSAGE_TYPES)) > before
 
-    def test_query_results_history(self):
-        system = _planned_system()
-        system.pose_query(next(iter(system.assignment)), max_domains=1)
-        assert len(system.query_results) == 1
-
     def test_query_and_query_id_together_rejected(self):
         """Passing both would silently ignore query_id; it must raise instead."""
         system = _planned_system()
@@ -105,8 +100,7 @@ class TestPlannedQueries:
             system.pose_query(
                 originator, query=paper_example_query(), query_id=7
             )
-        # The ambiguous call must not have consumed an id or recorded a result.
-        assert system.query_results == []
+        # The ambiguous call must not have consumed an id.
         assert system.next_query_id() == 0
 
 

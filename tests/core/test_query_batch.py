@@ -1,11 +1,12 @@
 """Batched querying: byte-identical to the sequential per-query path.
 
-The acceptance bar of the batched query engine: ``pose_queries`` /
-``query_batch`` / ``staleness_snapshots`` must produce exactly the results
-of their sequential counterparts — same routing sets, query ids, message
-counters, staleness figures and RNG evolution.  (That the indexed path is
-indistinguishable from unindexed, full-scan answering is held by the recorded
-digests of ``tests/integration/test_query_engine_equivalence.py``.)
+The acceptance bar of the batch entry points: ``query_batch`` and
+``staleness_batch`` must produce exactly what one-by-one ``query()`` /
+``staleness()`` calls produce on a twin session — same routing sets, query
+ids, message counters, staleness figures and RNG evolution.  (That the
+indexed path is indistinguishable from unindexed, full-scan answering is held
+by the recorded digests of
+``tests/integration/test_query_engine_equivalence.py``.)
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import pytest
 
 from repro.core.config import ProtocolConfig
 from repro.core.routing import QueryRequest, RoutingPolicy
-from repro.core.session import SystemBuilder
+from repro.core.session import NetworkSession, SystemBuilder
 from repro.fuzzy.vocabularies import medical_background_knowledge
 from repro.network.overlay import Overlay
 from repro.network.topology import TopologyConfig
@@ -52,7 +53,7 @@ def _real_session(seed: int = 5, peer_count: int = 16):
     )
 
 
-class TestPoseQueriesEquivalence:
+class TestBatchEqualsOneByOne:
     @pytest.mark.parametrize("seed", [0, 7, 21])
     def test_batched_matches_sequential_planned(self, seed):
         batched = _planned_session(seed=seed)
@@ -64,15 +65,14 @@ class TestPoseQueriesEquivalence:
             for required in (None, 3)
         ]
 
-        batch_results = batched.system.pose_queries(requests)
-        seq_results = [
-            sequential.system.pose_query(
-                request.originator,
-                required_results=request.required_results,
+        batch_answers = batched.query_batch(requests=requests)
+        seq_answers = [
+            sequential.query(
+                request.originator, required_results=request.required_results
             )
             for request in requests
         ]
-        assert batch_results == seq_results
+        assert batch_answers == seq_answers
         assert (
             batched.system.counter.by_type() == sequential.system.counter.by_type()
         ), "message accounting diverged between batched and sequential posing"
@@ -88,29 +88,33 @@ class TestPoseQueriesEquivalence:
             QueryRequest(originator=partner, policy=RoutingPolicy.PRECISION),
             QueryRequest(originator=partner, policy=RoutingPolicy.RECALL, max_domains=1),
         ]
-        batch_results = batched.system.pose_queries(requests)
-        seq_results = [
-            sequential.system.pose_query(
+        batch_answers = batched.query_batch(requests=requests)
+        seq_answers = [
+            sequential.query(
                 request.originator,
                 policy=request.policy,
                 max_domains=request.max_domains,
             )
             for request in requests
         ]
-        assert batch_results == seq_results
+        assert batch_answers == seq_answers
 
 
 class TestQueryBatchFacade:
-    def test_query_batch_matches_query_many(self):
+    def test_query_batch_cycles_originators_like_one_by_one_queries(self):
         batched = _planned_session(seed=9)
         sequential = _planned_session(seed=9)
+        pool = sequential.partner_ids()
         a = batched.query_batch(count=8, required_results=2)
-        b = sequential.query_many(count=8, required_results=2)
-        assert [answer.routing for answer in a] == [answer.routing for answer in b]
-        assert [answer.staleness for answer in a] == [answer.staleness for answer in b]
-        assert [answer.query_messages for answer in a] == [
-            answer.query_messages for answer in b
+        b = [
+            sequential.query(pool[index % len(pool)], required_results=2)
+            for index in range(8)
         ]
+        assert a == b
+        assert (
+            batched.system.counter.state_payload()
+            == sequential.system.counter.state_payload()
+        )
 
     def test_query_batch_with_explicit_requests(self):
         batched = _planned_session(seed=4)
@@ -141,8 +145,9 @@ class TestQueryBatchFacade:
         batched = _real_session(seed=5)
         sequential = _real_session(seed=5)
         query = paper_example_query()
+        pool = sequential.partner_ids()
         a = batched.query_batch(queries=[query, query])
-        b = sequential.query_many(queries=[query, query])
+        b = [sequential.query(pool[index], query=query) for index in range(2)]
         assert [answer.routing for answer in a] == [answer.routing for answer in b]
         for answer_a, answer_b in zip(a, b):
             if answer_a.answer is None:
@@ -172,7 +177,7 @@ class TestStalenessBatch:
 
 
 class TestLegacyConstructionUnaffected:
-    def test_raw_system_pose_queries(self):
+    def test_raw_system_query_batch(self):
         overlay = Overlay.generate(TopologyConfig(peer_count=32, seed=7))
         from repro.core.protocol import SummaryManagementSystem
 
@@ -180,7 +185,7 @@ class TestLegacyConstructionUnaffected:
         system.use_planned_content(matching_fraction=0.1, seed=7)
         system.build_domains()
         partner = next(p for p in overlay.peer_ids if p not in system.domains)
-        results = system.pose_queries(
-            [QueryRequest(originator=partner), QueryRequest(originator=partner)]
+        answers = NetworkSession(system).query_batch(
+            requests=[QueryRequest(originator=partner), QueryRequest(originator=partner)]
         )
-        assert [result.query_id for result in results] == [0, 1]
+        assert [answer.query_id for answer in answers] == [0, 1]

@@ -1,17 +1,41 @@
 """Unit tests for summary-based query routing (Section 5.2.1)."""
 
+import itertools
+
 import pytest
 
-from repro.core.config import ProtocolConfig
 from repro.core.content import PlannedContentModel
 from repro.core.domain import Domain
 from repro.core.freshness import Freshness
-from repro.core.routing import QueryRouter, RoutingPolicy
+from repro.core.routing import QueryRouter, QueryScratch, RoutingPolicy
 from repro.core.session import SystemBuilder
-from repro.network.messages import MessageType
-from repro.network.metrics import MessageCounter
 from repro.network.overlay import Overlay
 from repro.network.topology import TopologyConfig
+
+
+def _route(
+    router,
+    query_id,
+    domain,
+    content,
+    policy=RoutingPolicy.ALL,
+    online_peers=None,
+    described_partners=None,
+    charge_summary_peer_hop=True,
+):
+    """``outcome_in_domain`` on the sets the protocol engine would derive."""
+    partners = domain.cooperation.partner_set
+    return router.outcome_in_domain(
+        query_id,
+        domain,
+        QueryScratch(itertools.count().__next__, content),
+        None,
+        policy,
+        partners if described_partners is None else partners & described_partners,
+        partners if online_peers is None else partners & online_peers,
+        online_peers,
+        charge_summary_peer_hop,
+    )
 
 
 @pytest.fixture
@@ -29,7 +53,7 @@ class TestRouteInDomain:
     def test_all_policy_contacts_every_relevant_peer(self, domain_and_content):
         domain, content, peer_ids = domain_and_content
         router = QueryRouter()
-        outcome = router.route_in_domain(0, domain, content)
+        outcome = _route(router, 0, domain, content)
         matching = content.plan_query(0)
         assert outcome.relevant_peers == matching
         assert outcome.contacted_peers == matching
@@ -40,20 +64,17 @@ class TestRouteInDomain:
     def test_message_accounting(self, domain_and_content):
         domain, content, _peer_ids = domain_and_content
         router = QueryRouter()
-        outcome = router.route_in_domain(0, domain, content)
+        outcome = _route(router, 0, domain, content)
         expected = 1 + len(outcome.contacted_peers) + len(outcome.responding_peers)
         assert outcome.messages == expected
-        assert router.counter.count(MessageType.QUERY) == 1 + len(outcome.contacted_peers)
-        assert router.counter.count(MessageType.QUERY_RESPONSE) == len(
-            outcome.responding_peers
-        )
+        # What the caller tallies: the responses, and the rest as queries.
+        assert outcome.results == len(outcome.responding_peers)
+        assert outcome.messages - outcome.results == 1 + len(outcome.contacted_peers)
 
     def test_no_summary_peer_hop_option(self, domain_and_content):
         domain, content, _peer_ids = domain_and_content
         router = QueryRouter()
-        outcome = router.route_in_domain(
-            0, domain, content, charge_summary_peer_hop=False
-        )
+        outcome = _route(router, 0, domain, content, charge_summary_peer_hop=False)
         assert outcome.messages == len(outcome.contacted_peers) + len(
             outcome.responding_peers
         )
@@ -64,7 +85,7 @@ class TestRouteInDomain:
         victim = next(iter(content.plan_query(0)))
         content.mark_departed(victim)
         online = set(peer_ids) - {victim}
-        outcome = router.route_in_domain(0, domain, content, online_peers=online)
+        outcome = _route(router, 0, domain, content, online_peers=online)
         assert victim in outcome.contacted_peers
         assert victim in outcome.false_positives
         assert victim not in outcome.responding_peers
@@ -75,9 +96,7 @@ class TestRouteInDomain:
         router = QueryRouter()
         stale_peer = next(iter(content.plan_query(0)))
         domain.cooperation.mark_stale(stale_peer)
-        outcome = router.route_in_domain(
-            0, domain, content, policy=RoutingPolicy.PRECISION
-        )
+        outcome = _route(router, 0, domain, content, policy=RoutingPolicy.PRECISION)
         assert stale_peer not in outcome.contacted_peers
         # The excluded peer still matches: it becomes a false negative.
         assert stale_peer in outcome.false_negatives
@@ -90,9 +109,7 @@ class TestRouteInDomain:
             p for p in domain.partner_ids if p not in content.plan_query(0)
         )
         domain.cooperation.mark_stale(non_matching)
-        outcome = router.route_in_domain(
-            0, domain, content, policy=RoutingPolicy.RECALL
-        )
+        outcome = _route(router, 0, domain, content, policy=RoutingPolicy.RECALL)
         assert non_matching in outcome.contacted_peers
         assert non_matching in outcome.false_positives
         assert outcome.false_negatives == set()
@@ -102,9 +119,7 @@ class TestRouteInDomain:
         router = QueryRouter()
         matching = content.plan_query(0)
         described = set(list(matching)[:1])
-        outcome = router.route_in_domain(
-            0, domain, content, described_partners=described
-        )
+        outcome = _route(router, 0, domain, content, described_partners=described)
         assert outcome.relevant_peers == described
         # Matching peers outside the described set are false negatives.
         assert (matching - described) <= outcome.false_negatives
@@ -114,7 +129,7 @@ class TestRouteInDomain:
         domain.add_partner("p0", distance=1.0)
         content = PlannedContentModel(["p0"], matching_fraction=0.0)
         router = QueryRouter()
-        outcome = router.route_in_domain(0, domain, content)
+        outcome = _route(router, 0, domain, content)
         assert outcome.false_positive_rate == 0.0
         assert outcome.false_negative_rate == 0.0
         assert outcome.results == 0
@@ -126,8 +141,8 @@ class TestFloodingCost:
         domain = Domain.create(overlay.peer_ids[0])
         for peer_id in overlay.peer_ids[1:6]:
             domain.add_partner(peer_id, distance=1.0)
-        router = QueryRouter(ProtocolConfig(flooding_ttl=3))
-        cost = router.flooding_cost(
+        router = QueryRouter()
+        requests, probes = router.flooding_messages(
             overlay,
             domain,
             responding_peers=overlay.peer_ids[1:3],
@@ -135,18 +150,17 @@ class TestFloodingCost:
             known_summary_peers=["spX", "spY"],
             target_domains=1,
         )
-        assert cost >= 3  # at least the flood requests
-        assert router.counter.count(MessageType.FLOOD_REQUEST) == 3
-        assert router.counter.count(MessageType.FLOOD_QUERY) >= 1
+        assert requests == 3  # the two responders and the originator
+        assert probes >= 1
 
     def test_flooding_cost_zero_known_summary_peers(self):
         overlay = Overlay.generate(TopologyConfig(peer_count=20, seed=3))
         domain = Domain.create(overlay.peer_ids[0])
         router = QueryRouter()
-        cost = router.flooding_cost(
+        cost = router.flooding_messages(
             overlay, domain, responding_peers=[], originator=overlay.peer_ids[1]
         )
-        assert cost >= 1
+        assert sum(cost) >= 1
 
 
     def test_own_summary_peer_is_not_a_long_range_link(self):
@@ -155,8 +169,7 @@ class TestFloodingCost:
         domain = Domain.create(own)
 
         def flood_queries(known):
-            router = QueryRouter()
-            router.flooding_cost(
+            _requests, probes = QueryRouter().flooding_messages(
                 overlay,
                 domain,
                 responding_peers=[],
@@ -164,7 +177,7 @@ class TestFloodingCost:
                 known_summary_peers=known,
                 target_domains=2,
             )
-            return router.counter.count(MessageType.FLOOD_QUERY)
+            return probes
 
         alone = flood_queries(())
         assert flood_queries({own: None}.keys()) == alone
@@ -197,8 +210,8 @@ class TestSetMatchingEquivalence:
 
         router = QueryRouter()
         for query_id in range(5):
-            outcome = router.route_in_domain(
-                query_id, domain, content, policy=policy, online_peers=online
+            outcome = _route(
+                router, query_id, domain, content, policy=policy, online_peers=online
             )
             assert outcome.responding_peers == {
                 peer_id
@@ -234,21 +247,18 @@ class TestFloodingCostCache:
     def test_cached_cost_equals_reference(self):
         overlay, domain, kwargs = self._setup()
         cached = QueryRouter()
-        uncached_counter = MessageCounter()
         for _ in range(3):
-            uncached = QueryRouter(counter=uncached_counter)
-            assert cached.flooding_cost(
+            assert cached.flooding_messages(
                 overlay, domain, **kwargs
-            ) == uncached.flooding_cost(overlay, domain, **kwargs)
-        assert cached.counter.state_payload() == uncached_counter.state_payload()
+            ) == QueryRouter().flooding_messages(overlay, domain, **kwargs)
 
     def test_repeat_calls_hit_the_cache(self):
         overlay, domain, kwargs = self._setup()
         router = QueryRouter()
-        first = router.flooding_cost(overlay, domain, **kwargs)
+        first = router.flooding_messages(overlay, domain, **kwargs)
         entries = dict(router._online_neighbours)
         assert entries, "the first call must populate the cache"
-        assert router.flooding_cost(overlay, domain, **kwargs) == first
+        assert router.flooding_messages(overlay, domain, **kwargs) == first
         assert router._online_neighbours == entries
         assert all(
             router._online_neighbours[peer] is cached for peer, cached in entries.items()
@@ -257,19 +267,19 @@ class TestFloodingCostCache:
     def test_overlay_mutation_invalidates(self):
         overlay, domain, kwargs = self._setup()
         router = QueryRouter()
-        router.flooding_cost(overlay, domain, **kwargs)
+        router.flooding_messages(overlay, domain, **kwargs)
         version = overlay.version
         # Removing a peer rewires neighbourhoods: cached counts are stale now.
         overlay.remove_peer(overlay.peer_ids[-1])
         assert overlay.version > version
-        assert router.flooding_cost(
+        assert router.flooding_messages(
             overlay, domain, **kwargs
-        ) == QueryRouter().flooding_cost(overlay, domain, **kwargs)
+        ) == QueryRouter().flooding_messages(overlay, domain, **kwargs)
 
     def test_status_flip_invalidates(self):
         overlay, domain, kwargs = self._setup()
         router = QueryRouter()
-        router.flooding_cost(overlay, domain, **kwargs)
+        router.flooding_messages(overlay, domain, **kwargs)
         version = overlay.version
         peer = overlay.peer(overlay.peer_ids[10])
         peer.online = not peer.online
@@ -278,12 +288,12 @@ class TestFloodingCostCache:
     def test_domain_membership_mutation_invalidates(self):
         overlay, domain, kwargs = self._setup()
         router = QueryRouter()
-        router.flooding_cost(overlay, domain, **kwargs)
+        router.flooding_messages(overlay, domain, **kwargs)
         # Absorbing the originator into the domain shrinks its outside set.
         domain.add_partner(kwargs["originator"], distance=1.0)
-        assert router.flooding_cost(
+        assert router.flooding_messages(
             overlay, domain, **kwargs
-        ) == QueryRouter().flooding_cost(overlay, domain, **kwargs)
+        ) == QueryRouter().flooding_messages(overlay, domain, **kwargs)
 
     def test_memo_is_bounded_by_the_peer_count(self):
         """A long-lived session's memo cannot outgrow the overlay, whoever asks."""

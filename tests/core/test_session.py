@@ -193,19 +193,19 @@ class TestQuerySurface:
         assert answer.answer is None  # no real content to answer from
         assert answer.posed_at == session.now
 
-    def test_query_many_cycles_originators(self):
+    def test_query_batch_cycles_originators(self):
         session = _planned_builder().build()
-        answers = session.query_many(count=5, required_results=2)
+        answers = session.query_batch(count=5, required_results=2)
         assert len(answers) == 5
         assert [a.query_id for a in answers] == [0, 1, 2, 3, 4]
         assert len({a.originator for a in answers}) > 1
 
-    def test_query_many_requires_exactly_one_input(self):
+    def test_query_batch_requires_exactly_one_input(self):
         session = _planned_builder().build()
         with pytest.raises(ConfigurationError, match="exactly one"):
-            session.query_many()
+            session.query_batch()
         with pytest.raises(ConfigurationError, match="exactly one"):
-            session.query_many(count=2, queries=[paper_example_query()])
+            session.query_batch(count=2, queries=[paper_example_query()])
 
     def test_staleness_passthrough_requires_planned_content(self):
         session = _real_session()
@@ -252,9 +252,9 @@ class TestRealContentSession:
         answer = session.query(query=paper_example_query(), include_answer=False)
         assert answer.answer is None
 
-    def test_query_many_over_real_queries(self):
+    def test_query_batch_over_real_queries(self):
         session = _real_session()
-        answers = session.query_many(queries=[paper_example_query()] * 3)
+        answers = session.query_batch(queries=[paper_example_query()] * 3)
         assert len(answers) == 3
         assert all(a.results > 0 for a in answers)
 

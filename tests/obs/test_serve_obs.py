@@ -81,12 +81,9 @@ def test_metrics_exposes_all_layers(served):
     assert len(names) >= 12, sorted(names)
     protocol = {"repro_queries_total", "repro_query_messages_total",
                 "repro_routing_domains_total"}
-    store_layer = {"repro_session_lock_wait_seconds_count",
-                   "repro_session_lock_hold_seconds_count"}
     serve_layer = {"repro_serve_requests_total", "repro_serve_uptime_seconds",
                    "repro_serve_request_seconds_count"}
     assert protocol <= names
-    assert store_layer <= names
     assert serve_layer <= names
 
 

@@ -83,7 +83,7 @@ def planned_requests(session, step):
 
 def advance_and_check(session, lengths, between=None):
     # Warm the live session's derived sets before the first event runs.
-    session.query_many(count=2, required_results=40)
+    session.query_batch(count=2, required_results=40)
     for step, length in enumerate(lengths):
         session.run_until(min(session.now + length, HORIZON))
         if between is not None:

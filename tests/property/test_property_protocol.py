@@ -8,7 +8,7 @@ from repro.core.cooperation import CooperationList
 from repro.core.domain import Domain
 from repro.core.maintenance import MaintenanceEngine
 from repro.core.content import PlannedContentModel
-from repro.core.routing import QueryRouter, RoutingPolicy
+from repro.core.routing import QueryRouter, QueryScratch, RoutingPolicy
 from repro.costmodel.query_cost import domain_query_cost
 from repro.network.simulator import Simulator
 
@@ -44,6 +44,15 @@ class TestCooperationListProperties:
         assert not cooperation.needs_reconciliation(alpha)
 
 
+def _route(domain, content, policy):
+    """Query 0 routed in ``domain``: every partner described and online."""
+    partners = domain.cooperation.partner_set
+    scratch = QueryScratch(lambda: 0, content)
+    return QueryRouter().outcome_in_domain(
+        0, domain, scratch, None, policy, partners, partners, None
+    )
+
+
 class TestRoutingProperties:
     @given(
         st.integers(min_value=2, max_value=50),
@@ -64,8 +73,7 @@ class TestRoutingProperties:
         content = PlannedContentModel(
             peer_ids, matching_fraction=matching_fraction, seed=seed
         )
-        router = QueryRouter()
-        outcome = router.route_in_domain(0, domain, content, policy=policy)
+        outcome = _route(domain, content, policy)
 
         partners = set(domain.partner_ids)
         assert outcome.contacted_peers <= partners
@@ -92,9 +100,7 @@ class TestRoutingProperties:
             if index % 2 == 0:
                 domain.cooperation.mark_stale(peer_id)
         content = PlannedContentModel(peer_ids, matching_fraction=0.5, seed=seed)
-        outcome = QueryRouter().route_in_domain(
-            0, domain, content, policy=RoutingPolicy.PRECISION
-        )
+        outcome = _route(domain, content, RoutingPolicy.PRECISION)
         assert outcome.contacted_peers.isdisjoint(set(domain.old_partners()))
         assert outcome.false_positives == set()
 

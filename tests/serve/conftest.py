@@ -24,6 +24,35 @@ def planned_store(tmp_path_factory):
     return str(path)
 
 
+def _scenario_store(tmp_path_factory, name, until=None):
+    """``repro save-session <name>``: the named scenario, checkpointed at ``until``."""
+    scenario = default_registry().scenario(name)
+    session = scenario.apply_dynamics(scenario.builder()).build()
+    if until is not None:
+        session.run_until(until)
+    path = tmp_path_factory.mktemp(f"serve-{name}") / f"{name}.sqlite"
+    save_session(session, str(path))
+    return str(path)
+
+
+@pytest.fixture(
+    scope="module", params=["smoke", "lossy-network", "partition-heal", "real"]
+)
+def any_store(request, tmp_path_factory):
+    """``(store path, background)`` of each checkpoint the purity tests open.
+
+    Between them they carry everything a query may advance: a plan registry
+    and RNG (``smoke``), a fault injector whose RNG is drawn per hop
+    (``lossy-network``) or whose stats move per unreachable domain
+    (``partition-heal``, checkpointed mid-partition), and a query registry
+    plus lazily loaded hierarchies (``real``).
+    """
+    if request.param == "real":
+        return request.getfixturevalue("real_store")
+    until = 1800.0 if request.param == "partition-heal" else None
+    return _scenario_store(tmp_path_factory, request.param, until), None
+
+
 @pytest.fixture(scope="module")
 def real_store(tmp_path_factory):
     """A real-content checkpoint (16 peers, medical workload) + background.

@@ -1,87 +1,170 @@
-"""Read-only serving sessions: concurrency, rollback, mutation rejection.
+"""Read-only serving sessions: purity, concurrency, mutation rejection.
 
 The acceptance bar for sharing one restored session across worker threads:
+a request *reads* the session.  Its checkpoint encoding is byte-equal before
+and after any request — answered or raising, from one thread or eight — and
 every request answers byte-identically to the first request after a fresh
-restore — regardless of how many threads race, in what order requests land,
-or how many requests came before — and every mutating operation raises the
-typed :class:`ReadOnlySessionError`.
+restore, regardless of how many threads race, in what order requests land,
+or how many requests came before.  Every mutating operation raises the typed
+:class:`ReadOnlySessionError`.
 """
 
+import json
+import sys
 import threading
 
 import pytest
 
-from repro.exceptions import ReadOnlySessionError
-from repro.store.checkpoint import open_readonly_session, restore_session
+from repro.exceptions import ProtocolError, ReadOnlySessionError
+from repro.store.checkpoint import (
+    capture_session,
+    open_readonly_session,
+    restore_session,
+)
+from repro.workloads.queries import paper_example_query
 
 REQUIRED = 5
+THREADS = 8
 
 
-def _expected(planned_store):
-    fresh = restore_session(planned_store)
+def _state(session):
+    """The session's whole checkpoint state, as canonical bytes."""
+    return json.dumps(capture_session(session)[0], sort_keys=True)
+
+
+def _requests(planned):
+    """``name -> request`` for every kind of read a session of this mode serves."""
+    if planned:
+        return {
+            "single": lambda s: s.query(required_results=REQUIRED),
+            "batch": lambda s: s.query_batch(
+                count=3, required_results=REQUIRED, include_staleness=True
+            ),
+            "staleness": lambda s: s.staleness_batch(3),
+        }
+    query = paper_example_query()
     return {
-        "batch": fresh.query_batch(
-            count=4, required_results=REQUIRED, include_staleness=True
-        ),
-        "staleness": restore_session(planned_store).staleness_batch(3),
-        "single": restore_session(planned_store).query(required_results=REQUIRED),
+        "single": lambda s: s.query(query=query),
+        "batch": lambda s: s.query_batch(queries=[query] * 3),
     }
 
 
-def test_threads_hammering_one_session_stay_byte_identical(planned_store):
-    expected = _expected(planned_store)
-    with open_readonly_session(planned_store) as session:
+def _expected(path, background, requests):
+    """Each request's answer as the first request after a fresh restore."""
+    return {
+        name: pose(restore_session(path, background=background))
+        for name, pose in requests.items()
+    }
+
+
+@pytest.fixture
+def fast_switching():
+    """Hand the GIL over every microsecond: races show up in few iterations."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _run_threads(work):
+    """Run ``work(index)`` on ``THREADS`` threads; return the exceptions raised."""
+    errors = []
+
+    def guarded(index):
+        try:
+            work(index)
+        except Exception as exc:  # noqa: BLE001 - surfaced via the assert
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=guarded, args=(index,)) for index in range(THREADS)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    return errors
+
+
+def test_requests_read_the_session_and_answer_like_a_fresh_restore(any_store):
+    path, background = any_store
+    with open_readonly_session(path, background=background) as session:
+        requests = _requests(session.planned)
+        expected = _expected(path, background, requests)
+        before = _state(session)
+        for name, pose in requests.items():
+            assert pose(session) == expected[name], name
+            assert pose(session) == expected[name], f"{name}, asked again"
+            assert _state(session) == before, f"{name} wrote to the session"
+        with pytest.raises(ProtocolError, match="either query or query_id"):
+            session.query(query=paper_example_query(), query_id=7)
+        assert _state(session) == before, "a raising request wrote to the session"
+
+
+def test_the_same_requests_do_write_a_mutable_restore(any_store):
+    """The oracle above is not vacuous: on the mutable side each request moves
+    the encoded state — the fault injector's share of it included."""
+    path, background = any_store
+    session = restore_session(path, background=background)
+    for name, pose in _requests(session.planned).items():
+        before = capture_session(session)[0]
+        pose(session)
+        after = capture_session(session)[0]
+        assert after["query_counter"] > before["query_counter"], name
+        if name != "staleness":  # sampling staleness routes nothing
+            assert after["counter"] != before["counter"], name
+            assert after.get("faults") is None or after["faults"] != before["faults"]
+
+
+def test_threads_hammering_one_session_stay_byte_identical(
+    any_store, fast_switching
+):
+    path, background = any_store
+    with open_readonly_session(path, background=background) as session:
+        requests = _requests(session.planned)
+        expected = _expected(path, background, requests)
+        before = _state(session)
         results = {}
-        errors = []
 
         def hammer(thread_id):
-            try:
-                seen = []
-                for _ in range(5):
-                    seen.append(
-                        (
-                            "batch",
-                            session.query_batch(
-                                count=4,
-                                required_results=REQUIRED,
-                                include_staleness=True,
-                            ),
-                        )
-                    )
-                    seen.append(("staleness", session.staleness_batch(3)))
-                    seen.append(("single", session.query(required_results=REQUIRED)))
-                results[thread_id] = seen
-            except Exception as exc:  # noqa: BLE001 - surfaced via the assert
-                errors.append(exc)
+            results[thread_id] = [
+                (name, pose(session))
+                for _ in range(5)
+                for name, pose in requests.items()
+            ]
 
-        threads = [
-            threading.Thread(target=hammer, args=(index,)) for index in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        assert errors == []
-        assert len(results) == 8
+        assert _run_threads(hammer) == []
+        assert len(results) == THREADS
         for seen in results.values():
-            for kind, value in seen:
-                assert value == expected[kind]
+            for name, value in seen:
+                assert value == expected[name]
+        assert _state(session) == before
 
 
-def test_sequential_requests_equal_fresh_restore(planned_store):
-    expected = _expected(planned_store)
-    with open_readonly_session(planned_store) as session:
-        first = session.query_batch(
-            count=4, required_results=REQUIRED, include_staleness=True
-        )
-        second = session.query_batch(
-            count=4, required_results=REQUIRED, include_staleness=True
-        )
-        assert first == expected["batch"]
-        assert second == first, "rollback must erase the first request"
-        assert session.staleness_batch(3) == expected["staleness"]
-        assert session.query(required_results=REQUIRED) == expected["single"]
+def test_cold_first_touch_from_many_threads(real_store, fast_switching):
+    """Nothing is materialized yet and every thread asks at once."""
+    path, background = real_store
+    query = paper_example_query()
+    with open_readonly_session(path, background=background) as session:
+        expected = session.query(query=query)
+        digests_touched = session.hierarchy_source.fetches
+    assert digests_touched > 0
+
+    for _ in range(5):
+        with open_readonly_session(path, background=background) as session:
+            barrier = threading.Barrier(THREADS)
+            answers = {}
+
+            def ask(thread_id):
+                barrier.wait(timeout=60)
+                answers[thread_id] = session.query(query=query)
+
+            assert _run_threads(ask) == []
+            assert list(answers.values()) == [expected] * THREADS
+            assert session.hierarchy_source.fetches == digests_touched
 
 
 def test_mutations_raise_typed_error(planned_store):

@@ -55,10 +55,23 @@ class TestCommands:
         assert exit_code == 0
         assert "Figure 7" in captured.out
 
-    def test_invalid_sizes_rejected(self, capsys):
-        with pytest.raises((SystemExit, Exception)):
-            main(["fig6", "--sizes", "sixteen"])
-        capsys.readouterr()
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["fig4", "--sizes", "1,x"], id="sizes"),
+            pytest.param(["fig4", "--sizes", ""], id="sizes-empty"),
+            pytest.param(["fig4", "--alphas", "0.1,x"], id="alphas"),
+            pytest.param(["fault-sweep", "--intensities", "0,x"], id="intensities"),
+        ],
+    )
+    def test_invalid_sizes_rejected(self, capsys, argv):
+        """A malformed or empty list is a usage error, not a traceback."""
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert f"argument {argv[1]}: invalid" in error
+        assert repr(argv[2]) in error
 
 
 class TestScenarioCommands:
