@@ -291,8 +291,10 @@ def main() -> None:
     # -- observing a run: metrics registry + structured tracing --------------------
     # Observability is opt-in and read-only over the protocol: installing it
     # changes no answer, no counter, no RNG draw (the identity suite pins this
-    # byte-for-byte).  detail=True additionally records per-domain routing and
-    # hierarchy-selection spans; metrics are always on once installed.
+    # byte-for-byte).  detail=True additionally records, on each query span,
+    # what every domain it visited cost — listed by obs.ring.spans() as
+    # route-domain and hierarchy-selection spans under the query; metrics are
+    # always on once installed.
     from repro import Observability, span_tree
 
     obs = Observability.with_ring(detail=True)

@@ -136,7 +136,9 @@ Every layer is **observable** through ``repro.obs``: an opt-in, deterministic
 metrics registry plus structured tracing.  ``install_observability`` never
 changes what a session computes — with observability absent the code paths
 are byte-identical — it only records counters, histograms and spans
-(``detail=True`` adds per-domain routing spans on top of the always-on
+(``detail=True`` adds per-domain routing to each ``query`` span — two rows a
+domain, which ``obs.ring.spans()``, ``/trace`` and trace artefacts list as
+``route-domain`` and ``hierarchy-selection`` spans — on top of the always-on
 metrics):
 
 >>> from repro import Observability

@@ -97,6 +97,12 @@ def _parse_alphas(raw: str) -> List[float]:
     return _parse_list(raw, float, "number")
 
 
+def _parse_limit(raw: str) -> int:
+    if not (raw.isascii() and raw.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid span count {raw!r}")
+    return int(raw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -287,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--limit",
-        type=int,
-        help="span count for trace: only the newest LIMIT spans are fetched",
+        type=_parse_limit,
+        help="span count for trace: only the newest LIMIT (>= 0) spans are fetched",
     )
     parser.add_argument(
         "--metrics-out",

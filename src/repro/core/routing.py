@@ -21,6 +21,7 @@ forwards the request to the other summary peers it knows.
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -171,6 +172,11 @@ class QueryRoutingResult:
         return self.results >= self.required_results
 
 
+#: Attr names of the two trace rows a domain records (values in the same order).
+_SELECTION_ATTRS = ("domain", "scope", "relevant")
+_DOMAIN_ATTRS = ("domain", "query_id", "messages", "results")
+
+
 class QueryRouter:
     """Routes queries inside domains and prices inter-domain flooding.
 
@@ -226,59 +232,23 @@ class QueryRouter:
         Partition-separated partners are cut deterministically without
         consuming randomness.
         """
-        arguments = (
-            query_id,
-            domain,
-            scratch,
-            proposition,
-            policy,
-            scope,
-            candidates,
-            online_peers,
-            charge_summary_peer_hop,
-            max_retries,
-        )
-        obs = self.observability
-        # Per-domain metrics are recorded at the query level (from the domain
-        # outcomes) so this inner loop stays free of registry traffic; only
-        # detail-mode tracing pays a span here.
-        if obs is None or not obs.detail:
-            return self._outcome_in_domain(*arguments)
-        with obs.span(
-            "route-domain", {"domain": domain.summary_peer_id, "query_id": query_id}
-        ) as span:
-            outcome = self._outcome_in_domain(*arguments)
-            span.attrs.update(messages=outcome.messages, results=outcome.results)
-        return outcome
-
-    def _outcome_in_domain(
-        self,
-        query_id: int,
-        domain: Domain,
-        scratch: QueryScratch,
-        proposition: Optional[Proposition],
-        policy: RoutingPolicy,
-        scope: Set[str],
-        candidates: Set[str],
-        online_peers: Optional[Set[str]],
-        charge_summary_peer_hop: bool,
-        max_retries: int,
-    ) -> DomainQueryOutcome:
         content = scratch.content
         obs = self.observability
-        if obs is None or not obs.detail:
-            relevant = content.relevant_partners(
-                query_id, scope, domain.global_summary, proposition
-            )
-        else:
-            with obs.span(
-                "hierarchy-selection",
-                {"domain": domain.summary_peer_id, "scope": len(scope)},
-            ) as selection:
-                relevant = content.relevant_partners(
-                    query_id, scope, domain.global_summary, proposition
-                )
-                selection.attrs["relevant"] = len(relevant)
+        # Per-domain metrics are recorded at the query level (from the domain
+        # outcomes) so this inner loop stays free of registry traffic.  Detail-
+        # mode tracing pays two rows here, appended below to the span this
+        # thread has open (the ``query`` span) and listed by readers as a
+        # ``route-domain`` span with its ``hierarchy-selection`` child: three
+        # clock reads (selection is the first thing a domain does, so the two
+        # share a start) and two small tuples per domain, no span opened.
+        rows = obs.tracer.open_rows() if obs is not None and obs.detail else None
+        if rows is not None:
+            started = time.time()
+        relevant = content.relevant_partners(
+            query_id, scope, domain.global_summary, proposition
+        )
+        if rows is not None:
+            selected = time.time()
 
         contacted = self._routing_set(domain, relevant, policy)
         reachable = contacted.copy() if online_peers is None else contacted & online_peers
@@ -329,7 +299,7 @@ class QueryRouter:
         # One response message per matching peer.
         responding = content.matching_among(query_id, reachable)
         # False negatives: partners holding matching data that were not contacted.
-        return DomainQueryOutcome(
+        outcome = DomainQueryOutcome(
             domain_id=domain.summary_peer_id,
             relevant_peers=set(relevant),
             contacted_peers=contacted,
@@ -338,6 +308,17 @@ class QueryRouter:
             false_negatives=content.matching_among(query_id, candidates - contacted),
             messages=messages + len(responding),
         )
+        if rows is not None:
+            sp_id = domain.summary_peer_id
+            rows.append((
+                "hierarchy-selection", started, selected, 1, _SELECTION_ATTRS,
+                sp_id, len(scope), len(relevant),
+            ))
+            rows.append((
+                "route-domain", started, time.time(), 0, _DOMAIN_ATTRS,
+                sp_id, query_id, outcome.messages, len(responding),
+            ))
+        return outcome
 
     def _routing_set(
         self, domain: Domain, relevant: Set[str], policy: RoutingPolicy

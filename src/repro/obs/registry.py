@@ -25,6 +25,7 @@ for the serve daemon's ``/metrics`` endpoint.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -106,11 +107,9 @@ class HistogramSnapshot:
     def observe(self, value: float) -> None:
         self.total_count += 1
         self.total_sum += value
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[index] += 1
-                return
-        self.counts[-1] += 1
+        # The first bucket whose bound is >= value (``le`` semantics); past
+        # the last bound that is the overflow slot at ``len(buckets)``.
+        self.counts[bisect_left(self.buckets, value)] += 1
 
     def cumulative(self) -> List[int]:
         """Cumulative per-bucket counts, Prometheus ``le`` semantics."""

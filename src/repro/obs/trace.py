@@ -15,17 +15,40 @@ time and tracing never perturbs the protocol's seeded RNG streams.
 
 Parenting is implicit per thread: :meth:`Tracer.span` pushes onto a
 thread-local stack, so a query span opened by the serve worker automatically
-becomes the parent of the routing spans the protocol opens underneath it.
+becomes the parent of whatever the protocol records underneath it.
 Cross-process traces (``ServeClient`` → daemon) link explicitly: the client
 sends its ``trace_id``/``span_id`` in HTTP headers and the server adopts them
 as the root's ``trace_id``/``parent_id``.
 
+There are two ways to record work:
+
+* **Open a span** (:meth:`Tracer.span`): an id is minted under the tracer's
+  lock, the span is pushed on the thread's stack so later work parents under
+  it, and on exit it is handed to the sink.  Several microseconds — right for
+  a request, a query, a reconciliation.
+* **Append a row to the span that is open** (:meth:`Tracer.open_rows`): one
+  tuple (:data:`Row` — name, wall start/end, attrs) appended to ``Span.rows``
+  by the thread that owns the span.  No id, no lock, no stack push, no sink
+  call: about a microsecond — right for a loop *inside* a span (a query's
+  per-domain routing runs 125 times per request at 2000 peers).  A row
+  cannot parent a span: nothing opened while it is being timed hangs under
+  it.
+
+Readers never see rows: :func:`expand` renders a span's rows as ordinary
+child spans — ids ``<span_id>.<k>`` derived from the span's own counter-minted
+id, in the order real spans would have finished — and both sinks that keep
+spans list them that way.
+
 Finished spans are emitted to a :class:`TraceSink`:
 
 * :class:`NullSink` — drop everything (tracing structurally on, output off),
-* :class:`RingBufferSink` — keep the last N spans in memory (the daemon's
-  ``/trace`` tail endpoint reads this),
-* :class:`JsonlSink` — append one JSON object per span to a file.
+* :class:`RingBufferSink` — keep the last N spans in memory, rows expanded on
+  read (the daemon's ``/trace`` tail endpoint reads this),
+* :class:`JsonlSink` — append one JSON object per span to a file, rows
+  expanded on write.
+
+A custom sink is handed each finished span once, rows still on it; it lists
+them by calling :func:`expand`.
 """
 
 from __future__ import annotations
@@ -35,12 +58,22 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from contextlib import contextmanager
 
 #: Attribute keys a span payload is ordered by; attrs stay a plain dict.
 _WALL_FIELDS = ("start_wall", "end_wall")
+
+#: One finished piece of work recorded on an open span in place of a child
+#: span, as one flat tuple: ``(name, start_wall, end_wall, under, attr_names,
+#: *attr_values)``.  Attr names travel apart from the values so a loop shares
+#: one constant ``attr_names`` across its rows and builds no dict per step.
+#: Rows are kept in finish order, the order spans are emitted in; ``under``
+#: says where the row hangs — 0 directly under the span, n under the row that
+#: finishes n rows after it (a step timed inside a larger one is appended
+#: first, ``under=1``).
+Row = Tuple[Any, ...]
 
 
 @dataclass
@@ -56,6 +89,12 @@ class Span:
     end_sim: Optional[float] = None
     start_wall: float = 0.0
     end_wall: float = 0.0
+    #: Work recorded inside this span without opening child spans (see
+    #: :meth:`Tracer.open_rows`); not part of the payload — :func:`expand`
+    #: renders each row as a span of its own.
+    rows: List[Row] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     @property
     def duration_wall(self) -> float:
@@ -96,6 +135,38 @@ class Span:
         )
 
 
+def expand(span: Span) -> List[Span]:
+    """``span`` as readers list it: its rows rendered as spans, then itself.
+
+    A row becomes a span of ``span``'s trace with id ``<span_id>.<k>`` (``k``
+    its 1-based position among the rows — no counter, clock or randomness
+    involved, so same-seed runs render the same ids) and with ``span``'s
+    simulator-clock interval: rows are stamped on the wall clock only, and the
+    work they record happens inside one simulator event, as ``span`` does.
+    """
+    rows = span.rows
+    if not rows:
+        return [span]
+    prefix = span.span_id
+    spans = [
+        Span(
+            trace_id=span.trace_id,
+            span_id=f"{prefix}.{k}",
+            parent_id=f"{prefix}.{k + under}" if under else prefix,
+            name=name,
+            attrs=dict(zip(attr_names, attr_values)),
+            start_sim=span.start_sim,
+            end_sim=span.end_sim,
+            start_wall=start_wall,
+            end_wall=end_wall,
+        )
+        for k, (name, start_wall, end_wall, under, attr_names, *attr_values)
+        in enumerate(rows, 1)
+    ]
+    spans.append(span)
+    return spans
+
+
 class TraceSink:
     """Destination for finished spans.  Subclasses override :meth:`emit`."""
 
@@ -114,39 +185,69 @@ class NullSink(TraceSink):
 
 
 class RingBufferSink(TraceSink):
-    """Keep the most recent ``capacity`` spans in memory (thread-safe)."""
+    """Keep the most recent ``capacity`` spans in memory (thread-safe).
+
+    Spans are counted as readers see them: an entry — one emitted span — counts
+    for itself plus one per row, because :meth:`spans` lists every row as a
+    span.  ``emitted`` is the number of spans ever listed that way (so
+    ``emitted >= len(spans())``), and ``capacity`` bounds what is listed: an
+    entry is dropped once the entries after it fill the ring by themselves, so
+    only the oldest one kept can be listed in part (its newest spans, exactly
+    the last ``capacity`` of the stream) and memory stays within ``capacity``
+    spans plus that one entry's rows.
+    """
 
     def __init__(self, capacity: int = 2048) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._spans: Deque[Span] = deque(maxlen=capacity)
+        self._entries: Deque[Span] = deque()  # oldest first
+        self._listed = 0  # spans the entries are listed as
         self._lock = threading.Lock()
         self._emitted = 0
 
     def emit(self, span: Span) -> None:
+        listed = 1 + len(span.rows)
         with self._lock:
-            self._spans.append(span)
-            self._emitted += 1
+            entries = self._entries
+            entries.append(span)
+            self._emitted += listed
+            self._listed += listed
+            while self._listed - (1 + len(entries[0].rows)) >= self.capacity:
+                self._listed -= 1 + len(entries.popleft().rows)
 
     @property
     def emitted(self) -> int:
-        """Total spans ever emitted (including ones the ring has dropped)."""
+        """Total spans ever emitted, rows included (also ones since dropped)."""
         return self._emitted
 
     def spans(self) -> List[Span]:
-        with self._lock:
-            return list(self._spans)
+        return self.tail()
 
     def tail(self, limit: Optional[int] = None) -> List[Span]:
-        spans = self.spans()
-        if limit is None or limit >= len(spans):
-            return spans
-        return spans[-limit:]
+        """The newest ``limit`` listed spans, oldest first (all with ``None``)."""
+        if limit is not None and limit < 0:
+            raise ValueError("limit must be >= 0")
+        limit = self.capacity if limit is None else min(limit, self.capacity)
+        with self._lock:
+            entries = list(self._entries)
+        # Expand from the newest entry back, and only as far as ``limit``
+        # reaches: a short tail of a full ring renders a handful of spans.
+        newest_first: List[List[Span]] = []
+        found = 0
+        for span in reversed(entries):
+            if found >= limit:
+                break
+            chunk = expand(span)
+            newest_first.append(chunk)
+            found += len(chunk)
+        spans = [span for chunk in reversed(newest_first) for span in chunk]
+        return spans[found - limit :] if found > limit else spans
 
     def clear(self) -> None:
         with self._lock:
-            self._spans.clear()
+            self._entries.clear()
+            self._listed = 0
 
 
 class JsonlSink(TraceSink):
@@ -158,9 +259,12 @@ class JsonlSink(TraceSink):
         self._handle = open(self.path, "a", encoding="utf-8")
 
     def emit(self, span: Span) -> None:
-        line = json.dumps(span.to_payload(), sort_keys=True)
+        lines = "".join(
+            json.dumps(listed.to_payload(), sort_keys=True) + "\n"
+            for listed in expand(span)
+        )
         with self._lock:
-            self._handle.write(line + "\n")
+            self._handle.write(lines)
 
     def close(self) -> None:
         with self._lock:
@@ -220,6 +324,17 @@ class Tracer:
     def current_span(self) -> Optional[Span]:
         stack = self._stack()
         return stack[-1] if stack else None
+
+    def open_rows(self) -> Optional[List[Row]]:
+        """The row list of the span this thread has open (``None`` without one).
+
+        The cheap way to record a loop inside a span: append one :data:`Row`
+        per finished step instead of opening a child span per step.  Only the
+        thread that opened the span may append, and only until the span
+        finishes; readers get each row back as a child span (:func:`expand`).
+        """
+        stack = getattr(self._local, "stack", None)
+        return stack[-1].rows if stack else None
 
     # -- span lifecycle ----------------------------------------------------------------
 

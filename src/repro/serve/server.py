@@ -19,7 +19,10 @@ method    path            body / answer
 GET       ``/health``     ``{"status": "ok", "peers": ..., "domains": ...}``
 GET       ``/stats``      request counters + lazy-loading counters + uptime
 GET       ``/metrics``    Prometheus text exposition of the metrics registry
-GET       ``/trace``      tail of the in-memory span ring (``?limit=N``)
+GET       ``/trace``      newest spans of the in-memory ring, per-domain rows
+                          listed as spans (``?limit=N``, N >= 0); ``emitted``
+                          counts spans as listed here, the ring's capacity
+                          bounds how many are
 POST      ``/query``      one query -> one encoded ``QueryAnswer``
 POST      ``/query_batch``  ``{"count": N}`` or ``{"queries": [...]}`` ->
                           ``{"answers": [...]}``
@@ -477,8 +480,14 @@ class _RequestHandler(KeepAliveHandler):
         query = parse_qs(urlsplit(self.path).query)
         limit = None
         if query.get("limit"):
-            limit = int(query["limit"][0])
-        spans = ring.tail(limit) if limit is not None else ring.spans()
+            raw = query["limit"][0]
+            # Digits only: a bare int() also takes "-3", " 7 " and "1_0".
+            if not (raw.isascii() and raw.isdigit()):
+                raise ServeError(
+                    f"'limit' must be a non-negative integer, got {raw!r}"
+                )
+            limit = int(raw)
+        spans = ring.tail(limit)
         return 200, {
             "spans": [span.to_payload() for span in spans],
             "emitted": ring.emitted,

@@ -51,6 +51,15 @@ def test_histogram_buckets_and_overflow():
     assert histogram.cumulative() == [2, 3]
 
 
+def test_histogram_value_on_a_bound_counts_in_that_bucket():
+    """``le`` semantics at every boundary, and just past the last one."""
+    registry = MetricsRegistry()
+    registry.declare_histogram("h", [1.0, 10.0, 10.0, 25.0])
+    for value in (1.0, 10.0, 25.0, 25.000001, 0.0, -3.0):
+        registry.observe("h", value)
+    assert registry.histogram("h").counts == [3, 1, 0, 1, 1]
+
+
 def test_observe_many_equals_observe_loop():
     one_by_one, batched = MetricsRegistry(), MetricsRegistry()
     values = [0.2, 3.0, 7.5, 0.2, 40.0]

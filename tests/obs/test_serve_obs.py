@@ -6,6 +6,10 @@ the session's routing and hierarchy-selection spans, and ``/metrics`` exposes
 at least 12 distinct series spanning the protocol, store and serve layers.
 """
 
+import http.client
+import json
+from urllib.parse import urlsplit
+
 import pytest
 
 from repro.exceptions import ServeError
@@ -98,6 +102,33 @@ def test_trace_endpoint_tails_and_limits(served):
     # the limited tail is the full tail shifted by that request's own span.
     assert limited["spans"][0] == full["spans"][-1]
     assert limited["spans"][1]["name"] == "serve /trace"
+
+
+@pytest.mark.parametrize("raw", ["abc", "1.5", "-3"])
+def test_trace_rejects_a_malformed_limit_and_keeps_the_connection(served, raw):
+    """A typed 400, not a 500 or an arbitrary slice; the socket stays in sync."""
+    server, _client, _sink = served
+    connection = http.client.HTTPConnection(urlsplit(server.url).netloc, timeout=5)
+    try:
+        connection.request("GET", f"/trace?limit={raw}")
+        response = connection.getresponse()
+        payload = json.loads(response.read())
+        assert response.status == 400
+        assert payload["type"] == "ServeError" and repr(raw) in payload["error"]
+        # Same socket, next request: answered whole.
+        connection.request("GET", "/health")
+        response = connection.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["status"] == "ok"
+    finally:
+        connection.close()
+
+
+def test_trace_limit_zero_lists_nothing(served):
+    server, client, _sink = served
+    client.query(required_results=3)
+    assert client.trace(limit=0)["spans"] == []
+    assert client.trace(limit=0)["emitted"] > 0
 
 
 def test_stats_decodes_lazy_and_uptime(served):

@@ -3,6 +3,8 @@
 import json
 import threading
 
+import pytest
+
 from repro.obs.trace import (
     JsonlSink,
     NullSink,
@@ -10,6 +12,7 @@ from repro.obs.trace import (
     Span,
     Tracer,
     connected_trace,
+    expand,
     span_tree,
 )
 
@@ -173,3 +176,91 @@ def test_tracing_is_thread_safe_and_stacks_are_per_thread():
             parent = by_id[span.parent_id]
             # A child must parent under its own thread's outer span.
             assert parent.name.split("-")[0] == span.name.split("-")[0]
+
+
+# -- rows: work recorded on an open span, listed by readers as child spans --------------
+
+
+def _span_with_rows(tracer, name, steps):
+    """One span whose ``steps`` are recorded as (inner, outer) row pairs."""
+    with tracer.span(name) as span:
+        rows = tracer.open_rows()
+        assert rows is span.rows
+        for step in range(steps):
+            rows.append(("inner", 1.0, 2.0, 1, ("step",), step))
+            rows.append(("outer", 1.0, 3.0, 0, ("step", "ok"), step, True))
+    return span
+
+
+def test_open_rows_is_none_outside_a_span():
+    assert Tracer(sink=NullSink()).open_rows() is None
+
+
+def test_rows_expand_to_child_spans_in_finish_order():
+    sink = RingBufferSink()
+    tracer = Tracer(sink=sink, sim_clock=lambda: 9.0, origin="test")
+    span = _span_with_rows(tracer, "root", steps=2)
+
+    listed = sink.spans()
+    assert listed == expand(span)
+    assert [s.name for s in listed] == ["inner", "outer", "inner", "outer", "root"]
+    assert listed[-1] is span
+    # Ids hang off the one counter-minted id; nothing else was minted.
+    assert [s.span_id for s in listed] == [
+        "test-s000001.1", "test-s000001.2", "test-s000001.3", "test-s000001.4",
+        "test-s000001",
+    ]
+    with tracer.span("next") as after:
+        pass
+    assert after.span_id == "test-s000002"
+    inner, outer = listed[0], listed[1]
+    assert inner.parent_id == outer.span_id and outer.parent_id == span.span_id
+    assert inner.attrs == {"step": 0} and outer.attrs == {"step": 0, "ok": True}
+    assert (inner.start_wall, inner.end_wall) == (1.0, 2.0)
+    # Rows are stamped on the wall clock only; simulator time is the span's.
+    assert {(s.start_sim, s.end_sim) for s in listed} == {(9.0, 9.0)}
+    assert {s.trace_id for s in listed} == {span.trace_id}
+    assert connected_trace(listed, span.trace_id)
+    # Rows are not payload: what a reader stores is each listed span's own.
+    assert "rows" not in span.to_payload()
+    assert Span.from_payload(span.to_payload()) == span
+
+
+def test_ring_tail_validates_and_limits():
+    sink = RingBufferSink()
+    tracer = Tracer(sink=sink)
+    _span_with_rows(tracer, "root", steps=2)  # listed as 5 spans
+    assert sink.tail(0) == []
+    assert [s.name for s in sink.tail(2)] == ["outer", "root"]
+    assert len(sink.tail(99)) == 5
+    with pytest.raises(ValueError):
+        sink.tail(-1)
+
+
+def test_ring_counts_and_caps_listed_spans_not_entries():
+    """``emitted`` and ``capacity`` mean what they meant when every row was a
+    span: the ring never lists more than ``capacity`` spans — always the
+    newest of the stream — while entries far larger than it pass through."""
+    sink = RingBufferSink(capacity=64)
+    tracer = Tracer(sink=sink, origin="test")
+    stream = []
+    for index in range(6):
+        stream.extend(expand(_span_with_rows(tracer, f"query{index}", steps=125)))
+        with tracer.span(f"serve{index}") as request:
+            pass
+        stream.append(request)
+        assert sink.emitted == len(stream)
+        listed = sink.spans()
+        assert len(listed) == 64
+        assert listed == stream[-64:]
+    # An entry bigger than the ring is listed in part, newest rows first to
+    # stay; the entries behind it are gone, not kept beside it.
+    assert len(sink._entries) == 2  # noqa: SLF001
+
+
+def test_jsonl_sink_writes_rows_as_spans(tmp_path):
+    path = str(tmp_path / "rows.jsonl")
+    sink = JsonlSink(path)
+    span = _span_with_rows(Tracer(sink=sink, sim_clock=lambda: 3.0), "root", steps=3)
+    sink.close()
+    assert JsonlSink.read(path) == expand(span)

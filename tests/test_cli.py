@@ -74,6 +74,16 @@ class TestCommands:
         assert repr(argv[2]) in error
 
 
+    @pytest.mark.parametrize("raw", ["-1", "1.5", "abc"])
+    def test_invalid_trace_limit_rejected(self, capsys, raw):
+        """Refused by argparse — before any daemon is dialled — in one line."""
+        with pytest.raises(SystemExit) as raised:
+            main(["trace", "--limit", raw])
+        assert raised.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert f"argument --limit: invalid span count {raw!r}" in error
+
+
 class TestScenarioCommands:
     def test_list_scenarios(self, capsys):
         exit_code = main(["list-scenarios"])
