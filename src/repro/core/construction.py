@@ -24,7 +24,6 @@ from repro.network.messages import MessageType
 from repro.network.metrics import MessageCounter
 from repro.network.overlay import Overlay
 from repro.saintetiq.hierarchy import SummaryHierarchy
-from repro.saintetiq.merging import merge_hierarchies
 
 
 @dataclass
@@ -209,17 +208,7 @@ class DomainBuilder:
         report: ConstructionReport,
         local_summaries: Mapping[str, SummaryHierarchy],
     ) -> None:
-        for sp_id, domain in report.domains.items():
-            members = list(domain.partner_ids)
-            if sp_id in local_summaries and sp_id not in members:
-                members.append(sp_id)
-            hierarchies = [
-                local_summaries[peer_id]
-                for peer_id in members
-                if peer_id in local_summaries and not local_summaries[peer_id].is_empty()
-            ]
-            if not hierarchies:
-                continue
-            domain.install_global_summary(
-                merge_hierarchies(hierarchies, owner=sp_id)
+        for domain in report.domains.values():
+            domain.merge_global_summary(
+                domain.live_contributions(local_summaries, domain.partner_ids)
             )

@@ -3,12 +3,34 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.cooperation import CooperationList
 from repro.core.freshness import Freshness, FreshnessMode
 from repro.exceptions import ProtocolError
 from repro.saintetiq.hierarchy import SummaryHierarchy
+from repro.saintetiq.merging import merge_hierarchies
+
+#: ``(peer_id, local summary)`` pairs in the order a merge visits them.
+Contributions = List[Tuple[str, SummaryHierarchy]]
+#: The same with each hierarchy's ``mutation_count`` when it was looked at.
+_Stamps = List[Tuple[str, SummaryHierarchy, int]]
+
+
+def _stamps(pairs: Contributions) -> _Stamps:
+    return [(peer_id, h, h.mutation_count) for peer_id, h in pairs]
+
+
+def _same_stamps(was: _Stamps, now: _Stamps) -> bool:
+    """Same peers, the same hierarchy *objects*, none mutated, same order.
+
+    Hierarchies are held by reference and compared with ``is``: an ``id()``
+    can be handed to a new object once the old one is freed.
+    """
+    return len(was) == len(now) and all(
+        a_peer == b_peer and a is b and a_count == b_count
+        for (a_peer, a, a_count), (b_peer, b, b_count) in zip(was, now)
+    )
 
 
 @dataclass
@@ -35,6 +57,10 @@ class Domain:
     def __post_init__(self) -> None:
         self._global_summary: Optional[SummaryHierarchy] = None
         self._summary_loader: Optional[Callable[[], SummaryHierarchy]] = None
+        #: What the installed summary was merged from: the stamps of its
+        #: contributions, in order, then its own as merged.  None whenever the
+        #: summary got there any other way (set by hand, restored, lazy).
+        self._merged_from: Optional[_Stamps] = None
 
     @classmethod
     def create(
@@ -98,11 +124,13 @@ class Domain:
     def global_summary(self, summary: Optional[SummaryHierarchy]) -> None:
         self._global_summary = summary
         self._summary_loader = None
+        self._merged_from = None
 
     def bind_summary_loader(self, loader: Callable[[], SummaryHierarchy]) -> None:
         """Defer materialization of the global summary to first access."""
         self._global_summary = None
         self._summary_loader = loader
+        self._merged_from = None
 
     @property
     def summary_pending(self) -> bool:
@@ -114,6 +142,56 @@ class Domain:
 
     def install_global_summary(self, summary: SummaryHierarchy) -> None:
         self.global_summary = summary
+
+    def live_contributions(
+        self,
+        local_summaries: Mapping[str, SummaryHierarchy],
+        available: Sequence[str],
+    ) -> Contributions:
+        """What a full merge over the ``available`` partners merges, in order.
+
+        The available partners that have a non-empty local summary, in
+        cooperation-list order, then the summary peer's own when it is not one
+        of them.
+        """
+        contributions = [
+            (peer_id, local_summaries[peer_id])
+            for peer_id in available
+            if peer_id in local_summaries and not local_summaries[peer_id].is_empty()
+        ]
+        sp_id = self.summary_peer_id
+        if sp_id in local_summaries and sp_id not in available:
+            own = local_summaries[sp_id]
+            if not own.is_empty():
+                contributions.append((sp_id, own))
+        return contributions
+
+    def merge_global_summary(self, contributions: Contributions) -> None:
+        """Make ``GS`` the merge of ``contributions`` — the one place it is made.
+
+        A global summary is only ever ``merge_hierarchies`` over its
+        contributions from empty, a pure function of the ordered ``(peer, leaf
+        cells)`` list.  So when the installed summary was merged from these
+        very hierarchies, in this order, and neither they nor it have been
+        mutated since, merging again would rebuild it cell for cell: it is
+        kept, with its query index and selection cache warm.  Anything else —
+        a contribution mutated, rebuilt, added, dropped or reordered, the
+        installed summary mutated in place, replaced or restored — merges from
+        empty.  No contribution means no summary: the domain describes nobody.
+        """
+        if not contributions:
+            self.global_summary = None
+            return
+        sp_id = self.summary_peer_id
+        if self._merged_from is not None and _same_stamps(
+            self._merged_from, _stamps(contributions + [(sp_id, self._global_summary)])
+        ):
+            return
+        merged = merge_hierarchies(
+            [hierarchy for _peer, hierarchy in contributions], owner=sp_id
+        )
+        self.global_summary = merged
+        self._merged_from = _stamps(contributions + [(sp_id, merged)])
 
     def coverage(self) -> Set[str]:
         """Peers whose data the global summary describes (the paper's Coverage)."""

@@ -9,6 +9,14 @@ travels from partner to partner, each one merging its current local summary
 in, and comes back to the summary peer which installs the new version and
 resets every freshness value.
 
+Two costs, only one of them the paper's.  The paper costs a reconciliation in
+*messages* — the ring, ``len(available) + 1`` hops — and that is always
+charged in full, together with the removals and the freshness reset.  The
+merge that materialises the new global summary is local CPU the paper does
+not count; :meth:`Domain.merge_global_summary` skips it when no contribution
+moved since the installed summary was merged (the result would be the same
+cell for cell) and merges from empty otherwise.
+
 This module is runtime-agnostic: every method takes the current virtual time
 as an explicit ``now`` argument and never touches a clock, scheduler, or
 :mod:`repro.runtime` backend directly.  Keep it that way — it is what lets
@@ -28,7 +36,6 @@ from repro.exceptions import StoreError
 from repro.network.messages import MessageType
 from repro.network.metrics import MessageCounter
 from repro.saintetiq.hierarchy import SummaryHierarchy
-from repro.saintetiq.merging import merge_hierarchies
 from repro.saintetiq.serialization import hierarchy_content_hash
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -259,6 +266,14 @@ class MaintenanceEngine:
     ) -> ReconciliationRecord:
         """Run one ring reconciliation on ``domain``.
 
+        The paper's cost — the ring's messages, the statistics and history
+        record, the removal of unavailable partners, the freshness reset, the
+        archived head when a store is attached — is paid in full on every
+        call.  The local merge behind the new global summary is paid only when
+        a contribution moved since the installed one was merged (see
+        :meth:`Domain.merge_global_summary`); the summary installed afterwards
+        is the same either way.
+
         Parameters
         ----------
         local_summaries:
@@ -270,7 +285,8 @@ class MaintenanceEngine:
         available_partners:
             Partners currently reachable.  Unreachable ones do not take part
             and their entries are removed: "descriptions of unavailable data
-            will be then omitted".
+            will be then omitted" — with nobody left to contribute, a
+            materialising reconciliation leaves no global summary at all.
         """
         partner_ids = list(domain.partner_ids)
         if available_partners is None:
@@ -294,16 +310,10 @@ class MaintenanceEngine:
         domain.cooperation.reset_all(now=now)
 
         if local_summaries is not None:
-            contributions = self._live_contributions(domain, local_summaries, available)
-            if contributions:
-                domain.install_global_summary(
-                    merge_hierarchies(
-                        [hierarchy for _peer, hierarchy in contributions],
-                        owner=domain.summary_peer_id,
-                    )
-                )
-                if self.store_attached:
-                    self._record_head(domain, contributions, now)
+            contributions = domain.live_contributions(local_summaries, available)
+            domain.merge_global_summary(contributions)
+            if self.store_attached:
+                self._record_head(domain, contributions, now)
 
         record = ReconciliationRecord(
             summary_peer_id=domain.summary_peer_id,
@@ -314,26 +324,6 @@ class MaintenanceEngine:
         )
         self._stats.history.append(record)
         return record
-
-    @staticmethod
-    def _live_contributions(
-        domain: Domain,
-        local_summaries: Mapping[str, SummaryHierarchy],
-        available: List[str],
-    ) -> List[tuple]:
-        """``(peer_id, hierarchy)`` pairs a full reconciliation merges, in order."""
-        contributions = [
-            (peer_id, local_summaries[peer_id])
-            for peer_id in available
-            if peer_id in local_summaries and not local_summaries[peer_id].is_empty()
-        ]
-        if domain.summary_peer_id in local_summaries and (
-            domain.summary_peer_id not in available
-        ):
-            own = local_summaries[domain.summary_peer_id]
-            if not own.is_empty():
-                contributions.append((domain.summary_peer_id, own))
-        return contributions
 
     # -- cold start ---------------------------------------------------------------------------
 
@@ -473,12 +463,7 @@ class MaintenanceEngine:
                 )
                 for peer_id, digest, live in plan
             ]
-            domain.install_global_summary(
-                merge_hierarchies(
-                    [hierarchy for _peer, hierarchy in contributions],
-                    owner=sp_id,
-                )
-            )
+            domain.merge_global_summary(contributions)
             restored_snapshot = self._record_head(domain, contributions, now)
 
         record = ColdStartRecord(

@@ -895,8 +895,14 @@ class SummaryManagementSystem:
         with obs.span(
             "reconciliation",
             {"summary_peer": sp_id, "partners": len(domain.partner_ids)},
-        ):
+        ) as span:
+            installed = domain.global_summary
             self._reconcile_domain(sp_id, domain)
+            # What the round cost locally: a kept summary is the same object.
+            summary = domain.global_summary
+            merged = summary is not None and summary is not installed
+            span.attrs["merged"] = merged
+        obs.inc("repro_reconciliation_merges_total", int(merged))
 
     def _reconcile_domain(self, sp_id: str, domain: Domain) -> None:
         obs = self._obs

@@ -93,6 +93,11 @@ class SummaryHierarchy:
     def attributes(self) -> List[str]:
         return self._mapping.attributes
 
+    @property
+    def mutation_count(self) -> int:
+        """The builder's monotonic mutation counter: unmoved means unchanged."""
+        return self._builder.mutation_count
+
     # -- construction / maintenance -------------------------------------------------
 
     def add_record(self, record: Mapping[str, object]) -> int:
@@ -136,7 +141,7 @@ class SummaryHierarchy:
 
     def depth(self) -> int:
         """Tree height, memoized until the next mutation (see ``_depth_cache``)."""
-        version = self._builder.mutation_count
+        version = self.mutation_count
         if self._depth_cache is None or self._depth_cache[0] != version:
             self._depth_cache = (version, self.root.depth())
         return self._depth_cache[1]
@@ -175,7 +180,7 @@ class SummaryHierarchy:
         """
         from repro.querying.engine import HierarchyQueryIndex
 
-        version = self._builder.mutation_count
+        version = self.mutation_count
         if self._index_cache is None or self._index_cache[0] != version:
             self._index_cache = (version, HierarchyQueryIndex(self.root))
             self._selection_cache = {}
@@ -218,7 +223,7 @@ class SummaryHierarchy:
         mutation: drift checks run on every maintenance tick, far more often
         than the tree changes.
         """
-        version = self._builder.mutation_count
+        version = self.mutation_count
         if self._signature_cache is None or self._signature_cache[0] != version:
             descriptors: Set[Descriptor] = set()
             for node in self.root.iter_subtree():

@@ -103,6 +103,18 @@ class TestReconciliation:
         assert domain.has_global_summary()
         assert domain.coverage() == available
 
+    def test_reconcile_with_no_live_contribution_clears_the_global_summary(self):
+        """Nobody left to describe: the old summary must not keep describing them."""
+        engine = MaintenanceEngine()
+        domain = _domain(2)
+        summaries = _summaries(domain.partner_ids)
+        engine.reconcile(domain, local_summaries=summaries)
+        assert domain.coverage() == {"p0", "p1"}
+        engine.reconcile(domain, local_summaries=summaries, available_partners=set())
+        assert domain.partner_ids == []
+        assert domain.coverage() == set()
+        assert not domain.has_global_summary()
+
     def test_maybe_reconcile_only_fires_at_threshold(self):
         engine = MaintenanceEngine(ProtocolConfig(freshness_threshold=0.5))
         domain = _domain(4)

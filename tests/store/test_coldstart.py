@@ -136,12 +136,12 @@ class TestColdStart:
         before = hierarchy_content_hash(domain.global_summary)
 
         # The fast path must not merge anything — it is a pure hash lookup.
-        import repro.core.maintenance as maintenance_module
+        import repro.core.domain as domain_module
 
         def no_merge(*_args, **_kwargs):
             pytest.fail("the unchanged-domain fast path must not merge")
 
-        monkeypatch.setattr(maintenance_module, "merge_hierarchies", no_merge)
+        monkeypatch.setattr(domain_module, "merge_hierarchies", no_merge)
         messages_before = session.system.counter.count(MessageType.RECONCILIATION)
         record = session.cold_start_domain(sp_id)
         assert record.restored_snapshot == head["global_summary"]
