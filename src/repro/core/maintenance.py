@@ -36,7 +36,6 @@ from repro.exceptions import StoreError
 from repro.network.messages import MessageType
 from repro.network.metrics import MessageCounter
 from repro.saintetiq.hierarchy import SummaryHierarchy
-from repro.saintetiq.serialization import hierarchy_content_hash
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fuzzy.background import BackgroundKnowledge
@@ -422,7 +421,7 @@ class MaintenanceEngine:
                 # message); when it still hashes to the archived digest it
                 # counts as unchanged, keeping the no-merge fast path
                 # reachable in the common nothing-changed restart.
-                own_digest = hierarchy_content_hash(own)
+                own_digest = own.content_address()
                 if stored_partners.get(sp_id) == own_digest:
                     plan.append((sp_id, own_digest, None))
                 else:

@@ -65,6 +65,7 @@ class SummaryHierarchy:
         self._depth_cache: Optional[Tuple[int, int]] = None
         self._signature_cache: Optional[Tuple[int, FrozenSet[Descriptor]]] = None
         self._index_cache: Optional[Tuple[int, "HierarchyQueryIndex"]] = None
+        self._address_cache: Optional[Tuple[int, str]] = None
         self._selection_cache: Dict["PropositionKey", "QuerySelection"] = {}
 
     # -- accessors -----------------------------------------------------------------
@@ -241,6 +242,48 @@ class SummaryHierarchy:
         if not union:
             return 0.0
         return len(current ^ signature) / len(union)
+
+    # -- content address -----------------------------------------------------------------
+
+    def content_snapshot(self) -> Tuple[str, str]:
+        """``(content address, canonical JSON text)`` from one encoding pass.
+
+        Always encodes (it *is*
+        :func:`repro.saintetiq.serialization.hierarchy_snapshot`) and
+        remembers the address it found for :meth:`content_address`.
+        """
+        from repro.saintetiq.serialization import hierarchy_snapshot
+
+        version = self.mutation_count
+        address, encoded = hierarchy_snapshot(self)
+        self._address_cache = (version, address)
+        return address, encoded
+
+    @property
+    def known_content_address(self) -> Optional[str]:
+        """The content address if this tree was addressed since it last moved.
+
+        ``None`` otherwise — never an encoding.  A store asked to file the
+        hierarchy looks here first: an address it already holds needs no text
+        (see :meth:`repro.store.snapshots.SnapshotStore.missing_snapshot`).
+        """
+        cached = self._address_cache
+        if cached is None or cached[0] != self.mutation_count:
+            return None
+        return cached[1]
+
+    def content_address(self) -> str:
+        """SHA-256 of the canonical encoding, memoized until the next mutation.
+
+        The fourth figure kept against the mutation counter, beside
+        :meth:`depth`, :meth:`signature` and :meth:`query_index`: a hierarchy
+        that has not moved is not encoded again to learn where it is filed.
+        Nothing seeds it but an encoding of this very object — a restore
+        does not — and the always-encoding
+        :func:`repro.saintetiq.serialization.hierarchy_content_hash` stays
+        the oracle the tests hold it to.
+        """
+        return self.known_content_address or self.content_snapshot()[0]
 
     # -- copies --------------------------------------------------------------------------
 

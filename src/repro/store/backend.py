@@ -573,7 +573,13 @@ class SqliteBackend(StoreBackend):
             raise StoreError(f"corrupt stored object {kind}/{key}: {exc}") from exc
 
     def contains(self, kind: str, key: str) -> bool:
-        return self._fetch(kind, key) is not None
+        # The index answers; the payload (a snapshot is tens of KB) stays put.
+        self._ensure_open()
+        _check_names(kind, key)
+        row = self._connection.execute(
+            "SELECT 1 FROM objects WHERE kind = ? AND key = ?", (kind, key)
+        ).fetchone()
+        return row is not None
 
     def keys(self, kind: str) -> List[str]:
         self._ensure_open()

@@ -26,6 +26,18 @@ and replays the patches; the resolved payload is byte-identical to what a
 full checkpoint at the same moment would have stored, so every continuation
 guarantee below applies unchanged.
 
+A delta save costs what changed since its base, plus one look at what did
+not: each link of the base chain is read and parsed once (the walk that
+guards against cycles is the walk the base payload is replayed from), the
+diff confirms unchanged subtrees once per container per side and is a
+function of the two stored texts alone (:mod:`repro.store.deltas`), and
+hierarchies are filed by stamp — one that has not moved since it was last
+addressed, and whose address the *destination* store already holds, is
+referenced without being encoded again
+(:meth:`~repro.store.snapshots.SnapshotStore.missing_snapshot`).  Nothing
+about that memo enters a checkpoint, and nothing is kept resident between
+saves: the base is parsed again by the next delta.
+
 Determinism notes
 -----------------
 * Pending simulator events carry declarative specs (see
@@ -44,7 +56,7 @@ Determinism notes
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
 import networkx as nx
 
@@ -73,7 +85,7 @@ from repro.network.metrics import MessageCounter
 from repro.network.overlay import Overlay
 from repro.network.peer import PeerRole
 from repro.saintetiq.clustering import ClusteringParameters
-from repro.saintetiq.serialization import hierarchy_snapshot
+from repro.saintetiq.hierarchy import SummaryHierarchy
 from repro.store.backend import StoreBackend, open_store, owns_backend
 from repro.store.deltas import apply_patch, diff_documents
 from repro.store.lazy import DEFAULT_CACHE_SIZE, HierarchySource
@@ -125,8 +137,8 @@ def _overlay_payload(overlay: Overlay) -> Dict[str, Any]:
         "rng": _rng_payload(overlay.rng),
         # Per-node adjacency in its exact iteration order (see module notes).
         "adjacency": [
-            [node, [[nbr, graph.edges[node, nbr]["latency"]] for nbr in graph.adj[node]]]
-            for node in graph.nodes
+            [node, [[nbr, edge["latency"]] for nbr, edge in neighbours.items()]]
+            for node, neighbours in graph.adjacency()
         ],
         "peers": [
             {
@@ -201,11 +213,12 @@ def _config_from_payload(payload: Dict[str, Any]) -> ProtocolConfig:
 # -- domains ----------------------------------------------------------------------
 
 
-def _domain_payload(domain: Domain, snapshots: Dict[str, str]) -> Dict[str, Any]:
+def _domain_payload(
+    domain: Domain, stage: Callable[[SummaryHierarchy], str]
+) -> Dict[str, Any]:
     summary_hash: Optional[str] = None
     if domain.global_summary is not None:
-        summary_hash, encoded = hierarchy_snapshot(domain.global_summary)
-        snapshots[summary_hash] = encoded
+        summary_hash = stage(domain.global_summary)
     return {
         "summary_peer_id": domain.summary_peer_id,
         "mode": domain.cooperation.mode.value,
@@ -344,12 +357,10 @@ def _database_from_payload(
 
 
 def _service_payload(
-    service: LocalSummaryService, snapshots: Dict[str, str]
+    service: LocalSummaryService, stage: Callable[[SummaryHierarchy], str]
 ) -> Dict[str, Any]:
-    summary_hash, encoded = hierarchy_snapshot(service.summary)
-    snapshots[summary_hash] = encoded
     return {
-        "summary": summary_hash,
+        "summary": stage(service.summary),
         "published_signature": sorted(
             [d.attribute, d.label] for d in service._published_signature  # noqa: SLF001
         ),
@@ -360,15 +371,29 @@ def _service_payload(
 # -- capture ----------------------------------------------------------------------
 
 
-def capture_session(session: "NetworkSession") -> Tuple[Dict[str, Any], Dict[str, str]]:
+def capture_session(
+    session: "NetworkSession", destination: Optional[SnapshotStore] = None
+) -> Tuple[Dict[str, Any], Dict[str, str]]:
     """Encode a session into a checkpoint payload (hierarchies kept aside).
 
     Returns the payload and the referenced hierarchies as ``content hash ->
     canonical JSON text``, each encoded once; :func:`save_session` writes
-    both into the target backend.
+    both into the target backend.  Told the ``destination`` they are bound
+    for, the texts are only those it does not hold yet: a hierarchy that has
+    not moved since it was filed there is referenced by its remembered
+    address and not encoded again.
     """
     system = session.system
     snapshots: Dict[str, str] = {}
+
+    def stage(hierarchy: SummaryHierarchy) -> str:
+        if destination is None:
+            digest, encoded = hierarchy.content_snapshot()
+        else:
+            digest, encoded = destination.missing_snapshot(hierarchy)
+        if encoded is not None:
+            snapshots[digest] = encoded
+        return digest
 
     simulator = system.simulator
     events = []
@@ -409,7 +434,7 @@ def capture_session(session: "NetworkSession") -> Tuple[Dict[str, Any], Dict[str
         },
         "overlay": _overlay_payload(system.overlay),
         "domains": [
-            _domain_payload(domain, snapshots) for domain in system.domains.values()
+            _domain_payload(domain, stage) for domain in system.domains.values()
         ],
         "assignment": [[peer, sp] for peer, sp in system.assignment.items()],
         "described": [
@@ -451,7 +476,7 @@ def capture_session(session: "NetworkSession") -> Tuple[Dict[str, Any], Dict[str
             for peer_id, database in system.databases.items()
         ]
         payload["services"] = [
-            [peer_id, _service_payload(service, snapshots)]
+            [peer_id, _service_payload(service, stage)]
             for peer_id, service in system.services.items()
         ]
         payload["queries"] = [
@@ -482,8 +507,8 @@ def save_session(
     """
     backend = open_store(target)
     try:
-        payload, staged = capture_session(session)
         destination = SnapshotStore(backend)
+        payload, staged = capture_session(session, destination)
         for digest in sorted(staged):
             destination.put_encoded(digest, staged[digest])
         if base is not None:
@@ -493,15 +518,18 @@ def save_session(
                 )
             # Guard indirect cycles too: overwriting a checkpoint with a
             # delta whose base chain runs back through it (a → b → a) would
-            # destroy the full payload and leave both unrestorable.
-            base_chain = checkpoint_base_chain(backend, base)
+            # destroy the full payload and leave both unrestorable.  The one
+            # walk that names the chain also fetched every document the base
+            # payload is replayed from.
+            links, _seed = _walk_chain(backend, base)
+            base_chain = [link for link, _document in links]
             if name in base_chain:
                 raise StoreError(
                     f"a delta checkpoint cannot use itself as base: {base!r} "
                     f"resolves through {name!r} "
                     f"({' -> '.join(base_chain)})"
                 )
-            base_payload = resolve_checkpoint_payload(backend, base)
+            base_payload = _replay_chain(links)
             patch = diff_documents(base_payload, payload)
             backend.put(
                 CHECKPOINT_KIND,
@@ -604,7 +632,17 @@ def resolve_checkpoint_payload(
     """
     if _cache is not None and name in _cache:
         return _cache[name]
-    links, payload = _walk_chain(backend, name, _cache)
+    links, seed = _walk_chain(backend, name, _cache)
+    return _replay_chain(links, seed, _cache)
+
+
+def _replay_chain(
+    links: List[Tuple[str, Dict[str, Any]]],
+    seed: Optional[Dict[str, Any]] = None,
+    _cache: Optional[Dict[str, Dict[str, Any]]] = None,
+) -> Dict[str, Any]:
+    """Resolve what :func:`_walk_chain` fetched: patches replayed base first."""
+    payload = seed
     for link, document in reversed(links):
         if "base" in document:
             payload = apply_patch(payload, document["patch"])

@@ -32,13 +32,28 @@ Patch encoding (one node per changed subtree):
 
 Unchanged subtrees produce no entry at all, which is where the size win
 comes from.
+
+The invariant, and what a diff costs
+------------------------------------
+A patch is a function of the two *stored texts* alone: two children are
+unchanged exactly when their canonical JSON texts are equal, whatever objects
+hold them (a fresh capture against a parsed base, ``1`` against ``1.0``, a
+tuple against a list, keys in another order — ``tests/store/golden_patches.py``
+pins the patch text of each).  The work is proportional to what changed plus
+one pass over what did not: ``==`` picks a container's candidate-unchanged
+children at C speed and they are confirmed *together*, once per container
+(:func:`_equal_pairs`) — not one encoding per element per side; a list that
+only grew or only shrank is one splice read off its common prefix and suffix,
+and only two non-empty differing middles are aligned, their items' texts the
+alignment keys.  The per-element :func:`_equal` is what a failed confirmation
+falls back to, nothing else.
 """
 
 from __future__ import annotations
 
 import difflib
 import json
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from repro.exceptions import StoreError
 
@@ -62,31 +77,31 @@ def canonical_roundtrip(payload: Any) -> Any:
 def diff_documents(base: Any, new: Any) -> Dict[str, Any]:
     """A patch turning ``base`` into ``new`` (see module docstring).
 
-    Both documents must already be in stored form (plain dict/list/scalar
-    trees as returned by a backend); run :func:`canonical_roundtrip` first
-    when diffing freshly captured payloads.
+    Either side may be a parsed stored document or a freshly captured
+    payload: children are compared by their canonical *text*, so the patch is
+    the one the two stored texts give (:func:`canonical_roundtrip` is never
+    needed first).
     """
     if isinstance(base, dict) and isinstance(new, dict):
+        shared = [key for key in new if key in base]
+        same = dict(zip(shared, _equal_pairs([(base[key], new[key]) for key in shared])))
         changed: Dict[str, Any] = {}
-        dropped: List[str] = []
-        for key in base:
-            if key not in new:
-                dropped.append(key)
         for key, value in new.items():
             if key not in base:
                 changed[key] = {"$set": value}
-            elif not _equal(base[key], value):
+            elif not same[key]:
                 changed[key] = diff_documents(base[key], value)
         patch: Dict[str, Any] = {"$dict": changed}
+        dropped = sorted(key for key in base if key not in new)
         if dropped:
-            patch["$drop"] = sorted(dropped)
+            patch["$drop"] = dropped
         return patch
     if isinstance(base, list) and isinstance(new, list):
         if len(base) == len(new):
             edits = [
                 [index, diff_documents(base[index], new[index])]
-                for index in range(len(new))
-                if not _equal(base[index], new[index])
+                for index, equal in enumerate(_equal_pairs(list(zip(base, new))))
+                if not equal
             ]
             if len(edits) <= _SPARSE_LIST_THRESHOLD * len(new):
                 return {"$list": edits}
@@ -101,32 +116,31 @@ def _splice_patch(base: List[Any], new: List[Any]) -> Dict[str, Any] | None:
     """Sequence-align two lists; ``None`` when a wholesale ``$set`` is cheaper.
 
     Common prefix/suffix runs are trimmed first (append-only lists like the
-    reconciliation history then need no alignment at all); only the differing
-    middle goes through :class:`difflib.SequenceMatcher`.  Alignment keys are
-    the canonical JSON encodings of the items, so matcher equality is exactly
-    stored-text equality (1 vs 1.0 and True vs 1 stay distinct).
+    reconciliation history, and a drained event queue, then need no alignment
+    at all: one side's middle is empty and the splice is read off directly);
+    only two non-empty differing middles go through
+    :class:`difflib.SequenceMatcher`.  Alignment keys are the canonical JSON
+    encodings of the items, so matcher equality is exactly stored-text
+    equality (1 vs 1.0 and True vs 1 stay distinct).
     """
-    prefix = 0
     limit = min(len(base), len(new))
-    while prefix < limit and _equal(base[prefix], new[prefix]):
-        prefix += 1
-    suffix = 0
-    while (
-        suffix < limit - prefix
-        and _equal(base[len(base) - 1 - suffix], new[len(new) - 1 - suffix])
-    ):
-        suffix += 1
+    prefix = _equal_run(base, new, limit)
+    suffix = _equal_run(base[::-1], new[::-1], limit - prefix)
     base_middle = base[prefix : len(base) - suffix]
     new_middle = new[prefix : len(new) - suffix]
 
-    matcher = difflib.SequenceMatcher(
-        a=[_encode(item) for item in base_middle],
-        b=[_encode(item) for item in new_middle],
-        autojunk=False,
-    )
+    if base_middle and new_middle:
+        matcher = difflib.SequenceMatcher(
+            a=[_encode(item) for item in base_middle],
+            b=[_encode(item) for item in new_middle],
+            autojunk=False,
+        )
+        opcodes = matcher.get_opcodes()
+    else:
+        opcodes = [("replace", 0, len(base_middle), 0, len(new_middle))]
     operations: List[List[Any]] = []
     inserted = 0
-    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+    for tag, i1, i2, j1, j2 in opcodes:
         if tag == "equal":
             continue
         items = new_middle[j1:j2]
@@ -138,7 +152,7 @@ def _splice_patch(base: List[Any], new: List[Any]) -> Dict[str, Any] | None:
 
 
 #: A single reusable encoder: ``json.dumps`` pays an encoder construction per
-#: call, and the diff encodes tens of thousands of small nodes.
+#: call, and the diff encodes thousands of nodes.
 _CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _encode = _CANONICAL_ENCODER.encode
 
@@ -155,6 +169,46 @@ def _equal(left: Any, right: Any) -> bool:
     if left != right:
         return False
     return _encode(left) == _encode(right)
+
+
+def _equal_pairs(pairs: List[Tuple[Any, Any]]) -> List[bool]:
+    """:func:`_equal` of every pair, confirmed once for all of them.
+
+    ``==`` picks the candidates; all the candidate left sides are then
+    encoded as one array and held against all the right sides as another (an
+    array's text is its items' texts joined, so the two array texts are equal
+    exactly when every pair's are).  Only a failed confirmation — a ``1`` stored
+    where the base holds ``1.0`` somewhere inside — pays the per-pair
+    :func:`_equal`.
+    """
+    verdicts = [left is right or left == right for left, right in pairs]
+    candidates = [
+        pair for pair, same in zip(pairs, verdicts) if same and pair[0] is not pair[1]
+    ]
+    if candidates and _encode([left for left, _ in candidates]) != _encode(
+        [right for _, right in candidates]
+    ):
+        return [same and _equal(*pair) for pair, same in zip(pairs, verdicts)]
+    return verdicts
+
+
+def _equal_run(base: List[Any], new: List[Any], limit: int) -> int:
+    """Length of the two lists' common prefix, ``limit`` at most.
+
+    The run a per-item :func:`_equal` would stop at: ``==`` measures a
+    candidate run, which is then confirmed like one container's children.
+    """
+    length = 0
+    while length < limit and (
+        base[length] is new[length] or base[length] == new[length]
+    ):
+        length += 1
+    if _encode(base[:length]) != _encode(new[:length]):
+        length = next(
+            (index for index in range(length) if not _equal(base[index], new[index])),
+            length,
+        )
+    return length
 
 
 def apply_patch(base: Any, patch: Dict[str, Any]) -> Any:

@@ -11,16 +11,12 @@ first-class stored objects rather than transient in-memory state.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import StoreError
 from repro.fuzzy.background import BackgroundKnowledge
 from repro.saintetiq.hierarchy import SummaryHierarchy
-from repro.saintetiq.serialization import (
-    content_hash,
-    hierarchy_from_dict,
-    hierarchy_snapshot,
-)
+from repro.saintetiq.serialization import content_hash, hierarchy_from_dict
 from repro.store.backend import StoreBackend, open_store
 
 #: The namespace snapshots are filed under in any backend.
@@ -49,9 +45,29 @@ class SnapshotStore:
 
         Re-storing an identical hierarchy is a no-op (dedup by address), so
         callers can snapshot aggressively — per peer, per checkpoint, per
-        sweep iteration — and pay for each distinct hierarchy once.
+        reconciliation — and pay for each distinct hierarchy once: one that
+        has not moved since it was last addressed costs one ``contains``.
         """
-        return self.put_encoded(*hierarchy_snapshot(hierarchy))
+        digest, encoded = self.missing_snapshot(hierarchy)
+        if encoded is not None:
+            return self.put_encoded(digest, encoded)
+        if self.observability is not None:
+            self.observability.inc("repro_store_dedup_hits_total", kind=SNAPSHOT_KIND)
+        return digest
+
+    def missing_snapshot(self, hierarchy: SummaryHierarchy) -> Tuple[str, Optional[str]]:
+        """``(content hash, canonical text)`` — no text when it is stored here.
+
+        The hierarchy's remembered address says *which* snapshot it is, never
+        that this store has it: ``contains`` is asked of this store every
+        time, and anything short of a yes — no remembered address, or one
+        filed elsewhere — encodes once, the text handed back for the caller
+        to file.
+        """
+        digest = hierarchy.known_content_address
+        if digest is not None and self.contains(digest):
+            return digest, None
+        return hierarchy.content_snapshot()
 
     def put_encoded(self, digest: str, encoded: str) -> str:
         """Store a hierarchy's canonical JSON text under its content hash."""

@@ -10,6 +10,10 @@ everything the record is keyed on: a partner's summary mutated or rebuilt,
 the partner list reordered, the installed summary mutated in place, the whole
 session restored, partners unavailable.
 
+After every drawn step each hierarchy's remembered content address
+(``SummaryHierarchy.content_address``) is also held to a fresh encoding: the
+same steps that must invalidate the merged-from record must invalidate it.
+
 The second half counts: without churn — the ``medical-real-32`` workload at 16
 peers — no local summary moves during the run, so the horizon merges nothing,
 and every count and checkpoint byte equals a run that merges at every
@@ -103,6 +107,23 @@ def hold_to_the_merge_from_empty(session):
     engine.reconcile = checking
 
 
+def hold_addresses_to_the_encoding(session):
+    """A remembered content address is the one a fresh encoding hashes to.
+
+    Asking also warms the memo, so the next drawn step is checked against a
+    hierarchy that *has* an address to go stale.
+    """
+    system = session.system
+    hierarchies = [service.summary for service in system.services.values()]
+    hierarchies += [
+        domain.global_summary
+        for domain in system.domains.values()
+        if domain.global_summary is not None
+    ]
+    for hierarchy in hierarchies:
+        assert hierarchy.content_address() == hierarchy_content_hash(hierarchy)
+
+
 def _advance(session, kind, arg):
     """The two steps that move the whole session; returns the one to go on with."""
     if kind == "run":
@@ -179,10 +200,12 @@ def test_every_reconciliation_installs_the_merge_from_empty(seed, churn, sequenc
             session = _advance(session, kind, arg)
         else:
             _touch(session, kind, arg, records)
+        hold_addresses_to_the_encoding(session)
     # Whatever is still pending, one more round over every domain settles it.
     for index in range(len(session.domains)):
         _touch(session, "reconcile", index + 1, records)
     session.run_until(HORIZON)
+    hold_addresses_to_the_encoding(session)
 
 
 def _run_counting_merges(monkeypatch):

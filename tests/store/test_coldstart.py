@@ -19,24 +19,10 @@ from repro.network.topology import TopologyConfig
 from repro.saintetiq.serialization import hierarchy_content_hash
 from repro.store import (
     DomainHeadArchive,
-    InMemoryBackend,
-    JsonDirectoryBackend,
     SnapshotStore,
     SqliteBackend,
 )
 from repro.workloads.patients import MedicalWorkload, build_peer_databases
-
-
-@pytest.fixture(params=["memory", "json", "sqlite"])
-def backend(request, tmp_path):
-    if request.param == "memory":
-        yield InMemoryBackend()
-    elif request.param == "json":
-        yield JsonDirectoryBackend(tmp_path / "store")
-    else:
-        store = SqliteBackend(tmp_path / "store.sqlite")
-        yield store
-        store.close()
 
 
 def _real_session(seed=3, peer_count=16):
@@ -187,6 +173,30 @@ class TestColdStart:
             )
             for _peer_id, digest in head["partners"]:
                 assert snapshots.contains(digest)
+
+    def test_reconciling_an_unmoved_domain_again_encodes_nothing(self, backend, encodings):
+        """``_record_head`` files by remembered address: held means no encoding."""
+        _bg, session = _real_session()
+        session.attach_store(backend)
+        _reconcile_all(session)
+        archive = DomainHeadArchive(backend)
+        heads = {sp_id: archive.head(sp_id) for sp_id in session.domains}
+        stored = SnapshotStore(backend).hashes()
+
+        encodings.clear()
+        _reconcile_all(session)
+        assert encodings == []
+        assert {sp_id: archive.head(sp_id) for sp_id in session.domains} == heads
+        assert SnapshotStore(backend).hashes() == stored
+
+        # The summary peer's own unmoved summary is recognised by the same
+        # remembered address: the no-merge fast path, still no encoding.
+        domain = _largest_domain(session)
+        record = session.cold_start_domain(domain.summary_peer_id)
+        assert encodings == []
+        assert record.restored_snapshot == heads[domain.summary_peer_id]["global_summary"]
+        assert record.messages == 0 and not record.fallback
+        assert record.restored_snapshot == hierarchy_content_hash(domain.global_summary)
 
     def test_ring_hop_accounting_switch_is_honoured(self, backend):
         """count_reconciliation_ring_hops=False: one message, like reconcile()."""

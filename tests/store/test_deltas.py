@@ -15,8 +15,6 @@ from repro.exceptions import StoreError
 from repro.store import (
     CHECKPOINT_KIND,
     InMemoryBackend,
-    JsonDirectoryBackend,
-    SqliteBackend,
     apply_patch,
     checkpoint_base_chain,
     diff_documents,
@@ -24,18 +22,6 @@ from repro.store import (
 )
 from repro.store.deltas import canonical_roundtrip
 from repro.workloads.registry import default_registry
-
-
-@pytest.fixture(params=["memory", "json", "sqlite"])
-def backend(request, tmp_path):
-    if request.param == "memory":
-        yield InMemoryBackend()
-    elif request.param == "json":
-        yield JsonDirectoryBackend(tmp_path / "store")
-    else:
-        store = SqliteBackend(tmp_path / "store.sqlite")
-        yield store
-        store.close()
 
 
 def _build(scenario_name, **overrides):
@@ -125,6 +111,50 @@ class TestDiffPatch:
         new = {"big": list(range(1000)), "small": 2}
         patch = diff_documents(base, new)
         assert "big" not in patch["$dict"]
+
+    def test_aligning_against_nothing_builds_no_matcher(self, monkeypatch):
+        """A drained or append-only list is one splice, read off directly."""
+        import repro.store.deltas as deltas
+
+        def no_matcher(*_args, **_kwargs):
+            pytest.fail("an empty middle needs no SequenceMatcher")
+
+        events = [{"sequence": index, "spec": {"peer": f"p{index}"}} for index in range(50)]
+        monkeypatch.setattr(deltas.difflib, "SequenceMatcher", no_matcher)
+        assert diff_documents(events, []) == {"$splice": [[0, 50, []]]}
+        assert diff_documents(events[:20], events) == {"$splice": [[20, 0, events[20:]]]}
+        assert diff_documents(events[5:], events) == {"$splice": [[0, 0, events[:5]]]}
+        assert diff_documents(events, events[9:]) == {"$splice": [[0, 9, []]]}
+        assert diff_documents([], events) == {"$set": events}
+
+    def test_unchanged_children_are_confirmed_once_per_container(self, monkeypatch):
+        """One encoding per side for all the ``==``-equal children together."""
+        import repro.store.deltas as deltas
+
+        encoded = []
+        encode = deltas._encode
+        monkeypatch.setattr(
+            deltas, "_encode", lambda node: encoded.append(node) or encode(node)
+        )
+        peers = [{"peer_id": f"p{index}", "online": True} for index in range(200)]
+        flipped = [dict(peer) for peer in peers]
+        flipped[17]["online"] = False
+        patch = diff_documents({"peers": peers, "n": 1}, {"peers": flipped, "n": 1})
+        assert patch == {
+            "$dict": {"peers": {"$list": [[17, {"$dict": {"online": {"$set": False}}}]]}}
+        }
+        # The 199 unchanged peers, once per side (398 encodings before); "n"
+        # and the flipped peer's "peer_id" are the same objects on both sides.
+        assert len(encoded) == 2
+
+        # A lookalike inside one peer fails that container's confirmation,
+        # and only then is each candidate confirmed on its own.
+        flipped[40]["online"] = 1
+        encoded.clear()
+        patch = diff_documents({"peers": peers}, {"peers": flipped})
+        assert [index for index, _edit in patch["$dict"]["peers"]["$list"]] == [17, 40]
+        # The peers together, then one by one; peer 40's "online" likewise.
+        assert len(encoded) == (2 + 2 * 199) + (2 + 2)
 
     def test_malformed_patch_raises(self):
         with pytest.raises(StoreError, match="patch"):
@@ -270,6 +300,65 @@ class TestDeltaCheckpoints:
             assert hierarchy_content_hash(
                 restored.system.services[peer_id].summary
             ) == hierarchy_content_hash(service.summary)
+
+
+class _CountingMemoryBackend(InMemoryBackend):
+    """Counts the checkpoint documents read (each one is a fetch and a parse)."""
+
+    def __init__(self):
+        super().__init__()
+        self.checkpoint_reads = []
+
+    def get(self, kind, key):
+        if kind == CHECKPOINT_KIND:
+            self.checkpoint_reads.append(key)
+        return super().get(kind, key)
+
+
+class TestMemoryBackendReadsEachLinkOnce:
+    """A delta save fetches each link of its base chain once (memory backend)."""
+
+    def test_delta_against_a_full_base_reads_it_once(self):
+        store = _CountingMemoryBackend()
+        live = _build("smoke")
+        live.checkpoint(store, name="base")
+        live.run_until(0.5 * live.horizon)
+        assert store.checkpoint_reads == []
+        live.checkpoint(store, name="tip", base="base")
+        assert store.checkpoint_reads == ["base"]
+
+    def test_delta_on_a_chain_reads_each_link_once(self):
+        store = _CountingMemoryBackend()
+        live = _build("smoke")
+        live.checkpoint(store, name="a")
+        for fraction, name, base in ((0.3, "b", "a"), (0.6, "c", "b")):
+            live.run_until(fraction * live.horizon)
+            live.checkpoint(store, name=name, base=base)
+        live.run_until()
+        store.checkpoint_reads.clear()
+        live.checkpoint(store, name="tip", base="c")
+        assert store.checkpoint_reads == ["c", "b", "a"]
+        assert checkpoint_base_chain(store, "tip") == ["tip", "c", "b", "a"]
+        # ... and what those reads resolved to is the live session.
+        reference = _build("smoke")
+        assert _drive(SystemBuilder.from_checkpoint(store, name="tip")) == _drive(reference)
+
+    @pytest.mark.parametrize(
+        "name,base,message",
+        [("self", "self", "itself"), ("a", "b", "resolves through")],
+    )
+    def test_refused_saves_leave_the_checkpoints_untouched(self, name, base, message):
+        store = _CountingMemoryBackend()
+        live = _build("smoke")
+        for full in {name, "a"}:
+            live.checkpoint(store, name=full)
+        live.checkpoint(store, name="b", base="a")
+        before = {key: store.get(CHECKPOINT_KIND, key) for key in store.keys(CHECKPOINT_KIND)}
+        live.run_until()
+        with pytest.raises(StoreError, match=message):
+            live.checkpoint(store, name=name, base=base)
+        after = {key: store.get(CHECKPOINT_KIND, key) for key in store.keys(CHECKPOINT_KIND)}
+        assert after == before
 
 
 def _restored_clone(backend, name):
