@@ -6,11 +6,27 @@ the protocols ask — neighbours, latencies, TTL-bounded broadcast reach — and
 implements the *selective walk* used to discover a summary peer: a random walk
 that always forwards to the highest-degree neighbour (Adamic et al. 2001, as
 cited by the paper).
+
+Latency cost model.  A peer switches summary peers "only if the new SP is
+closer", so the construction asks :meth:`Overlay.latency` about every (peer,
+summary peer) pair a ``sumpeer`` broadcast reaches and maintenance keeps
+asking about the same summary peers.  Two neighbours answer with their link's
+own latency.  Anything else costs one O(E log V) Dijkstra pass per *distinct
+destination* — a stdlib ``heapq`` pass over an integer-indexed adjacency read
+off the graph once — whose result, a list of distances by peer index, is kept;
+every later question about that destination is one dict lookup and one list
+read.  The index, the adjacency and the tables are derived state: built on the
+first miss (never at construction or restore), dropped by :meth:`add_peer` and
+:meth:`remove_peer`, never checkpointed.  Edges edited through
+``overlay.graph`` behind the overlay's back are not seen until the next
+membership change.
 """
 
 from __future__ import annotations
 
 import random
+from heapq import heappop, heappush
+from math import inf
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
@@ -50,8 +66,13 @@ class Overlay:
         # biased repeated walks on regular graphs).
         self._rng = rng if rng is not None else random.Random(0)
         # Latency queries to a same destination (typically a summary peer) are
-        # frequent; cache single-source shortest-path distances per destination.
-        self._latency_cache: Dict[str, Dict[str, float]] = {}
+        # frequent: one Dijkstra pass per distinct destination, its distances
+        # kept as a list by peer index (``inf`` = unreachable).  The index and
+        # the adjacency the passes run over are read off the graph on the
+        # first miss; all three are dropped together on a membership change.
+        self._latency_cache: Dict[str, List[float]] = {}
+        self._peer_index: Dict[str, int] = {}
+        self._adjacency: List[List[Tuple[int, float]]] = []
 
     # -- construction helpers ------------------------------------------------------
 
@@ -127,22 +148,60 @@ class Overlay:
         return int(self._graph.degree(peer_id))
 
     def latency(self, source: str, destination: str) -> float:
-        """End-to-end latency along the cheapest path between two peers."""
+        """End-to-end latency between two peers.
+
+        The link's own latency when the two are neighbours (even where a
+        detour through a third peer would be cheaper), else the latency along
+        the cheapest path.
+        """
         if source == destination:
             return 0.0
         if self._graph.has_edge(source, destination):
-            return float(self._graph.edges[source, destination]["latency"])
+            return self._graph.edges[source, destination]["latency"]
         distances = self._latency_cache.get(destination)
         if distances is None:
-            distances = dict(
-                nx.single_source_dijkstra_path_length(
-                    self._graph, destination, weight="latency"
-                )
-            )
-            self._latency_cache[destination] = distances
-        if source not in distances:
+            distances = self._distances_to(destination)
+        index = self._peer_index.get(source)
+        if index is None:
+            raise NetworkError(f"unknown peer {source!r}")
+        distance = distances[index]
+        if distance == inf:
             raise NetworkError(f"no path between {source!r} and {destination!r}")
-        return float(distances[source])
+        return distance
+
+    def _distances_to(self, destination: str) -> List[float]:
+        """Dijkstra from ``destination``: cheapest-path latency to every peer."""
+        if not self._adjacency:
+            index = self._peer_index = {
+                peer_id: position for position, peer_id in enumerate(self._graph)
+            }
+            self._adjacency = [
+                [(index[nbr], edge["latency"]) for nbr, edge in neighbours.items()]
+                for neighbours in self._graph.adj.values()
+            ]
+        origin = self._peer_index.get(destination)
+        if origin is None:
+            raise NetworkError(f"unknown peer {destination!r}")
+        adjacency = self._adjacency
+        distances = [inf] * len(adjacency)
+        distances[origin] = 0.0
+        heap = [(0.0, origin)]
+        while heap:
+            distance, node = heappop(heap)
+            if distance > distances[node]:
+                continue  # superseded by a cheaper entry pushed later
+            for neighbour, weight in adjacency[node]:
+                candidate = distance + weight
+                if candidate < distances[neighbour]:
+                    distances[neighbour] = candidate
+                    heappush(heap, (candidate, neighbour))
+        self._latency_cache[destination] = distances
+        return distances
+
+    def _drop_latency_state(self) -> None:
+        self._latency_cache = {}
+        self._peer_index = {}
+        self._adjacency = []
 
     def average_degree(self) -> float:
         degrees = [degree for _node, degree in self._graph.degree()]
@@ -169,8 +228,11 @@ class Overlay:
         count = min(count, self.size)
         ranked = sorted(self._graph.degree, key=lambda pair: pair[1], reverse=True)
         elected = [node for node, _degree in ranked[:count]]
+        superpeers = set(elected)
         for peer in self._peers.values():
-            peer.role = PeerRole.SUPERPEER if peer.peer_id in elected else PeerRole.PEER
+            peer.role = (
+                PeerRole.SUPERPEER if peer.peer_id in superpeers else PeerRole.PEER
+            )
         return elected
 
     # -- reachability ------------------------------------------------------------------
@@ -277,12 +339,12 @@ class Overlay:
         if peer_id in self._peers:
             raise NetworkError(f"peer {peer_id!r} already exists")
         self._version += 1
-        self._latency_cache.clear()
+        self._drop_latency_state()
         self._graph.add_node(peer_id)
         for neighbour in neighbors:
             if neighbour not in self._graph:
                 raise NetworkError(f"unknown neighbour {neighbour!r}")
-            self._graph.add_edge(peer_id, neighbour, latency=latency_ms)
+            self._graph.add_edge(peer_id, neighbour, latency=float(latency_ms))
         node = PeerNode(peer_id=peer_id)
         self._peers[peer_id] = node
         node.bind_status_listener(self._track_status)
@@ -293,7 +355,7 @@ class Overlay:
         self.peer(peer_id).bind_status_listener(None)  # raises on unknown peer
         self._version += 1
         self._online_ids.discard(peer_id)
-        self._latency_cache.clear()
+        self._drop_latency_state()
         self._graph.remove_node(peer_id)
         del self._peers[peer_id]
 

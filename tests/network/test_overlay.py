@@ -52,6 +52,27 @@ class TestBasicAccess:
         far = small_overlay.peer_ids[-1]
         assert small_overlay.latency(source, far) >= 0
 
+    def test_neighbours_answer_with_their_link_even_past_a_cheaper_detour(self):
+        import networkx as nx
+
+        graph = nx.Graph()
+        graph.add_edge("a", "b", latency=100.0)
+        graph.add_edge("a", "c", latency=10.0)
+        graph.add_edge("c", "b", latency=10.0)
+        graph.add_edge("b", "d", latency=10.0)
+        overlay = Overlay(graph)
+        assert overlay.latency("a", "b") == 100.0  # the link, not a-c-b = 20
+        assert overlay.latency("b", "a") == 100.0
+        assert overlay.latency("a", "d") == 30.0  # a path does take the detour
+
+    def test_latency_to_or_from_an_unknown_peer_raises_network_error(
+        self, small_overlay
+    ):
+        with pytest.raises(NetworkError, match="unknown peer 'nope'"):
+            small_overlay.latency("p1", "nope")
+        with pytest.raises(NetworkError, match="unknown peer 'nope'"):
+            small_overlay.latency("nope", "p1")
+
     def test_empty_graph_raises(self):
         import networkx as nx
 
@@ -75,6 +96,14 @@ class TestSuperpeerElection:
         degrees = {p: medium_overlay.degree(p) for p in medium_overlay.peer_ids}
         threshold = sorted(degrees.values(), reverse=True)[2]
         assert all(degrees[sp] >= threshold for sp in elected)
+
+    def test_elected_are_returned_in_rank_order(self, medium_overlay):
+        elected = medium_overlay.elect_superpeers(count=8)
+        ranked = sorted(
+            medium_overlay.graph.degree, key=lambda pair: pair[1], reverse=True
+        )
+        assert elected == [node for node, _degree in ranked[:8]]
+        assert {p.peer_id for p in medium_overlay.superpeers()} == set(elected)
 
     def test_count_and_fraction_together_raise(self, medium_overlay):
         with pytest.raises(NetworkError):
@@ -220,6 +249,20 @@ class TestMembership:
     def test_add_peer_with_unknown_neighbour_raises(self, small_overlay):
         with pytest.raises(NetworkError):
             small_overlay.add_peer("p_new", ["p999"])
+
+    def test_removing_a_cut_vertex_turns_an_answer_into_no_path(self):
+        import networkx as nx
+
+        graph = nx.path_graph(3)
+        for edge in graph.edges:
+            graph.edges[edge]["latency"] = 10.0
+        overlay = Overlay(nx.relabel_nodes(graph, {n: f"p{n}" for n in graph.nodes}))
+        assert overlay.latency("p0", "p2") == 20.0
+        overlay.remove_peer("p1")
+        with pytest.raises(NetworkError, match="no path"):
+            overlay.latency("p0", "p2")
+        overlay.add_peer("p3", ["p0", "p2"], latency_ms=5.0)
+        assert overlay.latency("p0", "p2") == 10.0
 
     def test_remove_peer(self, small_overlay):
         small_overlay.remove_peer("p0")

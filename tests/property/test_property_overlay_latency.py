@@ -1,0 +1,139 @@
+"""Property: ``Overlay.latency`` is bit-equal to the library pass it replaced.
+
+``latency`` runs its own ``heapq`` Dijkstra over an index and an adjacency the
+overlay derives from its graph.  ``networkx``'s
+``single_source_dijkstra_path_length`` — what it called until then — lives on
+here as the oracle: over drawn topologies of both models, every answer equals
+the oracle's with float ``==`` (no tolerance: the construction compares these
+doubles with ``<``), a neighbour answers with the link's own latency, and a
+peer the oracle cannot reach raises ``NetworkError``.  The same must hold
+across two components, after ``add_peer`` / ``remove_peer`` (the derived state
+goes with the cache) and on an overlay restored from a checkpoint payload.
+"""
+
+import json
+
+import networkx as nx
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.exceptions import NetworkError
+from repro.network.overlay import Overlay
+from repro.network.topology import TopologyConfig, power_law_topology
+from repro.store.checkpoint import _overlay_from_payload, _overlay_payload
+
+seeds = st.integers(min_value=0, max_value=2**31 - 1)
+# The Waxman generator cannot reach its edge target below five peers.
+topology_configs = st.one_of(
+    st.builds(
+        TopologyConfig,
+        peer_count=st.integers(min_value=2, max_value=200),
+        model=st.just("barabasi_albert"),
+        seed=seeds,
+    ),
+    st.builds(
+        TopologyConfig,
+        peer_count=st.integers(min_value=5, max_value=200),
+        model=st.just("waxman"),
+        seed=seeds,
+    ),
+)
+#: (source, destination) draws, reduced modulo the population at use.
+pair_draws = st.lists(
+    st.tuples(st.integers(min_value=0), st.integers(min_value=0)),
+    min_size=1,
+    max_size=12,
+)
+
+
+def pairs_of(overlay, draws):
+    ids = overlay.peer_ids
+    return [(ids[s % len(ids)], ids[d % len(ids)]) for s, d in draws]
+
+
+def assert_latency_matches_oracle(overlay, source, destination):
+    graph = overlay.graph
+    if source == destination:
+        assert overlay.latency(source, destination) == 0.0
+    elif graph.has_edge(source, destination):
+        expected = graph.edges[source, destination]["latency"]
+        assert overlay.latency(source, destination) == expected
+    else:
+        oracle = nx.single_source_dijkstra_path_length(
+            graph, destination, weight="latency"
+        )
+        if source in oracle:
+            assert overlay.latency(source, destination) == oracle[source]
+        else:
+            with pytest.raises(NetworkError, match="no path"):
+                overlay.latency(source, destination)
+
+
+@given(topology_configs, pair_draws)
+@settings(max_examples=60, deadline=None)
+def test_latency_equals_the_networkx_pass(config, draws):
+    overlay = Overlay.generate(config)
+    for source, destination in pairs_of(overlay, draws):
+        assert_latency_matches_oracle(overlay, source, destination)
+
+
+@given(topology_configs, topology_configs, pair_draws)
+@settings(max_examples=30, deadline=None)
+def test_no_path_across_two_components(left, right, draws):
+    graph = nx.union(
+        power_law_topology(left), power_law_topology(right), rename=("a-", "b-")
+    )
+    overlay = Overlay(graph)
+    for source, destination in pairs_of(overlay, draws):
+        assert_latency_matches_oracle(overlay, source, destination)
+        if source[0] != destination[0]:
+            with pytest.raises(NetworkError, match="no path"):
+                overlay.latency(source, destination)
+            with pytest.raises(NetworkError, match="no path"):
+                overlay.latency(destination, source)
+
+
+@given(
+    topology_configs,
+    pair_draws,
+    st.lists(st.integers(min_value=0), min_size=1, max_size=3),
+    st.floats(min_value=1.0, max_value=200.0),
+    st.integers(min_value=0),
+)
+@settings(max_examples=40, deadline=None)
+def test_membership_changes_drop_the_derived_state(
+    config, draws, anchor_draws, link_ms, victim_draw
+):
+    overlay = Overlay.generate(config)
+    for source, destination in pairs_of(overlay, draws):  # fill the tables
+        assert_latency_matches_oracle(overlay, source, destination)
+
+    ids = overlay.peer_ids
+    anchors = sorted({ids[draw % len(ids)] for draw in anchor_draws})
+    overlay.add_peer("newcomer", anchors, latency_ms=link_ms)
+    for peer_id in ids:  # reachable at once, in both directions
+        assert_latency_matches_oracle(overlay, "newcomer", peer_id)
+        assert_latency_matches_oracle(overlay, peer_id, "newcomer")
+    for source, destination in pairs_of(overlay, draws):  # shortcuts are seen
+        assert_latency_matches_oracle(overlay, source, destination)
+
+    victim = ids[victim_draw % len(ids)]
+    overlay.remove_peer(victim)
+    for source, destination in pairs_of(overlay, draws):  # a cut vertex cuts
+        assert_latency_matches_oracle(overlay, source, destination)
+    with pytest.raises(NetworkError, match="unknown peer"):
+        overlay.latency("newcomer", victim)
+
+
+@given(topology_configs, pair_draws)
+@settings(max_examples=30, deadline=None)
+def test_restored_overlay_answers_as_the_live_one(config, draws):
+    live = Overlay.generate(config)
+    restored = _overlay_from_payload(json.loads(json.dumps(_overlay_payload(live))))
+    for source, destination in pairs_of(live, draws):
+        assert_latency_matches_oracle(restored, source, destination)
+        for peer_id in live.peer_ids:  # the destination's whole table
+            assert restored.latency(peer_id, destination) == live.latency(
+                peer_id, destination
+            )
