@@ -367,7 +367,7 @@ class QueryRouter:
         for peer_id in initiators:
             neighbours = memo.get(peer_id)
             if neighbours is None:
-                if peer_id not in overlay.graph:
+                if peer_id not in overlay.links:
                     continue
                 neighbours = memo[peer_id] = set(overlay.neighbors(peer_id))
             # One hop per extra-domain neighbour: the probe stops as soon as it

@@ -1,11 +1,17 @@
 """The hybrid (superpeer) overlay.
 
-An :class:`Overlay` couples a generated topology graph with per-node state
+An :class:`Overlay` couples a topology with per-node state
 (:class:`~repro.network.peer.PeerNode`).  It answers the structural questions
 the protocols ask — neighbours, latencies, TTL-bounded broadcast reach — and
 implements the *selective walk* used to discover a summary peer: a random walk
 that always forwards to the highest-degree neighbour (Adamic et al. 2001, as
 cited by the paper).
+
+The topology is one insertion-ordered mapping, peer → neighbour → link latency,
+each link under both its ends (:attr:`Overlay.links`).  Both orders are
+protocol-visible (equal-degree superpeer ranking, selective-walk tie-breaks):
+:meth:`Overlay.generate` copies them off the generated graph, a checkpoint
+writes and reads them as they stand, and no graph library is imported here.
 
 Latency cost model.  A peer switches summary peers "only if the new SP is
 closer", so the construction asks :meth:`Overlay.latency` about every (peer,
@@ -13,13 +19,11 @@ summary peer) pair a ``sumpeer`` broadcast reaches and maintenance keeps
 asking about the same summary peers.  Two neighbours answer with their link's
 own latency.  Anything else costs one O(E log V) Dijkstra pass per *distinct
 destination* — a stdlib ``heapq`` pass over an integer-indexed adjacency read
-off the graph once — whose result, a list of distances by peer index, is kept;
+off the links once — whose result, a list of distances by peer index, is kept;
 every later question about that destination is one dict lookup and one list
 read.  The index, the adjacency and the tables are derived state: built on the
 first miss (never at construction or restore), dropped by :meth:`add_peer` and
-:meth:`remove_peer`, never checkpointed.  Edges edited through
-``overlay.graph`` behind the overlay's back are not seen until the next
-membership change.
+:meth:`remove_peer` — the only ways the links change — and never checkpointed.
 """
 
 from __future__ import annotations
@@ -29,22 +33,32 @@ from heapq import heappop, heappush
 from math import inf
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.exceptions import NetworkError
 from repro.network.peer import PeerNode, PeerRole
 from repro.network.topology import TopologyConfig, power_law_topology
 
 
 class Overlay:
-    """A topology graph plus the per-node protocol-visible state."""
+    """A symmetric link mapping plus the per-node protocol-visible state."""
 
-    def __init__(self, graph: nx.Graph, rng: Optional[random.Random] = None) -> None:
-        if graph.number_of_nodes() == 0:
-            raise NetworkError("cannot build an overlay over an empty graph")
-        self._graph = graph
+    def __init__(
+        self, links: Dict[str, Dict[str, float]], rng: Optional[random.Random] = None
+    ) -> None:
+        if not links:
+            raise NetworkError("cannot build an overlay over an empty topology")
+        for peer_id, neighbours in links.items():
+            for neighbour, latency in neighbours.items():
+                if neighbour not in links:
+                    raise NetworkError(f"unknown neighbour {neighbour!r}")
+                if neighbour == peer_id or links[neighbour].get(peer_id) != latency:
+                    raise NetworkError(
+                        f"link {peer_id!r} -> {neighbour!r} is a self-link, "
+                        "one-sided or unequal"
+                    )
+        # Held, not copied: the overlay owns the mapping from here on.
+        self._links = links
         self._peers: Dict[str, PeerNode] = {
-            node: PeerNode(peer_id=node) for node in graph.nodes
+            peer_id: PeerNode(peer_id=peer_id) for peer_id in links
         }
         # Incrementally tracked set of online peer ids.  Maintained by a
         # status listener on every node (join/leave/churn/restore all funnel
@@ -65,11 +79,9 @@ class Overlay:
         # fresh Random(0) per call (which replayed identical tie-breaks and
         # biased repeated walks on regular graphs).
         self._rng = rng if rng is not None else random.Random(0)
-        # Latency queries to a same destination (typically a summary peer) are
-        # frequent: one Dijkstra pass per distinct destination, its distances
-        # kept as a list by peer index (``inf`` = unreachable).  The index and
-        # the adjacency the passes run over are read off the graph on the
-        # first miss; all three are dropped together on a membership change.
+        # Derived latency state (module notes): per-destination distance lists by
+        # peer index (``inf`` = unreachable), and the index and adjacency the
+        # passes run over; built on the first miss, dropped together.
         self._latency_cache: Dict[str, List[float]] = {}
         self._peer_index: Dict[str, int] = {}
         self._adjacency: List[List[Tuple[int, float]]] = []
@@ -78,13 +90,19 @@ class Overlay:
 
     @classmethod
     def generate(cls, config: TopologyConfig) -> "Overlay":
-        return cls(power_law_topology(config))
+        return cls(
+            {
+                peer_id: {nbr: edge["latency"] for nbr, edge in neighbours.items()}
+                for peer_id, neighbours in power_law_topology(config).adj.items()
+            }
+        )
 
     # -- accessors -----------------------------------------------------------------
 
     @property
-    def graph(self) -> nx.Graph:
-        return self._graph
+    def links(self) -> Dict[str, Dict[str, float]]:
+        """Peer → neighbour → link latency: the live mapping, to read only."""
+        return self._links
 
     @property
     def rng(self) -> random.Random:
@@ -137,15 +155,16 @@ class Overlay:
         return [peer for peer in self._peers.values() if peer.is_superpeer]
 
     def neighbors(self, peer_id: str, online_only: bool = True) -> List[str]:
-        if peer_id not in self._graph:
-            raise NetworkError(f"unknown peer {peer_id!r}")
-        neighbours = list(self._graph.neighbors(peer_id))
+        try:
+            neighbours = list(self._links[peer_id])
+        except KeyError as exc:
+            raise NetworkError(f"unknown peer {peer_id!r}") from exc
         if online_only:
             neighbours = [n for n in neighbours if self._peers[n].online]
         return neighbours
 
     def degree(self, peer_id: str) -> int:
-        return int(self._graph.degree(peer_id))
+        return len(self._links[peer_id])
 
     def latency(self, source: str, destination: str) -> float:
         """End-to-end latency between two peers.
@@ -156,8 +175,9 @@ class Overlay:
         """
         if source == destination:
             return 0.0
-        if self._graph.has_edge(source, destination):
-            return self._graph.edges[source, destination]["latency"]
+        direct = self._links.get(source, {}).get(destination)
+        if direct is not None:
+            return direct
         distances = self._latency_cache.get(destination)
         if distances is None:
             distances = self._distances_to(destination)
@@ -173,11 +193,11 @@ class Overlay:
         """Dijkstra from ``destination``: cheapest-path latency to every peer."""
         if not self._adjacency:
             index = self._peer_index = {
-                peer_id: position for position, peer_id in enumerate(self._graph)
+                peer_id: position for position, peer_id in enumerate(self._links)
             }
             self._adjacency = [
-                [(index[nbr], edge["latency"]) for nbr, edge in neighbours.items()]
-                for neighbours in self._graph.adj.values()
+                [(index[nbr], latency) for nbr, latency in neighbours.items()]
+                for neighbours in self._links.values()
             ]
         origin = self._peer_index.get(destination)
         if origin is None:
@@ -204,8 +224,7 @@ class Overlay:
         self._adjacency = []
 
     def average_degree(self) -> float:
-        degrees = [degree for _node, degree in self._graph.degree()]
-        return sum(degrees) / len(degrees)
+        return sum(map(len, self._links.values())) / len(self._links)
 
     # -- superpeer election ----------------------------------------------------------
 
@@ -226,8 +245,7 @@ class Overlay:
             fraction = fraction if fraction is not None else 1.0 / 16.0
             count = max(1, round(fraction * self.size))
         count = min(count, self.size)
-        ranked = sorted(self._graph.degree, key=lambda pair: pair[1], reverse=True)
-        elected = [node for node, _degree in ranked[:count]]
+        elected = sorted(self._links, key=self.degree, reverse=True)[:count]
         superpeers = set(elected)
         for peer in self._peers.values():
             peer.role = (
@@ -338,13 +356,16 @@ class Overlay:
         """Add a brand-new node connected to ``neighbors``."""
         if peer_id in self._peers:
             raise NetworkError(f"peer {peer_id!r} already exists")
+        # Validated before anything moves (a self-link is unknown too: no key yet).
+        new_links = dict.fromkeys(neighbors, float(latency_ms))
+        for neighbour in new_links:
+            if neighbour not in self._links:
+                raise NetworkError(f"unknown neighbour {neighbour!r}")
         self._version += 1
         self._drop_latency_state()
-        self._graph.add_node(peer_id)
-        for neighbour in neighbors:
-            if neighbour not in self._graph:
-                raise NetworkError(f"unknown neighbour {neighbour!r}")
-            self._graph.add_edge(peer_id, neighbour, latency=float(latency_ms))
+        self._links[peer_id] = new_links
+        for neighbour, latency in new_links.items():
+            self._links[neighbour][peer_id] = latency
         node = PeerNode(peer_id=peer_id)
         self._peers[peer_id] = node
         node.bind_status_listener(self._track_status)
@@ -356,7 +377,8 @@ class Overlay:
         self._version += 1
         self._online_ids.discard(peer_id)
         self._drop_latency_state()
-        self._graph.remove_node(peer_id)
+        for neighbour in self._links.pop(peer_id):
+            del self._links[neighbour][peer_id]
         del self._peers[peer_id]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

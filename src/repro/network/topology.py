@@ -10,6 +10,11 @@ generated with BRITE.  Here topologies are generated with either
 both returned as :mod:`networkx` graphs with per-edge latencies.  A helper
 verifies the small-world/power-law characteristics the paper relies on
 (group-locality arguments in Section 5.2.2).
+
+Only this module imports :mod:`networkx` (318 modules, once a third of a
+daemon's start-up), and only inside the functions that generate: restoring a
+checkpoint generates nothing.  It stays because every golden recording depends
+on its generators' exact draws — and, in tests, as the shortest-path oracle.
 """
 
 from __future__ import annotations
@@ -17,11 +22,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.exceptions import NetworkError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,7 @@ def power_law_topology(config: TopologyConfig) -> nx.Graph:
     Nodes are labelled ``"p0" ... "p{n-1}"``; every edge carries a ``latency``
     attribute in milliseconds.
     """
+    import networkx as nx
     rng = random.Random(config.seed)
     if config.model == "barabasi_albert":
         graph = _barabasi_albert(config, rng)
@@ -75,6 +82,7 @@ def power_law_topology(config: TopologyConfig) -> nx.Graph:
 
 
 def _barabasi_albert(config: TopologyConfig, rng: random.Random) -> nx.Graph:
+    import networkx as nx
     # Each new node attaches with m edges; the average degree converges to 2m.
     attachments = max(1, round(config.average_degree / 2))
     attachments = min(attachments, config.peer_count - 1)
@@ -84,6 +92,7 @@ def _barabasi_albert(config: TopologyConfig, rng: random.Random) -> nx.Graph:
 
 
 def _waxman(config: TopologyConfig, rng: random.Random) -> nx.Graph:
+    import networkx as nx
     # Calibrate alpha so the expected degree roughly matches the target; beta
     # fixed at 0.4 (a common BRITE default). The expected number of edges of a
     # Waxman graph is hard to pin analytically, so generate and thin/densify.
@@ -93,7 +102,9 @@ def _waxman(config: TopologyConfig, rng: random.Random) -> nx.Graph:
         alpha=0.25,
         seed=rng.randint(0, 2**31 - 1),
     )
-    target_edges = round(config.peer_count * config.average_degree / 2)
+    # Capped at the complete graph, which the densifying loop could never pass.
+    complete = config.peer_count * (config.peer_count - 1) // 2
+    target_edges = min(round(config.peer_count * config.average_degree / 2), complete)
     edges = list(graph.edges)
     rng.shuffle(edges)
     if len(edges) > target_edges:
@@ -109,6 +120,7 @@ def _waxman(config: TopologyConfig, rng: random.Random) -> nx.Graph:
 
 def _ensure_connected(graph: nx.Graph, rng: random.Random) -> None:
     """Connect stray components by linking them to the giant component."""
+    import networkx as nx
     components = sorted(nx.connected_components(graph), key=len, reverse=True)
     if len(components) <= 1:
         return
@@ -157,15 +169,3 @@ def _estimate_power_law_exponent(degrees: List[int]) -> float:
         return float("inf")
     return 1.0 + len(tail) / log_sum
 
-
-def highest_degree_nodes(graph: nx.Graph, count: int) -> List[str]:
-    """The ``count`` highest-degree nodes (natural superpeer candidates)."""
-    ranked = sorted(graph.degree, key=lambda pair: pair[1], reverse=True)
-    return [node for node, _degree in ranked[:count]]
-
-
-def edge_latency(graph: nx.Graph, source: str, destination: str) -> Optional[float]:
-    """Latency of a direct edge, or None when the nodes are not adjacent."""
-    if graph.has_edge(source, destination):
-        return float(graph.edges[source, destination]["latency"])
-    return None

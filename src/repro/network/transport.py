@@ -125,7 +125,7 @@ class MessageBus:
         message_type: Optional[MessageType] = None,
     ) -> None:
         """Register a handler for one peer (optionally for one message type only)."""
-        if peer_id not in self._overlay.graph:
+        if peer_id not in self._overlay.links:
             raise NetworkError(f"cannot register handler for unknown peer {peer_id!r}")
         if message_type is None:
             self._catch_all[peer_id] = handler

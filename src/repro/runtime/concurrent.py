@@ -25,12 +25,12 @@ class's :meth:`~repro.runtime.base.ExecutionBackend.deliver`.
 Without an ``io_model`` there is nothing to overlap and the drain degenerates
 to the simulator loop (no event loop is spun up); with one, the speedup on a
 maintenance-heavy multi-domain workload is guarded by
-``benchmarks/bench_runtime.py``.
+``benchmarks/bench_runtime.py``.  :mod:`asyncio` is likewise imported only where
+a loop is about to run: every process imports this module, few ever overlap a wait.
 """
 
 from __future__ import annotations
 
-import asyncio
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
@@ -126,6 +126,7 @@ class ConcurrentBackend(ExecutionBackend):
             # Nothing to overlap: the ordered drain degenerates to the
             # simulator loop, with no event loop spun up.
             return self._clock.run(until=until)
+        import asyncio
         try:
             asyncio.get_running_loop()
         except RuntimeError:
@@ -157,6 +158,7 @@ class ConcurrentBackend(ExecutionBackend):
         """Phase 1: pay the window's I/O costs concurrently, per-actor."""
         io_model = self._io_model
         assert io_model is not None
+        import asyncio
         waits: Dict[str, List[float]] = {}
         for event in events:
             cost = io_model(event.label)

@@ -44,10 +44,10 @@ Determinism notes
   :meth:`SummaryManagementSystem.schedule_event_from_spec`); their original
   sequence numbers are preserved so same-timestamp ties break as in the
   uninterrupted run.
-* The overlay's per-node adjacency *order* is serialized and re-imposed on
-  the rebuilt graph: neighbour order feeds the selective walk's tie-breaking
-  RNG, so byte-identical continuation needs the exact order, which plain
-  edge-list reconstruction cannot guarantee.
+* The overlay's links are written and read as one ordered mapping (peer →
+  neighbour → latency, each link under both ends): neighbour order feeds the
+  selective walk's tie-breaking RNG, so byte-identical continuation needs the
+  exact order, which an edge list cannot carry.
 * Dict insertion orders that are protocol-visible (domain visit order,
   cooperation-list partner order, partner distances) are serialized as
   ordered lists.
@@ -57,8 +57,6 @@ from __future__ import annotations
 
 import random
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
-
-import networkx as nx
 
 from repro.core.config import ProtocolConfig
 from repro.core.content import PlannedContentModel, SummaryContentModel
@@ -128,17 +126,17 @@ def _or_inf(value: Optional[float]) -> float:
 
 
 def _overlay_payload(overlay: Overlay) -> Dict[str, Any]:
-    graph = overlay.graph
+    links = overlay.links
     return {
-        "nodes": list(graph.nodes),
+        "nodes": list(links),
         # The overlay's own tie-breaking RNG (used when a selective walk is
         # invoked without an explicit one): its state must survive restore or
         # post-restore default walks would diverge from the live session.
         "rng": _rng_payload(overlay.rng),
         # Per-node adjacency in its exact iteration order (see module notes).
         "adjacency": [
-            [node, [[nbr, edge["latency"]] for nbr, edge in neighbours.items()]]
-            for node, neighbours in graph.adjacency()
+            [node, [[nbr, latency] for nbr, latency in neighbours.items()]]
+            for node, neighbours in links.items()
         ],
         "peers": [
             {
@@ -155,20 +153,9 @@ def _overlay_payload(overlay: Overlay) -> Dict[str, Any]:
 
 
 def _overlay_from_payload(payload: Dict[str, Any]) -> Overlay:
-    graph = nx.Graph()
-    graph.add_nodes_from(payload["nodes"])
-    for node, neighbours in payload["adjacency"]:
-        for neighbour, latency in neighbours:
-            if not graph.has_edge(node, neighbour):
-                graph.add_edge(node, neighbour, latency=float(latency))
-    # Re-impose the serialized adjacency order: the edge-attribute dicts are
-    # shared between both endpoints, so reordering the keys keeps them aliased.
-    for node, neighbours in payload["adjacency"]:
-        adjacency = graph._adj[node]  # noqa: SLF001 - order restoration
-        graph._adj[node] = {  # noqa: SLF001
-            neighbour: adjacency[neighbour] for neighbour, _latency in neighbours
-        }
-    overlay = Overlay(graph)
+    # ``Overlay`` rejects a one-sided or unequal link with a NetworkError.
+    links = {node: dict(neighbours) for node, neighbours in payload["adjacency"]}
+    overlay = Overlay(links)
     if "rng" in payload:
         _rng_restore(overlay.rng, payload["rng"])
     for state in payload["peers"]:

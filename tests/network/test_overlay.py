@@ -7,7 +7,15 @@ import pytest
 from repro.exceptions import NetworkError
 from repro.network.overlay import Overlay
 from repro.network.peer import PeerRole
-from repro.network.topology import TopologyConfig
+from repro.network.topology import TopologyConfig, power_law_topology
+
+
+def complete_links(size, latency=10.0):
+    """The complete graph on ``p0 … p{size-1}`` as an overlay's link mapping."""
+    return {
+        f"p{i}": {f"p{j}": latency for j in range(size) if j != i}
+        for i in range(size)
+    }
 
 
 class TestBasicAccess:
@@ -53,14 +61,14 @@ class TestBasicAccess:
         assert small_overlay.latency(source, far) >= 0
 
     def test_neighbours_answer_with_their_link_even_past_a_cheaper_detour(self):
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_edge("a", "b", latency=100.0)
-        graph.add_edge("a", "c", latency=10.0)
-        graph.add_edge("c", "b", latency=10.0)
-        graph.add_edge("b", "d", latency=10.0)
-        overlay = Overlay(graph)
+        overlay = Overlay(
+            {
+                "a": {"b": 100.0, "c": 10.0},
+                "b": {"a": 100.0, "c": 10.0, "d": 10.0},
+                "c": {"a": 10.0, "b": 10.0},
+                "d": {"b": 10.0},
+            }
+        )
         assert overlay.latency("a", "b") == 100.0  # the link, not a-c-b = 20
         assert overlay.latency("b", "a") == 100.0
         assert overlay.latency("a", "d") == 30.0  # a path does take the detour
@@ -73,11 +81,39 @@ class TestBasicAccess:
         with pytest.raises(NetworkError, match="unknown peer 'nope'"):
             small_overlay.latency("nope", "p1")
 
-    def test_empty_graph_raises(self):
-        import networkx as nx
 
-        with pytest.raises(NetworkError):
-            Overlay(nx.Graph())
+class TestLinks:
+    def test_empty_mapping_raises(self):
+        with pytest.raises(NetworkError, match="empty"):
+            Overlay({})
+
+    def test_unknown_neighbour_raises(self):
+        with pytest.raises(NetworkError, match="unknown neighbour 'c'"):
+            Overlay({"a": {"b": 10.0, "c": 10.0}, "b": {"a": 10.0}})
+
+    def test_self_link_raises(self):
+        with pytest.raises(NetworkError, match="self-link"):
+            Overlay({"a": {"a": 10.0, "b": 10.0}, "b": {"a": 10.0}})
+
+    def test_one_sided_link_raises(self):
+        with pytest.raises(NetworkError, match="one-sided or unequal"):
+            Overlay({"a": {"b": 10.0}, "b": {}})
+
+    def test_unequal_link_raises(self):
+        with pytest.raises(NetworkError, match="one-sided or unequal"):
+            Overlay({"a": {"b": 10.0}, "b": {"a": 20.0}})
+
+    @pytest.mark.parametrize("model", ["barabasi_albert", "waxman"])
+    def test_generate_copies_the_generated_adjacency_in_its_order(self, model):
+        config = TopologyConfig(peer_count=60, model=model, seed=11)
+        expected = [
+            (node, [(nbr, edge["latency"]) for nbr, edge in neighbours.items()])
+            for node, neighbours in power_law_topology(config).adj.items()
+        ]
+        links = Overlay.generate(config).links
+        assert [
+            (node, list(neighbours.items())) for node, neighbours in links.items()
+        ] == expected
 
 
 class TestSuperpeerElection:
@@ -99,10 +135,11 @@ class TestSuperpeerElection:
 
     def test_elected_are_returned_in_rank_order(self, medium_overlay):
         elected = medium_overlay.elect_superpeers(count=8)
+        # Highest degree first, equal degrees in peer order (a stable sort).
         ranked = sorted(
-            medium_overlay.graph.degree, key=lambda pair: pair[1], reverse=True
+            medium_overlay.peer_ids, key=medium_overlay.degree, reverse=True
         )
-        assert elected == [node for node, _degree in ranked[:8]]
+        assert elected == ranked[:8]
         assert {p.peer_id for p in medium_overlay.superpeers()} == set(elected)
 
     def test_count_and_fraction_together_raise(self, medium_overlay):
@@ -181,14 +218,7 @@ class TestSelectiveWalk:
         forced down the same path forever; drawing from the overlay's shared,
         advancing RNG lets repeated walks explore different tie-breaks.
         """
-        import networkx as nx
-
-        graph = nx.complete_graph(8)
-        for edge in graph.edges:
-            graph.edges[edge]["latency"] = 10.0
-        overlay = Overlay(
-            nx.relabel_nodes(graph, {n: f"p{n}" for n in graph.nodes})
-        )
+        overlay = Overlay(complete_links(8))
 
         def traced_walk():
             path = []
@@ -205,14 +235,7 @@ class TestSelectiveWalk:
         assert first != second
 
     def test_explicit_rng_still_reproducible(self):
-        import networkx as nx
-
-        graph = nx.complete_graph(8)
-        for edge in graph.edges:
-            graph.edges[edge]["latency"] = 10.0
-        overlay = Overlay(
-            nx.relabel_nodes(graph, {n: f"p{n}" for n in graph.nodes})
-        )
+        overlay = Overlay(complete_links(8))
         walks = [
             overlay.selective_walk(
                 "p0", lambda p: False, max_hops=6, rng=random.Random(7)
@@ -251,12 +274,9 @@ class TestMembership:
             small_overlay.add_peer("p_new", ["p999"])
 
     def test_removing_a_cut_vertex_turns_an_answer_into_no_path(self):
-        import networkx as nx
-
-        graph = nx.path_graph(3)
-        for edge in graph.edges:
-            graph.edges[edge]["latency"] = 10.0
-        overlay = Overlay(nx.relabel_nodes(graph, {n: f"p{n}" for n in graph.nodes}))
+        overlay = Overlay(
+            {"p0": {"p1": 10.0}, "p1": {"p0": 10.0, "p2": 10.0}, "p2": {"p1": 10.0}}
+        )
         assert overlay.latency("p0", "p2") == 20.0
         overlay.remove_peer("p1")
         with pytest.raises(NetworkError, match="no path"):
@@ -264,8 +284,37 @@ class TestMembership:
         overlay.add_peer("p3", ["p0", "p2"], latency_ms=5.0)
         assert overlay.latency("p0", "p2") == 10.0
 
+    def test_a_failed_add_peer_leaves_the_overlay_untouched(self, small_overlay):
+        """Regression: the new node and its first links survived the error."""
+        overlay = small_overlay
+        overlay.latency("p1", overlay.peer_ids[-1])  # derive the latency tables
+
+        def state():
+            return (
+                {peer: dict(neighbours) for peer, neighbours in overlay.links.items()},
+                overlay.peer_ids,
+                overlay.version,
+                dict(overlay._latency_cache),
+                dict(overlay._peer_index),
+                list(overlay._adjacency),
+            )
+
+        before = state()
+        assert all(before[3:])  # there is derived state to lose
+        for neighbours in (["p0", "nope"], ["p0", "p_new"]):  # unknown; itself
+            with pytest.raises(NetworkError, match="unknown neighbour"):
+                overlay.add_peer("p_new", neighbours)
+            assert state() == before
+        assert "p_new" not in small_overlay.neighbors("p0", online_only=False)
+        assert "p_new" not in small_overlay.elect_superpeers(count=small_overlay.size)
+
     def test_remove_peer(self, small_overlay):
+        neighbours = small_overlay.neighbors("p0", online_only=False)
         small_overlay.remove_peer("p0")
         assert small_overlay.size == 31
         with pytest.raises(NetworkError):
             small_overlay.peer("p0")
+        assert "p0" not in small_overlay.links
+        for neighbour in neighbours:  # no dangling entry on the other side
+            assert "p0" not in small_overlay.links[neighbour]
+            assert "p0" not in small_overlay.neighbors(neighbour, online_only=False)

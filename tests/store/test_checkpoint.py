@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.config import ProtocolConfig
 from repro.core.session import SystemBuilder
-from repro.exceptions import StoreError
+from repro.exceptions import NetworkError, StoreError
 from repro.fuzzy.vocabularies import medical_background_knowledge
 from repro.network.overlay import Overlay
 from repro.network.topology import TopologyConfig
@@ -24,7 +24,11 @@ from repro.store import (
     SessionCache,
     SqliteBackend,
 )
-from repro.store.checkpoint import list_checkpoints
+from repro.store.checkpoint import (
+    _overlay_from_payload,
+    _overlay_payload,
+    list_checkpoints,
+)
 from repro.workloads.patients import MedicalWorkload, build_peer_databases
 from repro.workloads.queries import paper_example_query
 from repro.workloads.registry import default_registry
@@ -250,6 +254,20 @@ class TestErrors:
         live.system.simulator.schedule(10.0, lambda: None, label="ad-hoc")
         with pytest.raises(StoreError, match="ad-hoc"):
             live.checkpoint(backend)
+
+    def test_asymmetric_adjacency_is_a_typed_error(self):
+        """It used to be symmetrised silently, by the first-seen latency."""
+        payload = _overlay_payload(Overlay.generate(TopologyConfig(peer_count=8)))
+        assert _overlay_from_payload(payload).links == dict(
+            (node, dict(neighbours)) for node, neighbours in payload["adjacency"]
+        )
+        node, neighbours = payload["adjacency"][0]
+        neighbours[0][1] += 1.0  # one direction of one link
+        with pytest.raises(NetworkError, match="one-sided or unequal"):
+            _overlay_from_payload(payload)
+        del neighbours[0]  # the other direction alone
+        with pytest.raises(NetworkError, match="one-sided or unequal"):
+            _overlay_from_payload(payload)
 
     def test_checkpoint_without_content_refuses(self, backend):
         session = (
