@@ -67,7 +67,7 @@ True
 0
 
 Networks fail; the protocol answers anyway.  A seeded :class:`FaultPlan`
-injects partitions, link loss, duplicates and mass departures into the run
+injects partitions, link loss and mass departures into the run
 (the empty plan is byte-identical to no plan at all), and every answer
 carries a :class:`DegradationReport` stating exactly which domains could not
 be reached — a partial answer is always *marked*, never silently incomplete:

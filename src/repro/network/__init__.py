@@ -13,13 +13,12 @@ here; this package provides functionally equivalent substitutes:
 * :mod:`repro.network.messages` / :mod:`repro.network.metrics` — message
   accounting, the primary metric of the evaluation,
 * :mod:`repro.network.faults` — seeded fault injection (partitions, message
-  loss, duplicates, correlated failures) for the robustness scenarios.
+  loss, correlated failures) for the robustness scenarios.
 """
 
 from repro.network.churn import LifetimeDistribution
 from repro.network.faults import (
     DomainFailureEvent,
-    ExpiringSet,
     FaultInjector,
     FaultPlan,
     FaultStats,
@@ -28,13 +27,12 @@ from repro.network.faults import (
     MassacreEvent,
     PartitionEvent,
 )
-from repro.network.messages import Message, MessageType
+from repro.network.messages import MessageType
 from repro.network.metrics import MessageCounter, TrafficReport
 from repro.network.overlay import Overlay
 from repro.network.peer import PeerNode, PeerRole
 from repro.network.simulator import Event, Simulator
 from repro.network.topology import TopologyConfig, power_law_topology
-from repro.network.transport import MessageBus
 
 __all__ = [
     "Simulator",
@@ -45,11 +43,9 @@ __all__ = [
     "PeerRole",
     "Overlay",
     "LifetimeDistribution",
-    "Message",
     "MessageType",
     "MessageCounter",
     "TrafficReport",
-    "MessageBus",
     "FaultPlan",
     "FaultInjector",
     "FaultStats",
@@ -58,5 +54,4 @@ __all__ = [
     "DomainFailureEvent",
     "MassacreEvent",
     "FlashCrowdEvent",
-    "ExpiringSet",
 ]

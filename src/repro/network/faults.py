@@ -5,8 +5,7 @@ The reproduction's churn model (log-normal peer death, Section 4.3) is the
 domains never die together.  This module supplies the adversarial rest — a
 :class:`FaultPlan` of composable policies:
 
-* **link faults** — per-message drop / duplicate / delay-jitter on every
-  link (:class:`LinkFaults`);
+* **link faults** — per-message loss on every link (:class:`LinkFaults`);
 * **partitions** — the overlay splits into groups that cannot exchange
   messages, with an optional scheduled re-merge (:class:`PartitionEvent`);
 * **correlated domain failures** — a whole domain (summary peer and every
@@ -41,50 +40,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.exceptions import ConfigurationError
 
 
-class ExpiringSet:
-    """A set whose members lapse after a TTL (duplicate-suppression window).
-
-    Receivers remember recently delivered message ids for ``ttl_seconds`` of
-    simulated time; a fault-injected duplicate arriving inside the window is
-    recognised and suppressed, while the bounded TTL keeps the memory from
-    growing with the whole run.
-    """
-
-    def __init__(self, ttl_seconds: float = 30.0) -> None:
-        if ttl_seconds <= 0:
-            raise ConfigurationError("ExpiringSet ttl_seconds must be positive")
-        self._ttl = float(ttl_seconds)
-        self._seen: Dict[object, float] = {}
-
-    @property
-    def ttl_seconds(self) -> float:
-        return self._ttl
-
-    def add_if_new(self, key: object, now: float) -> bool:
-        """Record ``key``; True when it was not already live at ``now``."""
-        self.prune(now)
-        if key in self._seen:
-            self._seen[key] = now  # refresh the window
-            return False
-        self._seen[key] = now
-        return True
-
-    def prune(self, now: float) -> None:
-        """Drop every member older than the TTL."""
-        cutoff = now - self._ttl
-        if not self._seen:
-            return
-        expired = [key for key, seen_at in self._seen.items() if seen_at < cutoff]
-        for key in expired:
-            del self._seen[key]
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._seen
-
-    def __len__(self) -> int:
-        return len(self._seen)
-
-
 def _require_probability(value: float, name: str) -> None:
     if not 0.0 <= value <= 1.0:
         raise ConfigurationError(f"{name} must lie in [0, 1], got {value}")
@@ -101,24 +56,13 @@ class LinkFaults:
 
     #: Probability that any one transmission is silently lost.
     drop_probability: float = 0.0
-    #: Probability that a delivered message also arrives a second time.
-    duplicate_probability: float = 0.0
-    #: Uniform extra latency in [0, jitter] added per delivery (reorders
-    #: messages relative to fixed-latency siblings).
-    delay_jitter_ms: float = 0.0
 
     def __post_init__(self) -> None:
         _require_probability(self.drop_probability, "drop_probability")
-        _require_probability(self.duplicate_probability, "duplicate_probability")
-        _require_non_negative(self.delay_jitter_ms, "delay_jitter_ms")
 
     @property
     def any(self) -> bool:
-        return (
-            self.drop_probability > 0
-            or self.duplicate_probability > 0
-            or self.delay_jitter_ms > 0
-        )
+        return self.drop_probability > 0
 
 
 @dataclass(frozen=True)
@@ -225,11 +169,7 @@ class FaultPlan:
     def to_payload(self) -> Dict[str, object]:
         return {
             "seed": self.seed,
-            "link": {
-                "drop_probability": self.link.drop_probability,
-                "duplicate_probability": self.link.duplicate_probability,
-                "delay_jitter_ms": self.link.delay_jitter_ms,
-            },
+            "link": {"drop_probability": self.link.drop_probability},
             "partitions": [
                 {
                     "at": event.at,
@@ -264,14 +204,11 @@ class FaultPlan:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "FaultPlan":
+        # Named reads only: older checkpoints carry link keys no longer read.
         link = dict(payload.get("link") or {})
         return cls(
             seed=int(payload.get("seed", 0)),
-            link=LinkFaults(
-                drop_probability=float(link.get("drop_probability", 0.0)),
-                duplicate_probability=float(link.get("duplicate_probability", 0.0)),
-                delay_jitter_ms=float(link.get("delay_jitter_ms", 0.0)),
-            ),
+            link=LinkFaults(drop_probability=float(link.get("drop_probability", 0.0))),
             partitions=tuple(
                 PartitionEvent(
                     at=float(event["at"]),
@@ -317,7 +254,6 @@ class FaultStats:
     """What the injector actually did to one run."""
 
     messages_dropped: int = 0
-    messages_duplicated: int = 0
     retries: int = 0
     failed_pushes: int = 0
     unreachable_probes: int = 0
@@ -326,7 +262,6 @@ class FaultStats:
     def state_payload(self) -> Dict[str, object]:
         return {
             "messages_dropped": self.messages_dropped,
-            "messages_duplicated": self.messages_duplicated,
             "retries": self.retries,
             "failed_pushes": self.failed_pushes,
             "unreachable_probes": self.unreachable_probes,
@@ -337,7 +272,6 @@ class FaultStats:
     def from_state(cls, payload: Dict[str, object]) -> "FaultStats":
         return cls(
             messages_dropped=int(payload.get("messages_dropped", 0)),
-            messages_duplicated=int(payload.get("messages_duplicated", 0)),
             retries=int(payload.get("retries", 0)),
             failed_pushes=int(payload.get("failed_pushes", 0)),
             unreachable_probes=int(payload.get("unreachable_probes", 0)),
@@ -409,26 +343,9 @@ class FaultInjector:
     def lossy(self) -> bool:
         return self.plan.link.drop_probability > 0
 
-    @property
-    def duplicating(self) -> bool:
-        return self.plan.link.duplicate_probability > 0
-
-    @property
-    def jittery(self) -> bool:
-        return self.plan.link.delay_jitter_ms > 0
-
     def disrupts_link(self, source: str, destination: str) -> bool:
         """Whether this link can currently fail (partitioned apart or lossy)."""
         return self.lossy or not self.reachable(source, destination)
-
-    def draw_loss(self) -> bool:
-        return self.rng.random() < self.plan.link.drop_probability
-
-    def draw_duplicate(self) -> bool:
-        return self.rng.random() < self.plan.link.duplicate_probability
-
-    def draw_jitter_ms(self) -> float:
-        return self.rng.random() * self.plan.link.delay_jitter_ms
 
     def attempt_delivery(
         self, source: str, destination: str, max_retries: int = 0

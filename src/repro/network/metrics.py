@@ -6,38 +6,26 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional
 
-from repro.network.messages import Message, MessageType
+from repro.network.messages import MessageType
 
 
 class MessageCounter:
-    """Counts messages by type (and optionally by sender)."""
+    """Counts messages by type, plus the fault layer's drops and retries."""
 
     def __init__(self) -> None:
         self._by_type: Counter = Counter()
-        self._by_sender: Counter = Counter()
-        self._bytes = 0
-        # Fault-layer accounting (PRs past the benign-churn era): how many
-        # messages never arrived, arrived twice, or had to be retransmitted.
+        # Fault-layer accounting: how many messages never arrived or had to
+        # be retransmitted.
         self._dropped: Counter = Counter()
-        self._duplicates = 0
         self._retries = 0
 
-    def record(self, message: Message) -> None:
-        self._by_type[message.type] += 1
-        self._by_sender[message.source] += 1
-        self._bytes += message.size_bytes
-
     def record_type(self, message_type: MessageType, count: int = 1) -> None:
-        """Account for messages without materialising :class:`Message` objects."""
+        """Account for ``count`` messages of one type."""
         self._by_type[message_type] += count
 
     def record_dropped(self, reason: str = "", count: int = 1) -> None:
         """Account for messages that were sent but never delivered."""
         self._dropped[reason or "unspecified"] += count
-
-    def record_duplicate(self, count: int = 1) -> None:
-        """Account for fault-injected duplicate deliveries."""
-        self._duplicates += count
 
     def record_retry(self, count: int = 1) -> None:
         """Account for retransmissions (each is also counted by its type)."""
@@ -54,24 +42,13 @@ class MessageCounter:
     def by_type(self) -> Dict[MessageType, int]:
         return dict(self._by_type)
 
-    def by_sender(self) -> Dict[str, int]:
-        return dict(self._by_sender)
-
     @property
     def total(self) -> int:
         return sum(self._by_type.values())
 
     @property
-    def total_bytes(self) -> int:
-        return self._bytes
-
-    @property
     def dropped_total(self) -> int:
         return sum(self._dropped.values())
-
-    @property
-    def duplicate_total(self) -> int:
-        return self._duplicates
 
     @property
     def retry_total(self) -> int:
@@ -82,26 +59,20 @@ class MessageCounter:
 
     def merge(self, other: "MessageCounter") -> None:
         self._by_type.update(other._by_type)
-        self._by_sender.update(other._by_sender)
-        self._bytes += other._bytes
         self._dropped.update(other._dropped)
-        self._duplicates += other._duplicates
         self._retries += other._retries
 
     def reset(self) -> None:
         self._by_type.clear()
-        self._by_sender.clear()
-        self._bytes = 0
         self._dropped.clear()
-        self._duplicates = 0
         self._retries = 0
 
     def to_metrics(self, registry, prefix: str = "repro_messages") -> None:
         """Bridge the current totals into a :class:`repro.obs.MetricsRegistry`.
 
         Adds this counter's totals to the registry's series — per-type counts
-        under ``<prefix>_total{type=...}``, then bytes, drops (by reason),
-        duplicates and retries.  Bridge once per counter lifetime (or after a
+        under ``<prefix>_total{type=...}``, then drops (by reason) and
+        retries.  Bridge once per counter lifetime (or after a
         :meth:`reset`): the registry accumulates.  Reading the counter this
         way mutates nothing here — :meth:`state_payload` is unchanged.
         """
@@ -111,14 +82,10 @@ class MessageCounter:
                 self._by_type[message_type],
                 type=message_type.value,
             )
-        if self._bytes:
-            registry.inc(f"{prefix}_bytes_total", self._bytes)
         for reason in sorted(self._dropped):
             registry.inc(
                 f"{prefix}_dropped_total", self._dropped[reason], reason=reason
             )
-        if self._duplicates:
-            registry.inc(f"{prefix}_duplicates_total", self._duplicates)
         if self._retries:
             registry.inc(f"{prefix}_retries_total", self._retries)
 
@@ -132,13 +99,13 @@ class MessageCounter:
         """
         payload: Dict[str, object] = {
             "by_type": {mt.value: count for mt, count in self._by_type.items()},
-            "by_sender": dict(self._by_sender),
-            "bytes": self._bytes,
+            # Constants kept for the bytes: every checkpoint ever written holds
+            # exactly these, and the construction golden hashes this payload.
+            "by_sender": {},
+            "bytes": 0,
         }
         if self._dropped:
             payload["dropped"] = dict(self._dropped)
-        if self._duplicates:
-            payload["duplicates"] = self._duplicates
         if self._retries:
             payload["retries"] = self._retries
         return payload
@@ -148,12 +115,8 @@ class MessageCounter:
         counter = cls()
         for value, count in payload.get("by_type", {}).items():  # type: ignore[union-attr]
             counter._by_type[MessageType(value)] = int(count)
-        for sender, count in payload.get("by_sender", {}).items():  # type: ignore[union-attr]
-            counter._by_sender[sender] = int(count)
-        counter._bytes = int(payload.get("bytes", 0))  # type: ignore[arg-type]
         for reason, count in payload.get("dropped", {}).items():  # type: ignore[union-attr]
             counter._dropped[reason] = int(count)
-        counter._duplicates = int(payload.get("duplicates", 0))  # type: ignore[arg-type]
         counter._retries = int(payload.get("retries", 0))  # type: ignore[arg-type]
         return counter
 

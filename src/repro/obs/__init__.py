@@ -6,7 +6,7 @@ gauges, fixed-bucket histograms) with a :class:`Tracer` (span trees on the
 simulator *and* wall clocks, emitted to a pluggable :class:`TraceSink`).
 
 Instrumented components — the protocol engine, query router, fault injector,
-message bus, snapshot store, lazy hierarchy source, and the serve daemon —
+snapshot store, lazy hierarchy source, and the serve daemon —
 each hold an ``Observability`` hook that is ``None`` by default.  With the
 hook unset every instrumentation site is a single pointer test, so the
 uninstrumented path is byte-identical (answers, message counters, RNG state)

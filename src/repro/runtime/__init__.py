@@ -1,6 +1,6 @@
 """``repro.runtime`` — pluggable execution backends for the protocol engine.
 
-The protocol, transport and session layers schedule work through one
+The protocol and session layers schedule work through one
 :class:`ExecutionBackend` surface; which backend executes it is a knob
 (``SystemBuilder().runtime(...)``, ``SimulationScenario(runtime=...)``,
 ``repro run-scenario --runtime ...``), defaulting to the deterministic

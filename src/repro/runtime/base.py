@@ -1,12 +1,8 @@
-"""The execution-backend contract: one scheduling/clock/delivery surface.
+"""The execution-backend contract: one scheduling/clock surface.
 
-Before this package existed, ``SummaryManagementSystem``, ``MessageBus`` and
-the discrete-event :class:`~repro.network.simulator.Simulator` interleaved
-freely: protocol code scheduled callbacks straight onto the simulator and
-assumed every delivery executed inline in the calling thread.  An
-:class:`ExecutionBackend` draws the line cleanly — the protocol and transport
-layers schedule *through* the backend, and the backend decides how events
-actually execute:
+The protocol engine schedules *through* an :class:`ExecutionBackend` — never
+straight onto the discrete-event :class:`~repro.network.simulator.Simulator`
+— and the backend decides how events actually execute:
 
 * :class:`~repro.runtime.simulator.SimulatorBackend` runs them exactly as
   before — one thread, strict ``(time, sequence)`` order — and is the
@@ -21,12 +17,9 @@ the event queue, ``now``, sequence numbering, and the checkpoint hooks
 (``pending``/``load_state``/``restore_event``) all live there, which keeps
 checkpoint payloads and restore byte-identical across backends.
 
-Delivery-shaped events go through :meth:`ExecutionBackend.deliver`, which
-adds two things plain scheduling does not have: an ``actor`` tag (which
-peer's mailbox the work belongs to, for backends that fan out per actor) and
-optional TTL'd duplicate suppression via a ``dedup_key``
-(:class:`~repro.network.faults.ExpiringSet` on virtual time, so suppression
-is deterministic on every backend).
+An event may carry an ``actor`` tag (``schedule(..., actor=)``): the peer or
+domain whose mailbox the work belongs to, for backends that fan out per
+actor.
 """
 
 from __future__ import annotations
@@ -34,7 +27,6 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.network.faults import ExpiringSet
 from repro.network.simulator import Event, EventCallback, Simulator
 
 #: Maps an event label to the I/O-shaped cost (seconds of wall clock) its
@@ -48,23 +40,17 @@ class ExecutionBackend:
     """Base class: owns the virtual clock, defines the scheduling surface.
 
     Subclasses override :meth:`run` (how a drain actually executes) and may
-    extend :meth:`install_observability`.  Everything else — scheduling,
-    delivery bookkeeping, duplicate suppression, checkpoint passthroughs —
-    is shared, so the two backends cannot drift apart on semantics.
+    extend :meth:`install_observability`.  Everything else — scheduling and
+    the checkpoint passthroughs — is shared, so the two backends cannot
+    drift apart on semantics.
     """
 
     #: Short identifier recorded in checkpoints (overridden per subclass).
     name = "base"
 
-    def __init__(
-        self,
-        io_model: Optional[IoModel] = None,
-        duplicate_ttl_seconds: float = 30.0,
-    ) -> None:
+    def __init__(self, io_model: Optional[IoModel] = None) -> None:
         self._clock = Simulator()
         self._io_model = io_model
-        self._dedup = ExpiringSet(ttl_seconds=duplicate_ttl_seconds)
-        self._suppressed = 0
         #: Metrics+trace hook; None keeps scheduling on the uninstrumented path.
         self._obs = None
 
@@ -94,11 +80,6 @@ class ExecutionBackend:
     @property
     def io_model(self) -> Optional[IoModel]:
         return self._io_model
-
-    @property
-    def suppressed_deliveries(self) -> int:
-        """Deliveries dropped by :meth:`deliver`'s duplicate suppression."""
-        return self._suppressed
 
     def create_rng(self, seed: int) -> random.Random:
         """A seeded RNG for protocol content/fault draws.
@@ -138,33 +119,6 @@ class ExecutionBackend:
         if actor is not None:
             self._tag_actor(event, actor)
         return event
-
-    def deliver(
-        self,
-        delay: float,
-        callback: EventCallback,
-        label: str = "",
-        actor: Optional[str] = None,
-        dedup_key: Optional[object] = None,
-        spec: Optional[Dict[str, object]] = None,
-    ) -> Optional[Event]:
-        """Schedule a message delivery; returns ``None`` when suppressed.
-
-        ``actor`` names the receiving peer (or domain): backends that fan
-        work out group deliveries by actor, one mailbox each.  A non-``None``
-        ``dedup_key`` arms TTL'd duplicate suppression — the second delivery
-        with the same live key is dropped before it is ever scheduled.  Both
-        behaviours are identical across backends (the suppression window runs
-        on virtual time), so switching runtimes never changes what executes.
-        """
-        if dedup_key is not None and not self._dedup.add_if_new(
-            dedup_key, self._clock.now
-        ):
-            self._suppressed += 1
-            if self._obs is not None:
-                self._obs.inc("repro_runtime_suppressed_total", label=label or "event")
-            return None
-        return self.schedule(delay, callback, label=label, spec=spec, actor=actor)
 
     def _tag_actor(self, event: Event, actor: str) -> None:
         """Remember which actor a scheduled event belongs to (backend hook)."""

@@ -15,12 +15,10 @@
    counters and RNG draws advance exactly as on
    :class:`~repro.runtime.simulator.SimulatorBackend`.
 
-``drain="ordered"`` is the only scheduling mode: it is what makes the
+The ordered drain is the only scheduling mode: it is what makes the
 backend seed-deterministic and its answers equal to the simulator's on every
 scenario (the ``tests/runtime`` equivalence suite pins the three named
-ones).  Duplicate suppression for re-delivered messages reuses
-:class:`~repro.network.faults.ExpiringSet` on virtual time via the base
-class's :meth:`~repro.runtime.base.ExecutionBackend.deliver`.
+ones).
 
 Without an ``io_model`` there is nothing to overlap and the drain degenerates
 to the simulator loop (no event loop is spun up); with one, the speedup on a
@@ -31,7 +29,7 @@ a loop is about to run: every process imports this module, few ever overlap a wa
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.exceptions import ConfigurationError
 from repro.network.simulator import Event
@@ -50,26 +48,17 @@ class ConcurrentBackend(ExecutionBackend):
     def __init__(
         self,
         io_model: Optional[IoModel] = None,
-        duplicate_ttl_seconds: float = 30.0,
         max_concurrency: int = 8,
         mailbox_capacity: int = 256,
         quantum_seconds: float = 60.0,
-        drain: str = "ordered",
     ) -> None:
-        if drain != "ordered":
-            raise ConfigurationError(
-                f"unknown drain mode {drain!r}: 'ordered' is the only mode that "
-                "keeps the concurrent backend deterministic"
-            )
         if max_concurrency < 1:
             raise ConfigurationError("max_concurrency must be at least 1")
         if mailbox_capacity < 1:
             raise ConfigurationError("mailbox_capacity must be at least 1")
         if quantum_seconds <= 0:
             raise ConfigurationError("quantum_seconds must be positive")
-        super().__init__(
-            io_model=io_model, duplicate_ttl_seconds=duplicate_ttl_seconds
-        )
+        super().__init__(io_model=io_model)
         self._max_concurrency = max_concurrency
         self._mailbox_capacity = mailbox_capacity
         self._quantum = float(quantum_seconds)

@@ -246,15 +246,11 @@ def _register_adversity_scenarios(registry: ScenarioRegistry) -> None:
         lambda: _adversity_scenario(
             FaultPlan(
                 seed=4,
-                link=LinkFaults(
-                    drop_probability=0.1,
-                    duplicate_probability=0.02,
-                    delay_jitter_ms=25.0,
-                ),
+                link=LinkFaults(drop_probability=0.1),
             )
         ),
-        description="Every link drops 10 % of messages (plus duplicates and "
-        "jitter): retries/backoff must bound the overhead.",
+        description="Every link drops 10 % of messages: retries/backoff must "
+        "bound the overhead.",
     )
     registry.register(
         "domain-collapse",

@@ -1,58 +1,22 @@
-"""Unit tests for repro.network.faults and the MessageBus fault hooks."""
+"""Unit tests for repro.network.faults."""
 
 import dataclasses
-import random
 
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.network.faults import (
     DomainFailureEvent,
-    ExpiringSet,
     FaultInjector,
     FaultPlan,
+    FaultStats,
     FlashCrowdEvent,
     LinkFaults,
     MassacreEvent,
     PartitionEvent,
     backoff_total,
 )
-from repro.network.messages import Message, MessageType
-from repro.network.overlay import Overlay
-from repro.network.topology import TopologyConfig
-from repro.network.transport import MessageBus
-
-
-class TestExpiringSet:
-    def test_add_if_new_and_duplicate(self):
-        seen = ExpiringSet(ttl_seconds=10.0)
-        assert seen.add_if_new("a", now=0.0) is True
-        assert seen.add_if_new("a", now=5.0) is False
-        assert "a" in seen
-        assert len(seen) == 1
-
-    def test_members_lapse_after_ttl(self):
-        seen = ExpiringSet(ttl_seconds=10.0)
-        seen.add_if_new("a", now=0.0)
-        assert seen.add_if_new("a", now=20.0) is True
-
-    def test_duplicate_refreshes_window(self):
-        seen = ExpiringSet(ttl_seconds=10.0)
-        seen.add_if_new("a", now=0.0)
-        seen.add_if_new("a", now=8.0)  # refresh
-        assert seen.add_if_new("a", now=15.0) is False  # still inside window
-
-    def test_prune_drops_old_members(self):
-        seen = ExpiringSet(ttl_seconds=5.0)
-        seen.add_if_new("a", now=0.0)
-        seen.add_if_new("b", now=4.0)
-        seen.prune(now=7.0)
-        assert "a" not in seen
-        assert "b" in seen
-
-    def test_rejects_non_positive_ttl(self):
-        with pytest.raises(ConfigurationError):
-            ExpiringSet(ttl_seconds=0.0)
+from repro.network.metrics import MessageCounter
 
 
 class TestPlanValidation:
@@ -60,9 +24,7 @@ class TestPlanValidation:
         with pytest.raises(ConfigurationError):
             LinkFaults(drop_probability=1.5)
         with pytest.raises(ConfigurationError):
-            LinkFaults(duplicate_probability=-0.1)
-        with pytest.raises(ConfigurationError):
-            LinkFaults(delay_jitter_ms=-1.0)
+            LinkFaults(drop_probability=-0.1)
 
     def test_rejects_heal_before_split(self):
         with pytest.raises(ConfigurationError):
@@ -76,10 +38,48 @@ class TestPlanValidation:
         with pytest.raises(ConfigurationError):
             FlashCrowdEvent(at=0.0, rejoin_count=-1)
 
+    def test_link_probability_bounds_accepted(self):
+        assert LinkFaults(drop_probability=0.0).any is False
+        assert LinkFaults(drop_probability=1.0).any is True
+
+    @pytest.mark.parametrize("knob", ["duplicate_probability", "delay_jitter_ms"])
+    def test_removed_link_knobs_rejected(self, knob):
+        with pytest.raises(TypeError):
+            LinkFaults(**{knob: 0.1})
+
+    def test_rejects_bad_fractions(self):
+        with pytest.raises(ConfigurationError):
+            PartitionEvent(at=1.0, fraction=1.5)
+        with pytest.raises(ConfigurationError):
+            MassacreEvent(at=1.0, fraction=-0.1)
+
+    @pytest.mark.parametrize(
+        "event_type",
+        [PartitionEvent, DomainFailureEvent, MassacreEvent, FlashCrowdEvent],
+    )
+    def test_rejects_negative_times(self, event_type):
+        with pytest.raises(ConfigurationError):
+            event_type(at=-1.0)
+
+    def test_zero_rejoin_count_allowed(self):
+        assert FlashCrowdEvent(at=0.0, rejoin_count=0).rejoin_count == 0
+
     def test_any_faults(self):
         assert FaultPlan().any_faults() is False
         assert FaultPlan(link=LinkFaults(drop_probability=0.1)).any_faults()
         assert FaultPlan(partitions=[PartitionEvent(at=1.0)]).any_faults()
+
+    @pytest.mark.parametrize(
+        "events",
+        [
+            {"domain_failures": [DomainFailureEvent(at=1.0)]},
+            {"massacres": [MassacreEvent(at=1.0)]},
+            {"flash_crowds": [FlashCrowdEvent(at=1.0)]},
+        ],
+        ids=["domain_failures", "massacres", "flash_crowds"],
+    )
+    def test_any_faults_per_event_kind(self, events):
+        assert FaultPlan(**events).any_faults()
 
     def test_lists_are_normalised_to_tuples(self):
         plan = FaultPlan(
@@ -97,9 +97,7 @@ class TestPlanPayload:
     def test_roundtrip(self):
         plan = FaultPlan(
             seed=7,
-            link=LinkFaults(
-                drop_probability=0.1, duplicate_probability=0.05, delay_jitter_ms=20.0
-            ),
+            link=LinkFaults(drop_probability=0.1),
             partitions=[
                 PartitionEvent(at=10.0, fraction=0.3, heal_at=50.0),
                 PartitionEvent(at=60.0, groups=[["a", "b"], ["c"]]),
@@ -112,6 +110,42 @@ class TestPlanPayload:
 
     def test_empty_roundtrip(self):
         assert FaultPlan.from_payload(FaultPlan().to_payload()) == FaultPlan()
+
+    def test_link_payload_holds_only_the_drop_probability(self):
+        payload = FaultPlan(link=LinkFaults(drop_probability=0.25)).to_payload()
+        assert payload["link"] == {"drop_probability": 0.25}
+
+    def test_from_payload_ignores_older_link_keys(self):
+        plan = FaultPlan(seed=4, link=LinkFaults(drop_probability=0.1))
+        payload = plan.to_payload()
+        payload["link"].update({"duplicate_probability": 0.02, "delay_jitter_ms": 25.0})
+        assert FaultPlan.from_payload(payload) == plan
+
+    def test_from_payload_of_empty_payload_is_default_plan(self):
+        assert FaultPlan.from_payload({}) == FaultPlan()
+
+
+class TestFaultStats:
+    def test_roundtrip(self):
+        stats = FaultStats(
+            messages_dropped=9,
+            retries=4,
+            failed_pushes=2,
+            unreachable_probes=3,
+            backoff_seconds=12.5,
+        )
+        assert FaultStats.from_state(stats.state_payload()) == stats
+
+    def test_payload_has_no_duplicate_column(self):
+        assert "messages_duplicated" not in FaultStats().state_payload()
+
+    def test_from_state_ignores_older_duplicate_column(self):
+        payload = FaultStats(messages_dropped=5).state_payload()
+        payload["messages_duplicated"] = 0
+        assert FaultStats.from_state(payload) == FaultStats(messages_dropped=5)
+
+    def test_from_state_defaults_missing_keys(self):
+        assert FaultStats.from_state({}) == FaultStats()
 
 
 class TestFaultInjector:
@@ -181,156 +215,95 @@ class TestFaultInjector:
             injector.rng.random() for _ in range(5)
         ]
 
+    def test_lossy_flag_follows_drop_probability(self):
+        assert FaultInjector(FaultPlan()).lossy is False
+        lossy = FaultInjector(FaultPlan(link=LinkFaults(drop_probability=0.1)))
+        assert lossy.lossy is True
+
+    def test_disrupts_link(self):
+        clean = FaultInjector(FaultPlan())
+        assert not clean.disrupts_link("a", "b")
+        clean.set_partition([["a"], ["b"]])
+        assert clean.disrupts_link("a", "b")
+        assert not clean.disrupts_link("a", "a")
+        lossy = FaultInjector(FaultPlan(link=LinkFaults(drop_probability=0.1)))
+        assert lossy.disrupts_link("a", "b")
+
+    def test_negative_retry_budget_means_one_attempt(self):
+        injector = FaultInjector(FaultPlan(link=LinkFaults(drop_probability=1.0)))
+        assert injector.attempt_delivery("a", "b", max_retries=-3) == (False, 0)
+        assert injector.stats.messages_dropped == 1
+        assert injector.stats.retries == 0
+
+    def test_lossy_stats_match_outcomes(self):
+        injector = FaultInjector(
+            FaultPlan(seed=9, link=LinkFaults(drop_probability=0.4))
+        )
+        outcomes = [injector.attempt_delivery("a", "b", 2) for _ in range(200)]
+        assert injector.stats.retries == sum(retries for _ok, retries in outcomes)
+        assert injector.stats.messages_dropped == sum(
+            retries if delivered else retries + 1 for delivered, retries in outcomes
+        )
+
+    def test_scratch_copy_leaves_the_original_untouched(self):
+        plan = FaultPlan(seed=2, link=LinkFaults(drop_probability=0.5))
+        injector = FaultInjector(plan)
+        injector.set_partition([["a", "b"], ["c"]])
+        before_rng = injector.rng.getstate()
+        before_stats = FaultStats(**vars(injector.stats))
+        twin = injector.scratch_copy()
+        outcomes = [twin.attempt_delivery("a", "b", 3) for _ in range(20)]
+        assert injector.rng.getstate() == before_rng
+        assert injector.stats == before_stats
+        assert twin.partition_groups() == injector.partition_groups()
+        # Every twin starts from the original's stream position.
+        again = injector.scratch_copy()
+        assert [again.attempt_delivery("a", "b", 3) for _ in range(20)] == outcomes
+
+    def test_from_state_accepts_older_payload(self):
+        plan = FaultPlan(seed=5, link=LinkFaults(drop_probability=0.3))
+        injector = FaultInjector(plan)
+        for _ in range(4):
+            injector.attempt_delivery("a", "b", 1)
+        payload = injector.state_payload()
+        payload["plan"]["link"].update(
+            {"duplicate_probability": 0.02, "delay_jitter_ms": 25.0}
+        )
+        payload["stats"]["messages_duplicated"] = 0
+        restored = FaultInjector.from_state(payload)
+        assert restored.plan == plan
+        assert restored.stats == injector.stats
+        assert [restored.attempt_delivery("a", "b", 1) for _ in range(10)] == [
+            injector.attempt_delivery("a", "b", 1) for _ in range(10)
+        ]
+
+    @pytest.mark.parametrize(
+        "name", ["duplicating", "jittery", "draw_duplicate", "draw_jitter_ms"]
+    )
+    def test_no_duplicate_or_jitter_surface(self, name):
+        assert not hasattr(FaultInjector(FaultPlan()), name)
+
     def test_backoff_total(self):
         assert backoff_total(2.0, 2.0, 0) == 0.0
         assert backoff_total(2.0, 2.0, 3) == 2.0 + 4.0 + 8.0
         assert backoff_total(1.0, 1.0, 2) == 2.0
 
-
-def _bus(faults=None, peer_count=8, seed=0):
-    overlay = Overlay.generate(
-        TopologyConfig(peer_count=peer_count, average_degree=3.0, seed=seed)
-    )
-    bus = MessageBus(overlay, faults=faults)
-    return overlay, bus
-
-
-def _message(source, destination):
-    return Message(
-        type=MessageType.PUSH, source=source, destination=destination, payload={}
-    )
-
-
-class TestMessageBusFaults:
-    def test_zero_fault_bus_unchanged(self):
-        overlay, bus = _bus()
-        ids = overlay.peer_ids
-        received = []
-        bus.register(ids[1], lambda message, now: received.append(message))
-        record = bus.send(_message(ids[0], ids[1]))
-        bus.run()
-        assert not record.dropped
-        assert received
-        assert bus.counter.dropped_total == 0
-        assert bus.counter.duplicate_total == 0
-
-    def test_partitioned_send_dropped_with_reason(self):
-        injector = FaultInjector(FaultPlan())
-        overlay, bus = _bus(faults=injector)
-        ids = overlay.peer_ids
-        injector.set_partition([[ids[0]], ids[1:]])
-        record = bus.send(_message(ids[0], ids[1]))
-        assert record.dropped
-        assert record.reason == "partitioned"
-        assert record.delivered_at is None
-        assert bus.counter.dropped_by_reason() == {"partitioned": 1}
-        assert injector.stats.messages_dropped == 1
-
-    def test_certain_loss_dropped_with_reason(self):
-        injector = FaultInjector(FaultPlan(link=LinkFaults(drop_probability=1.0)))
-        overlay, bus = _bus(faults=injector)
-        ids = overlay.peer_ids
-        record = bus.send(_message(ids[0], ids[1]))
-        assert record.dropped
-        assert record.reason == "message loss"
-        assert bus.counter.dropped_by_reason() == {"message loss": 1}
-
-    def test_offline_destination_counted(self):
-        overlay, bus = _bus()
-        ids = overlay.peer_ids
-        overlay.peer(ids[1]).go_offline()
-        record = bus.send(_message(ids[0], ids[1]))
-        bus.run()
-        assert record.dropped
-        assert record.reason == "destination offline"
-        assert bus.counter.dropped_by_reason() == {"destination offline": 1}
-
-    def test_duplicates_are_delivered_once(self):
-        injector = FaultInjector(
-            FaultPlan(seed=1, link=LinkFaults(duplicate_probability=1.0))
-        )
-        overlay, bus = _bus(faults=injector)
-        ids = overlay.peer_ids
-        received = []
-        bus.register(ids[1], lambda message, now: received.append(message))
-        bus.send(_message(ids[0], ids[1]))
-        bus.run()
-        assert len(received) == 1  # the copy was suppressed at the receiver
-        assert bus.counter.duplicate_total == 1
-        assert injector.stats.messages_duplicated == 1
-        duplicates = [r for r in bus.deliveries if r.reason == "duplicate suppressed"]
-        assert len(duplicates) == 1
-
-    def test_jitter_delays_delivery(self):
-        injector = FaultInjector(
-            FaultPlan(seed=2, link=LinkFaults(delay_jitter_ms=500.0))
-        )
-        overlay, jittered = _bus(faults=injector)
-        _overlay2, plain = _bus()
-        ids = overlay.peer_ids
-        jit = jittered.send(_message(ids[0], ids[1]))
-        base = plain.send(_message(ids[0], ids[1]))
-        jittered.run()
-        plain.run()
-        assert jit.delivered_at > base.delivered_at
-
-    def test_send_with_retry_eventually_delivers(self):
-        injector = FaultInjector(
-            FaultPlan(seed=4, link=LinkFaults(drop_probability=0.6))
-        )
-        overlay, bus = _bus(faults=injector)
-        ids = overlay.peer_ids
-        received = []
-        bus.register(ids[1], lambda message, now: received.append(message))
-        delivered = 0
-        for _ in range(20):
-            record = bus.send_with_retry(
-                _message(ids[0], ids[1]), max_retries=6, backoff_seconds=0.1
-            )
-            if not record.dropped:
-                delivered += 1
-        bus.run()
-        assert delivered == 20  # p_fail = 0.6**7 per message: all get through
-        assert bus.counter.retry_total > 0
-        assert injector.stats.backoff_seconds > 0
-        assert len(received) == 20  # retransmissions never double-deliver
-
-    def test_send_with_retry_gives_up_on_partition(self):
-        injector = FaultInjector(FaultPlan())
-        overlay, bus = _bus(faults=injector)
-        ids = overlay.peer_ids
-        injector.set_partition([[ids[0]], ids[1:]])
-        record = bus.send_with_retry(_message(ids[0], ids[1]), max_retries=2)
-        assert record.dropped
-        assert record.reason == "partitioned"
-        assert bus.counter.retry_total == 2
-
-    def test_send_with_retry_without_faults_is_plain_send(self):
-        overlay, bus = _bus()
-        ids = overlay.peer_ids
-        record = bus.send_with_retry(_message(ids[0], ids[1]))
-        assert not record.dropped
-        assert bus.counter.retry_total == 0
+    def test_backoff_total_of_negative_retries_is_zero(self):
+        assert backoff_total(2.0, 2.0, -4) == 0.0
 
 
 class TestCounterFaultColumns:
     def test_state_payload_omits_zero_fault_keys(self):
-        overlay, bus = _bus()
-        payload = bus.counter.state_payload()
+        payload = MessageCounter().state_payload()
         assert "dropped" not in payload
-        assert "duplicates" not in payload
         assert "retries" not in payload
 
     def test_state_payload_roundtrips_fault_keys(self):
-        from repro.network.metrics import MessageCounter
-
         counter = MessageCounter()
         counter.record_dropped("message loss", 3)
         counter.record_dropped("partitioned")
-        counter.record_duplicate(2)
         counter.record_retry(5)
         restored = MessageCounter.from_state(counter.state_payload())
         assert restored.dropped_total == 4
         assert restored.dropped_by_reason() == {"message loss": 3, "partitioned": 1}
-        assert restored.duplicate_total == 2
         assert restored.retry_total == 5

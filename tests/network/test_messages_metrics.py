@@ -1,50 +1,21 @@
-"""Unit tests for messages and traffic accounting."""
+"""Unit tests for traffic accounting."""
 
 import pytest
 
-from repro.network.messages import Message, MessageType
+from repro.network import messages
+from repro.network.messages import MessageType
 from repro.network.metrics import MessageCounter, TrafficReport
-
-
-class TestMessage:
-    def test_defaults(self):
-        message = Message(MessageType.PUSH, "p1", "sp")
-        assert message.ttl is None
-        assert not message.expired()
-        assert message.size_bytes == 1
-
-    def test_ttl_expiry(self):
-        message = Message(MessageType.FLOOD_QUERY, "p1", "p2", ttl=0)
-        assert message.expired()
-
-    def test_forwarded_decrements_ttl(self):
-        message = Message(MessageType.FLOOD_QUERY, "p1", "p2", ttl=3, payload={"q": 1})
-        forwarded = message.forwarded("p3")
-        assert forwarded.ttl == 2
-        assert forwarded.source == "p2"
-        assert forwarded.destination == "p3"
-        assert forwarded.payload == {"q": 1}
-
-    def test_forwarded_without_ttl(self):
-        message = Message(MessageType.QUERY, "p1", "p2")
-        assert message.forwarded("p3").ttl is None
-
-    def test_unique_message_ids(self):
-        first = Message(MessageType.QUERY, "a", "b")
-        second = Message(MessageType.QUERY, "a", "b")
-        assert first.message_id != second.message_id
 
 
 class TestMessageCounter:
     def test_record_and_count(self):
         counter = MessageCounter()
-        counter.record(Message(MessageType.PUSH, "p1", "sp"))
-        counter.record(Message(MessageType.PUSH, "p2", "sp"))
-        counter.record(Message(MessageType.QUERY, "p1", "sp", size_bytes=10))
+        counter.record_type(MessageType.PUSH)
+        counter.record_type(MessageType.PUSH)
+        counter.record_type(MessageType.QUERY)
         assert counter.count(MessageType.PUSH) == 2
         assert counter.count() == 3
         assert counter.total == 3
-        assert counter.total_bytes == 12
 
     def test_record_type_without_message(self):
         counter = MessageCounter()
@@ -56,12 +27,6 @@ class TestMessageCounter:
         counter.record_type(MessageType.PUSH, 2)
         counter.record_type(MessageType.QUERY, 3)
         assert counter.count_types([MessageType.PUSH, MessageType.QUERY]) == 5
-
-    def test_by_sender(self):
-        counter = MessageCounter()
-        counter.record(Message(MessageType.PUSH, "p1", "sp"))
-        counter.record(Message(MessageType.QUERY, "p1", "sp"))
-        assert counter.by_sender()["p1"] == 2
 
     def test_merge(self):
         first, second = MessageCounter(), MessageCounter()
@@ -75,6 +40,87 @@ class TestMessageCounter:
         counter.record_type(MessageType.PUSH, 4)
         counter.reset()
         assert counter.total == 0
+
+    def test_reset_clears_drops_and_retries(self):
+        counter = MessageCounter()
+        counter.record_dropped("partitioned", 2)
+        counter.record_retry(3)
+        counter.reset()
+        assert counter.dropped_total == 0
+        assert counter.retry_total == 0
+
+    def test_merge_carries_drops_and_retries(self):
+        first, second = MessageCounter(), MessageCounter()
+        first.record_dropped("message loss", 1)
+        second.record_dropped("message loss", 2)
+        second.record_dropped("partitioned", 1)
+        second.record_retry(4)
+        first.merge(second)
+        assert first.dropped_by_reason() == {"message loss": 3, "partitioned": 1}
+        assert first.retry_total == 4
+
+    def test_unspecified_drop_reason(self):
+        counter = MessageCounter()
+        counter.record_dropped()
+        assert counter.dropped_by_reason() == {"unspecified": 1}
+
+    def test_unrecorded_type_counts_zero(self):
+        assert MessageCounter().count(MessageType.FLOOD_QUERY) == 0
+
+    def test_by_type_is_a_copy(self):
+        counter = MessageCounter()
+        counter.record_type(MessageType.PUSH, 2)
+        counter.by_type()[MessageType.PUSH] = 99
+        assert counter.count(MessageType.PUSH) == 2
+
+    @pytest.mark.parametrize(
+        "name",
+        ["record", "by_sender", "total_bytes", "record_duplicate", "duplicate_total"],
+    )
+    def test_no_per_message_surface(self, name):
+        assert not hasattr(MessageCounter(), name)
+
+
+class TestCounterPayload:
+    def test_legacy_keys_are_constant(self):
+        # Every checkpoint ever written holds these two values.
+        counter = MessageCounter()
+        assert counter.state_payload()["by_sender"] == {}
+        assert counter.state_payload()["bytes"] == 0
+        counter.record_type(MessageType.QUERY, 12)
+        counter.record_dropped("message loss")
+        assert counter.state_payload()["by_sender"] == {}
+        assert counter.state_payload()["bytes"] == 0
+
+    def test_zero_counter_payload(self):
+        assert MessageCounter().state_payload() == {
+            "by_type": {},
+            "by_sender": {},
+            "bytes": 0,
+        }
+
+    def test_roundtrip_every_type(self):
+        counter = MessageCounter()
+        for index, message_type in enumerate(MessageType, start=1):
+            counter.record_type(message_type, index)
+        restored = MessageCounter.from_state(counter.state_payload())
+        assert restored.by_type() == counter.by_type()
+        assert restored.state_payload() == counter.state_payload()
+
+    def test_from_state_ignores_older_sender_and_bytes(self):
+        payload = {
+            "by_type": {"push": 3},
+            "by_sender": {"p1": 3},
+            "bytes": 384,
+        }
+        restored = MessageCounter.from_state(payload)
+        assert restored.by_type() == {MessageType.PUSH: 3}
+        assert restored.state_payload()["by_sender"] == {}
+        assert restored.state_payload()["bytes"] == 0
+
+
+def test_messages_module_defines_no_message_class():
+    assert not hasattr(messages, "Message")
 
 
 class TestTrafficReport:
@@ -95,6 +141,14 @@ class TestTrafficReport:
         )
         assert report.total_messages == 10
         assert report.by_type[MessageType.PUSH] == 10
+
+    def test_unfiltered_report_carries_every_type(self):
+        counter = MessageCounter()
+        counter.record_type(MessageType.PUSH, 10)
+        counter.record_type(MessageType.QUERY, 90)
+        report = TrafficReport.from_counter(counter, 10, 10)
+        assert report.total_messages == 100
+        assert report.by_type == {MessageType.PUSH: 10, MessageType.QUERY: 90}
 
     def test_zero_peers_and_duration(self):
         report = TrafficReport(total_messages=5, duration_seconds=0, peer_count=0)

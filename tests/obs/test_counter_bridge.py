@@ -3,7 +3,7 @@ touching the counter's checkpoint payload."""
 
 import copy
 
-from repro.network.messages import Message, MessageType
+from repro.network.messages import MessageType
 from repro.network.metrics import MessageCounter
 from repro.obs.registry import MetricsRegistry
 
@@ -12,16 +12,8 @@ def _loaded_counter() -> MessageCounter:
     counter = MessageCounter()
     counter.record_type(MessageType.QUERY, 7)
     counter.record_type(MessageType.PUSH, 2)
-    counter.record(
-        Message(
-            type=MessageType.QUERY_RESPONSE,
-            source="p3",
-            destination="p1",
-            size_bytes=128,
-        )
-    )
+    counter.record_type(MessageType.QUERY_RESPONSE)
     counter.record_dropped("link loss", 3)
-    counter.record_duplicate(2)
     counter.record_retry(4)
     return counter
 
@@ -31,12 +23,16 @@ def test_to_metrics_exports_every_counter_family():
     registry = MetricsRegistry()
     counter.to_metrics(registry)
 
+    # Exactly the series a protocol counter can emit: per type, drops, retries.
+    assert registry.series_names() == [
+        "repro_messages_dropped_total",
+        "repro_messages_retries_total",
+        "repro_messages_total",
+    ]
     assert registry.value("repro_messages_total", type=MessageType.QUERY.value) == 7
     assert registry.value("repro_messages_total", type=MessageType.PUSH.value) == 2
     assert registry.value("repro_messages_total", type=MessageType.QUERY_RESPONSE.value) == 1
-    assert registry.value("repro_messages_bytes_total") == 128
     assert registry.value("repro_messages_dropped_total", reason="link loss") == 3
-    assert registry.value("repro_messages_duplicates_total") == 2
     assert registry.value("repro_messages_retries_total") == 4
 
 
@@ -61,7 +57,6 @@ def test_bridge_leaves_state_payload_byte_identical():
     payload = clean.state_payload()
     assert payload == baseline
     assert "dropped" not in payload
-    assert "duplicates" not in payload
     assert "retries" not in payload
 
 

@@ -7,18 +7,20 @@ Two properties gate the whole fault subsystem:
    identical counters, identical fault statistics, identical answers.
 2. *Resumability* — a checkpoint taken mid-partition restores into a session
    that continues exactly like the uninterrupted one, on every store backend
-   (in-memory, JSON directory, sqlite).
+   (in-memory, JSON directory, sqlite) — also when it was written with the
+   link-duplicate / jitter keys older checkpoints carry.
 """
 
 import pytest
 
 from repro.core.session import SystemBuilder
 from repro.network.faults import FaultPlan, LinkFaults, PartitionEvent
-from repro.store import open_store
+from repro.store import CHECKPOINT_KIND, open_store
+from repro.store.backend import owns_backend
 
 PLAN = FaultPlan(
     seed=21,
-    link=LinkFaults(drop_probability=0.3, duplicate_probability=0.05),
+    link=LinkFaults(drop_probability=0.3),
     partitions=[PartitionEvent(at=300.0, fraction=0.5, heal_at=1800.0)],
 )
 
@@ -114,3 +116,32 @@ class TestCheckpointMidPartition:
         )
         # The partition healed in both continuations (heal_at=1800 < 2400).
         assert not restored.system.faults.partitioned
+
+    def test_older_checkpoint_with_removed_link_keys_continues_identically(
+        self, target
+    ):
+        # Checkpoints written while LinkFaults still had duplicate / jitter
+        # knobs (which no protocol path applied) carry three more keys.
+        live = _build()
+        live.run_until(600.0)
+        live.checkpoint(target, name="mid-partition")
+        backend = open_store(target)
+        try:
+            document = backend.get(CHECKPOINT_KIND, "mid-partition")
+            document["faults"]["plan"]["link"].update(
+                {"duplicate_probability": 0.02, "delay_jitter_ms": 25.0}
+            )
+            document["faults"]["stats"]["messages_duplicated"] = 0
+            backend.put(CHECKPOINT_KIND, "older", document)
+        finally:
+            if owns_backend(target):
+                backend.close()
+
+        restored = SystemBuilder.from_checkpoint(target, name="older")
+        assert restored.system.faults.plan == PLAN
+        assert restored.system.faults.partitioned
+        live_answers = _drive(live, until=2400.0)
+        res_answers = _drive(restored, until=2400.0)
+        assert _fingerprint(restored, res_answers) == _fingerprint(
+            live, live_answers
+        )

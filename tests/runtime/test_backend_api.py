@@ -1,4 +1,4 @@
-"""Unit surface of the runtime package: resolution, delivery, knobs, windows."""
+"""Unit surface of the runtime package: resolution, knobs, windows."""
 
 import asyncio
 
@@ -53,10 +53,6 @@ class TestCreateBackend:
 
 
 class TestKnobValidation:
-    def test_bad_drain_mode(self):
-        with pytest.raises(ConfigurationError, match="drain"):
-            ConcurrentBackend(drain="racy")
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -70,33 +66,24 @@ class TestKnobValidation:
         with pytest.raises(ConfigurationError):
             ConcurrentBackend(**kwargs)
 
+    def test_smallest_valid_knobs_accepted(self):
+        backend = ConcurrentBackend(
+            max_concurrency=1, mailbox_capacity=1, quantum_seconds=0.001
+        )
+        backend.schedule(1.0, lambda: None, actor="p0")
+        assert backend.run(until=2.0) == 1
 
-class TestDelivery:
-    @pytest.mark.parametrize("cls", [SimulatorBackend, ConcurrentBackend])
-    def test_dedup_key_suppresses_within_ttl(self, cls):
-        backend = cls(duplicate_ttl_seconds=10.0)
-        hits = []
-        first = backend.deliver(1.0, lambda: hits.append("a"), dedup_key="m1")
-        duplicate = backend.deliver(2.0, lambda: hits.append("b"), dedup_key="m1")
-        assert first is not None
-        assert duplicate is None
-        assert backend.suppressed_deliveries == 1
-        backend.run(until=5.0)
-        assert hits == ["a"]
-
-    @pytest.mark.parametrize("cls", [SimulatorBackend, ConcurrentBackend])
-    def test_dedup_expires_on_virtual_time(self, cls):
-        backend = cls(duplicate_ttl_seconds=10.0)
-        backend.deliver(0.5, lambda: None, dedup_key="m1")
-        backend.run(until=30.0)  # the suppression window lapses virtually
-        assert backend.deliver(0.5, lambda: None, dedup_key="m1") is not None
-        assert backend.suppressed_deliveries == 0
-
-    def test_deliveries_without_dedup_key_are_never_suppressed(self):
-        backend = SimulatorBackend()
-        assert backend.deliver(1.0, lambda: None) is not None
-        assert backend.deliver(1.0, lambda: None) is not None
-        assert backend.suppressed_deliveries == 0
+    @pytest.mark.parametrize(
+        "cls,knob",
+        [
+            (ConcurrentBackend, "drain"),
+            (ConcurrentBackend, "duplicate_ttl_seconds"),
+            (SimulatorBackend, "duplicate_ttl_seconds"),
+        ],
+    )
+    def test_removed_knobs_rejected(self, cls, knob):
+        with pytest.raises(TypeError):
+            cls(**{knob: "ordered" if knob == "drain" else 30.0})
 
 
 class TestExecution:
@@ -113,7 +100,7 @@ class TestExecution:
         backend = ConcurrentBackend(io_model=lambda label: 0.0001, quantum_seconds=5.0)
         order = []
         for index in range(6):
-            backend.deliver(
+            backend.schedule(
                 1.0, lambda i=index: order.append(i), label="m", actor=f"p{index % 2}"
             )
         backend.run(until=10.0)
@@ -152,6 +139,38 @@ class TestExecution:
         assert len(backend._actors) == 10  # noqa: SLF001
         backend.reset()
         assert backend._actors == {}  # noqa: SLF001
+
+    def test_load_state_clears_actor_tags(self):
+        backend = ConcurrentBackend(io_model=lambda label: 0.0)
+        backend.schedule(1.0, lambda: None, actor="p0")
+        backend.load_state(5.0, 3, backend.next_sequence)
+        assert backend._actors == {}  # noqa: SLF001
+        assert backend.pending_events == 0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            SimulatorBackend,
+            lambda: ConcurrentBackend(io_model=lambda label: 0.0001),
+        ],
+        ids=["SimulatorBackend", "ConcurrentBackend"],
+    )
+    def test_schedule_at_with_actor_keeps_time_order(self, make):
+        backend = make()
+        order = []
+        for time, index in ((3.0, 0), (1.0, 1), (2.0, 2), (1.0, 3)):
+            backend.schedule_at(
+                time, lambda i=index: order.append(i), label="m", actor=f"p{index}"
+            )
+        assert backend.run(until=10.0) == 4
+        assert order == [1, 3, 2, 0]
+
+    @pytest.mark.parametrize(
+        "name", ["deliver", "dedup_key", "suppressed_deliveries"]
+    )
+    def test_no_delivery_surface(self, name):
+        for backend in (SimulatorBackend(), ConcurrentBackend()):
+            assert not hasattr(backend, name)
 
     def test_create_rng_streams_are_seed_equal_across_backends(self):
         sim = SimulatorBackend().create_rng(42)

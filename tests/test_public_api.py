@@ -33,6 +33,15 @@ class TestPublicSurface:
             for name in getattr(module, "__all__", []):
                 assert hasattr(module, name), f"{module_name}.{name} missing"
 
+    def test_network_exports_no_message_bus(self):
+        network = importlib.import_module("repro.network")
+        assert len(network.__all__) == 19
+        for name in ("MessageBus", "Message", "ExpiringSet"):
+            assert name not in network.__all__
+            assert not hasattr(network, name)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.network.transport")
+
     def test_module_docstring_example_runs(self):
         """The quick tour sketched in the package docstring actually works."""
         session = (

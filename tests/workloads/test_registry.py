@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.session import NetworkSession
 from repro.exceptions import ConfigurationError
+from repro.network.faults import FaultPlan, LinkFaults
 from repro.workloads.registry import ScenarioRegistry, default_registry
 from repro.workloads.scenarios import SimulationScenario
 
@@ -69,6 +70,15 @@ class TestDefaultRegistry:
         for name in ("table3-default", "smoke", "maintenance", "query-cost"):
             assert name in registry
             assert registry.describe(name)
+
+    def test_lossy_network_only_drops(self):
+        registry = default_registry()
+        plan = registry.scenario("lossy-network").fault_plan
+        assert plan == FaultPlan(seed=4, link=LinkFaults(drop_probability=0.1))
+        assert registry.describe("lossy-network") == (
+            "Every link drops 10 % of messages: retries/backoff must bound "
+            "the overhead."
+        )
 
     def test_default_registry_is_a_singleton(self):
         assert default_registry() is default_registry()
