@@ -249,8 +249,8 @@ class SummaryHierarchy:
         """``(content address, canonical JSON text)`` from one encoding pass.
 
         Always encodes (it *is*
-        :func:`repro.saintetiq.serialization.hierarchy_snapshot`) and
-        remembers the address it found for :meth:`content_address`.
+        :func:`repro.saintetiq.serialization.hierarchy_snapshot`, each distinct
+        cell once) and remembers the address it found for :meth:`content_address`.
         """
         from repro.saintetiq.serialization import hierarchy_snapshot
 

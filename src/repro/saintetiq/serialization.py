@@ -9,11 +9,15 @@ the storage-cost model (Section 6.1.1) approximates with 512 bytes per node.
 Canonical encoding
 ------------------
 :func:`canonical_json` fixes *one* byte representation per payload (sorted
-keys, compact separators).  Everything that needs to agree on sizes or
-identity uses it: :func:`encoded_size_bytes` (the Fig-6/Table-2 storage-cost
-figures), and the content-addressed snapshot store of :mod:`repro.store`
-(:func:`content_hash` / :func:`hierarchy_content_hash` — two hierarchies with
-the same canonical bytes share one stored snapshot).
+keys, compact separators).  A hierarchy becomes that text in one place,
+:func:`hierarchy_text`: one pass that encodes each distinct cell once (a
+leaf's whole root path shares its ``Cell``) and splices each node's text from
+its cells' and children's texts, byte for byte
+``canonical_json(hierarchy_to_dict(h))`` — the structural oracle.  Everything
+that needs to agree on sizes or identity reads it: :func:`encoded_size_bytes`
+(the Fig-6/Table-2 storage-cost figures), and the content-addressed snapshot
+store of :mod:`repro.store` (:func:`hierarchy_snapshot` /
+:func:`hierarchy_content_hash` — equal canonical bytes, one stored snapshot).
 
 Rehydration is *exact*: :func:`hierarchy_from_dict` rebuilds the serialized
 tree node by node — cached aggregate profiles are re-established by the
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from operator import itemgetter
 from typing import Any, Dict, Optional, Tuple
 
 from repro.exceptions import SummaryError
@@ -48,9 +53,12 @@ _ACCEPTED_VERSIONS = (1, 2)
 # -- canonical encoding ---------------------------------------------------------
 
 
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(payload: Any) -> str:
     """The canonical text encoding: sorted keys, compact separators."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(payload)
 
 
 def canonical_encode(payload: Any) -> bytes:
@@ -65,7 +73,7 @@ def content_hash(payload: Any) -> str:
 
 def hierarchy_snapshot(hierarchy: SummaryHierarchy) -> Tuple[str, str]:
     """``(content address, canonical JSON text)`` from one encoding pass."""
-    encoded = canonical_json(hierarchy_to_dict(hierarchy))
+    encoded = hierarchy_text(hierarchy)
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest(), encoded
 
 
@@ -205,7 +213,41 @@ def _subtree_from_dict(payload: Dict[str, Any]) -> Tuple[Summary, _HeldCells]:
 
 
 def hierarchy_to_dict(hierarchy: SummaryHierarchy) -> Dict[str, Any]:
-    """Encode a whole hierarchy (structure + metadata, not the BK)."""
+    """Encode a whole hierarchy (structure + metadata, not the BK), fresh dicts
+    per node: the structural oracle that :func:`hierarchy_text` equals."""
+    return {**_hierarchy_head(hierarchy), "root": summary_to_dict(hierarchy.root)}
+
+
+def hierarchy_text(hierarchy: SummaryHierarchy) -> str:
+    """The canonical JSON text of a hierarchy, each distinct cell encoded once.
+
+    Byte for byte ``canonical_json(hierarchy_to_dict(hierarchy))``.  The memo
+    is keyed by cell *identity* and lives for this call only, so a tree whose
+    nodes hold distinct ``Cell`` objects for one key still encodes each one.
+    """
+    memo: Dict[int, Tuple[Tuple[str, ...], str]] = {}
+
+    def node_text(node: Summary) -> str:
+        entries = []
+        for key, cell in node.cells.items():
+            if id(cell) not in memo:
+                memo[id(cell)] = (tuple(map(str, key)), canonical_json(cell_to_dict(cell)))
+            entries.append(memo[id(cell)])
+        entries.sort(key=itemgetter(0))  # stable, as ``summary_to_dict``'s sort
+        cells = ",".join(text for _key, text in entries)
+        children = ",".join(map(node_text, node.children))
+        return '{"cells":[' + cells + '],"children":[' + children + "]}"
+
+    # Sorted keys put ``root`` between the head's other fields and ``version``.
+    head = _hierarchy_head(hierarchy)
+    before = canonical_json({k: v for k, v in head.items() if k < "root"})
+    after = canonical_json({k: v for k, v in head.items() if k > "root"})
+    return before[:-1] + ',"root":' + node_text(hierarchy.root) + "," + after[1:]
+
+
+def _hierarchy_head(hierarchy: SummaryHierarchy) -> Dict[str, Any]:
+    """Every top-level field of the encoding but ``root``."""
+    parameters = hierarchy._builder.parameters  # noqa: SLF001 - serialization needs them
     return {
         "version": _FORMAT_VERSION,
         "owner": hierarchy.owner,
@@ -213,16 +255,11 @@ def hierarchy_to_dict(hierarchy: SummaryHierarchy) -> Dict[str, Any]:
         "records_processed": hierarchy.records_processed,
         "incorporated": hierarchy._builder.incorporated_cells,  # noqa: SLF001
         "parameters": {
-            "max_children": _builder_parameters(hierarchy).max_children,
-            "enable_merge": _builder_parameters(hierarchy).enable_merge,
-            "enable_split": _builder_parameters(hierarchy).enable_split,
+            "max_children": parameters.max_children,
+            "enable_merge": parameters.enable_merge,
+            "enable_split": parameters.enable_split,
         },
-        "root": summary_to_dict(hierarchy.root),
     }
-
-
-def _builder_parameters(hierarchy: SummaryHierarchy) -> ClusteringParameters:
-    return hierarchy._builder.parameters  # noqa: SLF001 - serialization needs them
 
 
 def hierarchy_from_dict(
@@ -274,7 +311,7 @@ def hierarchy_from_dict(
 def hierarchy_to_json(hierarchy: SummaryHierarchy, indent: Optional[int] = None) -> str:
     """JSON text of a hierarchy: canonical when compact, pretty with ``indent``."""
     if indent is None:
-        return canonical_json(hierarchy_to_dict(hierarchy))
+        return hierarchy_text(hierarchy)
     return json.dumps(hierarchy_to_dict(hierarchy), indent=indent, sort_keys=True)
 
 
@@ -292,6 +329,7 @@ def encoded_size_bytes(hierarchy: SummaryHierarchy) -> int:
     """Actual wire size of the hierarchy — the canonical compact encoding.
 
     By construction this is ``len()`` of exactly the bytes the snapshot store
-    hashes, so storage-cost figures and content addresses always agree.
+    hashes (:func:`hierarchy_text`, the same one-pass encoder), so
+    storage-cost figures and content addresses always agree.
     """
-    return len(canonical_encode(hierarchy_to_dict(hierarchy)))
+    return len(hierarchy_text(hierarchy).encode("utf-8"))

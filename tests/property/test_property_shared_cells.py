@@ -4,7 +4,9 @@ Random sequences of record incorporation, ``merge_into`` and
 ``hierarchy_to_dict`` → ``hierarchy_from_dict`` roundtrips must leave every
 key with a single ``Cell`` object, aliased by exactly the nodes on the root
 path of the leaf it names as ``owner`` — and a hierarchy that was roundtripped
-along the way must stay byte-identical to a twin that never was.
+along the way must stay byte-identical to a twin that never was.  After every
+step the one-pass snapshot text (each shared cell encoded once) must equal the
+canonical encoding of the fresh-per-node dict view.
 """
 
 from hypothesis import given, settings
@@ -15,8 +17,10 @@ from repro.saintetiq.clustering import ClusteringParameters
 from repro.saintetiq.hierarchy import SummaryHierarchy
 from repro.saintetiq.merging import merge_into
 from repro.saintetiq.serialization import (
+    canonical_json,
     hierarchy_content_hash,
     hierarchy_from_dict,
+    hierarchy_snapshot,
     hierarchy_to_dict,
 )
 
@@ -86,8 +90,10 @@ def test_one_cell_per_key_under_random_operation_sequences(ops, arity):
             merge_into(twin, source)
             assert_one_cell_per_key(source)
             assert source.peer_extent() <= {f"p{index}"}  # left untouched
+            assert hierarchy_snapshot(source)[1] == canonical_json(hierarchy_to_dict(source))
         else:
             hierarchy = hierarchy_from_dict(hierarchy_to_dict(hierarchy), BACKGROUND)
         assert_one_cell_per_key(hierarchy)
         hierarchy.validate()
+        assert hierarchy_snapshot(hierarchy)[1] == canonical_json(hierarchy_to_dict(hierarchy))
     assert hierarchy_content_hash(hierarchy) == hierarchy_content_hash(twin)

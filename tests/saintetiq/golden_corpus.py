@@ -6,8 +6,12 @@ corpus tree's canonical encoding was recorded once — the format entries from
 the commit *before* cells became shared between the nodes of a key's root
 path, the ``scoring/`` entries from the last commit that could build through
 the naive four-way reference scorer and the per-record absorb loop — and
-``test_golden_digests.py`` holds every later commit to it.  Regenerate only
-for a deliberate format or clustering change::
+``test_golden_digests.py`` holds every later commit to it.  Each hierarchy is
+hashed twice: through the dict view (``canonical_encode(hierarchy_to_dict)``,
+the structural oracle the digests were recorded from) and through
+``hierarchy_snapshot``, the one-pass text every checkpoint files.  Regenerate
+only for a deliberate format or clustering change (it records the dict
+view)::
 
     PYTHONPATH=src python tests/saintetiq/golden_corpus.py
 """
@@ -18,7 +22,7 @@ import hashlib
 import json
 import random
 from pathlib import Path
-from typing import Any, Dict, Iterator, Tuple
+from typing import Dict, Iterator, Tuple, Union
 
 from repro.database.generator import PatientGenerator
 from repro.fuzzy.linguistic import Descriptor
@@ -30,9 +34,11 @@ from repro.saintetiq.merging import merge_hierarchies, merge_into
 from repro.saintetiq.serialization import (
     canonical_encode,
     hierarchy_from_dict,
+    hierarchy_snapshot,
     hierarchy_to_dict,
     summary_to_dict,
 )
+from repro.saintetiq.summary import Summary
 
 FIXTURE = Path(__file__).with_name("golden_digests.json")
 
@@ -65,9 +71,9 @@ def random_cells(count, n_attrs=3, n_labels=5, seed=0, peers=("p1", "p2", "p3"))
     return cells
 
 
-def corpus() -> Iterator[Tuple[str, Dict[str, Any]]]:
-    """``(name, encodable payload)``: local and merged global summaries, then
-    the scorer's trees."""
+def corpus() -> Iterator[Tuple[str, Union[SummaryHierarchy, Summary]]]:
+    """``(name, tree)``: local and merged global summaries, then the scorer's
+    trees.  Each is encoded before the generator resumes."""
     backgrounds = {
         "numeric": (medical_background_knowledge(include_categorical=False), ["age", "bmi"]),
         "medical": (medical_background_knowledge(), None),
@@ -84,20 +90,20 @@ def corpus() -> Iterator[Tuple[str, Dict[str, Any]]]:
                 )
                 local.add_records(PatientGenerator(seed=100 + peer).records(_RECORDS))
                 local_summaries.append(local)
-                yield f"{prefix}/local-{peer}", hierarchy_to_dict(local)
+                yield f"{prefix}/local-{peer}", local
             merged = merge_hierarchies(
                 local_summaries[:-1], parameters=parameters, owner="sp"
             )
-            yield f"{prefix}/global", hierarchy_to_dict(merged)
+            yield f"{prefix}/global", merged
             # A restored global summary keeps absorbing like the live one.
             restored = hierarchy_from_dict(hierarchy_to_dict(merged), background)
             merge_into(restored, local_summaries[-1])
             restored.add_records(PatientGenerator(seed=200).records(_RECORDS))
-            yield f"{prefix}/global-restored-grown", hierarchy_to_dict(restored)
+            yield f"{prefix}/global-restored-grown", restored
     yield from _scoring_corpus()
 
 
-def _scoring_corpus() -> Iterator[Tuple[str, Dict[str, Any]]]:
+def _scoring_corpus() -> Iterator[Tuple[str, Union[SummaryHierarchy, Summary]]]:
     """Trees whose *shape* is the scorer's output: one per operator mix."""
     background = medical_background_knowledge(include_categorical=False)
     records = PatientGenerator(seed=0, background=background).records(300)
@@ -108,25 +114,35 @@ def _scoring_corpus() -> Iterator[Tuple[str, Dict[str, Any]]]:
         )
         builder = SummaryBuilder(parameters)
         builder.incorporate_all(random_cells(200, seed=11))
-        yield f"{prefix}/cells-200", summary_to_dict(builder.root)
+        yield f"{prefix}/cells-200", builder.root
         hierarchy = SummaryHierarchy(
             background, attributes=["age", "bmi"], parameters=parameters, owner="p"
         )
         hierarchy.add_records(records)
-        yield f"{prefix}/patients-300", hierarchy_to_dict(hierarchy)
+        yield f"{prefix}/patients-300", hierarchy
 
 
-def digests() -> Dict[str, Dict[str, object]]:
+def _digest(encoded: bytes) -> Dict[str, object]:
+    return {"sha256": hashlib.sha256(encoded).hexdigest(), "bytes": len(encoded)}
+
+
+def digests() -> Dict[str, Dict[str, Dict[str, object]]]:
+    """Per corpus name, the digest of each encoding: ``dict`` (the structural
+    oracle) and, for a hierarchy, ``snapshot`` (its address and text)."""
     recorded = {}
-    for name, payload in corpus():
-        encoded = canonical_encode(payload)
+    for name, tree in corpus():
+        if isinstance(tree, Summary):  # a bare subtree has only the dict view
+            recorded[name] = {"dict": _digest(canonical_encode(summary_to_dict(tree)))}
+            continue
+        address, text = hierarchy_snapshot(tree)
         recorded[name] = {
-            "sha256": hashlib.sha256(encoded).hexdigest(),
-            "bytes": len(encoded),
+            "dict": _digest(canonical_encode(hierarchy_to_dict(tree))),
+            "snapshot": {"sha256": address, "bytes": len(text.encode("utf-8"))},
         }
     return recorded
 
 
 if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
+    oracle = {name: encodings["dict"] for name, encodings in digests().items()}
+    FIXTURE.write_text(json.dumps(oracle, indent=1, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE}")

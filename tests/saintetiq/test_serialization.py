@@ -20,11 +20,13 @@ from repro.saintetiq.serialization import (
     hierarchy_content_hash,
     hierarchy_from_dict,
     hierarchy_from_json,
+    hierarchy_text,
     hierarchy_to_dict,
     hierarchy_to_json,
     summary_from_dict,
     summary_to_dict,
 )
+from repro.saintetiq.summary import Summary
 
 
 def _cell():
@@ -131,6 +133,52 @@ class TestCanonicalEncoding:
             return hierarchy
 
         assert hierarchy_content_hash(build()) == hierarchy_content_hash(build())
+
+
+def _oracle(hierarchy):
+    return canonical_json(hierarchy_to_dict(hierarchy))
+
+
+class TestOnePassText:
+    """``hierarchy_text`` equals the dict oracle whatever objects the tree holds."""
+
+    @staticmethod
+    def _distinct_cells_tree(background):
+        """A leaf and its parent holding *distinct* ``Cell`` objects for one key."""
+        leaf, root = Summary(), Summary()
+        leaf.absorb_cell(_cell())  # absorb_cell files a copy
+        root.add_child(leaf)
+        root.absorb_cell(_cell())
+        hierarchy = SummaryHierarchy(background, attributes=["age", "bmi"], owner="peer-a")
+        hierarchy._builder.adopt_root(root, 1)
+        (key,) = root.cells
+        assert root.cells[key] is not leaf.cells[key]
+        return hierarchy, root.cells[key]
+
+    def test_distinct_objects_with_equal_states(self, numeric_background):
+        hierarchy, _ancestor_cell = self._distinct_cells_tree(numeric_background)
+        assert hierarchy_text(hierarchy) == _oracle(hierarchy)
+
+    def test_distinct_objects_with_different_states(self, numeric_background):
+        """Keyed by identity, not by key: the ancestor's own state is encoded."""
+        hierarchy, ancestor_cell = self._distinct_cells_tree(numeric_background)
+        ancestor_cell.tuple_count += 1.0
+        root = hierarchy_to_dict(hierarchy)["root"]
+        assert root["cells"] != root["children"][0]["cells"]
+        assert hierarchy_text(hierarchy) == _oracle(hierarchy)
+
+    def test_owner_with_json_metacharacters(self, numeric_background, paper_records):
+        owner = 'p "q" \\ é中\U0001f600 ,"root":{"version":1}'
+        hierarchy = SummaryHierarchy(numeric_background, attributes=["age", "bmi"], owner=owner)
+        hierarchy.add_records(paper_records)
+        text = hierarchy_text(hierarchy)
+        assert text == _oracle(hierarchy)
+        assert json.loads(text)["owner"] == owner
+        assert encoded_size_bytes(hierarchy) == len(canonical_encode(hierarchy_to_dict(hierarchy)))
+
+    def test_empty_hierarchy(self, numeric_background):
+        hierarchy = SummaryHierarchy(numeric_background, owner=None)
+        assert hierarchy_text(hierarchy) == _oracle(hierarchy)
 
 
 def _grown_hierarchy(background, count=60, owner="peer-a"):

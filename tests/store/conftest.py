@@ -21,14 +21,15 @@ def backend(request, tmp_path):
 def encodings(monkeypatch):
     """Owners of the hierarchies encoded so far; ``clear()`` starts a new count.
 
-    ``hierarchy_to_dict`` is the one way a hierarchy becomes text.
+    ``hierarchy_text`` is the one way a hierarchy becomes text (the dict
+    view, ``hierarchy_to_dict``, is only the oracle it equals).
     """
     encoded = []
-    hierarchy_to_dict = serialization.hierarchy_to_dict
+    hierarchy_text = serialization.hierarchy_text
 
     def counting(hierarchy):
         encoded.append(hierarchy.owner)
-        return hierarchy_to_dict(hierarchy)
+        return hierarchy_text(hierarchy)
 
-    monkeypatch.setattr(serialization, "hierarchy_to_dict", counting)
+    monkeypatch.setattr(serialization, "hierarchy_text", counting)
     return encoded

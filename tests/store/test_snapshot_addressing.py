@@ -4,7 +4,7 @@
 counter, and both places that file hierarchies — checkpoint capture and
 ``SnapshotStore.put_hierarchy`` — ask the *destination* store whether it holds
 that address before encoding anything.  The counts below are of
-``hierarchy_to_dict`` calls, the one way a hierarchy becomes text.
+``hierarchy_text`` calls, the one way a hierarchy becomes text.
 """
 
 import json
