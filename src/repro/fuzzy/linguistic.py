@@ -9,35 +9,31 @@ value together with their membership grades — e.g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.exceptions import BackgroundKnowledgeError
 from repro.fuzzy.membership import MembershipFunction
 
 
-@dataclass(frozen=True, order=True)
-class Descriptor:
+class Descriptor(NamedTuple):
     """A linguistic label attached to an attribute, e.g. ``age:young``.
 
     Descriptors are the atoms of summary intents and of reformulated queries.
     They are identified by the ``(attribute, label)`` pair; the membership
     function lives in the owning :class:`LinguisticVariable`.
+
+    A ``NamedTuple``: descriptors key every profile, cell key, grade map and
+    intent of the summarization hot path, and a tuple hashes, compares and
+    orders (by ``attribute``, then ``label``) in C.  ``hash(Descriptor(a, l))
+    == hash((a, l))`` fixes the iteration order of every set of descriptors,
+    and with it the order of every float fold over one.
+
+    Warning: a descriptor equals its plain ``(attribute, label)`` tuple;
+    never key one dict or set with both.
     """
 
     attribute: str
     label: str
-    #: Precomputed hash: descriptors are the elements of every cell key, so
-    #: they are hashed millions of times by the cell-map dicts of the
-    #: summarization hot path — the generated dataclass hash would rebuild
-    #: and hash an (attribute, label) tuple on every lookup.
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.attribute, self.label)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return f"{self.attribute}:{self.label}"

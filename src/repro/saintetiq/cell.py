@@ -24,7 +24,7 @@ def make_cell_key(descriptors: Iterable[Descriptor]) -> CellKey:
 
     A cell must carry at most one descriptor per attribute.
     """
-    ordered = tuple(sorted(descriptors, key=lambda d: (d.attribute, d.label)))
+    ordered = tuple(sorted(descriptors))
     attributes = [descriptor.attribute for descriptor in ordered]
     if len(set(attributes)) != len(attributes):
         raise SummaryError(

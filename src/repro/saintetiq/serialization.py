@@ -92,9 +92,7 @@ def cell_to_dict(cell: Cell) -> Dict[str, Any]:
         "tuple_count": cell.tuple_count,
         "grades": [
             [descriptor.attribute, descriptor.label, grade]
-            for descriptor, grade in sorted(
-                cell.grades.items(), key=lambda kv: (kv[0].attribute, kv[0].label)
-            )
+            for descriptor, grade in sorted(cell.grades.items())
         ],
         "statistics": _statistics_to_dict(cell.statistics),
         "peers": sorted(cell.peers),

@@ -185,19 +185,21 @@ class Summary:
         """Recompute every aggregate from scratch and raise on divergence."""
         if self._dirty:
             return  # nothing materialized to check
+
+        def close(a: float, b: float) -> bool:
+            return math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
+
         profile, mass, labels, peers, stats = self._compute_from_cells()
         if set(profile) != set(self._profile):
             raise SummaryError(
                 f"node {self.node_id}: cached profile descriptors diverged"
             )
         for descriptor, weight in profile.items():
-            if not math.isclose(
-                weight, self._profile[descriptor], rel_tol=rel_tol, abs_tol=abs_tol
-            ):
+            if not close(weight, self._profile[descriptor]):
                 raise SummaryError(
                     f"node {self.node_id}: cached weight of {descriptor} diverged"
                 )
-        if not math.isclose(mass, self._mass, rel_tol=rel_tol, abs_tol=abs_tol):
+        if not close(mass, self._mass):
             raise SummaryError(f"node {self.node_id}: cached tuple mass diverged")
         if labels != self._labels:
             raise SummaryError(f"node {self.node_id}: cached intent diverged")
@@ -209,10 +211,13 @@ class Summary:
                 raise SummaryError(
                     f"node {self.node_id}: cached statistics attributes diverged"
                 )
-            if not math.isclose(
-                fresh.count, cached.count, rel_tol=rel_tol, abs_tol=abs_tol
-            ) or not math.isclose(
-                fresh.total, cached.total, rel_tol=rel_tol, abs_tol=abs_tol
+            # Sums depend on the fold order; extrema do not, so they match exactly.
+            if not (
+                close(fresh.count, cached.count)
+                and close(fresh.total, cached.total)
+                and close(fresh.total_squares, cached.total_squares)
+                and fresh.minimum == cached.minimum
+                and fresh.maximum == cached.maximum
             ):
                 raise SummaryError(
                     f"node {self.node_id}: cached statistics of {attribute!r} diverged"

@@ -1,10 +1,13 @@
 """Unit tests for linguistic variables and descriptors."""
 
+import random
+
 import pytest
 
 from repro.exceptions import BackgroundKnowledgeError
 from repro.fuzzy.linguistic import Descriptor, LinguisticVariable
 from repro.fuzzy.membership import CrispSetMembership, TrapezoidalMembership
+from repro.fuzzy.vocabularies import medical_background_knowledge
 
 
 @pytest.fixture
@@ -34,6 +37,62 @@ class TestDescriptor:
     def test_ordering(self):
         assert Descriptor("age", "adult") < Descriptor("age", "young")
         assert Descriptor("age", "young") < Descriptor("bmi", "normal")
+
+
+class TestDescriptorContract:
+    """What every set, dict and sort of descriptors relies on.
+
+    A descriptor hashes as its ``(attribute, label)`` tuple, which fixes the
+    layout and iteration order of every set of descriptors, and so the order
+    of every float fold over one.
+
+    A descriptor also *equals* that plain tuple.  ``src/`` keys one dict with
+    raw ``(attribute, label)`` tuples, ``HierarchyQueryIndex._postings``
+    (``querying/engine.py``): it is filled from intent label strings and probed
+    with ``(clause.attribute, label)``, and no descriptor reaches it.  No dict
+    or set under ``src/`` holds both descriptors and raw 2-tuples.
+    """
+
+    @pytest.fixture
+    def medical_descriptors(self):
+        return medical_background_knowledge().descriptors()
+
+    def test_hash_is_the_tuple_hash(self, medical_descriptors):
+        for descriptor in medical_descriptors:
+            attribute, label = descriptor
+            assert hash(descriptor) == hash((attribute, label))
+
+    def test_set_iteration_order_is_the_tuple_set_order(self, medical_descriptors):
+        pairs = [(d.attribute, d.label) for d in medical_descriptors]
+        assert [tuple(d) for d in set(medical_descriptors)] == list(set(pairs))
+
+    def test_sort_is_attribute_then_label(self, medical_descriptors):
+        shuffled = list(medical_descriptors)
+        random.Random(7).shuffle(shuffled)
+        assert sorted(shuffled) == sorted(
+            shuffled, key=lambda d: (d.attribute, d.label)
+        )
+
+    def test_repr_and_str(self):
+        descriptor = Descriptor("age", "young")
+        assert repr(descriptor) == "Descriptor(attribute='age', label='young')"
+        assert str(descriptor) == "age:young"
+        assert f"{descriptor}" == "age:young"
+
+    def test_keyword_construction(self):
+        assert Descriptor(attribute="age", label="young") == Descriptor("age", "young")
+        assert Descriptor("age", label="young").label == "young"
+
+    def test_immutable(self):
+        descriptor = Descriptor("age", "young")
+        with pytest.raises(AttributeError):
+            descriptor.label = "old"
+        with pytest.raises(AttributeError):
+            descriptor.extra = 1
+
+    def test_equals_its_plain_tuple(self):
+        assert Descriptor("age", "young") == ("age", "young")
+        assert len({Descriptor("age", "young"), ("age", "young")}) == 1
 
 
 class TestLinguisticVariable:

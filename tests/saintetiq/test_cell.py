@@ -1,5 +1,8 @@
 """Unit tests for grid cells."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.exceptions import SummaryError
@@ -25,6 +28,18 @@ class TestMakeCellKey:
     def test_empty_key_raises(self):
         with pytest.raises(SummaryError):
             make_cell_key([])
+
+    def test_descriptor_order_is_the_attribute_label_order(self, background):
+        # Every cell of the medical grid, its descriptors handed over in a
+        # shuffled order: sorting by the descriptor itself gives the key the
+        # explicit ``(attribute, label)`` sort gave.
+        rng = random.Random(3)
+        variables = [variable.descriptors for variable in background]
+        for combination in itertools.product(*variables):
+            shuffled = list(combination)
+            rng.shuffle(shuffled)
+            explicit = tuple(sorted(shuffled, key=lambda d: (d.attribute, d.label)))
+            assert make_cell_key(shuffled) == explicit
 
 
 class TestCell:

@@ -9,6 +9,7 @@ from repro.exceptions import SummaryError
 from repro.fuzzy.linguistic import Descriptor
 from repro.saintetiq.cell import Cell, make_cell_key
 from repro.saintetiq.hierarchy import SummaryHierarchy
+from repro.saintetiq.mapping import MappingService
 from repro.saintetiq.merging import merge_hierarchies
 from repro.saintetiq.serialization import (
     canonical_encode,
@@ -59,6 +60,21 @@ class TestCellSerialization:
             cell_from_dict({"key": [["age", "young"], ["age", "old"]], "tuple_count": 1})
         with pytest.raises(SummaryError):
             cell_from_dict({"tuple_count": 1})
+
+    def test_grade_order_is_the_attribute_label_order(self, background):
+        # The medical background's mapped cells, grades inserted in reverse:
+        # the encoding lists them as the explicit ``(attribute, label)`` sort.
+        records = [r.as_dict() for r in PatientGenerator(seed=17).relation(400)]
+        cells = MappingService(background).map_records(records, peer="p1")
+        assert cells
+        for cell in cells.values():
+            cell.grades = dict(reversed(list(cell.grades.items())))
+            explicit = sorted(
+                cell.grades.items(), key=lambda kv: (kv[0].attribute, kv[0].label)
+            )
+            assert cell_to_dict(cell)["grades"] == [
+                [d.attribute, d.label, grade] for d, grade in explicit
+            ]
 
 
 class TestSummarySerialization:

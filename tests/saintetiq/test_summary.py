@@ -160,6 +160,28 @@ class TestAggregateCache:
         assert summary.tuple_count == pytest.approx(99.0)
         summary.check_cache()
 
+    @pytest.mark.parametrize(
+        "field, corrupt",
+        [
+            ("count", lambda v: v + 1.0),
+            ("total", lambda v: v + 1.0),
+            ("total_squares", lambda v: v + 1.0),
+            ("minimum", lambda v: v - 1.0),
+            ("maximum", lambda v: v + 1.0),
+        ],
+    )
+    def test_check_cache_detects_each_corrupted_statistic(self, field, corrupt):
+        young = Cell(key=make_cell_key([Descriptor("age", "young")]))
+        young.absorb_record({"age": 12.0}, 1.0, {Descriptor("age", "young"): 1.0})
+        young.absorb_record({"age": 17.0}, 0.5, {Descriptor("age", "young"): 0.5})
+        summary = Summary()
+        summary.absorb_cell(young)
+        summary.check_cache()
+        cached = summary._stats.get("age")
+        setattr(cached, field, corrupt(getattr(cached, field)))
+        with pytest.raises(SummaryError, match="statistics of 'age'"):
+            summary.check_cache()
+
     def test_constructor_supplied_cells_rebuild_lazily(self):
         original = summary_from_cells([_cell({"age": "young"}, count=2.0)])
         clone = Summary(cells={k: c.copy() for k, c in original.cells.items()})
