@@ -106,13 +106,14 @@ class Domain:
     def global_summary(self) -> Optional[SummaryHierarchy]:
         """The domain's merged global summary ``GS``.
 
-        When the domain was restored lazily (read-only serving), the first
-        access pulls the hierarchy from the snapshot store via the bound
-        loader; subsequent accesses return the materialized object.  Threads
-        may race through the first access: the loader is read once and
-        cleared only after the summary is published, so each of them sees
-        either a loader to call (one materialized object per digest is
-        ``HierarchySource.get``'s guarantee) or the published summary.
+        When the domain was restored from a checkpoint (by either open), the
+        first access materializes the hierarchy through the bound loader;
+        subsequent accesses return the materialized object.  Threads of a
+        read-only session may race through the first access: the loader is
+        read once and cleared only after the summary is published, so each
+        of them sees either a loader to call (one materialized object per
+        digest is ``HierarchySource.get``'s guarantee) or the published
+        summary.
         """
         loader = self._summary_loader
         if loader is not None and self._global_summary is None:

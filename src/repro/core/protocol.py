@@ -275,7 +275,6 @@ class SummaryManagementSystem:
             if rebuild_summaries:
                 service.rebuild_from_database()
             self._services[peer_id] = service
-            peer.attach_summary(service.summary)
         self._content = SummaryContentModel(self._queries, self._databases)
 
     def use_planned_content(

@@ -59,9 +59,10 @@ class LocalSummaryService:
     def summary(self) -> SummaryHierarchy:
         """The live local summary, materializing a pending lazy loader.
 
-        Safe for threads racing through the first access: the loader is read
-        once and cleared only after everything learnt from the hierarchy is
-        published (see :attr:`Domain.global_summary`).
+        A service restored from a checkpoint (by either open) holds a loader
+        until the first access.  Safe for threads racing through that access:
+        the loader is read once and cleared only after everything learnt from
+        the hierarchy is published (see :attr:`Domain.global_summary`).
         """
         loader = self._summary_loader
         if loader is not None and self._summary is None:

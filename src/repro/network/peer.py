@@ -2,8 +2,9 @@
 
 A :class:`PeerNode` is the per-node state visible to the network layer: its
 identifier, role (plain peer or superpeer), connectivity status, its local
-database and local summary, and the bookkeeping the summary-management
-protocols need (who its summary peer is, how far away it is, etc.).
+database, and the bookkeeping the summary-management protocols need (who its
+summary peer is, how far away it is, etc.).  Its local summary lives in the
+protocol's :class:`~repro.core.service.LocalSummaryService`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Set
 
 from repro.database.engine import LocalDatabase
-from repro.saintetiq.hierarchy import SummaryHierarchy
 
 
 class PeerRole(enum.Enum):
@@ -31,7 +31,6 @@ class PeerNode:
     role: PeerRole = PeerRole.PEER
     online: bool = True
     database: Optional[LocalDatabase] = None
-    local_summary: Optional[SummaryHierarchy] = None
 
     #: Identifier of the summary peer whose domain this peer belongs to
     #: (None when the peer is not a partner of any domain).
@@ -76,9 +75,6 @@ class PeerNode:
 
     def attach_database(self, database: LocalDatabase) -> None:
         self.database = database
-
-    def attach_summary(self, summary: SummaryHierarchy) -> None:
-        self.local_summary = summary
 
     def join_domain(self, summary_peer_id: str, distance: float) -> None:
         self.summary_peer_id = summary_peer_id

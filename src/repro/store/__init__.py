@@ -16,11 +16,12 @@ matching persistence layer:
   ``save_session(..., base=...)`` stores *delta* checkpoints — structural
   patches (:mod:`repro.store.deltas`) against an earlier checkpoint — that
   restore transparently through their base chain; ``compact_checkpoint``
-  folds a long chain back into a fresh full checkpoint.
+  folds a long chain back into a fresh full checkpoint.  A restore decodes
+  each hierarchy on first touch (:mod:`repro.store.lazy`).
 * **Read-only serving** (:func:`open_readonly_session`) — open a checkpoint
-  as one shared :class:`~repro.core.session.ReadOnlyNetworkSession` with
-  lazy, content-addressed hierarchy loading (:mod:`repro.store.lazy`); this
-  is the session mode behind the ``repro serve`` daemon.
+  as one shared :class:`~repro.core.session.ReadOnlyNetworkSession` whose
+  consumers and threads share one hierarchy object per snapshot; this is
+  the session mode behind the ``repro serve`` daemon.
 * **Garbage collection** (:mod:`repro.store.gc`) — ``collect_garbage`` (also
   reachable as ``backend.gc()``) reclaims snapshots no retained checkpoint,
   delta chain or domain head references.

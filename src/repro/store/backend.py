@@ -58,6 +58,14 @@ def _check_names(kind: str, key: str) -> None:
             )
 
 
+def parse_document(kind: str, key: str, encoded: str) -> Dict[str, Any]:
+    """Parse the stored text of ``(kind, key)``; corrupt text is a :class:`StoreError`."""
+    try:
+        return json.loads(encoded)
+    except json.JSONDecodeError as exc:
+        raise StoreError(f"corrupt stored object {kind}/{key}: {exc}") from exc
+
+
 def _pid_alive(pid: int) -> bool:
     try:
         os.kill(pid, 0)
@@ -251,9 +259,17 @@ class StoreBackend(abc.ABC):
     def put_encoded(self, kind: str, key: str, encoded: str) -> None:
         """:meth:`put` for a payload already in its canonical JSON text."""
 
-    @abc.abstractmethod
     def get(self, kind: str, key: str) -> Dict[str, Any]:
         """Load the payload stored under ``(kind, key)``.
+
+        Raises :class:`StoreError` when the object does not exist or its
+        stored text is not JSON.
+        """
+        return parse_document(kind, key, self.get_encoded(kind, key))
+
+    @abc.abstractmethod
+    def get_encoded(self, kind: str, key: str) -> str:
+        """The text :meth:`put_encoded` stored under ``(kind, key)``, unparsed.
 
         Raises :class:`StoreError` when the object does not exist.
         """
@@ -337,11 +353,11 @@ class InMemoryBackend(StoreBackend):
         _check_names(kind, key)
         self._objects.setdefault(kind, {})[key] = encoded
 
-    def get(self, kind: str, key: str) -> Dict[str, Any]:
+    def get_encoded(self, kind: str, key: str) -> str:
         self._ensure_open()
         _check_names(kind, key)
         try:
-            return json.loads(self._objects[kind][key])
+            return self._objects[kind][key]
         except KeyError:
             raise StoreError(f"no stored object {kind}/{key}") from None
 
@@ -447,15 +463,12 @@ class JsonDirectoryBackend(StoreBackend):
                 pass
             raise
 
-    def get(self, kind: str, key: str) -> Dict[str, Any]:
+    def get_encoded(self, kind: str, key: str) -> str:
         self._ensure_open()
         path = self._path(kind, key)
         if not path.is_file():
             raise StoreError(f"no stored object {kind}/{key} under {self._root}")
-        try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise StoreError(f"corrupt stored object {kind}/{key}: {exc}") from exc
+        return path.read_text(encoding="utf-8")
 
     def contains(self, kind: str, key: str) -> bool:
         self._ensure_open()
@@ -555,22 +568,15 @@ class SqliteBackend(StoreBackend):
                 (kind, key, encoded),
             )
 
-    def _fetch(self, kind: str, key: str) -> Optional[str]:
+    def get_encoded(self, kind: str, key: str) -> str:
         self._ensure_open()
         _check_names(kind, key)
         row = self._connection.execute(
             "SELECT payload FROM objects WHERE kind = ? AND key = ?", (kind, key)
         ).fetchone()
-        return None if row is None else row[0]
-
-    def get(self, kind: str, key: str) -> Dict[str, Any]:
-        encoded = self._fetch(kind, key)
-        if encoded is None:
+        if row is None:
             raise StoreError(f"no stored object {kind}/{key} in {self._path}")
-        try:
-            return json.loads(encoded)
-        except json.JSONDecodeError as exc:
-            raise StoreError(f"corrupt stored object {kind}/{key}: {exc}") from exc
+        return row[0]
 
     def contains(self, kind: str, key: str) -> bool:
         # The index answers; the payload (a snapshot is tens of KB) stays put.
@@ -606,10 +612,7 @@ class SqliteBackend(StoreBackend):
             raise StoreError(f"no stored object {kind}/{key} in {self._path}")
 
     def size_bytes(self, kind: str, key: str) -> int:
-        encoded = self._fetch(kind, key)
-        if encoded is None:
-            raise StoreError(f"no stored object {kind}/{key} in {self._path}")
-        return len(encoded.encode("utf-8"))
+        return len(self.get_encoded(kind, key).encode("utf-8"))
 
     def location(self) -> str:
         return str(self._path)

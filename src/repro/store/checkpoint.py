@@ -86,7 +86,7 @@ from repro.saintetiq.clustering import ClusteringParameters
 from repro.saintetiq.hierarchy import SummaryHierarchy
 from repro.store.backend import StoreBackend, open_store, owns_backend
 from repro.store.deltas import apply_patch, diff_documents
-from repro.store.lazy import DEFAULT_CACHE_SIZE, HierarchySource
+from repro.store.lazy import DEFAULT_CACHE_SIZE, HierarchySource, StoredSnapshot
 from repro.store.snapshots import SnapshotStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -197,15 +197,23 @@ def _config_from_payload(payload: Dict[str, Any]) -> ProtocolConfig:
     return ProtocolConfig(**fields)
 
 
+#: What a checkpoint files a summary from: the live hierarchy, or the stored
+#: text a restored summary that was never touched is still pending on.
+_Filed = Union[SummaryHierarchy, StoredSnapshot]
+
+
+def _untouched(owner: Union[Domain, LocalSummaryService]) -> Optional[StoredSnapshot]:
+    """The stored text ``owner``'s summary is still pending on, if any."""
+    loader = owner._summary_loader  # noqa: SLF001
+    return loader if isinstance(loader, StoredSnapshot) else None
+
+
 # -- domains ----------------------------------------------------------------------
 
 
-def _domain_payload(
-    domain: Domain, stage: Callable[[SummaryHierarchy], str]
-) -> Dict[str, Any]:
-    summary_hash: Optional[str] = None
-    if domain.global_summary is not None:
-        summary_hash = stage(domain.global_summary)
+def _domain_payload(domain: Domain, stage: Callable[[_Filed], str]) -> Dict[str, Any]:
+    summary = _untouched(domain) or domain.global_summary
+    summary_hash = None if summary is None else stage(summary)
     return {
         "summary_peer_id": domain.summary_peer_id,
         "mode": domain.cooperation.mode.value,
@@ -223,9 +231,8 @@ def _domain_payload(
 
 def _domain_from_payload(
     payload: Dict[str, Any],
-    snapshots: SnapshotStore,
+    loader: Callable[[str], Callable[[], SummaryHierarchy]],
     background: Optional[BackgroundKnowledge],
-    lazy: Optional[HierarchySource] = None,
 ) -> Domain:
     cooperation = CooperationList(FreshnessMode(payload["mode"]))
     for peer_id, freshness, updated_at in payload["entries"]:
@@ -246,10 +253,7 @@ def _domain_from_payload(
                 "this checkpoint carries global summaries: restoring it needs "
                 "the common background knowledge (pass background=...)"
             )
-        if lazy is not None:
-            domain.bind_summary_loader(lazy.loader(summary_hash))
-        else:
-            domain.global_summary = snapshots.get_hierarchy(summary_hash, background)
+        domain.bind_summary_loader(loader(summary_hash))
     return domain
 
 
@@ -344,10 +348,10 @@ def _database_from_payload(
 
 
 def _service_payload(
-    service: LocalSummaryService, stage: Callable[[SummaryHierarchy], str]
+    service: LocalSummaryService, stage: Callable[[_Filed], str]
 ) -> Dict[str, Any]:
     return {
-        "summary": stage(service.summary),
+        "summary": stage(_untouched(service) or service.summary),
         "published_signature": sorted(
             [d.attribute, d.label] for d in service._published_signature  # noqa: SLF001
         ),
@@ -368,16 +372,17 @@ def capture_session(
     both into the target backend.  Told the ``destination`` they are bound
     for, the texts are only those it does not hold yet: a hierarchy that has
     not moved since it was filed there is referenced by its remembered
-    address and not encoded again.
+    address and not encoded again.  A restored summary that was never
+    touched is filed from the text it was restored from, never decoded.
     """
     system = session.system
     snapshots: Dict[str, str] = {}
 
-    def stage(hierarchy: SummaryHierarchy) -> str:
+    def stage(summary: _Filed) -> str:
         if destination is None:
-            digest, encoded = hierarchy.content_snapshot()
+            digest, encoded = summary.content_snapshot()
         else:
-            digest, encoded = destination.missing_snapshot(hierarchy)
+            digest, encoded = destination.missing_snapshot(summary)
         if encoded is not None:
             snapshots[digest] = encoded
         return digest
@@ -717,6 +722,18 @@ def restore_session(
     content restores without one.  Delta checkpoints are resolved through
     their base chain transparently.
 
+    Restore decodes no summary hierarchy.  It fetches the stored text of
+    every snapshot the checkpoint references (a missing one raises
+    :class:`StoreError` here) and binds each domain and summary service a
+    :class:`~repro.store.lazy.StoredSnapshot` over it.  A summary is decoded
+    on its first touch: a query decodes the global summaries of the domains
+    it visits, and a reconciliation or cold start every local summary (the
+    maintenance engine is handed all of them).  Each consumer decodes its
+    own object, so peers whose summaries share a digest never share a
+    hierarchy.  Since every text is held from restore on, the
+    caller may close the backend as soon as this returns.  A summary still
+    untouched when the session is checkpointed is filed from its text.
+
     ``runtime`` overrides the execution backend the restored session runs
     on; the default resumes on the backend recorded at checkpoint time (the
     simulator, for checkpoints predating the runtime layer).  Both backends
@@ -738,15 +755,15 @@ def open_readonly_session(
 ) -> "ReadOnlyNetworkSession":
     """Open a checkpoint as a shared, read-only serving session.
 
-    Differences from :func:`restore_session`:
+    Both opens load hierarchies lazily, on first touch.  Differences from
+    :func:`restore_session`:
 
-    * **Lazy hierarchy loading** — global summaries and per-peer local
-      summaries are *not* materialized up front; each is pulled from the
-      content-addressed snapshot store on first touch through a
-      :class:`~repro.store.lazy.HierarchySource` (LRU keyed by snapshot hash,
-      shared across all consumers).  Opening a large checkpoint therefore
-      costs the structural payload only, and a query workload materializes
-      exactly the hierarchies it touches.
+    * **Shared hierarchies** — every consumer pulls from one
+      :class:`~repro.store.lazy.HierarchySource` (LRU keyed by snapshot
+      hash), so peers and threads touching one digest share one object, and
+      a snapshot's text is fetched from the store on first touch, not at
+      open.  Opening a large checkpoint therefore costs the structural
+      payload only.
     * **Read-only** — the returned
       :class:`~repro.core.session.ReadOnlyNetworkSession` takes queries and
       staleness requests from any number of threads at once, rejects every
@@ -778,7 +795,7 @@ def open_readonly_session(
             backend,
             name,
             background,
-            lazy=source,
+            source=source,
             session_cls=ReadOnlyNetworkSession,
         )
         assert isinstance(session, ReadOnlyNetworkSession)
@@ -790,11 +807,25 @@ def open_readonly_session(
         raise
 
 
+def _stored_snapshots(
+    snapshots: SnapshotStore, background: Optional[BackgroundKnowledge]
+) -> Callable[[str], StoredSnapshot]:
+    """A loader per consumer over texts fetched now, each digest fetched once."""
+    texts: Dict[str, str] = {}
+
+    def loader(digest: str) -> StoredSnapshot:
+        if digest not in texts:
+            texts[digest] = snapshots.get_encoded(digest)
+        return StoredSnapshot(digest, texts[digest], background)
+
+    return loader
+
+
 def _restore_session(
     backend: StoreBackend,
     name: str,
     background: Optional[BackgroundKnowledge],
-    lazy: Optional[HierarchySource] = None,
+    source: Optional[HierarchySource] = None,
     session_cls: Optional[type] = None,
     runtime: "RuntimeSpec" = None,
 ) -> "NetworkSession":
@@ -804,7 +835,13 @@ def _restore_session(
         session_cls = NetworkSession
 
     payload = resolve_checkpoint_payload(backend, name)
-    snapshots = SnapshotStore(backend)
+    # Both opens bind loaders and decode nothing here: a mutable restore
+    # binds each consumer its own text, a read-only open the shared source.
+    loader = (
+        _stored_snapshots(SnapshotStore(backend), background)
+        if source is None
+        else source.loader
+    )
     planned = payload["mode"] == "planned"
 
     overlay = _overlay_from_payload(payload["overlay"])
@@ -858,29 +895,14 @@ def _restore_session(
             system._databases[peer_id] = database  # noqa: SLF001
             overlay.peer(peer_id).attach_database(database)
         for peer_id, service_payload in payload["services"]:
-            if lazy is not None:
-                # Lazy open: the service learns attributes/parameters from the
-                # hierarchy when (if ever) it is materialized; the peer's
-                # cosmetic ``local_summary`` reference is skipped entirely.
-                service = LocalSummaryService(
-                    peer_id,
-                    background,
-                    database=system._databases.get(peer_id),  # noqa: SLF001
-                )
-                service.bind_summary_loader(lazy.loader(service_payload["summary"]))
-            else:
-                summary = snapshots.get_hierarchy(
-                    service_payload["summary"], background
-                )
-                service = LocalSummaryService(
-                    peer_id,
-                    background,
-                    database=system._databases.get(peer_id),  # noqa: SLF001
-                    attributes=summary.attributes,
-                    parameters=summary._builder.parameters,  # noqa: SLF001
-                )
-                service._summary = summary  # noqa: SLF001 - exact restore
-                overlay.peer(peer_id).attach_summary(summary)
+            # The service learns its attributes and clustering parameters
+            # from the hierarchy when (if ever) it is materialized.
+            service = LocalSummaryService(
+                peer_id,
+                background,
+                database=system._databases.get(peer_id),  # noqa: SLF001
+            )
+            service.bind_summary_loader(loader(service_payload["summary"]))
             service._published_signature = frozenset(  # noqa: SLF001
                 Descriptor(attribute, label)
                 for attribute, label in service_payload["published_signature"]
@@ -902,7 +924,7 @@ def _restore_session(
 
     # Domains, assignment and described sets (insertion order preserved).
     for domain_payload in payload["domains"]:
-        domain = _domain_from_payload(domain_payload, snapshots, background, lazy)
+        domain = _domain_from_payload(domain_payload, loader, background)
         system._domains[domain.summary_peer_id] = domain  # noqa: SLF001
     system._assignment.update(  # noqa: SLF001
         {peer: sp for peer, sp in payload["assignment"]}

@@ -1,40 +1,79 @@
-"""Lazy, content-addressed hierarchy loading for read-only sessions.
+"""Lazy, content-addressed hierarchy loading for restored sessions.
 
-A restored session normally materializes every peer's summary hierarchy up
-front, which makes opening a large checkpoint pay for peers a query workload
-may never touch.  :class:`HierarchySource` defers that work: domains and
-summary services are given loader callables bound to a snapshot hash, and the
-hierarchy is rehydrated from the :class:`~repro.store.snapshots.SnapshotStore`
-only on first touch.
+No restore materializes a summary hierarchy up front: domains and summary
+services are given loader callables bound to a snapshot hash, and the
+hierarchy is decoded only on first touch, so a session pays for the
+summaries its workload touches and for no others.  The two ways to open a
+checkpoint differ in what a loader shares, not in when it loads:
 
-Because snapshots are content-addressed, two peers whose hierarchies hash to
-the same digest share one materialized object, and so do all the threads
-answering from one session.  That sharing is safe because nothing a read-only
-session runs mutates a hierarchy: a query only fills the hierarchy's memos
-(aggregate caches, the query index, cached selections), each a function of
-the immutable tree and published whole, so concurrent first touches at worst
-compute the same value twice.  Lazy loading is therefore reserved for the
-read-only open mode (see :func:`repro.store.checkpoint.open_readonly_session`).
+* :func:`repro.store.checkpoint.restore_session` binds each consumer its own
+  :class:`StoredSnapshot`: the snapshot's text, fetched at restore time, and
+  decoded into a fresh hierarchy on first touch.  A mutable session edits
+  its hierarchies in place, so two peers whose summaries share a digest must
+  never share one object.
+* :func:`repro.store.checkpoint.open_readonly_session` binds every consumer
+  to one :class:`HierarchySource`, which fetches on first touch.  Because
+  snapshots are content-addressed, two peers whose hierarchies hash to the
+  same digest share one materialized object, and so do all the threads
+  answering from one session.  That sharing is safe because nothing a
+  read-only session runs mutates a hierarchy: a query only fills the
+  hierarchy's memos (aggregate caches, the query index, cached selections),
+  each a function of the immutable tree and published whole, so concurrent
+  first touches at worst compute the same value twice.
 
-The source keeps an LRU keyed by snapshot hash so a long-running server's
-working set stays bounded; consumers (``Domain``/``LocalSummaryService``)
-hold strong references to whatever they have already materialized, so
-eviction only bounds the *source's* dedup window, never invalidates a
-hierarchy in use.
+The :class:`HierarchySource` keeps an LRU keyed by snapshot hash so a
+long-running server's working set stays bounded; consumers
+(``Domain``/``LocalSummaryService``) hold strong references to whatever they
+have already materialized, so eviction only bounds the *source's* dedup
+window, never invalidates a hierarchy in use.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
+
+from repro.store.snapshots import decode_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.saintetiq.hierarchy import SummaryHierarchy
-    from repro.saintetiq.knowledge import BackgroundKnowledge
+    from repro.fuzzy.background import BackgroundKnowledge
     from repro.store.snapshots import SnapshotStore
 
 DEFAULT_CACHE_SIZE = 256
+
+
+class StoredSnapshot:
+    """A mutable restore's loader: one snapshot's stored text, decoded on call.
+
+    Each call decodes a fresh hierarchy, so consumers never share one.  The
+    text is held from restore time on, so the backend it came from may be
+    closed before the first touch.  Until then a checkpoint files the
+    summary straight from this text: the loader answers
+    :meth:`~repro.store.snapshots.SnapshotStore.missing_snapshot` like the
+    hierarchy it stands for (``known_content_address`` and
+    ``content_snapshot``), and is never decoded to be encoded again.
+    """
+
+    __slots__ = ("digest", "encoded", "_background")
+
+    def __init__(
+        self, digest: str, encoded: str, background: "BackgroundKnowledge"
+    ) -> None:
+        self.digest = digest
+        self.encoded = encoded
+        self._background = background
+
+    @property
+    def known_content_address(self) -> str:
+        return self.digest
+
+    def content_snapshot(self) -> Tuple[str, str]:
+        return self.digest, self.encoded
+
+    def __call__(self) -> "SummaryHierarchy":
+        return decode_snapshot(self.digest, self.encoded, self._background)
 
 
 class HierarchySource:

@@ -11,19 +11,35 @@ first-class stored objects rather than transient in-memory state.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import StoreError
 from repro.fuzzy.background import BackgroundKnowledge
 from repro.saintetiq.hierarchy import SummaryHierarchy
 from repro.saintetiq.serialization import content_hash, hierarchy_from_dict
-from repro.store.backend import StoreBackend, open_store
+from repro.store.backend import StoreBackend, open_store, parse_document
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.store.lazy import StoredSnapshot
 
 #: The namespace snapshots are filed under in any backend.
 SNAPSHOT_KIND = "snapshot"
 #: The namespace per-domain head records are filed under (see
 #: :class:`DomainHeadArchive`).
 DOMAIN_HEAD_KIND = "domain-head"
+
+
+def decode_snapshot(
+    digest: str, encoded: str, background: BackgroundKnowledge
+) -> SummaryHierarchy:
+    """A fresh hierarchy from the stored text of snapshot ``digest``.
+
+    Text that is not JSON raises the backend's "corrupt stored object"
+    :class:`StoreError`, naming the digest.
+    """
+    return hierarchy_from_dict(
+        parse_document(SNAPSHOT_KIND, digest, encoded), background
+    )
 
 
 class SnapshotStore:
@@ -55,14 +71,17 @@ class SnapshotStore:
             self.observability.inc("repro_store_dedup_hits_total", kind=SNAPSHOT_KIND)
         return digest
 
-    def missing_snapshot(self, hierarchy: SummaryHierarchy) -> Tuple[str, Optional[str]]:
+    def missing_snapshot(
+        self, hierarchy: Union[SummaryHierarchy, "StoredSnapshot"]
+    ) -> Tuple[str, Optional[str]]:
         """``(content hash, canonical text)`` — no text when it is stored here.
 
         The hierarchy's remembered address says *which* snapshot it is, never
         that this store has it: ``contains`` is asked of this store every
         time, and anything short of a yes — no remembered address, or one
         filed elsewhere — encodes once, the text handed back for the caller
-        to file.
+        to file.  A restored summary never touched answers from the text it
+        was restored from.
         """
         digest = hierarchy.known_content_address
         if digest is not None and self.contains(digest):
@@ -90,11 +109,14 @@ class SnapshotStore:
         the wire format; the restored hierarchy is byte-identical to the
         stored one (its re-encoding hashes back to ``digest``).
         """
-        payload = self._backend.get(SNAPSHOT_KIND, digest)
-        hierarchy = hierarchy_from_dict(payload, background)
+        hierarchy = decode_snapshot(digest, self.get_encoded(digest), background)
         if self.observability is not None:
             self.observability.inc("repro_store_gets_total", kind=SNAPSHOT_KIND)
         return hierarchy
+
+    def get_encoded(self, digest: str) -> str:
+        """The canonical text stored under ``digest``, not decoded."""
+        return self._backend.get_encoded(SNAPSHOT_KIND, digest)
 
     def contains(self, digest: str) -> bool:
         return self._backend.contains(SNAPSHOT_KIND, digest)

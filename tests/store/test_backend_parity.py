@@ -72,6 +72,22 @@ class TestEdgeCaseParity:
             backend.size_bytes("checkpoint", "k")
         assert backend.keys("checkpoint") == []
 
+    def test_get_encoded_returns_the_stored_text(self, harness):
+        backend = harness.backend
+        text = '{"b": [1, 2.5], "a": "é"}'  # not canonical: stored as given
+        backend.put_encoded("snapshot", "k", text)
+        assert backend.get_encoded("snapshot", "k") == text
+        assert backend.get("snapshot", "k") == {"a": "é", "b": [1, 2.5]}
+        with pytest.raises(StoreError, match="no stored object"):
+            backend.get_encoded("snapshot", "missing")
+
+    def test_get_of_corrupt_text_raises_store_error(self, harness):
+        backend = harness.backend
+        backend.put_encoded("snapshot", "k", '{"torn": ')
+        with pytest.raises(StoreError, match="^corrupt stored object snapshot/k: "):
+            backend.get("snapshot", "k")
+        assert backend.get_encoded("snapshot", "k") == '{"torn": '
+
     def test_reput_overwrites(self, harness):
         backend = harness.backend
         backend.put("checkpoint", "k", {"v": 1, "extra": [1, 2, 3]})
@@ -85,13 +101,17 @@ class TestEdgeCaseParity:
         [
             lambda b: b.put("checkpoint", "k", {}),
             lambda b: b.get("checkpoint", "k"),
+            lambda b: b.get_encoded("checkpoint", "k"),
             lambda b: b.contains("checkpoint", "k"),
             lambda b: b.keys("checkpoint"),
             lambda b: b.kinds(),
             lambda b: b.delete("checkpoint", "k"),
             lambda b: b.size_bytes("checkpoint", "k"),
         ],
-        ids=["put", "get", "contains", "keys", "kinds", "delete", "size_bytes"],
+        ids=[
+            "put", "get", "get_encoded", "contains", "keys", "kinds", "delete",
+            "size_bytes",
+        ],
     )
     def test_every_operation_after_close_raises_store_error(self, harness, operation):
         harness.backend.put("checkpoint", "k", {"v": 1})
