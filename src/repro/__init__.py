@@ -114,9 +114,9 @@ True
 >>> server.join(timeout=10.0)
 
 One process is GIL-bound; serving scales past it with a **supervised
-worker fleet**: ``repro serve --store run.sqlite --workers 4`` forks four
-worker processes (each its own read-only restore) behind one front port,
-health-checks them, restarts crashes with capped exponential backoff,
+worker fleet**: ``repro serve --store run.sqlite --workers 4`` restores the
+checkpoint read-only once, forks four worker processes from that restore
+behind one front port, health-checks them, restarts crashes with capped exponential backoff,
 sheds load beyond ``--max-inflight`` (HTTP 503 + ``Retry-After``),
 fails over-deadline requests typed (HTTP 504), and answers repeated
 requests from an exact response cache keyed by (canonical request,

@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="serve: supervise WORKERS worker processes behind one front "
-        "port, each with its own read-only restore (default: 1 = serve "
+        "port, forked from one read-only restore (default: 1 = serve "
         "in-process; >1 enables crash-safe multi-process serving with "
         "deadlines, load shedding and restart-on-crash)",
     )

@@ -20,8 +20,9 @@ process.  Three layers:
   (:mod:`repro.serve.transport`), bounded jittered retry on connection loss
   and typed overload/deadline/crash errors.
 * :mod:`repro.serve.supervisor` / :mod:`repro.serve.worker` — crash-safe
-  multi-process serving: a supervisor forks N worker processes (each its own
-  read-only restore), fronts them on one port with deadlines, load shedding
+  multi-process serving: a supervisor forks one zygote that restores the
+  checkpoint read-only once and forks N worker processes from it, fronts
+  them on one port with deadlines, load shedding
   and an exact response cache, health-checks them and restarts crashes with
   capped exponential backoff.
 * :mod:`repro.serve.chaos` — a seeded crash-fault harness that SIGKILLs

@@ -60,8 +60,9 @@ holding a warm connection sees it closed, re-dials and is refused.
 Library errors surface as ``400`` with ``{"error": ..., "type": ...}``;
 anything unexpected is a ``500``.  Use :func:`start_server` for an in-process
 daemon on an ephemeral port (tests, benchmarks) and the ``repro serve`` CLI
-command for a long-running one; that command and every supervised worker
-process run :func:`serve_checkpoint`, the one foreground bootstrap.
+command for a long-running one; that command runs :func:`serve_checkpoint`,
+and it and every supervised worker process serve through
+:func:`serve_session`, the one foreground loop.
 """
 
 from __future__ import annotations
@@ -622,19 +623,45 @@ def serve_checkpoint(
 ) -> int:
     """Serve one checkpoint in the foreground until stopped; returns 0.
 
-    The whole life of a serve process — ``repro serve`` and every
+    The whole life of a single serve process — ``repro serve`` and
     ``python -m repro.serve.worker`` alike: open ``name`` from ``store``
-    read-only, bind a :class:`SummaryQueryServer` over it, print
-    ``banner(server)`` on stdout (the one line a parent process waits for, so
-    it is flushed), and ``serve_forever`` on the calling thread.  ``POST
-    /shutdown``, ``SIGTERM`` and Ctrl-C all end the same way: stop accepting,
-    let the handler threads finish the requests they hold, end their
-    kept-alive connections, close the session and the store it owns.  Call
-    from the main thread (it installs the ``SIGTERM`` handler).
+    read-only, then :func:`serve_session` it, printing ``banner(server)`` on
+    stdout (the one line a parent process waits for, so it is flushed).
     """
     from repro.store.checkpoint import open_readonly_session
 
     session = open_readonly_session(store, name=name, background=background)
+    return serve_session(
+        session,
+        name,
+        host,
+        port,
+        lambda server: print(banner(server), flush=True),
+        observe=observe,
+        quiet=quiet,
+    )
+
+
+def serve_session(
+    session: ReadOnlyNetworkSession,
+    name: str,
+    host: str,
+    port: int,
+    announce: Callable[[SummaryQueryServer], None],
+    observe: bool = True,
+    quiet: bool = True,
+) -> int:
+    """Serve an open read-only session in the foreground until stopped; returns 0.
+
+    Bind a :class:`SummaryQueryServer` over ``session``, call
+    ``announce(server)`` once it listens, and ``serve_forever`` on the
+    calling thread.  ``POST /shutdown``, ``SIGTERM`` and Ctrl-C all end the
+    same way: stop accepting, let the handler threads finish the requests
+    they hold, end their kept-alive connections, close the session and the
+    store it owns.  Call from the main thread (it installs the ``SIGTERM``
+    handler).  A supervised worker runs this in a child forked from the
+    process that opened ``session``.
+    """
     server = SummaryQueryServer(
         (host, port),
         session,
@@ -651,7 +678,7 @@ def serve_checkpoint(
         threading.Thread(target=server.shutdown, daemon=True).start()
 
     signal.signal(signal.SIGTERM, _on_sigterm)
-    print(banner(server), flush=True)
+    announce(server)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

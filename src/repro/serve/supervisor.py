@@ -3,21 +3,32 @@
 The single-process daemon (:mod:`repro.serve.server`) computes one answer at
 a time: its handler threads share the session freely, but protocol work is
 pure Python under one GIL, so more threads buy no throughput.  The
-:class:`Supervisor` parallelizes across processes instead: it forks ``N``
-**worker processes** (each one ``python -m repro.serve.worker`` over its own
-read-only restore of the same checkpoint; the store is opened with
-``exclusive=False`` throughout, so the fleet coexists with at most one
-writer), and fronts them with a proxy on a single port.  Because answers are
-deterministic by construction — no request writes to the session it reads —
-which process answers a request is unobservable, and process-level recovery
-can be verified *byte for byte*.
+:class:`Supervisor` parallelizes across processes instead: it runs ``N``
+**worker processes** and fronts them with a proxy on a single port.  Because
+answers are deterministic by construction — no request writes to the session
+it reads — which process answers a request is unobservable, and
+process-level recovery can be verified *byte for byte*.
+
+A fleet restores its checkpoint once.  :meth:`Supervisor.start` first forks
+one single-threaded **zygote** (:func:`repro.serve.worker.run_zygote`),
+which opens the checkpoint read-only (``exclusive=False``, so the fleet
+coexists with at most one writer), freezes the restored heap and forks every
+worker — at start and at each restart — so the workers share the restored
+pages copy-on-write.  The supervisor starts its own threads only after that
+first fork and never forks again: a worker is the zygote's child, and the
+supervisor holds it through a :class:`ForkedProcess` (a pidfd).  Each worker
+opens its own store connection on its first lazy fetch; no store handle is
+used on both sides of a fork.  If the zygote dies, the workers serve on but
+none can be replaced: ``/health`` reads ``degraded`` and each restart fails
+typed and backs off.
 
 What the front process adds on top of raw forwarding:
 
 * **Supervision** — a health loop polls every worker; a crashed worker
   (nonzero exit, SIGKILL) or a hung one (missed heartbeats) is restarted
-  with capped exponential backoff.  Restart counts and per-worker liveness
-  are reported on ``/health``.
+  with capped exponential backoff.  Restart counts, per-worker liveness and
+  each worker's unique memory (``private_mb``: what copy-on-write could not
+  share) are reported on ``/health``.
 * **Deadlines** — every query-shaped request carries a budget
   (``deadline_ms``, overridable per request via the ``X-Repro-Deadline-Ms``
   header).  A request that exceeds it fails typed (HTTP 504,
@@ -56,7 +67,8 @@ to its current incarnation's port, and everything the supervisor says to
 that worker — forwarded requests, the heartbeat poll, metrics collection,
 the polite ``/shutdown`` — goes through it, so a forward reuses a warm
 connection instead of dialling.  The pool is opened when the worker reports
-``READY`` and closed when the worker is declared failed, restarted (a new
+``READY`` (over a pipe handed to the zygote with the fork request) and
+closed when the worker is declared failed, restarted (a new
 incarnation listens on a new port) or stopped.  A request's deadline is the
 socket timeout of the connection carrying it.  A pooled connection the
 worker closed while idle is re-dialled once, silently; a connection that
@@ -78,8 +90,9 @@ from __future__ import annotations
 import http.client
 import json
 import os
-import subprocess
-import sys
+import select
+import signal
+import socket
 import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
@@ -90,7 +103,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.serve.cache import ResponseCache, checkpoint_digest
 from repro.serve.server import KeepAliveHandler, KeepAliveHTTPServer
 from repro.serve.transport import ConnectionPool
-from repro.serve.worker import READY_PREFIX
+from repro.serve.worker import FORK, QUIT, READY_PREFIX, run_child, run_zygote
 
 #: Query-shaped endpoints the supervisor proxies to workers (everything else
 #: is answered by the supervisor itself).
@@ -100,12 +113,113 @@ PROXIED_PATHS = frozenset({"/query", "/query_batch", "/staleness"})
 STARTING, LIVE, BACKOFF, STOPPED = "starting", "live", "backoff", "stopped"
 
 
+def _readable(fd: int, timeout: Optional[float]) -> bool:
+    """Whether ``fd`` turns readable within ``timeout`` seconds (``None``: ever)."""
+    poller = select.poll()
+    poller.register(fd, select.POLLIN)
+    return bool(poller.poll(None if timeout is None else max(0.0, timeout) * 1000.0))
+
+
+class ForkedProcess:
+    """A forked process, held through a pidfd: ``Popen``'s process half.
+
+    ``pid`` / ``poll()`` / ``wait()`` / ``kill()`` / ``terminate()`` as on
+    :class:`subprocess.Popen`, without being the process's parent.  A worker
+    is the zygote's child: the supervisor can signal it and learn *that* it
+    ended, race-free even once its pid is recycled, but never reaps it, so
+    its ``returncode`` reads ``-SIGKILL`` once it ended after this handle
+    killed it and ``0`` after any other end.  For the zygote, the
+    supervisor's own child (``reap=True``), it is the real exit status.
+    ``wait`` raises :class:`TimeoutError` when the timeout passes first.
+    """
+
+    def __init__(self, pid: int, reap: bool = False) -> None:
+        self.pid = pid
+        self.returncode: Optional[int] = None
+        self._reap = reap
+        self._killed = False
+        self._lock = threading.Lock()
+        self._fd = os.pidfd_open(pid)
+
+    def poll(self) -> Optional[int]:
+        with self._lock:
+            if self.returncode is None and _readable(self._fd, 0):
+                if self._reap:
+                    status = os.waitpid(self.pid, 0)[1]
+                    self.returncode = os.waitstatus_to_exitcode(status)
+                else:
+                    self.returncode = -signal.SIGKILL if self._killed else 0
+            return self.returncode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        code = self.poll()
+        if code is None:
+            if not _readable(self._fd, timeout):
+                raise TimeoutError(f"pid {self.pid} still running after {timeout}s")
+            code = self.poll()
+        assert code is not None
+        return code
+
+    def send_signal(self, signum: int) -> None:
+        with self._lock:
+            if self.returncode is not None:
+                return
+            try:
+                signal.pidfd_send_signal(self._fd, signum)
+            except ProcessLookupError:
+                return  # ended already; poll() tells
+            self._killed = self._killed or signum == signal.SIGKILL
+
+    def kill(self) -> None:
+        self.send_signal(signal.SIGKILL)
+
+    def terminate(self) -> None:
+        self.send_signal(signal.SIGTERM)
+
+    def __del__(self) -> None:
+        fd = getattr(self, "_fd", None)
+        if fd is not None:
+            os.close(fd)
+
+
+def private_mb(pid: Optional[int]) -> Optional[float]:
+    """A process's unique memory in MiB, ``None`` where it cannot be read.
+
+    ``Private_Clean + Private_Dirty`` of ``/proc/<pid>/smaps_rollup``: the
+    pages no other process maps, i.e. what a forked worker did not share
+    with its zygote and siblings.
+    """
+    if pid is None:
+        return None
+    try:
+        with open(f"/proc/{pid}/smaps_rollup", encoding="ascii") as rollup:
+            kib = sum(
+                int(line.split()[1])
+                for line in rollup
+                if line.startswith(("Private_Clean:", "Private_Dirty:"))
+            )
+    except (OSError, ValueError, IndexError):
+        return None
+    return kib / 1024.0
+
+
+def _read_line(fd: int, deadline: float) -> str:
+    """One line from a pipe, or what came before end-of-file or the deadline."""
+    data = b""
+    while not data.endswith(b"\n") and _readable(fd, deadline - time.monotonic()):
+        chunk = os.read(fd, 4096)
+        if not chunk:
+            break
+        data += chunk
+    return data.decode("utf-8", "replace")
+
+
 class WorkerHandle:
     """One supervised worker process and its bookkeeping."""
 
     def __init__(self, index: int) -> None:
         self.index = index
-        self.process: Optional[subprocess.Popen] = None
+        self.process: Optional[ForkedProcess] = None
         self.port: Optional[int] = None
         #: Kept-alive connections to the current incarnation, ``None`` while
         #: there is nobody to talk to (starting, backoff, stopped).
@@ -181,7 +295,6 @@ class Supervisor:
         startup_timeout: float = 120.0,
         drain_timeout: float = 10.0,
         quiet: bool = True,
-        python: str = sys.executable,
     ) -> None:
         if workers < 1:
             raise ServeError(f"a supervisor needs at least 1 worker, got {workers}")
@@ -203,9 +316,13 @@ class Supervisor:
         self.startup_timeout = startup_timeout
         self.drain_timeout = drain_timeout
         self.quiet = quiet
-        self.python = python
 
         self.workers: List[WorkerHandle] = [WorkerHandle(i) for i in range(workers)]
+        #: The process every worker is forked from, and the supervisor's end
+        #: of its control socket; one fork request is answered at a time.
+        self.zygote: Optional[ForkedProcess] = None
+        self._control: Optional[socket.socket] = None
+        self._spawn_lock = threading.Lock()
         self.registry = MetricsRegistry()
         self._retired = MetricsRegistry()  # final counters of dead incarnations
         self.checkpoint_digest = ""
@@ -219,7 +336,7 @@ class Supervisor:
         self._draining = False
         self._stopped = False
         self.started_at = 0.0
-        self._front: Optional[ThreadingHTTPServer] = None
+        self._front: Optional[_FrontServer] = None
         self._front_thread: Optional[threading.Thread] = None
         self._health_thread: Optional[threading.Thread] = None
         self._stop_event = threading.Event()
@@ -235,24 +352,27 @@ class Supervisor:
         return f"http://{host}:{port}"
 
     def start(self) -> "Supervisor":
-        """Digest the checkpoint, spawn the fleet, open the front port."""
+        """Fork the zygote, digest the checkpoint, fork the fleet, open the front port."""
         if self._front is not None:
             raise ServeError("supervisor already started")
         from repro.store.backend import open_store
 
-        with open_store(self.store, check_same_thread=False, exclusive=False) as backend:
-            digest = checkpoint_digest(backend, self.name)
-        self.checkpoint_digest = digest
-        self.cache.checkpoint = digest
-
-        # Launch every worker before waiting on any handshake: the expensive
-        # part of a worker's startup (restoring the checkpoint) then runs in
-        # parallel across the fleet.
-        for handle in self.workers:
-            self._launch(handle)
-        deadline = time.monotonic() + self.startup_timeout
-        for handle in self.workers:
-            self._await_ready(handle, deadline)
+        # First, while this process runs no thread of its own: the zygote
+        # restores while the digest below is computed here.
+        self._fork_zygote()
+        try:
+            with open_store(
+                self.store, check_same_thread=False, exclusive=False
+            ) as backend:
+                digest = checkpoint_digest(backend, self.name)
+            self.checkpoint_digest = digest
+            self.cache.checkpoint = digest
+            deadline = time.monotonic() + self.startup_timeout
+            for handle in self.workers:
+                self._launch(handle, deadline)
+        except BaseException:
+            self._stop_fleet()
+            raise
 
         self.started_at = time.time()
         self._front = _FrontServer((self.host, self.requested_port), self)
@@ -266,62 +386,58 @@ class Supervisor:
         self._health_thread.start()
         return self
 
-    def _worker_command(self) -> List[str]:
-        command = [
-            self.python,
-            "-m",
-            "repro.serve.worker",
-            "--store",
-            self.store,
-            "--name",
-            self.name,
-            "--port",
-            "0",
-        ]
-        if self.background is not None:
-            command += ["--background", self.background]
-        return command
+    def _fork_zygote(self) -> None:
+        ours, theirs = socket.socketpair()
+        pid = os.fork()
+        if pid == 0:
+            ours.close()
+            run_child(
+                lambda: run_zygote(
+                    theirs, self.store, self.name, self.background, self.quiet
+                )
+            )
+        theirs.close()
+        self._control = ours
+        self.zygote = ForkedProcess(pid, reap=True)
 
-    def _launch(self, handle: WorkerHandle) -> None:
-        """Start the worker process (non-blocking; handshake comes later)."""
-        env = dict(os.environ)
-        src_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = src_root if not existing else f"{src_root}{os.pathsep}{existing}"
-        handle.process = subprocess.Popen(
-            self._worker_command(),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL if self.quiet else None,
-            env=env,
-            text=True,
-        )
+    def _launch(self, handle: WorkerHandle, deadline: float) -> None:
+        """Have the zygote fork the worker; return once it reports ``READY``.
+
+        Fails with :class:`ServeError` when the zygote is gone or the worker
+        ends, or stays silent past ``deadline``, before its handshake.
+        """
         handle.state = STARTING
         handle.port = None
         handle.heartbeat_misses = 0
-
-    def _await_ready(self, handle: WorkerHandle, deadline: float) -> None:
-        """Parse the worker's ``READY port=... pid=...`` handshake line."""
-        process = handle.process
-        assert process is not None and process.stdout is not None
-        line_box: List[str] = []
-
-        def read_line() -> None:
-            line_box.append(process.stdout.readline())
-
-        reader = threading.Thread(target=read_line, daemon=True)
-        reader.start()
-        reader.join(max(0.0, deadline - time.monotonic()))
-        line = line_box[0] if line_box else ""
-        if not line.startswith(READY_PREFIX):
-            process.kill()
-            raise ServeError(
-                f"worker {handle.index} failed to start "
-                f"(expected {READY_PREFIX!r} handshake, got {line!r}; "
-                f"exit code {process.poll()})"
-            )
+        with self._spawn_lock:
+            ready, handed = os.pipe()
+            try:
+                try:
+                    if self._control is None:
+                        raise OSError("the fleet has no zygote")
+                    socket.send_fds(self._control, [FORK], [handed])
+                except OSError as exc:
+                    raise ServeError(
+                        f"worker {handle.index} cannot be forked: the zygote "
+                        f"is gone ({exc})"
+                    ) from exc
+                finally:
+                    os.close(handed)
+                line = _read_line(ready, deadline)
+            finally:
+                os.close(ready)
         fields = dict(
             part.split("=", 1) for part in line.strip().split()[1:] if "=" in part
         )
+        try:
+            if not line.startswith(READY_PREFIX):
+                raise ValueError(line)
+            handle.process = ForkedProcess(int(fields["pid"]))
+        except (ValueError, KeyError, ProcessLookupError) as exc:
+            raise ServeError(
+                f"worker {handle.index} failed to start "
+                f"(expected {READY_PREFIX!r} handshake, got {line!r})"
+            ) from exc
         handle.connect(int(fields["port"]))
         handle.state = LIVE
 
@@ -350,9 +466,27 @@ class Supervisor:
             self._front.server_close()
         if self._health_thread is not None:
             self._health_thread.join(timeout=2 * self.heartbeat_interval + 5.0)
+        self._stop_fleet()
 
+    def _stop_fleet(self) -> None:
+        """Stop every worker, then the zygote, and collect its exit."""
         for handle in self.workers:
             self._stop_worker(handle)
+        control, self._control = self._control, None
+        if control is None:
+            return
+        try:
+            control.sendall(QUIT)
+        except OSError:
+            pass  # the zygote is gone already
+        control.close()
+        zygote = self.zygote
+        if zygote is not None:
+            try:
+                zygote.wait(timeout=5.0)
+            except TimeoutError:  # pragma: no cover - a wedged zygote
+                zygote.kill()
+                zygote.wait()
 
     def request_shutdown(self) -> None:
         """Asynchronous :meth:`stop` (used by the ``/shutdown`` endpoint)."""
@@ -380,15 +514,13 @@ class Supervisor:
         handle.disconnect()
         try:
             process.wait(timeout=3.0)
-        except subprocess.TimeoutExpired:
+        except TimeoutError:
             process.terminate()
             try:
                 process.wait(timeout=2.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover - last resort
+            except TimeoutError:  # pragma: no cover - last resort
                 process.kill()
                 process.wait(timeout=2.0)
-        if process.stdout is not None:
-            process.stdout.close()
         handle.state = STOPPED
 
     # -- supervision -------------------------------------------------------------------
@@ -478,16 +610,12 @@ class Supervisor:
             if process.poll() is None:
                 process.kill()
                 process.wait()
-            if process.stdout is not None:
-                process.stdout.close()
 
     def _restart(self, handle: WorkerHandle) -> None:
         try:
-            self._launch(handle)
-            self._await_ready(
-                handle, time.monotonic() + self.startup_timeout
-            )
+            self._launch(handle, time.monotonic() + self.startup_timeout)
         except Exception:  # noqa: BLE001 - respawn failures reschedule
+            self.registry.inc("repro_supervisor_worker_failures_total", reason="spawn")
             with self._lock:
                 handle.state = BACKOFF
                 handle.next_restart_at = time.monotonic() + self.backoff_delay(
@@ -649,11 +777,13 @@ class Supervisor:
     # -- introspection -----------------------------------------------------------------
 
     def health_payload(self) -> Dict[str, Any]:
+        # A fleet without its zygote serves on but can replace no worker.
+        zygote_alive = self.zygote is not None and self.zygote.poll() is None
         with self._lock:
             workers = [handle.payload() for handle in self.workers]
             live = sum(1 for w in workers if w["state"] == LIVE)
             payload = {
-                "status": "ok" if live == len(workers) else "degraded",
+                "status": "ok" if live == len(workers) and zygote_alive else "degraded",
                 "role": "supervisor",
                 "checkpoint": self.name,
                 "checkpoint_digest": self.checkpoint_digest,
@@ -668,6 +798,10 @@ class Supervisor:
                 "draining": self._draining,
                 "cache": self.cache.stats_payload(),
             }
+        for worker in workers:
+            worker["private_mb"] = (
+                private_mb(worker["pid"]) if worker["state"] == LIVE else None
+            )
         payload["uptime_seconds"] = time.time() - self.started_at
         return payload
 

@@ -535,13 +535,12 @@ class SqliteBackend(StoreBackend):
                 Path(str(self._path) + ".lock"), str(self._path)
             )
             self._lock.acquire()
+        # check_same_thread=False lets the read-only serving path touch the
+        # connection from worker threads; every such caller must serialize
+        # access itself (sqlite connections are not re-entrant).
+        self._check_same_thread = check_same_thread
         try:
-            # check_same_thread=False lets the read-only serving path touch
-            # the connection from worker threads; every such caller must
-            # serialize access itself (sqlite connections are not re-entrant).
-            self._connection = sqlite3.connect(
-                str(self._path), check_same_thread=check_same_thread
-            )
+            self._opened = self._connect()
         except sqlite3.Error as exc:  # pragma: no cover - filesystem dependent
             if self._lock is not None:
                 self._lock.release()
@@ -554,6 +553,20 @@ class SqliteBackend(StoreBackend):
             " PRIMARY KEY (kind, key))"
         )
         self._connection.commit()
+
+    def _connect(self) -> sqlite3.Connection:
+        self._pid = os.getpid()
+        return sqlite3.connect(str(self._path), check_same_thread=self._check_same_thread)
+
+    @property
+    def _connection(self) -> sqlite3.Connection:
+        # SQLite forbids using a connection on both sides of a fork: a process
+        # that inherited this backend (a serve worker, forked from the zygote
+        # that opened the checkpoint) opens its own on first use, and keeps
+        # the inherited one referenced so that not even a close reaches it.
+        if self._pid != os.getpid():
+            self._inherited, self._opened = self._opened, self._connect()
+        return self._opened
 
     @property
     def path(self) -> Path:
@@ -619,14 +632,15 @@ class SqliteBackend(StoreBackend):
 
     def close(self) -> None:
         if not self._closed:
-            self._connection.close()
+            if self._pid == os.getpid():  # an inherited one is not ours to close
+                self._opened.close()
             if self._lock is not None:
                 self._lock.release()
         super().close()
 
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent
         try:
-            if hasattr(self, "_connection"):
+            if hasattr(self, "_opened"):
                 self.close()
         except Exception:
             pass

@@ -98,6 +98,10 @@ class StubServer(threading.Thread):
 
     def stop(self):
         self._stop.set()
+        # close() alone leaves accept() blocked and the thread alive for the
+        # rest of the run (a later fleet would then fork a threaded process);
+        # shutdown() wakes it, and run() returns.
+        self._sock.shutdown(socket.SHUT_RDWR)
         self._sock.close()
 
 

@@ -29,6 +29,12 @@ from repro.store.checkpoint import open_readonly_session
 #: work: the Nagle / delayed-ACK interaction costs ~40 ms per response.
 STALL_MS = 20.0
 
+#: A fleet started while the module's ``fleet`` runs forks its zygote from a
+#: process that runs that fleet's threads, which Python 3.12 warns about.
+SECOND_FLEET = pytest.mark.filterwarnings(
+    "ignore:This process .* is multi-threaded:DeprecationWarning"
+)
+
 
 def count_accepts(server):
     """Test-only: wrap a server's ``get_request``; returns the accept log."""
@@ -206,6 +212,7 @@ def test_idle_timeout_closes_the_connection_and_the_client_redials(
 # -- (d) a worker that dies between two requests on a warm link -------------------------
 
 
+@SECOND_FLEET
 def test_worker_killed_on_a_warm_link_is_recovered_on_the_other(
     planned_store, local
 ):
@@ -369,6 +376,7 @@ def test_shutdown_body_is_consumed_on_the_daemon(daemon):
     assert session.closed
 
 
+@SECOND_FLEET
 def test_shutdown_body_is_consumed_on_the_front(planned_store):
     supervisor = quiet_fleet(planned_store, workers=1)
     try:
@@ -397,6 +405,7 @@ def test_stop_ends_warm_connections_and_their_handler_threads(daemon):
             client.query(query_id=6)
 
 
+@SECOND_FLEET
 def test_drain_ends_warm_front_connections(planned_store):
     supervisor = quiet_fleet(planned_store, workers=1)
     with ServeClient(

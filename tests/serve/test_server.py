@@ -88,11 +88,15 @@ def test_bad_payload_is_400_with_type(served):
 
 @pytest.fixture(scope="module")
 def fronts(planned_store):
-    """One daemon and one 2-worker fleet over the same checkpoint."""
+    """One daemon and one 2-worker fleet over the same checkpoint.
+
+    The fleet first: its supervisor forks before this process runs the
+    daemon's thread.
+    """
+    fleet = Supervisor(planned_store, workers=2).start()
     server = start_server(
         open_readonly_session(planned_store), close_session_on_stop=True
     )
-    fleet = Supervisor(planned_store, workers=2).start()
     yield {"daemon": server.url, "fleet": fleet.url}
     fleet.stop()
     server.stop()

@@ -187,6 +187,11 @@ class TestMergedMetrics:
 
 
 class TestGracefulDrain:
+    # Started while the module's fleet runs: its zygote is forked from a
+    # process that runs that fleet's threads, which Python 3.12 warns about.
+    @pytest.mark.filterwarnings(
+        "ignore:This process .* is multi-threaded:DeprecationWarning"
+    )
     def test_shutdown_drains_and_stops_the_fleet(self, planned_store):
         sup = Supervisor(
             planned_store,
