@@ -44,15 +44,22 @@ class RoutingPolicy(enum.Enum):
 
 @dataclass
 class DomainQueryOutcome:
-    """Result of processing a query inside one domain."""
+    """Result of processing a query inside one domain.
+
+    ``false_positives`` is derived, not stored: the contacted peers that did
+    not respond, ``contacted_peers - responding_peers``, computed on each read.
+    """
 
     domain_id: str
     relevant_peers: Set[str] = field(default_factory=set)
     contacted_peers: Set[str] = field(default_factory=set)
     responding_peers: Set[str] = field(default_factory=set)
-    false_positives: Set[str] = field(default_factory=set)
     false_negatives: Set[str] = field(default_factory=set)
     messages: int = 0
+
+    @property
+    def false_positives(self) -> Set[str]:
+        return self.contacted_peers - self.responding_peers
 
     @property
     def results(self) -> int:
@@ -304,7 +311,6 @@ class QueryRouter:
             relevant_peers=set(relevant),
             contacted_peers=contacted,
             responding_peers=responding,
-            false_positives=contacted - responding,
             false_negatives=content.matching_among(query_id, candidates - contacted),
             messages=messages + len(responding),
         )

@@ -12,11 +12,24 @@ against a local restore of the same checkpoint.
 Queries travel in the same shape the checkpoint layer files them under
 (relation / typed predicates / projection), so the two serialization surfaces
 cannot drift apart.
+
+A routing result carries one :class:`~repro.core.routing.DomainQueryOutcome`
+per visited domain (125 on a 2000-peer Table-3 network), so each travels as a
+positional array rather than an object, naming each peer once where it can::
+
+    [domain_id, relevant, contacted, responding, false_negatives, messages]
+
+Every peer set is a sorted list, with two exceptions: ``contacted`` is
+``null`` when it equals ``relevant``, and ``responding`` is ``null`` when it
+equals ``contacted``.  The decoder rebuilds a ``null`` as a *copy* of the set
+it stands for, never an alias, so every decoded set is its own object.
+``false_positives`` is not sent at all: the outcome derives it as
+``contacted - responding``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Set
 
 from repro.core.protocol import StalenessSnapshot
 from repro.core.routing import (
@@ -49,27 +62,37 @@ def decode_query(payload: Dict[str, Any]) -> SelectionQuery:
 # -- routing ----------------------------------------------------------------------
 
 
-def _encode_outcome(outcome: DomainQueryOutcome) -> Dict[str, Any]:
-    return {
-        "domain_id": outcome.domain_id,
-        "relevant_peers": sorted(outcome.relevant_peers),
-        "contacted_peers": sorted(outcome.contacted_peers),
-        "responding_peers": sorted(outcome.responding_peers),
-        "false_positives": sorted(outcome.false_positives),
-        "false_negatives": sorted(outcome.false_negatives),
-        "messages": outcome.messages,
-    }
+def _encode_outcome(outcome: DomainQueryOutcome) -> List[Any]:
+    relevant = outcome.relevant_peers
+    contacted = outcome.contacted_peers
+    responding = outcome.responding_peers
+    return [
+        outcome.domain_id,
+        sorted(relevant),
+        None if contacted == relevant else sorted(contacted),
+        None if responding == contacted else sorted(responding),
+        sorted(outcome.false_negatives),
+        outcome.messages,
+    ]
 
 
-def _decode_outcome(payload: Dict[str, Any]) -> DomainQueryOutcome:
+def _peer_set(peers: Any) -> Set[str]:
+    if not isinstance(peers, list):
+        raise TypeError(f"a peer set travels as a list, not {type(peers).__name__}")
+    return set(peers)
+
+
+def _decode_outcome(payload: List[Any]) -> DomainQueryOutcome:
+    relevant = _peer_set(payload[1])
+    contacted = set(relevant) if payload[2] is None else _peer_set(payload[2])
+    responding = set(contacted) if payload[3] is None else _peer_set(payload[3])
     return DomainQueryOutcome(
-        domain_id=payload["domain_id"],
-        relevant_peers=set(payload["relevant_peers"]),
-        contacted_peers=set(payload["contacted_peers"]),
-        responding_peers=set(payload["responding_peers"]),
-        false_positives=set(payload["false_positives"]),
-        false_negatives=set(payload["false_negatives"]),
-        messages=int(payload["messages"]),
+        domain_id=payload[0],
+        relevant_peers=relevant,
+        contacted_peers=contacted,
+        responding_peers=responding,
+        false_negatives=_peer_set(payload[4]),
+        messages=int(payload[5]),
     )
 
 
@@ -249,7 +272,7 @@ def decode_answer(payload: Dict[str, Any]) -> QueryAnswer:
             update_messages=int(payload["update_messages"]),
             posed_at=float(payload["posed_at"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise ServeError(f"malformed answer payload: {exc}") from exc
 
 

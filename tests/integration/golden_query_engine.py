@@ -5,10 +5,13 @@ counts, flooding figures, staleness snapshots, approximate answers — is
 pinned by an oracle, not by a retained slow path: each flow below was run
 once, posing its queries one by one, on the last commit that could still
 answer without the indexed selection, the tracked online set, the
-set-intersection matching and the flooding-cost memo, and its wire encoding
-hashed.  ``test_query_engine_equivalence.py`` holds the batched path of every
-later commit to those digests.  Regenerate only for a deliberate protocol
-change::
+set-intersection matching and the flooding-cost memo, and its answers hashed.
+The hash is over :func:`answer_record`: the wire encoding of an answer, except
+that each domain outcome is this module's own 7-key object (every peer set
+spelled out, ``false_positives`` included), as it was when the digests were
+recorded, so the served outcome's compact array shape is free to change.  ``test_query_engine_equivalence.py`` holds
+the batched path of every later commit to those digests.  Regenerate only for
+a deliberate protocol change::
 
     PYTHONPATH=src python tests/integration/golden_query_engine.py
 """
@@ -19,7 +22,7 @@ import json
 from pathlib import Path
 from typing import Any, Callable, Dict, List
 
-from repro.core.routing import QueryRequest, RoutingPolicy
+from repro.core.routing import DomainQueryOutcome, QueryRequest, RoutingPolicy
 from repro.core.session import NetworkSession, QueryAnswer, SystemBuilder
 from repro.fuzzy.vocabularies import medical_background_knowledge
 from repro.network.overlay import Overlay
@@ -38,11 +41,32 @@ def _counters(session: NetworkSession) -> Dict[str, int]:
     return session.system.counter.state_payload()["by_type"]
 
 
+def _outcome_record(outcome: DomainQueryOutcome) -> Dict[str, Any]:
+    return {
+        "domain_id": outcome.domain_id,
+        "relevant_peers": sorted(outcome.relevant_peers),
+        "contacted_peers": sorted(outcome.contacted_peers),
+        "responding_peers": sorted(outcome.responding_peers),
+        "false_positives": sorted(outcome.false_positives),
+        "false_negatives": sorted(outcome.false_negatives),
+        "messages": outcome.messages,
+    }
+
+
+def answer_record(answer: QueryAnswer) -> Dict[str, Any]:
+    """The hashed form of one answer: every domain outcome as a 7-key object."""
+    record = encode_answer(answer)
+    record["routing"]["domain_outcomes"] = [
+        _outcome_record(outcome) for outcome in answer.routing.domain_outcomes
+    ]
+    return record
+
+
 def _answers_record(
     session: NetworkSession, answers: List[QueryAnswer]
 ) -> Dict[str, Any]:
     counters = _counters(session)
-    encoded = [encode_answer(answer) for answer in answers]
+    encoded = [answer_record(answer) for answer in answers]
     return {
         "sha256": content_hash({"answers": encoded, "counters": counters}),
         "queries": len(answers),
