@@ -326,8 +326,8 @@ def main() -> None:
     # I/O-shaped waits (given an io_model pricing event labels in wall-clock
     # seconds) on asyncio mailboxes while draining the *virtual* events in the
     # same strict order — so answers, counters and RNG draws stay byte-equal.
-    # Select it per build (.runtime(...)), per scenario (runtime="concurrent"),
-    # per CLI run (--runtime), or fleet-wide ($REPRO_RUNTIME).
+    # A backend is an object passed to the builder's .runtime(...); without
+    # an io_model there is no wait to overlap and both backends run alike.
     from repro.runtime import ConcurrentBackend, SimulatorBackend
 
     def io_model(label: str) -> float:

@@ -163,24 +163,22 @@ The same registry backs the serve daemon's ``/metrics`` (Prometheus text
 format) and ``/trace`` endpoints, and ``repro metrics`` / ``repro trace``
 scrape them from the command line.
 
-**Choosing a runtime.**  Every session schedules its events through a
-pluggable :class:`~repro.runtime.ExecutionBackend`.  The default
-``"simulator"`` drains them serially in one thread; ``"concurrent"`` overlaps
-their I/O-shaped waits on asyncio mailboxes (one per peer, semaphore-capped
-fan-out) while draining the *virtual* events in the same strict order — so a
-seed produces byte-identical answers, counters and RNG draws on either
-backend.  Pick one per build (``.runtime(...)``), per scenario
-(``SimulationScenario(runtime="concurrent")``), per CLI run (``--runtime``),
-or process-wide via ``$REPRO_RUNTIME``:
+**Passing a runtime.**  Every session schedules its events through an
+:class:`~repro.runtime.ExecutionBackend`.  The default, the simulator, drains
+them serially in one thread.  A :class:`~repro.runtime.ConcurrentBackend`
+given an ``io_model`` (wall-clock seconds each event label waits on I/O)
+overlaps those waits on asyncio mailboxes while draining the *virtual*
+events in the same strict order, so a seed produces byte-identical answers,
+counters and RNG draws on either backend.  A backend is an object passed to
+the builder's ``.runtime(...)`` (or to ``restore_session(..., runtime=...)``);
+no environment variable, CLI flag or scenario field selects one:
 
->>> from repro import ConcurrentBackend, create_backend
->>> create_backend("concurrent").name  # names resolve to fresh backends
-'concurrent'
+>>> from repro import ConcurrentBackend
 >>> fast = (
 ...     SystemBuilder()
 ...     .topology(peer_count=16, average_degree=4)
 ...     .planned_content(hit_rate=0.25)
-...     .runtime(ConcurrentBackend())
+...     .runtime(ConcurrentBackend(io_model=lambda label: 0.0))
 ...     .seed(7)
 ...     .build()
 ... )

@@ -189,13 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the scenario's query hit rate (run-scenario)",
     )
     parser.add_argument(
-        "--runtime",
-        choices=["simulator", "concurrent"],
-        help="execution backend for run-scenario/save-session/load-session "
-        "(default: the simulator, or $REPRO_RUNTIME); both backends give "
-        "identical answers per seed",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -347,8 +340,6 @@ def _scenario_from_args(args: argparse.Namespace, include_hours: bool = True):
         overrides["alpha"] = args.alpha
     if args.hit_rate is not None:
         overrides["matching_fraction"] = args.hit_rate
-    if args.runtime is not None:
-        overrides["runtime"] = args.runtime
     return registry.scenario(args.scenario, **overrides)
 
 
@@ -518,7 +509,7 @@ def _save_session_table(args: argparse.Namespace) -> ExperimentTable:
 def _load_session_table(args: argparse.Namespace) -> ExperimentTable:
     from repro.store.checkpoint import restore_session
 
-    session = restore_session(args.store, name=args.name, runtime=args.runtime)
+    session = restore_session(args.store, name=args.name)
     return _session_report_table(
         session,
         name=f"Restored session {args.name!r}",

@@ -152,7 +152,7 @@ class SummaryManagementSystem:
         self._background = background
         # The execution backend owns the virtual clock and decides how
         # scheduled events run (single-threaded simulator by default, asyncio
-        # fan-out with ``runtime="concurrent"``).  ``self._simulator`` stays
+        # fan-out on a passed ``ConcurrentBackend``).  ``self._simulator`` stays
         # bound to the backend's clock so every clock read and checkpoint
         # hook below is backend-agnostic.
         self._runtime = create_backend(runtime)

@@ -415,15 +415,15 @@ class SystemBuilder:
         return self
 
     def runtime(self, spec: "RuntimeSpec") -> "SystemBuilder":
-        """Pick the execution backend the built system schedules through.
+        """Pass the execution backend the built system schedules through.
 
-        ``"simulator"`` (the default) is the deterministic single-threaded
-        drain; ``"concurrent"`` the asyncio backend with per-actor mailboxes
-        and ordered-drain windows.  Pass an
-        :class:`~repro.runtime.ExecutionBackend` instance to tune backend
-        knobs (``io_model``, fan-out limits).  Both backends produce the
-        same answers, counters and RNG states for the same seed; see
-        :mod:`repro.runtime`.
+        Without this call the system runs on the deterministic
+        single-threaded simulator.  Pass an
+        :class:`~repro.runtime.ExecutionBackend` instance, such as a
+        :class:`~repro.runtime.ConcurrentBackend` with an ``io_model`` whose
+        waits it overlaps; ``"simulator"`` and ``"concurrent"`` name a fresh
+        default-configured one.  Every backend produces the same answers,
+        counters and RNG states for the same seed; see :mod:`repro.runtime`.
         """
         from repro.runtime import create_backend
 
@@ -548,7 +548,6 @@ class SystemBuilder:
         target: Union[None, str, "StoreBackend"],
         name: str = "session",
         background: Optional[BackgroundKnowledge] = None,
-        runtime: "RuntimeSpec" = None,
     ) -> "NetworkSession":
         """Resume a session checkpointed with :meth:`NetworkSession.checkpoint`.
 
@@ -557,15 +556,11 @@ class SystemBuilder:
         continues byte-identically: subsequent ``query()`` routing, staleness
         snapshots and traffic reports match the never-persisted session.
         Real-content checkpoints additionally need the common ``background``
-        knowledge, exactly like the summary wire format.  ``runtime``
-        overrides the execution backend (default: the one recorded at
-        checkpoint time); both backends continue byte-identically.
+        knowledge, exactly like the summary wire format.
         """
         from repro.store.checkpoint import restore_session
 
-        return restore_session(
-            target, name=name, background=background, runtime=runtime
-        )
+        return restore_session(target, name=name, background=background)
 
     def build(self) -> "NetworkSession":
         """Validate the declared configuration and assemble the session."""

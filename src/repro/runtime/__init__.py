@@ -1,22 +1,18 @@
-"""``repro.runtime`` — pluggable execution backends for the protocol engine.
+"""``repro.runtime`` — the execution backends the protocol engine schedules through.
 
 The protocol and session layers schedule work through one
-:class:`ExecutionBackend` surface; which backend executes it is a knob
-(``SystemBuilder().runtime(...)``, ``SimulationScenario(runtime=...)``,
-``repro run-scenario --runtime ...``), defaulting to the deterministic
-simulator.  See :mod:`repro.runtime.base` for the contract,
+:class:`ExecutionBackend` surface.  A session runs on the deterministic
+simulator unless the caller passes another backend to
+``SystemBuilder().runtime(...)`` or ``restore_session(..., runtime=...)``.
+See :mod:`repro.runtime.base` for the contract,
 :mod:`repro.runtime.simulator` for the reference backend and
-:mod:`repro.runtime.concurrent` for the asyncio one.
-
-The ``REPRO_RUNTIME`` environment variable overrides the *default* backend
-(used when no explicit runtime is configured) — this is how CI runs the full
-tier-1 suite under both backends without touching any call site.
+:mod:`repro.runtime.concurrent` for the asyncio one, which overlaps only the
+wall-clock waits an ``io_model`` charges.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional, Union
+from typing import Union
 
 from repro.exceptions import ConfigurationError
 from repro.runtime.base import ExecutionBackend, IoModel
@@ -27,43 +23,32 @@ __all__ = [
     "ConcurrentBackend",
     "ExecutionBackend",
     "IoModel",
-    "RUNTIME_ENV_VAR",
     "SimulatorBackend",
     "create_backend",
 ]
 
-#: Environment override for the default runtime (CI's backend matrix).
-RUNTIME_ENV_VAR = "REPRO_RUNTIME"
-
-_NAMES = {
-    "simulator": SimulatorBackend,
-    "sim": SimulatorBackend,
-    "concurrent": ConcurrentBackend,
-    "async": ConcurrentBackend,
-    "asyncio": ConcurrentBackend,
-}
+_BACKENDS = {"simulator": SimulatorBackend, "concurrent": ConcurrentBackend}
 
 RuntimeSpec = Union[None, str, ExecutionBackend]
 
 
 def create_backend(spec: RuntimeSpec = None) -> ExecutionBackend:
-    """Resolve a runtime spec into a fresh :class:`ExecutionBackend`.
+    """Resolve a runtime spec into an :class:`ExecutionBackend`.
 
-    ``None`` resolves to the default — ``$REPRO_RUNTIME`` when set, the
-    simulator otherwise.  A string picks a backend by name (``"simulator"``
-    or ``"concurrent"``); an :class:`ExecutionBackend` instance is passed
-    through unchanged (the way to hand a backend custom knobs such as an
-    ``io_model`` or fan-out limits).
+    ``None`` is a fresh simulator.  An :class:`ExecutionBackend` instance is
+    passed through unchanged (the way to hand a backend knobs such as an
+    ``io_model``).  A string must be a backend's own ``name``; names are
+    accepted only because the perf harness (``benchmarks/perf``) passes
+    ``"simulator"`` and ``"concurrent"`` to ``SystemBuilder.runtime`` and
+    ``restore_session``.
     """
     if spec is None:
-        spec = os.environ.get(RUNTIME_ENV_VAR) or "simulator"
+        return SimulatorBackend()
     if isinstance(spec, ExecutionBackend):
         return spec
-    if isinstance(spec, str):
-        backend = _NAMES.get(spec.strip().lower())
-        if backend is not None:
-            return backend()
+    if isinstance(spec, str) and spec in _BACKENDS:
+        return _BACKENDS[spec]()
     raise ConfigurationError(
-        f"unknown runtime {spec!r}: use 'simulator', 'concurrent', or an "
+        f"unknown runtime {spec!r}: use 'simulator', 'concurrent' or an "
         "ExecutionBackend instance"
     )

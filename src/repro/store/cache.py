@@ -32,23 +32,11 @@ class SessionCache:
     opened it.
     """
 
-    def __init__(
-        self,
-        target: Union[None, str, StoreBackend],
-        compact_every: Optional[int] = None,
-    ) -> None:
+    def __init__(self, target: Union[None, str, StoreBackend]) -> None:
         self._backend = open_store(target)
         self._owns_backend = owns_backend(target)
         self._hits = 0
         self._misses = 0
-        if compact_every is not None and compact_every <= 0:
-            raise ValueError("compact_every must be positive (or None)")
-        #: Optional cadence: every ``compact_every``-th save also folds any
-        #: delta-checkpoint chains living in the backend into full
-        #: checkpoints (relevant when callers stack ``base=...`` deltas into
-        #: the same store the cache uses).
-        self._compact_every = compact_every
-        self._saves_since_compaction = 0
 
     @property
     def backend(self) -> StoreBackend:
@@ -70,17 +58,6 @@ class SessionCache:
         from repro.store.gc import collect_garbage
 
         return collect_garbage(self._backend, dry_run=dry_run)
-
-    def compact(self) -> list:
-        """Fold every delta-checkpoint chain in the backend into full form.
-
-        Returns the names that were compacted (see
-        :func:`repro.store.checkpoint.compact_checkpoints`).
-        """
-        from repro.store.checkpoint import compact_checkpoints
-
-        self._saves_since_compaction = 0
-        return compact_checkpoints(self._backend)
 
     @property
     def hits(self) -> int:
@@ -114,10 +91,6 @@ class SessionCache:
         self._misses += 1
         session = factory()
         save_session(session, self._backend, key)
-        if self._compact_every is not None:
-            self._saves_since_compaction += 1
-            if self._saves_since_compaction >= self._compact_every:
-                self.compact()
         # Hand out a restored copy, not the freshly built session: both paths
         # then return an identical object graph (and the first run doubles as
         # a roundtrip check of its own checkpoint).

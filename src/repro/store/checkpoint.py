@@ -86,7 +86,7 @@ from repro.saintetiq.clustering import ClusteringParameters
 from repro.saintetiq.hierarchy import SummaryHierarchy
 from repro.store.backend import StoreBackend, open_store, owns_backend
 from repro.store.deltas import apply_patch, diff_documents
-from repro.store.lazy import DEFAULT_CACHE_SIZE, HierarchySource, StoredSnapshot
+from repro.store.lazy import HierarchySource, StoredSnapshot
 from repro.store.snapshots import SnapshotStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -450,11 +450,6 @@ def capture_session(
         },
         "query_counter": system._query_counter,  # noqa: SLF001 - exact restore
     }
-    if system.runtime.name != "simulator":
-        # Only non-default runtimes are recorded, so checkpoints taken on the
-        # default backend stay byte-identical to pre-runtime ones (the delta
-        # and identity suites depend on that).
-        payload["runtime"] = system.runtime.name
     if system.faults is not None:
         # The injector travels whole: plan, RNG mid-stream state, current
         # partition and accumulated statistics.  Its *scheduled* adversities
@@ -734,10 +729,10 @@ def restore_session(
     caller may close the backend as soon as this returns.  A summary still
     untouched when the session is checkpointed is filed from its text.
 
-    ``runtime`` overrides the execution backend the restored session runs
-    on; the default resumes on the backend recorded at checkpoint time (the
-    simulator, for checkpoints predating the runtime layer).  Both backends
-    continue byte-identically, so switching at restore is safe.
+    The restored session runs on the simulator unless ``runtime`` passes
+    another backend.  A checkpoint records no backend: every backend
+    continues byte-identically, and a ``"runtime"`` key in an older payload
+    is ignored.
     """
     backend = open_store(target)
     try:
@@ -751,7 +746,6 @@ def open_readonly_session(
     target: Union[None, str, StoreBackend],
     name: str = DEFAULT_CHECKPOINT_NAME,
     background: Optional[BackgroundKnowledge] = None,
-    cache_size: int = DEFAULT_CACHE_SIZE,
 ) -> "ReadOnlyNetworkSession":
     """Open a checkpoint as a shared, read-only serving session.
 
@@ -788,9 +782,7 @@ def open_readonly_session(
     backend = open_store(target, check_same_thread=False, exclusive=False)
     owns = owns_backend(target)
     try:
-        source = HierarchySource(
-            SnapshotStore(backend), background, cache_size=cache_size
-        )
+        source = HierarchySource(SnapshotStore(backend), background)
         session = _restore_session(
             backend,
             name,
@@ -846,8 +838,6 @@ def _restore_session(
 
     overlay = _overlay_from_payload(payload["overlay"])
     config = _config_from_payload(payload["config"])
-    if runtime is None:
-        runtime = payload.get("runtime", "simulator")
     system = SummaryManagementSystem(
         overlay, config=config, background=background, seed=0, runtime=runtime
     )

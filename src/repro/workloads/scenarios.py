@@ -74,9 +74,6 @@ class SimulationScenario:
     #: Optional adversity: a seeded fault plan (partitions, loss, massacres).
     #: ``None`` keeps the scenario byte-identical to its pre-fault behaviour.
     fault_plan: Optional[FaultPlan] = None
-    #: Execution backend the built session schedules through: ``"simulator"``
-    #: (default) or ``"concurrent"``; both yield identical answers per seed.
-    runtime: str = "simulator"
 
     def __post_init__(self) -> None:
         if self.peer_count < 2:
@@ -121,8 +118,6 @@ class SimulationScenario:
             .planned_content(hit_rate=self.matching_fraction, seed=self.seed)
             .seed(self.seed)
         )
-        if self.runtime != "simulator":
-            builder.runtime(self.runtime)
         if summary_peers is not None:
             builder.domains(summary_peers=summary_peers)
         if self.fault_plan is not None:
@@ -154,8 +149,6 @@ class SimulationScenario:
             .domains(summary_peers=[hub])
             .seed(self.seed)
         )
-        if self.runtime != "simulator":
-            builder.runtime(self.runtime)
         if self.fault_plan is not None:
             builder.faults(self.fault_plan)
         return builder

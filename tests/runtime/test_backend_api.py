@@ -6,7 +6,6 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.runtime import (
-    RUNTIME_ENV_VAR,
     ConcurrentBackend,
     ExecutionBackend,
     SimulatorBackend,
@@ -15,41 +14,32 @@ from repro.runtime import (
 
 
 class TestCreateBackend:
-    def test_default_is_simulator(self, monkeypatch):
-        monkeypatch.delenv(RUNTIME_ENV_VAR, raising=False)
+    def test_default_is_simulator(self):
         assert isinstance(create_backend(), SimulatorBackend)
 
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(RUNTIME_ENV_VAR, "concurrent")
-        assert isinstance(create_backend(), ConcurrentBackend)
-        # An explicit spec always wins over the environment.
-        assert isinstance(create_backend("simulator"), SimulatorBackend)
+    def test_environment_selects_nothing(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RUNTIME", "concurrent")
+        assert isinstance(create_backend(), SimulatorBackend)
 
     @pytest.mark.parametrize(
         "name,cls",
-        [
-            ("simulator", SimulatorBackend),
-            ("sim", SimulatorBackend),
-            ("concurrent", ConcurrentBackend),
-            ("async", ConcurrentBackend),
-            ("ASYNCIO", ConcurrentBackend),
-        ],
+        [("simulator", SimulatorBackend), ("concurrent", ConcurrentBackend)],
     )
     def test_names_resolve(self, name, cls):
-        assert isinstance(create_backend(name), cls)
+        backend = create_backend(name)
+        assert isinstance(backend, cls)
+        assert backend.name == name
 
     def test_instance_passes_through(self):
         backend = ConcurrentBackend(max_concurrency=2)
         assert create_backend(backend) is backend
 
-    def test_unknown_name_raises_typed_error(self):
-        with pytest.raises(ConfigurationError, match="unknown runtime"):
-            create_backend("threads")
-
-    def test_bad_env_value_raises_typed_error(self, monkeypatch):
-        monkeypatch.setenv(RUNTIME_ENV_VAR, "warp-drive")
-        with pytest.raises(ConfigurationError, match="unknown runtime"):
-            create_backend()
+    @pytest.mark.parametrize("name", ["threads", "sim", "async", "asyncio", "Simulator"])
+    def test_unknown_name_raises_typed_error(self, name):
+        with pytest.raises(ConfigurationError, match="unknown runtime") as raised:
+            create_backend(name)
+        assert "'simulator'" in str(raised.value)
+        assert "'concurrent'" in str(raised.value)
 
 
 class TestKnobValidation:

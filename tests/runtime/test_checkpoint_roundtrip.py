@@ -1,16 +1,17 @@
 """Checkpoints travel across runtimes: capture mid-run, resume on either.
 
-A checkpoint taken under one backend must restore and continue byte-identically
-under the other — the runtime is recorded in the payload only when it differs
-from the default, so pre-runtime checkpoints (and all simulator checkpoints)
-keep their exact historical bytes.
+A checkpoint records no backend.  It restores on the simulator unless the
+caller passes another runtime, and continues byte-identically on either.
+Checkpoints taken on the concurrent backend before the runtime stopped being
+recorded carry ``"runtime": "concurrent"``; restore ignores that key.
 """
 
 import pytest
 
 from repro.core.session import SystemBuilder
 from repro.runtime import ConcurrentBackend
-from repro.store import InMemoryBackend
+from repro.store import CHECKPOINT_KIND, InMemoryBackend, open_store
+from repro.store.backend import owns_backend
 from repro.store.checkpoint import capture_session, restore_session
 from repro.workloads.registry import default_registry
 
@@ -19,8 +20,6 @@ MIDPOINT = 900.0
 
 
 def _build(runtime="simulator"):
-    # The runtime is always pinned explicitly so these tests mean the same
-    # thing under CI's REPRO_RUNTIME matrix (which flips the *default*).
     scenario = default_registry().scenario(
         "table3-default", peer_count=32, duration_seconds=HORIZON
     )
@@ -34,13 +33,17 @@ def _finish(session, queries=4):
         "answers": session.query_batch(count=queries, required_results=3),
         "counter": session.system.counter.state_payload(),
         "now": session.now,
+        "pending": [
+            (event.time, event.sequence, event.label)
+            for event in session.simulator.pending()
+        ],
     }
 
 
-def _checkpoint_midrun(runtime="simulator"):
+def _checkpoint_midrun(runtime="simulator", target=None):
     session = _build(runtime=runtime)
     session.run_until(MIDPOINT)
-    backend = InMemoryBackend()
+    backend = InMemoryBackend() if target is None else target
     session.checkpoint(backend, name="mid")
     return session, backend
 
@@ -63,32 +66,57 @@ def test_simulator_checkpoint_resumes_on_both_backends():
     assert on_concurrent == reference
 
 
-def test_concurrent_checkpoint_records_and_restores_its_runtime():
-    live, backend = _checkpoint_midrun(runtime="concurrent")
-    assert live.runtime.name == "concurrent"
-    reference = _finish(live)
-
-    resumed = restore_session(backend, name="mid")
-    assert resumed.runtime.name == "concurrent"
-    back_on_simulator = restore_session(backend, name="mid", runtime="simulator")
-    assert back_on_simulator.runtime.name == "simulator"
-
-    assert _finish(resumed) == reference
-    assert _finish(back_on_simulator) == reference
-
-
-def test_simulator_checkpoint_payload_has_no_runtime_key():
-    """Default-backend payloads keep their pre-runtime-layer bytes."""
-    live, _backend = _checkpoint_midrun()
+@pytest.mark.parametrize("runtime", ["simulator", "concurrent"])
+def test_payload_records_no_runtime(runtime):
+    live, _backend = _checkpoint_midrun(runtime=runtime)
+    assert live.runtime.name == runtime
     payload, _store = capture_session(live)
     assert "runtime" not in payload
 
-    concurrent_live, _ = _checkpoint_midrun(runtime="concurrent")
-    payload, _store = capture_session(concurrent_live)
-    assert payload["runtime"] == "concurrent"
+
+def test_concurrent_checkpoint_resumes_on_the_simulator():
+    live, backend = _checkpoint_midrun(runtime="concurrent")
+    reference = _finish(live)
+
+    resumed = SystemBuilder.from_checkpoint(backend, name="mid")
+    assert resumed.runtime.name == "simulator"
+    assert _finish(resumed) == reference
 
 
-def test_from_checkpoint_accepts_runtime_override():
-    _live, backend = _checkpoint_midrun()
-    restored = SystemBuilder.from_checkpoint(backend, name="mid", runtime="concurrent")
-    assert restored.runtime.name == "concurrent"
+class TestPreChangeCheckpoint:
+    """A payload carrying ``"runtime": "concurrent"``, on every store backend."""
+
+    @pytest.fixture(params=["memory", "json", "sqlite"])
+    def target(self, request, tmp_path):
+        if request.param == "memory":
+            backend = open_store(None)
+            yield backend
+            backend.close()
+        elif request.param == "json":
+            yield str(tmp_path / "ckpt")
+        else:
+            yield str(tmp_path / "ckpt.sqlite")
+
+    @pytest.fixture
+    def recorded(self, target):
+        live, _ = _checkpoint_midrun(runtime="concurrent", target=target)
+        backend = open_store(target)
+        try:
+            document = backend.get(CHECKPOINT_KIND, "mid")
+            document["runtime"] = "concurrent"
+            backend.put(CHECKPOINT_KIND, "older", document)
+        finally:
+            if owns_backend(target):
+                backend.close()
+        return live, target
+
+    def test_restores_on_the_simulator_and_continues_identically(self, recorded):
+        live, target = recorded
+        restored = restore_session(target, name="older")
+        assert restored.runtime.name == "simulator"
+        assert _finish(restored) == _finish(live)
+
+    def test_a_passed_runtime_still_applies(self, recorded):
+        _live, target = recorded
+        restored = restore_session(target, name="older", runtime="concurrent")
+        assert isinstance(restored.runtime, ConcurrentBackend)

@@ -214,8 +214,7 @@ def planned_session():
     scenario = default_registry().scenario(
         "churn-heavy", peer_count=64, duration_seconds=3600.0, seed=1
     )
-    # The runtime is named: ``$REPRO_RUNTIME`` would otherwise enter the payload.
-    return scenario.apply_dynamics(scenario.builder().runtime("simulator")).build()
+    return scenario.apply_dynamics(scenario.builder()).build()
 
 
 def medical_session(seed: int = 1, peers: int = 16):
@@ -229,7 +228,6 @@ def medical_session(seed: int = 1, peers: int = 16):
         .real_content(build_peer_databases(overlay.peer_ids, workload))
         .modifications(_MEDICAL_HORIZON, 1.0 / 300.0)
         .churn(duration_seconds=_MEDICAL_HORIZON)
-        .runtime("simulator")
         .seed(seed)
         .build()
     )

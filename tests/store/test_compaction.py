@@ -14,7 +14,6 @@ from repro.store import (
     CHECKPOINT_KIND,
     InMemoryBackend,
     JsonDirectoryBackend,
-    SessionCache,
     SqliteBackend,
     checkpoint_base_chain,
     compact_checkpoint,
@@ -89,28 +88,3 @@ class TestCompactCheckpoint:
             assert "base" not in backend.get(CHECKPOINT_KIND, name)
         # Everything is already full: a second pass is a no-op.
         assert compact_checkpoints(backend) == []
-
-
-class TestSessionCacheCompaction:
-    def test_manual_compact(self):
-        backend = InMemoryBackend()
-        _chained_session(backend, links=2)
-        with SessionCache(backend) as cache:
-            assert sorted(cache.compact()) == ["link1", "link2"]
-        assert "base" not in backend.get(CHECKPOINT_KIND, "link2")
-
-    def test_compaction_cadence_on_misses(self):
-        backend = InMemoryBackend()
-        _chained_session(backend, links=2)  # leaves a delta chain in the store
-        scenario = default_registry().scenario("smoke")
-        with SessionCache(backend, compact_every=1) as cache:
-            cache.get_or_build(
-                {"who": "cadence-test"},
-                lambda: scenario.apply_dynamics(scenario.builder()).build(),
-            )
-        # The miss triggered a compaction sweep over the shared store.
-        assert "base" not in backend.get(CHECKPOINT_KIND, "link2")
-
-    def test_invalid_cadence_rejected(self):
-        with pytest.raises(ValueError):
-            SessionCache(InMemoryBackend(), compact_every=0)

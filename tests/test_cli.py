@@ -1,6 +1,8 @@
 """Unit tests for the experiment CLI."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +19,17 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
         capsys.readouterr()
+
+    def test_runtime_flag_is_gone(self):
+        """No flag picks a backend: ``--runtime`` is a usage error."""
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "run-scenario", "smoke",
+             "--runtime", "concurrent"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert "unrecognized arguments: --runtime concurrent" in result.stderr
 
     def test_defaults(self):
         args = build_parser().parse_args(["tables"])
