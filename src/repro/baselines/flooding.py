@@ -33,10 +33,6 @@ class FloodingOutcome:
     def total_messages(self) -> int:
         return self.query_messages + self.response_messages
 
-    @property
-    def recall_peers(self) -> int:
-        return len(self.responding_peers)
-
 
 class FloodingSearch:
     """Runs TTL-bounded flooding over an overlay and accounts for its traffic."""

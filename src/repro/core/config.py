@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.freshness import FreshnessMode
 from repro.exceptions import ConfigurationError
@@ -46,13 +46,11 @@ class ProtocolConfig:
     push_max_retries / reconciliation_max_retries / query_max_retries:
         Bounded retransmission budgets used when a fault plan is active: how
         many times a lost push, reconciliation ring hop or query probe is
-        retried before the sender gives up.  Irrelevant (and unused) on the
+        retried before the sender gives up.  These budgets are the only bound
+        on retries: there is no backoff, a retransmission goes out at once
+        and adds no event to the schedule.  Every attempt, lost or not, is
+        charged to the run's message counter.  Irrelevant (and unused) on the
         zero-fault path.
-    retry_backoff_seconds / retry_backoff_factor:
-        Exponential backoff between retransmissions: the n-th retry waits
-        ``retry_backoff_seconds * retry_backoff_factor**n``.  The waits are
-        accounted (``FaultStats.backoff_seconds``), not simulated as extra
-        events, so retries never reorder the event schedule.
     """
 
     construction_ttl: int = 2
@@ -68,8 +66,6 @@ class ProtocolConfig:
     push_max_retries: int = 3
     reconciliation_max_retries: int = 2
     query_max_retries: int = 2
-    retry_backoff_seconds: float = 2.0
-    retry_backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
         if self.construction_ttl < 1:
@@ -91,27 +87,3 @@ class ProtocolConfig:
         for name in ("push_max_retries", "reconciliation_max_retries", "query_max_retries"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be non-negative")
-        if self.retry_backoff_seconds < 0:
-            raise ConfigurationError("retry_backoff_seconds must be non-negative")
-        if self.retry_backoff_factor < 1.0:
-            raise ConfigurationError("retry_backoff_factor must be at least 1")
-
-    def with_threshold(self, alpha: float) -> "ProtocolConfig":
-        """A copy of this configuration with a different α threshold."""
-        return ProtocolConfig(
-            construction_ttl=self.construction_ttl,
-            freshness_threshold=alpha,
-            freshness_mode=self.freshness_mode,
-            drift_threshold=self.drift_threshold,
-            flooding_ttl=self.flooding_ttl,
-            selective_walk_max_hops=self.selective_walk_max_hops,
-            query_rate_per_peer=self.query_rate_per_peer,
-            modification_probability=self.modification_probability,
-            superpeer_fraction=self.superpeer_fraction,
-            count_reconciliation_ring_hops=self.count_reconciliation_ring_hops,
-            push_max_retries=self.push_max_retries,
-            reconciliation_max_retries=self.reconciliation_max_retries,
-            query_max_retries=self.query_max_retries,
-            retry_backoff_seconds=self.retry_backoff_seconds,
-            retry_backoff_factor=self.retry_backoff_factor,
-        )

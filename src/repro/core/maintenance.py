@@ -26,7 +26,7 @@ concurrent backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set
 
 from repro.core.config import ProtocolConfig
@@ -78,13 +78,15 @@ class ColdStartRecord:
 
 @dataclass
 class MaintenanceStats:
-    """Aggregate maintenance activity of one engine."""
+    """How many reconciliations and cold starts one engine ran.
 
-    push_messages: int = 0
+    Messages are not counted here: the engine's :class:`MessageCounter` is
+    the one tally of what a run sent (``count(PUSH)``,
+    ``count(RECONCILIATION)``).
+    """
+
     reconciliations: int = 0
-    reconciliation_messages: int = 0
     cold_starts: int = 0
-    history: List[ReconciliationRecord] = field(default_factory=list)
 
     def reconciliation_frequency(self, duration_seconds: float) -> float:
         """``F_rec`` of the cost model: reconciliations per second."""
@@ -94,7 +96,12 @@ class MaintenanceStats:
 
 
 class MaintenanceEngine:
-    """Implements the push/pull maintenance of the global summaries."""
+    """Implements the push/pull maintenance of the global summaries.
+
+    Every push and ring hop is charged to :attr:`counter`, the run's one
+    tally of messages; lost pushes and hops are charged there by the
+    protocol.  :attr:`stats` counts reconciliations and cold starts only.
+    """
 
     def __init__(
         self,
@@ -212,7 +219,6 @@ class MaintenanceEngine:
         if not domain.is_partner(peer_id):
             return False
         self._counter.record_type(MessageType.PUSH)
-        self._stats.push_messages += 1
         domain.cooperation.mark_stale(peer_id, now=now)
         return domain.needs_reconciliation(self._config.freshness_threshold)
 
@@ -221,25 +227,8 @@ class MaintenanceEngine:
         if not domain.is_partner(peer_id):
             return False
         self._counter.record_type(MessageType.PUSH)
-        self._stats.push_messages += 1
         domain.cooperation.mark_departed(peer_id, now=now)
         return domain.needs_reconciliation(self._config.freshness_threshold)
-
-    def record_failed_attempts(self, message_type: MessageType, count: int) -> None:
-        """Charge transmissions that were sent but never arrived.
-
-        Lost pushes and reconciliation hops (and their retransmissions) still
-        cost bandwidth; the fault-aware protocol paths charge them here so the
-        per-type counters and the maintenance statistics reflect the real
-        wire traffic, not just the successful deliveries.
-        """
-        if count <= 0:
-            return
-        self._counter.record_type(message_type, count)
-        if message_type is MessageType.PUSH:
-            self._stats.push_messages += count
-        elif message_type is MessageType.RECONCILIATION:
-            self._stats.reconciliation_messages += count
 
     def register_silent_failure(self, domain: Domain, peer_id: str) -> None:
         """A partner failed without notification: nothing happens immediately.
@@ -265,7 +254,7 @@ class MaintenanceEngine:
     ) -> ReconciliationRecord:
         """Run one ring reconciliation on ``domain``.
 
-        The paper's cost — the ring's messages, the statistics and history
+        The paper's cost — the ring's messages, the reconciliation count and
         record, the removal of unavailable partners, the freshness reset, the
         archived head when a store is attached — is paid in full on every
         call.  The local merge behind the new global summary is paid only when
@@ -302,7 +291,6 @@ class MaintenanceEngine:
             message_count = 1
         self._counter.record_type(MessageType.RECONCILIATION, message_count)
         self._stats.reconciliations += 1
-        self._stats.reconciliation_messages += message_count
 
         for peer_id in removed:
             domain.remove_partner(peer_id)
@@ -314,15 +302,13 @@ class MaintenanceEngine:
             if self.store_attached:
                 self._record_head(domain, contributions, now)
 
-        record = ReconciliationRecord(
+        return ReconciliationRecord(
             summary_peer_id=domain.summary_peer_id,
             time=now,
             participants=available,
             removed_partners=removed,
             messages=message_count,
         )
-        self._stats.history.append(record)
-        return record
 
     # -- cold start ---------------------------------------------------------------------------
 
@@ -436,7 +422,6 @@ class MaintenanceEngine:
             message_count = 1
         if message_count:
             self._counter.record_type(MessageType.RECONCILIATION, message_count)
-            self._stats.reconciliation_messages += message_count
         self._stats.cold_starts += 1
 
         for peer_id in removed:
@@ -465,7 +450,7 @@ class MaintenanceEngine:
             domain.merge_global_summary(contributions)
             restored_snapshot = self._record_head(domain, contributions, now)
 
-        record = ColdStartRecord(
+        return ColdStartRecord(
             summary_peer_id=sp_id,
             time=now,
             restored_snapshot=restored_snapshot,
@@ -474,16 +459,6 @@ class MaintenanceEngine:
             messages=message_count,
             full_messages=full_messages,
         )
-        self._stats.history.append(
-            ReconciliationRecord(
-                summary_peer_id=sp_id,
-                time=now,
-                participants=changed_available,
-                removed_partners=removed,
-                messages=message_count,
-            )
-        )
-        return record
 
     def maybe_reconcile(
         self,

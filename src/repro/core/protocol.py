@@ -52,7 +52,7 @@ from repro.database.query import SelectionQuery
 from repro.exceptions import NetworkError, ProtocolError
 from repro.fuzzy.background import BackgroundKnowledge
 from repro.network.churn import LifetimeDistribution
-from repro.network.faults import FaultInjector, FaultPlan, backoff_total
+from repro.network.faults import FaultInjector, FaultPlan
 from repro.network.messages import MessageType
 from repro.network.metrics import MessageCounter, TrafficReport
 from repro.network.overlay import Overlay
@@ -841,17 +841,17 @@ class SummaryManagementSystem:
         obs = self._obs
         faults = self._faults
         if faults is not None and faults.disrupts_link(peer_id, sp_id):
-            # The push can fail: retry with exponential backoff, bounded by
-            # push_max_retries.  An exhausted budget means the summary peer
-            # never learns of the modification — the description simply stays
-            # stale until the next reconciliation, exactly the degradation
-            # the staleness metrics measure.
+            # The push can fail: retry at once, up to push_max_retries times.
+            # An exhausted budget means the summary peer never learns of the
+            # modification — the description simply stays stale until the
+            # next reconciliation, exactly the degradation the staleness
+            # metrics measure.
             delivered, retries = faults.attempt_delivery(
                 peer_id, sp_id, self._config.push_max_retries
             )
             lost = retries + (0 if delivered else 1)
             if lost:
-                self._maintenance.record_failed_attempts(MessageType.PUSH, lost)
+                self._counter.record_type(MessageType.PUSH, lost)
                 reason = (
                     "link loss" if faults.reachable(peer_id, sp_id) else "partitioned"
                 )
@@ -860,19 +860,11 @@ class SummaryManagementSystem:
                     obs.inc("repro_fault_dropped_total", lost, reason=reason)
             if retries:
                 self._counter.record_retry(retries)
-                backoff = backoff_total(
-                    self._config.retry_backoff_seconds,
-                    self._config.retry_backoff_factor,
-                    retries,
-                )
-                faults.stats.backoff_seconds += backoff
                 if obs is not None:
                     obs.inc("repro_push_retries_total", retries)
-                    obs.inc("repro_push_backoff_seconds_total", backoff)
             if obs is not None:
                 obs.observe("repro_push_retries_per_delta", retries)
             if not delivered:
-                faults.stats.failed_pushes += 1
                 if obs is not None:
                     obs.inc("repro_push_failed_total")
                 return
@@ -927,7 +919,7 @@ class SummaryManagementSystem:
                     obs.inc("repro_fault_dropped_total", len(cut), reason="partitioned")
         missed_ring: Dict[str, float] = {}
         if faults is not None and faults.lossy and online:
-            # Each ring hop can be lost and is retried with backoff; a partner
+            # Each ring hop can be lost and is retried at once; a partner
             # whose hop never arrives misses this round (it is re-added below
             # as stale — described by nothing until the next round reaches it).
             surviving = set()
@@ -943,9 +935,7 @@ class SummaryManagementSystem:
                 else:
                     missed_ring[peer_id] = domain.distance_to(peer_id)
             if lost_hops:
-                self._maintenance.record_failed_attempts(
-                    MessageType.RECONCILIATION, lost_hops
-                )
+                self._counter.record_type(MessageType.RECONCILIATION, lost_hops)
                 self._counter.record_dropped("link loss", lost_hops)
                 if obs is not None:
                     obs.inc(
@@ -953,11 +943,6 @@ class SummaryManagementSystem:
                     )
             if retransmissions:
                 self._counter.record_retry(retransmissions)
-                faults.stats.backoff_seconds += backoff_total(
-                    self._config.retry_backoff_seconds,
-                    self._config.retry_backoff_factor,
-                    retransmissions,
-                )
                 if obs is not None:
                     obs.inc("repro_reconciliation_retries_total", retransmissions)
             online = surviving
@@ -1164,14 +1149,6 @@ class SummaryManagementSystem:
                 if attempts > 1:
                     counter.record_retry(attempts - 1)
                 counter.record_dropped("partitioned", attempts)
-                faults.stats.messages_dropped += attempts
-                faults.stats.retries += attempts - 1
-                faults.stats.unreachable_probes += 1
-                faults.stats.backoff_seconds += backoff_total(
-                    self._config.retry_backoff_seconds,
-                    self._config.retry_backoff_factor,
-                    attempts - 1,
-                )
                 result.unreachable_probe_messages += attempts
                 result.unreachable_domains.append(domain.summary_peer_id)
                 if self._obs is not None:

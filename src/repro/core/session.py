@@ -68,6 +68,7 @@ from repro.exceptions import ConfigurationError, QueryError, ReadOnlySessionErro
 from repro.fuzzy.background import BackgroundKnowledge
 from repro.network.churn import LifetimeDistribution
 from repro.network.faults import FaultPlan
+from repro.network.messages import MessageType
 from repro.network.metrics import TrafficReport
 from repro.network.overlay import Overlay
 from repro.network.simulator import Simulator
@@ -401,7 +402,7 @@ class SystemBuilder:
 
         The plan's scheduled adversities are installed after churn and
         modifications, so the event order at equal timestamps is fixed; its
-        link faults activate the retry/backoff machinery of the protocol.
+        link faults activate the protocol's bounded retries.
         A plan with no faults changes nothing, byte for byte.
         """
         if not isinstance(plan, FaultPlan):
@@ -973,12 +974,12 @@ class NetworkSession:
     ) -> MaintenanceReport:
         """Push/reconciliation figures over the given window (default: horizon)."""
         window = self._window(duration_seconds)
-        stats = self._system.maintenance.stats
+        counter = self._system.counter
         return MaintenanceReport(
             duration_seconds=window,
-            push_messages=stats.push_messages,
-            reconciliations=stats.reconciliations,
-            reconciliation_messages=stats.reconciliation_messages,
+            push_messages=counter.count(MessageType.PUSH),
+            reconciliations=self._system.maintenance.stats.reconciliations,
+            reconciliation_messages=counter.count(MessageType.RECONCILIATION),
             update_traffic=self._system.update_traffic_report(window),
         )
 

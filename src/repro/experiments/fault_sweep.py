@@ -9,8 +9,8 @@ and anchors the sweep.
 
 What the protocol must show: answers stay *marked* (every degraded answer
 carries an accurate :class:`~repro.core.session.DegradationReport`), and the
-retry/backoff machinery bounds the message overhead instead of letting it grow
-unbounded with the loss rate.
+bounded retry budgets keep the message overhead from growing unbounded with
+the loss rate.
 """
 
 from __future__ import annotations

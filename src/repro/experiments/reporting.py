@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 
 @dataclass
@@ -92,10 +92,3 @@ class ExperimentTable:
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-def print_table(table: ExperimentTable, header: Optional[str] = None) -> None:
-    if header:
-        print(header)
-    print(table.to_text())
-    print()

@@ -21,7 +21,6 @@ from repro.network.faults import (
     DomainFailureEvent,
     FaultInjector,
     FaultPlan,
-    FaultStats,
     FlashCrowdEvent,
     LinkFaults,
     MassacreEvent,
@@ -48,7 +47,6 @@ __all__ = [
     "TrafficReport",
     "FaultPlan",
     "FaultInjector",
-    "FaultStats",
     "LinkFaults",
     "PartitionEvent",
     "DomainFailureEvent",

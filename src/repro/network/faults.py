@@ -25,16 +25,16 @@ stream on the send path.  Two consequences the tests pin down:
 
 * the zero-fault path is byte-identical to a run without any fault layer
   installed — same messages, same RNG streams, same figures;
-* the injector's full state (plan, RNG, live partition, statistics) is a
-  plain JSON payload (:meth:`FaultInjector.state_payload`), so checkpoints
-  taken mid-partition resume mid-partition and continue identically.
+* the injector's full state (plan, RNG, live partition) is a plain JSON
+  payload (:meth:`FaultInjector.state_payload`), so checkpoints taken
+  mid-partition resume mid-partition and continue identically.
 """
 
 from __future__ import annotations
 
 import copy
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
@@ -249,41 +249,6 @@ class FaultPlan:
         )
 
 
-@dataclass
-class FaultStats:
-    """What the injector actually did to one run."""
-
-    messages_dropped: int = 0
-    retries: int = 0
-    failed_pushes: int = 0
-    unreachable_probes: int = 0
-    backoff_seconds: float = 0.0
-
-    def state_payload(self) -> Dict[str, object]:
-        return {
-            "messages_dropped": self.messages_dropped,
-            "retries": self.retries,
-            "failed_pushes": self.failed_pushes,
-            "unreachable_probes": self.unreachable_probes,
-            "backoff_seconds": self.backoff_seconds,
-        }
-
-    @classmethod
-    def from_state(cls, payload: Dict[str, object]) -> "FaultStats":
-        return cls(
-            messages_dropped=int(payload.get("messages_dropped", 0)),
-            retries=int(payload.get("retries", 0)),
-            failed_pushes=int(payload.get("failed_pushes", 0)),
-            unreachable_probes=int(payload.get("unreachable_probes", 0)),
-            backoff_seconds=float(payload.get("backoff_seconds", 0.0)),
-        )
-
-
-def backoff_total(base_seconds: float, factor: float, retries: int) -> float:
-    """Total exponential-backoff wait before ``retries`` retransmissions."""
-    return sum(base_seconds * factor**attempt for attempt in range(max(0, retries)))
-
-
 class FaultInjector:
     """The live fault state of one run: plan + RNG + current partition.
 
@@ -296,7 +261,6 @@ class FaultInjector:
     def __init__(self, plan: Optional[FaultPlan] = None) -> None:
         self.plan = plan or FaultPlan()
         self.rng = random.Random(self.plan.seed)
-        self.stats = FaultStats()
         self._group_of: Dict[str, int] = {}
 
     # -- partitions ----------------------------------------------------------------
@@ -355,28 +319,23 @@ class FaultInjector:
         Returns ``(delivered, retries_used)``.  A partitioned link fails
         every attempt *without* drawing (the outcome is certain); a clean
         reachable link succeeds immediately without drawing; only a lossy
-        reachable link consumes one draw per attempt.  Lost transmissions
-        and retries are accumulated in :attr:`stats`; message-counter
-        charging is the caller's job (the injector has no counter).
+        reachable link consumes one draw per attempt.  The injector keeps
+        no tally: the caller charges what was sent, lost and retried to the
+        run's :class:`~repro.network.metrics.MessageCounter`, the one count of
+        every message.
         """
         budget = max(0, int(max_retries))
         if not self.reachable(source, destination):
-            self.stats.messages_dropped += 1 + budget
-            self.stats.retries += budget
             return False, budget
         if not self.lossy:
             return True, 0
         for attempt in range(1 + budget):
             if self.rng.random() >= self.plan.link.drop_probability:
-                self.stats.messages_dropped += attempt
-                self.stats.retries += attempt
                 return True, attempt
-        self.stats.messages_dropped += 1 + budget
-        self.stats.retries += budget
         return False, budget
 
     def scratch_copy(self) -> "FaultInjector":
-        """A throwaway twin: its own RNG and stats at this injector's values.
+        """A throwaway twin: its own RNG at this injector's state.
 
         The plan and the partition map are shared: a query reads them, only
         fault events replace them.
@@ -384,7 +343,6 @@ class FaultInjector:
         twin = copy.copy(self)
         twin.rng = random.Random(0)  # any seed: the state is overwritten
         twin.rng.setstate(self.rng.getstate())
-        twin.stats = replace(self.stats)
         return twin
 
     # -- serialisation -------------------------------------------------------------
@@ -396,7 +354,6 @@ class FaultInjector:
             "plan": self.plan.to_payload(),
             "rng": [version, list(internal), position],
             "partition": self.partition_groups() if self.partitioned else None,
-            "stats": self.stats.state_payload(),
         }
 
     @classmethod
@@ -407,12 +364,8 @@ class FaultInjector:
         partition = payload.get("partition")
         if partition:
             injector.set_partition([list(group) for group in partition])
-        injector.stats = FaultStats.from_state(dict(payload.get("stats") or {}))
         return injector
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         mode = "partitioned" if self.partitioned else "merged"
-        return (
-            f"FaultInjector(seed={self.plan.seed}, {mode}, "
-            f"dropped={self.stats.messages_dropped}, retries={self.stats.retries})"
-        )
+        return f"FaultInjector(seed={self.plan.seed}, {mode})"

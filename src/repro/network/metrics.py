@@ -10,7 +10,12 @@ from repro.network.messages import MessageType
 
 
 class MessageCounter:
-    """Counts messages by type, plus the fault layer's drops and retries."""
+    """Counts messages by type, plus the fault layer's drops and retries.
+
+    This is a run's one tally of what it sent, lost and retried: the
+    maintenance engine, the protocol's fault paths and the router all charge
+    it, and every report reads it.  Nothing else keeps a copy.
+    """
 
     def __init__(self) -> None:
         self._by_type: Counter = Counter()

@@ -96,10 +96,6 @@ class Span:
         default_factory=list, init=False, repr=False, compare=False
     )
 
-    @property
-    def duration_wall(self) -> float:
-        return self.end_wall - self.start_wall
-
     def to_payload(self) -> Dict[str, Any]:
         return {
             "trace_id": self.trace_id,

@@ -2,12 +2,12 @@
 
 A checkpoint captures everything a running session is made of — overlay graph
 and per-peer state, domains with their cooperation lists and global
-summaries, protocol configuration, content model (plan + RNG state), message
-counters, maintenance statistics, the simulator clock and every pending
-churn/modification event — so that a session restored with
-:meth:`repro.core.session.SystemBuilder.from_checkpoint` continues *byte
-identically*: subsequent query routing, staleness snapshots and traffic
-reports match the never-persisted session exactly.
+summaries, protocol configuration, content model (plan + RNG state), the
+message counter, the reconciliation and cold-start counts, the simulator
+clock and every pending churn/modification event — so that a session
+restored with :meth:`repro.core.session.SystemBuilder.from_checkpoint`
+continues *byte identically*: subsequent query routing, staleness snapshots
+and traffic reports match the never-persisted session exactly.
 
 Hierarchies (local summaries, global summaries) are not inlined: they are
 filed in the same backend's content-addressed :class:`SnapshotStore` and the
@@ -55,6 +55,7 @@ Determinism notes
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -63,7 +64,6 @@ from repro.core.content import PlannedContentModel, SummaryContentModel
 from repro.core.cooperation import CooperationList
 from repro.core.domain import Domain
 from repro.core.freshness import Freshness, FreshnessMode
-from repro.core.maintenance import ReconciliationRecord
 from repro.core.protocol import SummaryManagementSystem
 from repro.core.service import LocalSummaryService
 from repro.database.engine import LocalDatabase
@@ -186,15 +186,18 @@ def _config_payload(config: ProtocolConfig) -> Dict[str, Any]:
         "push_max_retries": config.push_max_retries,
         "reconciliation_max_retries": config.reconciliation_max_retries,
         "query_max_retries": config.query_max_retries,
-        "retry_backoff_seconds": config.retry_backoff_seconds,
-        "retry_backoff_factor": config.retry_backoff_factor,
     }
 
 
 def _config_from_payload(payload: Dict[str, Any]) -> ProtocolConfig:
-    fields = dict(payload)
-    fields["freshness_mode"] = FreshnessMode(fields["freshness_mode"])
-    return ProtocolConfig(**fields)
+    # Named reads only: older checkpoints carry the retry_backoff_* keys.
+    named = {
+        field.name: payload[field.name]
+        for field in dataclasses.fields(ProtocolConfig)
+        if field.name in payload
+    }
+    named["freshness_mode"] = FreshnessMode(named["freshness_mode"])
+    return ProtocolConfig(**named)
 
 
 #: What a checkpoint files a summary from: the live hierarchy, or the stored
@@ -433,27 +436,15 @@ def capture_session(
             [sp_id, sorted(peers)] for sp_id, peers in system.described.items()
         ],
         "maintenance": {
-            "push_messages": system.maintenance.stats.push_messages,
             "reconciliations": system.maintenance.stats.reconciliations,
-            "reconciliation_messages": system.maintenance.stats.reconciliation_messages,
             "cold_starts": system.maintenance.stats.cold_starts,
-            "history": [
-                {
-                    "summary_peer_id": record.summary_peer_id,
-                    "time": record.time,
-                    "participants": list(record.participants),
-                    "removed_partners": list(record.removed_partners),
-                    "messages": record.messages,
-                }
-                for record in system.maintenance.stats.history
-            ],
         },
         "query_counter": system._query_counter,  # noqa: SLF001 - exact restore
     }
     if system.faults is not None:
-        # The injector travels whole: plan, RNG mid-stream state, current
-        # partition and accumulated statistics.  Its *scheduled* adversities
-        # need no re-scheduling — they ride in the pending-event specs above.
+        # The injector travels whole: plan, RNG mid-stream state and current
+        # partition.  Its *scheduled* adversities need no re-scheduling —
+        # they ride in the pending-event specs above.
         payload["faults"] = system.faults.state_payload()
     if planned:
         payload["content"] = content.state_payload()
@@ -850,23 +841,12 @@ def _restore_session(
     counter.reset()
     counter.merge(restored_counter)
 
-    # Maintenance statistics.
+    # Maintenance statistics (older checkpoints also carry message copies and
+    # a reconciliation history: the counter above is the one tally).
     stats = system.maintenance.stats
     maintenance_payload = payload["maintenance"]
-    stats.push_messages = int(maintenance_payload["push_messages"])
     stats.reconciliations = int(maintenance_payload["reconciliations"])
-    stats.reconciliation_messages = int(maintenance_payload["reconciliation_messages"])
     stats.cold_starts = int(maintenance_payload.get("cold_starts", 0))
-    stats.history = [
-        ReconciliationRecord(
-            summary_peer_id=record["summary_peer_id"],
-            time=float(record["time"]),
-            participants=list(record["participants"]),
-            removed_partners=list(record["removed_partners"]),
-            messages=int(record["messages"]),
-        )
-        for record in maintenance_payload["history"]
-    ]
 
     # Content model, databases and services.
     if planned:

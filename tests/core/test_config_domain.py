@@ -1,5 +1,7 @@
 """Unit tests for protocol configuration and domains."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import ProtocolConfig
@@ -36,9 +38,16 @@ class TestProtocolConfig:
         with pytest.raises(ConfigurationError):
             ProtocolConfig(superpeer_fraction=0.0)
 
-    def test_with_threshold_copies_other_fields(self):
+    def test_retries_have_no_backoff_knobs(self):
+        assert len(dataclasses.fields(ProtocolConfig)) == 13
+        with pytest.raises(TypeError):
+            ProtocolConfig(retry_backoff_seconds=2.0)
+        with pytest.raises(TypeError):
+            ProtocolConfig(retry_backoff_factor=2.0)
+
+    def test_replace_threshold_copies_other_fields(self):
         config = ProtocolConfig(construction_ttl=3, flooding_ttl=4)
-        copy = config.with_threshold(0.5)
+        copy = dataclasses.replace(config, freshness_threshold=0.5)
         assert copy.freshness_threshold == 0.5
         assert copy.construction_ttl == 3
         assert copy.flooding_ttl == 4

@@ -38,7 +38,6 @@ class TestPushPhase:
         assert not due
         assert domain.cooperation.freshness_of("p0") is Freshness.STALE
         assert engine.counter.count(MessageType.PUSH) == 1
-        assert engine.stats.push_messages == 1
 
     def test_push_triggers_reconciliation_at_threshold(self):
         engine = MaintenanceEngine(ProtocolConfig(freshness_threshold=0.3))
@@ -123,13 +122,15 @@ class TestReconciliation:
         engine.push_stale(domain, "p1")
         assert engine.maybe_reconcile(domain) is not None
 
-    def test_reconciliation_history_recorded(self):
+    def test_reconciliation_returns_its_record(self):
         engine = MaintenanceEngine()
         domain = _domain(3)
-        engine.reconcile(domain, now=7.0)
-        assert len(engine.stats.history) == 1
-        assert engine.stats.history[0].time == 7.0
-        assert engine.stats.history[0].summary_peer_id == "sp"
+        record = engine.reconcile(domain, now=7.0)
+        assert record.time == 7.0
+        assert record.summary_peer_id == "sp"
+        assert record.messages == engine.counter.count(MessageType.RECONCILIATION)
+        assert engine.stats.reconciliations == 1
+        assert not hasattr(engine.stats, "history")
 
     def test_reconciliation_frequency(self):
         engine = MaintenanceEngine()

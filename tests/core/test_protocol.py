@@ -12,6 +12,7 @@ from repro.core.routing import RoutingPolicy
 from repro.exceptions import ProtocolError
 from repro.fuzzy.vocabularies import medical_background_knowledge
 from repro.network.churn import LifetimeDistribution
+from repro.network.messages import MessageType
 from repro.network.overlay import Overlay
 from repro.network.topology import TopologyConfig
 from repro.workloads.patients import build_peer_databases, MedicalWorkload
@@ -187,7 +188,7 @@ class TestChurnAndMaintenance:
         scheduled = system.schedule_modifications(3600.0, 1.0 / 600.0)
         assert scheduled > 0
         system.run()
-        assert system.maintenance.stats.push_messages > 0
+        assert system.counter.count(MessageType.PUSH) > 0
 
     def test_staleness_snapshot_requires_planned_content(self, background):
         overlay = Overlay.generate(TopologyConfig(peer_count=16, seed=2))

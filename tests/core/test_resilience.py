@@ -13,6 +13,7 @@ from repro.network.faults import (
     PartitionEvent,
 )
 from repro.network.messages import MessageType
+from repro.workloads.registry import default_registry
 
 
 def _session(peer_count=32, seed=3, plan=None, **protocol):
@@ -53,25 +54,29 @@ class TestBuilderFaults:
 
 
 class TestPushRetries:
-    def test_exhausted_push_budget_is_accounted(self):
-        plan = FaultPlan(seed=2, link=LinkFaults(drop_probability=1.0))
+    @pytest.mark.parametrize("reason", ["link loss", "partitioned"])
+    def test_exhausted_push_budget_is_accounted(self, reason):
+        drop = 1.0 if reason == "link loss" else 0.0
+        plan = FaultPlan(seed=2, link=LinkFaults(drop_probability=drop))
         session = _session(plan=plan, push_max_retries=3)
         system = session.system
         partner = _a_partner(system)
-        before_push = system.maintenance.stats.push_messages
+        sp_id = system.assignment[partner]
+        if reason == "partitioned":
+            system.faults.set_partition([[partner], [sp_id]])
+        counter = system.counter
+        before_push = counter.count(MessageType.PUSH)
+        before_retries = counter.retry_total
 
         system._handle_modification(partner)
 
-        faults = system.faults
-        assert faults.stats.failed_pushes == 1
         # All 1 + 3 transmissions hit the wire and are charged as PUSH traffic
-        # even though none arrived.
-        assert system.maintenance.stats.push_messages == before_push + 4
-        assert system.counter.retry_total == 3
-        assert system.counter.dropped_by_reason()["link loss"] == 4
-        assert faults.stats.backoff_seconds > 0
+        # even though none arrived; the 3 retransmissions are retries.
+        assert counter.count(MessageType.PUSH) == before_push + 4
+        assert counter.dropped_by_reason() == {reason: 4}
+        assert counter.retry_total == before_retries + 3
+        assert session.maintenance_report().push_messages == before_push + 4
         # The summary peer never heard the push: no reconciliation pressure.
-        sp_id = system.assignment[partner]
         assert system.domains[sp_id].cooperation.entry(partner).freshness.is_fresh
 
     def test_successful_push_without_loss_charges_nothing_extra(self):
@@ -82,6 +87,23 @@ class TestPushRetries:
         system._handle_modification(partner)
         assert system.counter.retry_total == 0
         assert system.counter.dropped_total == 0
+
+
+class TestOneTally:
+    def test_lossy_network_report_reads_the_counter(self):
+        # The faulted path: lost pushes and ring hops are charged too.
+        scenario = default_registry().scenario("lossy-network")
+        session = scenario.apply_dynamics(scenario.builder()).build()
+        session.run_until()
+        session.query_batch(count=20)
+        counter = session.system.counter
+        assert counter.dropped_total > 0
+        report = session.maintenance_report()
+        assert report.push_messages == counter.count(MessageType.PUSH)
+        assert report.reconciliation_messages == counter.count(
+            MessageType.RECONCILIATION
+        )
+        assert not hasattr(session.system.maintenance, "record_failed_attempts")
 
 
 class TestPartitionedQueries:

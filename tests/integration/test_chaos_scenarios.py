@@ -55,7 +55,7 @@ def test_adversity_scenario_answers_stay_marked_and_bounded(name):
 
     assert len(answers) == 20
 
-    # Retry/backoff bounds the overhead: every retry burst is capped by the
+    # The retry budgets bound the overhead: every retry burst is capped by the
     # largest configured budget, so the total can never exceed the cap times
     # the number of fault-charged transmissions.
     counter = system.counter
@@ -68,9 +68,6 @@ def test_adversity_scenario_answers_stay_marked_and_bounded(name):
     assert counter.retry_total <= max_budget * max(1, counter.dropped_total)
     # Dropped messages are all attributed to a reason.
     assert sum(counter.dropped_by_reason().values()) == counter.dropped_total
-    faults = system.faults
-    assert faults is not None
-    assert faults.stats.messages_dropped <= counter.dropped_total
 
 
 def test_chaos_matrix_covers_every_registered_adversity():

@@ -4,11 +4,12 @@ Two properties gate the whole fault subsystem:
 
 1. *Reproducibility* — the same builder seed plus the same
    :class:`~repro.network.faults.FaultPlan` produce byte-identical runs:
-   identical counters, identical fault statistics, identical answers.
+   identical counters, identical injector state, identical answers.
 2. *Resumability* — a checkpoint taken mid-partition restores into a session
    that continues exactly like the uninterrupted one, on every store backend
    (in-memory, JSON directory, sqlite) — also when it was written with the
-   link-duplicate / jitter keys older checkpoints carry.
+   keys older checkpoints carry (link duplicate / jitter knobs, the fault
+   injector's and the maintenance engine's own tallies, the backoff knobs).
 """
 
 import pytest
@@ -118,20 +119,32 @@ class TestCheckpointMidPartition:
         assert not restored.system.faults.partitioned
 
     def test_older_checkpoint_with_removed_link_keys_continues_identically(
-        self, target
+        self, target, with_removed_tallies
     ):
-        # Checkpoints written while LinkFaults still had duplicate / jitter
-        # knobs (which no protocol path applied) carry three more keys.
+        # Older checkpoints carry three link keys of the duplicate / jitter
+        # knobs no protocol path applied, the injector's own fault tally, the
+        # two backoff knobs and the maintenance engine's message copies and
+        # reconciliation history.  The message counter is the one tally.
         live = _build()
         live.run_until(600.0)
         live.checkpoint(target, name="mid-partition")
         backend = open_store(target)
         try:
-            document = backend.get(CHECKPOINT_KIND, "mid-partition")
+            document = with_removed_tallies(
+                backend.get(CHECKPOINT_KIND, "mid-partition")
+            )
             document["faults"]["plan"]["link"].update(
                 {"duplicate_probability": 0.02, "delay_jitter_ms": 25.0}
             )
-            document["faults"]["stats"]["messages_duplicated"] = 0
+            assert set(document["faults"]["stats"]) == {
+                "messages_dropped",
+                "retries",
+                "failed_pushes",
+                "unreachable_probes",
+                "backoff_seconds",
+                "messages_duplicated",
+            }
+            assert document["maintenance"]["history"]
             backend.put(CHECKPOINT_KIND, "older", document)
         finally:
             if owns_backend(target):
@@ -140,8 +153,10 @@ class TestCheckpointMidPartition:
         restored = SystemBuilder.from_checkpoint(target, name="older")
         assert restored.system.faults.plan == PLAN
         assert restored.system.faults.partitioned
+        assert restored.config == live.config
         live_answers = _drive(live, until=2400.0)
         res_answers = _drive(restored, until=2400.0)
         assert _fingerprint(restored, res_answers) == _fingerprint(
             live, live_answers
         )
+        assert restored.maintenance_report() == live.maintenance_report()

@@ -43,9 +43,10 @@ def any_store(request, tmp_path_factory):
 
     Between them they carry everything a query may advance: a plan registry
     and RNG (``smoke``), a fault injector whose RNG is drawn per hop
-    (``lossy-network``) or whose stats move per unreachable domain
-    (``partition-heal``, checkpointed mid-partition), and a query registry
-    plus lazily loaded hierarchies (``real``).
+    (``lossy-network``) or a partition whose every unreachable domain is
+    charged to the message counter (``partition-heal``, checkpointed
+    mid-partition), and a query registry plus lazily loaded hierarchies
+    (``real``).
     """
     if request.param == "real":
         return request.getfixturevalue("real_store")

@@ -15,10 +15,12 @@ from repro.core.config import ProtocolConfig
 from repro.core.session import SystemBuilder
 from repro.exceptions import NetworkError, StoreError
 from repro.fuzzy.vocabularies import medical_background_knowledge
+from repro.network.faults import FaultPlan, LinkFaults
 from repro.network.overlay import Overlay
 from repro.network.topology import TopologyConfig
 from repro.saintetiq.serialization import hierarchy_content_hash
 from repro.store import (
+    CHECKPOINT_KIND,
     InMemoryBackend,
     JsonDirectoryBackend,
     SessionCache,
@@ -103,6 +105,49 @@ class TestTable3Scenarios:
         assert list(restored.domains) == list(live.domains)
         assert restored.config == live.config
         assert restored.planned
+
+
+class TestOneTally:
+    """The message counter is the checkpoint's one tally of what a run sent."""
+
+    def test_older_planned_checkpoint_continues_identically(
+        self, backend, with_removed_tallies
+    ):
+        # Written while the maintenance engine kept message copies and a
+        # reconciliation history and the protocol had two backoff knobs.
+        reference_session = _build("smoke")
+        reference_session.run_until(reference_session.horizon / 2)
+        reference = _drive(reference_session)
+
+        live = _build("smoke")
+        live.run_until(live.horizon / 2)
+        live.checkpoint(backend, name="mid")
+        document = with_removed_tallies(backend.get(CHECKPOINT_KIND, "mid"))
+        assert document["maintenance"]["history"]
+        assert "retry_backoff_seconds" in document["config"]
+        backend.put(CHECKPOINT_KIND, "older", document)
+
+        restored = SystemBuilder.from_checkpoint(backend, name="older")
+        assert restored.config == live.config
+        assert restored.system.maintenance.stats == live.system.maintenance.stats
+        _assert_identical(reference, _drive(restored))
+
+    def test_fresh_checkpoint_has_none_of_the_removed_keys(self, backend):
+        session = (
+            SystemBuilder()
+            .topology(peer_count=24, seed=4)
+            .planned_content(hit_rate=0.2)
+            .faults(FaultPlan(seed=1, link=LinkFaults(drop_probability=0.2)))
+            .seed(4)
+            .build()
+        )
+        session.run_until(1800.0)
+        session.checkpoint(backend, name="fresh")
+        document = backend.get(CHECKPOINT_KIND, "fresh")
+        assert "retry_backoff_seconds" not in document["config"]
+        assert "retry_backoff_factor" not in document["config"]
+        assert set(document["maintenance"]) == {"reconciliations", "cold_starts"}
+        assert "stats" not in document["faults"]
 
 
 class TestCheckpointUnderChurn:

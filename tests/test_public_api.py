@@ -35,8 +35,8 @@ class TestPublicSurface:
 
     def test_network_exports_no_message_bus(self):
         network = importlib.import_module("repro.network")
-        assert len(network.__all__) == 19
-        for name in ("MessageBus", "Message", "ExpiringSet"):
+        assert len(network.__all__) == 18
+        for name in ("MessageBus", "Message", "ExpiringSet", "FaultStats"):
             assert name not in network.__all__
             assert not hasattr(network, name)
         with pytest.raises(ModuleNotFoundError):
