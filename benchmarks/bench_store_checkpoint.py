@@ -1,11 +1,8 @@
-"""Store subsystem benchmarks: warm-start wins and snapshot dedup.
+"""Store subsystem benchmarks: checkpoint cost, delta size and snapshot dedup.
 
-``test_warm_start_skips_construction`` is the acceptance benchmark of the
-persistence PR: a repeated ``run-scenario``-style invocation with a warm
-cache directory restores the built session instead of reconstructing it
-(topology generation + domain construction + churn scheduling), and produces
-exactly the same session.  ``test_checkpoint_roundtrip_throughput`` tracks
-the raw save/restore cost, and ``test_snapshot_dedup`` shows content
+``test_checkpoint_roundtrip_throughput`` tracks the raw save/restore cost,
+``test_delta_checkpoint_smaller_than_full`` guards a delta checkpoint's size
+against a full one at 2000 peers, and ``test_snapshot_dedup`` shows content
 addressing collapsing identical hierarchies across peers and checkpoints.
 """
 
@@ -19,67 +16,11 @@ from repro.database.generator import PatientGenerator
 from repro.fuzzy.vocabularies import medical_background_knowledge
 from repro.saintetiq.hierarchy import SummaryHierarchy
 from repro.store import SnapshotStore, SqliteBackend
-from repro.store.cache import SessionCache
 from repro.workloads.registry import default_registry
-
-#: Scenario scale for the warm-start bench: large enough that construction
-#: visibly dominates, small enough for the default harness budget.
-WARM_START_PEERS = 5000 if full_scale() else 2000
-
-
-def _scenario():
-    return default_registry().scenario(
-        "table3-default", peer_count=WARM_START_PEERS, duration_seconds=3600.0
-    )
 
 
 def _build(scenario):
     return scenario.apply_dynamics(scenario.builder()).build()
-
-
-@pytest.mark.benchmark(group="store-warm-start")
-def test_warm_start_skips_construction(benchmark, tmp_path):
-    """Warm restore vs cold construction of a Table-3 session."""
-    scenario = _scenario()
-    cache = SessionCache(tmp_path / "cache.sqlite")
-    parameters = {"bench": "warm-start", "peers": scenario.peer_count}
-
-    t0 = time.perf_counter()
-    cold_session, warm = cache.get_or_build(parameters, lambda: _build(scenario))
-    cold_seconds = time.perf_counter() - t0
-    assert not warm
-
-    def restore():
-        session, hit = cache.get_or_build(parameters, lambda: _build(scenario))
-        assert hit
-        return session
-
-    warm_session = benchmark(restore)
-
-    # Byte-identical warm start: same topology, same pending schedule.
-    assert warm_session.overlay.peer_ids == cold_session.overlay.peer_ids
-    assert (
-        warm_session.system.simulator.pending_events
-        == cold_session.system.simulator.pending_events
-    )
-    build_only = time.perf_counter()
-    _build(scenario)
-    build_seconds = time.perf_counter() - build_only
-
-    benchmark.extra_info["peers"] = scenario.peer_count
-    benchmark.extra_info["cold_seconds_with_save"] = cold_seconds
-    benchmark.extra_info["construction_seconds"] = build_seconds
-    stats = getattr(benchmark, "stats", None)
-    if stats:
-        warm_seconds = stats.stats.mean
-        benchmark.extra_info["warm_over_construction_speedup"] = (
-            build_seconds / warm_seconds if warm_seconds else None
-        )
-        print(
-            f"\nwarm restore {warm_seconds:.3f}s vs construction "
-            f"{build_seconds:.3f}s ({build_seconds / warm_seconds:.2f}x) "
-            f"at {scenario.peer_count} peers"
-        )
 
 
 @pytest.mark.benchmark(group="store-roundtrip")

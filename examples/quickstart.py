@@ -16,8 +16,8 @@ Walks the paper's running example end to end:
    byte-identical to posing them one by one,
 6. persistence through ``repro.store``: the session is checkpointed into a
    single SQLite file and resumed with ``SystemBuilder.from_checkpoint`` —
-   the resumed session answers the same query byte-identically, and repeated
-   runs warm-start from the checkpoint instead of rebuilding summaries,
+   the resumed session answers the same query byte-identically, and the
+   restore reads the stored summaries instead of rebuilding them,
 7. serving: the checkpoint is opened *read-only* with lazy hierarchy loading
    and served over HTTP/JSON (``repro serve`` / ``start_server``); a client
    query comes back byte-identical to a local restore of the same checkpoint,

@@ -203,8 +203,10 @@ since, instead of re-reconciling the whole domain.
 Named parameter sets live in the scenario registry
 (``default_registry().session("table3-default")``); the low-level pieces —
 overlays, summaries, the :class:`SummaryManagementSystem` engine — remain
-available, but wiring the engine by hand (``attach_databases`` /
-``build_domains`` / ``pose_query``) is deprecated in favour of the builder.
+available.  :class:`SystemBuilder` is the supported way to wire a network:
+``build()`` calls the engine's ``attach_databases`` / ``build_domains`` in the
+order they require, and ``NetworkSession.query`` routes through
+``pose_query``.
 
 See ``examples/`` for end-to-end scenarios and ``benchmarks/`` for the
 experiment harness reproducing every table and figure of the paper.
@@ -312,7 +314,6 @@ from repro.store import (
     HierarchySource,
     InMemoryBackend,
     JsonDirectoryBackend,
-    SessionCache,
     SnapshotStore,
     SqliteBackend,
     StoreBackend,
@@ -433,7 +434,6 @@ __all__ = [
     "open_store",
     "SnapshotStore",
     "DomainHeadArchive",
-    "SessionCache",
     "collect_garbage",
     "compact_checkpoint",
     "compact_checkpoints",

@@ -48,12 +48,13 @@ Query batches (``run-scenario``/``load-session`` ``--queries N``) run through
 ``NetworkSession.query_batch``: the same indexed, memoized query path as a
 single ``query``, once per request.
 
-Every command accepts ``--sizes`` / ``--alphas`` / ``--hours`` / ``--seed``
-overrides and ``--json`` to emit machine-readable output; ``run-scenario``
-additionally takes ``--peers`` / ``--alpha`` / ``--hit-rate`` / ``--queries``.
-The figures and ``run-scenario`` accept ``--cache-dir`` (a directory or a
-``.sqlite`` path): built sessions are checkpointed there and repeated
-invocations warm-start from the cache instead of reconstructing.
+``fig4`` / ``fig5`` / ``fig6`` take ``--sizes`` / ``--hours`` / ``--seed``
+overrides, and ``fig4`` / ``fig6`` also ``--alphas`` (``fig5`` plots α = 0.3
+and rejects it); ``fig7`` takes ``--sizes`` / ``--queries`` / ``--seed``;
+``fault-sweep`` takes ``--intensities`` / ``--seed``; ``all`` passes each of
+them on.  ``run-scenario`` and ``save-session`` take ``--hours`` / ``--seed``
+/ ``--peers`` / ``--alpha`` / ``--hit-rate``.  Every command but ``serve``
+takes ``--json`` to emit machine-readable output.
 """
 
 from __future__ import annotations
@@ -169,11 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="like --gc but only report what a collection would reclaim",
     )
     parser.add_argument(
-        "--cache-dir",
-        help="warm-start cache for built sessions (figures and run-scenario): "
-        "a directory or a .sqlite path",
-    )
-    parser.add_argument(
         "--peers",
         type=int,
         help="override the scenario's network size (run-scenario)",
@@ -236,8 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--alphas",
         type=_parse_alphas,
-        default=DEFAULT_ALPHAS,
-        help="comma-separated freshness thresholds for fig4 (default: 0.1,0.3,0.8)",
+        help="comma-separated freshness thresholds for fig4 and fig6; all "
+        "passes them to fig4 and fig6 (defaults: fig4 0.1,0.3,0.8, fig6 "
+        "0.3,0.8; fig5 plots 0.3 and rejects this option)",
     )
     parser.add_argument(
         "--hours",
@@ -250,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--queries",
         type=int,
         default=20,
-        help="queries per network size for fig7 (default: 20)",
+        help="queries per network size for fig7, and the query batch of "
+        "run-scenario / load-session (default: 20)",
     )
     parser.add_argument(
         "--seed",
@@ -343,21 +341,6 @@ def _scenario_from_args(args: argparse.Namespace, include_hours: bool = True):
     return registry.scenario(args.scenario, **overrides)
 
 
-def _build_scenario_session(args: argparse.Namespace, scenario) -> "NetworkSession":
-    import dataclasses
-
-    factory = lambda: scenario.apply_dynamics(scenario.builder()).build()  # noqa: E731
-    if not args.cache_dir:
-        return factory()
-    from repro.store.cache import SessionCache
-
-    key = dict(dataclasses.asdict(scenario))
-    key["driver"] = "cli-run-scenario"
-    with SessionCache(args.cache_dir) as cache:
-        session, _warm = cache.get_or_build(key, factory)
-    return session
-
-
 def _session_report_table(
     session: "NetworkSession",
     name: str,
@@ -447,7 +430,7 @@ def _write_obs_artifacts(args: argparse.Namespace, obs) -> None:
 
 def _run_scenario_table(args: argparse.Namespace) -> ExperimentTable:
     scenario = _scenario_from_args(args)
-    session = _build_scenario_session(args, scenario)
+    session = scenario.apply_dynamics(scenario.builder()).build()
     obs = _observability_from_args(args)
     if obs is not None:
         session.install_observability(obs)
@@ -739,21 +722,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _emit([table], args.json)
         return 0
 
+    if args.command == "fig5" and args.alphas is not None:
+        parser.error("fig5 plots alpha 0.3 only; --alphas applies to fig4 and fig6")
     sizes, alphas = args.sizes, args.alphas
     hours = args.hours if args.hours is not None else 6.0
     duration = hours * 3600.0
     args.seed = args.seed if args.seed is not None else 0
-    cache = args.cache_dir or None
 
     commands: Dict[str, Callable[[], List[ExperimentTable]]] = {
         "tables": lambda: [run_table1_table2(), run_table3()],
         "fig4": lambda: [
             run_figure4(
                 domain_sizes=sizes,
-                alphas=alphas,
+                alphas=alphas or DEFAULT_ALPHAS,
                 duration_seconds=duration,
                 seed=args.seed,
-                cache=cache,
             )
         ],
         "fig5": lambda: [
@@ -761,15 +744,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 domain_sizes=sizes,
                 duration_seconds=duration,
                 seed=args.seed,
-                cache=cache,
             )
         ],
         "fig6": lambda: [
             run_figure6(
                 domain_sizes=sizes,
+                alphas=alphas,
                 duration_seconds=duration,
                 seed=args.seed,
-                cache=cache,
             )
         ],
         "fig7": lambda: [
@@ -777,7 +759,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 network_sizes=sizes,
                 queries_per_size=args.queries,
                 seed=args.seed,
-                cache=cache,
             )
         ],
         "fault-sweep": lambda: [_fault_sweep_table(args)],

@@ -24,9 +24,10 @@ collapses that ritual into two classes:
   :meth:`NetworkSession.run_until`, :meth:`NetworkSession.maintenance_report`
   and :meth:`NetworkSession.traffic` cover the simulation and reporting side.
 
-The legacy constructor wiring keeps working (the builder delegates to it), but
-new code — the experiment drivers, the workload scenarios, the examples and
-the CLI all construct networks through this module.
+The builder is the supported way to wire a network: ``build()`` drives the
+engine's own ``attach_databases`` / ``build_domains`` calls, and the
+experiment drivers, the workload scenarios, the examples and the CLI all
+construct networks through this module.
 """
 
 from __future__ import annotations

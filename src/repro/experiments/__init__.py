@@ -1,9 +1,10 @@
 """Experiment harness: one module per table/figure of the paper's evaluation.
 
 Every module exposes a ``run_*`` function returning an
-:class:`~repro.experiments.reporting.ExperimentTable` (rows + metadata) and a
-``main()`` that prints it, so the benches under ``benchmarks/`` and the
-``examples/`` scripts share the exact same code paths.
+:class:`~repro.experiments.reporting.ExperimentTable` (rows + metadata).  The
+CLI (``python -m repro <command>``) is the one way to print them; the benches
+under ``benchmarks/`` and the ``examples/`` scripts call the same ``run_*``
+functions.
 """
 
 from repro.experiments.fault_sweep import run_fault_sweep

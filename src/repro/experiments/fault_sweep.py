@@ -136,13 +136,3 @@ def run_fault_sweep(
         if observability is not None:
             counter.to_metrics(observability.metrics)
     return table
-
-
-def main(intensities: Optional[List[float]] = None) -> ExperimentTable:
-    table = run_fault_sweep(intensities=intensities)
-    print(table.to_text())
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main()

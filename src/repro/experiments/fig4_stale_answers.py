@@ -8,14 +8,10 @@ matching partner outside ``P_Q`` as a false negative.  The headline number is
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.experiments.reporting import ExperimentTable
-from repro.experiments.runner import (
-    CacheTarget,
-    run_maintenance_simulation,
-    shared_session_cache,
-)
+from repro.experiments.runner import run_maintenance_simulation
 from repro.workloads.registry import default_registry
 from repro.workloads.scenarios import DEFAULT_ALPHAS, DEFAULT_DOMAIN_SIZES
 
@@ -31,7 +27,6 @@ def run_figure4(
     alphas: Optional[Sequence[float]] = None,
     duration_seconds: float = 6 * 3600.0,
     seed: int = 0,
-    cache: CacheTarget = None,
 ) -> ExperimentTable:
     """Reproduce Figure 4: worst-case stale answers vs. domain size and α."""
     domain_sizes = list(domain_sizes or DEFAULT_DOMAIN_SIZES)
@@ -48,32 +43,20 @@ def run_figure4(
         },
     )
     registry = default_registry()
-    # One cache for the α × size sweep (opened/closed once, shared restores).
-    with shared_session_cache(cache) as sweep_cache:
-        for alpha in alphas:
-            for size in domain_sizes:
-                scenario = registry.scenario(
-                    "maintenance",
-                    peer_count=size,
-                    alpha=alpha,
-                    duration_seconds=duration_seconds,
-                    seed=seed,
-                )
-                run = run_maintenance_simulation(scenario, cache=sweep_cache)
-                table.add_row(
-                    domain_size=size,
-                    alpha=alpha,
-                    stale_fraction=run.mean_worst_stale_fraction,
-                    real_stale_fraction=run.mean_real_stale_fraction,
-                )
+    for alpha in alphas:
+        for size in domain_sizes:
+            scenario = registry.scenario(
+                "maintenance",
+                peer_count=size,
+                alpha=alpha,
+                duration_seconds=duration_seconds,
+                seed=seed,
+            )
+            run = run_maintenance_simulation(scenario)
+            table.add_row(
+                domain_size=size,
+                alpha=alpha,
+                stale_fraction=run.mean_worst_stale_fraction,
+                real_stale_fraction=run.mean_real_stale_fraction,
+            )
     return table
-
-
-def main(sizes: Optional[List[int]] = None) -> ExperimentTable:
-    table = run_figure4(domain_sizes=sizes or [16, 100, 500], alphas=[0.3, 0.8])
-    print(table.to_text())
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main()

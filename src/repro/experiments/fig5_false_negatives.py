@@ -10,14 +10,10 @@ reduction with respect to the worst-case estimate.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.experiments.reporting import ExperimentTable
-from repro.experiments.runner import (
-    CacheTarget,
-    run_maintenance_simulation,
-    shared_session_cache,
-)
+from repro.experiments.runner import run_maintenance_simulation
 from repro.workloads.registry import default_registry
 from repro.workloads.scenarios import DEFAULT_DOMAIN_SIZES
 
@@ -32,7 +28,6 @@ def run_figure5(
     alpha: float = 0.3,
     duration_seconds: float = 6 * 3600.0,
     seed: int = 0,
-    cache: CacheTarget = None,
 ) -> ExperimentTable:
     """Reproduce Figure 5: real false-negative fraction vs. domain size."""
     domain_sizes = list(domain_sizes or DEFAULT_DOMAIN_SIZES)
@@ -53,38 +48,25 @@ def run_figure5(
         },
     )
     registry = default_registry()
-    # One cache for the whole sweep: every domain size restores from (or
-    # fills) the same store, opened and closed exactly once.
-    with shared_session_cache(cache) as sweep_cache:
-        for size in domain_sizes:
-            scenario = registry.scenario(
-                "maintenance",
-                peer_count=size,
-                alpha=alpha,
-                duration_seconds=duration_seconds,
-                seed=seed,
-            )
-            run = run_maintenance_simulation(scenario, cache=sweep_cache)
-            worst = run.mean_worst_stale_fraction
-            false_negatives = run.mean_real_false_negative_fraction
-            reduction = (
-                worst / false_negatives if false_negatives > 0 else float("inf")
-            )
-            table.add_row(
-                domain_size=size,
-                alpha=alpha,
-                false_negative_fraction=false_negatives,
-                worst_stale_fraction=worst,
-                reduction_factor=reduction,
-            )
+    for size in domain_sizes:
+        scenario = registry.scenario(
+            "maintenance",
+            peer_count=size,
+            alpha=alpha,
+            duration_seconds=duration_seconds,
+            seed=seed,
+        )
+        run = run_maintenance_simulation(scenario)
+        worst = run.mean_worst_stale_fraction
+        false_negatives = run.mean_real_false_negative_fraction
+        reduction = (
+            worst / false_negatives if false_negatives > 0 else float("inf")
+        )
+        table.add_row(
+            domain_size=size,
+            alpha=alpha,
+            false_negative_fraction=false_negatives,
+            worst_stale_fraction=worst,
+            reduction_factor=reduction,
+        )
     return table
-
-
-def main(sizes: Optional[List[int]] = None) -> ExperimentTable:
-    table = run_figure5(domain_sizes=sizes or [16, 100, 500])
-    print(table.to_text())
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main()

@@ -12,11 +12,7 @@ from typing import List, Optional, Sequence
 
 from repro.costmodel.update_cost import UpdateCostModel
 from repro.experiments.reporting import ExperimentTable
-from repro.experiments.runner import (
-    CacheTarget,
-    run_maintenance_simulation,
-    shared_session_cache,
-)
+from repro.experiments.runner import run_maintenance_simulation
 from repro.workloads.registry import default_registry
 from repro.workloads.scenarios import DEFAULT_DOMAIN_SIZES
 
@@ -29,13 +25,13 @@ PAPER_EXPECTATION = (
 
 def run_figure6(
     domain_sizes: Optional[Sequence[int]] = None,
-    alphas: Sequence[float] = (0.3, 0.8),
+    alphas: Optional[Sequence[float]] = None,
     duration_seconds: float = 6 * 3600.0,
     seed: int = 0,
-    cache: CacheTarget = None,
 ) -> ExperimentTable:
     """Reproduce Figure 6: update traffic vs. domain size for two α values."""
     domain_sizes = list(domain_sizes or DEFAULT_DOMAIN_SIZES)
+    alphas = list(alphas or (0.3, 0.8))
     table = ExperimentTable(
         name="Figure 6 — update messages vs. domain size",
         columns=[
@@ -51,32 +47,30 @@ def run_figure6(
         parameters={"duration_seconds": duration_seconds, "seed": seed},
     )
     registry = default_registry()
-    # One cache for the α × size sweep (opened/closed once, shared restores).
-    with shared_session_cache(cache) as sweep_cache:
-        for alpha in alphas:
-            for size in domain_sizes:
-                scenario = registry.scenario(
-                    "maintenance",
-                    peer_count=size,
-                    alpha=alpha,
-                    duration_seconds=duration_seconds,
-                    seed=seed,
-                )
-                run = run_maintenance_simulation(scenario, cache=sweep_cache)
-                model = UpdateCostModel(
-                    domain_size=size,
-                    lifetime_seconds=scenario.lifetime_mean_seconds,
-                    alpha=alpha,
-                )
-                table.add_row(
-                    domain_size=size,
-                    alpha=alpha,
-                    total_messages=run.update_messages,
-                    messages_per_node=run.messages_per_node,
-                    push_messages=run.push_messages,
-                    reconciliations=run.reconciliations,
-                    model_messages_per_node=model.messages_per_node(duration_seconds),
-                )
+    for alpha in alphas:
+        for size in domain_sizes:
+            scenario = registry.scenario(
+                "maintenance",
+                peer_count=size,
+                alpha=alpha,
+                duration_seconds=duration_seconds,
+                seed=seed,
+            )
+            run = run_maintenance_simulation(scenario)
+            model = UpdateCostModel(
+                domain_size=size,
+                lifetime_seconds=scenario.lifetime_mean_seconds,
+                alpha=alpha,
+            )
+            table.add_row(
+                domain_size=size,
+                alpha=alpha,
+                total_messages=run.update_messages,
+                messages_per_node=run.messages_per_node,
+                push_messages=run.push_messages,
+                reconciliations=run.reconciliations,
+                model_messages_per_node=model.messages_per_node(duration_seconds),
+            )
     return table
 
 
@@ -94,17 +88,3 @@ def cost_increase_factor(table: ExperimentTable, low_alpha: float, high_alpha: f
                     low_row["messages_per_node"] / high_row["messages_per_node"]
                 )
     return sum(ratios) / len(ratios) if ratios else float("nan")
-
-
-def main(sizes: Optional[List[int]] = None) -> ExperimentTable:
-    table = run_figure6(domain_sizes=sizes or [16, 100, 500])
-    print(table.to_text())
-    print(
-        "cost increase factor (alpha 0.3 vs 0.8): "
-        f"{cost_increase_factor(table, 0.3, 0.8):.2f}"
-    )
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main()

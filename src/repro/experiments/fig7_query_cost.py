@@ -8,14 +8,10 @@ bound.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.experiments.reporting import ExperimentTable
-from repro.experiments.runner import (
-    CacheTarget,
-    run_query_cost_comparison,
-    shared_session_cache,
-)
+from repro.experiments.runner import run_query_cost_comparison
 from repro.workloads.scenarios import DEFAULT_NETWORK_SIZES
 
 PAPER_EXPECTATION = (
@@ -31,7 +27,6 @@ def run_figure7(
     hit_rate: float = 0.1,
     flooding_ttl: int = 3,
     seed: int = 0,
-    cache: CacheTarget = None,
 ) -> ExperimentTable:
     """Reproduce Figure 7: per-query message counts for the three algorithms."""
     network_sizes = list(network_sizes or DEFAULT_NETWORK_SIZES)
@@ -54,39 +49,26 @@ def run_figure7(
             "seed": seed,
         },
     )
-    # One cache for the whole size sweep (opened/closed once).
-    with shared_session_cache(cache) as sweep_cache:
-        for size in network_sizes:
-            run = run_query_cost_comparison(
-                peer_count=size,
-                query_count=queries_per_size,
-                hit_rate=hit_rate,
-                flooding_ttl=flooding_ttl,
-                seed=seed,
-                cache=sweep_cache,
-            )
-            ratio = (
-                run.flooding_messages / run.summary_querying_messages
-                if run.summary_querying_messages > 0
-                else float("inf")
-            )
-            table.add_row(
-                peers=size,
-                sq_messages=run.summary_querying_messages,
-                flooding_messages=run.flooding_messages,
-                centralized_messages=run.centralized_messages,
-                sq_model=run.model_summary_querying_messages,
-                centralized_model=run.model_centralized_messages,
-                flooding_over_sq=ratio,
-            )
+    for size in network_sizes:
+        run = run_query_cost_comparison(
+            peer_count=size,
+            query_count=queries_per_size,
+            hit_rate=hit_rate,
+            flooding_ttl=flooding_ttl,
+            seed=seed,
+        )
+        ratio = (
+            run.flooding_messages / run.summary_querying_messages
+            if run.summary_querying_messages > 0
+            else float("inf")
+        )
+        table.add_row(
+            peers=size,
+            sq_messages=run.summary_querying_messages,
+            flooding_messages=run.flooding_messages,
+            centralized_messages=run.centralized_messages,
+            sq_model=run.model_summary_querying_messages,
+            centralized_model=run.model_centralized_messages,
+            flooding_over_sq=ratio,
+        )
     return table
-
-
-def main(sizes: Optional[List[int]] = None) -> ExperimentTable:
-    table = run_figure7(network_sizes=sizes or [16, 100, 500, 1000])
-    print(table.to_text())
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main()

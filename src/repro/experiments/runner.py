@@ -8,87 +8,19 @@ figure modules turn them into :class:`ExperimentTable` rows.
 
 from __future__ import annotations
 
-import dataclasses
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Union
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.store.backend import StoreBackend
-    from repro.store.cache import SessionCache
+from typing import Dict, List
 
 from repro.baselines.centralized import CentralizedIndex, centralized_query_cost
 from repro.baselines.flooding import FloodingSearch
 from repro.core.protocol import UPDATE_MESSAGE_TYPES, StalenessSnapshot
 from repro.core.routing import QueryRequest, RoutingPolicy
-from repro.core.session import NetworkSession
 from repro.costmodel.query_cost import PaperQueryScenario
 from repro.workloads.registry import default_registry
 from repro.workloads.scenarios import (
     DEFAULT_MODIFICATION_RATE_PER_PEER,
     SimulationScenario,
 )
-
-#: A warm-start cache target: a directory/SQLite path, an opened backend, or
-#: an existing :class:`~repro.store.cache.SessionCache`.
-CacheTarget = Union[None, str, "StoreBackend", "SessionCache"]
-
-
-def _cached_session(
-    cache: CacheTarget,
-    key_parameters: Dict[str, object],
-    factory: Callable[[], NetworkSession],
-) -> NetworkSession:
-    """Build a session, or restore it from a warm-start cache when given one.
-
-    The cache key covers every parameter that determines the built session,
-    so a repeated sweep with identical parameters skips topology generation,
-    domain construction and event scheduling entirely — and, because restore
-    is byte-identical, produces exactly the same measurements.
-    """
-    if cache is None:
-        return factory()
-    from repro.store.cache import SessionCache
-
-    if isinstance(cache, SessionCache):
-        session, _warm = cache.get_or_build(key_parameters, factory)
-        return session
-    # Opened here, closed here; sweeps should pass one SessionCache (see
-    # shared_session_cache) to also amortise the open across points.
-    with SessionCache(cache) as session_cache:
-        session, _warm = session_cache.get_or_build(key_parameters, factory)
-        return session
-
-
-@contextmanager
-def shared_session_cache(cache: CacheTarget) -> Iterator[CacheTarget]:
-    """Normalise a cache target to one :class:`SessionCache` for a whole sweep.
-
-    A sweep that passes a path to every simulation would otherwise open (and,
-    for SQLite, leak) one backend per swept point; this opens the cache once,
-    hands the same instance to every point, and closes it — only if it was
-    opened here — when the sweep finishes.  ``None`` and already-open caches
-    pass through untouched.
-    """
-    if cache is None:
-        yield None
-        return
-    from repro.store.cache import SessionCache
-
-    if isinstance(cache, SessionCache):
-        yield cache
-        return
-    opened = SessionCache(cache)
-    try:
-        yield opened
-    finally:
-        opened.close()
-
-
-def _scenario_key(scenario: SimulationScenario, **extra: object) -> Dict[str, object]:
-    key: Dict[str, object] = dict(dataclasses.asdict(scenario))
-    key.update(extra)
-    return key
 
 
 @dataclass
@@ -139,7 +71,6 @@ def run_maintenance_simulation(
     snapshot_interval_seconds: float = 1200.0,
     snapshots_per_tick: int = 3,
     modification_rate_per_peer: float = DEFAULT_MODIFICATION_RATE_PER_PEER,
-    cache: CacheTarget = None,
 ) -> MaintenanceRun:
     """Simulate churn + maintenance on a single domain and sample staleness.
 
@@ -149,22 +80,11 @@ def run_maintenance_simulation(
     modifications (one per peer every two hours by default) runs alongside the
     churn, matching the paper's assumption that churn dominates but data does
     change occasionally.
-
-    ``cache`` points a warm-start store at the built (not yet run) session:
-    repeated sweeps skip construction and restore it instead.
     """
-    session = _cached_session(
-        cache,
-        _scenario_key(
-            scenario,
-            driver="single-domain-maintenance",
-            modification_rate_per_peer=modification_rate_per_peer,
-        ),
-        lambda: scenario.apply_dynamics(
-            scenario.single_domain_builder(),
-            modification_rate_per_peer=modification_rate_per_peer,
-        ).build(),
-    )
+    session = scenario.apply_dynamics(
+        scenario.single_domain_builder(),
+        modification_rate_per_peer=modification_rate_per_peer,
+    ).build()
     run = MaintenanceRun(
         scenario=scenario,
         duration_seconds=scenario.duration_seconds,
@@ -224,15 +144,12 @@ def run_query_cost_comparison(
     flooding_ttl: int = 3,
     seed: int = 0,
     false_positive_rate: float = 0.0,
-    cache: CacheTarget = None,
 ) -> QueryCostRun:
     """Compare summary querying, pure flooding and a centralized index.
 
     Every algorithm answers the same planned queries over the same overlay;
     the summary-querying run visits as many domains as needed to gather every
     available result (a total-lookup query, the paper's Figure 7 setting).
-    ``cache`` warm-starts the built session (see
-    :func:`run_maintenance_simulation`).
     """
     scenario = default_registry().scenario(
         "query-cost",
@@ -241,11 +158,7 @@ def run_query_cost_comparison(
         matching_fraction=hit_rate,
         seed=seed,
     )
-    session = _cached_session(
-        cache,
-        _scenario_key(scenario, driver="multi-domain-query-cost"),
-        scenario.session,
-    )
+    session = scenario.session()
     overlay = session.overlay
     content = session.content
     assert content is not None

@@ -60,13 +60,3 @@ def run_table3() -> ExperimentTable:
     for key, value in parameters.items():
         table.add_row(parameter=key, value=value)
     return table
-
-
-def main() -> None:
-    print(run_table1_table2().to_text())
-    print()
-    print(run_table3().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main()

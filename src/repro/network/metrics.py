@@ -72,27 +72,29 @@ class MessageCounter:
         self._dropped.clear()
         self._retries = 0
 
-    def to_metrics(self, registry, prefix: str = "repro_messages") -> None:
+    def to_metrics(self, registry) -> None:
         """Bridge the current totals into a :class:`repro.obs.MetricsRegistry`.
 
         Adds this counter's totals to the registry's series — per-type counts
-        under ``<prefix>_total{type=...}``, then drops (by reason) and
-        retries.  Bridge once per counter lifetime (or after a
-        :meth:`reset`): the registry accumulates.  Reading the counter this
-        way mutates nothing here — :meth:`state_payload` is unchanged.
+        under ``repro_messages_total{type=...}``, drops by reason under
+        ``repro_messages_dropped_total{reason=...}`` and retries under
+        ``repro_messages_retries_total``.  Bridge once per counter lifetime
+        (or after a :meth:`reset`): the registry accumulates.  Reading the
+        counter this way mutates nothing here — :meth:`state_payload` is
+        unchanged.
         """
         for message_type in sorted(self._by_type, key=lambda mt: mt.value):
             registry.inc(
-                f"{prefix}_total",
+                "repro_messages_total",
                 self._by_type[message_type],
                 type=message_type.value,
             )
         for reason in sorted(self._dropped):
             registry.inc(
-                f"{prefix}_dropped_total", self._dropped[reason], reason=reason
+                "repro_messages_dropped_total", self._dropped[reason], reason=reason
             )
         if self._retries:
-            registry.inc(f"{prefix}_retries_total", self._retries)
+            registry.inc("repro_messages_retries_total", self._retries)
 
     # -- checkpoint state ---------------------------------------------------------
 

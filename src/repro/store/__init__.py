@@ -28,8 +28,6 @@ matching persistence layer:
 * **Domain heads** (:class:`~repro.store.snapshots.DomainHeadArchive`) — the
   per-domain summary state the maintenance engine archives at each
   reconciliation, enabling store-backed summary-peer cold starts.
-* **Warm-start cache** (:mod:`repro.store.cache`) — experiment drivers reuse
-  built sessions across sweeps instead of reconstructing them.
 
 The high-level entry points live on the session façade:
 ``NetworkSession.checkpoint(target, base=...)``,
@@ -44,7 +42,6 @@ from repro.store.backend import (
     StoreBackend,
     open_store,
 )
-from repro.store.cache import SessionCache
 from repro.store.checkpoint import (
     CHECKPOINT_KIND,
     DEFAULT_CHECKPOINT_NAME,
@@ -76,7 +73,6 @@ __all__ = [
     "SNAPSHOT_KIND",
     "DomainHeadArchive",
     "DOMAIN_HEAD_KIND",
-    "SessionCache",
     "save_session",
     "restore_session",
     "open_readonly_session",

@@ -114,11 +114,19 @@ class ScenarioRegistry:
     # -- session construction ----------------------------------------------------------
 
     def session(self, name: str, **overrides: object) -> NetworkSession:
-        """Build a multi-domain :class:`NetworkSession` for a named scenario."""
+        """Build a multi-domain :class:`NetworkSession` for a named scenario.
+
+        The session has none of the scenario's churn or modifications (see
+        :meth:`SimulationScenario.session`); ``session("churn-heavy")`` has
+        no churn.  Use ``scenario(name).apply_dynamics(...)`` for them.
+        """
         return self.scenario(name, **overrides).session()
 
     def single_domain_session(self, name: str, **overrides: object) -> NetworkSession:
-        """Build the single-domain session variant (Figures 4–6 setting)."""
+        """Build the single-domain session variant (Figures 4–6 setting).
+
+        Without the scenario's churn or modifications, as :meth:`session`.
+        """
         return self.scenario(name, **overrides).single_domain_session()
 
 

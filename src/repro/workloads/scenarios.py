@@ -175,11 +175,22 @@ class SimulationScenario:
         return builder
 
     def session(self, summary_peers: Optional[List[str]] = None) -> NetworkSession:
-        """The ready-to-run multi-domain session for this scenario."""
+        """The multi-domain session for this scenario, built without its dynamics.
+
+        No churn and no modifications are scheduled: the network stays as
+        constructed until something is scheduled on it (the Figure 7 driver
+        queries it so).  The CLI's scenario commands build through
+        ``apply_dynamics(builder()).build()`` to run the scenario's churn.
+        """
         return self.builder(summary_peers=summary_peers).build()
 
     def single_domain_session(self) -> NetworkSession:
-        """The ready-to-run single-domain session (Figures 4–6 setting)."""
+        """The single-domain session (Figures 4–6 setting), without its dynamics.
+
+        Like :meth:`session`, this schedules no churn and no modifications;
+        ``apply_dynamics(single_domain_builder()).build()``, which the
+        Figure 4–6 driver uses, does.
+        """
         return self.single_domain_builder().build()
 
     def query_interval_seconds(self) -> float:

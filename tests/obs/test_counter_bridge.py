@@ -36,13 +36,6 @@ def test_to_metrics_exports_every_counter_family():
     assert registry.value("repro_messages_retries_total") == 4
 
 
-def test_to_metrics_custom_prefix():
-    registry = MetricsRegistry()
-    _loaded_counter().to_metrics(registry, prefix="run1_messages")
-    assert registry.value("run1_messages_total", type=MessageType.QUERY.value) == 7
-    assert all(name.startswith("run1_") for name in registry.series_names())
-
-
 def test_bridge_leaves_state_payload_byte_identical():
     """The regression S2 pins: bridging is read-only over the counter."""
     counter = _loaded_counter()

@@ -7,8 +7,6 @@ never-persisted session — including checkpoints taken mid-simulation with
 churn and modification events still pending.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.core.config import ProtocolConfig
@@ -23,7 +21,6 @@ from repro.store import (
     CHECKPOINT_KIND,
     InMemoryBackend,
     JsonDirectoryBackend,
-    SessionCache,
     SqliteBackend,
 )
 from repro.store.checkpoint import (
@@ -259,33 +256,6 @@ class TestRealContent:
         live.checkpoint(backend, name="second")
         assert len(SnapshotStore(backend).hashes()) == count_after_first
         assert list_checkpoints(backend) == ["first", "second"]
-
-
-class TestSessionCache:
-    def test_warm_start_is_identical_and_skips_construction(self, tmp_path):
-        cache = SessionCache(tmp_path / "cache")
-        scenario = default_registry().scenario("smoke")
-        parameters = dict(dataclasses.asdict(scenario))
-
-        def factory():
-            return scenario.apply_dynamics(scenario.builder()).build()
-
-        cold, cold_warm = cache.get_or_build(parameters, factory)
-        assert not cold_warm and cache.misses == 1
-        warm, warm_hit = cache.get_or_build(parameters, factory)
-        assert warm_hit and cache.hits == 1
-        _assert_identical(_drive(cold, queries=5), _drive(warm, queries=5))
-
-    def test_different_parameters_miss(self, tmp_path):
-        cache = SessionCache(tmp_path / "cache")
-        scenario = default_registry().scenario("smoke")
-
-        def factory():
-            return scenario.apply_dynamics(scenario.builder()).build()
-
-        cache.get_or_build({"seed": 0}, factory)
-        cache.get_or_build({"seed": 1}, factory)
-        assert cache.misses == 2 and cache.hits == 0
 
 
 class TestErrors:

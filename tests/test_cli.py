@@ -9,6 +9,19 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def _json_tables(out):
+    """The tables a ``--json`` run printed, in order (one object each)."""
+    decoder = json.JSONDecoder()
+    tables, index = [], 0
+    while True:
+        while index < len(out) and out[index].isspace():
+            index += 1
+        if index == len(out):
+            return tables
+        table, index = decoder.raw_decode(out, index)
+        tables.append(table)
+
+
 class TestArgumentParsing:
     def test_requires_a_command(self, capsys):
         with pytest.raises(SystemExit):
@@ -31,12 +44,34 @@ class TestArgumentParsing:
         assert result.returncode == 2
         assert "unrecognized arguments: --runtime concurrent" in result.stderr
 
+    def test_warm_start_flag_is_gone(self, tmp_path):
+        """A figure is rebuilt on every run: ``--cache-dir`` is a usage error."""
+        cache = str(tmp_path / "cache")
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "run-scenario", "smoke",
+             "--cache-dir", cache],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert f"unrecognized arguments: --cache-dir {cache}" in result.stderr
+
+    def test_fig5_rejects_alphas(self, capsys):
+        """fig5 plots α = 0.3 only; an --alphas it would ignore is refused."""
+        with pytest.raises(SystemExit) as raised:
+            main(["fig5", "--alphas", "0.1"])
+        assert raised.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert "fig5 plots alpha 0.3 only" in error
+
     def test_defaults(self):
         args = build_parser().parse_args(["tables"])
         # hours/seed stay unset so run-scenario can fall back to the
         # scenario's own declaration; figure commands resolve them to 6 h / 0.
         assert args.hours is None
         assert args.seed is None
+        # Each figure resolves its own α defaults (fig4 0.1/0.3/0.8, fig6 0.3/0.8).
+        assert args.alphas is None
         assert not args.json
 
 
@@ -61,6 +96,73 @@ class TestCommands:
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "Figure 6" in captured.out
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            pytest.param(
+                ["fig4", "--sizes", "16"],
+                [(0.1, 16), (0.3, 16), (0.8, 16)],
+                id="fig4",
+            ),
+            pytest.param(
+                ["fig4", "--alphas", "0.3", "--sizes", "16,32"],
+                [(0.3, 16), (0.3, 32)],
+                id="fig4-alphas",
+            ),
+            pytest.param(["fig5", "--sizes", "16,32"], [(0.3, 16), (0.3, 32)], id="fig5"),
+            pytest.param(["fig6", "--sizes", "16"], [(0.3, 16), (0.8, 16)], id="fig6"),
+            pytest.param(
+                ["fig6", "--alphas", "0.1", "--sizes", "16"], [(0.1, 16)], id="fig6-alphas"
+            ),
+        ],
+    )
+    def test_figure_alphas(self, capsys, argv, rows):
+        """Each figure sweeps its own α defaults, or the --alphas it is given."""
+        exit_code = main([*argv, "--hours", "0.25", "--json"])
+        table = json.loads(capsys.readouterr().out)
+        assert exit_code == 0
+        assert table["name"].startswith(f"Figure {argv[0][-1]}")
+        assert [(row["alpha"], row["domain_size"]) for row in table["rows"]] == rows
+
+    def test_fault_sweep_command(self, capsys):
+        exit_code = main(["fault-sweep", "--intensities", "0,0.1", "--json"])
+        table = json.loads(capsys.readouterr().out)
+        assert exit_code == 0
+        assert table["name"].startswith("Fault sweep")
+        assert [row["intensity"] for row in table["rows"]] == [0.0, 0.1]
+
+    @pytest.mark.parametrize(
+        "alphas, fig4_alphas, fig6_alphas",
+        [
+            pytest.param([], [0.1, 0.3, 0.8], [0.3, 0.8], id="defaults"),
+            pytest.param(["--alphas", "0.1"], [0.1], [0.1], id="alphas"),
+        ],
+    )
+    def test_all_command(self, capsys, alphas, fig4_alphas, fig6_alphas):
+        """Tables 1 & 2, Table 3, Figures 4–7 and the fault sweep, in order;
+        --alphas reaches fig4 and fig6, and fig5 stays at α = 0.3."""
+        exit_code = main(
+            ["all", "--sizes", "16", "--hours", "0.25", "--queries", "2",
+             "--intensities", "0,0.1", "--json", *alphas]
+        )
+        tables = _json_tables(capsys.readouterr().out)
+        assert exit_code == 0
+        names = [table["name"].split(" — ")[0] for table in tables]
+        assert names == [
+            "Tables 1 & 2",
+            "Table 3",
+            "Figure 4",
+            "Figure 5",
+            "Figure 6",
+            "Figure 7",
+            "Fault sweep",
+        ]
+        fig4, fig5, fig6 = tables[2:5]
+        assert [row["alpha"] for row in fig4["rows"]] == fig4_alphas
+        assert [row["alpha"] for row in fig5["rows"]] == [0.3]
+        assert [row["alpha"] for row in fig6["rows"]] == fig6_alphas
+        assert [row["intensity"] for row in tables[6]["rows"]] == [0.0, 0.1]
 
     def test_fig7_command_with_small_overrides(self, capsys):
         exit_code = main(["fig7", "--sizes", "16,32", "--queries", "3"])
@@ -353,16 +455,6 @@ class TestStoreCommands:
             "query_messages_total",
         ):
             assert loaded["rows"][0][column] == direct["rows"][0][column]
-
-    def test_run_scenario_cache_dir_produces_identical_output(self, tmp_path, capsys):
-        cache = str(tmp_path / "cache")
-        args = ["run-scenario", "smoke", "--queries", "2", "--json",
-                "--cache-dir", cache]
-        assert main(args) == 0
-        cold = json.loads(capsys.readouterr().out)
-        assert main(args) == 0
-        warm = json.loads(capsys.readouterr().out)
-        assert warm["rows"] == cold["rows"]
 
     def test_store_commands_require_store_flag(self, capsys):
         for command in (["save-session", "smoke"], ["load-session"],
