@@ -73,6 +73,11 @@ class ContentModel(abc.ABC):
 class SummaryContentModel(ContentModel):
     """Relevance from real summaries, ground truth from real databases.
 
+    A peer truly matches when its :class:`~repro.database.engine.LocalDatabase`
+    has a record satisfying the query, read from that database's index of
+    per-relation predicate bitmasks (each record graded once per descriptor,
+    not once per query).
+
     The global summary is explored through :meth:`SummaryHierarchy.select`,
     the hierarchy's indexed, memoized selection — node for node the selection
     of the pure tree walk :func:`~repro.querying.selection.select_summaries`.

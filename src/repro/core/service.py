@@ -144,19 +144,18 @@ class LocalSummaryService:
         return self.summary.add_record(record)
 
     def refresh_incremental(self) -> int:
-        """Incorporate records inserted since the last (re)build.
+        """Re-summarize the database if it changed since the last (re)build.
 
-        The SaintEtiQ maintenance is incremental for insertions; deletions or
-        updates require a rebuild, which callers trigger explicitly.  Returns
-        the number of records newly incorporated.
+        A change is any DDL or DML statement, seen as a move of the
+        database's ``version()``.  Returns the number of records summarized:
+        0 when nothing changed, otherwise every record of the database.
         """
         if self._database is None:
             return 0
         if self._database.version() == self._database_version_summarized:
             return 0
-        # Without a redo log the simplest faithful incremental strategy is to
-        # re-incorporate records beyond the previously summarized count per
-        # relation; true deletions fall back to ``rebuild_from_database``.
+        # Without a redo log there is no telling an insertion from a deletion
+        # or an update, so any change rebuilds the summary from scratch.
         return self.rebuild_from_database()
 
     # -- publication / drift ------------------------------------------------------------------

@@ -145,10 +145,10 @@ class DescriptorPredicate(Predicate):
         return [descriptor.label for descriptor in self.descriptors]
 
     def matches(self, record: Mapping[str, object]) -> bool:
-        # Raw-record evaluation needs the BK; the engine injects it by calling
-        # :meth:`matches_with_background`.  Without a BK, fall back to a crisp
-        # label comparison which works for categorical attributes whose labels
-        # equal their raw values.
+        # Raw-record evaluation needs the BK: the engine grades through it
+        # exactly as :meth:`matches_with_background` does.  Without a BK, fall
+        # back to a crisp label comparison which works for categorical
+        # attributes whose labels equal their raw values.
         if self.attr not in record:
             return False
         return record[self.attr] in set(self.labels)

@@ -13,7 +13,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.exceptions import BackgroundKnowledgeError
 from repro.fuzzy.linguistic import Descriptor, LinguisticVariable
-from repro.fuzzy.membership import CrispSetMembership
+from repro.fuzzy.membership import CrispSetMembership, MembershipFunction
 
 
 class BackgroundKnowledge:
@@ -83,9 +83,13 @@ class BackgroundKnowledge:
     def labels(self, attribute: str) -> List[str]:
         return self.variable(attribute).labels
 
+    def membership(self, descriptor: Descriptor) -> MembershipFunction:
+        """The fuzzy set a descriptor names."""
+        return self.variable(descriptor.attribute).membership(descriptor.label)
+
     def grade(self, descriptor: Descriptor, value: object) -> float:
         """Membership grade of a raw value in a descriptor's fuzzy set."""
-        return self.variable(descriptor.attribute).grade(descriptor.label, value)
+        return self.membership(descriptor).grade(value)
 
     def fuzzify_value(
         self, attribute: str, value: object, threshold: float = 0.0

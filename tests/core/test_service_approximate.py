@@ -69,6 +69,26 @@ class TestLocalSummaryService:
         service.rebuild_from_database()
         assert service.refresh_incremental() == 0
 
+    def test_refresh_after_drop_and_recreate_resummarizes(self, background):
+        """A relation dropped and re-created with as many records is a change."""
+        patient = {"id": "t1", "age": 15, "sex": "female", "bmi": 17}
+        database = LocalDatabase(background=background)
+        database.create_relation(
+            "patient", patient_schema(), [dict(patient, disease="anorexia")]
+        )
+        service = LocalSummaryService("p1", background, database=database)
+        assert service.rebuild_from_database() == 1
+        summarized = database.version()
+        database.drop_relation("patient")
+        assert database.version() > summarized
+        database.create_relation(
+            "patient", patient_schema(), [dict(patient, disease="malaria")]
+        )
+        assert database.version() > summarized + 1
+        assert service.refresh_incremental() == 1
+        labels = {d.label for d in service.summary.signature()}
+        assert "malaria" in labels and "anorexia" not in labels
+
     def test_publish_returns_independent_snapshot(self, background, peer_database):
         service = LocalSummaryService("p1", background, database=peer_database)
         service.rebuild_from_database()

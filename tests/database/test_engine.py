@@ -54,6 +54,31 @@ class TestState:
         database.insert("patient", {"id": "t4", "age": 40})
         assert database.version() == before + 1
 
+    def test_version_rises_with_every_statement(self, database):
+        relation = database.relation("patient")
+        statements = [
+            lambda: database.insert("patient", {"id": "t4", "age": 40}),
+            lambda: relation.delete(lambda record: record["id"] == "t4"),
+            lambda: relation.update(lambda record: True, {"age": 30}),
+            lambda: database.drop_relation("patient"),
+            lambda: database.create_relation("patient", patient_schema(), [{"id": "y"}]),
+            lambda: database.create_relation("other", patient_schema(), [{"id": "x"}]),
+            lambda: database.drop_relation("patient"),
+        ]
+        seen = [database.version()]
+        for statement in statements:
+            statement()
+            seen.append(database.version())
+        assert seen == sorted(set(seen))
+
+    def test_creating_an_empty_relation_leaves_version(self, database):
+        """An empty relation adds nothing to summarize; its drop still counts."""
+        before = database.version()
+        database.create_relation("empty", patient_schema())
+        assert database.version() == before
+        database.drop_relation("empty")
+        assert database.version() == before + 1
+
     def test_insert_many(self, database):
         added = database.insert_many(
             "patient", [{"id": "t5", "age": 1}, {"id": "t6", "age": 2}]

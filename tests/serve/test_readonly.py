@@ -21,7 +21,7 @@ from repro.store.checkpoint import (
     open_readonly_session,
     restore_session,
 )
-from repro.workloads.queries import paper_example_query
+from repro.workloads.queries import QueryWorkload, paper_example_query
 
 REQUIRED = 5
 THREADS = 8
@@ -175,6 +175,34 @@ def test_cold_first_touch_from_many_threads(real_store, fast_switching):
             assert _run_threads(ask) == []
             assert list(answers.values()) == [expected] * THREADS
             assert session.hierarchy_source.fetches == digests_touched
+
+
+def test_threads_filling_the_ground_truth_index_with_different_queries(
+    real_store, fast_switching
+):
+    """Each thread asks its own queries of a fresh session at once.
+
+    The peers' databases fill their predicate masks lazily on first use; here
+    the threads race to fill *different* keys of the same maps.
+    """
+    path, background = real_store
+    stream = QueryWorkload(query_count=4 * THREADS, seed=11).generate()
+    slices = [stream[index::THREADS] for index in range(THREADS)]
+    with open_readonly_session(path, background=background) as session:
+        serial = [[session.query(query=q) for q in queries] for queries in slices]
+
+    with open_readonly_session(path, background=background) as session:
+        before = _state(session)
+        barrier = threading.Barrier(THREADS)
+        answers = {}
+
+        def ask(thread_id):
+            barrier.wait(timeout=60)
+            answers[thread_id] = [session.query(query=q) for q in slices[thread_id]]
+
+        assert _run_threads(ask) == []
+        assert [answers[index] for index in range(THREADS)] == serial
+        assert _state(session) == before
 
 
 def test_mutations_raise_typed_error(planned_store):

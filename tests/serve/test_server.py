@@ -13,7 +13,9 @@ from urllib.parse import urlsplit
 
 import pytest
 
+from repro.database import Comparison, DescriptorPredicate, SelectionQuery
 from repro.exceptions import ServeError
+from repro.fuzzy.linguistic import Descriptor
 from repro.serve import ServeClient, start_server
 from repro.serve.supervisor import Supervisor
 from repro.store.checkpoint import open_readonly_session, restore_session
@@ -181,6 +183,49 @@ def test_lazy_loading_materializes_only_touched_hierarchies(real_store):
             for service in session.system.services.values()
         ]
         assert pending and all(pending)
+    finally:
+        client.close()
+        if not session.closed:
+            server.stop()
+
+
+def test_client_chosen_predicates_answer_and_leave_bounded_masks(real_store):
+    """Predicates a client makes up answer like a restore and are not kept.
+
+    A comparison on an attribute the background does not describe reaches
+    the peers' databases as sent, here with a list as its value.  Every alpha
+    cut a client picks is a new key of the databases' predicate masks; the
+    masks a read-only session keeps stay within a fixed multiple of the
+    background's descriptors however many cuts it is asked.
+    """
+    path, background = real_store
+    anorexia = [Descriptor("disease", "anorexia"), Descriptor("disease", "malaria")]
+    queries = [
+        SelectionQuery(
+            "patient",
+            [Comparison("id", "=", ["t1", "t2"]), Comparison("sex", "=", "female")],
+        )
+    ] + [
+        SelectionQuery("patient", [DescriptorPredicate("disease", anorexia, cut / 100)])
+        for cut in range(100)
+    ]
+    session = open_readonly_session(path, background=background)
+    server = start_server(session, close_session_on_stop=True)
+    client = ServeClient(server.url)
+    try:
+        over_http = client.query_batch(queries=queries, include_answer=True)
+        local = restore_session(path, background=background).query_batch(
+            queries=queries, include_answer=True
+        )
+        assert over_http == local
+        indexes = [
+            index
+            for database in session.system.databases.values()
+            for index in database._indexes.values()  # noqa: SLF001
+        ]
+        assert indexes, "the queries must reach the peers' databases"
+        limit = 4 * len(background.descriptors())
+        assert all(len(masks) <= limit for _relation, _version, masks in indexes)
     finally:
         client.close()
         if not session.closed:

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.config import ProtocolConfig
 from repro.core.session import SystemBuilder
+from repro.database.schema import patient_schema
 from repro.exceptions import NetworkError, StoreError
 from repro.fuzzy.vocabularies import medical_background_knowledge
 from repro.network.faults import FaultPlan, LinkFaults
@@ -239,6 +240,27 @@ class TestRealContent:
             assert hierarchy_content_hash(
                 restored.system.services[peer_id].summary
             ) == hierarchy_content_hash(service.summary)
+
+    def test_insert_after_restore_is_a_change_to_summarize(
+        self, tmp_path, real_session_factory
+    ):
+        """A relation created empty and then filled restores at its version."""
+        background, live = real_session_factory()
+        peer_id = sorted(live.system.databases)[0]
+        database = live.system.databases[peer_id]
+        database.create_relation("visit", patient_schema())
+        database.insert("visit", {"id": "v1", "age": 30, "disease": "malaria"})
+        service = live.system.services[peer_id]
+        service.rebuild_from_database()
+        live.checkpoint(tmp_path / "store")
+
+        restored = SystemBuilder.from_checkpoint(
+            tmp_path / "store", background=background
+        )
+        restored_database = restored.system.databases[peer_id]
+        assert restored_database.version() == database.version()
+        restored_database.insert("visit", {"id": "v2", "age": 40, "disease": "influenza"})
+        assert restored.system.services[peer_id].refresh_incremental() > 0
 
     def test_real_restore_requires_background(self, backend, real_session_factory):
         _background, live = real_session_factory()
