@@ -8,11 +8,11 @@ code can compare a served answer with ``==`` against one computed locally.
 
 Connection lifecycle: the client owns a
 :class:`~repro.serve.transport.ConnectionPool` for its base URL.  The first
-request dials (Nagle off), later requests reuse the open HTTP/1.1
-connection, and threads sharing one client each get their own.  The daemon
-closes a connection that sat idle past its
-:data:`~repro.serve.server.IDLE_TIMEOUT_SECONDS`; the next request then
-re-dials transparently, which is not a retry.  :meth:`ServeClient.close` (or
+request dials (Nagle off, TLS for ``https``, the transport's own framing, not
+:mod:`http.client`'s), later requests reuse the open HTTP/1.1 connection, and
+threads sharing one client each get their own.  The daemon closes a
+connection that sat idle past :data:`~repro.serve.server.IDLE_TIMEOUT_SECONDS`;
+the next request then re-dials transparently, which is not a retry.  :meth:`ServeClient.close` (or
 leaving the ``with`` block) closes the sockets — a client that makes one call
 and exits should be used as a context manager.
 
@@ -65,7 +65,7 @@ from repro.exceptions import (
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.serve import wire
-from repro.serve.transport import ConnectionPool
+from repro.serve.transport import ConnectionPool, Headers
 
 DEFAULT_TIMEOUT = 30.0
 
@@ -180,7 +180,7 @@ class ServeClient:
 
     @staticmethod
     def _server_error(
-        status: int, headers: http.client.HTTPMessage, body: bytes
+        status: int, headers: Headers, body: bytes
     ) -> ServeError:
         message = f"query service returned HTTP {status}"
         detail: Optional[Dict[str, Any]] = None

@@ -42,20 +42,22 @@ uninstrumented.
 Connection lifecycle: the daemon speaks HTTP/1.1 with persistent
 connections.  A client opens a connection and may send any number of requests
 over it; one handler thread serves that connection until it ends, so threads
-number as many as open connections, not requests.  Every response leaves in
-one buffered write with Nagle off (separate header and body writes on a
+number as many as open connections, not requests.  Heads are read by
+:func:`~repro.serve.transport.read_head`; every response, head and body,
+leaves in one write with Nagle off (separate header and body writes on a
 kept-alive socket would stall ~40 ms each on Nagle + delayed ACK), and every
 request body is consumed before the response is written, whatever the path
 or outcome, so the next request on the connection parses cleanly.  The
 daemon closes a connection when the client asks (``Connection: close``,
 HTTP/1.0), when it sat idle — or stalled mid-request — for
 :data:`IDLE_TIMEOUT_SECONDS`, when a request's body cannot be read safely
-(malformed, negative or oversize ``Content-Length``, chunked encoding: typed
-``400`` with ``Connection: close``), and when the daemon stops:
-:meth:`SummaryQueryServer.stop` stops accepting, half-closes every open
-connection so its handler finishes the request in hand and exits, and only
-then releases the session — a stopped daemon answers nothing, and a client
-holding a warm connection sees it closed, re-dials and is refused.
+(malformed, negative, repeated or oversize ``Content-Length``, chunked
+encoding: typed ``400`` with ``Connection: close``; cut short: no answer),
+and when the daemon stops: :meth:`SummaryQueryServer.stop` stops accepting,
+half-closes every open connection so its handler finishes the request in
+hand and exits, and only then releases the session — a stopped daemon
+answers nothing, and a client holding a warm connection sees it closed,
+re-dials and is refused.
 
 Library errors surface as ``400`` with ``{"error": ..., "type": ...}``;
 anything unexpected is a ``500``.  Use :func:`start_server` for an in-process
@@ -67,6 +69,9 @@ and it and every supervised worker process serve through
 
 from __future__ import annotations
 
+import email.utils
+import functools
+import http.client
 import json
 import os
 import signal
@@ -83,6 +88,7 @@ from repro.exceptions import ConfigurationError, ReproError, ServeError
 from repro.fuzzy.background import BackgroundKnowledge
 from repro.obs import Observability
 from repro.serve import wire
+from repro.serve.transport import MalformedHeader, read_head
 
 #: Largest request body the daemon accepts (a query batch of thousands of
 #: encoded queries fits comfortably; anything bigger is a client bug).
@@ -97,6 +103,12 @@ _HANDLER_DRAIN_SECONDS = 5.0
 
 #: Sentinel: "no observability argument given" (the default builds a ring).
 _DEFAULT_OBS = object()
+
+
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """A ``Date`` header value, formatted once per second however many ask."""
+    return email.utils.formatdate(second, usegmt=True)
 
 
 class KeepAliveHTTPServer(ThreadingHTTPServer):
@@ -153,21 +165,53 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
     timeout = IDLE_TIMEOUT_SECONDS
-    #: Buffered, so status line, headers and body leave in one send.
-    wbufsize = 64 * 1024
 
-    def handle_expect_100(self) -> bool:
-        proceed = super().handle_expect_100()
-        self.wfile.flush()  # the client is waiting for this line alone
-        return proceed
+    def parse_request(self) -> bool:
+        """The request line by the stdlib's rules (400, 505, HTTP/0.9) but always
+        refused with a status line; the head by :func:`read_head`."""
+        self.command, self.request_version = None, self.protocol_version
+        self.close_connection = True
+        self.requestline = line = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = line.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = version[5:].split(".") if version.startswith("HTTP/") else []
+            if len(number) != 2 or not all(
+                n.isascii() and n.isdigit() and len(n) <= 10 for n in number):
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            self.close_connection = (int(number[0]), int(number[1])) < (1, 1)
+            if int(number[0]) >= 2:
+                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+                return False
+        if len(words) not in (2, 3) or (len(words) == 2 and words[0] != "GET"):
+            self.send_error(400, f"Bad request syntax ({line!r})")
+            return False
+        self.request_version = words[2] if len(words) == 3 else self.default_request_version
+        self.command, path = words[:2]
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        try:
+            self.headers = read_head(self.rfile)
+        except http.client.HTTPException as exc:
+            self.send_error(400 if isinstance(exc, MalformedHeader) else 431, str(exc))
+            return False
+        connection = self.headers.get("Connection", "").lower()
+        if connection in ("close", "keep-alive"):
+            self.close_connection = connection == "close"
+        expect = self.headers.get("Expect", "").lower()
+        if expect == "100-continue" and self.request_version >= "HTTP/1.1":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return True
 
     def consume_body(self) -> Optional[bytes]:
         """The request body, consumed so the next request parses cleanly.
 
-        A body that cannot be read safely — malformed, negative or oversize
-        ``Content-Length``, or chunked encoding — is left on the socket:
-        the request is answered with a typed 400 that closes the connection,
-        and ``None`` returned.
+        A body that cannot be read safely — malformed, negative, repeated or
+        oversize ``Content-Length``, or chunked encoding — is left on the
+        socket: the request is answered with a typed 400 that closes the
+        connection, and ``None`` returned; a body cut short, unanswered.
         """
         declared = (self.headers.get("Content-Length") or "0").strip()
         if self.headers.get("Transfer-Encoding"):
@@ -180,8 +224,11 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
                 f"{MAX_REQUEST_BYTES}-byte limit"
             )
         else:
-            length = int(declared)
-            return self.rfile.read(length) if length else b""
+            body = self.rfile.read(int(declared))
+            if len(body) == int(declared):
+                return body
+            self.close_connection = True  # cut short: nobody left to answer
+            return None
         self.close_connection = True
         self.send_json(400, {"error": problem, "type": "ServeError"})
         return None
@@ -193,17 +240,19 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
         body: bytes,
         extra_headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        """Write one complete response and flush it."""
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
+        """Write one complete response, head and body, in one ``sendall``."""
+        self.log_request(status)
+        if self.request_version != "HTTP/0.9":
+            head = (
+                f"{self.protocol_version} {status} {self.responses.get(status, ('',))[0]}\r\n"
+                f"Server: {self.version_string()}\r\nDate: {_http_date(int(time.time()))}\r\n"
+                f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n"
+            )
+            head += "".join(f"{name}: {value}\r\n" for name, value in (extra_headers or {}).items())
+            if self.close_connection:
+                head += "Connection: close\r\n"
+            body = (head + "\r\n").encode("iso-8859-1") + body
         self.wfile.write(body)
-        self.wfile.flush()
 
     def send_json(self, status: int, payload: Dict[str, Any]) -> None:
         self.send_body(status, "application/json", json.dumps(payload).encode("utf-8"))

@@ -31,7 +31,7 @@ What the front process adds on top of raw forwarding:
   share) are reported on ``/health``.
 * **Deadlines** — every query-shaped request carries a budget
   (``deadline_ms``, overridable per request via the ``X-Repro-Deadline-Ms``
-  header).  A request that exceeds it fails typed (HTTP 504,
+  header, its name in any case).  A request that exceeds it fails typed (HTTP 504,
   :class:`~repro.exceptions.ServeDeadlineError`) instead of hanging.
 * **Load shedding** — at most ``max_inflight`` requests execute at once;
   beyond that the supervisor answers HTTP 503 with a ``Retry-After`` header
@@ -102,7 +102,7 @@ from repro.exceptions import ServeError
 from repro.obs.registry import MetricsRegistry
 from repro.serve.cache import ResponseCache, checkpoint_digest
 from repro.serve.server import KeepAliveHandler, KeepAliveHTTPServer
-from repro.serve.transport import ConnectionPool
+from repro.serve.transport import ConnectionPool, Headers
 from repro.serve.worker import FORK, QUIT, READY_PREFIX, run_child, run_zygote
 
 #: Query-shaped endpoints the supervisor proxies to workers (everything else
@@ -256,7 +256,7 @@ class WorkerHandle:
         timeout: float,
         body: Optional[bytes] = None,
         headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, http.client.HTTPMessage, bytes]:
+    ) -> Tuple[int, Headers, bytes]:
         """One request to the worker over its kept-alive link."""
         link = self.link
         if link is None:
@@ -651,11 +651,12 @@ class Supervisor:
         return 503, "application/json", body, {"Retry-After": f"{retry_after:g}"}
 
     def dispatch(
-        self, method: str, path: str, body: bytes, headers: Dict[str, str]
+        self, method: str, path: str, body: bytes, headers: Headers
     ) -> Tuple[int, str, bytes, Dict[str, str]]:
         """Admission control + cache + forward; returns a full response.
 
-        The returned tuple is ``(status, content_type, body, extra_headers)``.
+        ``headers`` are looked up in any case.  The returned tuple is
+        ``(status, content_type, body, extra_headers)``.
         Every failure mode maps to a *typed* JSON error body: deadline → 504
         ``ServeDeadlineError``, overload → 503 ``ServeOverloadError`` (with
         ``Retry-After``), worker crash with no recovery path → 502
@@ -680,7 +681,7 @@ class Supervisor:
                 self._inflight -= 1
 
     def _dispatch_admitted(
-        self, method: str, path: str, body: bytes, headers: Dict[str, str]
+        self, method: str, path: str, body: bytes, headers: Headers
     ) -> Tuple[int, str, bytes, Dict[str, str]]:
         cached = self.cache.lookup(method, path, body)
         if cached is not None:
@@ -892,10 +893,9 @@ class _FrontHandler(KeepAliveHandler):
         if path not in PROXIED_PATHS:
             self.send_json(404, {"error": f"unknown path {self.path!r}"})
             return
-        headers = {name: value for name, value in self.headers.items()}
         try:
             status, content_type, payload, extra = supervisor.dispatch(
-                "POST", path, body, headers
+                "POST", path, body, self.headers
             )
         except Exception as exc:  # noqa: BLE001 - the front must not die
             self.send_json(500, {"error": str(exc), "type": type(exc).__name__})

@@ -11,7 +11,6 @@ that dies under a request is recovered exactly as before, and a stopped
 daemon leaves no handler thread behind.
 """
 
-import http.client
 import json
 import socket
 import threading
@@ -102,20 +101,23 @@ def test_sequential_queries_share_one_daemon_connection(daemon, local):
 
 
 def test_fleet_keeps_one_front_and_one_connection_per_worker(
-    planned_store, local, monkeypatch
+    planned_store, local, tmp_path, monkeypatch
 ):
-    dialled = []
-    connect = http.client.HTTPConnection.connect
+    # Workers are forked from this process, so a class-level wrapper counts
+    # their accepts too; each process appends the listening port it accepted
+    # on to one shared log.
+    log = tmp_path / "accepts"
+    inner = server_module.KeepAliveHTTPServer.get_request
 
-    def counting_connect(self):
-        dialled.append(self.port)
-        connect(self)
+    def get_request(self):
+        request = inner(self)
+        with open(log, "a", encoding="ascii") as handle:
+            handle.write(f"{self.server_address[1]}\n")
+        return request
 
-    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting_connect)
+    monkeypatch.setattr(server_module.KeepAliveHTTPServer, "get_request", get_request)
     supervisor = quiet_fleet(planned_store)
     try:
-        accepted = count_accepts(supervisor._front)
-        front_port = supervisor._front.server_address[1]
         with ServeClient(supervisor.url) as client:
             # Distinct query ids: every request misses the response cache
             # and is forwarded, round-robin, so both workers see six.
@@ -123,10 +125,11 @@ def test_fleet_keeps_one_front_and_one_connection_per_worker(
                 assert client.query(query_id=query_id) == local.query(
                     query_id=query_id
                 )
-        assert len(accepted) == 1
-        assert dialled.count(front_port) == 1
+        accepted = [int(port) for port in log.read_text("ascii").split()]
+        assert accepted.count(supervisor._front.server_address[1]) == 1
         for handle in supervisor.workers:
-            assert dialled.count(handle.port) == 1
+            assert accepted.count(handle.port) == 1
+        assert len(accepted) == 1 + len(supervisor.workers)
     finally:
         supervisor.stop()
 
@@ -316,6 +319,21 @@ def test_404_post_with_a_body_leaves_the_connection_in_sync(raw):
 def test_get_with_a_body_leaves_the_connection_in_sync(raw):
     raw.send("GET /health HTTP/1.1\nHost: x\nContent-Length: 5\n\n", b"hello")
     assert raw.response()[0] == 200
+    assert_health_follows(raw)
+
+
+def test_expect_100_continue_gets_100_then_the_answer_and_stays_in_sync(raw):
+    body = b'{"query_id": 9}'
+    raw.send(
+        f"POST /query HTTP/1.1\nHost: x\nExpect: 100-continue\n"
+        f"Content-Length: {len(body)}\n\n"
+    )
+    assert raw.reader.readline().startswith(b"HTTP/1.1 100 ")
+    assert raw.reader.readline() == b"\r\n"
+    raw.send("", body)
+    status, _headers, answer = raw.response()
+    assert status == 200
+    assert "answer" in json.loads(answer)
     assert_health_follows(raw)
 
 

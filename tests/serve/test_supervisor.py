@@ -8,6 +8,7 @@ and admission control fail typed, and shutdown drains gracefully.
 """
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -122,6 +123,32 @@ class TestDeadlinesAndShedding:
         assert excinfo.value.code == 504
         detail = json.loads(excinfo.value.read())
         assert detail["type"] == "ServeDeadlineError"
+
+    def test_header_names_match_in_any_case(self, supervisor):
+        def post(headers, body):
+            front = supervisor._front.server_address
+            with socket.create_connection(front, timeout=60.0) as sock:
+                sock.sendall(
+                    f"POST /query HTTP/1.1\r\nhost: x\r\n{headers}"
+                    f"content-length: {len(body)}\r\nconnection: close\r\n\r\n".encode()
+                    + body
+                )
+                reply = sock.makefile("rb").read()
+            return int(reply.split()[1])
+
+        assert post("x-repro-deadline-ms: 0.000001\r\n", b"{}") == 504
+        # Trace ids sent in lower case still reach the worker's request span.
+        trace = "x-repro-trace-id: lower-t1\r\nx-repro-parent-id: lower-s1\r\n"
+        assert post(trace, b'{"query_id": 4321}') == 200
+        spans = []
+        for handle in supervisor.workers:
+            with ServeClient(handle.url) as worker:
+                spans += worker.trace()["spans"]
+        requests = [
+            span for span in spans
+            if span["trace_id"] == "lower-t1" and span["name"] == "serve /query"
+        ]
+        assert [span["parent_id"] for span in requests] == ["lower-s1"]
 
     def test_admission_control_sheds_beyond_max_inflight(self, planned_store):
         sup = Supervisor(planned_store, workers=1, max_inflight=2)
