@@ -25,13 +25,14 @@ SQLite.
 from __future__ import annotations
 
 import abc
+import contextlib
 import json
 import os
 import re
 import sqlite3
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Union
 
 from repro.exceptions import StoreError
 
@@ -258,6 +259,18 @@ class StoreBackend(abc.ABC):
     @abc.abstractmethod
     def put_encoded(self, kind: str, key: str, encoded: str) -> None:
         """:meth:`put` for a payload already in its canonical JSON text."""
+
+    @contextlib.contextmanager
+    def transaction(self) -> Iterator[None]:
+        """Group the writes made inside into one unit, where the backend can.
+
+        Only :class:`SqliteBackend` can: its writes inside are one
+        transaction, committed once on a clean exit and rolled back on any
+        exception.  Elsewhere each write stands on its own as it lands, and
+        a failure part-way keeps the writes made before it.
+        """
+        self._ensure_open()
+        yield
 
     def get(self, kind: str, key: str) -> Dict[str, Any]:
         """Load the payload stored under ``(kind, key)``.
@@ -529,6 +542,7 @@ class SqliteBackend(StoreBackend):
         self._path = Path(path)
         if self._path.parent and not self._path.parent.exists():
             self._path.parent.mkdir(parents=True, exist_ok=True)
+        self._in_transaction = False
         self._lock: Optional[_WriteLock] = None
         if exclusive:
             self._lock = _WriteLock(
@@ -572,14 +586,39 @@ class SqliteBackend(StoreBackend):
     def path(self) -> Path:
         return self._path
 
+    @contextlib.contextmanager
+    def transaction(self) -> Iterator[None]:
+        """One commit for every write inside; a rollback on any exception.
+
+        Each write outside a transaction commits on its own, and every
+        commit pays ``synchronous=FULL``'s fsyncs.  A transaction opened
+        inside another joins it.
+        """
+        self._ensure_open()
+        if self._in_transaction:
+            yield
+            return
+        self._in_transaction = True
+        try:
+            with self._connection:
+                yield
+        finally:
+            self._in_transaction = False
+
+    def _write(self, sql: str, parameters: tuple) -> sqlite3.Cursor:
+        """Run one write: in the open transaction, or committed on its own."""
+        if self._in_transaction:
+            return self._connection.execute(sql, parameters)
+        with self._connection:
+            return self._connection.execute(sql, parameters)
+
     def put_encoded(self, kind: str, key: str, encoded: str) -> None:
         self._ensure_open()
         _check_names(kind, key)
-        with self._connection:
-            self._connection.execute(
-                "INSERT OR REPLACE INTO objects (kind, key, payload) VALUES (?, ?, ?)",
-                (kind, key, encoded),
-            )
+        self._write(
+            "INSERT OR REPLACE INTO objects (kind, key, payload) VALUES (?, ?, ?)",
+            (kind, key, encoded),
+        )
 
     def get_encoded(self, kind: str, key: str) -> str:
         self._ensure_open()
@@ -617,10 +656,9 @@ class SqliteBackend(StoreBackend):
     def delete(self, kind: str, key: str) -> None:
         self._ensure_open()
         _check_names(kind, key)
-        with self._connection:
-            cursor = self._connection.execute(
-                "DELETE FROM objects WHERE kind = ? AND key = ?", (kind, key)
-            )
+        cursor = self._write(
+            "DELETE FROM objects WHERE kind = ? AND key = ?", (kind, key)
+        )
         if cursor.rowcount == 0:
             raise StoreError(f"no stored object {kind}/{key} in {self._path}")
 

@@ -482,44 +482,62 @@ def save_session(
     transitively, its own base chain — must stay in the store for the delta
     to restore; :func:`repro.store.gc.collect_garbage` treats the whole chain
     as live.
+
+    Everything that can refuse a save — a missing base, a base that is
+    ``name`` itself directly or through its chain, a session that cannot be
+    captured — is checked before the first write, so a refused save writes
+    nothing on any backend.  The new snapshots and the document are then
+    written inside one :meth:`~repro.store.backend.StoreBackend.transaction`:
+    on SQLite that is one commit per save (``synchronous=FULL`` still, so a
+    save is as durable as before), and a save that fails while writing rolls
+    back whole, leaving neither a checkpoint without its snapshots nor
+    snapshots without their checkpoint.  A JSON directory files each object
+    as it goes: a save that fails part-way can leave orphan snapshots, which
+    :func:`repro.store.gc.collect_garbage` reclaims.
     """
     backend = open_store(target)
     try:
+        links = None if base is None else _base_links(backend, name, base)
         destination = SnapshotStore(backend)
         payload, staged = capture_session(session, destination)
-        for digest in sorted(staged):
-            destination.put_encoded(digest, staged[digest])
-        if base is not None:
-            if base == name:
-                raise StoreError(
-                    f"a delta checkpoint cannot use itself as base ({name!r})"
-                )
-            # Guard indirect cycles too: overwriting a checkpoint with a
-            # delta whose base chain runs back through it (a → b → a) would
-            # destroy the full payload and leave both unrestorable.  The one
-            # walk that names the chain also fetched every document the base
-            # payload is replayed from.
-            links, _seed = _walk_chain(backend, base)
-            base_chain = [link for link, _document in links]
-            if name in base_chain:
-                raise StoreError(
-                    f"a delta checkpoint cannot use itself as base: {base!r} "
-                    f"resolves through {name!r} "
-                    f"({' -> '.join(base_chain)})"
-                )
-            base_payload = _replay_chain(links)
-            patch = diff_documents(base_payload, payload)
-            backend.put(
-                CHECKPOINT_KIND,
-                name,
-                {"format": _CHECKPOINT_FORMAT, "base": base, "patch": patch},
-            )
-        else:
-            backend.put(CHECKPOINT_KIND, name, payload)
+        document = payload
+        if links is not None:
+            document = {
+                "format": _CHECKPOINT_FORMAT,
+                "base": base,
+                "patch": diff_documents(_replay_chain(links), payload),
+            }
+        with backend.transaction():
+            for digest in sorted(staged):
+                destination.put_encoded(digest, staged[digest])
+            backend.put(CHECKPOINT_KIND, name, document)
         return name
     finally:
         if owns_backend(target):
             backend.close()
+
+
+def _base_links(
+    backend: StoreBackend, name: str, base: str
+) -> List[Tuple[str, Dict[str, Any]]]:
+    """The chain links a delta ``name`` would be diffed against, checked.
+
+    Refuses a missing base and a base that is ``name`` itself, directly or
+    through its chain: overwriting a checkpoint with a delta whose base
+    chain runs back through it (a -> b -> a) would destroy the full payload
+    and leave both unrestorable.  The one walk that names the chain also
+    fetches every document the base payload is replayed from.
+    """
+    if base == name:
+        raise StoreError(f"a delta checkpoint cannot use itself as base ({name!r})")
+    links, _seed = _walk_chain(backend, base)
+    base_chain = [link for link, _document in links]
+    if name in base_chain:
+        raise StoreError(
+            f"a delta checkpoint cannot use itself as base: {base!r} "
+            f"resolves through {name!r} ({' -> '.join(base_chain)})"
+        )
+    return links
 
 
 # -- delta-chain resolution --------------------------------------------------------

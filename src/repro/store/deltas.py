@@ -46,7 +46,23 @@ children at C speed and they are confirmed *together*, once per container
 only grew or only shrank is one splice read off its common prefix and suffix,
 and only two non-empty differing middles are aligned, their items' texts the
 alignment keys.  The per-element :func:`_equal` is what a failed confirmation
-falls back to, nothing else.
+falls back to, nothing else.  A same-length list is ``$list`` or ``$set`` by
+its count of unequal verdicts, decided before any child is diffed: past
+``_SPARSE_LIST_THRESHOLD`` the list is set whole and no child patch is built
+only to be thrown away (on the 2000-peer Table-3 checkpoint, the ``domains``
+and ``described`` lists are each almost wholly changed between two times).
+
+Why planned-content deltas are kept
+-----------------------------------
+A delta buys disk everywhere; on planned content it was not buying time.  On
+the 2000-peer Table-3 workload (``table3-planned-2000``, seed 1) a delta is
+206,734 B against a 1,419,659 B full save (0.15×), and it took 2.3× a full
+save's time while the diff still built the patches it then discarded.  Since
+the threshold is decided first it takes 1.8× (0.094 s against 0.053 s,
+medians of eleven benchmark runs on a 2-core host): a 7× smaller document
+for under twice the time.  On real content a delta is both smaller and
+cheaper.  So the mechanism stays for both kinds of content, and nothing
+picks it per content kind.
 """
 
 from __future__ import annotations
@@ -98,13 +114,18 @@ def diff_documents(base: Any, new: Any) -> Dict[str, Any]:
         return patch
     if isinstance(base, list) and isinstance(new, list):
         if len(base) == len(new):
-            edits = [
-                [index, diff_documents(base[index], new[index])]
+            changed_indices = [
+                index
                 for index, equal in enumerate(_equal_pairs(list(zip(base, new))))
                 if not equal
             ]
-            if len(edits) <= _SPARSE_LIST_THRESHOLD * len(new):
-                return {"$list": edits}
+            if len(changed_indices) <= _SPARSE_LIST_THRESHOLD * len(new):
+                return {
+                    "$list": [
+                        [index, diff_documents(base[index], new[index])]
+                        for index in changed_indices
+                    ]
+                }
         else:
             patch = _splice_patch(base, new)
             if patch is not None:
@@ -216,6 +237,13 @@ def apply_patch(base: Any, patch: Dict[str, Any]) -> Any:
 
     ``base`` is not mutated; shared unchanged subtrees are referenced, not
     copied (callers treat resolved checkpoint payloads as read-only).
+
+    A stored patch is read back from disk, so it is checked as it is
+    replayed: indices are ints (not bools) inside the list they address,
+    splice counts are non-negative, splice items are a list, splices come
+    in ascending base order without overlapping, and ``$drop`` is a list of
+    key strings.  Anything else is a :class:`StoreError` naming the entry —
+    never a patch that replays into some other document.
     """
     if not isinstance(patch, dict):
         raise StoreError(f"malformed checkpoint patch node: {patch!r}")
@@ -227,10 +255,21 @@ def apply_patch(base: Any, patch: Dict[str, Any]) -> Any:
                 "checkpoint patch expects an object but the base holds "
                 f"{type(base).__name__}"
             )
+        changed = patch["$dict"]
+        if not isinstance(changed, dict):
+            raise StoreError(f"malformed dict patch {changed!r}: expected an object")
         result = dict(base)
-        for key in patch.get("$drop", []):
-            result.pop(key, None)
-        for key, child in patch["$dict"].items():
+        if "$drop" in patch:
+            dropped = patch["$drop"]
+            if not isinstance(dropped, list) or not all(
+                isinstance(key, str) for key in dropped
+            ):
+                raise StoreError(
+                    f"malformed dict patch $drop {dropped!r}: expected a list of keys"
+                )
+            for key in dropped:
+                result.pop(key, None)
+        for key, child in changed.items():
             result[key] = apply_patch(base.get(key), child)
         return result
     if "$list" in patch:
@@ -240,12 +279,19 @@ def apply_patch(base: Any, patch: Dict[str, Any]) -> Any:
                 f"{type(base).__name__}"
             )
         result = list(base)
-        for entry in patch["$list"]:
+        last = len(base) - 1
+        for entry in _entries(patch, "$list"):
             try:
                 index, child = entry
-                result[index] = apply_patch(base[index], child)
-            except (ValueError, TypeError, IndexError) as exc:
-                raise StoreError(f"malformed list patch entry {entry!r}") from exc
+                valid = type(index) is int and 0 <= index <= last
+            except (TypeError, ValueError):
+                valid = False
+            if not valid:
+                raise StoreError(
+                    f"malformed list patch entry {entry!r}: expected "
+                    f"[index in 0..{last}, patch]"
+                )
+            result[index] = apply_patch(base[index], child)
         return result
     if "$splice" in patch:
         if not isinstance(base, list):
@@ -255,15 +301,40 @@ def apply_patch(base: Any, patch: Dict[str, Any]) -> Any:
             )
         result = list(base)
         # Operations come in ascending, non-overlapping base order; applying
-        # them back-to-front keeps earlier offsets valid.
-        for entry in reversed(patch["$splice"]):
+        # them back-to-front keeps earlier offsets valid, and each one must
+        # end at or before the start of the one applied just before it.
+        limit = len(base)
+        for entry in reversed(_entries(patch, "$splice")):
             try:
                 start, delete_count, items = entry
-                result[start : start + delete_count] = items
-            except (ValueError, TypeError) as exc:
-                raise StoreError(f"malformed splice patch entry {entry!r}") from exc
+                valid = (
+                    type(start) is int
+                    and type(delete_count) is int
+                    and type(items) is list
+                    and 0 <= start <= start + delete_count <= limit
+                )
+            except (TypeError, ValueError):
+                valid = False
+            if not valid:
+                raise StoreError(
+                    f"malformed splice patch entry {entry!r}: expected "
+                    f"[start, count >= 0, [items]] ending by {limit}, where "
+                    "the array or the next entry starts"
+                )
+            result[start : start + delete_count] = items
+            limit = start
         return result
     raise StoreError(
         f"unknown checkpoint patch operation: {sorted(patch)!r} "
         "(expected $set, $dict, $list or $splice)"
     )
+
+
+def _entries(patch: Dict[str, Any], operation: str) -> List[Any]:
+    """The entries of a ``$list`` / ``$splice`` node, which must be an array."""
+    entries = patch[operation]
+    if not isinstance(entries, list):
+        raise StoreError(
+            f"malformed {operation} patch {entries!r}: expected a list of entries"
+        )
+    return entries

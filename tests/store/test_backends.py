@@ -79,6 +79,47 @@ class TestContract:
             backend.put("snapshot", "k", {"bad": object()})
 
 
+class TestTransaction:
+    def test_writes_inside_a_transaction_are_stored(self, backend):
+        with backend.transaction():
+            backend.put("snapshot", "a", {"v": 1})
+            backend.put("snapshot", "b", {"v": 2})
+            backend.delete("snapshot", "a")
+            assert backend.keys("snapshot") == ["b"]
+        assert backend.keys("snapshot") == ["b"]
+        assert backend.get("snapshot", "b") == {"v": 2}
+
+    def test_a_transaction_on_a_closed_store_raises(self, backend):
+        backend.close()
+        with pytest.raises(StoreError, match="closed"):
+            with backend.transaction():
+                pass
+
+    def test_a_failed_transaction_rolls_back_on_sqlite(self, tmp_path):
+        with SqliteBackend(tmp_path / "store.sqlite") as store:
+            store.put("snapshot", "kept", {"v": 0})
+            with pytest.raises(RuntimeError):
+                with store.transaction():
+                    store.put("snapshot", "a", {"v": 1})
+                    store.delete("snapshot", "kept")
+                    raise RuntimeError("mid-save")
+            assert store.keys("snapshot") == ["kept"]
+        with SqliteBackend(tmp_path / "store.sqlite") as store:
+            assert store.keys("snapshot") == ["kept"]
+
+    def test_a_nested_transaction_joins_the_outer_one_on_sqlite(self, tmp_path):
+        with SqliteBackend(tmp_path / "store.sqlite") as store:
+            statements = []
+            store._connection.set_trace_callback(statements.append)
+            with store.transaction():
+                store.put("snapshot", "a", {"v": 1})
+                with store.transaction():
+                    store.put("snapshot", "b", {"v": 2})
+                store.put("checkpoint", "c", {"v": 3})
+            assert [s for s in statements if s.startswith("COMMIT")] == ["COMMIT"]
+            assert store.keys("snapshot") == ["a", "b"]
+
+
 class TestAtomicJsonWrites:
     """A crash mid-`put` must never poison a previously stored document."""
 

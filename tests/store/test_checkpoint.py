@@ -20,6 +20,7 @@ from repro.network.topology import TopologyConfig
 from repro.saintetiq.serialization import hierarchy_content_hash
 from repro.store import (
     CHECKPOINT_KIND,
+    SNAPSHOT_KIND,
     InMemoryBackend,
     JsonDirectoryBackend,
     SqliteBackend,
@@ -278,6 +279,40 @@ class TestRealContent:
         live.checkpoint(backend, name="second")
         assert len(SnapshotStore(backend).hashes()) == count_after_first
         assert list_checkpoints(backend) == ["first", "second"]
+
+    def test_a_full_save_commits_once_on_sqlite(self, tmp_path, real_session_factory):
+        """Every new snapshot and the document land in one transaction."""
+        _background, live = real_session_factory()
+        with SqliteBackend(tmp_path / "store.sqlite") as store:
+            statements = []
+            store._connection.set_trace_callback(statements.append)
+            live.checkpoint(store, name="real")
+            commits = [s for s in statements if s.upper().startswith("COMMIT")]
+            assert len(store.keys(SNAPSHOT_KIND)) > 1
+            assert len(commits) == 1
+
+    def test_a_failed_save_rolls_back_on_sqlite(
+        self, tmp_path, monkeypatch, real_session_factory
+    ):
+        """A save whose document write fails leaves no snapshot rows behind."""
+        _background, live = real_session_factory()
+        with SqliteBackend(tmp_path / "store.sqlite") as store:
+            put_encoded = store.put_encoded
+
+            def failing(kind, key, encoded):
+                if kind == CHECKPOINT_KIND:
+                    raise OSError("disk full")
+                put_encoded(kind, key, encoded)
+
+            monkeypatch.setattr(store, "put_encoded", failing)
+            with pytest.raises(OSError, match="disk full"):
+                live.checkpoint(store, name="real")
+            assert store.kinds() == []
+            monkeypatch.undo()
+            live.checkpoint(store, name="real")
+            assert len(store.keys(SNAPSHOT_KIND)) > 1
+        with SqliteBackend(tmp_path / "store.sqlite") as store:
+            assert list_checkpoints(store) == ["real"]
 
 
 class TestErrors:

@@ -14,6 +14,7 @@ from repro.core.session import SystemBuilder
 from repro.exceptions import StoreError
 from repro.store import (
     CHECKPOINT_KIND,
+    SNAPSHOT_KIND,
     InMemoryBackend,
     apply_patch,
     checkpoint_base_chain,
@@ -156,6 +157,33 @@ class TestDiffPatch:
         # The peers together, then one by one; peer 40's "online" likewise.
         assert len(encoded) == (2 + 2 * 199) + (2 + 2)
 
+    def test_a_mostly_changed_list_is_set_without_diffing_its_children(
+        self, monkeypatch
+    ):
+        """The verdict count picks ``$set`` before a child patch is built."""
+        import repro.store.deltas as deltas
+
+        calls = []
+        diff = deltas.diff_documents
+        monkeypatch.setattr(
+            deltas,
+            "diff_documents",
+            lambda base, new: calls.append(len(calls)) or diff(base, new),
+        )
+        base = [{"peer": f"p{index}", "online": True} for index in range(100)]
+        new = [dict(peer, online=index >= 80) for index, peer in enumerate(base)]
+        assert deltas.diff_documents(base, new) == {"$set": new}
+        # 1 + 80 changed peers + their 80 "online" keys before.
+        assert len(calls) == 1
+
+        # At the threshold the patch is sparse, and exactly the changed
+        # children are diffed.
+        new = [dict(peer, online=index >= 75) for index, peer in enumerate(base)]
+        calls.clear()
+        patch = deltas.diff_documents(base, new)
+        assert [index for index, _edit in patch["$list"]] == list(range(75))
+        assert len(calls) == 1 + 75 + 75
+
     def test_malformed_patch_raises(self):
         with pytest.raises(StoreError, match="patch"):
             apply_patch({"a": 1}, {"$bogus": 1})
@@ -163,6 +191,61 @@ class TestDiffPatch:
             apply_patch([1], {"$dict": {"a": {"$set": 1}}})
         with pytest.raises(StoreError, match="expects an array"):
             apply_patch({"a": 1}, {"$list": [[0, {"$set": 1}]]})
+
+    @pytest.mark.parametrize(
+        "base,patch,entry",
+        [
+            ([1, 2, 3], {"$splice": [[0, 1, "ab"]]}, "[0, 1, 'ab']"),
+            ([1, 2, 3], {"$list": [[-1, {"$set": 9}]]}, "[-1, {'$set': 9}]"),
+            ([1, 2, 3], {"$list": [[True, {"$set": 9}]]}, "[True, {'$set': 9}]"),
+            ([1, 2, 3], {"$list": [[3, {"$set": 9}]]}, "[3, {'$set': 9}]"),
+            ([1, 2, 3], {"$splice": [[4, 0, [9]]]}, "[4, 0, [9]]"),
+            ([1, 2, 3], {"$splice": [[False, 0, [9]]]}, "[False, 0, [9]]"),
+            ([1, 2, 3], {"$splice": [[0, -1, [9]]]}, "[0, -1, [9]]"),
+            ([1, 2, 3], {"$splice": [[1, 3, [9]]]}, "[1, 3, [9]]"),
+            ([1, 2, 3], {"$splice": [[2, 0, [9]], [0, 1, []]]}, "[2, 0, [9]]"),
+            ([1, 2, 3], {"$splice": [[0, 2, [9]], [1, 1, []]]}, "[0, 2, [9]]"),
+            ([1, 2, 3], {"$splice": [[0, 1]]}, "[0, 1]"),
+            ([1, 2, 3], {"$list": {"0": {"$set": 9}}}, "{'0': {'$set': 9}}"),
+            ({"a": 1, "b": 2, "ab": 3}, {"$dict": {}, "$drop": "ab"}, "'ab'"),
+            ({"a": 1}, {"$dict": {}, "$drop": [1]}, "[1]"),
+            ({"a": 1}, {"$dict": [["a", {"$set": 2}]]}, "[['a', {'$set': 2}]]"),
+        ],
+        ids=[
+            "splice-items-not-a-list",
+            "negative-list-index",
+            "bool-list-index",
+            "list-index-past-the-end",
+            "splice-start-past-the-end",
+            "bool-splice-start",
+            "negative-splice-count",
+            "splice-count-past-the-end",
+            "descending-splices",
+            "overlapping-splices",
+            "short-splice-entry",
+            "list-entries-not-a-list",
+            "drop-not-a-list",
+            "drop-not-strings",
+            "dict-changes-not-an-object",
+        ],
+    )
+    def test_a_malformed_patch_entry_is_refused_by_name(self, base, patch, entry):
+        with pytest.raises(StoreError, match="malformed") as raised:
+            apply_patch(base, patch)
+        assert entry in str(raised.value)
+
+    def test_nested_malformed_entries_are_refused_too(self):
+        with pytest.raises(StoreError, match=r"\[-1, 0, \[\]\]"):
+            apply_patch(
+                {"events": [[1, 2]]},
+                {"$dict": {"events": {"$list": [[0, {"$splice": [[-1, 0, []]]}]]}}},
+            )
+
+    def test_edge_splices_replay(self):
+        """Inserts at either end, and two at one place, are well formed."""
+        patch = {"$splice": [[0, 0, ["a"]], [1, 0, ["b"]], [1, 0, ["c"]], [3, 0, ["d"]]]}
+        assert apply_patch([1, 2, 3], patch) == ["a", 1, "b", "c", 2, 3, "d"]
+        assert apply_patch([], {"$splice": [[0, 0, [1]]]}) == [1]
 
 
 class TestDeltaCheckpoints:
@@ -302,6 +385,64 @@ class TestDeltaCheckpoints:
             ) == hierarchy_content_hash(service.summary)
 
 
+def _real_session(seed):
+    from repro.core.config import ProtocolConfig
+    from repro.fuzzy.vocabularies import medical_background_knowledge
+    from repro.network.overlay import Overlay
+    from repro.network.topology import TopologyConfig
+    from repro.workloads.patients import MedicalWorkload, build_peer_databases
+
+    overlay = Overlay.generate(TopologyConfig(peer_count=12, seed=seed))
+    workload = MedicalWorkload(records_per_peer=5, matching_fraction=0.25, seed=seed)
+    return (
+        SystemBuilder()
+        .topology(overlay)
+        .background(medical_background_knowledge())
+        .protocol(ProtocolConfig(superpeer_fraction=1 / 6, construction_ttl=3))
+        .real_content(build_peer_databases(overlay.peer_ids, workload))
+        .seed(seed)
+        .build()
+    )
+
+
+class TestRefusedSaves:
+    """A save refused for its base writes nothing, snapshots included."""
+
+    @pytest.mark.parametrize(
+        "name,base,message",
+        [
+            ("tip", "missing", "no checkpoint 'missing'"),
+            ("self", "self", "itself"),
+            ("a", "b", "resolves through"),
+        ],
+        ids=["missing-base", "self-base", "indirect-cycle"],
+    )
+    def test_refused_saves_leave_the_checkpoints_untouched(
+        self, backend, name, base, message
+    ):
+        stored = _real_session(seed=5)
+        for full in {name, "a"} - {"tip"}:
+            stored.checkpoint(backend, name=full)
+        stored.checkpoint(backend, name="b", base="a")
+        checkpoints = {
+            key: backend.get(CHECKPOINT_KIND, key)
+            for key in backend.keys(CHECKPOINT_KIND)
+        }
+        snapshots = backend.keys(SNAPSHOT_KIND)
+
+        live = _real_session(seed=6)
+        with pytest.raises(StoreError, match=message):
+            live.checkpoint(backend, name=name, base=base)
+        assert {
+            key: backend.get(CHECKPOINT_KIND, key)
+            for key in backend.keys(CHECKPOINT_KIND)
+        } == checkpoints
+        assert backend.keys(SNAPSHOT_KIND) == snapshots
+        # The refused save had snapshots to file: a valid one files them.
+        live.checkpoint(backend, name="fresh")
+        assert set(backend.keys(SNAPSHOT_KIND)) > set(snapshots)
+
+
 class _CountingMemoryBackend(InMemoryBackend):
     """Counts the checkpoint documents read (each one is a fetch and a parse)."""
 
@@ -342,23 +483,6 @@ class TestMemoryBackendReadsEachLinkOnce:
         # ... and what those reads resolved to is the live session.
         reference = _build("smoke")
         assert _drive(SystemBuilder.from_checkpoint(store, name="tip")) == _drive(reference)
-
-    @pytest.mark.parametrize(
-        "name,base,message",
-        [("self", "self", "itself"), ("a", "b", "resolves through")],
-    )
-    def test_refused_saves_leave_the_checkpoints_untouched(self, name, base, message):
-        store = _CountingMemoryBackend()
-        live = _build("smoke")
-        for full in {name, "a"}:
-            live.checkpoint(store, name=full)
-        live.checkpoint(store, name="b", base="a")
-        before = {key: store.get(CHECKPOINT_KIND, key) for key in store.keys(CHECKPOINT_KIND)}
-        live.run_until()
-        with pytest.raises(StoreError, match=message):
-            live.checkpoint(store, name=name, base=base)
-        after = {key: store.get(CHECKPOINT_KIND, key) for key in store.keys(CHECKPOINT_KIND)}
-        assert after == before
 
 
 def _restored_clone(backend, name):
