@@ -21,7 +21,7 @@ import time
 import pytest
 
 from benchmarks.conftest import attach_table, full_scale
-from repro.experiments.reporting import ExperimentTable
+from repro.reporting import ExperimentTable
 from repro.runtime import ConcurrentBackend, SimulatorBackend
 from repro.workloads.registry import default_registry
 

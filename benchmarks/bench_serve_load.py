@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from benchmarks.conftest import attach_table, full_scale
-from repro.experiments.reporting import ExperimentTable
+from repro.reporting import ExperimentTable
 from repro.serve import ServeClient, start_server
 from repro.serve.supervisor import Supervisor
 from repro.store.checkpoint import (

@@ -210,127 +210,62 @@ order they require, and ``NetworkSession.query`` routes through
 
 See ``examples/`` for end-to-end scenarios and ``benchmarks/`` for the
 experiment harness reproducing every table and figure of the paper.
+Each name loads on first use: ``import repro`` imports no subpackage.
 """
 
-from repro.core.approximate import answer_in_domain, localize_peers
-from repro.core.config import ProtocolConfig
-from repro.core.construction import DomainBuilder
-from repro.core.cooperation import CooperationList
-from repro.core.domain import Domain
-from repro.core.freshness import Freshness, FreshnessMode
-from repro.core.maintenance import ColdStartRecord, MaintenanceEngine
-from repro.core.protocol import SummaryManagementSystem
-from repro.core.routing import (
-    QueryRequest,
-    QueryRouter,
-    QueryRoutingResult,
-    RoutingPolicy,
-)
-from repro.core.service import LocalSummaryService
-from repro.core.session import (
-    DegradationReport,
-    MaintenanceReport,
-    NetworkSession,
-    QueryAnswer,
-    ReadOnlyNetworkSession,
-    SessionTraffic,
-    SystemBuilder,
-)
-from repro.database.engine import LocalDatabase
-from repro.database.generator import PatientGenerator
-from repro.database.query import (
-    AttributeIn,
-    Comparison,
-    DescriptorPredicate,
-    SelectionQuery,
-)
-from repro.database.schema import Attribute, AttributeType, Schema, patient_schema
-from repro.database.table import Record, Relation
-from repro.exceptions import (
-    BackgroundKnowledgeError,
-    ConfigurationError,
-    NetworkError,
-    ProtocolError,
-    QueryError,
-    ReadOnlySessionError,
-    ReproError,
-    SchemaError,
-    ServeError,
-    StoreError,
-    SummaryError,
-)
-from repro.fuzzy.background import BackgroundKnowledge
-from repro.fuzzy.linguistic import Descriptor, LinguisticVariable
-from repro.fuzzy.membership import (
-    CrispSetMembership,
-    TrapezoidalMembership,
-    TriangularMembership,
-)
-from repro.fuzzy.partition import FuzzyPartition
-from repro.fuzzy.vocabularies import (
-    medical_background_knowledge,
-    uniform_numeric_background_knowledge,
-)
-from repro.network.churn import LifetimeDistribution
-from repro.network.faults import (
-    DomainFailureEvent,
-    FaultInjector,
-    FaultPlan,
-    FlashCrowdEvent,
-    LinkFaults,
-    MassacreEvent,
-    PartitionEvent,
-)
-from repro.network.overlay import Overlay
-from repro.obs import (
-    JsonlSink,
-    MetricsRegistry,
-    NullSink,
-    Observability,
-    RingBufferSink,
-    Span,
-    TraceSink,
-    Tracer,
-    connected_trace,
-    parse_prometheus,
-    span_tree,
-)
-from repro.network.simulator import Simulator
-from repro.network.topology import TopologyConfig, power_law_topology
-from repro.querying.aggregation import ApproximateAnswer, approximate_answer
-from repro.querying.engine import HierarchyQueryIndex
-from repro.querying.proposition import Clause, Proposition
-from repro.querying.reformulation import reformulate
-from repro.querying.selection import QuerySelection, select_summaries
-from repro.saintetiq.cell import Cell
-from repro.saintetiq.clustering import ClusteringParameters, SummaryBuilder
-from repro.saintetiq.hierarchy import SummaryHierarchy
-from repro.saintetiq.mapping import MappingService
-from repro.saintetiq.merging import merge_hierarchies
-from repro.saintetiq.summary import Summary
-from repro.store import (
-    DomainHeadArchive,
-    GcReport,
-    HierarchySource,
-    InMemoryBackend,
-    JsonDirectoryBackend,
-    SnapshotStore,
-    SqliteBackend,
-    StoreBackend,
-    collect_garbage,
-    compact_checkpoint,
-    compact_checkpoints,
-    open_readonly_session,
-    open_store,
-)
-from repro.runtime import (
-    ConcurrentBackend,
-    ExecutionBackend,
-    SimulatorBackend,
-    create_backend,
-)
-from repro.workloads.registry import ScenarioRegistry, default_registry
-from repro.workloads.scenarios import SimulationScenario
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "core": (
+        "ProtocolConfig DomainBuilder CooperationList Domain Freshness FreshnessMode"
+        " MaintenanceEngine SummaryManagementSystem QueryRouter QueryRoutingResult"
+        " RoutingPolicy LocalSummaryService MaintenanceReport NetworkSession"
+        " QueryAnswer SessionTraffic SystemBuilder"
+    ),
+    "core.approximate": "answer_in_domain localize_peers",
+    "core.maintenance": "ColdStartRecord",
+    "core.routing": "QueryRequest",
+    "core.session": "DegradationReport ReadOnlyNetworkSession",
+    "database": (
+        "LocalDatabase PatientGenerator AttributeIn Comparison DescriptorPredicate"
+        " SelectionQuery Attribute AttributeType Schema Record Relation"
+    ),
+    "database.schema": "patient_schema",
+    "exceptions": (
+        "BackgroundKnowledgeError ConfigurationError NetworkError ProtocolError"
+        " QueryError ReadOnlySessionError ReproError SchemaError ServeError StoreError"
+        " SummaryError"
+    ),
+    "fuzzy": (
+        "BackgroundKnowledge Descriptor LinguisticVariable CrispSetMembership"
+        " TrapezoidalMembership TriangularMembership FuzzyPartition"
+        " medical_background_knowledge uniform_numeric_background_knowledge"
+    ),
+    "network": (
+        "LifetimeDistribution DomainFailureEvent FaultInjector FaultPlan"
+        " FlashCrowdEvent LinkFaults MassacreEvent PartitionEvent Overlay Simulator"
+        " TopologyConfig power_law_topology"
+    ),
+    "obs": (
+        "JsonlSink MetricsRegistry NullSink Observability RingBufferSink Span TraceSink"
+        " Tracer connected_trace parse_prometheus span_tree"
+    ),
+    "querying": (
+        "ApproximateAnswer approximate_answer HierarchyQueryIndex Clause Proposition"
+        " reformulate QuerySelection select_summaries"
+    ),
+    "runtime": "ConcurrentBackend ExecutionBackend SimulatorBackend create_backend",
+    "saintetiq": (
+        "Cell ClusteringParameters SummaryBuilder SummaryHierarchy MappingService"
+        " merge_hierarchies Summary"
+    ),
+    "store": (
+        "DomainHeadArchive GcReport HierarchySource InMemoryBackend"
+        " JsonDirectoryBackend SnapshotStore SqliteBackend StoreBackend collect_garbage"
+        " compact_checkpoint compact_checkpoints open_readonly_session open_store"
+    ),
+    "workloads": "ScenarioRegistry default_registry SimulationScenario",
+})
 
 __version__ = "1.0.0"
 

@@ -66,14 +66,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.session import NetworkSession
 
-from repro.experiments.fig4_stale_answers import run_figure4
-from repro.experiments.fig5_false_negatives import run_figure5
-from repro.experiments.fig6_update_cost import run_figure6
-from repro.experiments.fault_sweep import run_fault_sweep
-from repro.experiments.fig7_query_cost import run_figure7
-from repro.experiments.reporting import ExperimentTable
-from repro.experiments.tables import run_table1_table2, run_table3
-from repro.workloads.registry import default_registry
+from repro.reporting import ExperimentTable
 
 DEFAULT_SIZES = [16, 100, 500]
 DEFAULT_ALPHAS = [0.1, 0.3, 0.8]
@@ -313,6 +306,8 @@ def _emit(tables: Sequence[ExperimentTable], as_json: bool) -> None:
 
 
 def _list_scenarios_table() -> ExperimentTable:
+    from repro.workloads.registry import default_registry
+
     registry = default_registry()
     table = ExperimentTable(
         name="Registered scenarios",
@@ -325,6 +320,8 @@ def _list_scenarios_table() -> ExperimentTable:
 
 
 def _scenario_from_args(args: argparse.Namespace, include_hours: bool = True):
+    from repro.workloads.registry import default_registry
+
     registry = default_registry()
     # Only explicitly passed flags override the scenario's own declaration.
     overrides: Dict[str, object] = {}
@@ -429,6 +426,8 @@ def _write_obs_artifacts(args: argparse.Namespace, obs) -> None:
 
 
 def _run_scenario_table(args: argparse.Namespace) -> ExperimentTable:
+    from repro.workloads.registry import default_registry
+
     scenario = _scenario_from_args(args)
     session = scenario.apply_dynamics(scenario.builder()).build()
     obs = _observability_from_args(args)
@@ -619,6 +618,8 @@ def _serve_supervised(args: argparse.Namespace) -> int:
 
 
 def _fault_sweep_table(args: argparse.Namespace) -> ExperimentTable:
+    from repro.experiments import run_fault_sweep
+
     obs = _observability_from_args(args)
     table = run_fault_sweep(
         intensities=args.intensities,
@@ -728,6 +729,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     hours = args.hours if args.hours is not None else 6.0
     duration = hours * 3600.0
     args.seed = args.seed if args.seed is not None else 0
+    from repro.experiments import run_figure4, run_figure5, run_figure6, run_figure7
+    from repro.experiments import run_table1_table2, run_table3
 
     commands: Dict[str, Callable[[], List[ExperimentTable]]] = {
         "tables": lambda: [run_table1_table2(), run_table3()],

@@ -26,25 +26,27 @@ overlay simulation):
 * :mod:`repro.core.session` — the declarative façade over all of the above:
   :class:`SystemBuilder` assembles a validated network, :class:`NetworkSession`
   runs it and answers queries with typed :class:`QueryAnswer` values.
+
+Each name loads on first use: ``import repro.core`` imports none of its modules.
 """
 
-from repro.core.config import ProtocolConfig
-from repro.core.construction import DomainBuilder
-from repro.core.cooperation import CooperationList
-from repro.core.domain import Domain
-from repro.core.dynamicity import ChurnHandler
-from repro.core.freshness import Freshness, FreshnessMode
-from repro.core.maintenance import MaintenanceEngine
-from repro.core.protocol import SummaryManagementSystem
-from repro.core.routing import QueryRouter, QueryRoutingResult, RoutingPolicy
-from repro.core.service import LocalSummaryService
-from repro.core.session import (
-    MaintenanceReport,
-    NetworkSession,
-    QueryAnswer,
-    SessionTraffic,
-    SystemBuilder,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "config": "ProtocolConfig",
+    "construction": "DomainBuilder",
+    "cooperation": "CooperationList",
+    "domain": "Domain",
+    "dynamicity": "ChurnHandler",
+    "freshness": "Freshness FreshnessMode",
+    "maintenance": "MaintenanceEngine",
+    "protocol": "SummaryManagementSystem",
+    "routing": "QueryRouter QueryRoutingResult RoutingPolicy",
+    "service": "LocalSummaryService",
+    "session": (
+        "MaintenanceReport NetworkSession QueryAnswer SessionTraffic SystemBuilder"
+    ),
+})
 
 __all__ = [
     "ProtocolConfig",

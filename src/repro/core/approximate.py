@@ -11,7 +11,7 @@ BMI are young"*.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.core.domain import Domain
 from repro.database.query import SelectionQuery
@@ -41,6 +41,19 @@ class DomainAnswer:
     @property
     def estimated_matching_records(self) -> float:
         return self.selection.matching_tuple_count()
+
+
+def flexible_form(
+    query: SelectionQuery, background: BackgroundKnowledge
+) -> Tuple[SelectionQuery, Optional[Proposition]]:
+    """``query`` reformulated under ``background``, and its proposition when
+    every predicate became a descriptor predicate (how a query is registered)."""
+    flexible = reformulate(query, background)
+    if not flexible.is_flexible():
+        return flexible, None
+    return flexible, Proposition.from_query(
+        SelectionQuery(flexible.relation, flexible.descriptor_predicates(), flexible.select)
+    )
 
 
 def answer_in_domain(

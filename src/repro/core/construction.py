@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.config import ProtocolConfig
 from repro.core.domain import Domain
@@ -23,7 +23,9 @@ from repro.exceptions import ProtocolError
 from repro.network.messages import MessageType
 from repro.network.metrics import MessageCounter
 from repro.network.overlay import Overlay
-from repro.saintetiq.hierarchy import SummaryHierarchy
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.saintetiq.hierarchy import SummaryHierarchy
 
 
 @dataclass

@@ -21,12 +21,14 @@ from __future__ import annotations
 import abc
 import copy
 import random
-from typing import Dict, Iterable, List, Mapping, Optional, Set
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Set
 
-from repro.database.query import SelectionQuery
 from repro.exceptions import ConfigurationError
-from repro.querying.proposition import Proposition
-from repro.saintetiq.hierarchy import SummaryHierarchy
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.database.query import SelectionQuery
+    from repro.querying.proposition import Proposition
+    from repro.saintetiq.hierarchy import SummaryHierarchy
 
 
 class ContentModel(abc.ABC):

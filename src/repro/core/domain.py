@@ -3,18 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.cooperation import CooperationList
 from repro.core.freshness import Freshness, FreshnessMode
 from repro.exceptions import ProtocolError
-from repro.saintetiq.hierarchy import SummaryHierarchy
-from repro.saintetiq.merging import merge_hierarchies
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.saintetiq.hierarchy import SummaryHierarchy
 
 #: ``(peer_id, local summary)`` pairs in the order a merge visits them.
-Contributions = List[Tuple[str, SummaryHierarchy]]
+Contributions = List[Tuple[str, "SummaryHierarchy"]]
 #: The same with each hierarchy's ``mutation_count`` when it was looked at.
-_Stamps = List[Tuple[str, SummaryHierarchy, int]]
+_Stamps = List[Tuple[str, "SummaryHierarchy", int]]
 
 
 def _stamps(pairs: Contributions) -> _Stamps:
@@ -188,6 +189,8 @@ class Domain:
             self._merged_from, _stamps(contributions + [(sp_id, self._global_summary)])
         ):
             return
+        from repro.saintetiq.merging import merge_hierarchies  # real content only
+
         merged = merge_hierarchies(
             [hierarchy for _peer, hierarchy in contributions], owner=sp_id
         )

@@ -35,10 +35,10 @@ from repro.core.freshness import Freshness
 from repro.exceptions import StoreError
 from repro.network.messages import MessageType
 from repro.network.metrics import MessageCounter
-from repro.saintetiq.hierarchy import SummaryHierarchy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fuzzy.background import BackgroundKnowledge
+    from repro.saintetiq.hierarchy import SummaryHierarchy
     from repro.store.snapshots import DomainHeadArchive, SnapshotStore
 
 

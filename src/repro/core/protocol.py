@@ -30,7 +30,14 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.service import LocalSummaryService
+    from repro.database.engine import LocalDatabase
+    from repro.database.query import SelectionQuery
+    from repro.fuzzy.background import BackgroundKnowledge
+    from repro.network.faults import FaultInjector, FaultPlan
     from repro.obs import Observability
+    from repro.querying.proposition import Proposition
+    from repro.saintetiq.hierarchy import SummaryHierarchy
 
 from repro.core.config import ProtocolConfig
 from repro.core.construction import ConstructionReport, DomainBuilder
@@ -47,22 +54,14 @@ from repro.core.routing import (
     RoutingPolicy,
 )
 from repro.core.freshness import Freshness
-from repro.database.engine import LocalDatabase
-from repro.database.query import SelectionQuery
 from repro.exceptions import NetworkError, ProtocolError
-from repro.fuzzy.background import BackgroundKnowledge
 from repro.network.churn import LifetimeDistribution
-from repro.network.faults import FaultInjector, FaultPlan
 from repro.network.messages import MessageType
 from repro.network.metrics import MessageCounter, TrafficReport
 from repro.network.overlay import Overlay
 from repro.network.peer import PeerRole
 from repro.network.simulator import Simulator
 from repro.runtime import ExecutionBackend, RuntimeSpec, create_backend
-from repro.core.service import LocalSummaryService
-from repro.querying.proposition import Proposition
-from repro.querying.reformulation import reformulate
-from repro.saintetiq.hierarchy import SummaryHierarchy
 
 #: Message types that count toward the *update* cost (Figure 6 / eq. 1).
 UPDATE_MESSAGE_TYPES = (MessageType.PUSH, MessageType.RECONCILIATION)
@@ -150,6 +149,10 @@ class SummaryManagementSystem:
         self._overlay = overlay
         self._config = config or ProtocolConfig()
         self._background = background
+        if background is not None:  # real queries: bound once, not per query
+            from repro.core.approximate import flexible_form
+
+            self._flexible_form = flexible_form
         # The execution backend owns the virtual clock and decides how
         # scheduled events run (single-threaded simulator by default, asyncio
         # fan-out on a passed ``ConcurrentBackend``).  ``self._simulator`` stays
@@ -263,6 +266,8 @@ class SummaryManagementSystem:
             raise ProtocolError(
                 "attach_databases requires a background knowledge at construction"
             )
+        from repro.core.service import LocalSummaryService
+
         for peer_id, database in databases.items():
             peer = self._overlay.peer(peer_id)
             peer.attach_database(database)
@@ -371,6 +376,8 @@ class SummaryManagementSystem:
         plan with no faults leaves every run byte-identical to an uninstalled
         one.
         """
+        from repro.network.faults import FaultInjector
+
         injector = FaultInjector(plan)
         self._faults = injector
         for partition in plan.partitions:
@@ -414,6 +421,8 @@ class SummaryManagementSystem:
 
     def _ensure_faults(self) -> FaultInjector:
         if self._faults is None:
+            from repro.network.faults import FaultInjector, FaultPlan
+
             self._faults = FaultInjector(FaultPlan())
         return self._faults
 
@@ -1015,16 +1024,7 @@ class SummaryManagementSystem:
         query_id = scratch.next_query_id()
         proposition: Optional[Proposition] = None
         if self._background is not None:
-            flexible = reformulate(query, self._background)
-            if flexible.is_flexible():
-                proposition = Proposition.from_query(
-                    SelectionQuery(
-                        flexible.relation,
-                        flexible.descriptor_predicates(),
-                        flexible.select,
-                    )
-                )
-            query = flexible
+            query, proposition = self._flexible_form(query, self._background)
         scratch.content.register_query(query_id, query)
         return query_id, proposition
 

@@ -23,15 +23,17 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.content import ContentModel
 from repro.core.domain import Domain
-from repro.database.query import SelectionQuery
-from repro.network.faults import FaultInjector
 from repro.network.metrics import MessageCounter
 from repro.network.overlay import Overlay
-from repro.querying.proposition import Proposition
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.database.query import SelectionQuery
+    from repro.network.faults import FaultInjector
+    from repro.querying.proposition import Proposition
 
 
 class RoutingPolicy(enum.Enum):

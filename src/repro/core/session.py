@@ -47,7 +47,13 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.database.engine import LocalDatabase
+    from repro.database.query import SelectionQuery
+    from repro.fuzzy.background import BackgroundKnowledge
+    from repro.network.faults import FaultPlan
+    from repro.network.topology import TopologyConfig
     from repro.obs import Observability
+    from repro.querying.aggregation import ApproximateAnswer
     from repro.runtime import ExecutionBackend, RuntimeSpec
     from repro.store.backend import StoreBackend
     from repro.store.lazy import HierarchySource
@@ -63,18 +69,12 @@ from repro.core.routing import (
     QueryScratch,
     RoutingPolicy,
 )
-from repro.database.engine import LocalDatabase
-from repro.database.query import SelectionQuery
 from repro.exceptions import ConfigurationError, QueryError, ReadOnlySessionError
-from repro.fuzzy.background import BackgroundKnowledge
 from repro.network.churn import LifetimeDistribution
-from repro.network.faults import FaultPlan
 from repro.network.messages import MessageType
 from repro.network.metrics import TrafficReport
 from repro.network.overlay import Overlay
 from repro.network.simulator import Simulator
-from repro.network.topology import TopologyConfig
-from repro.querying.aggregation import ApproximateAnswer
 
 
 @dataclass
@@ -289,6 +289,8 @@ class SystemBuilder:
                 "(peer_count/average_degree/seed), not both: knobs cannot be "
                 "applied to an already-built topology"
             )
+        from repro.network.topology import TopologyConfig
+
         if isinstance(overlay, Overlay):
             self._overlay = overlay
             self._topology_config = None
@@ -406,6 +408,8 @@ class SystemBuilder:
         link faults activate the protocol's bounded retries.
         A plan with no faults changes nothing, byte for byte.
         """
+        from repro.network.faults import FaultPlan
+
         if not isinstance(plan, FaultPlan):
             raise ConfigurationError("faults(...) takes a FaultPlan")
         self._fault_plan = plan
@@ -528,6 +532,8 @@ class SystemBuilder:
         if self._topology_config is not None:
             return Overlay.generate(self._topology_config)
         assert self._topology_kwargs is not None
+        from repro.network.topology import TopologyConfig
+
         kwargs = dict(self._topology_kwargs)
         if kwargs.get("seed") is None:
             kwargs["seed"] = self._seed

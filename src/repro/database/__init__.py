@@ -10,19 +10,19 @@ provides the minimal but complete machinery the reproduction needs:
 * a local evaluation engine (:mod:`repro.database.engine`),
 * synthetic data generation for the experiments
   (:mod:`repro.database.generator`).
+
+Each name loads on first use: ``import repro.database`` imports none of its modules.
 """
 
-from repro.database.engine import LocalDatabase
-from repro.database.generator import PatientGenerator
-from repro.database.query import (
-    AttributeIn,
-    Comparison,
-    DescriptorPredicate,
-    Predicate,
-    SelectionQuery,
-)
-from repro.database.schema import Attribute, AttributeType, Schema
-from repro.database.table import Record, Relation
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "engine": "LocalDatabase",
+    "generator": "PatientGenerator",
+    "query": "AttributeIn Comparison DescriptorPredicate Predicate SelectionQuery",
+    "schema": "Attribute AttributeType Schema",
+    "table": "Record Relation",
+})
 
 __all__ = [
     "Attribute",

@@ -106,9 +106,7 @@ class LocalDatabase:
         It rises with every insert, every delete or update that changes a
         record, every drop and every relation created holding records; an
         empty relation adds nothing to summarize.  It is the live relations'
-        versions plus a retired total kept for dropped relations.  The retired
-        total is not checkpointed: a restored database counts from its
-        relations' recorded versions.
+        versions plus a retired total kept for dropped relations.
         """
         return self._retired + sum(
             relation.version for relation in self._relations.values()

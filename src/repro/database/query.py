@@ -16,9 +16,9 @@ from __future__ import annotations
 import abc
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
-from repro.exceptions import QueryError
+from repro.exceptions import QueryError, StoreError
 from repro.fuzzy.linguistic import Descriptor
 
 _COMPARATORS: Dict[str, Callable[[object, object], bool]] = {
@@ -224,3 +224,57 @@ class SelectionQuery:
         projection = ", ".join(self.select) if self.select else "*"
         conditions = " and ".join(str(p) for p in self.predicates) or "true"
         return f"select {projection} from {self.relation} where {conditions}"
+
+
+# -- the JSON payload of a query (checkpoints and the serve wire) ------------------
+
+
+def _predicate_payload(predicate: Predicate) -> Dict[str, Any]:
+    if isinstance(predicate, Comparison):
+        return {"type": "comparison", "attr": predicate.attr, "op": predicate.op,
+                "value": predicate.value}
+    if isinstance(predicate, AttributeIn):
+        return {
+            "type": "in",
+            "attr": predicate.attr,
+            "values": sorted(predicate.values, key=repr),
+        }
+    if isinstance(predicate, DescriptorPredicate):
+        return {
+            "type": "descriptor",
+            "attr": predicate.attr,
+            "descriptors": [[d.attribute, d.label] for d in predicate.descriptors],
+            "alpha_cut": predicate.alpha_cut,
+        }
+    raise StoreError(f"cannot checkpoint predicate type {type(predicate).__name__}")
+
+
+def _predicate_from_payload(payload: Dict[str, Any]) -> Predicate:
+    kind = payload["type"]
+    if kind == "comparison":
+        return Comparison(payload["attr"], payload["op"], payload["value"])
+    if kind == "in":
+        return AttributeIn(payload["attr"], payload["values"])
+    if kind == "descriptor":
+        return DescriptorPredicate(
+            payload["attr"],
+            [Descriptor(attribute, label) for attribute, label in payload["descriptors"]],
+            alpha_cut=float(payload["alpha_cut"]),
+        )
+    raise StoreError(f"unknown checkpointed predicate type {kind!r}")
+
+
+def query_payload(query: SelectionQuery) -> Dict[str, Any]:
+    return {
+        "relation": query.relation,
+        "predicates": [_predicate_payload(p) for p in query.predicates],
+        "select": list(query.select),
+    }
+
+
+def query_from_payload(payload: Dict[str, Any]) -> SelectionQuery:
+    return SelectionQuery(
+        payload["relation"],
+        [_predicate_from_payload(p) for p in payload["predicates"]],
+        payload["select"],
+    )

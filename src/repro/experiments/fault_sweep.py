@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.experiments.reporting import ExperimentTable
+from repro.reporting import ExperimentTable
 from repro.network.faults import FaultPlan, LinkFaults, PartitionEvent
 from repro.workloads.scenarios import SimulationScenario
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.reporting import ExperimentTable
+from repro.reporting import ExperimentTable
 from repro.experiments.runner import run_maintenance_simulation
 from repro.workloads.registry import default_registry
 from repro.workloads.scenarios import DEFAULT_ALPHAS, DEFAULT_DOMAIN_SIZES

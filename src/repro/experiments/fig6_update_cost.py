@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.costmodel.update_cost import UpdateCostModel
-from repro.experiments.reporting import ExperimentTable
+from repro.reporting import ExperimentTable
 from repro.experiments.runner import run_maintenance_simulation
 from repro.workloads.registry import default_registry
 from repro.workloads.scenarios import DEFAULT_DOMAIN_SIZES

@@ -8,7 +8,7 @@ the mapping service end to end and documents the scenario parameter space.
 from __future__ import annotations
 
 from repro.database.generator import PatientGenerator
-from repro.experiments.reporting import ExperimentTable
+from repro.reporting import ExperimentTable
 from repro.fuzzy.vocabularies import medical_background_knowledge
 from repro.saintetiq.mapping import MappingService
 from repro.workloads.scenarios import table3_parameters

@@ -10,21 +10,22 @@ paper relies on:
   records to linguistic descriptors (:mod:`repro.fuzzy.background`),
 * ready-made vocabularies such as the medical one used in the paper's running
   example (:mod:`repro.fuzzy.vocabularies`).
+
+Each name loads on first use: ``import repro.fuzzy`` imports none of its modules.
 """
 
-from repro.fuzzy.background import BackgroundKnowledge
-from repro.fuzzy.linguistic import Descriptor, LinguisticVariable
-from repro.fuzzy.membership import (
-    CrispSetMembership,
-    MembershipFunction,
-    TrapezoidalMembership,
-    TriangularMembership,
-)
-from repro.fuzzy.partition import FuzzyPartition
-from repro.fuzzy.vocabularies import (
-    medical_background_knowledge,
-    uniform_numeric_background_knowledge,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "background": "BackgroundKnowledge",
+    "linguistic": "Descriptor LinguisticVariable",
+    "membership": (
+        "CrispSetMembership MembershipFunction TrapezoidalMembership"
+        " TriangularMembership"
+    ),
+    "partition": "FuzzyPartition",
+    "vocabularies": "medical_background_knowledge uniform_numeric_background_knowledge",
+})
 
 __all__ = [
     "MembershipFunction",

@@ -14,24 +14,25 @@ here; this package provides functionally equivalent substitutes:
   accounting, the primary metric of the evaluation,
 * :mod:`repro.network.faults` — seeded fault injection (partitions, message
   loss, correlated failures) for the robustness scenarios.
+
+Each name loads on first use: ``import repro.network`` imports none of its modules.
 """
 
-from repro.network.churn import LifetimeDistribution
-from repro.network.faults import (
-    DomainFailureEvent,
-    FaultInjector,
-    FaultPlan,
-    FlashCrowdEvent,
-    LinkFaults,
-    MassacreEvent,
-    PartitionEvent,
-)
-from repro.network.messages import MessageType
-from repro.network.metrics import MessageCounter, TrafficReport
-from repro.network.overlay import Overlay
-from repro.network.peer import PeerNode, PeerRole
-from repro.network.simulator import Event, Simulator
-from repro.network.topology import TopologyConfig, power_law_topology
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "churn": "LifetimeDistribution",
+    "faults": (
+        "DomainFailureEvent FaultInjector FaultPlan FlashCrowdEvent LinkFaults"
+        " MassacreEvent PartitionEvent"
+    ),
+    "messages": "MessageType",
+    "metrics": "MessageCounter TrafficReport",
+    "overlay": "Overlay",
+    "peer": "PeerNode PeerRole",
+    "simulator": "Event Simulator",
+    "topology": "TopologyConfig power_law_topology",
+})
 
 __all__ = [
     "Simulator",

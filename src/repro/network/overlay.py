@@ -31,11 +31,13 @@ from __future__ import annotations
 import random
 from heapq import heappop, heappush
 from math import inf
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.exceptions import NetworkError
 from repro.network.peer import PeerNode, PeerRole
-from repro.network.topology import TopologyConfig, power_law_topology
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.network.topology import TopologyConfig
 
 
 class Overlay:
@@ -90,6 +92,8 @@ class Overlay:
 
     @classmethod
     def generate(cls, config: TopologyConfig) -> "Overlay":
+        from repro.network.topology import power_law_topology
+
         return cls(
             {
                 peer_id: {nbr: edge["latency"] for nbr, edge in neighbours.items()}

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Set
+from typing import TYPE_CHECKING, Callable, Optional, Set
 
-from repro.database.engine import LocalDatabase
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.database.engine import LocalDatabase
 
 
 class PeerRole(enum.Enum):

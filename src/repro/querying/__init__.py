@@ -16,14 +16,20 @@ references):
   (:mod:`repro.querying.engine`),
 * *approximate answering* by aggregating the selected summaries into
   interpretation classes (:mod:`repro.querying.aggregation`).
+
+Each name loads on first use: ``import repro.querying`` imports none of its modules.
 """
 
-from repro.querying.aggregation import ApproximateAnswer, approximate_answer
-from repro.querying.engine import HierarchyQueryIndex, proposition_key
-from repro.querying.proposition import Clause, Proposition
-from repro.querying.reformulation import reformulate
-from repro.querying.selection import QuerySelection, select_summaries
-from repro.querying.valuation import Valuation, valuate
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "aggregation": "ApproximateAnswer approximate_answer",
+    "engine": "HierarchyQueryIndex proposition_key",
+    "proposition": "Clause Proposition",
+    "reformulation": "reformulate",
+    "selection": "QuerySelection select_summaries",
+    "valuation": "Valuation valuate",
+})
 
 __all__ = [
     "reformulate",

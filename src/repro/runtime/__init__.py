@@ -8,16 +8,24 @@ See :mod:`repro.runtime.base` for the contract,
 :mod:`repro.runtime.simulator` for the reference backend and
 :mod:`repro.runtime.concurrent` for the asyncio one, which overlaps only the
 wall-clock waits an ``io_model`` charges.
+Each name loads on first use: ``import repro.runtime`` imports none of its modules.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
+from repro._lazy import lazy_exports
 from repro.exceptions import ConfigurationError
-from repro.runtime.base import ExecutionBackend, IoModel
-from repro.runtime.concurrent import ConcurrentBackend
-from repro.runtime.simulator import SimulatorBackend
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.runtime.base import ExecutionBackend
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "base": "ExecutionBackend IoModel",
+    "concurrent": "ConcurrentBackend",
+    "simulator": "SimulatorBackend",
+})
 
 __all__ = [
     "ConcurrentBackend",
@@ -27,9 +35,7 @@ __all__ = [
     "create_backend",
 ]
 
-_BACKENDS = {"simulator": SimulatorBackend, "concurrent": ConcurrentBackend}
-
-RuntimeSpec = Union[None, str, ExecutionBackend]
+RuntimeSpec = Union[None, str, "ExecutionBackend"]
 
 
 def create_backend(spec: RuntimeSpec = None) -> ExecutionBackend:
@@ -42,12 +48,17 @@ def create_backend(spec: RuntimeSpec = None) -> ExecutionBackend:
     ``"simulator"`` and ``"concurrent"`` to ``SystemBuilder.runtime`` and
     ``restore_session``.
     """
-    if spec is None:
+    from repro.runtime.base import ExecutionBackend
+    from repro.runtime.simulator import SimulatorBackend
+
+    if spec is None or spec == "simulator":
         return SimulatorBackend()
     if isinstance(spec, ExecutionBackend):
         return spec
-    if isinstance(spec, str) and spec in _BACKENDS:
-        return _BACKENDS[spec]()
+    if spec == "concurrent":
+        from repro.runtime.concurrent import ConcurrentBackend
+
+        return ConcurrentBackend()
     raise ConfigurationError(
         f"unknown runtime {spec!r}: use 'simulator', 'concurrent' or an "
         "ExecutionBackend instance"

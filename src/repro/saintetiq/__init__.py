@@ -14,22 +14,25 @@ builds on (Raschia & Mouaddib 2002; Saint-Paul, Raschia & Mouaddib, VLDB 2005):
   (:mod:`repro.saintetiq.hierarchy`, :mod:`repro.saintetiq.clustering`),
 * the *merging* of two hierarchies used when building a domain's global
   summary (:mod:`repro.saintetiq.merging`).
+
+Each name loads on first use: ``import repro.saintetiq`` imports none of its modules.
 """
 
-from repro.saintetiq.cell import Cell, CellKey
-from repro.saintetiq.clustering import ClusteringParameters, SummaryBuilder
-from repro.saintetiq.hierarchy import SummaryHierarchy
-from repro.saintetiq.mapping import MappingService
-from repro.saintetiq.merging import merge_hierarchies
-from repro.saintetiq.serialization import (
-    encoded_size_bytes,
-    hierarchy_from_dict,
-    hierarchy_from_json,
-    hierarchy_to_dict,
-    hierarchy_to_json,
-)
-from repro.saintetiq.stats import AttributeStatistics
-from repro.saintetiq.summary import Summary
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "cell": "Cell CellKey",
+    "clustering": "ClusteringParameters SummaryBuilder",
+    "hierarchy": "SummaryHierarchy",
+    "mapping": "MappingService",
+    "merging": "merge_hierarchies",
+    "serialization": (
+        "encoded_size_bytes hierarchy_from_dict hierarchy_from_json hierarchy_to_dict"
+        " hierarchy_to_json"
+    ),
+    "stats": "AttributeStatistics",
+    "summary": "Summary",
+})
 
 __all__ = [
     "Cell",

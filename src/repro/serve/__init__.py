@@ -40,19 +40,20 @@ or in-process (tests, benchmarks)::
         answers = client.query_batch(count=8)
         client.shutdown()
     server.join()
+
+Each name loads on first use: ``import repro.serve`` imports none of its modules.
 """
 
-from repro.serve.cache import ResponseCache, checkpoint_digest
-from repro.serve.chaos import ChaosMonkey
-from repro.serve.client import ServeClient
-from repro.serve.server import SummaryQueryServer, start_server
-from repro.serve.supervisor import Supervisor, start_supervisor
-from repro.serve.wire import (
-    decode_answer,
-    decode_staleness,
-    encode_answer,
-    encode_staleness,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "cache": "ResponseCache checkpoint_digest",
+    "chaos": "ChaosMonkey",
+    "client": "ServeClient",
+    "server": "SummaryQueryServer start_server",
+    "supervisor": "Supervisor start_supervisor",
+    "wire": "decode_answer decode_staleness encode_answer encode_staleness",
+})
 
 __all__ = [
     "ServeClient",

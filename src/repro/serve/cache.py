@@ -48,7 +48,7 @@ def canonical_request_key(method: str, path: str, body: bytes) -> str:
     try:
         payload = json.loads(body.decode("utf-8")) if body else {}
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    except (UnicodeDecodeError, ValueError):
+    except (ValueError, RecursionError):  # not UTF-8 JSON, or nested too deep
         canonical = repr(body)
     return f"{method} {path} {canonical}"
 

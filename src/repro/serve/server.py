@@ -79,20 +79,27 @@ import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from math import inf
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.routing import RoutingPolicy
 from repro.core.session import ReadOnlyNetworkSession
 from repro.exceptions import ConfigurationError, ReproError, ServeError
-from repro.fuzzy.background import BackgroundKnowledge
 from repro.obs import Observability
 from repro.serve import wire
 from repro.serve.transport import MalformedHeader, read_head
 
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.fuzzy.background import BackgroundKnowledge
+
 #: Largest request body the daemon accepts (a query batch of thousands of
 #: encoded queries fits comfortably; anything bigger is a client bug).
 MAX_REQUEST_BYTES = 8 * 1024 * 1024
+
+#: Most planned queries one request may pose (its ``count``): a bigger batch is
+#: a client bug, refused before anything is allocated for it.
+MAX_BATCH_QUERIES = 10_000
 
 #: Seconds a connection may sit idle between requests (or stall inside one)
 #: before the daemon closes it and its handler thread ends.
@@ -357,17 +364,19 @@ class SummaryQueryServer(KeepAliveHTTPServer):
         self._stop_thread.start()
 
 
-_JSON_KINDS = {int: "non-negative integer", bool: "boolean", str: "string"}
+_JSON_KINDS = {int: "non-negative integer", bool: "boolean", str: "string", list: "list"}
 
 
-def _field(payload: Dict[str, Any], name: str, kind: type) -> Any:
+def _field(payload: Dict[str, Any], name: str, kind: type, most: float = inf) -> Any:
     """``payload[name]`` (absent or ``null``: ``None``), never coerced: any
-    other JSON type than ``kind`` is a :class:`ServeError`, i.e. a 400."""
+    other JSON type than ``kind``, or an int past ``most``, is a
+    :class:`ServeError`, i.e. a 400."""
     value = payload.get(name)
     if value is None:
         return None
-    if type(value) is not kind or (kind is int and value < 0):
-        raise ServeError(f"{name!r} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
+    if type(value) is not kind or (kind is int and not 0 <= value <= most):
+        bound = "" if most == inf else f" up to {most}"
+        raise ServeError(f"{name!r} must be a JSON {_JSON_KINDS[kind]}{bound}, got {value!r}")
     return value
 
 
@@ -386,7 +395,7 @@ class _RequestHandler(KeepAliveHandler):
             return {}
         try:
             payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON or int
             raise ServeError(f"request body is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ServeError("request body must be a JSON object")
@@ -579,16 +588,16 @@ class _RequestHandler(KeepAliveHandler):
         payload = self._read_body()
         session = self.server.session
         options = self._query_options(payload)
-        queries: Optional[List[Any]] = None
-        if payload.get("queries") is not None:
-            queries = [wire.decode_query(q) for q in payload["queries"]]
+        queries = _field(payload, "queries", list)
+        if queries is not None:
+            queries = [wire.decode_query(q) for q in queries]
         originators = payload.get("originators") or None
         if originators is not None and not (
             type(originators) is list and all(type(p) is str for p in originators)
         ):
             raise ServeError("'originators' must be a JSON list of strings")
         answers = session.query_batch(
-            count=_field(payload, "count", int),
+            count=_field(payload, "count", int, MAX_BATCH_QUERIES),
             queries=queries,
             originators=originators,
             **options,
@@ -599,7 +608,7 @@ class _RequestHandler(KeepAliveHandler):
     def _handle_staleness(self) -> Tuple[int, Dict[str, Any]]:
         payload = self._read_body()
         session = self.server.session
-        count = _field(payload, "count", int)
+        count = _field(payload, "count", int, MAX_BATCH_QUERIES)
         if count is not None:
             snapshots = session.staleness_batch(count)
             self.server.record_request("staleness")

@@ -29,7 +29,7 @@ it stands for, never an alias, so every decoded set is its own object.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Set
+from typing import TYPE_CHECKING, Any, Dict, List, Set
 
 from repro.core.protocol import StalenessSnapshot
 from repro.core.routing import (
@@ -38,10 +38,11 @@ from repro.core.routing import (
     RoutingPolicy,
 )
 from repro.core.session import DegradationReport, QueryAnswer
-from repro.database.query import SelectionQuery
-from repro.exceptions import ServeError
-from repro.querying.aggregation import AnswerClass, ApproximateAnswer
-from repro.store.checkpoint import _query_from_payload, _query_payload
+from repro.exceptions import ServeError, StoreError
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.database.query import SelectionQuery
+    from repro.querying.aggregation import AnswerClass, ApproximateAnswer
 
 
 # -- queries ----------------------------------------------------------------------
@@ -49,14 +50,22 @@ from repro.store.checkpoint import _query_from_payload, _query_payload
 
 def encode_query(query: SelectionQuery) -> Dict[str, Any]:
     """A :class:`SelectionQuery` as a JSON-able payload (checkpoint shape)."""
-    return _query_payload(query)
+    from repro.database.query import query_payload
+
+    return query_payload(query)
 
 
 def decode_query(payload: Dict[str, Any]) -> SelectionQuery:
+    from repro.database.query import query_from_payload
+
     try:
-        return _query_from_payload(payload)
-    except (KeyError, TypeError, ValueError) as exc:
+        query = query_from_payload(payload)
+    except (KeyError, TypeError, ValueError, StoreError) as exc:
         raise ServeError(f"malformed query payload: {exc}") from exc
+    names = [query.relation, *query.select, *query.constrained_attributes]
+    if any(type(name) is not str for name in names):
+        raise ServeError("malformed query payload: every name must be a JSON string")
+    return query
 
 
 # -- routing ----------------------------------------------------------------------
@@ -192,19 +201,6 @@ def _encode_answer_class(answer_class: AnswerClass) -> Dict[str, Any]:
     }
 
 
-def _decode_answer_class(payload: Dict[str, Any]) -> AnswerClass:
-    return AnswerClass(
-        interpretation=tuple(
-            (attribute, frozenset(labels))
-            for attribute, labels in payload["interpretation"]
-        ),
-        output={
-            attribute: frozenset(labels) for attribute, labels in payload["output"]
-        },
-        tuple_count=float(payload["tuple_count"]),
-    )
-
-
 def encode_approximate(answer: ApproximateAnswer) -> Dict[str, Any]:
     return {
         "classes": [_encode_answer_class(c) for c in answer.classes],
@@ -213,8 +209,22 @@ def encode_approximate(answer: ApproximateAnswer) -> Dict[str, Any]:
 
 
 def decode_approximate(payload: Dict[str, Any]) -> ApproximateAnswer:
+    from repro.querying.aggregation import AnswerClass, ApproximateAnswer
+
     return ApproximateAnswer(
-        classes=[_decode_answer_class(c) for c in payload["classes"]],
+        classes=[
+            AnswerClass(
+                interpretation=tuple(
+                    (attribute, frozenset(labels))
+                    for attribute, labels in c["interpretation"]
+                ),
+                output={
+                    attribute: frozenset(labels) for attribute, labels in c["output"]
+                },
+                tuple_count=float(c["tuple_count"]),
+            )
+            for c in payload["classes"]
+        ],
         select=tuple(payload["select"]),
     )
 

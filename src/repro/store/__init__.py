@@ -33,35 +33,25 @@ The high-level entry points live on the session façade:
 ``NetworkSession.checkpoint(target, base=...)``,
 ``SystemBuilder.from_checkpoint(target)``,
 ``NetworkSession.attach_store(target)`` / ``cold_start_domain(sp_id)``.
+Each name loads on first use: ``import repro.store`` imports none of its modules.
 """
 
-from repro.store.backend import (
-    InMemoryBackend,
-    JsonDirectoryBackend,
-    SqliteBackend,
-    StoreBackend,
-    open_store,
-)
-from repro.store.checkpoint import (
-    CHECKPOINT_KIND,
-    DEFAULT_CHECKPOINT_NAME,
-    checkpoint_base_chain,
-    compact_checkpoint,
-    compact_checkpoints,
-    list_checkpoints,
-    open_readonly_session,
-    restore_session,
-    save_session,
-)
-from repro.store.deltas import apply_patch, diff_documents
-from repro.store.gc import GcReport, collect_garbage, snapshot_refcounts
-from repro.store.lazy import HierarchySource
-from repro.store.snapshots import (
-    DOMAIN_HEAD_KIND,
-    SNAPSHOT_KIND,
-    DomainHeadArchive,
-    SnapshotStore,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "backend": (
+        "InMemoryBackend JsonDirectoryBackend SqliteBackend StoreBackend open_store"
+    ),
+    "checkpoint": (
+        "CHECKPOINT_KIND DEFAULT_CHECKPOINT_NAME checkpoint_base_chain"
+        " compact_checkpoint compact_checkpoints list_checkpoints open_readonly_session"
+        " restore_session save_session"
+    ),
+    "deltas": "apply_patch diff_documents",
+    "gc": "GcReport collect_garbage snapshot_refcounts",
+    "lazy": "HierarchySource",
+    "snapshots": "DOMAIN_HEAD_KIND SNAPSHOT_KIND DomainHeadArchive SnapshotStore",
+})
 
 __all__ = [
     "StoreBackend",

@@ -56,8 +56,9 @@ Determinism notes
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import random
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.config import ProtocolConfig
 from repro.core.content import PlannedContentModel, SummaryContentModel
@@ -65,33 +66,22 @@ from repro.core.cooperation import CooperationList
 from repro.core.domain import Domain
 from repro.core.freshness import Freshness, FreshnessMode
 from repro.core.protocol import SummaryManagementSystem
-from repro.core.service import LocalSummaryService
-from repro.database.engine import LocalDatabase
-from repro.database.query import (
-    AttributeIn,
-    Comparison,
-    DescriptorPredicate,
-    Predicate,
-    SelectionQuery,
-)
-from repro.database.schema import Attribute, AttributeType, Schema
 from repro.exceptions import StoreError
-from repro.fuzzy.background import BackgroundKnowledge
-from repro.fuzzy.linguistic import Descriptor
-from repro.network.faults import FaultInjector
 from repro.network.metrics import MessageCounter
 from repro.network.overlay import Overlay
 from repro.network.peer import PeerRole
-from repro.saintetiq.clustering import ClusteringParameters
-from repro.saintetiq.hierarchy import SummaryHierarchy
 from repro.store.backend import StoreBackend, open_store, owns_backend
 from repro.store.deltas import apply_patch, diff_documents
 from repro.store.lazy import HierarchySource, StoredSnapshot
 from repro.store.snapshots import SnapshotStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.service import LocalSummaryService
     from repro.core.session import NetworkSession, ReadOnlyNetworkSession
+    from repro.database.engine import LocalDatabase
+    from repro.fuzzy.background import BackgroundKnowledge
     from repro.runtime import RuntimeSpec
+    from repro.saintetiq.hierarchy import SummaryHierarchy
 
 #: The namespace checkpoints are filed under in any backend.
 CHECKPOINT_KIND = "checkpoint"
@@ -99,6 +89,10 @@ CHECKPOINT_KIND = "checkpoint"
 DEFAULT_CHECKPOINT_NAME = "session"
 
 _CHECKPOINT_FORMAT = 1
+
+#: What a real query reaches past the system (which binds reformulation itself):
+#: a real-content restore imports it, so that no answer imports a module.
+_REAL_QUERY_MODULES = ("repro.saintetiq.serialization", "repro.querying.engine")
 
 
 # -- small codec helpers ----------------------------------------------------------
@@ -202,7 +196,7 @@ def _config_from_payload(payload: Dict[str, Any]) -> ProtocolConfig:
 
 #: What a checkpoint files a summary from: the live hierarchy, or the stored
 #: text a restored summary that was never touched is still pending on.
-_Filed = Union[SummaryHierarchy, StoredSnapshot]
+_Filed = Union["SummaryHierarchy", StoredSnapshot]
 
 
 def _untouched(owner: Union[Domain, LocalSummaryService]) -> Optional[StoredSnapshot]:
@@ -260,60 +254,6 @@ def _domain_from_payload(
     return domain
 
 
-# -- queries ----------------------------------------------------------------------
-
-
-def _predicate_payload(predicate: Predicate) -> Dict[str, Any]:
-    if isinstance(predicate, Comparison):
-        return {"type": "comparison", "attr": predicate.attr, "op": predicate.op,
-                "value": predicate.value}
-    if isinstance(predicate, AttributeIn):
-        return {
-            "type": "in",
-            "attr": predicate.attr,
-            "values": sorted(predicate.values, key=repr),
-        }
-    if isinstance(predicate, DescriptorPredicate):
-        return {
-            "type": "descriptor",
-            "attr": predicate.attr,
-            "descriptors": [[d.attribute, d.label] for d in predicate.descriptors],
-            "alpha_cut": predicate.alpha_cut,
-        }
-    raise StoreError(f"cannot checkpoint predicate type {type(predicate).__name__}")
-
-
-def _predicate_from_payload(payload: Dict[str, Any]) -> Predicate:
-    kind = payload["type"]
-    if kind == "comparison":
-        return Comparison(payload["attr"], payload["op"], payload["value"])
-    if kind == "in":
-        return AttributeIn(payload["attr"], payload["values"])
-    if kind == "descriptor":
-        return DescriptorPredicate(
-            payload["attr"],
-            [Descriptor(attribute, label) for attribute, label in payload["descriptors"]],
-            alpha_cut=float(payload["alpha_cut"]),
-        )
-    raise StoreError(f"unknown checkpointed predicate type {kind!r}")
-
-
-def _query_payload(query: SelectionQuery) -> Dict[str, Any]:
-    return {
-        "relation": query.relation,
-        "predicates": [_predicate_payload(p) for p in query.predicates],
-        "select": list(query.select),
-    }
-
-
-def _query_from_payload(payload: Dict[str, Any]) -> SelectionQuery:
-    return SelectionQuery(
-        payload["relation"],
-        [_predicate_from_payload(p) for p in payload["predicates"]],
-        payload["select"],
-    )
-
-
 # -- databases and services (real content) ----------------------------------------
 
 
@@ -331,23 +271,31 @@ def _database_payload(database: LocalDatabase) -> Dict[str, Any]:
                 "version": relation.version,
             }
         )
-    return {"relations": relations}
+    payload: Dict[str, Any] = {"relations": relations}
+    if database._retired:  # noqa: SLF001 - absent while nothing was dropped
+        payload["retired"] = database._retired  # noqa: SLF001
+    return payload
 
 
-def _database_from_payload(
-    payload: Dict[str, Any], background: Optional[BackgroundKnowledge]
-) -> LocalDatabase:
-    database = LocalDatabase(background=background)
-    for spec in payload["relations"]:
-        schema = Schema(
-            [
-                Attribute(name, AttributeType(type_value), nullable)
-                for name, type_value, nullable in spec["schema"]
-            ]
-        )
-        relation = database.create_relation(spec["name"], schema, spec["records"])
-        relation._version = int(spec["version"])  # noqa: SLF001 - exact restore
-    return database
+def _databases_from_payload(
+    payload: List[Any], background: Optional[BackgroundKnowledge]
+) -> Iterator[Tuple[str, LocalDatabase]]:
+    from repro.database.engine import LocalDatabase
+    from repro.database.schema import Attribute, AttributeType, Schema
+
+    for peer_id, state in payload:
+        database = LocalDatabase(background=background)
+        database._retired = int(state.get("retired", 0))  # noqa: SLF001
+        for spec in state["relations"]:
+            schema = Schema(
+                [
+                    Attribute(name, AttributeType(type_value), nullable)
+                    for name, type_value, nullable in spec["schema"]
+                ]
+            )
+            relation = database.create_relation(spec["name"], schema, spec["records"])
+            relation._version = int(spec["version"])  # noqa: SLF001 - exact restore
+        yield peer_id, database
 
 
 def _service_payload(
@@ -457,8 +405,10 @@ def capture_session(
             [peer_id, _service_payload(service, stage)]
             for peer_id, service in system.services.items()
         ]
+        from repro.database.query import query_payload
+
         payload["queries"] = [
-            [query_id, _query_payload(query)]
+            [query_id, query_payload(query)]
             for query_id, query in system._queries.items()  # noqa: SLF001
         ]
     return payload, snapshots
@@ -878,8 +828,13 @@ def _restore_session(
                 "restoring it needs the common background knowledge "
                 "(pass background=...)"
             )
-        for peer_id, database_payload in payload["databases"]:
-            database = _database_from_payload(database_payload, background)
+        from repro.core.service import LocalSummaryService
+        from repro.database.query import query_from_payload
+        from repro.fuzzy.linguistic import Descriptor
+
+        for module in _REAL_QUERY_MODULES:
+            importlib.import_module(module)
+        for peer_id, database in _databases_from_payload(payload["databases"], background):
             system._databases[peer_id] = database  # noqa: SLF001
             overlay.peer(peer_id).attach_database(database)
         for peer_id, service_payload in payload["services"]:
@@ -900,7 +855,7 @@ def _restore_session(
             )
             system._services[peer_id] = service  # noqa: SLF001
         for query_id, query_payload in payload.get("queries", []):
-            system._queries[int(query_id)] = _query_from_payload(  # noqa: SLF001
+            system._queries[int(query_id)] = query_from_payload(  # noqa: SLF001
                 query_payload
             )
         system._content = SummaryContentModel(  # noqa: SLF001
@@ -908,6 +863,8 @@ def _restore_session(
         )
     system._query_counter = int(payload["query_counter"])  # noqa: SLF001
     if payload.get("faults") is not None:
+        from repro.network.faults import FaultInjector
+
         system.attach_fault_state(FaultInjector.from_state(payload["faults"]))
 
     # Domains, assignment and described sets (insertion order preserved).

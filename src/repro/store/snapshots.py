@@ -14,12 +14,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import StoreError
-from repro.fuzzy.background import BackgroundKnowledge
-from repro.saintetiq.hierarchy import SummaryHierarchy
-from repro.saintetiq.serialization import content_hash, hierarchy_from_dict
 from repro.store.backend import StoreBackend, open_store, parse_document
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.fuzzy.background import BackgroundKnowledge
+    from repro.saintetiq.hierarchy import SummaryHierarchy
     from repro.store.lazy import StoredSnapshot
 
 #: The namespace snapshots are filed under in any backend.
@@ -37,6 +36,8 @@ def decode_snapshot(
     Text that is not JSON raises the backend's "corrupt stored object"
     :class:`StoreError`, naming the digest.
     """
+    from repro.saintetiq.serialization import hierarchy_from_dict
+
     return hierarchy_from_dict(
         parse_document(SNAPSHOT_KIND, digest, encoded), background
     )
@@ -131,6 +132,8 @@ class SnapshotStore:
 
     def verify(self, digest: str) -> None:
         """Check that the stored payload still hashes to its address."""
+        from repro.saintetiq.serialization import content_hash
+
         actual = content_hash(self._backend.get(SNAPSHOT_KIND, digest))
         if actual != digest:
             raise StoreError(

@@ -8,12 +8,18 @@
   (network sizes, query rates, churn model, α sweep),
 * :mod:`repro.workloads.registry` — the named-scenario registry the drivers,
   examples and CLI build their sessions from.
+
+Each name loads on first use: ``import repro.workloads`` imports none of its modules.
 """
 
-from repro.workloads.patients import MedicalWorkload, build_peer_databases
-from repro.workloads.queries import QueryWorkload, paper_example_query
-from repro.workloads.registry import ScenarioRegistry, default_registry
-from repro.workloads.scenarios import SimulationScenario, table3_parameters
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "patients": "MedicalWorkload build_peer_databases",
+    "queries": "QueryWorkload paper_example_query",
+    "registry": "ScenarioRegistry default_registry",
+    "scenarios": "SimulationScenario table3_parameters",
+})
 
 __all__ = [
     "MedicalWorkload",

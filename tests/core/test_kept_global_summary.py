@@ -9,7 +9,7 @@ leaves the summary a from-empty merge would build.
 
 import pytest
 
-import repro.core.domain as domain_module
+import repro.saintetiq.merging as merging_module
 from repro.core.config import ProtocolConfig
 from repro.core.session import SystemBuilder
 from repro.fuzzy.vocabularies import medical_background_knowledge
@@ -34,7 +34,7 @@ def merges(monkeypatch):
         owners.append(owner)
         return merge_hierarchies(hierarchies, owner=owner)
 
-    monkeypatch.setattr(domain_module, "merge_hierarchies", counting)
+    monkeypatch.setattr(merging_module, "merge_hierarchies", counting)
     return owners
 
 

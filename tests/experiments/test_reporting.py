@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments.reporting import ExperimentTable
+from repro.reporting import ExperimentTable
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import repro.core.domain as domain_module
+import repro.saintetiq.merging as merging_module
 from repro.core.config import ProtocolConfig
 from repro.core.domain import Domain
 from repro.core.session import SystemBuilder
@@ -215,7 +215,7 @@ def _run_counting_merges(monkeypatch):
         merged.append(owner)
         return merge_hierarchies(hierarchies, owner=owner)
 
-    monkeypatch.setattr(domain_module, "merge_hierarchies", counting)
+    monkeypatch.setattr(merging_module, "merge_hierarchies", counting)
     session = _session(1, churn=False)
     at_build = len(merged)
     session.run_until(HORIZON)

@@ -29,6 +29,7 @@ from repro.store.checkpoint import (
     _overlay_from_payload,
     _overlay_payload,
     list_checkpoints,
+    resolve_checkpoint_payload,
 )
 from repro.workloads.patients import MedicalWorkload, build_peer_databases
 from repro.workloads.queries import paper_example_query
@@ -262,6 +263,27 @@ class TestRealContent:
         assert restored_database.version() == database.version()
         restored_database.insert("visit", {"id": "v2", "age": 40, "disease": "influenza"})
         assert restored.system.services[peer_id].refresh_incremental() > 0
+
+    def test_a_drop_before_the_checkpoint_keeps_the_restored_version(
+        self, backend, real_session_factory
+    ):
+        """What a dropped relation retired is checkpointed, only when non-zero."""
+        background, live = real_session_factory()
+        peer_id = sorted(live.system.databases)[0]
+        database = live.system.databases[peer_id]
+        database.create_relation("visit", patient_schema())
+        database.insert("visit", {"id": "v1", "age": 30, "disease": "malaria"})
+        database.drop_relation("visit")
+        live.checkpoint(backend, name="dropped")
+
+        restored = SystemBuilder.from_checkpoint(
+            backend, name="dropped", background=background
+        )
+        assert restored.system.databases[peer_id].version() == database.version()
+        payload = resolve_checkpoint_payload(backend, "dropped")
+        assert [peer for peer, state in payload["databases"] if "retired" in state] == [
+            peer_id
+        ]
 
     def test_real_restore_requires_background(self, backend, real_session_factory):
         _background, live = real_session_factory()

@@ -11,7 +11,7 @@ their stored text without decoding it.
 
 import pytest
 
-import repro.store.snapshots as snapshots_module
+import repro.saintetiq.serialization as serialization_module
 from repro.core.config import ProtocolConfig
 from repro.core.session import SystemBuilder
 from repro.exceptions import StoreError
@@ -60,14 +60,14 @@ def checkpointed(backend):
 def decodes(monkeypatch):
     """Digests decoded so far: every decode of stored text goes through here."""
     decoded = []
-    hierarchy_from_dict = snapshots_module.hierarchy_from_dict
+    hierarchy_from_dict = serialization_module.hierarchy_from_dict
 
     def counting(payload, background):
         hierarchy = hierarchy_from_dict(payload, background)
         decoded.append(hierarchy.owner)
         return hierarchy
 
-    monkeypatch.setattr(snapshots_module, "hierarchy_from_dict", counting)
+    monkeypatch.setattr(serialization_module, "hierarchy_from_dict", counting)
     return decoded
 
 

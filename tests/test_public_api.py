@@ -1,10 +1,44 @@
 """Tests of the top-level public API surface."""
 
 import importlib
+import json
+import subprocess
+import sys
 
 import pytest
 
 import repro
+
+#: Every package whose ``__init__`` resolves its names on first access.
+LAZY_PACKAGES = (
+    "repro",
+    "repro.core",
+    "repro.serve",
+    "repro.network",
+    "repro.store",
+    "repro.saintetiq",
+    "repro.fuzzy",
+    "repro.database",
+    "repro.querying",
+    "repro.workloads",
+    "repro.runtime",
+)
+
+
+def _fresh(script, *argv):
+    """Run ``script`` in a new interpreter and return the JSON it prints.
+
+    A name an earlier import in this test session bound on a package would
+    mask a missing table entry; a fresh process starts with none bound.
+    """
+    completed = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(completed.stdout)
 
 
 class TestPublicSurface:
@@ -146,3 +180,74 @@ class TestSessionSurface:
         assert isinstance(registry, repro.ScenarioRegistry)
         session = registry.session("smoke", seed=3)
         assert isinstance(session, repro.NetworkSession)
+
+
+RESOLVE = """
+import importlib, json, sys
+package = importlib.import_module(sys.argv[1])
+loaded = sorted(m for m in sys.modules if m.startswith(sys.argv[1] + "."))
+defined_here = set(vars(package))
+wrong = []
+for name in package.__all__:
+    value = getattr(package, name)
+    holders = [
+        module_name
+        for module_name, module in list(sys.modules.items())
+        if module_name.startswith("repro.") and module is not package
+        and vars(module).get(name) is value
+    ]
+    if name not in defined_here and not holders:
+        wrong.append(name)
+print(json.dumps({"loaded": loaded, "wrong": wrong, "dir": dir(package),
+                  "all": list(package.__all__)}))
+"""
+
+STAR = """
+import json
+before = set(globals())
+from repro import *
+import repro
+print(json.dumps({"bound": sorted(set(globals()) - before - {"before"}),
+                  "all": sorted(repro.__all__)}))
+"""
+
+UNKNOWN = """
+import json, sys, importlib
+package = importlib.import_module(sys.argv[1])
+try:
+    getattr(package, "no_such_name")
+except AttributeError as error:
+    print(json.dumps(str(error)))
+"""
+
+
+class TestLazyExports:
+    """PEP 562 packages keep the surface their eager ``__init__`` modules had."""
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_every_name_is_the_object_its_defining_module_holds(self, package):
+        report = _fresh(RESOLVE, package)
+        assert report["loaded"] == (["repro._lazy"] if package == "repro" else [])
+        assert report["wrong"] == []
+        assert set(report["all"]) <= set(report["dir"])
+
+    def test_a_star_import_binds_every_exported_name(self):
+        report = _fresh(STAR)
+        assert len(report["all"]) == 114
+        assert set(report["all"]) <= set(report["bound"])
+
+    @pytest.mark.parametrize("package", ["repro", "repro.core", "repro.runtime"])
+    def test_an_unknown_name_raises_attribute_error_naming_the_module(self, package):
+        message = _fresh(UNKNOWN, package)
+        assert message == f"module {package!r} has no attribute 'no_such_name'"
+
+    def test_a_submodule_is_reachable_as_a_package_attribute(self):
+        names = _fresh(
+            "import json, repro; print(json.dumps([repro.core.session.__name__,"
+            " repro.store.checkpoint.__name__, repro.serve.wire.__name__]))"
+        )
+        assert names == [
+            "repro.core.session",
+            "repro.store.checkpoint",
+            "repro.serve.wire",
+        ]
