@@ -68,9 +68,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from repro.reporting import ExperimentTable
 
-DEFAULT_SIZES = [16, 100, 500]
-DEFAULT_ALPHAS = [0.1, 0.3, 0.8]
-
 
 def _parse_list(raw: str, convert: Callable[[str], object], what: str) -> list:
     """An option's comma-separated value; argparse reports what this raises."""
@@ -219,8 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--sizes",
         type=_parse_sizes,
-        default=DEFAULT_SIZES,
-        help="comma-separated domain/network sizes (default: 16,100,500)",
+        help="comma-separated domain/network sizes (defaults: the paper's, "
+        "fig4-fig6 16,100,500,1000,2000,5000, fig7 "
+        "16,100,500,1000,2000,3500,5000)",
     )
     parser.add_argument(
         "--alphas",
@@ -737,7 +735,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "fig4": lambda: [
             run_figure4(
                 domain_sizes=sizes,
-                alphas=alphas or DEFAULT_ALPHAS,
+                alphas=alphas,
                 duration_seconds=duration,
                 seed=args.seed,
             )

@@ -14,15 +14,17 @@ overlay simulation):
 * :mod:`repro.core.maintenance` — push/pull maintenance (freshness pushes and
   ring reconciliation driven by the α threshold),
 * :mod:`repro.core.dynamicity` — peer join / leave / failure and summary-peer
-  departure handling,
+  departure handling, and the churn and fault events that drive them,
 * :mod:`repro.core.routing` — summary-based query routing: peer localization
   inside a domain and TTL-bounded inter-domain flooding,
+* :mod:`repro.core.staleness` — the stale-answer and false-negative
+  measurement of Figures 4 and 5,
 * :mod:`repro.core.approximate` — approximate answering in the summary domain,
 * :mod:`repro.core.service` — the per-peer local summary service,
 * :mod:`repro.core.content` — content models (real summaries or planned
   relevance) used by the experiments,
 * :mod:`repro.core.protocol` — the end-to-end protocol engine driving a whole
-  simulated network,
+  simulated network (its behaviour lives in the section modules above),
 * :mod:`repro.core.session` — the declarative façade over all of the above:
   :class:`SystemBuilder` assembles a validated network, :class:`NetworkSession`
   runs it and answers queries with typed :class:`QueryAnswer` values.

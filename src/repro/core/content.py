@@ -23,7 +23,7 @@ import copy
 import random
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Set
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.database.query import SelectionQuery
@@ -61,6 +61,15 @@ class ContentModel(abc.ABC):
 
     def register_query(self, query_id: int, query: SelectionQuery) -> None:
         """Remember a posed real query (a no-op for models that evaluate none)."""
+
+    def match_changed(
+        self, query_id: int, peer_id: str, modification_probability: float
+    ) -> bool:
+        """Did stale partner ``peer_id``'s match for the query change since its
+        last reconciliation?  The real case of Figure 5 asks this of every
+        stale partner a global summary designates.  Planned content draws the
+        answer; real content cannot give one yet."""
+        raise ProtocolError("staleness_snapshot requires planned content")
 
     @abc.abstractmethod
     def scratch_copy(self) -> "ContentModel":
@@ -172,9 +181,6 @@ class PlannedContentModel(ContentModel):
         self._matching[query_id] = chosen
         return chosen
 
-    def matching_peers(self, query_id: int) -> Set[str]:
-        return self.plan_query(query_id)
-
     def scratch_copy(self) -> "PlannedContentModel":
         # The peer list and the modified / departed sets are shared: only
         # maintenance writes them, never a query.
@@ -238,6 +244,15 @@ class PlannedContentModel(ContentModel):
 
     def is_departed(self, peer_id: str) -> bool:
         return peer_id in self._departed_peers
+
+    def match_changed(
+        self, query_id: int, peer_id: str, modification_probability: float
+    ) -> bool:
+        # Not read from state: a draw keyed by (query, peer), reproducible
+        # across runs and restores, against the configured probability that
+        # a stale peer's data changed with respect to a query.
+        draw = random.Random(f"{query_id}:{peer_id}").random()
+        return draw < modification_probability
 
     # -- ContentModel API ---------------------------------------------------------------------
 

@@ -17,19 +17,23 @@ not count; :meth:`Domain.merge_global_summary` skips it when no contribution
 moved since the installed summary was merged (the result would be the same
 cell for cell) and merges from empty otherwise.
 
-This module is runtime-agnostic: every method takes the current virtual time
-as an explicit ``now`` argument and never touches a clock, scheduler, or
-:mod:`repro.runtime` backend directly.  Keep it that way — it is what lets
-the same maintenance logic run unchanged under the serial simulator and the
-concurrent backend.
+:class:`MaintenanceEngine` is runtime-agnostic: every method takes the
+current virtual time as an explicit ``now`` argument and never touches a
+clock, scheduler, or :mod:`repro.runtime` backend directly.  Keep it that way
+— it is what lets the same maintenance logic run unchanged under the serial
+simulator and the concurrent backend.  The system's handlers at the end of
+this module decide *when* a push or a reconciliation runs, read the clock,
+and send the push and the ring through the fault layer when one is
+installed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.config import ProtocolConfig
+from repro.core.content import PlannedContentModel
 from repro.core.domain import Domain
 from repro.core.freshness import Freshness
 from repro.exceptions import StoreError
@@ -230,20 +234,7 @@ class MaintenanceEngine:
         domain.cooperation.mark_departed(peer_id, now=now)
         return domain.needs_reconciliation(self._config.freshness_threshold)
 
-    def register_silent_failure(self, domain: Domain, peer_id: str) -> None:
-        """A partner failed without notification: nothing happens immediately.
-
-        Its stale descriptions remain in the global summary until the next
-        reconciliation (Section 4.3); this hook exists so that callers make the
-        non-event explicit and so tests can assert that no message is counted.
-        """
-        # Intentionally no message and no freshness change.
-        _ = (domain, peer_id)
-
     # -- pull phase ---------------------------------------------------------------------------
-
-    def needs_reconciliation(self, domain: Domain) -> bool:
-        return domain.needs_reconciliation(self._config.freshness_threshold)
 
     def reconcile(
         self,
@@ -276,19 +267,7 @@ class MaintenanceEngine:
             will be then omitted" — with nobody left to contribute, a
             materialising reconciliation leaves no global summary at all.
         """
-        partner_ids = list(domain.partner_ids)
-        if available_partners is None:
-            available = [p for p in partner_ids
-                         if domain.cooperation.freshness_of(p) is not Freshness.UNAVAILABLE]
-        else:
-            available = [p for p in partner_ids if p in available_partners]
-        removed = [p for p in partner_ids if p not in available]
-
-        # One reconciliation message circulates: SP -> p1 -> ... -> pk -> SP.
-        if self._config.count_reconciliation_ring_hops:
-            message_count = len(available) + 1 if available else 1
-        else:
-            message_count = 1
+        available, removed, message_count = self._ring(domain, available_partners)
         self._counter.record_type(MessageType.RECONCILIATION, message_count)
         self._stats.reconciliations += 1
 
@@ -344,20 +323,9 @@ class MaintenanceEngine:
         assert self._snapshots is not None and self._archive is not None
         head = self._archive.head(domain.summary_peer_id)
 
-        partner_ids = list(domain.partner_ids)
-        if available_partners is None:
-            available = [
-                p for p in partner_ids
-                if domain.cooperation.freshness_of(p) is not Freshness.UNAVAILABLE
-            ]
-        else:
-            available = [p for p in partner_ids if p in available_partners]
-        # What the full reconciliation this replaces would have charged —
-        # honouring the same ring-hop accounting switch as reconcile().
-        if self._config.count_reconciliation_ring_hops:
-            full_messages = len(available) + 1 if available else 1
-        else:
-            full_messages = 1
+        # ``full_messages``: what the full reconciliation this replaces would
+        # have charged.
+        available, removed, full_messages = self._ring(domain, available_partners)
 
         if head is None or local_summaries is None:
             fallback = self.reconcile(
@@ -386,7 +354,6 @@ class MaintenanceEngine:
         stored_pairs = [(peer_id, digest) for peer_id, digest in head["partners"]]
         stored_partners: Dict[str, str] = dict(stored_pairs)
         changed = set(domain.changed_partners_since(set(stored_partners)))
-        removed = [p for p in partner_ids if p not in available]
         sp_id = domain.summary_peer_id
 
         # Plan the contributions in full-reconciliation order: ``None`` marks
@@ -414,13 +381,9 @@ class MaintenanceEngine:
                     plan.append((sp_id, None, own))
 
         changed_available = [p for p in available if p in changed]
-        if not changed_available:
-            message_count = 0
-        elif self._config.count_reconciliation_ring_hops:
-            message_count = len(changed_available) + 1
-        else:
-            message_count = 1
-        if message_count:
+        message_count = 0
+        if changed_available:
+            message_count = self._ring_messages(len(changed_available))
             self._counter.record_type(MessageType.RECONCILIATION, message_count)
         self._stats.cold_starts += 1
 
@@ -460,28 +423,174 @@ class MaintenanceEngine:
             full_messages=full_messages,
         )
 
-    def maybe_reconcile(
-        self,
-        domain: Domain,
-        local_summaries: Optional[Mapping[str, SummaryHierarchy]] = None,
-        available_partners: Optional[Set[str]] = None,
-        now: float = 0.0,
-    ) -> Optional[ReconciliationRecord]:
-        """Reconcile only when the α condition holds; returns the record if run."""
-        if not self.needs_reconciliation(domain):
-            return None
-        return self.reconcile(
+    def _ring(
+        self, domain: Domain, available_partners: Optional[Set[str]]
+    ) -> Tuple[List[str], List[str], int]:
+        """``(available, removed, ring messages)`` of one reconciliation.
+
+        ``available`` and ``removed`` split the partners in cooperation-list
+        order: those in ``available_partners`` (by default, every partner not
+        marked unavailable) and the rest.
+        """
+        if available_partners is None:
+            freshness_of = domain.cooperation.freshness_of
+            available_partners = {
+                p for p in domain.partner_ids
+                if freshness_of(p) is not Freshness.UNAVAILABLE
+            }
+        available: List[str] = []
+        removed: List[str] = []
+        for peer_id in domain.partner_ids:
+            (available if peer_id in available_partners else removed).append(peer_id)
+        return available, removed, self._ring_messages(len(available))
+
+    def _ring_messages(self, participants: int) -> int:
+        """One message circulates: SP -> p1 -> ... -> pk -> SP (or, with
+        ring hops not counted, one message in all)."""
+        if not self._config.count_reconciliation_ring_hops:
+            return 1
+        return participants + 1 if participants else 1
+
+
+class _PushPull:
+    """Modification, push and reconciliation (Section 4.2) of
+    :class:`SummaryManagementSystem`: when each fires, and what faults do to it."""
+
+    def schedule_modifications(
+        self, duration_seconds: float, rate_per_peer_per_second: float
+    ) -> int:
+        """Schedule local data modification events (Poisson per peer).
+
+        Each event marks the peer's data as modified and, if the resulting
+        drift warrants it, sends a push message to its summary peer.
+        """
+        if rate_per_peer_per_second <= 0:
+            return 0
+        scheduled = 0
+        for peer_id in self._overlay.peer_ids:
+            if peer_id in self._domains:
+                continue
+            at = self._rng.expovariate(rate_per_peer_per_second)
+            while at < duration_seconds:
+                self.schedule_event_from_spec(
+                    {"kind": "modification", "peer_id": peer_id}, at=at
+                )
+                scheduled += 1
+                at += self._rng.expovariate(rate_per_peer_per_second)
+        return scheduled
+
+    def _handle_modification(self, peer_id: str) -> None:
+        if not self._overlay.peer(peer_id).online:
+            return
+        now = self._simulator.now
+        if isinstance(self._content, PlannedContentModel):
+            self._content.mark_modified(peer_id)
+        sp_id = self._assignment.get(peer_id)
+        if sp_id is None or sp_id not in self._domains:
+            return
+        obs = self._obs
+        if obs is None:
+            self._push_modification(peer_id, sp_id, now)
+            return
+        obs.inc("repro_modifications_total")
+        with obs.span("modification", {"peer": peer_id, "summary_peer": sp_id}):
+            self._push_modification(peer_id, sp_id, now)
+
+    def _push_modification(self, peer_id: str, sp_id: str, now: float) -> None:
+        """Deliver one modification's delta push (possibly through faults)."""
+        obs = self._obs
+        delivered, retries = True, 0
+        if self._faults is not None:
+            # The push can fail: retry at once, up to push_max_retries times.
+            # An exhausted budget means the summary peer never learns of the
+            # modification — the description simply stays stale until the
+            # next reconciliation, exactly the degradation the staleness
+            # metrics measure.
+            reached, _missed, retries, lost = self._faults.send(
+                peer_id, [sp_id], self._config.push_max_retries, self._counter, obs,
+                "repro_push_retries_total", retry_partitioned=True,
+            )
+            delivered = bool(reached)
+            if lost:
+                self._counter.record_type(MessageType.PUSH, lost)
+        if obs is not None:
+            obs.observe("repro_push_retries_per_delta", retries)
+            if not delivered:
+                obs.inc("repro_push_failed_total")
+        if delivered and self._maintenance.push_stale(
+            self._domains[sp_id], peer_id, now=now
+        ):
+            self._run_reconciliation(sp_id)
+
+    def _run_reconciliation(self, sp_id: str) -> None:
+        domain = self._domains.get(sp_id)
+        if domain is None:
+            return
+        obs = self._obs
+        if obs is None:
+            self._reconcile_domain(sp_id, domain)
+            return
+        obs.inc("repro_reconciliations_total")
+        with obs.span(
+            "reconciliation",
+            {"summary_peer": sp_id, "partners": len(domain.partner_ids)},
+        ) as span:
+            installed = domain.global_summary
+            self._reconcile_domain(sp_id, domain)
+            # What the round cost locally: a kept summary is the same object.
+            summary = domain.global_summary
+            merged = summary is not None and summary is not installed
+            span.attrs["merged"] = merged
+        obs.inc("repro_reconciliation_merges_total", int(merged))
+
+    def _reconcile_domain(self, sp_id: str, domain: Domain) -> None:
+        # A partner takes part in the reconciliation only if it is reachable
+        # and still belongs to this domain (it may have re-joined elsewhere
+        # since its departure; its stale entry is then dropped here).
+        online = {
+            peer_id
+            for peer_id in domain.partner_ids
+            if self._overlay.peer(peer_id).online
+            and self._assignment.get(peer_id) == sp_id
+        }
+        missed_ring: Dict[str, float] = {}
+        if self._faults is not None:
+            # Partition-separated partners cannot take the ring message; they
+            # are treated as unavailable and their descriptions omitted (the
+            # paper's rule) — the post-heal repair re-joins them.  A ring hop
+            # lost on a lossy link is retried at once; a partner whose hop
+            # never arrives misses this round (it is re-added below as stale —
+            # described by nothing until the next round reaches it).
+            online, missed, _retries, lost = self._faults.send(
+                sp_id, online, self._config.reconciliation_max_retries,
+                self._counter, self._obs, "repro_reconciliation_retries_total",
+            )
+            if lost:
+                self._counter.record_type(MessageType.RECONCILIATION, lost)
+            missed_ring = {peer_id: domain.distance_to(peer_id) for peer_id in missed}
+        local = self.local_summaries() if self._services else None
+        now = self._simulator.now
+        self._maintenance.reconcile(
             domain,
-            local_summaries=local_summaries,
-            available_partners=available_partners,
+            local_summaries=local,
+            available_partners=online,
             now=now,
         )
-
-    # -- reporting ------------------------------------------------------------------------------
-
-    def update_traffic(self) -> Dict[MessageType, int]:
-        """Push + reconciliation traffic recorded so far."""
-        return {
-            MessageType.PUSH: self._counter.count(MessageType.PUSH),
-            MessageType.RECONCILIATION: self._counter.count(MessageType.RECONCILIATION),
-        }
+        self._described[sp_id] = set(domain.partner_ids)
+        planned = isinstance(self._content, PlannedContentModel)
+        if planned:
+            # Only the partners that actually took the ring message had their
+            # modifications incorporated; a partner whose hop was lost keeps
+            # its modified flag (and its stale freshness, re-added below).
+            for peer_id in domain.partner_ids:
+                self._content.clear_modification(peer_id)
+        for peer_id, distance in sorted(missed_ring.items()):
+            # Still online and assigned here — it only missed the ring message.
+            domain.add_partner(
+                peer_id, distance=distance, freshness=Freshness.STALE, now=now
+            )
+        if planned and self._maintenance.store_attached:
+            # Planned runs have no hierarchies to archive, but a metadata
+            # head (the partner roster) is what lets a crashed summary
+            # peer reclaim its domain on rejoin.
+            self._maintenance.record_metadata_head(domain, now=now)

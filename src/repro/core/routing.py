@@ -21,12 +21,19 @@ forwards the request to the other summary peers it knows.
 from __future__ import annotations
 
 import enum
+import itertools
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Collection, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Collection, Dict, Iterable, List, NamedTuple, Optional, Set,
+    Tuple,
+)
 
 from repro.core.content import ContentModel
+from repro.core.cooperation import CooperationList
 from repro.core.domain import Domain
+from repro.exceptions import ProtocolError
+from repro.network.messages import MessageType
 from repro.network.metrics import MessageCounter
 from repro.network.overlay import Overlay
 
@@ -267,43 +274,11 @@ class QueryRouter:
 
         faults = scratch.faults
         if faults is not None:
-            sp_id = domain.summary_peer_id
-            if faults.partitioned:
-                # Partners on the far side of a partition cannot be reached:
-                # deterministic cut, no randomness consumed.
-                cut = {p for p in reachable if not faults.reachable(sp_id, p)}
-                if cut:
-                    reachable -= cut
-                    scratch.counter.record_dropped("partitioned", len(cut))
-                    if obs is not None:
-                        obs.inc(
-                            "repro_fault_dropped_total", len(cut), reason="partitioned"
-                        )
-            if faults.lossy and reachable:
-                lost: Set[str] = set()
-                retransmissions = 0
-                dropped = 0
-                for peer_id in sorted(reachable):
-                    delivered, retries = faults.attempt_delivery(
-                        sp_id, peer_id, max_retries
-                    )
-                    retransmissions += retries
-                    dropped += retries + (0 if delivered else 1)
-                    if not delivered:
-                        lost.add(peer_id)
-                if retransmissions:
-                    # Each retry is one more QUERY on the wire.
-                    scratch.counter.record_retry(retransmissions)
-                    messages += retransmissions
-                    if obs is not None:
-                        obs.inc("repro_query_retries_total", retransmissions)
-                if dropped:
-                    scratch.counter.record_dropped("link loss", dropped)
-                    if obs is not None:
-                        obs.inc(
-                            "repro_fault_dropped_total", dropped, reason="link loss"
-                        )
-                reachable -= lost
+            reachable, _missed, retries, _lost = faults.send(
+                domain.summary_peer_id, reachable, max_retries, scratch.counter, obs,
+                "repro_query_retries_total",
+            )
+            messages += retries  # each retry is one more QUERY on the wire
 
         # One response message per matching peer.
         responding = content.matching_among(query_id, reachable)
@@ -387,3 +362,274 @@ class QueryRouter:
         own = sp_id in known_summary_peers
         flood_messages += min(len(known_summary_peers) - own, max(0, target_domains))
         return len(initiators), flood_messages
+
+
+class _DomainSets(NamedTuple):
+    """The routing sets of one domain that depend on more than its cooperation list.
+
+    They are functions of checkpoint state — the cooperation list, the
+    described set and the peers' online flags — derived on first use and kept
+    until one of the stamps recorded beside them moves.  Internal: routing
+    only reads them and never hands them out.
+    """
+
+    cooperation: CooperationList
+    #: The ``_described`` value ``scope`` was derived from (None: no entry).
+    described: Optional[Set[str]]
+    #: ``(cooperation.membership_version, overlay.version)`` at derivation.
+    versions: Tuple[int, int]
+    #: ``partners ∩ described``: whom the global summary can designate.
+    scope: Set[str]
+    #: ``partners ∩ online``: who could have answered.
+    online_partners: Set[str]
+
+
+class _QueryProcessing:
+    """Query processing (Section 5) of :class:`SummaryManagementSystem`."""
+
+    def query_scratch(self) -> QueryScratch:
+        """Throwaway copies, at their current values, of all a query may advance.
+
+        Answering against the returned value — once or a whole batch — leaves
+        this system exactly as it was; the ids, draws and tallies the queries
+        would have left behind are on the scratch.
+        """
+        own = self._own_unless(None)
+        return QueryScratch(
+            itertools.count(self._query_counter).__next__,
+            own.content.scratch_copy(),
+            None if own.faults is None else own.faults.scratch_copy(),
+        )
+
+    def _own_unless(self, scratch: Optional[QueryScratch]) -> QueryScratch:
+        """``scratch``, or this system's own members: the query then advances
+        the system itself (simulator semantics)."""
+        if scratch is not None:
+            return scratch
+        if self._content is None:
+            raise ProtocolError(
+                "configure content first (attach_databases or use_planned_content)"
+            )
+        return QueryScratch(
+            self.next_query_id, self._content, self._faults, self._counter
+        )
+
+    def register_query(
+        self, query: SelectionQuery, scratch: QueryScratch
+    ) -> Tuple[int, Optional[Proposition]]:
+        """Register a real query: returns its id and its proposition (if flexible)."""
+        query_id = scratch.next_query_id()
+        proposition: Optional[Proposition] = None
+        if self._background is not None:
+            query, proposition = self._flexible_form(query, self._background)
+        scratch.content.register_query(query_id, query)
+        return query_id, proposition
+
+    def next_query_id(self) -> int:
+        """Allocate an id for a planned (content-free) query."""
+        query_id = self._query_counter
+        self._query_counter += 1
+        return query_id
+
+    def pose_query(
+        self,
+        originator: str,
+        query: Optional[SelectionQuery] = None,
+        query_id: Optional[int] = None,
+        policy: RoutingPolicy = RoutingPolicy.ALL,
+        required_results: Optional[int] = None,
+        max_domains: Optional[int] = None,
+        scratch: Optional[QueryScratch] = None,
+    ) -> QueryRoutingResult:
+        """Pose a query at ``originator`` and route it with the SQ algorithm.
+
+        With real content, pass ``query``; with planned content, omit it (an
+        id is allocated and the matching peers are drawn by the plan).
+        ``required_results`` is the ``C_t`` of the cost model: when one domain
+        does not provide enough results, the routing extends to further
+        domains through inter-domain flooding.
+
+        Everything the query advances — the next id, plan draws or the query
+        registry, fault draws and stats, the message tally — is advanced on
+        ``scratch`` (see :meth:`query_scratch`); without one, on the system
+        itself.
+        """
+        scratch = self._own_unless(scratch)
+        if query is not None and query_id is not None:
+            raise ProtocolError(
+                "pose_query accepts either query or query_id, not both: a real "
+                "query is assigned a fresh id when it is registered"
+            )
+        proposition: Optional[Proposition] = None
+        if query is not None:
+            query_id, proposition = self.register_query(query, scratch)
+        elif query_id is None:
+            query_id = scratch.next_query_id()
+
+        route = (
+            scratch, originator, query_id, proposition, policy, required_results,
+            max_domains,
+        )
+        obs = self._obs
+        if obs is None:
+            return self._route_query(*route)
+        obs.inc("repro_queries_total")
+        with obs.span("query", {"query_id": query_id, "originator": originator}) as span:
+            result = self._route_query(*route)
+            span.attrs.update(
+                domains_visited=result.domains_visited,
+                messages=result.total_messages,
+                results=result.results,
+            )
+        obs.observe("repro_query_domains_visited", result.domains_visited)
+        obs.inc("repro_query_messages_total", result.total_messages)
+        # Per-domain routing metrics come from the outcomes here, once per
+        # query and one registry round-trip per batch, so the router's inner
+        # loop stays free of registry traffic.
+        if result.domain_outcomes:
+            obs.inc("repro_routing_domains_total", len(result.domain_outcomes))
+            obs.metrics.observe_many(
+                "repro_routing_messages_per_domain",
+                [outcome.messages for outcome in result.domain_outcomes],
+            )
+        if result.flooding_messages:
+            obs.inc("repro_query_flooding_messages_total", result.flooding_messages)
+        if result.unreachable_domains:
+            obs.inc(
+                "repro_query_unreachable_probes_total", len(result.unreachable_domains)
+            )
+        return result
+
+    def _route_query(
+        self,
+        scratch: QueryScratch,
+        originator: str,
+        query_id: int,
+        proposition: Optional[Proposition],
+        policy: RoutingPolicy,
+        required_results: Optional[int],
+        max_domains: Optional[int],
+    ) -> QueryRoutingResult:
+        result = QueryRoutingResult(
+            query_id=query_id,
+            originator=originator,
+            policy=policy,
+            required_results=required_results,
+        )
+
+        home_domain = self.domain_of(originator)
+        ordered_domains = self._domain_visit_order(home_domain)
+        if not ordered_domains:
+            return result
+
+        counter = scratch.counter
+        faults = scratch.faults
+        partition_active = faults is not None and faults.partitioned
+        online_ids = self._overlay.online_ids
+        max_retries = self._config.query_max_retries
+        previous_outcome: Optional[DomainQueryOutcome] = None
+        previous: Optional[Domain] = None
+        results_gathered = 0  # running count: avoids re-summing per domain
+        visited = 0  # domains actually reached (equals the index when merged)
+        flood_requests = flood_queries = 0
+        for domain in ordered_domains:
+            if max_domains is not None and visited >= max_domains:
+                break
+            sp_id = domain.summary_peer_id
+            if partition_active and not faults.reachable(originator, sp_id):
+                # The summary peer sits across the partition: the probe (and
+                # its bounded retries) go unanswered, the domain contributes
+                # nothing, and the answer is marked degraded instead of the
+                # query wedging or failing.
+                *_, lost = faults.send(
+                    originator, [sp_id], max_retries, counter, self._obs,
+                    retry_partitioned=True,
+                )
+                result.unreachable_probe_messages += lost
+                result.unreachable_domains.append(sp_id)
+                continue
+            visited += 1
+            if previous is not None and previous_outcome is not None:
+                # Moving past the previous domain requires an inter-domain
+                # flooding round started from it (its responders, the
+                # originator and the summary peer probe further domains).
+                requests, floods = self._router.flooding_messages(
+                    self._overlay,
+                    previous,
+                    previous_outcome.responding_peers,
+                    originator,
+                    self._domains.keys(),
+                    1,
+                )
+                flood_requests += requests
+                flood_queries += floods
+            sets = self._domain_sets(domain)
+            outcome = self._router.outcome_in_domain(
+                query_id,
+                domain,
+                scratch,
+                proposition,
+                policy,
+                sets.scope,
+                sets.online_partners,
+                online_ids,
+                True,
+                max_retries,
+            )
+            result.domain_outcomes.append(outcome)
+            results_gathered += outcome.results
+            previous = domain
+            previous_outcome = outcome
+            if required_results is not None and results_gathered >= required_results:
+                break
+
+        routed = sum(outcome.messages for outcome in result.domain_outcomes)
+        result.flooding_messages = flood_requests + flood_queries
+        result.total_messages = (
+            routed + result.flooding_messages + result.unreachable_probe_messages
+        )
+        # The query's one tally.  A type is recorded — even with a count of
+        # zero — exactly when some step of the loop above sends it, which is
+        # what keeps the counter's payload the one per-message accounting gave.
+        if result.domain_outcomes or result.unreachable_domains:
+            counter.record_type(
+                MessageType.QUERY,
+                routed - results_gathered + result.unreachable_probe_messages,
+            )
+        if result.domain_outcomes:
+            counter.record_type(MessageType.QUERY_RESPONSE, results_gathered)
+        if len(result.domain_outcomes) > 1:
+            counter.record_type(MessageType.FLOOD_REQUEST, flood_requests)
+            counter.record_type(MessageType.FLOOD_QUERY, flood_queries)
+        return result
+
+    def _domain_sets(self, domain: Domain) -> _DomainSets:
+        """``domain``'s derived routing sets, rebuilt only when a stamp moved."""
+        sp_id = domain.summary_peer_id
+        cooperation = domain.cooperation
+        described = self._described.get(sp_id)
+        versions = (cooperation.membership_version, self._overlay.version)
+        sets = self._derived_sets.get(sp_id)
+        if (
+            sets is None
+            or sets.versions != versions
+            or sets.cooperation is not cooperation
+            or sets.described is not described
+        ):
+            partners = cooperation.partner_set
+            sets = self._derived_sets[sp_id] = _DomainSets(
+                cooperation,
+                described,
+                versions,
+                partners if described is None else partners & described,
+                partners & self._overlay.online_ids,
+            )
+        return sets
+
+    def _domain_visit_order(self, home: Optional[Domain]) -> List[Domain]:
+        domains = list(self._domains.values())
+        if home is None:
+            return domains
+        ordered = [home]
+        ordered.extend(domain for domain in domains if domain is not home)
+        return ordered

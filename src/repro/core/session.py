@@ -47,6 +47,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.construction import ConstructionReport
     from repro.database.engine import LocalDatabase
     from repro.database.query import SelectionQuery
     from repro.fuzzy.background import BackgroundKnowledge
@@ -59,16 +60,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.store.lazy import HierarchySource
 
 from repro.core.config import ProtocolConfig
-from repro.core.construction import ConstructionReport
 from repro.core.content import ContentModel, PlannedContentModel
 from repro.core.domain import Domain
-from repro.core.protocol import StalenessSnapshot, SummaryManagementSystem
+from repro.core.protocol import SummaryManagementSystem
 from repro.core.routing import (
     QueryRequest,
     QueryRoutingResult,
     QueryScratch,
     RoutingPolicy,
 )
+from repro.core.staleness import StalenessSnapshot
 from repro.exceptions import ConfigurationError, QueryError, ReadOnlySessionError
 from repro.network.churn import LifetimeDistribution
 from repro.network.messages import MessageType

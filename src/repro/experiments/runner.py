@@ -13,8 +13,9 @@ from typing import Dict, List
 
 from repro.baselines.centralized import CentralizedIndex, centralized_query_cost
 from repro.baselines.flooding import FloodingSearch
-from repro.core.protocol import UPDATE_MESSAGE_TYPES, StalenessSnapshot
+from repro.core.protocol import UPDATE_MESSAGE_TYPES
 from repro.core.routing import QueryRequest, RoutingPolicy
+from repro.core.staleness import StalenessSnapshot
 from repro.costmodel.query_cost import PaperQueryScenario
 from repro.workloads.registry import default_registry
 from repro.workloads.scenarios import (

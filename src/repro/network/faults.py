@@ -35,9 +35,13 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.exceptions import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.network.metrics import MessageCounter
+    from repro.obs import Observability
 
 
 def _require_probability(value: float, name: str) -> None:
@@ -307,10 +311,6 @@ class FaultInjector:
     def lossy(self) -> bool:
         return self.plan.link.drop_probability > 0
 
-    def disrupts_link(self, source: str, destination: str) -> bool:
-        """Whether this link can currently fail (partitioned apart or lossy)."""
-        return self.lossy or not self.reachable(source, destination)
-
     def attempt_delivery(
         self, source: str, destination: str, max_retries: int = 0
     ) -> Tuple[bool, int]:
@@ -320,7 +320,7 @@ class FaultInjector:
         every attempt *without* drawing (the outcome is certain); a clean
         reachable link succeeds immediately without drawing; only a lossy
         reachable link consumes one draw per attempt.  The injector keeps
-        no tally: the caller charges what was sent, lost and retried to the
+        no tally: :meth:`send` charges what was lost and retried to the
         run's :class:`~repro.network.metrics.MessageCounter`, the one count of
         every message.
         """
@@ -333,6 +333,57 @@ class FaultInjector:
             if self.rng.random() >= self.plan.link.drop_probability:
                 return True, attempt
         return False, budget
+
+    def send(
+        self,
+        source: str,
+        destinations: Iterable[str],
+        max_retries: int,
+        counter: "MessageCounter",
+        obs: Optional["Observability"] = None,
+        retry_series: Optional[str] = None,
+        *,
+        retry_partitioned: bool = False,
+    ) -> Tuple[Set[str], Set[str], int, int]:
+        """Send one message from ``source`` to each destination, through faults.
+
+        A destination across the partition is cut at once (one drop, no draw)
+        unless ``retry_partitioned``: a single send that cannot tell the far
+        side is gone retries it to the budget.  The rest go through
+        :meth:`attempt_delivery` in sorted order.  Drops are charged to
+        ``counter`` and ``repro_fault_dropped_total`` by reason, retries to
+        ``counter`` and ``retry_series``; the type of the lost messages is the
+        caller's to charge.  Returns ``(delivered, missed, retries, lost)``:
+        who was reached, who an attempt never reached (cut ones are in
+        neither), the retransmissions and the messages lost in attempts.
+        """
+        pending = set(destinations)
+        dropped = {"partitioned": 0, "link loss": 0}
+        if self._group_of and not retry_partitioned:
+            cut = {p for p in pending if not self.reachable(source, p)}
+            pending -= cut
+            dropped["partitioned"] = len(cut)
+        delivered, retries, lost = pending, 0, 0
+        if pending and (self.lossy or retry_partitioned and self._group_of):
+            delivered = set()
+            for destination in sorted(pending):
+                arrived, used = self.attempt_delivery(source, destination, max_retries)
+                retries += used
+                lost += used + (not arrived)
+                reason = "link loss" if self.reachable(source, destination) else "partitioned"
+                dropped[reason] += used + (not arrived)
+                if arrived:
+                    delivered.add(destination)
+        for reason, count in dropped.items():
+            if count:
+                counter.record_dropped(reason, count)
+                if obs is not None:
+                    obs.inc("repro_fault_dropped_total", count, reason=reason)
+        if retries:
+            counter.record_retry(retries)
+            if obs is not None and retry_series is not None:
+                obs.inc(retry_series, retries)
+        return delivered, pending - delivered, retries, lost
 
     def scratch_copy(self) -> "FaultInjector":
         """A throwaway twin: its own RNG at this injector's state.

@@ -54,7 +54,7 @@ from urllib.parse import urlsplit
 
 from repro.core.routing import RoutingPolicy
 from repro.core.session import QueryAnswer
-from repro.core.protocol import StalenessSnapshot
+from repro.core.staleness import StalenessSnapshot
 from repro.database.query import SelectionQuery
 from repro.exceptions import (
     ServeDeadlineError,

@@ -2,7 +2,7 @@
 
 Every value the service returns is one of the session façade's typed results
 (:class:`~repro.core.session.QueryAnswer`,
-:class:`~repro.core.protocol.StalenessSnapshot`, ...).  The codec here is
+:class:`~repro.core.staleness.StalenessSnapshot`, ...).  The codec here is
 *lossless for equality*: ``decode_answer(encode_answer(a)) == a`` holds for
 every answer a session can produce, because sets/frozensets/tuples are
 rebuilt with the exact element types the dataclasses carry.  That is what
@@ -31,13 +31,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Set
 
-from repro.core.protocol import StalenessSnapshot
 from repro.core.routing import (
     DomainQueryOutcome,
     QueryRoutingResult,
     RoutingPolicy,
 )
 from repro.core.session import DegradationReport, QueryAnswer
+from repro.core.staleness import StalenessSnapshot
 from repro.exceptions import ServeError, StoreError
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only

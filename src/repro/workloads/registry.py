@@ -257,8 +257,8 @@ def _register_adversity_scenarios(registry: ScenarioRegistry) -> None:
                 link=LinkFaults(drop_probability=0.1),
             )
         ),
-        description="Every link drops 10 % of messages: retries/backoff must "
-        "bound the overhead.",
+        description="Every link drops 10 % of messages: bounded retries must "
+        "cap the overhead.",
     )
     registry.register(
         "domain-collapse",

@@ -51,7 +51,7 @@ DEFAULT_NETWORK_SIZES: List[int] = [16, 100, 500, 1000, 2000, 3500, 5000]
 #: Domain sizes swept by Figures 4–6.
 DEFAULT_DOMAIN_SIZES: List[int] = [16, 100, 500, 1000, 2000, 5000]
 #: α values swept by Figure 4.
-DEFAULT_ALPHAS: List[float] = [0.1, 0.3, 0.5, 0.8]
+DEFAULT_ALPHAS: List[float] = [0.1, 0.3, 0.8]
 
 
 @dataclass

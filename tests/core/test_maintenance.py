@@ -4,11 +4,15 @@ import pytest
 
 from repro.core.config import ProtocolConfig
 from repro.core.domain import Domain
+from repro.core.dynamicity import ChurnHandler
 from repro.core.freshness import Freshness
 from repro.core.maintenance import MaintenanceEngine
+from repro.core.protocol import SummaryManagementSystem
 from repro.database.generator import PatientGenerator
 from repro.fuzzy.vocabularies import medical_background_knowledge
 from repro.network.messages import MessageType
+from repro.network.overlay import Overlay
+from repro.network.topology import TopologyConfig
 from repro.saintetiq.hierarchy import SummaryHierarchy
 
 
@@ -59,11 +63,22 @@ class TestPushPhase:
         assert domain.cooperation.freshness_of("p0") is Freshness.STALE
 
     def test_silent_failure_sends_no_message(self):
-        engine = MaintenanceEngine()
-        domain = _domain(5)
-        engine.register_silent_failure(domain, "p0")
+        # Section 4.3: a partner that fails silently sends nothing, and its
+        # descriptions stay in the global summary, fresh, until the next
+        # reconciliation.
+        overlay = Overlay.generate(TopologyConfig(peer_count=16, seed=5))
+        sp_id, peer_id = overlay.peer_ids[:2]
+        domain = Domain.create(sp_id)
+        domain.add_partner(peer_id, distance=1.0)
+        assignment = {peer_id: sp_id}
+        engine = MaintenanceEngine(ProtocolConfig(freshness_threshold=0.1))
+        handler = ChurnHandler(engine.config, engine.counter, engine)
+        outcome = handler.peer_fail(overlay, {sp_id: domain}, assignment, peer_id)
+        assert outcome.domain_id == sp_id and not outcome.reconciliation_due
         assert engine.counter.total == 0
-        assert domain.cooperation.freshness_of("p0") is Freshness.FRESH
+        assert domain.is_partner(peer_id)
+        assert domain.cooperation.freshness_of(peer_id) is Freshness.FRESH
+        assert not overlay.peer(peer_id).online and assignment == {}
 
 
 class TestReconciliation:
@@ -114,13 +129,24 @@ class TestReconciliation:
         assert domain.coverage() == set()
         assert not domain.has_global_summary()
 
-    def test_maybe_reconcile_only_fires_at_threshold(self):
-        engine = MaintenanceEngine(ProtocolConfig(freshness_threshold=0.5))
-        domain = _domain(4)
-        engine.push_stale(domain, "p0")
-        assert engine.maybe_reconcile(domain) is None
-        engine.push_stale(domain, "p1")
-        assert engine.maybe_reconcile(domain) is not None
+    def test_a_modification_push_reconciles_only_at_threshold(self):
+        overlay = Overlay.generate(TopologyConfig(peer_count=16, seed=2))
+        system = SummaryManagementSystem(
+            overlay, config=ProtocolConfig(freshness_threshold=0.5)
+        )
+        system.use_planned_content()
+        system.build_domains(summary_peers=[overlay.peer_ids[0]])
+        domain = system.domains[overlay.peer_ids[0]]
+        partners = list(domain.partner_ids)
+        due_after = -(-len(partners) // 2)  # the push that makes half of them old
+        for pushed, peer_id in enumerate(partners[:due_after], start=1):
+            system.schedule_event_from_spec(
+                {"kind": "modification", "peer_id": peer_id}, at=float(pushed)
+            )
+            system.run(until=float(pushed))
+            reconciled = 1 if pushed == due_after else 0
+            assert system.maintenance.stats.reconciliations == reconciled
+        assert domain.old_fraction() == 0.0
 
     def test_reconciliation_returns_its_record(self):
         engine = MaintenanceEngine()
@@ -140,11 +166,10 @@ class TestReconciliation:
         assert engine.stats.reconciliation_frequency(100.0) == pytest.approx(0.02)
         assert engine.stats.reconciliation_frequency(0.0) == 0.0
 
-    def test_update_traffic_summary(self):
+    def test_update_traffic_is_charged_to_the_counter(self):
         engine = MaintenanceEngine()
         domain = _domain(5)
         engine.push_stale(domain, "p0")
         engine.reconcile(domain)
-        traffic = engine.update_traffic()
-        assert traffic[MessageType.PUSH] == 1
-        assert traffic[MessageType.RECONCILIATION] == 6
+        assert engine.counter.count(MessageType.PUSH) == 1
+        assert engine.counter.count(MessageType.RECONCILIATION) == 6

@@ -15,6 +15,7 @@ from repro.network.faults import (
     PartitionEvent,
 )
 from repro.network.metrics import MessageCounter
+from repro.obs import Observability
 
 
 class TestPlanValidation:
@@ -190,14 +191,49 @@ class TestFaultInjector:
         lossy = FaultInjector(FaultPlan(link=LinkFaults(drop_probability=0.1)))
         assert lossy.lossy is True
 
-    def test_disrupts_link(self):
-        clean = FaultInjector(FaultPlan())
-        assert not clean.disrupts_link("a", "b")
-        clean.set_partition([["a"], ["b"]])
-        assert clean.disrupts_link("a", "b")
-        assert not clean.disrupts_link("a", "a")
-        lossy = FaultInjector(FaultPlan(link=LinkFaults(drop_probability=0.1)))
-        assert lossy.disrupts_link("a", "b")
+    def test_send_over_clean_links_charges_and_draws_nothing(self):
+        injector = FaultInjector(FaultPlan(seed=3))
+        counter = MessageCounter()
+        before = injector.rng.getstate()
+        sent = injector.send("a", ["b", "c"], 4, counter)
+        assert sent == ({"b", "c"}, set(), 0, 0)
+        assert counter.dropped_total == counter.retry_total == 0
+        assert injector.rng.getstate() == before
+
+    def test_send_cuts_partitioned_destinations_without_retry(self):
+        injector = FaultInjector(FaultPlan(seed=3))
+        injector.set_partition([["a", "a2"], ["b1", "b2"]])
+        counter, obs = MessageCounter(), Observability()
+        before = injector.rng.getstate()
+        sent = injector.send("a", ["a2", "b1", "b2"], 4, counter, obs, "retries")
+        assert sent == ({"a2"}, set(), 0, 0)
+        assert counter.dropped_by_reason() == {"partitioned": 2}
+        assert counter.retry_total == 0
+        assert obs.metrics.counter_series("repro_fault_dropped_total") == {
+            (("reason", "partitioned"),): 2
+        }
+        assert injector.rng.getstate() == before
+
+    def test_send_retries_a_partitioned_link_to_the_budget_when_asked(self):
+        injector = FaultInjector(FaultPlan(seed=3))
+        injector.set_partition([["a"], ["b"]])
+        counter, obs = MessageCounter(), Observability()
+        sent = injector.send("a", ["b"], 2, counter, obs, "retries", retry_partitioned=True)
+        assert sent == (set(), {"b"}, 2, 3)
+        assert counter.dropped_by_reason() == {"partitioned": 3}
+        assert counter.retry_total == 2
+        assert obs.metrics.counter_series("retries") == {(): 2}
+
+    def test_send_over_lossy_links_charges_every_lost_attempt(self):
+        injector = FaultInjector(FaultPlan(link=LinkFaults(drop_probability=1.0)))
+        counter, obs = MessageCounter(), Observability()
+        sent = injector.send("a", ["c", "b"], 3, counter, obs)
+        assert sent == (set(), {"b", "c"}, 6, 8)
+        assert counter.dropped_by_reason() == {"link loss": 8}
+        assert counter.retry_total == 6
+        assert obs.metrics.counter_series("repro_fault_dropped_total") == {
+            (("reason", "link loss"),): 8
+        }
 
     def test_negative_retry_budget_means_one_attempt(self):
         injector = FaultInjector(FaultPlan(link=LinkFaults(drop_probability=1.0)))

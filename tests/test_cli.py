@@ -75,6 +75,80 @@ class TestArgumentParsing:
         assert not args.json
 
 
+class _AnyRun:
+    """Stands in for a simulation run: every figure it is asked for is 1."""
+
+    def __getattr__(self, name):
+        return 1.0
+
+
+class TestFigureDefaults:
+    """The CLI keeps no sizes or α of its own: each figure's defaults decide,
+    and they are the paper's range, 2000 peers included."""
+
+    PAPER_DOMAIN_SIZES = [16, 100, 500, 1000, 2000, 5000]
+    PAPER_NETWORK_SIZES = [16, 100, 500, 1000, 2000, 3500, 5000]
+
+    def test_the_parser_leaves_sizes_and_alphas_unset(self):
+        args = build_parser().parse_args(["fig4"])
+        assert args.sizes is None
+        assert args.alphas is None
+
+    @pytest.mark.parametrize("command", ["fig4", "fig5", "fig6", "fig7"])
+    def test_the_cli_hands_each_figure_no_sizes(self, monkeypatch, capsys, command):
+        import repro.experiments as experiments
+        from repro.reporting import ExperimentTable
+
+        seen = {}
+
+        def figure(**kwargs):
+            seen.update(kwargs)
+            return ExperimentTable(name=command, columns=[])
+
+        monkeypatch.setattr(experiments, f"run_figure{command[-1]}", figure)
+        assert main([command, "--json"]) == 0
+        sizes = "domain_sizes" if command != "fig7" else "network_sizes"
+        assert seen[sizes] is None
+        assert seen.get("alphas") is None
+
+    @pytest.mark.parametrize(
+        "command, alphas",
+        [("fig4", [0.1, 0.3, 0.8]), ("fig5", [0.3]), ("fig6", [0.3, 0.8])],
+    )
+    def test_each_maintenance_figure_sweeps_the_papers_range(
+        self, monkeypatch, command, alphas
+    ):
+        import importlib
+
+        module = importlib.import_module(
+            {"fig4": "repro.experiments.fig4_stale_answers",
+             "fig5": "repro.experiments.fig5_false_negatives",
+             "fig6": "repro.experiments.fig6_update_cost"}[command]
+        )
+        swept = []
+
+        def simulate(scenario):
+            swept.append((scenario.alpha, scenario.peer_count))
+            return _AnyRun()
+
+        monkeypatch.setattr(module, "run_maintenance_simulation", simulate)
+        getattr(module, f"run_figure{command[-1]}")()
+        assert swept == [(a, n) for a in alphas for n in self.PAPER_DOMAIN_SIZES]
+
+    def test_fig7_sweeps_the_papers_range(self, monkeypatch):
+        from repro.experiments import fig7_query_cost
+
+        swept = []
+
+        def compare(peer_count, **_kwargs):
+            swept.append(peer_count)
+            return _AnyRun()
+
+        monkeypatch.setattr(fig7_query_cost, "run_query_cost_comparison", compare)
+        fig7_query_cost.run_figure7()
+        assert swept == self.PAPER_NETWORK_SIZES
+
+
 class TestCommands:
     def test_tables_command_text_output(self, capsys):
         exit_code = main(["tables"])

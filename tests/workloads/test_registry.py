@@ -76,7 +76,7 @@ class TestDefaultRegistry:
         plan = registry.scenario("lossy-network").fault_plan
         assert plan == FaultPlan(seed=4, link=LinkFaults(drop_probability=0.1))
         assert registry.describe("lossy-network") == (
-            "Every link drops 10 % of messages: retries/backoff must bound "
+            "Every link drops 10 % of messages: bounded retries must cap "
             "the overhead."
         )
 
