@@ -21,14 +21,30 @@ from __future__ import annotations
 import abc
 import copy
 import random
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Set
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Set,
+)
 
 from repro.exceptions import ConfigurationError, ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.domain import Domain
     from repro.database.query import SelectionQuery
     from repro.querying.proposition import Proposition
     from repro.saintetiq.hierarchy import SummaryHierarchy
+
+
+class BoundQuery(NamedTuple):
+    """The two content questions of one query, bound once per routing pass.
+
+    ``relevant(scope, domain)`` is :meth:`ContentModel.relevant_partners` on
+    the domain's global summary and ``matching(peers)`` is
+    :meth:`ContentModel.matching_among` (``peers`` a set), with the query's
+    id, proposition and plan already looked up.
+    """
+
+    relevant: Callable[[Set[str], "Domain"], Set[str]]
+    matching: Callable[[Set[str]], Set[str]]
 
 
 class ContentModel(abc.ABC):
@@ -49,15 +65,27 @@ class ContentModel(abc.ABC):
         """Ground truth: does ``peer_id`` currently hold data matching the query?"""
 
     def matching_among(self, query_id: int, peers: Iterable[str]) -> Set[str]:
-        """Subset of ``peers`` that truly match the query.
-
-        The default implementation is the per-peer ``truly_matching`` loop;
-        models that hold their ground truth as a set override it with a set
-        intersection (same result, no per-peer call overhead).
-        """
+        """Subset of ``peers`` that truly match the query: the per-peer
+        ``truly_matching`` loop.  Routing asks it through :meth:`bind_query`,
+        which a model holding its ground truth as a set binds to one set
+        intersection instead (same result, no per-peer call)."""
         return {
             peer_id for peer_id in peers if self.truly_matching(query_id, peer_id)
         }
+
+    def bind_query(
+        self, query_id: int, proposition: Optional[Proposition]
+    ) -> BoundQuery:
+        """Both content questions for one query, to be asked once per domain.
+
+        The default binds the two methods; planned content binds its plan.
+        """
+        return BoundQuery(
+            lambda scope, domain: self.relevant_partners(
+                query_id, scope, domain.global_summary, proposition
+            ),
+            lambda peers: self.matching_among(query_id, peers),
+        )
 
     def register_query(self, query_id: int, query: SelectionQuery) -> None:
         """Remember a posed real query (a no-op for models that evaluate none)."""
@@ -154,6 +182,11 @@ class PlannedContentModel(ContentModel):
         self._modified_peers: Set[str] = set()
         #: Peers that departed and whose data is therefore gone.
         self._departed_peers: Set[str] = set()
+        #: ``_peer_ids`` minus ``_departed_peers``, in peer order: what a plan
+        #: is drawn from.  Derived on first draw; dropped (never edited in
+        #: place) whenever the departed set changes, so a scratch twin holding
+        #: the list holds a consistent one.
+        self._population: Optional[List[str]] = None
 
     # -- plan management -----------------------------------------------------------------
 
@@ -163,27 +196,42 @@ class PlannedContentModel(ContentModel):
 
     def plan_query(self, query_id: int) -> Set[str]:
         """Choose the matching peers for a query (10 % of the network by default)."""
-        return set(self._plan(query_id))
+        return set(self.plan(query_id))
 
-    def _plan(self, query_id: int) -> Set[str]:
-        """The stored plan itself (drawn on first use) — internal, no copy.
+    def plan(self, query_id: int) -> Set[str]:
+        """The stored plan itself (drawn on first use), not a copy.
 
-        The hot per-peer ``truly_matching`` membership tests run against this
-        set directly; :meth:`plan_query` hands out defensive copies.
+        The query path reads it directly and never writes it;
+        :meth:`plan_query` hands out defensive copies.
         """
         plan = self._matching.get(query_id)
         if plan is not None:
             return plan
-        population = [p for p in self._peer_ids if p not in self._departed_peers]
+        population = self._drawable()
         target = round(self._matching_fraction * len(self._peer_ids))
         target = min(max(target, 1 if self._matching_fraction > 0 else 0), len(population))
         chosen = set(self._rng.sample(population, target)) if target else set()
         self._matching[query_id] = chosen
         return chosen
 
+    def _drawable(self) -> List[str]:
+        """The population a plan is drawn from (see ``_population``).
+
+        Assigned whole, so threads racing to derive it write equal lists.
+        """
+        population = self._population
+        if population is None:
+            departed = self._departed_peers
+            population = self._population = [
+                p for p in self._peer_ids if p not in departed
+            ]
+        return population
+
     def scratch_copy(self) -> "PlannedContentModel":
-        # The peer list and the modified / departed sets are shared: only
-        # maintenance writes them, never a query.
+        # The peer list, the modified / departed sets and the drawable
+        # population are shared: only maintenance writes them, never a query.
+        # The population is derived here first, so every twin reuses one list.
+        self._drawable()
         twin = copy.copy(self)
         twin._rng = random.Random(0)  # any seed: the state is overwritten
         twin._rng.setstate(self._rng.getstate())
@@ -231,9 +279,11 @@ class PlannedContentModel(ContentModel):
 
     def mark_departed(self, peer_id: str) -> None:
         self._departed_peers.add(peer_id)
+        self._population = None
 
     def mark_rejoined(self, peer_id: str) -> None:
         self._departed_peers.discard(peer_id)
+        self._population = None
 
     def clear_modification(self, peer_id: str) -> None:
         """Called when a reconciliation refreshes the peer's descriptions."""
@@ -256,6 +306,15 @@ class PlannedContentModel(ContentModel):
 
     # -- ContentModel API ---------------------------------------------------------------------
 
+    def bind_query(
+        self, query_id: int, proposition: Optional[Proposition]
+    ) -> BoundQuery:
+        # The two methods below over one plan lookup: ``(peers & plan) -
+        # departed`` is ``peers & live``, so matching is one intersection.
+        plan = self.plan(query_id)
+        live = plan - self._departed_peers
+        return BoundQuery(lambda scope, _domain: plan & scope, live.intersection)
+
     def relevant_partners(
         self,
         query_id: int,
@@ -267,18 +326,9 @@ class PlannedContentModel(ContentModel):
         # peer is designated relevant if it matched the query according to the
         # descriptions recorded then.  Peers that departed or modified their
         # data since then are exactly the ones whose designation may be stale.
-        return self._plan(query_id).intersection(domain_partners)
+        return self.plan(query_id).intersection(domain_partners)
 
     def truly_matching(self, query_id: int, peer_id: str) -> bool:
         if peer_id in self._departed_peers:
             return False
-        return peer_id in self._plan(query_id)
-
-    def matching_among(self, query_id: int, peers: Iterable[str]) -> Set[str]:
-        # Set-intersection form of the truly_matching loop: the plan is a set
-        # already, so "which of these peers match" is one intersection and one
-        # difference instead of len(peers) membership-test calls.
-        plan = self._plan(query_id)
-        if not isinstance(peers, (set, frozenset)):
-            peers = set(peers)
-        return (peers & plan) - self._departed_peers
+        return peer_id in self.plan(query_id)

@@ -16,6 +16,13 @@ required number of results exceeds what one domain provides, the inter-domain
 flooding extension kicks in: the summary peer asks the answering peers and the
 originator to flood their extra-domain neighbours with a small TTL, and also
 forwards the request to the other summary peers it knows.
+
+Per domain a routed query pays only for its set algebra — ``P_Q``, ``V``, who
+was reached, who of the online partners matches, and the extra-domain
+neighbours of the flooding round — about a dozen operations on sets of a few
+peers; everything query-invariant (the plan or query registry, the policy,
+the fault injector, the online set, the trace row list, the neighbour memo's
+stamp) is looked up once per query by :class:`_RoutePass`.
 """
 
 from __future__ import annotations
@@ -188,9 +195,162 @@ class QueryRoutingResult:
         return self.results >= self.required_results
 
 
+def check_query_limits(
+    required_results: Optional[int], max_domains: Optional[int]
+) -> None:
+    """Raise :class:`ProtocolError` for a negative query limit (None is no limit)."""
+    for name, limit in (
+        ("required_results", required_results), ("max_domains", max_domains)
+    ):
+        if limit is not None and limit < 0:
+            raise ProtocolError(f"{name} must be at least 0, got {limit!r}")
+
+
 #: Attr names of the two trace rows a domain records (values in the same order).
 _SELECTION_ATTRS = ("domain", "scope", "relevant")
 _DOMAIN_ATTRS = ("domain", "query_id", "messages", "results")
+
+
+class _RoutePass:
+    """One query's routing, with every query-invariant bound once.
+
+    The plan (or the query registry and proposition), the policy, the fault
+    injector, the online set and the trace row list are looked up when the
+    pass is made; per domain, :meth:`outcome` is left with the set algebra.
+    The pass lives for one query: nothing it binds may move while the query
+    is routed.
+    """
+
+    __slots__ = (
+        "query_id", "bound", "policy", "online", "faults", "counter", "obs",
+        "rows", "max_retries", "hop",
+    )
+
+    def __init__(
+        self,
+        router: QueryRouter,
+        query_id: int,
+        scratch: QueryScratch,
+        proposition: Optional[Proposition],
+        policy: RoutingPolicy,
+        online_peers: Optional[Set[str]],
+        charge_summary_peer_hop: bool,
+        max_retries: int,
+    ) -> None:
+        self.query_id = query_id
+        self.bound = scratch.content.bind_query(query_id, proposition)
+        self.policy = policy
+        self.online = online_peers
+        self.faults = scratch.faults
+        self.counter = scratch.counter
+        self.max_retries = max_retries
+        self.hop = 1 if charge_summary_peer_hop else 0
+        obs = self.obs = router.observability
+        # Per-domain metrics are recorded at the query level (from the domain
+        # outcomes) so the domain loop stays free of registry traffic.  Detail-
+        # mode tracing pays two rows per domain, appended to the span this
+        # thread has open (the ``query`` span) and listed by readers as a
+        # ``route-domain`` span with its ``hierarchy-selection`` child.
+        self.rows = obs.tracer.open_rows() if obs is not None and obs.detail else None
+
+    def outcome(
+        self, domain: Domain, scope: Set[str], candidates: Set[str]
+    ) -> DomainQueryOutcome:
+        """The query inside ``domain`` (see :meth:`QueryRouter.outcome_in_domain`)."""
+        rows = self.rows
+        if rows is not None:
+            # Three clock reads: selection is the first thing a domain does,
+            # so the two rows share a start.
+            started = time.time()
+        bound = self.bound
+        relevant = bound.relevant(scope, domain)
+        if rows is not None:
+            selected = time.time()
+
+        # V, a set of its own: P_Q, P_Q ∩ P_fresh or P_Q ∪ P_old.
+        policy = self.policy
+        if policy is RoutingPolicy.ALL:
+            contacted = relevant.copy()
+        elif policy is RoutingPolicy.PRECISION:
+            cooperation = domain.cooperation
+            contacted = (relevant & cooperation.partner_set) - cooperation.old_set
+        else:
+            contacted = relevant | domain.cooperation.old_set
+        online = self.online
+        reachable = contacted if online is None else contacted & online
+        # The originator (or the forwarding summary peer) sends the query to
+        # this domain's summary peer, which sends one to each contacted peer.
+        messages = len(contacted) + self.hop
+
+        faults = self.faults
+        if faults is not None:
+            reachable, _missed, retries, _lost = faults.send(
+                domain.summary_peer_id, reachable, self.max_retries, self.counter,
+                self.obs, "repro_query_retries_total",
+            )
+            messages += retries  # each retry is one more QUERY on the wire
+
+        # One ground-truth lookup: who of those that could answer holds
+        # matching data.  Everyone reached is among them (V ⊆ partners), so
+        # the reached ones respond (one message each) and the ones not
+        # contacted are the false negatives.
+        answerable = bound.matching(candidates)
+        responding = answerable & reachable
+        outcome = DomainQueryOutcome(
+            domain.summary_peer_id,
+            relevant,
+            contacted,
+            responding,
+            answerable - contacted,
+            messages + len(responding),
+        )
+        if rows is not None:
+            sp_id = domain.summary_peer_id
+            rows.append((
+                "hierarchy-selection", started, selected, 1, _SELECTION_ATTRS,
+                sp_id, len(scope), len(relevant),
+            ))
+            rows.append((
+                "route-domain", started, time.time(), 0, _DOMAIN_ATTRS,
+                sp_id, self.query_id, outcome.messages, len(responding),
+            ))
+        return outcome
+
+
+def _flood_cost(
+    memo: Dict[str, Set[str]],
+    links: Dict[str, Dict[str, float]],
+    online: Set[str],
+    domain: Domain,
+    responding_peers: Iterable[str],
+    originator: str,
+    known_summary_peers: Collection[str],
+    target_domains: int,
+) -> Tuple[int, int]:
+    """:meth:`QueryRouter.flooding_messages` on a memo already checked current
+    for the overlay whose ``links`` and ``online_ids`` are passed."""
+    partners = domain.cooperation.partner_set
+    sp_id = domain.summary_peer_id
+    initiators = {originator, *responding_peers}
+    flood_messages = 0
+    for peer_id in initiators:
+        neighbours = memo.get(peer_id)
+        if neighbours is None:
+            adjacent = links.get(peer_id)
+            if adjacent is None:
+                continue
+            neighbours = memo[peer_id] = adjacent.keys() & online
+        # One hop per extra-domain neighbour: the probe stops as soon as it
+        # lands in another domain, and with high-degree superpeers almost
+        # every extra-domain neighbour already belongs to one.
+        outside = neighbours - partners
+        flood_messages += len(outside) - (sp_id in outside)
+    # Long-range links: the known summary peers (distinct ids) but its own,
+    # at most ``target_domains`` of them.
+    long_range = len(known_summary_peers) - (sp_id in known_summary_peers)
+    if long_range > target_domains:
+        long_range = target_domains if target_domains > 0 else 0
+    return len(initiators), flood_messages + long_range
 
 
 class QueryRouter:
@@ -199,8 +359,10 @@ class QueryRouter:
     One function per step, each returning what the step put on the wire:
     :meth:`outcome_in_domain` (``outcome.results`` responses,
     ``outcome.messages - outcome.results`` queries) and
-    :meth:`flooding_messages` (requests, probes).  The router keeps no
-    counter: the drops and retries that faults produce are tallied on the
+    :meth:`flooding_messages` (requests, probes).  A routed query takes both
+    steps through one :class:`_RoutePass` and one neighbour memo, so the
+    per-query lookups are made once, not once per domain.  The router keeps
+    no counter: the drops and retries that faults produce are tallied on the
     :class:`QueryScratch` the caller hands in, where the caller also records
     a whole query's messages once.
     """
@@ -214,6 +376,14 @@ class QueryRouter:
         #: Metrics+trace hook (installed by the owning system); None keeps
         #: routing on the uninstrumented path.
         self.observability = None
+
+    def online_neighbours(self, overlay: Overlay) -> Dict[str, Set[str]]:
+        """The neighbour memo, emptied first if ``overlay`` moved since it was filled."""
+        stamp = (overlay, overlay.version)
+        if self._neighbours_stamp != stamp:
+            self._online_neighbours.clear()
+            self._neighbours_stamp = stamp
+        return self._online_neighbours
 
     # -- single-domain processing ----------------------------------------------------------
 
@@ -236,10 +406,11 @@ class QueryRouter:
         can designate as relevant: a partner that joined after the last
         reconciliation is not yet described, so it cannot appear in ``P_Q``
         even though it sits in the cooperation list.  ``candidates`` is
-        ``partners ∩ online``, who could have answered.  ``online_peers``
-        restricts response traffic to currently reachable peers (an offline
-        relevant peer produces no response — it is a false positive if
-        contacted).  All three are only read.
+        ``partners ∩ online``, who could have answered (all partners without
+        ``online_peers``).  ``online_peers`` restricts response traffic to
+        currently reachable peers (an offline relevant peer produces no
+        response — it is a false positive if contacted).  All three are only
+        read.
 
         ``scratch.faults`` makes the summary-peer → partner hops fallible: a
         contacted partner on a lossy link is retried up to ``max_retries``
@@ -248,71 +419,11 @@ class QueryRouter:
         Partition-separated partners are cut deterministically without
         consuming randomness.
         """
-        content = scratch.content
-        obs = self.observability
-        # Per-domain metrics are recorded at the query level (from the domain
-        # outcomes) so this inner loop stays free of registry traffic.  Detail-
-        # mode tracing pays two rows here, appended below to the span this
-        # thread has open (the ``query`` span) and listed by readers as a
-        # ``route-domain`` span with its ``hierarchy-selection`` child: three
-        # clock reads (selection is the first thing a domain does, so the two
-        # share a start) and two small tuples per domain, no span opened.
-        rows = obs.tracer.open_rows() if obs is not None and obs.detail else None
-        if rows is not None:
-            started = time.time()
-        relevant = content.relevant_partners(
-            query_id, scope, domain.global_summary, proposition
+        route = _RoutePass(
+            self, query_id, scratch, proposition, policy, online_peers,
+            charge_summary_peer_hop, max_retries,
         )
-        if rows is not None:
-            selected = time.time()
-
-        contacted = self._routing_set(domain, relevant, policy)
-        reachable = contacted.copy() if online_peers is None else contacted & online_peers
-        # The originator (or the forwarding summary peer) sends the query to
-        # this domain's summary peer, which sends one to each contacted peer.
-        messages = len(contacted) + (1 if charge_summary_peer_hop else 0)
-
-        faults = scratch.faults
-        if faults is not None:
-            reachable, _missed, retries, _lost = faults.send(
-                domain.summary_peer_id, reachable, max_retries, scratch.counter, obs,
-                "repro_query_retries_total",
-            )
-            messages += retries  # each retry is one more QUERY on the wire
-
-        # One response message per matching peer.
-        responding = content.matching_among(query_id, reachable)
-        # False negatives: partners holding matching data that were not contacted.
-        outcome = DomainQueryOutcome(
-            domain_id=domain.summary_peer_id,
-            relevant_peers=set(relevant),
-            contacted_peers=contacted,
-            responding_peers=responding,
-            false_negatives=content.matching_among(query_id, candidates - contacted),
-            messages=messages + len(responding),
-        )
-        if rows is not None:
-            sp_id = domain.summary_peer_id
-            rows.append((
-                "hierarchy-selection", started, selected, 1, _SELECTION_ATTRS,
-                sp_id, len(scope), len(relevant),
-            ))
-            rows.append((
-                "route-domain", started, time.time(), 0, _DOMAIN_ATTRS,
-                sp_id, query_id, outcome.messages, len(responding),
-            ))
-        return outcome
-
-    def _routing_set(
-        self, domain: Domain, relevant: Set[str], policy: RoutingPolicy
-    ) -> Set[str]:
-        """``V`` as a fresh set: ``P_Q``, ``P_Q ∩ P_fresh`` or ``P_Q ∪ P_old``."""
-        if policy is RoutingPolicy.ALL:
-            return set(relevant)
-        cooperation = domain.cooperation
-        if policy is RoutingPolicy.PRECISION:
-            return (relevant & cooperation.partner_set) - cooperation.old_set
-        return relevant | cooperation.old_set
+        return route.outcome(domain, scope, candidates)
 
     # -- inter-domain flooding --------------------------------------------------------------
 
@@ -338,30 +449,10 @@ class QueryRouter:
         cover many domains quickly; ``target_domains`` bounds how many of those
         long-range links are actually used.
         """
-        stamp = (overlay, overlay.version)
-        if self._neighbours_stamp != stamp:
-            self._online_neighbours.clear()
-            self._neighbours_stamp = stamp
-        memo = self._online_neighbours
-        partners = domain.cooperation.partner_set
-        sp_id = domain.summary_peer_id
-        initiators = {originator, *responding_peers}
-        flood_messages = 0
-        for peer_id in initiators:
-            neighbours = memo.get(peer_id)
-            if neighbours is None:
-                if peer_id not in overlay.links:
-                    continue
-                neighbours = memo[peer_id] = set(overlay.neighbors(peer_id))
-            # One hop per extra-domain neighbour: the probe stops as soon as it
-            # lands in another domain, and with high-degree superpeers almost
-            # every extra-domain neighbour already belongs to one.
-            outside = neighbours - partners
-            flood_messages += len(outside) - (sp_id in outside)
-        # Long-range links: the known summary peers (distinct ids) but its own.
-        own = sp_id in known_summary_peers
-        flood_messages += min(len(known_summary_peers) - own, max(0, target_domains))
-        return len(initiators), flood_messages
+        return _flood_cost(
+            self.online_neighbours(overlay), overlay.links, overlay.online_ids, domain,
+            responding_peers, originator, known_summary_peers, target_domains,
+        )
 
 
 class _DomainSets(NamedTuple):
@@ -376,8 +467,10 @@ class _DomainSets(NamedTuple):
     cooperation: CooperationList
     #: The ``_described`` value ``scope`` was derived from (None: no entry).
     described: Optional[Set[str]]
-    #: ``(cooperation.membership_version, overlay.version)`` at derivation.
-    versions: Tuple[int, int]
+    #: ``cooperation.membership_version`` at derivation.
+    membership_version: int
+    #: ``overlay.version`` at derivation.
+    overlay_version: int
     #: ``partners ∩ described``: whom the global summary can designate.
     scope: Set[str]
     #: ``partners ∩ online``: who could have answered.
@@ -452,7 +545,8 @@ class _QueryProcessing:
         Everything the query advances — the next id, plan draws or the query
         registry, fault draws and stats, the message tally — is advanced on
         ``scratch`` (see :meth:`query_scratch`); without one, on the system
-        itself.
+        itself.  A negative ``required_results`` or ``max_domains`` is a
+        :class:`ProtocolError`, raised before anything is advanced.
         """
         scratch = self._own_unless(scratch)
         if query is not None and query_id is not None:
@@ -460,6 +554,7 @@ class _QueryProcessing:
                 "pose_query accepts either query or query_id, not both: a real "
                 "query is assigned a fresh id when it is registered"
             )
+        check_query_limits(required_results, max_domains)
         proposition: Optional[Proposition] = None
         if query is not None:
             query_id, proposition = self.register_query(query, scratch)
@@ -522,25 +617,38 @@ class _QueryProcessing:
         if not ordered_domains:
             return result
 
+        # Everything the domain loop would otherwise look up once per domain.
         counter = scratch.counter
         faults = scratch.faults
         partition_active = faults is not None and faults.partitioned
-        online_ids = self._overlay.online_ids
+        overlay = self._overlay
+        overlay_version = overlay.version
+        links = overlay.links
+        online = overlay.online_ids
         max_retries = self._config.query_max_retries
+        route: Optional[_RoutePass] = None
+        memo = self._router.online_neighbours(overlay)
+        known = self._domains.keys()
+        domain_sets = self._domain_sets
+        outcomes = result.domain_outcomes
+        if max_domains is None:
+            max_domains = len(ordered_domains)
         previous_outcome: Optional[DomainQueryOutcome] = None
         previous: Optional[Domain] = None
         results_gathered = 0  # running count: avoids re-summing per domain
         visited = 0  # domains actually reached (equals the index when merged)
         flood_requests = flood_queries = 0
         for domain in ordered_domains:
-            if max_domains is not None and visited >= max_domains:
+            if visited >= max_domains:
                 break
-            sp_id = domain.summary_peer_id
-            if partition_active and not faults.reachable(originator, sp_id):
+            if partition_active and not faults.reachable(
+                originator, domain.summary_peer_id
+            ):
                 # The summary peer sits across the partition: the probe (and
                 # its bounded retries) go unanswered, the domain contributes
                 # nothing, and the answer is marked degraded instead of the
                 # query wedging or failing.
+                sp_id = domain.summary_peer_id
                 *_, lost = faults.send(
                     originator, [sp_id], max_retries, counter, self._obs,
                     retry_partitioned=True,
@@ -549,35 +657,28 @@ class _QueryProcessing:
                 result.unreachable_domains.append(sp_id)
                 continue
             visited += 1
-            if previous is not None and previous_outcome is not None:
+            if previous is None:
+                # The first domain reached binds the query (a planned query
+                # draws its plan here, not before: a query that reaches no
+                # domain draws none).
+                route = _RoutePass(
+                    self._router, query_id, scratch, proposition, policy, online,
+                    True, max_retries,
+                )
+            else:
                 # Moving past the previous domain requires an inter-domain
                 # flooding round started from it (its responders, the
                 # originator and the summary peer probe further domains).
-                requests, floods = self._router.flooding_messages(
-                    self._overlay,
-                    previous,
-                    previous_outcome.responding_peers,
-                    originator,
-                    self._domains.keys(),
-                    1,
+                requests, floods = _flood_cost(
+                    memo, links, online, previous, previous_outcome.responding_peers,
+                    originator, known, 1,
                 )
                 flood_requests += requests
                 flood_queries += floods
-            sets = self._domain_sets(domain)
-            outcome = self._router.outcome_in_domain(
-                query_id,
-                domain,
-                scratch,
-                proposition,
-                policy,
-                sets.scope,
-                sets.online_partners,
-                online_ids,
-                True,
-                max_retries,
-            )
-            result.domain_outcomes.append(outcome)
-            results_gathered += outcome.results
+            sets = domain_sets(domain, overlay_version)
+            outcome = route.outcome(domain, sets.scope, sets.online_partners)
+            outcomes.append(outcome)
+            results_gathered += len(outcome.responding_peers)
             previous = domain
             previous_outcome = outcome
             if required_results is not None and results_gathered >= required_results:
@@ -603,24 +704,34 @@ class _QueryProcessing:
             counter.record_type(MessageType.FLOOD_QUERY, flood_queries)
         return result
 
-    def _domain_sets(self, domain: Domain) -> _DomainSets:
-        """``domain``'s derived routing sets, rebuilt only when a stamp moved."""
+    def _domain_sets(
+        self, domain: Domain, overlay_version: Optional[int] = None
+    ) -> _DomainSets:
+        """``domain``'s derived routing sets, rebuilt only when a stamp moved.
+
+        ``overlay_version`` is the overlay's current version, when the caller
+        has already read it (default: read here).
+        """
+        if overlay_version is None:
+            overlay_version = self._overlay.version
         sp_id = domain.summary_peer_id
         cooperation = domain.cooperation
         described = self._described.get(sp_id)
-        versions = (cooperation.membership_version, self._overlay.version)
         sets = self._derived_sets.get(sp_id)
         if (
             sets is None
-            or sets.versions != versions
+            or sets.overlay_version != overlay_version
+            or sets.membership_version != cooperation.membership_version
             or sets.cooperation is not cooperation
             or sets.described is not described
         ):
             partners = cooperation.partner_set
+            # Assigned whole: threads racing to derive it write equal values.
             sets = self._derived_sets[sp_id] = _DomainSets(
                 cooperation,
                 described,
-                versions,
+                cooperation.membership_version,
+                overlay_version,
                 partners if described is None else partners & described,
                 partners & self._overlay.online_ids,
             )

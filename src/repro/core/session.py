@@ -68,6 +68,7 @@ from repro.core.routing import (
     QueryRoutingResult,
     QueryScratch,
     RoutingPolicy,
+    check_query_limits,
 )
 from repro.core.staleness import StalenessSnapshot
 from repro.exceptions import ConfigurationError, QueryError, ReadOnlySessionError
@@ -806,14 +807,11 @@ class NetworkSession:
 
     def _degradation_report(self, routing: QueryRoutingResult) -> DegradationReport:
         """Derive the completeness report of one answer (pure reads only)."""
-        stale_described: Dict[str, int] = {}
-        for outcome in routing.domain_outcomes:
-            stale = self._system.stale_described_count(outcome.domain_id)
-            if stale:
-                stale_described[outcome.domain_id] = stale
         return DegradationReport(
             unreachable_domains=list(routing.unreachable_domains),
-            stale_described=stale_described,
+            stale_described=self._system.stale_described_counts(
+                outcome.domain_id for outcome in routing.domain_outcomes
+            ),
             probe_messages=routing.unreachable_probe_messages,
         )
 
@@ -896,6 +894,9 @@ class NetworkSession:
                 )
                 for index, one_query in enumerate(posed)
             ]
+        # A bad request fails the batch before any request is posed.
+        for request in requests:
+            check_query_limits(request.required_results, request.max_domains)
         scratch = self._scratch()
         return [
             self._answer(scratch, request, include_staleness, include_answer)

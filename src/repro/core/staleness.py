@@ -16,7 +16,7 @@ and writes only the :class:`~repro.core.routing.QueryScratch` it samples on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.content import PlannedContentModel
 from repro.core.routing import QueryScratch
@@ -100,8 +100,10 @@ class _StalenessMeasurement:
 
     def _staleness_of(self, query_id: int, scratch: QueryScratch) -> StalenessSnapshot:
         content = scratch.content
-        plan = content.plan_query(query_id)
+        # The stored plan itself: this pass only reads it.
+        plan = content.plan(query_id)
         online_ids = self._overlay.online_ids
+        described_of = self._described.get
 
         relevant_count = 0
         worst_fp = worst_fn = real_fp = real_fn = 0
@@ -109,21 +111,21 @@ class _StalenessMeasurement:
 
         for sp_id, domain in self._domains.items():
             cooperation = domain.cooperation
-            described = self._described.get(sp_id)
+            described = described_of(sp_id)
             if described is None:
                 described = cooperation.partner_set
-            relevant = plan & described
-            relevant_count += len(relevant)
+            relevant_count += len(plan & described)
             stale = cooperation.old_set
             if not stale:
                 continue
-            stale_relevant = relevant & stale
+            stale_matching = plan & stale
+            stale_relevant = stale_matching & described
 
             # Worst case (Figure 4): every stale relevant peer contacted is a
             # false positive; every matching stale peer outside P_Q is a false
             # negative.
             worst_fp += len(stale_relevant)
-            worst_fn += len((plan & stale) - relevant)
+            worst_fn += len(stale_matching) - len(stale_relevant)
 
             # Real case (Figure 5): a stale peer selected in P_Q only causes a
             # stale answer if its data actually changed with respect to the
@@ -152,11 +154,21 @@ class _StalenessMeasurement:
             real_false_negatives=real_fn,
         )
 
-    def stale_described_count(self, sp_id: str) -> int:
-        """How many partners domain ``sp_id``'s global summary describes from
-        descriptions its cooperation list marks old (0 for an unknown domain)."""
-        domain = self._domains.get(sp_id)
-        described = self._described.get(sp_id)
-        if domain is None or described is None:
-            return 0
-        return len(domain.cooperation.old_set & described)
+    def stale_described_counts(self, sp_ids: Iterable[str]) -> Dict[str, int]:
+        """For each domain of ``sp_ids`` whose global summary describes some
+        partners from descriptions its cooperation list marks old, how many
+        (unknown domains and domains with none are left out)."""
+        domain_of = self._domains.get
+        described_of = self._described.get
+        counts: Dict[str, int] = {}
+        for sp_id in sp_ids:
+            domain = domain_of(sp_id)
+            described = described_of(sp_id)
+            if domain is None or described is None:
+                continue
+            stale = domain.cooperation.old_set
+            if stale:
+                count = len(stale & described)
+                if count:
+                    counts[sp_id] = count
+        return counts

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 from repro.reporting import ExperimentTable
 from repro.experiments.runner import run_maintenance_simulation
 from repro.workloads.registry import default_registry
-from repro.workloads.scenarios import DEFAULT_ALPHAS, DEFAULT_DOMAIN_SIZES
+from repro.workloads.scenarios import DEFAULT_ALPHAS, DEFAULT_DOMAIN_SIZES, shared_topologies
 
 PAPER_EXPECTATION = (
     "stale-answer fraction grows with the threshold α and stays bounded "
@@ -43,20 +43,22 @@ def run_figure4(
         },
     )
     registry = default_registry()
-    for alpha in alphas:
-        for size in domain_sizes:
-            scenario = registry.scenario(
-                "maintenance",
-                peer_count=size,
-                alpha=alpha,
-                duration_seconds=duration_seconds,
-                seed=seed,
-            )
-            run = run_maintenance_simulation(scenario)
-            table.add_row(
-                domain_size=size,
-                alpha=alpha,
-                stale_fraction=run.mean_worst_stale_fraction,
-                real_stale_fraction=run.mean_real_stale_fraction,
-            )
+    # Every α runs on the same seeded overlay per size: generated once.
+    with shared_topologies():
+        for alpha in alphas:
+            for size in domain_sizes:
+                scenario = registry.scenario(
+                    "maintenance",
+                    peer_count=size,
+                    alpha=alpha,
+                    duration_seconds=duration_seconds,
+                    seed=seed,
+                )
+                run = run_maintenance_simulation(scenario)
+                table.add_row(
+                    domain_size=size,
+                    alpha=alpha,
+                    stale_fraction=run.mean_worst_stale_fraction,
+                    real_stale_fraction=run.mean_real_stale_fraction,
+                )
     return table

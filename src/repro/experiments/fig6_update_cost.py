@@ -14,7 +14,7 @@ from repro.costmodel.update_cost import UpdateCostModel
 from repro.reporting import ExperimentTable
 from repro.experiments.runner import run_maintenance_simulation
 from repro.workloads.registry import default_registry
-from repro.workloads.scenarios import DEFAULT_DOMAIN_SIZES
+from repro.workloads.scenarios import DEFAULT_DOMAIN_SIZES, shared_topologies
 
 PAPER_EXPECTATION = (
     "total messages increase with the domain size, per-node messages stay "
@@ -47,30 +47,32 @@ def run_figure6(
         parameters={"duration_seconds": duration_seconds, "seed": seed},
     )
     registry = default_registry()
-    for alpha in alphas:
-        for size in domain_sizes:
-            scenario = registry.scenario(
-                "maintenance",
-                peer_count=size,
-                alpha=alpha,
-                duration_seconds=duration_seconds,
-                seed=seed,
-            )
-            run = run_maintenance_simulation(scenario)
-            model = UpdateCostModel(
-                domain_size=size,
-                lifetime_seconds=scenario.lifetime_mean_seconds,
-                alpha=alpha,
-            )
-            table.add_row(
-                domain_size=size,
-                alpha=alpha,
-                total_messages=run.update_messages,
-                messages_per_node=run.messages_per_node,
-                push_messages=run.push_messages,
-                reconciliations=run.reconciliations,
-                model_messages_per_node=model.messages_per_node(duration_seconds),
-            )
+    # Every α runs on the same seeded overlay per size: generated once.
+    with shared_topologies():
+        for alpha in alphas:
+            for size in domain_sizes:
+                scenario = registry.scenario(
+                    "maintenance",
+                    peer_count=size,
+                    alpha=alpha,
+                    duration_seconds=duration_seconds,
+                    seed=seed,
+                )
+                run = run_maintenance_simulation(scenario)
+                model = UpdateCostModel(
+                    domain_size=size,
+                    lifetime_seconds=scenario.lifetime_mean_seconds,
+                    alpha=alpha,
+                )
+                table.add_row(
+                    domain_size=size,
+                    alpha=alpha,
+                    total_messages=run.update_messages,
+                    messages_per_node=run.messages_per_node,
+                    push_messages=run.push_messages,
+                    reconciliations=run.reconciliations,
+                    model_messages_per_node=model.messages_per_node(duration_seconds),
+                )
     return table
 
 

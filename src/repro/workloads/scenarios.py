@@ -12,8 +12,10 @@ of Figures 4–6.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.core.config import ProtocolConfig
 from repro.core.session import NetworkSession, SystemBuilder
@@ -22,6 +24,50 @@ from repro.network.churn import LifetimeDistribution
 from repro.network.faults import FaultPlan
 from repro.network.overlay import Overlay
 from repro.network.topology import TopologyConfig
+
+
+#: Peer -> neighbour -> link latency, as :attr:`Overlay.links` holds it.
+_Links = Dict[str, Dict[str, float]]
+
+#: Inside :func:`shared_topologies`: the pristine links of every topology
+#: generated so far in the block; outside (None), each overlay is generated.
+_SHARED_LINKS: ContextVar[Optional[Dict[TopologyConfig, _Links]]] = ContextVar(
+    "shared_links", default=None
+)
+
+
+@contextmanager
+def shared_topologies() -> Iterator[None]:
+    """Generate each topology once for the whole block.
+
+    A figure sweeping α over the same seeded sizes builds the same overlay
+    once per α.  Inside this block the first build of a topology generates it
+    and keeps its links as they were generated; every later build gets a
+    fresh :class:`Overlay` over its own copy of them, so a run that rewires
+    its overlay leaves the next run's untouched.
+    """
+    token = _SHARED_LINKS.set({})
+    try:
+        yield
+    finally:
+        _SHARED_LINKS.reset(token)
+
+
+def _copy_links(links: _Links) -> _Links:
+    return {peer_id: dict(neighbours) for peer_id, neighbours in links.items()}
+
+
+def _overlay(config: TopologyConfig) -> Overlay:
+    """``Overlay.generate(config)``, or a fresh copy of the block's (see above)."""
+    shared = _SHARED_LINKS.get()
+    if shared is None:
+        return Overlay.generate(config)
+    pristine = shared.get(config)
+    if pristine is None:
+        overlay = Overlay.generate(config)
+        shared[config] = _copy_links(overlay.links)
+        return overlay
+    return Overlay(_copy_links(pristine))
 
 
 def table3_parameters() -> Dict[str, object]:
@@ -131,7 +177,7 @@ class SimulationScenario:
         connected peer as the only summary peer makes the domain size equal
         to the network size.
         """
-        overlay = Overlay.generate(self.topology_config())
+        overlay = _overlay(self.topology_config())
         config = ProtocolConfig(
             freshness_threshold=self.alpha,
             superpeer_fraction=1.0 / max(2, self.peer_count),

@@ -198,6 +198,7 @@ class TestSetMatchingEquivalence:
                 for peer_id in subset
                 if content.truly_matching(query_id, peer_id)
             }
+            assert content.bind_query(query_id, None).matching(subset) == expected
             assert content.matching_among(query_id, subset) == expected
 
     @pytest.mark.parametrize("policy", list(RoutingPolicy))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import SummaryManagementSystem
+from repro.core.routing import QueryRequest
 from repro.core.session import (
     MaintenanceReport,
     NetworkSession,
@@ -206,6 +207,28 @@ class TestQuerySurface:
             session.query_batch()
         with pytest.raises(ConfigurationError, match="exactly one"):
             session.query_batch(count=2, queries=[paper_example_query()])
+
+    @pytest.mark.parametrize("limit", ["required_results", "max_domains"])
+    def test_negative_limit_is_rejected_before_anything_moves(self, limit):
+        """-1 used to route silently: ``max_domains=-1`` reached no domain,
+        ``required_results=-1`` stopped after the first one."""
+        session = _planned_builder().build()
+        counter = session.system.counter.state_payload()
+        valid = QueryRequest(session.default_originator(), required_results=2)
+        invalid = QueryRequest(session.default_originator(), **{limit: -1})
+        for pose in (
+            lambda: session.query(**{limit: -1}),
+            lambda: session.query_batch(count=2, **{limit: -1}),
+            # The valid request ahead of the bad one is not posed either.
+            lambda: session.query_batch(requests=[valid, invalid]),
+            lambda: session.system.pose_query(
+                session.default_originator(), **{limit: -1}
+            ),
+        ):
+            with pytest.raises(ProtocolError, match=f"{limit} must be at least 0"):
+                pose()
+        assert session.system.counter.state_payload() == counter
+        assert session.query(**{limit: 0}).query_id == 0  # no id was spent
 
     def test_staleness_passthrough_requires_planned_content(self):
         session = _real_session()

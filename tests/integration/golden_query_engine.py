@@ -10,8 +10,13 @@ The hash is over :func:`answer_record`: the wire encoding of an answer, except
 that each domain outcome is this module's own 7-key object (every peer set
 spelled out, ``false_positives`` included), as it was when the digests were
 recorded, so the served outcome's compact array shape is free to change.  ``test_query_engine_equivalence.py`` holds
-the batched path of every later commit to those digests.  Regenerate only for
-a deliberate protocol change::
+the batched path of every later commit to those digests.  The ``table3/``
+flows came later: recorded on the last commit that routed a query through
+one call per domain step, they pin the query path at Table-3 scale (mutable,
+batched and read-only) and the ordered fault draws of a lossy network.
+Running this module records the flows the fixture lacks and leaves every
+recorded digest alone; delete the fixture first only for a deliberate
+protocol change::
 
     PYTHONPATH=src python tests/integration/golden_query_engine.py
 """
@@ -29,6 +34,8 @@ from repro.network.overlay import Overlay
 from repro.network.topology import TopologyConfig
 from repro.saintetiq.serialization import content_hash
 from repro.serve.wire import encode_answer, encode_staleness
+from repro.store.backend import InMemoryBackend
+from repro.store.checkpoint import open_readonly_session
 from repro.workloads.patients import MedicalWorkload, build_peer_databases
 from repro.workloads.queries import paper_example_query
 from repro.workloads.registry import default_registry
@@ -160,6 +167,70 @@ def real_content_flow(seed: int) -> Dict[str, Any]:
     return _answers_record(session, answers)
 
 
+#: The Table-3 flows' per-request ``required_results``: one domain may do,
+#: a few may, the hit rate (10 % of 500 peers) is rarely reached, none given.
+TABLE3_REQUIRED = (5, 20, 50, None)
+
+
+def _table3_requests(session: NetworkSession) -> List[QueryRequest]:
+    """8 requests under each policy, then one capped at three domains."""
+    originators = session.partner_ids()
+    requests = [
+        QueryRequest(
+            originator=originators[(11 * index) % len(originators)],
+            policy=policy,
+            required_results=TABLE3_REQUIRED[index % len(TABLE3_REQUIRED)],
+        )
+        for policy in RoutingPolicy
+        for index in range(8)
+    ]
+    requests.append(QueryRequest(originator=originators[1], max_domains=3))
+    return requests
+
+
+def _table3_session(name: str, seed: int) -> NetworkSession:
+    """``name`` with its churn and modifications, run for 1 h."""
+    scenario = default_registry().scenario(name, seed=seed)
+    session = scenario.apply_dynamics(scenario.builder()).build()
+    session.run_until(3600.0)
+    return session
+
+
+def table3_flow(seed: int, path: str) -> Dict[str, Any]:
+    """Table 3 at 500 peers after 1 h of churn and modifications: the
+    requests of :func:`_table3_requests` posed one by one on the session
+    (``mutable``), as one ``query_batch`` (``batch``), or one by one on a
+    read-only open of its checkpoint (``readonly``)."""
+    session = _table3_session("table3-default", seed)
+    requests = _table3_requests(session)
+    if path == "batch":
+        return _answers_record(session, session.query_batch(requests=requests))
+    if path == "mutable":
+        return _answers_record(session, [_pose(session, r) for r in requests])
+    backend = InMemoryBackend()
+    session.checkpoint(backend, "tip")
+    with open_readonly_session(backend, "tip") as readonly:
+        return _answers_record(readonly, [_pose(readonly, r) for r in requests])
+
+
+def lossy_flow(seed: int) -> Dict[str, Any]:
+    """The ``lossy-network`` scenario after 1 h: every query hop may be
+    dropped and retried, so the fault draws must stay in order."""
+    session = _table3_session("lossy-network", seed)
+    return _answers_record(
+        session, session.query_batch(requests=_table3_requests(session))
+    )
+
+
+def _pose(session: NetworkSession, request: QueryRequest) -> QueryAnswer:
+    return session.query(
+        request.originator,
+        policy=request.policy,
+        required_results=request.required_results,
+        max_domains=request.max_domains,
+    )
+
+
 FLOWS: Dict[str, Callable[[], Dict[str, Any]]] = {
     "fig4-5/maintenance-32/seed-0": lambda: maintenance_flow(0),
     "fig4-5/maintenance-32/seed-9": lambda: maintenance_flow(9),
@@ -168,10 +239,18 @@ FLOWS: Dict[str, Callable[[], Dict[str, Any]]] = {
     "batch/planned-churn-64/seed-0": lambda: planned_churn_flow(0),
     "batch/planned-churn-64/seed-13": lambda: planned_churn_flow(13),
     "batch/real-content-16/seed-8": lambda: real_content_flow(8),
+    "table3/default-500/seed-0/mutable": lambda: table3_flow(0, "mutable"),
+    "table3/default-500/seed-0/batch": lambda: table3_flow(0, "batch"),
+    "table3/default-500/seed-0/readonly": lambda: table3_flow(0, "readonly"),
+    "table3/lossy-network-96/seed-4": lambda: lossy_flow(4),
 }
 
 
 if __name__ == "__main__":
-    recorded = {name: flow() for name, flow in FLOWS.items()}
+    recorded = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    # Only missing flows are recorded: an existing digest is never rewritten.
+    recorded.update(
+        {name: flow() for name, flow in FLOWS.items() if name not in recorded}
+    )
     FIXTURE.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE}")

@@ -15,13 +15,16 @@ import threading
 
 import pytest
 
+from repro.core.routing import RoutingPolicy
 from repro.exceptions import ProtocolError, ReadOnlySessionError
 from repro.store.checkpoint import (
     capture_session,
     open_readonly_session,
     restore_session,
+    save_session,
 )
 from repro.workloads.queries import QueryWorkload, paper_example_query
+from repro.workloads.registry import default_registry
 
 REQUIRED = 5
 THREADS = 8
@@ -203,6 +206,55 @@ def test_threads_filling_the_ground_truth_index_with_different_queries(
         assert _run_threads(ask) == []
         assert [answers[index] for index in range(THREADS)] == serial
         assert _state(session) == before
+
+
+@pytest.fixture(scope="module")
+def churned_store(tmp_path_factory):
+    """A planned Table-3 checkpoint (160 peers, several domains) after 1 h of
+    churn and modifications: departed peers, stale partners, offline links."""
+    scenario = default_registry().scenario("table3-default", peer_count=160, seed=5)
+    session = scenario.apply_dynamics(scenario.builder()).build()
+    session.run_until(3600.0)
+    path = tmp_path_factory.mktemp("serve-churned") / "churned.sqlite"
+    save_session(session, str(path))
+    return str(path)
+
+
+def test_threads_deriving_the_routing_state_of_a_fresh_session(
+    churned_store, fast_switching
+):
+    """Everything a planned query derives lazily on a read-only session — each
+    domain's kept routing sets, the online-neighbour memo, the population a
+    plan is drawn from — is first derived here by threads racing on it.  Each
+    cache is assigned whole, so every racer writes an equal value and every
+    answer equals the one a single thread gets."""
+    with open_readonly_session(churned_store) as session:
+        originators = session.partner_ids()
+        requests = [
+            {
+                "originator": originators[(7 * index) % len(originators)],
+                "query_id": 1000 + index,
+                "policy": list(RoutingPolicy)[index % len(RoutingPolicy)],
+                "required_results": (None, 4, 16)[index % 3],
+            }
+            for index in range(3 * THREADS)
+        ]
+        sequential = [session.query(**request) for request in requests]
+
+    for _ in range(3):
+        with open_readonly_session(churned_store) as session:
+            barrier = threading.Barrier(THREADS)
+            answers = {}
+
+            def ask(thread_id):
+                barrier.wait(timeout=60)
+                answers[thread_id] = [
+                    session.query(**request) for request in requests[thread_id::THREADS]
+                ]
+
+            assert _run_threads(ask) == []
+            for thread_id in range(THREADS):
+                assert answers[thread_id] == sequential[thread_id::THREADS]
 
 
 def test_mutations_raise_typed_error(planned_store):

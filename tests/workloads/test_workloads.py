@@ -18,6 +18,7 @@ from repro.workloads.scenarios import (
     DEFAULT_ALPHAS,
     DEFAULT_DOMAIN_SIZES,
     SimulationScenario,
+    shared_topologies,
     table3_parameters,
 )
 
@@ -136,3 +137,26 @@ class TestScenarios:
     def test_query_interval(self):
         scenario = SimulationScenario(peer_count=100)
         assert scenario.query_interval_seconds() == pytest.approx(12.0)
+
+    def test_shared_topologies_generate_once_and_hand_out_copies(self, monkeypatch):
+        from repro.network.overlay import Overlay
+
+        generated = []
+        generate = Overlay.generate.__func__
+
+        def counting_generate(cls, config):
+            generated.append(config)
+            return generate(cls, config)
+
+        monkeypatch.setattr(Overlay, "generate", classmethod(counting_generate))
+        scenario = SimulationScenario(peer_count=48, seed=1)
+        with shared_topologies():
+            first = scenario.single_domain_builder().build()
+            pristine = {p: dict(n) for p, n in first.overlay.links.items()}
+            first.overlay.remove_peer(first.overlay.peer_ids[-1])  # rewires it
+            second = scenario.single_domain_builder().build()
+        assert len(generated) == 1
+        assert second.overlay is not first.overlay
+        assert second.overlay.links == pristine
+        scenario.single_domain_builder().build()  # outside the block: generated anew
+        assert len(generated) == 2
