@@ -11,7 +11,7 @@ the terminal without going through pytest:
 * ``fault-sweep``    — answer quality and overhead vs. injected fault
   intensity (``--intensities 0,0.05,0.1,0.2``): per-link loss plus a growing
   partition window; the zero column is the fault-free baseline,
-* ``all``            — everything above,
+* ``all``            — everything above (fig4–fig6 read one maintenance sweep),
 * ``list-scenarios`` — the named scenarios of the registry,
 * ``run-scenario``   — build a named scenario through ``SystemBuilder``,
   simulate its churn horizon and pose a query batch
@@ -301,6 +301,38 @@ def _emit(tables: Sequence[ExperimentTable], as_json: bool) -> None:
         else:
             print(table.to_text())
             print()
+
+
+def _maintenance_figures(
+    sizes: Optional[List[int]],
+    alphas: Optional[List[float]],
+    duration: float,
+    seed: int,
+) -> List[ExperimentTable]:
+    """Figures 4, 5 and 6 read from one maintenance sweep (``all``)."""
+    from repro.experiments.fig4_stale_answers import figure4_table
+    from repro.experiments.fig5_false_negatives import FIGURE5_ALPHA, figure5_table
+    from repro.experiments.fig6_update_cost import FIGURE6_ALPHAS, figure6_table
+    from repro.experiments.runner import maintenance_sweep
+    from repro.workloads.scenarios import DEFAULT_ALPHAS, DEFAULT_DOMAIN_SIZES
+
+    sizes = sizes or DEFAULT_DOMAIN_SIZES
+    fig4_alphas = alphas or DEFAULT_ALPHAS
+    fig6_alphas = alphas or FIGURE6_ALPHAS
+    swept = list(dict.fromkeys([*fig4_alphas, FIGURE5_ALPHA, *fig6_alphas]))
+    runs = {
+        (run.scenario.alpha, run.scenario.peer_count): run
+        for run in maintenance_sweep(sizes, swept, duration, seed)
+    }
+
+    def pick(chosen: List[float]) -> list:
+        return [runs[alpha, size] for alpha in chosen for size in sizes]
+
+    return [
+        figure4_table(pick(fig4_alphas), duration, seed),
+        figure5_table(pick([FIGURE5_ALPHA]), FIGURE5_ALPHA, duration, seed),
+        figure6_table(pick(fig6_alphas), duration, seed),
+    ]
 
 
 def _list_scenarios_table() -> ExperimentTable:
@@ -766,9 +798,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
 
     if args.command == "all":
-        tables: List[ExperimentTable] = []
-        for name in ("tables", "fig4", "fig5", "fig6", "fig7", "fault-sweep"):
-            tables.extend(commands[name]())
+        tables = [
+            *commands["tables"](),
+            *_maintenance_figures(sizes, alphas, duration, args.seed),
+            *commands["fig7"](),
+            *commands["fault-sweep"](),
+        ]
     else:
         tables = commands[args.command]()
 

@@ -21,8 +21,10 @@ from __future__ import annotations
 import abc
 import copy
 import random
+from collections import ChainMap
 from typing import (
-    TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Set,
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, MutableMapping, NamedTuple,
+    Optional, Set,
 )
 
 from repro.exceptions import ConfigurationError, ProtocolError
@@ -176,7 +178,7 @@ class PlannedContentModel(ContentModel):
         self._peer_ids = list(peer_ids)
         self._matching_fraction = matching_fraction
         self._rng = random.Random(seed)
-        self._matching: Dict[int, Set[str]] = {}
+        self._matching: MutableMapping[int, Set[str]] = {}
         #: Peers whose data changed (relative to any query) since the summary
         #: version currently installed in their domain.
         self._modified_peers: Set[str] = set()
@@ -228,14 +230,19 @@ class PlannedContentModel(ContentModel):
         return population
 
     def scratch_copy(self) -> "PlannedContentModel":
-        # The peer list, the modified / departed sets and the drawable
-        # population are shared: only maintenance writes them, never a query.
-        # The population is derived here first, so every twin reuses one list.
+        """A twin whose own draws layer over this model's plans, read in place.
+
+        Sound only while this model draws nothing new, and it does not: only
+        :class:`~repro.core.session.ReadOnlyNetworkSession` makes twins, and
+        its system is never written.  The peer list, the modified / departed
+        sets and the drawable population (derived here first, so every twin
+        reuses one list) are shared: only maintenance writes them.
+        """
         self._drawable()
         twin = copy.copy(self)
         twin._rng = random.Random(0)  # any seed: the state is overwritten
         twin._rng.setstate(self._rng.getstate())
-        twin._matching = dict(self._matching)
+        twin._matching = ChainMap({}, self._matching)
         return twin
 
     # -- checkpoint state ------------------------------------------------------------------

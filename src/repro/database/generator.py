@@ -121,35 +121,3 @@ class PatientGenerator:
             ]
         )
         return relation
-
-
-@dataclass
-class MatchingPlanEntry:
-    """Whether one peer should match the workload query, and how."""
-
-    peer_index: int
-    matches: bool
-
-
-def plan_matching_peers(
-    peer_count: int,
-    matching_fraction: float,
-    rng: random.Random,
-) -> List[MatchingPlanEntry]:
-    """Choose which peers should hold data matching a workload query.
-
-    The paper fixes the query hit rate at 10 % of the total number of peers;
-    this helper picks exactly ``round(matching_fraction * peer_count)`` peers
-    uniformly at random (at least one when the fraction is positive).
-    """
-    if not 0.0 <= matching_fraction <= 1.0:
-        raise ValueError("matching_fraction must lie in [0, 1]")
-    target = round(matching_fraction * peer_count)
-    if matching_fraction > 0.0:
-        target = max(1, target)
-    target = min(target, peer_count)
-    chosen = set(rng.sample(range(peer_count), target)) if target else set()
-    return [
-        MatchingPlanEntry(peer_index=index, matches=index in chosen)
-        for index in range(peer_count)
-    ]

@@ -4,7 +4,9 @@ Every module exposes a ``run_*`` function returning an
 :class:`~repro.reporting.ExperimentTable` (rows + metadata).  The
 CLI (``python -m repro <command>``) is the one way to print them; the benches
 under ``benchmarks/`` and the ``examples/`` scripts call the same ``run_*``
-functions.
+functions.  Figures 4–6 share one driver, ``runner.maintenance_sweep``: each
+``run_figure*`` is that sweep projected into its table (``figure*_table``),
+and ``repro all`` projects all three from a single sweep.
 """
 
 from repro.experiments.fault_sweep import run_fault_sweep

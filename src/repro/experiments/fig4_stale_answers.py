@@ -11,9 +11,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.reporting import ExperimentTable
-from repro.experiments.runner import run_maintenance_simulation
-from repro.workloads.registry import default_registry
-from repro.workloads.scenarios import DEFAULT_ALPHAS, DEFAULT_DOMAIN_SIZES, shared_topologies
+from repro.experiments.runner import MaintenanceRun, maintenance_sweep
+from repro.workloads.scenarios import DEFAULT_ALPHAS, DEFAULT_DOMAIN_SIZES
 
 PAPER_EXPECTATION = (
     "stale-answer fraction grows with the threshold α and stays bounded "
@@ -29,9 +28,19 @@ def run_figure4(
     seed: int = 0,
 ) -> ExperimentTable:
     """Reproduce Figure 4: worst-case stale answers vs. domain size and α."""
-    domain_sizes = list(domain_sizes or DEFAULT_DOMAIN_SIZES)
-    alphas = list(alphas or DEFAULT_ALPHAS)
+    runs = maintenance_sweep(
+        domain_sizes or DEFAULT_DOMAIN_SIZES,
+        alphas or DEFAULT_ALPHAS,
+        duration_seconds,
+        seed,
+    )
+    return figure4_table(runs, duration_seconds, seed)
 
+
+def figure4_table(
+    runs: Sequence[MaintenanceRun], duration_seconds: float, seed: int
+) -> ExperimentTable:
+    """Figure 4 read from ``runs``, one row per run in their order."""
     table = ExperimentTable(
         name="Figure 4 — stale answers vs. domain size",
         columns=["domain_size", "alpha", "stale_fraction", "real_stale_fraction"],
@@ -42,23 +51,11 @@ def run_figure4(
             "lifetime": "log-normal mean 3 h / median 1 h",
         },
     )
-    registry = default_registry()
-    # Every α runs on the same seeded overlay per size: generated once.
-    with shared_topologies():
-        for alpha in alphas:
-            for size in domain_sizes:
-                scenario = registry.scenario(
-                    "maintenance",
-                    peer_count=size,
-                    alpha=alpha,
-                    duration_seconds=duration_seconds,
-                    seed=seed,
-                )
-                run = run_maintenance_simulation(scenario)
-                table.add_row(
-                    domain_size=size,
-                    alpha=alpha,
-                    stale_fraction=run.mean_worst_stale_fraction,
-                    real_stale_fraction=run.mean_real_stale_fraction,
-                )
+    for run in runs:
+        table.add_row(
+            domain_size=run.scenario.peer_count,
+            alpha=run.scenario.alpha,
+            stale_fraction=run.mean_worst_stale_fraction,
+            real_stale_fraction=run.mean_real_stale_fraction,
+        )
     return table

@@ -13,8 +13,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.reporting import ExperimentTable
-from repro.experiments.runner import run_maintenance_simulation
-from repro.workloads.registry import default_registry
+from repro.experiments.runner import MaintenanceRun, maintenance_sweep
 from repro.workloads.scenarios import DEFAULT_DOMAIN_SIZES
 
 PAPER_EXPECTATION = (
@@ -23,14 +22,27 @@ PAPER_EXPECTATION = (
 )
 
 
+#: The one α Figure 5 plots.
+FIGURE5_ALPHA: float = 0.3
+
+
 def run_figure5(
     domain_sizes: Optional[Sequence[int]] = None,
-    alpha: float = 0.3,
+    alpha: float = FIGURE5_ALPHA,
     duration_seconds: float = 6 * 3600.0,
     seed: int = 0,
 ) -> ExperimentTable:
     """Reproduce Figure 5: real false-negative fraction vs. domain size."""
-    domain_sizes = list(domain_sizes or DEFAULT_DOMAIN_SIZES)
+    runs = maintenance_sweep(
+        domain_sizes or DEFAULT_DOMAIN_SIZES, [alpha], duration_seconds, seed
+    )
+    return figure5_table(runs, alpha, duration_seconds, seed)
+
+
+def figure5_table(
+    runs: Sequence[MaintenanceRun], alpha: float, duration_seconds: float, seed: int
+) -> ExperimentTable:
+    """Figure 5 read from ``runs`` (all at ``alpha``), one row per run."""
     table = ExperimentTable(
         name="Figure 5 — false negatives vs. domain size",
         columns=[
@@ -47,23 +59,14 @@ def run_figure5(
             "seed": seed,
         },
     )
-    registry = default_registry()
-    for size in domain_sizes:
-        scenario = registry.scenario(
-            "maintenance",
-            peer_count=size,
-            alpha=alpha,
-            duration_seconds=duration_seconds,
-            seed=seed,
-        )
-        run = run_maintenance_simulation(scenario)
+    for run in runs:
         worst = run.mean_worst_stale_fraction
         false_negatives = run.mean_real_false_negative_fraction
         reduction = (
             worst / false_negatives if false_negatives > 0 else float("inf")
         )
         table.add_row(
-            domain_size=size,
+            domain_size=run.scenario.peer_count,
             alpha=alpha,
             false_negative_fraction=false_negatives,
             worst_stale_fraction=worst,

@@ -12,15 +12,18 @@ from typing import List, Optional, Sequence
 
 from repro.costmodel.update_cost import UpdateCostModel
 from repro.reporting import ExperimentTable
-from repro.experiments.runner import run_maintenance_simulation
-from repro.workloads.registry import default_registry
-from repro.workloads.scenarios import DEFAULT_DOMAIN_SIZES, shared_topologies
+from repro.experiments.runner import MaintenanceRun, maintenance_sweep
+from repro.workloads.scenarios import DEFAULT_DOMAIN_SIZES
 
 PAPER_EXPECTATION = (
     "total messages increase with the domain size, per-node messages stay "
     "roughly flat; moving α from 0.8 to 0.3 increases the cost by only ≈1.2× "
     "on average"
 )
+
+
+#: The α values Figure 6 compares.
+FIGURE6_ALPHAS: List[float] = [0.3, 0.8]
 
 
 def run_figure6(
@@ -30,8 +33,19 @@ def run_figure6(
     seed: int = 0,
 ) -> ExperimentTable:
     """Reproduce Figure 6: update traffic vs. domain size for two α values."""
-    domain_sizes = list(domain_sizes or DEFAULT_DOMAIN_SIZES)
-    alphas = list(alphas or (0.3, 0.8))
+    runs = maintenance_sweep(
+        domain_sizes or DEFAULT_DOMAIN_SIZES,
+        alphas or FIGURE6_ALPHAS,
+        duration_seconds,
+        seed,
+    )
+    return figure6_table(runs, duration_seconds, seed)
+
+
+def figure6_table(
+    runs: Sequence[MaintenanceRun], duration_seconds: float, seed: int
+) -> ExperimentTable:
+    """Figure 6 read from ``runs``, one row per run in their order."""
     table = ExperimentTable(
         name="Figure 6 — update messages vs. domain size",
         columns=[
@@ -46,33 +60,22 @@ def run_figure6(
         expectation=PAPER_EXPECTATION,
         parameters={"duration_seconds": duration_seconds, "seed": seed},
     )
-    registry = default_registry()
-    # Every α runs on the same seeded overlay per size: generated once.
-    with shared_topologies():
-        for alpha in alphas:
-            for size in domain_sizes:
-                scenario = registry.scenario(
-                    "maintenance",
-                    peer_count=size,
-                    alpha=alpha,
-                    duration_seconds=duration_seconds,
-                    seed=seed,
-                )
-                run = run_maintenance_simulation(scenario)
-                model = UpdateCostModel(
-                    domain_size=size,
-                    lifetime_seconds=scenario.lifetime_mean_seconds,
-                    alpha=alpha,
-                )
-                table.add_row(
-                    domain_size=size,
-                    alpha=alpha,
-                    total_messages=run.update_messages,
-                    messages_per_node=run.messages_per_node,
-                    push_messages=run.push_messages,
-                    reconciliations=run.reconciliations,
-                    model_messages_per_node=model.messages_per_node(duration_seconds),
-                )
+    for run in runs:
+        scenario = run.scenario
+        model = UpdateCostModel(
+            domain_size=scenario.peer_count,
+            lifetime_seconds=scenario.lifetime_mean_seconds,
+            alpha=scenario.alpha,
+        )
+        table.add_row(
+            domain_size=scenario.peer_count,
+            alpha=scenario.alpha,
+            total_messages=run.update_messages,
+            messages_per_node=run.messages_per_node,
+            push_messages=run.push_messages,
+            reconciliations=run.reconciliations,
+            model_messages_per_node=model.messages_per_node(duration_seconds),
+        )
     return table
 
 

@@ -3,13 +3,16 @@
 Figures 4–6 study the maintenance of a *single* domain of varying size under
 churn; Figure 7 measures end-to-end query cost over a multi-domain network.
 The drivers here run those simulations and return raw measurements; the
-figure modules turn them into :class:`ExperimentTable` rows.
+figure modules turn them into :class:`ExperimentTable` rows.  Figures 4, 5
+and 6 are three readings of one experiment: :func:`maintenance_sweep`
+simulates each (α, size) once, and ``repro all`` reads all three tables from
+one sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional, Sequence
 
 from repro.baselines.centralized import CentralizedIndex, centralized_query_cost
 from repro.baselines.flooding import FloodingSearch
@@ -17,11 +20,9 @@ from repro.core.protocol import UPDATE_MESSAGE_TYPES
 from repro.core.routing import QueryRequest, RoutingPolicy
 from repro.core.staleness import StalenessSnapshot
 from repro.costmodel.query_cost import PaperQueryScenario
+from repro.network.overlay import Overlay
 from repro.workloads.registry import default_registry
-from repro.workloads.scenarios import (
-    DEFAULT_MODIFICATION_RATE_PER_PEER,
-    SimulationScenario,
-)
+from repro.workloads.scenarios import QUERY_INTERVAL_SECONDS, SimulationScenario
 
 
 @dataclass
@@ -34,7 +35,6 @@ class MaintenanceRun:
     push_messages: int = 0
     reconciliation_messages: int = 0
     reconciliations: int = 0
-    duration_seconds: float = 0.0
     domain_size: int = 0
 
     @property
@@ -60,47 +60,32 @@ class MaintenanceRun:
             return 0.0
         return self.update_messages / self.domain_size
 
-    @property
-    def messages_per_node_per_second(self) -> float:
-        if self.domain_size == 0 or self.duration_seconds <= 0:
-            return 0.0
-        return self.update_messages / (self.domain_size * self.duration_seconds)
-
 
 def run_maintenance_simulation(
-    scenario: SimulationScenario,
-    snapshot_interval_seconds: float = 1200.0,
-    snapshots_per_tick: int = 3,
-    modification_rate_per_peer: float = DEFAULT_MODIFICATION_RATE_PER_PEER,
+    scenario: SimulationScenario, overlay: Optional[Overlay] = None
 ) -> MaintenanceRun:
     """Simulate churn + maintenance on a single domain and sample staleness.
 
-    Queries are sampled (not charged to traffic) every
-    ``snapshot_interval_seconds`` of virtual time, mimicking Table 3's query
-    rate of one query per node per 20 minutes.  A low rate of local data
-    modifications (one per peer every two hours by default) runs alongside the
-    churn, matching the paper's assumption that churn dominates but data does
-    change occasionally.
+    Three queries are sampled (not charged to traffic) every
+    :data:`QUERY_INTERVAL_SECONDS` of virtual time, Table 3's query rate of
+    one query per node per 20 minutes.  A low rate of local data
+    modifications (one per peer every three hours) runs alongside the churn,
+    matching the paper's assumption that churn dominates but data does change
+    occasionally.  ``overlay`` is the scenario's topology, if already built
+    (see :meth:`SimulationScenario.single_domain_builder`).
     """
-    session = scenario.apply_dynamics(
-        scenario.single_domain_builder(),
-        modification_rate_per_peer=modification_rate_per_peer,
-    ).build()
-    run = MaintenanceRun(
-        scenario=scenario,
-        duration_seconds=scenario.duration_seconds,
-        domain_size=session.overlay.size,
-    )
+    session = scenario.apply_dynamics(scenario.single_domain_builder(overlay)).build()
+    run = MaintenanceRun(scenario=scenario, domain_size=session.overlay.size)
 
     baseline_update = session.system.counter.count_types(list(UPDATE_MESSAGE_TYPES))
 
-    time = snapshot_interval_seconds
+    time = QUERY_INTERVAL_SECONDS
     while time <= scenario.duration_seconds:
         session.run_until(time)
         # One batched call per tick: the per-domain scans are shared across
         # the tick's samples (byte-identical to sampling one by one).
-        run.snapshots.extend(session.staleness_batch(snapshots_per_tick))
-        time += snapshot_interval_seconds
+        run.snapshots.extend(session.staleness_batch(3))
+        time += QUERY_INTERVAL_SECONDS
     session.run_until(scenario.duration_seconds)
 
     run.update_messages = (
@@ -112,6 +97,38 @@ def run_maintenance_simulation(
     run.reconciliation_messages = report.reconciliation_messages
     run.reconciliations = report.reconciliations
     return run
+
+
+def maintenance_sweep(
+    domain_sizes: Sequence[int],
+    alphas: Sequence[float],
+    duration_seconds: float,
+    seed: int,
+) -> List[MaintenanceRun]:
+    """The maintenance runs behind Figures 4–6, α-outer, size-inner.
+
+    Each (α, size) is simulated once.  Each size's overlay is generated once;
+    every run gets a fresh :class:`Overlay` over its own copy of the links,
+    so a run that rewires its overlay leaves the next α's untouched.
+    """
+    registry = default_registry()
+    links: Dict[int, Dict[str, Dict[str, float]]] = {}
+    runs = []
+    for alpha in alphas:
+        for size in domain_sizes:
+            scenario = registry.scenario(
+                "maintenance",
+                peer_count=size,
+                alpha=alpha,
+                duration_seconds=duration_seconds,
+                seed=seed,
+            )
+            if size not in links:
+                links[size] = Overlay.generate(scenario.topology_config()).links
+            overlay = Overlay({peer: dict(nbrs) for peer, nbrs in links[size].items()})
+            runs.append(run_maintenance_simulation(scenario, overlay))
+    return runs
+
 
 
 @dataclass

@@ -108,14 +108,3 @@ def build_peer_databases(
         databases[peer_id] = database
     return databases
 
-
-def matching_peer_plan(
-    peer_ids: Sequence[str], matching_fraction: float, seed: int = 0
-) -> List[str]:
-    """Draw the set of peers that should match a query (10 % by default)."""
-    rng = random.Random(seed)
-    target = round(matching_fraction * len(peer_ids))
-    if matching_fraction > 0:
-        target = max(1, target)
-    target = min(target, len(peer_ids))
-    return rng.sample(list(peer_ids), target) if target else []

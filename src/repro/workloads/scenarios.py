@@ -12,10 +12,8 @@ of Figures 4–6.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.config import ProtocolConfig
 from repro.core.session import NetworkSession, SystemBuilder
@@ -25,49 +23,8 @@ from repro.network.faults import FaultPlan
 from repro.network.overlay import Overlay
 from repro.network.topology import TopologyConfig
 
-
-#: Peer -> neighbour -> link latency, as :attr:`Overlay.links` holds it.
-_Links = Dict[str, Dict[str, float]]
-
-#: Inside :func:`shared_topologies`: the pristine links of every topology
-#: generated so far in the block; outside (None), each overlay is generated.
-_SHARED_LINKS: ContextVar[Optional[Dict[TopologyConfig, _Links]]] = ContextVar(
-    "shared_links", default=None
-)
-
-
-@contextmanager
-def shared_topologies() -> Iterator[None]:
-    """Generate each topology once for the whole block.
-
-    A figure sweeping α over the same seeded sizes builds the same overlay
-    once per α.  Inside this block the first build of a topology generates it
-    and keeps its links as they were generated; every later build gets a
-    fresh :class:`Overlay` over its own copy of them, so a run that rewires
-    its overlay leaves the next run's untouched.
-    """
-    token = _SHARED_LINKS.set({})
-    try:
-        yield
-    finally:
-        _SHARED_LINKS.reset(token)
-
-
-def _copy_links(links: _Links) -> _Links:
-    return {peer_id: dict(neighbours) for peer_id, neighbours in links.items()}
-
-
-def _overlay(config: TopologyConfig) -> Overlay:
-    """``Overlay.generate(config)``, or a fresh copy of the block's (see above)."""
-    shared = _SHARED_LINKS.get()
-    if shared is None:
-        return Overlay.generate(config)
-    pristine = shared.get(config)
-    if pristine is None:
-        overlay = Overlay.generate(config)
-        shared[config] = _copy_links(overlay.links)
-        return overlay
-    return Overlay(_copy_links(pristine))
+#: Table 3's query rate: one query per node every 20 minutes.
+QUERY_INTERVAL_SECONDS: float = 1200.0
 
 
 def table3_parameters() -> Dict[str, object]:
@@ -82,7 +39,7 @@ def table3_parameters() -> Dict[str, object]:
         "number_of_queries": 200,
         "matching_nodes_fraction": 0.10,
         "freshness_threshold_alpha": (0.1, 0.8),
-        "query_rate_per_node_per_second": 1.0 / 1200.0,
+        "query_rate_per_node_per_second": 1.0 / QUERY_INTERVAL_SECONDS,
         "average_degree": 4,
         "flooding_ttl": 3,
     }
@@ -170,14 +127,18 @@ class SimulationScenario:
             builder.faults(self.fault_plan)
         return builder
 
-    def single_domain_builder(self) -> SystemBuilder:
+    def single_domain_builder(self, overlay: Optional[Overlay] = None) -> SystemBuilder:
         """A builder for the single-domain setting of Figures 4–6.
 
         Figures 4–6 study *one* domain of varying size; forcing the best-
         connected peer as the only summary peer makes the domain size equal
-        to the network size.
+        to the network size.  ``overlay`` is the network to build on; it
+        must be this scenario's topology (a sweep generates each size once
+        and hands every run a fresh copy).  Without it the topology is
+        generated here.
         """
-        overlay = _overlay(self.topology_config())
+        if overlay is None:
+            overlay = Overlay.generate(self.topology_config())
         config = ProtocolConfig(
             freshness_threshold=self.alpha,
             superpeer_fraction=1.0 / max(2, self.peer_count),
@@ -241,7 +202,7 @@ class SimulationScenario:
 
     def query_interval_seconds(self) -> float:
         """Average time between two consecutive queries in the whole network."""
-        rate = self.peer_count / 1200.0  # one query per node per 20 minutes
+        rate = self.peer_count / QUERY_INTERVAL_SECONDS
         return 1.0 / rate if rate > 0 else float("inf")
 
 

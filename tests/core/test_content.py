@@ -55,13 +55,57 @@ class TestPlannedContentModel:
         relevant = model.relevant_partners(0, scope, None, None)
         assert relevant == set(list(matching)[:2])
 
-    def test_invalid_fraction_raises(self):
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, 2.0])
+    def test_invalid_fraction_raises(self, fraction):
         with pytest.raises(ConfigurationError):
-            PlannedContentModel(["p0"], matching_fraction=2.0)
+            PlannedContentModel(["p0"], matching_fraction=fraction)
 
     def test_zero_fraction(self):
         model = PlannedContentModel([f"p{i}" for i in range(10)], matching_fraction=0.0)
         assert model.plan_query(0) == set()
+
+    def test_tiny_positive_fraction_still_gives_one_peer(self):
+        model = PlannedContentModel([f"p{i}" for i in range(5)], matching_fraction=0.01)
+        assert len(model.plan_query(0)) == 1
+
+    def test_full_fraction_gives_every_peer(self):
+        peers = [f"p{i}" for i in range(10)]
+        model = PlannedContentModel(peers, matching_fraction=1.0)
+        assert model.plan_query(0) == set(peers)
+
+    def test_same_seed_same_plans(self):
+        peers = [f"p{i}" for i in range(40)]
+        first, second = (PlannedContentModel(peers, seed=3) for _ in range(2))
+        assert [first.plan_query(q) for q in range(5)] == [
+            second.plan_query(q) for q in range(5)
+        ]
+
+
+class TestPlannedScratchCopy:
+    def test_twin_draws_like_the_model_and_leaves_it_unwritten(self):
+        model = PlannedContentModel([f"p{i}" for i in range(50)], seed=8)
+        drawn = model.plan_query(0)
+        before = model.state_payload()
+        twin = model.scratch_copy()
+        assert twin.plan_query(0) == drawn
+        fresh = [twin.plan_query(query_id) for query_id in (1, 2)]
+        assert model.state_payload() == before
+        assert fresh == [model.plan_query(query_id) for query_id in (1, 2)]
+
+    def test_twin_does_not_copy_the_plan_registry(self):
+        import tracemalloc
+
+        model = PlannedContentModel([f"p{i}" for i in range(100)], seed=10)
+        for query_id in range(50_000):
+            model.plan(query_id)
+        model.scratch_copy()  # derives the drawable population once
+        tracemalloc.start()
+        try:
+            model.scratch_copy()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestSummaryContentModel:

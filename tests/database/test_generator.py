@@ -1,14 +1,6 @@
 """Unit tests for the synthetic data generator."""
 
-import random
-
-import pytest
-
-from repro.database.generator import (
-    PatientGenerator,
-    PatientProfile,
-    plan_matching_peers,
-)
+from repro.database.generator import PatientGenerator, PatientProfile
 
 
 class TestPatientGenerator:
@@ -56,25 +48,3 @@ class TestPatientGenerator:
         anorexia = sum(1 for record in records if record["disease"] == "anorexia")
         assert anorexia >= 35
 
-
-class TestMatchingPlan:
-    def test_fraction_of_matching_peers(self):
-        plan = plan_matching_peers(100, 0.1, random.Random(0))
-        matching = [entry for entry in plan if entry.matches]
-        assert len(matching) == 10
-
-    def test_at_least_one_when_fraction_positive(self):
-        plan = plan_matching_peers(5, 0.01, random.Random(0))
-        assert sum(1 for entry in plan if entry.matches) == 1
-
-    def test_zero_fraction_matches_nobody(self):
-        plan = plan_matching_peers(10, 0.0, random.Random(0))
-        assert not any(entry.matches for entry in plan)
-
-    def test_invalid_fraction_raises(self):
-        with pytest.raises(ValueError):
-            plan_matching_peers(10, 1.5, random.Random(0))
-
-    def test_full_fraction_matches_everyone(self):
-        plan = plan_matching_peers(10, 1.0, random.Random(0))
-        assert all(entry.matches for entry in plan)

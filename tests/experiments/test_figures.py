@@ -11,7 +11,12 @@ from repro.experiments.fig4_stale_answers import run_figure4
 from repro.experiments.fig5_false_negatives import run_figure5
 from repro.experiments.fig6_update_cost import cost_increase_factor, run_figure6
 from repro.experiments.fig7_query_cost import run_figure7
-from repro.experiments.runner import run_maintenance_simulation, run_query_cost_comparison
+from repro.experiments import runner
+from repro.experiments.runner import (
+    maintenance_sweep,
+    run_maintenance_simulation,
+    run_query_cost_comparison,
+)
 from repro.experiments.tables import run_table1_table2, run_table3
 from repro.workloads.scenarios import SimulationScenario
 
@@ -41,11 +46,73 @@ class TestMaintenanceRunner:
         scenario = SimulationScenario(
             peer_count=32, alpha=0.3, duration_seconds=2 * 3600.0, seed=1
         )
-        run = run_maintenance_simulation(scenario, snapshot_interval_seconds=1800.0)
+        run = run_maintenance_simulation(scenario)
         assert run.domain_size == 32
         assert run.snapshots
         assert run.update_messages >= 0
         assert 0.0 <= run.mean_worst_stale_fraction <= 1.0
+
+
+class TestMaintenanceSweep:
+    """Figures 4–6 read one sweep: each (α, size) simulated once, each size's
+    overlay generated once, every run on its own copy of it."""
+
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        from repro.network.overlay import Overlay
+
+        configs = []
+        generate = Overlay.generate.__func__
+
+        def counting_generate(cls, config):
+            configs.append(config)
+            return generate(cls, config)
+
+        monkeypatch.setattr(Overlay, "generate", classmethod(counting_generate))
+        return configs
+
+    def test_runs_come_alpha_outer_size_inner(self):
+        runs = maintenance_sweep([16, 24], [0.8, 0.1], 1800.0, seed=1)
+        assert [(r.scenario.alpha, r.scenario.peer_count) for r in runs] == [
+            (0.8, 16), (0.8, 24), (0.1, 16), (0.1, 24),
+        ]
+
+    def test_each_size_is_generated_once_across_alphas(self, generated):
+        maintenance_sweep([16, 24], [0.1, 0.3, 0.8], 1800.0, seed=1)
+        assert [config.peer_count for config in generated] == [16, 24]
+        maintenance_sweep([16], [0.3], 1800.0, seed=1)  # nothing outlives a sweep
+        assert len(generated) == 3
+
+    def test_a_rewired_overlay_leaves_the_next_alphas_untouched(
+        self, monkeypatch, generated
+    ):
+        from repro.network.overlay import Overlay
+
+        overlays = []
+
+        def rewire(scenario, overlay):
+            overlays.append((overlay, {p: dict(n) for p, n in overlay.links.items()}))
+            overlay.remove_peer(overlay.peer_ids[-1])
+            return scenario
+
+        monkeypatch.setattr(runner, "run_maintenance_simulation", rewire)
+        maintenance_sweep([48], [0.1, 0.3], 3600.0, seed=1)
+        (first, first_links), (second, second_links) = overlays
+        assert len(generated) == 1
+        assert second is not first
+        assert second_links == first_links
+        config = SimulationScenario(peer_count=48, seed=1).topology_config()
+        assert first_links == Overlay.generate(config).links
+
+    def test_a_given_overlay_is_built_on_and_none_is_generated(self, generated):
+        from repro.network.overlay import Overlay
+
+        scenario = SimulationScenario(peer_count=48, seed=1)
+        overlay = Overlay.generate(scenario.topology_config())
+        session = scenario.single_domain_builder(overlay).build()
+        assert session.overlay is overlay
+        scenario.single_domain_builder().build()  # without one: generated here
+        assert len(generated) == 2
 
 
 class TestFigure4:

@@ -78,6 +78,9 @@ class TestArgumentParsing:
 class _AnyRun:
     """Stands in for a simulation run: every figure it is asked for is 1."""
 
+    def __init__(self, scenario=None):
+        self.scenario = scenario
+
     def __getattr__(self, name):
         return 1.0
 
@@ -118,21 +121,17 @@ class TestFigureDefaults:
     def test_each_maintenance_figure_sweeps_the_papers_range(
         self, monkeypatch, command, alphas
     ):
-        import importlib
+        import repro.experiments as experiments
+        from repro.experiments import runner
 
-        module = importlib.import_module(
-            {"fig4": "repro.experiments.fig4_stale_answers",
-             "fig5": "repro.experiments.fig5_false_negatives",
-             "fig6": "repro.experiments.fig6_update_cost"}[command]
-        )
         swept = []
 
-        def simulate(scenario):
+        def simulate(scenario, overlay):
             swept.append((scenario.alpha, scenario.peer_count))
-            return _AnyRun()
+            return _AnyRun(scenario)
 
-        monkeypatch.setattr(module, "run_maintenance_simulation", simulate)
-        getattr(module, f"run_figure{command[-1]}")()
+        monkeypatch.setattr(runner, "run_maintenance_simulation", simulate)
+        getattr(experiments, f"run_figure{command[-1]}")()
         assert swept == [(a, n) for a in alphas for n in self.PAPER_DOMAIN_SIZES]
 
     def test_fig7_sweeps_the_papers_range(self, monkeypatch):
@@ -237,6 +236,23 @@ class TestCommands:
         assert [row["alpha"] for row in fig5["rows"]] == [0.3]
         assert [row["alpha"] for row in fig6["rows"]] == fig6_alphas
         assert [row["intensity"] for row in tables[6]["rows"]] == [0.0, 0.1]
+
+    def test_all_simulates_each_maintenance_point_once(self, monkeypatch, capsys):
+        """fig4, fig5 and fig6 read one sweep: one simulation per α (each
+        figure running its own made six)."""
+        from repro.experiments import runner
+
+        simulated = []
+        make_run = runner.MaintenanceRun
+
+        def counting(scenario, **measurements):
+            simulated.append((scenario.alpha, scenario.peer_count))
+            return make_run(scenario=scenario, **measurements)
+
+        monkeypatch.setattr(runner, "MaintenanceRun", counting)
+        assert main(["all", "--sizes", "16", "--hours", "1", "--json"]) == 0
+        capsys.readouterr()
+        assert simulated == [(0.1, 16), (0.3, 16), (0.8, 16)]
 
     def test_fig7_command_with_small_overrides(self, capsys):
         exit_code = main(["fig7", "--sizes", "16,32", "--queries", "3"])

@@ -4,11 +4,7 @@ import pytest
 
 from repro.database.query import DescriptorPredicate
 from repro.exceptions import ConfigurationError
-from repro.workloads.patients import (
-    MedicalWorkload,
-    build_peer_databases,
-    matching_peer_plan,
-)
+from repro.workloads.patients import MedicalWorkload, build_peer_databases
 from repro.workloads.queries import (
     QueryWorkload,
     paper_example_flexible_query,
@@ -18,7 +14,6 @@ from repro.workloads.scenarios import (
     DEFAULT_ALPHAS,
     DEFAULT_DOMAIN_SIZES,
     SimulationScenario,
-    shared_topologies,
     table3_parameters,
 )
 
@@ -45,16 +40,6 @@ class TestMedicalWorkload:
         peers = ["a", "b", "c"]
         databases = build_peer_databases(peers, MedicalWorkload(records_per_peer=7))
         assert all(db.total_records() == 7 for db in databases.values())
-
-    def test_matching_peer_plan(self):
-        plan = matching_peer_plan([f"p{i}" for i in range(40)], 0.25, seed=2)
-        assert len(plan) == 10
-
-    def test_plan_reproducible(self):
-        peers = [f"p{i}" for i in range(40)]
-        assert matching_peer_plan(peers, 0.1, seed=3) == matching_peer_plan(
-            peers, 0.1, seed=3
-        )
 
 
 class TestQueryWorkload:
@@ -137,26 +122,3 @@ class TestScenarios:
     def test_query_interval(self):
         scenario = SimulationScenario(peer_count=100)
         assert scenario.query_interval_seconds() == pytest.approx(12.0)
-
-    def test_shared_topologies_generate_once_and_hand_out_copies(self, monkeypatch):
-        from repro.network.overlay import Overlay
-
-        generated = []
-        generate = Overlay.generate.__func__
-
-        def counting_generate(cls, config):
-            generated.append(config)
-            return generate(cls, config)
-
-        monkeypatch.setattr(Overlay, "generate", classmethod(counting_generate))
-        scenario = SimulationScenario(peer_count=48, seed=1)
-        with shared_topologies():
-            first = scenario.single_domain_builder().build()
-            pristine = {p: dict(n) for p, n in first.overlay.links.items()}
-            first.overlay.remove_peer(first.overlay.peer_ids[-1])  # rewires it
-            second = scenario.single_domain_builder().build()
-        assert len(generated) == 1
-        assert second.overlay is not first.overlay
-        assert second.overlay.links == pristine
-        scenario.single_domain_builder().build()  # outside the block: generated anew
-        assert len(generated) == 2
