@@ -49,10 +49,10 @@ def test_delta_checkpoint_smaller_than_full(benchmark, tmp_path):
     """Bench guard: a delta checkpoint is materially smaller at 2000 peers.
 
     The guard asserts the size win — a delta must stay well under half the
-    full document; in practice it is ~4× smaller, since the 2000-peer overlay
+    full document; in practice it is ~3× smaller, since the 2000-peer overlay
     adjacency dominates a full checkpoint and never changes between nearby
     simulation times — and records both save times (the structural diff costs
-    more CPU than one wholesale encode, which is the price of writing 4×
+    more CPU than one wholesale encode, which is the price of writing 3×
     fewer bytes to storage).
     """
     from repro.store import CHECKPOINT_KIND

@@ -35,7 +35,6 @@ class MaintenanceRun:
     push_messages: int = 0
     reconciliation_messages: int = 0
     reconciliations: int = 0
-    domain_size: int = 0
 
     @property
     def mean_worst_stale_fraction(self) -> float:
@@ -56,9 +55,7 @@ class MaintenanceRun:
 
     @property
     def messages_per_node(self) -> float:
-        if self.domain_size == 0:
-            return 0.0
-        return self.update_messages / self.domain_size
+        return self.update_messages / self.scenario.peer_count
 
 
 def run_maintenance_simulation(
@@ -75,7 +72,8 @@ def run_maintenance_simulation(
     (see :meth:`SimulationScenario.single_domain_builder`).
     """
     session = scenario.apply_dynamics(scenario.single_domain_builder(overlay)).build()
-    run = MaintenanceRun(scenario=scenario, domain_size=session.overlay.size)
+    assert session.overlay.size == scenario.peer_count
+    run = MaintenanceRun(scenario=scenario)
 
     baseline_update = session.system.counter.count_types(list(UPDATE_MESSAGE_TYPES))
 

@@ -38,16 +38,45 @@ referenced without being encoded again
 about that memo enters a checkpoint, and nothing is kept resident between
 saves: the base is parsed again by the next delta.
 
+Format 2
+--------
+A checkpoint writes each fact once:
+
+* ``simulator.events`` — one row per pending event,
+  ``[time, sequence, key_index, *values]``.  ``key_index`` points into
+  ``simulator.keys``, a fixed table of ``[kind, key, ...]`` entries, one per
+  spec shape :meth:`SummaryManagementSystem.event_callback_from_spec`
+  knows (optional keys included); the values follow the entry's keys.  The
+  event's label is its spec's ``kind``, and a departure's ``depart_at`` is
+  its fire time unless the row's entry names it.  The table is the same in
+  every checkpoint, so a delta's patch of the queue is a splice.
+* ``overlay.adjacency`` — ``[peer, [entry, ...]]`` per peer, neighbours in
+  their order.  An entry is ``[neighbour, latency]`` when the neighbour's
+  row comes later, and the bare neighbour id when it came earlier (its row
+  holds the latency): each link's latency is written once.
+* ``overlay.peers`` — one positional row per adjacency row, in the same
+  order: ``[role, online, summary_peer_id, summary_peer_distance,
+  known_summary_peers]``.
+
+Format 1 stored events and peers as dicts, each link under both of its ends
+and an unread ``overlay.nodes`` list.  Such a document is still read: its
+delta chain is replayed in format 1 (its patches were computed against that
+text) and the result passes through one upgrade, :func:`_from_format_1`,
+before the one restore path reads it.  A delta saved on a format-1 base is
+written in format 2 against the upgraded payload.  A malformed row raises a
+:class:`~repro.exceptions.StoreError`, and a link given two latencies, or
+one end only, a :class:`~repro.exceptions.NetworkError`.
+
 Determinism notes
 -----------------
 * Pending simulator events carry declarative specs (see
   :meth:`SummaryManagementSystem.schedule_event_from_spec`); their original
   sequence numbers are preserved so same-timestamp ties break as in the
   uninterrupted run.
-* The overlay's links are written and read as one ordered mapping (peer →
-  neighbour → latency, each link under both ends): neighbour order feeds the
-  selective walk's tie-breaking RNG, so byte-identical continuation needs the
-  exact order, which an edge list cannot carry.
+* The overlay's links are written and read in their exact per-peer order:
+  neighbour order feeds the selective walk's tie-breaking RNG, so
+  byte-identical continuation needs the exact order, which an edge list
+  cannot carry.
 * Dict insertion orders that are protocol-visible (domain visit order,
   cooperation-list partner order, partner distances) are serialized as
   ordered lists.
@@ -55,6 +84,7 @@ Determinism notes
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import importlib
 import random
@@ -66,7 +96,7 @@ from repro.core.cooperation import CooperationList
 from repro.core.domain import Domain
 from repro.core.freshness import Freshness, FreshnessMode
 from repro.core.protocol import SummaryManagementSystem
-from repro.exceptions import StoreError
+from repro.exceptions import NetworkError, StoreError
 from repro.network.metrics import MessageCounter
 from repro.network.overlay import Overlay
 from repro.network.peer import PeerRole
@@ -88,7 +118,9 @@ CHECKPOINT_KIND = "checkpoint"
 #: Default checkpoint name when the caller does not pick one.
 DEFAULT_CHECKPOINT_NAME = "session"
 
-_CHECKPOINT_FORMAT = 1
+_CHECKPOINT_FORMAT = 2
+#: The format before pending events and peers became rows (see module notes).
+_FORMAT_1 = 1
 
 #: What a real query reaches past the system (which binds reformulation itself):
 #: a real-content restore imports it, so that no answer imports a module.
@@ -108,6 +140,15 @@ def _rng_restore(rng: random.Random, payload: List[object]) -> None:
     rng.setstate((version, tuple(internal), position))
 
 
+@contextlib.contextmanager
+def _malformed(what: str) -> Iterator[None]:
+    """Report a row too short, too long or of the wrong types as a StoreError."""
+    try:
+        yield
+    except (IndexError, KeyError, TypeError, ValueError) as error:
+        raise StoreError(f"malformed checkpoint {what}: {error!r}") from error
+
+
 def _finite(value: float) -> Optional[float]:
     return None if value == float("inf") else value
 
@@ -119,46 +160,95 @@ def _or_inf(value: Optional[float]) -> float:
 # -- overlay ----------------------------------------------------------------------
 
 
+def _adjacency_rows(links: Dict[str, Dict[str, float]]) -> List[List[Any]]:
+    """Each peer's neighbours in their order, each link's latency written once.
+
+    A neighbour whose row came earlier is its bare id (its row holds the
+    latency); one still to come is ``[id, latency]``.
+    """
+    rows: List[List[Any]] = []
+    written: set = set()
+    for node, neighbours in links.items():
+        entries: List[Any] = []
+        for neighbour, latency in neighbours.items():
+            if neighbour not in written:
+                entries.append([neighbour, latency])
+            elif links[neighbour].get(node) == latency:
+                entries.append(neighbour)
+            else:
+                raise NetworkError(
+                    f"link {node!r} -> {neighbour!r} is one-sided or unequal"
+                )
+        rows.append([node, entries])
+        written.add(node)
+    return rows
+
+
 def _overlay_payload(overlay: Overlay) -> Dict[str, Any]:
     links = overlay.links
     return {
-        "nodes": list(links),
         # The overlay's own tie-breaking RNG (used when a selective walk is
         # invoked without an explicit one): its state must survive restore or
         # post-restore default walks would diverge from the live session.
         "rng": _rng_payload(overlay.rng),
         # Per-node adjacency in its exact iteration order (see module notes).
-        "adjacency": [
-            [node, [[nbr, latency] for nbr, latency in neighbours.items()]]
-            for node, neighbours in links.items()
-        ],
+        "adjacency": _adjacency_rows(links),
+        # One row per adjacency row, in the same order.
         "peers": [
-            {
-                "peer_id": peer.peer_id,
-                "role": peer.role.value,
-                "online": peer.online,
-                "summary_peer_id": peer.summary_peer_id,
-                "summary_peer_distance": _finite(peer.summary_peer_distance),
-                "known_summary_peers": sorted(peer.known_summary_peers),
-            }
-            for peer in overlay.peers()
+            [
+                peer.role.value,
+                peer.online,
+                peer.summary_peer_id,
+                _finite(peer.summary_peer_distance),
+                sorted(peer.known_summary_peers),
+            ]
+            for peer in map(overlay.peer, links)
         ],
     }
 
 
+@_malformed("overlay row")
 def _overlay_from_payload(payload: Dict[str, Any]) -> Overlay:
-    # ``Overlay`` rejects a one-sided or unequal link with a NetworkError.
-    links = {node: dict(neighbours) for node, neighbours in payload["adjacency"]}
+    links: Dict[str, Dict[str, float]] = {}
+    for node, entries in payload["adjacency"]:
+        if node in links:
+            raise NetworkError(f"peer {node!r} has two adjacency rows")
+        neighbours = links[node] = {}
+        for entry in entries:
+            if isinstance(entry, list):
+                neighbour, latency = entry
+                if neighbour in links:
+                    raise NetworkError(
+                        f"link {node!r} -> {neighbour!r} is given a latency twice"
+                    )
+                neighbours[neighbour] = latency
+            else:
+                # A bare id: its row came earlier and holds the latency.
+                earlier = links.get(entry)
+                latency = None if earlier is None else earlier.get(node)
+                if latency is None or entry in neighbours:
+                    raise NetworkError(
+                        f"link {node!r} -> {entry!r} names no earlier row "
+                        "that links back: one-sided or unknown"
+                    )
+                neighbours[entry] = latency
+    rows = payload["peers"]
+    if len(rows) != len(links):
+        raise StoreError(
+            f"checkpoint overlay has {len(links)} adjacency rows but "
+            f"{len(rows)} peer rows"
+        )
+    # ``Overlay`` rejects a one-sided, unequal or dangling link with a NetworkError.
     overlay = Overlay(links)
     if "rng" in payload:
         _rng_restore(overlay.rng, payload["rng"])
-    for state in payload["peers"]:
-        peer = overlay.peer(state["peer_id"])
-        peer.role = PeerRole(state["role"])
-        peer.online = bool(state["online"])
-        peer.summary_peer_id = state["summary_peer_id"]
-        peer.summary_peer_distance = _or_inf(state["summary_peer_distance"])
-        peer.known_summary_peers = set(state["known_summary_peers"])
+    for peer, row in zip(overlay.peers(), rows):
+        role, online, summary_peer, distance, known = row
+        peer.role = PeerRole(role)
+        peer.online = bool(online)
+        peer.summary_peer_id = summary_peer
+        peer.summary_peer_distance = _or_inf(distance)
+        peer.known_summary_peers = set(known)
     return overlay
 
 
@@ -310,6 +400,98 @@ def _service_payload(
     }
 
 
+# -- pending events ---------------------------------------------------------------
+
+#: Every declarative event spec a checkpoint can hold (see
+#: ``event_callback_from_spec``), as its kind and the keys its row's values
+#: follow.  The table is written whole into each checkpoint and a row names
+#: its entry by index, so the indexes never depend on which events are
+#: pending; append, never reorder.
+_EVENT_KEYS: Tuple[Tuple[str, ...], ...] = (
+    (
+        "departure", "peer_id", "graceful", "rejoin", "downtime_seconds",
+        "horizon", "graceful_fraction", "lifetime_mean_seconds",
+        "lifetime_median_seconds",
+    ),
+    ("modification", "peer_id"),
+    ("rejoin", "peer_id"),
+    ("heal",),
+    ("partition", "fraction"),
+    ("partition", "fraction", "groups"),
+    ("domain_failure", "count"),
+    ("massacre", "fraction", "graceful"),
+    ("massacre", "fraction", "graceful", "rejoin_after"),
+    ("flash_crowd",),
+    ("flash_crowd", "rejoin_count"),
+    (
+        "departure", "peer_id", "graceful", "rejoin", "depart_at",
+        "downtime_seconds", "horizon", "graceful_fraction",
+        "lifetime_mean_seconds", "lifetime_median_seconds",
+    ),
+)
+#: The spec key that restates its event's fire time, per kind: a row leaves
+#: it out whenever it equals the time, and a restore reads it back from there.
+_FIRE_TIME_KEYS = {"departure": "depart_at"}
+#: (kind, the spec's key set with ``kind``) -> its table entry's index.
+_EVENT_ROW_INDEX = {
+    (keys[0], frozenset(("kind", *keys[1:]))): index
+    for index, keys in enumerate(_EVENT_KEYS)
+}
+
+
+def _event_key_table() -> List[List[str]]:
+    return [list(keys) for keys in _EVENT_KEYS]
+
+
+def _event_row(
+    time: float, sequence: int, label: str, spec: Dict[str, Any]
+) -> List[Any]:
+    """``[time, sequence, key_index, *values]`` for one pending event."""
+    kind = spec.get("kind")
+    if label != kind:
+        raise StoreError(
+            f"pending {label!r} event at t={time:.0f}s is labelled other than "
+            f"its spec's kind {kind!r}"
+        )
+    fire = _FIRE_TIME_KEYS.get(kind)  # type: ignore[arg-type]
+    keys = spec.keys()
+    if fire is not None and spec.get(fire) == time:
+        keys = keys - {fire}
+    index = _EVENT_ROW_INDEX.get((kind, frozenset(keys)))
+    if index is None:
+        raise StoreError(
+            f"pending {label!r} event at t={time:.0f}s has a spec "
+            f"{sorted(spec)} that no checkpoint row describes"
+        )
+    return [time, sequence, index, *[spec[key] for key in _EVENT_KEYS[index][1:]]]
+
+
+def _event_specs(
+    simulator: Dict[str, Any]
+) -> Iterator[Tuple[float, int, Dict[str, Any]]]:
+    """``(time, sequence, spec)`` of each pending-event row, in stored order."""
+    layouts = []
+    for keys in simulator["keys"]:
+        if tuple(keys) not in _EVENT_KEYS:
+            raise StoreError(f"checkpoint event key table holds an unknown entry {keys!r}")
+        kind, names = keys[0], tuple(keys[1:])
+        fire = _FIRE_TIME_KEYS.get(kind)
+        layouts.append((kind, names, 3 + len(names), None if fire in names else fire))
+    for row in simulator["events"]:
+        index = row[2]
+        if type(index) is not int or not 0 <= index < len(layouts):
+            raise StoreError(f"pending-event row {row!r} names no key table entry")
+        kind, names, width, fire = layouts[index]
+        if len(row) != width:
+            raise StoreError(f"pending-event row {row!r} does not fit its keys {names}")
+        time, sequence = float(row[0]), int(row[1])
+        spec = dict(zip(names, row[3:]))
+        spec["kind"] = kind
+        if fire is not None:
+            spec[fire] = time
+        yield time, sequence, spec
+
+
 # -- capture ----------------------------------------------------------------------
 
 
@@ -348,14 +530,7 @@ def capture_session(
                 "be checkpointed; schedule protocol events through "
                 "schedule_event_from_spec"
             )
-        events.append(
-            {
-                "time": event.time,
-                "sequence": event.sequence,
-                "label": event.label,
-                "spec": event.spec,
-            }
-        )
+        events.append(_event_row(event.time, event.sequence, event.label, event.spec))
 
     content = system.content
     if content is None:
@@ -373,6 +548,7 @@ def capture_session(
             "now": simulator.now,
             "processed": simulator.processed_events,
             "next_sequence": simulator.next_sequence,
+            "keys": _event_key_table(),
             "events": events,
         },
         "overlay": _overlay_payload(system.overlay),
@@ -455,7 +631,7 @@ def save_session(
             document = {
                 "format": _CHECKPOINT_FORMAT,
                 "base": base,
-                "patch": diff_documents(_replay_chain(links), payload),
+                "patch": diff_documents(_in_format_2(_replay_chain(links)), payload),
             }
         with backend.transaction():
             for digest in sorted(staged):
@@ -571,11 +747,22 @@ def resolve_checkpoint_payload(
 ) -> Dict[str, Any]:
     """The full payload of a checkpoint, replaying its delta chain if any.
 
-    ``_cache`` (name → resolved payload) lets a caller resolving *many*
-    checkpoints — the GC resolves every stored one — replay each chain link
-    once instead of re-resolving shared prefixes per checkpoint; treat the
-    cached payloads as read-only.
+    The payload is in the current format whatever format the chain was
+    written in (see :func:`_from_format_1`).  ``_cache`` (name → resolved
+    payload, each in the format of its own link) lets a caller resolving
+    *many* checkpoints — the GC resolves every stored one — replay each
+    chain link once instead of re-resolving shared prefixes per checkpoint;
+    treat the cached payloads as read-only.
     """
+    return _in_format_2(_resolve_stored(backend, name, _cache))
+
+
+def _resolve_stored(
+    backend: StoreBackend,
+    name: str,
+    _cache: Optional[Dict[str, Dict[str, Any]]] = None,
+) -> Dict[str, Any]:
+    """The payload ``name``'s chain resolves to, in the format of ``name``."""
     if _cache is not None and name in _cache:
         return _cache[name]
     links, seed = _walk_chain(backend, name, _cache)
@@ -587,17 +774,76 @@ def _replay_chain(
     seed: Optional[Dict[str, Any]] = None,
     _cache: Optional[Dict[str, Dict[str, Any]]] = None,
 ) -> Dict[str, Any]:
-    """Resolve what :func:`_walk_chain` fetched: patches replayed base first."""
+    """Resolve what :func:`_walk_chain` fetched: patches replayed base first.
+
+    A patch applies to the text it was computed against: a format-1 prefix
+    of the chain is replayed in format 1 and upgraded where the first
+    format-2 delta rests on it.
+    """
     payload = seed
     for link, document in reversed(links):
-        if "base" in document:
-            payload = apply_patch(payload, document["patch"])
-        else:
+        if "base" not in document:
             payload = document
+        else:
+            assert payload is not None  # a delta always follows its base
+            if document["format"] != payload.get("format"):
+                if document["format"] == _FORMAT_1:
+                    raise StoreError(
+                        f"format-1 delta checkpoint {link!r} rests on a base "
+                        f"that is now format {payload.get('format')!r}"
+                    )
+                payload = _in_format_2(payload)
+            payload = apply_patch(payload, document["patch"])
         if _cache is not None:
             _cache[link] = payload
     assert payload is not None  # a chain always ends in a full checkpoint
     return payload
+
+
+def _in_format_2(payload: Dict[str, Any]) -> Dict[str, Any]:
+    if payload.get("format") == _CHECKPOINT_FORMAT:
+        return payload
+    if payload.get("format") == _FORMAT_1:
+        return _from_format_1(payload)
+    raise StoreError(f"unsupported checkpoint format {payload.get('format')!r}")
+
+
+def _from_format_1(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """The one upgrade: a resolved format-1 payload as format 2 stores it.
+
+    Format 1 held each pending event and each peer's state as a dict, each
+    link under both of its ends, and an ``overlay.nodes`` list nothing read.
+    A link whose two ends disagree raises a :class:`NetworkError`.
+    """
+    with _malformed("format-1 row"):
+        simulator, overlay = payload["simulator"], payload["overlay"]
+        events = [
+            _event_row(event["time"], event["sequence"], event["label"], event["spec"])
+            for event in simulator["events"]
+        ]
+        links = {node: dict(neighbours) for node, neighbours in overlay["adjacency"]}
+        states = {state["peer_id"]: state for state in overlay["peers"]}
+        if states.keys() != links.keys():
+            raise StoreError("format-1 checkpoint peers do not match its adjacency")
+        peers = [
+            [
+                state["role"],
+                state["online"],
+                state["summary_peer_id"],
+                state["summary_peer_distance"],
+                state["known_summary_peers"],
+            ]
+            for state in map(states.__getitem__, links)
+        ]
+    upgraded = {"adjacency": _adjacency_rows(links), "peers": peers}
+    if "rng" in overlay:
+        upgraded["rng"] = overlay["rng"]
+    return {
+        **payload,
+        "format": _CHECKPOINT_FORMAT,
+        "simulator": {**simulator, "keys": _event_key_table(), "events": events},
+        "overlay": upgraded,
+    }
 
 
 def compact_checkpoint(
@@ -610,7 +856,9 @@ def compact_checkpoint(
     and overwrites it with the resolved payload — byte-identical to what a
     full checkpoint taken at the same moment would have stored, so restores
     are unaffected while the chain's earlier links become reclaimable (once
-    no *other* delta still bases on them).
+    no *other* delta still bases on them).  The payload keeps the format
+    its delta was written in: other deltas may rest on ``name``, and their
+    patches were computed against that text.
 
     Returns ``True`` when the checkpoint was a delta and got compacted,
     ``False`` when it already was a full checkpoint (a no-op).
@@ -621,8 +869,7 @@ def compact_checkpoint(
         _check_format(document, name)
         if "base" not in document:
             return False
-        payload = resolve_checkpoint_payload(backend, name)
-        backend.put(CHECKPOINT_KIND, name, payload)
+        backend.put(CHECKPOINT_KIND, name, _resolve_stored(backend, name))
         return True
     finally:
         if owns_backend(target):
@@ -644,7 +891,7 @@ def compact_checkpoints(target: Union[None, str, StoreBackend]) -> List[str]:
             _check_format(document, name)
             if "base" not in document:
                 continue
-            payload = resolve_checkpoint_payload(backend, name, _cache=resolved_cache)
+            payload = _resolve_stored(backend, name, _cache=resolved_cache)
             backend.put(CHECKPOINT_KIND, name, payload)
             compacted.append(name)
         return compacted
@@ -654,7 +901,7 @@ def compact_checkpoints(target: Union[None, str, StoreBackend]) -> List[str]:
 
 
 def _check_format(document: Dict[str, Any], name: str) -> None:
-    if document.get("format") != _CHECKPOINT_FORMAT:
+    if document.get("format") not in (_FORMAT_1, _CHECKPOINT_FORMAT):
         raise StoreError(
             f"unsupported checkpoint format in {name!r}: {document.get('format')!r}"
         )
@@ -884,14 +1131,15 @@ def _restore_session(
         processed=int(simulator_payload["processed"]),
         next_sequence=int(simulator_payload["next_sequence"]),
     )
-    for event in simulator_payload["events"]:
-        system.simulator.restore_event(
-            time=float(event["time"]),
-            sequence=int(event["sequence"]),
-            callback=system.event_callback_from_spec(event["spec"]),
-            label=event["label"],
-            spec=event["spec"],
-        )
+    with _malformed("pending-event row"):
+        for time, sequence, spec in _event_specs(simulator_payload):
+            system.simulator.restore_event(
+                time=time,
+                sequence=sequence,
+                callback=system.event_callback_from_spec(spec),
+                label=spec["kind"],
+                spec=spec,
+            )
 
     return session_cls(
         system, construction_report=None, horizon=payload["horizon"]

@@ -54,15 +54,18 @@ and ``described`` lists are each almost wholly changed between two times).
 
 Why planned-content deltas are kept
 -----------------------------------
-A delta buys disk everywhere; on planned content it was not buying time.  On
+A delta buys disk everywhere; on planned content it does not buy time.  On
 the 2000-peer Table-3 workload (``table3-planned-2000``, seed 1) a delta is
-206,734 B against a 1,419,659 B full save (0.15×), and it took 2.3× a full
-save's time while the diff still built the patches it then discarded.  Since
-the threshold is decided first it takes 1.8× (0.094 s against 0.053 s,
-medians of eleven benchmark runs on a 2-core host): a 7× smaller document
-for under twice the time.  On real content a delta is both smaller and
-cheaper.  So the mechanism stays for both kinds of content, and nothing
-picks it per content kind.
+192,077 B against a 701,234 B full save (0.27×), and it takes 1.7× a full
+save's time (0.067 s against 0.039 s, medians of ten benchmark runs over
+seeds 1–5 on a 2-core host): a 3.7× smaller document for under twice the
+time.  That is with the threshold decided before a list's children are
+diffed; while the diff still built the patches it then discarded, a delta
+took 2.3× a full save.  In checkpoint format 1, which wrote each link twice
+and each pending event and peer as a dict, the same pair was 206,734 B
+against 1,419,659 B (0.15×) at 1.8× the time.  On real content a delta is
+both smaller and cheaper.  So the mechanism stays for both kinds of
+content, and nothing picks it per content kind.
 """
 
 from __future__ import annotations

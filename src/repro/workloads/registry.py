@@ -122,12 +122,6 @@ class ScenarioRegistry:
         """
         return self.scenario(name, **overrides).session()
 
-    def single_domain_session(self, name: str, **overrides: object) -> NetworkSession:
-        """Build the single-domain session variant (Figures 4–6 setting).
-
-        Without the scenario's churn or modifications, as :meth:`session`.
-        """
-        return self.scenario(name, **overrides).single_domain_session()
 
 
 _DEFAULT_REGISTRY: Optional[ScenarioRegistry] = None
@@ -160,7 +154,7 @@ def _register_builtin_scenarios(registry: ScenarioRegistry) -> None:
         "maintenance",
         lambda: SimulationScenario(peer_count=100),
         description="Single-domain maintenance base of Figures 4–6 "
-        "(use single_domain_session; sweep peer_count/alpha).",
+        "(build with single_domain_builder; sweep peer_count/alpha).",
     )
     registry.register(
         "query-cost",

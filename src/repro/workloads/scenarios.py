@@ -6,7 +6,7 @@ and turns it into a ready-to-run
 :class:`~repro.core.session.NetworkSession` (planned-content mode) through
 the declarative :class:`~repro.core.session.SystemBuilder`:
 :meth:`SimulationScenario.session` for the multi-domain network,
-:meth:`SimulationScenario.single_domain_session` for the one-domain setting
+:meth:`SimulationScenario.single_domain_builder` for the one-domain setting
 of Figures 4–6.
 """
 
@@ -191,19 +191,6 @@ class SimulationScenario:
         """
         return self.builder(summary_peers=summary_peers).build()
 
-    def single_domain_session(self) -> NetworkSession:
-        """The single-domain session (Figures 4–6 setting), without its dynamics.
-
-        Like :meth:`session`, this schedules no churn and no modifications;
-        ``apply_dynamics(single_domain_builder()).build()``, which the
-        Figure 4–6 driver uses, does.
-        """
-        return self.single_domain_builder().build()
-
-    def query_interval_seconds(self) -> float:
-        """Average time between two consecutive queries in the whole network."""
-        rate = self.peer_count / QUERY_INTERVAL_SECONDS
-        return 1.0 / rate if rate > 0 else float("inf")
 
 
 def _diameter_upper_bound(peer_count: int, average_degree: float) -> int:

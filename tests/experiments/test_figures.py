@@ -47,7 +47,7 @@ class TestMaintenanceRunner:
             peer_count=32, alpha=0.3, duration_seconds=2 * 3600.0, seed=1
         )
         run = run_maintenance_simulation(scenario)
-        assert run.domain_size == 32
+        assert run.messages_per_node == run.update_messages / 32
         assert run.snapshots
         assert run.update_messages >= 0
         assert 0.0 <= run.mean_worst_stale_fraction <= 1.0

@@ -15,7 +15,7 @@ Three SHA-256 digests per scenario were recorded once and
 * ``metrics`` — the metrics registry's sorted snapshot.
 
 Regenerate only for a deliberate change of the fault or protocol
-accounting::
+accounting, or of the checkpoint format (which moves ``checkpoint`` alone)::
 
     PYTHONPATH=src python tests/integration/golden_fault_runs.py
 """
@@ -25,8 +25,9 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Callable, Dict
 
+from repro.core.session import NetworkSession
 from repro.obs import Observability
 from repro.serve.wire import encode_answer
 from repro.store import InMemoryBackend
@@ -48,7 +49,11 @@ def _sha(document: Any) -> str:
     return hashlib.sha256(canonical(document).encode("utf-8")).hexdigest()
 
 
-def run_digests(name: str) -> Dict[str, str]:
+def run_digests(
+    name: str, at_each_stop: Callable[[NetworkSession], None] = lambda session: None
+) -> Dict[str, str]:
+    """The three digests of ``name``'s run; ``at_each_stop`` sees the session
+    after each batch of queries (the last stop is the one checkpointed)."""
     scenario = default_registry().scenario(name, peer_count=PEERS, seed=SEED)
     obs = Observability.with_ring()
     session = scenario.apply_dynamics(scenario.builder()).observability(obs).build()
@@ -58,6 +63,7 @@ def run_digests(name: str) -> Dict[str, str]:
     for until in (horizon / 2, horizon):
         session.run_until(until)
         answers.extend(session.query_batch(count=QUERIES_PER_POINT))
+        at_each_stop(session)
     payload, _snapshots = capture_session(session)
     session.detach_store()
     return {

@@ -7,6 +7,9 @@ never-persisted session — including checkpoints taken mid-simulation with
 churn and modification events still pending.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import ProtocolConfig
@@ -26,6 +29,8 @@ from repro.store import (
     SqliteBackend,
 )
 from repro.store.checkpoint import (
+    _EVENT_KEYS,
+    _from_format_1,
     _overlay_from_payload,
     _overlay_payload,
     list_checkpoints,
@@ -34,6 +39,37 @@ from repro.store.checkpoint import (
 from repro.workloads.patients import MedicalWorkload, build_peer_databases
 from repro.workloads.queries import paper_example_query
 from repro.workloads.registry import default_registry
+
+
+FORMAT_1_FIXTURE = Path(__file__).with_name("format1_checkpoint.json")
+
+
+def _row_of(rows, entry):
+    """The row index of the peer an adjacency entry names."""
+    name = entry if isinstance(entry, str) else entry[0]
+    return next(index for index, (node, _entries) in enumerate(rows) if node == name)
+
+
+def _first_forward(rows):
+    """The first ``[id, latency]`` entry (a link whose other end comes later)."""
+    return next(e for _node, row in rows for e in row if not isinstance(e, str))
+
+
+def _first_back(rows):
+    """The first bare-id entry (a link whose latency an earlier row holds)."""
+    return next(e for _node, row in rows for e in row if isinstance(e, str))
+
+
+def _swap(rows, find, replace):
+    """Replace the entry ``find`` picks by ``replace(entry)`` (drop it on None)."""
+    target = find(rows)
+    for _node, entries in rows:
+        for index, entry in enumerate(entries):
+            if entry is target:
+                entries[index] = replace(entry)
+                if entries[index] is None:
+                    del entries[index]
+                return
 
 
 @pytest.fixture(params=["memory", "json", "sqlite"])
@@ -337,6 +373,78 @@ class TestRealContent:
             assert list_checkpoints(store) == ["real"]
 
 
+#: One spec of every shape a pending event can take, optional keys included.
+_EVERY_EVENT_SHAPE = [
+    {"kind": "departure", "peer_id": "p1", "graceful": True, "rejoin": True,
+     "depart_at": 700.0, "downtime_seconds": 300.0, "horizon": 3600.0,
+     "graceful_fraction": 0.7, "lifetime_mean_seconds": 3600.0,
+     "lifetime_median_seconds": 1200.0},
+    {"kind": "departure", "peer_id": "p2", "graceful": False, "rejoin": False,
+     "depart_at": 700.5, "downtime_seconds": 300.0, "horizon": 3600.0,
+     "graceful_fraction": 0.7, "lifetime_mean_seconds": 3600.0,
+     "lifetime_median_seconds": 1200.0},
+    {"kind": "modification", "peer_id": "p3"},
+    {"kind": "rejoin", "peer_id": "p4"},
+    {"kind": "heal"},
+    {"kind": "partition", "fraction": 0.5},
+    {"kind": "partition", "fraction": 0.5, "groups": [["p0", "p1"], ["p2"]]},
+    {"kind": "domain_failure", "count": 2},
+    {"kind": "massacre", "fraction": 0.5, "graceful": False},
+    {"kind": "massacre", "fraction": 0.2, "graceful": True, "rejoin_after": 60.0},
+    {"kind": "flash_crowd"},
+    {"kind": "flash_crowd", "rejoin_count": 3},
+]
+
+
+class TestEventRows:
+    """Pending events are rows over a fixed key table, every spec shape."""
+
+    def _pending(self, session):
+        return [
+            (event.time, event.sequence, event.label, event.spec)
+            for event in session.system.simulator.pending()
+        ]
+
+    def test_every_spec_shape_roundtrips(self, backend):
+        live = _build("smoke")
+        live.run_until(600.0)
+        for spec in _EVERY_EVENT_SHAPE:
+            live.system.schedule_event_from_spec(dict(spec), at=700.0)
+        live.checkpoint(backend, name="shapes")
+        rows = backend.get(CHECKPOINT_KIND, "shapes")["simulator"]["events"]
+        assert {row[2] for row in rows} == set(range(len(_EVENT_KEYS)))
+        restored = SystemBuilder.from_checkpoint(backend, name="shapes")
+        assert self._pending(restored) == self._pending(live)
+
+    def test_a_departure_row_reads_its_time_back(self, backend):
+        live = _build("churn-heavy", peer_count=32, duration_seconds=3600.0)
+        live.checkpoint(backend, name="start")
+        document = backend.get(CHECKPOINT_KIND, "start")
+        table = document["simulator"]["keys"]
+        departures = [
+            table[row[2]]
+            for row in document["simulator"]["events"]
+            if table[row[2]][0] == "departure"
+        ]
+        assert departures and all("depart_at" not in keys for keys in departures)
+        restored = SystemBuilder.from_checkpoint(backend, name="start")
+        assert self._pending(restored) == self._pending(live)
+
+    def test_a_spec_no_row_describes_refuses_checkpoint(self, backend):
+        live = _build("smoke")
+        live.system.schedule_event_from_spec({"kind": "heal", "why": "?"}, at=700.0)
+        with pytest.raises(StoreError, match="no checkpoint row"):
+            live.checkpoint(backend)
+
+    def test_a_label_other_than_the_kind_refuses_checkpoint(self, backend):
+        live = _build("smoke")
+        live.system.simulator.schedule(
+            10.0, lambda: None, label="ad-hoc", spec={"kind": "heal"}
+        )
+        with pytest.raises(StoreError, match="ad-hoc"):
+            live.checkpoint(backend)
+
+
 class TestErrors:
     def test_missing_checkpoint_lists_known_names(self, backend):
         _build("smoke").checkpoint(backend, name="known")
@@ -351,17 +459,96 @@ class TestErrors:
 
     def test_asymmetric_adjacency_is_a_typed_error(self):
         """It used to be symmetrised silently, by the first-seen latency."""
-        payload = _overlay_payload(Overlay.generate(TopologyConfig(peer_count=8)))
-        assert _overlay_from_payload(payload).links == dict(
-            (node, dict(neighbours)) for node, neighbours in payload["adjacency"]
+        # Format 1 wrote each link under both ends; the upgrade checks them.
+        recorded = json.loads(FORMAT_1_FIXTURE.read_text(encoding="utf-8"))["base"]
+        overlay = recorded["overlay"]
+        upgraded = _from_format_1(recorded)["overlay"]
+        assert _overlay_from_payload(upgraded).links == dict(
+            (node, dict(neighbours)) for node, neighbours in overlay["adjacency"]
         )
-        node, neighbours = payload["adjacency"][0]
+        node, neighbours = overlay["adjacency"][0]
         neighbours[0][1] += 1.0  # one direction of one link
         with pytest.raises(NetworkError, match="one-sided or unequal"):
-            _overlay_from_payload(payload)
+            _from_format_1(recorded)
         del neighbours[0]  # the other direction alone
         with pytest.raises(NetworkError, match="one-sided or unequal"):
+            _from_format_1(recorded)
+
+    def test_a_format_2_link_is_written_once(self):
+        live = Overlay.generate(TopologyConfig(peer_count=8))
+        payload = _overlay_payload(live)
+        assert _overlay_from_payload(payload).links == live.links
+        rows = payload["adjacency"]
+        entries = [entry for _node, row_entries in rows for entry in row_entries]
+        assert len(entries) == sum(map(len, live.links.values()))
+        # Each link's latency once: a bare id names an earlier row, and only it.
+        assert 2 * sum(not isinstance(entry, str) for entry in entries) == len(entries)
+        assert all(
+            isinstance(entry, str) == (_row_of(rows, entry) < row)
+            for row, (_node, row_entries) in enumerate(rows)
+            for entry in row_entries
+        )
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (lambda rows: _swap(rows, _first_back, lambda e: None), "one-sided"),
+            (lambda rows: _swap(rows, _first_forward, lambda e: e[0]), "no earlier"),
+            (lambda rows: _swap(rows, _first_forward, lambda e: "ghost"), "no earlier"),
+            (lambda rows: _swap(rows, _first_back, lambda e: [e, 1.0]), "latency twice"),
+        ],
+        ids=["unanswered", "bare-later-peer", "bare-unknown-peer", "latency-twice"],
+    )
+    def test_a_malformed_format_2_link_is_a_network_error(self, corrupt, message):
+        payload = _overlay_payload(Overlay.generate(TopologyConfig(peer_count=8)))
+        corrupt(payload["adjacency"])
+        with pytest.raises(NetworkError, match=message):
             _overlay_from_payload(payload)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda payload: payload["adjacency"][0][1].append(["p1", 1.0, "x"]),
+            lambda payload: payload["adjacency"].append(["p99"]),
+            lambda payload: payload["peers"][0].pop(),
+            lambda payload: payload["peers"].pop(),
+            lambda payload: payload["peers"][0].__setitem__(0, "emperor"),
+        ],
+        ids=["entry", "adjacency-row", "peer-row", "peer-count", "role"],
+    )
+    def test_a_malformed_overlay_row_is_a_store_error(self, corrupt):
+        payload = _overlay_payload(Overlay.generate(TopologyConfig(peer_count=8)))
+        corrupt(payload)
+        with pytest.raises(StoreError, match="overlay"):
+            _overlay_from_payload(payload)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda simulator: simulator["events"][0].__setitem__(2, 99),
+            lambda simulator: simulator["events"][0].__setitem__(2, -1),
+            lambda simulator: simulator["events"][0].__setitem__(2, True),
+            lambda simulator: simulator["events"][0].append("extra"),
+            lambda simulator: simulator["events"][0].pop(),
+            lambda simulator: simulator["events"].append([1e9]),
+            lambda simulator: simulator["events"].append([None, 1, 1, "p0"]),
+            lambda simulator: simulator["keys"].append(["departure", "peer_id"]),
+            lambda simulator: simulator.pop("keys"),
+        ],
+        ids=[
+            "index-past-table", "negative-index", "bool-index", "long-row",
+            "short-row", "no-index", "no-time", "unknown-keys", "no-key-table",
+        ],
+    )
+    def test_a_malformed_event_row_is_a_store_error(self, backend, corrupt):
+        live = _build("churn-heavy", peer_count=32, duration_seconds=3600.0)
+        live.run_until(600.0)
+        live.checkpoint(backend, name="good")
+        document = backend.get(CHECKPOINT_KIND, "good")
+        corrupt(document["simulator"])
+        backend.put(CHECKPOINT_KIND, "bad", document)
+        with pytest.raises(StoreError):
+            SystemBuilder.from_checkpoint(backend, name="bad")
 
     def test_checkpoint_without_content_refuses(self, backend):
         session = (

@@ -300,6 +300,23 @@ class TestDeltaCheckpoints:
         # "Materially smaller": the topology/peer bulk must not be re-stored.
         assert delta_bytes < 0.5 * full_bytes
 
+    #: The same pair's tip as format 1 stored it, pending events as dicts.
+    FORMAT_1_MID_RUN_TIP_BYTES = 150_864
+
+    def test_a_mid_run_delta_splices_the_pending_events(self, backend):
+        """Event rows name a fixed key table, so the queue's patch is a splice."""
+        live = _build("churn-heavy", seed=1)
+        live.run_until(0.25 * live.horizon)
+        live.checkpoint(backend, name="base")
+        live.run_until(0.5 * live.horizon)
+        live.checkpoint(backend, name="tip", base="base")
+
+        patch = backend.get(CHECKPOINT_KIND, "tip")["patch"]["$dict"]["simulator"]
+        assert "keys" not in patch["$dict"]
+        assert set(patch["$dict"]["events"]) == {"$splice"}
+        tip_bytes = backend.size_bytes(CHECKPOINT_KIND, "tip")
+        assert tip_bytes <= self.FORMAT_1_MID_RUN_TIP_BYTES
+
     def test_restore_from_intermediate_link_works(self, backend):
         live = _build("smoke")
         live.run_until(0.5 * live.horizon)

@@ -90,9 +90,12 @@ class TestDefaultRegistry:
         answer = session.query(required_results=1)
         assert answer.results >= 1
 
-    def test_single_domain_session_from_named_scenario(self):
-        session = default_registry().single_domain_session(
-            "maintenance", peer_count=24, seed=2
+    def test_single_domain_builder_from_named_scenario(self):
+        session = (
+            default_registry()
+            .scenario("maintenance", peer_count=24, seed=2)
+            .single_domain_builder()
+            .build()
         )
         assert len(session.domains) == 1
         (domain,) = session.domains.values()

@@ -13,6 +13,7 @@ from repro.workloads.queries import (
 from repro.workloads.scenarios import (
     DEFAULT_ALPHAS,
     DEFAULT_DOMAIN_SIZES,
+    QUERY_INTERVAL_SECONDS,
     SimulationScenario,
     table3_parameters,
 )
@@ -114,11 +115,11 @@ class TestScenarios:
 
     def test_build_single_domain_system(self):
         scenario = SimulationScenario(peer_count=48, seed=1)
-        system = scenario.single_domain_session().system
+        system = scenario.single_domain_builder().build().system
         assert len(system.domains) == 1
         domain = next(iter(system.domains.values()))
         assert len(domain.partner_ids) == 47
 
     def test_query_interval(self):
-        scenario = SimulationScenario(peer_count=100)
-        assert scenario.query_interval_seconds() == pytest.approx(12.0)
+        # Table 3: one query per node every 20 minutes.
+        assert QUERY_INTERVAL_SECONDS == 20 * 60.0
