@@ -120,7 +120,7 @@ class DomainBuilder:
     ) -> None:
         ttl = self._config.construction_ttl
         for sp_id in summary_peers:
-            if not overlay.peer(sp_id).online:
+            if not overlay.is_online(sp_id):
                 continue
             # Traffic of the TTL-bounded sumpeer broadcast.
             report.messages.record_type(
@@ -142,8 +142,7 @@ class DomainBuilder:
         sp_id: str,
         now: float,
     ) -> None:
-        peer = overlay.peer(peer_id)
-        if not peer.online:
+        if not overlay.is_online(peer_id):
             return
         distance = overlay.latency(peer_id, sp_id)
         current_sp = report.assignment.get(peer_id)
@@ -182,8 +181,7 @@ class DomainBuilder:
     ) -> None:
         summary_peer_set = set(summary_peers)
         for peer_id in overlay.peer_ids:
-            peer = overlay.peer(peer_id)
-            if not peer.online:
+            if not overlay.is_online(peer_id):
                 continue
             if peer_id in summary_peer_set or peer_id in report.assignment:
                 continue

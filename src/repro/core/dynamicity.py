@@ -26,7 +26,6 @@ from repro.network.churn import LifetimeDistribution
 from repro.network.messages import MessageType
 from repro.network.metrics import MessageCounter
 from repro.network.overlay import Overlay
-from repro.network.peer import PeerRole
 
 
 @dataclass
@@ -78,8 +77,7 @@ class ChurnHandler:
         value 1 — meaning "pull me at the next reconciliation".  Otherwise it
         falls back to a selective walk.
         """
-        peer = overlay.peer(peer_id)
-        peer.go_online()
+        overlay.set_online(peer_id, True)
         outcome = ChurnEventOutcome(event="join", peer_id=peer_id)
 
         sp_id = self._find_domain_via_neighbors(overlay, domains, assignment, peer_id)
@@ -102,7 +100,6 @@ class ChurnHandler:
             peer_id, distance=distance, freshness=Freshness.STALE, now=now
         )
         assignment[peer_id] = sp_id
-        overlay.peer(peer_id).join_domain(sp_id, distance)
 
         outcome.domain_id = sp_id
         outcome.new_domain_id = sp_id
@@ -172,8 +169,7 @@ class ChurnHandler:
             outcome.domain_id = sp_id
             outcome.messages = 1
             outcome.reconciliation_due = due
-        overlay.peer(peer_id).go_offline()
-        overlay.peer(peer_id).leave_domain()
+        overlay.set_online(peer_id, False)
         return outcome
 
     def peer_fail(
@@ -191,8 +187,7 @@ class ChurnHandler:
             # Nothing is sent and no freshness changes: the partner's stale
             # descriptions stay until the next reconciliation (Section 4.3).
             outcome.domain_id = sp_id
-        overlay.peer(peer_id).go_offline()
-        overlay.peer(peer_id).leave_domain()
+        overlay.set_online(peer_id, False)
         return outcome
 
     # -- summary peer departures -----------------------------------------------------------------
@@ -219,14 +214,12 @@ class ChurnHandler:
         self._counter.record_type(MessageType.RELEASE, len(partners))
         outcome.messages += len(partners)
 
-        overlay.peer(sp_id).go_offline()
-        overlay.peer(sp_id).leave_domain()
+        overlay.set_online(sp_id, False)
 
         relocated: List[str] = []
         for peer_id in partners:
             assignment.pop(peer_id, None)
-            overlay.peer(peer_id).leave_domain()
-            if not overlay.peer(peer_id).online:
+            if not overlay.is_online(peer_id):
                 continue
             join_outcome = self.peer_join(overlay, domains, assignment, peer_id, now=now)
             outcome.messages += join_outcome.messages
@@ -256,13 +249,11 @@ class ChurnHandler:
         domain = domains.pop(sp_id)
         outcome = ChurnEventOutcome(event="sp_fail", peer_id=sp_id, domain_id=sp_id)
 
-        overlay.peer(sp_id).go_offline()
-        overlay.peer(sp_id).leave_domain()
+        overlay.set_online(sp_id, False)
 
         for peer_id in list(domain.partner_ids):
             assignment.pop(peer_id, None)
-            overlay.peer(peer_id).leave_domain()
-            if not overlay.peer(peer_id).online:
+            if not overlay.is_online(peer_id):
                 continue
             join_outcome = self.peer_join(overlay, domains, assignment, peer_id, now=now)
             outcome.messages += join_outcome.messages
@@ -295,7 +286,7 @@ class _Dynamicity:
         for peer_id in self._overlay.peer_ids:
             if peer_id in self._domains and not include_summary_peers:
                 continue
-            if not self._overlay.peer(peer_id).online:
+            if not self._overlay.is_online(peer_id):
                 continue
             scheduled += self._schedule_peer_cycle(
                 peer_id,
@@ -401,7 +392,7 @@ class _Dynamicity:
                 )
 
     def _handle_departure(self, peer_id: str, graceful: bool) -> None:
-        if not self._overlay.peer(peer_id).online:
+        if not self._overlay.is_online(peer_id):
             return
         now = self._simulator.now
         if isinstance(self._content, PlannedContentModel):
@@ -423,7 +414,7 @@ class _Dynamicity:
             self._run_reconciliation(outcome.domain_id)
 
     def _handle_rejoin(self, peer_id: str) -> None:
-        if self._overlay.peer(peer_id).online:
+        if self._overlay.is_online(peer_id):
             return
         if isinstance(self._content, PlannedContentModel):
             self._content.mark_rejoined(peer_id)
@@ -451,23 +442,15 @@ class _Dynamicity:
         if head is None:
             return False
         now = self._simulator.now
-        peer = self._overlay.peer(peer_id)
-        peer.role = PeerRole.SUPERPEER
-        peer.go_online()
+        self._overlay.set_online(peer_id, True)
         domain = Domain.create(peer_id, mode=self._config.freshness_mode)
         self._domains[peer_id] = domain
         self._described[peer_id] = set()
-        peer.join_domain(peer_id, 0.0)
-        peer.known_summary_peers = set(self._domains) - {peer_id}
-        for other_sp in self._domains:
-            if other_sp != peer_id:
-                self._overlay.peer(other_sp).known_summary_peers.add(peer_id)
 
         former = [pid for pid, _digest in head["partners"] if pid != peer_id]
         reclaimed = 0
         for partner_id in former:
-            partner = self._overlay.peer(partner_id)
-            if not partner.online or partner_id in self._domains:
+            if not self._overlay.is_online(partner_id) or partner_id in self._domains:
                 continue
             try:
                 distance = self._overlay.latency(partner_id, peer_id)
@@ -482,7 +465,6 @@ class _Dynamicity:
                 partner_id, distance=distance, freshness=Freshness.STALE, now=now
             )
             self._assignment[partner_id] = peer_id
-            partner.join_domain(peer_id, distance)
             reclaimed += 1
         # The returning summary peer announces itself (one sumpeer message per
         # reclaimed partner; a lone announcement when nobody was reclaimable).
@@ -520,8 +502,7 @@ class _Dynamicity:
         for peer_id in self._overlay.peer_ids:
             if peer_id in self._domains:
                 continue
-            peer = self._overlay.peer(peer_id)
-            if not peer.online:
+            if not self._overlay.is_online(peer_id):
                 continue
             sp_id = self._assignment.get(peer_id)
             if (
@@ -531,7 +512,6 @@ class _Dynamicity:
             ):
                 continue  # still validly attached
             self._assignment.pop(peer_id, None)
-            peer.leave_domain()
             self._reconcile_if_due(self._churn.peer_join(
                 self._overlay, self._domains, self._assignment, peer_id, now=now
             ))
@@ -549,9 +529,9 @@ class _Dynamicity:
             if domain is None:
                 continue
             for peer_id in list(domain.partner_ids):
-                if peer_id != sp_id and self._overlay.peer(peer_id).online:
+                if peer_id != sp_id and self._overlay.is_online(peer_id):
                     self._handle_departure(peer_id, graceful=False)
-            if sp_id in self._domains and self._overlay.peer(sp_id).online:
+            if sp_id in self._domains and self._overlay.is_online(sp_id):
                 self._handle_departure(sp_id, graceful=False)
 
     def _handle_massacre(self, spec: Mapping[str, object]) -> None:
@@ -567,7 +547,7 @@ class _Dynamicity:
         chosen = sorted(faults.rng.sample(summary_peers, count))
         now = self._simulator.now
         for sp_id in chosen:
-            if sp_id in self._domains and self._overlay.peer(sp_id).online:
+            if sp_id in self._domains and self._overlay.is_online(sp_id):
                 self._handle_departure(sp_id, graceful=graceful)
                 if rejoin_after is not None:
                     self.schedule_event_from_spec(
@@ -581,7 +561,7 @@ class _Dynamicity:
         offline = [
             peer_id
             for peer_id in self._overlay.peer_ids
-            if not self._overlay.peer(peer_id).online
+            if not self._overlay.is_online(peer_id)
         ]
         if limit is not None:
             offline = offline[: max(0, int(limit))]  # type: ignore[arg-type]

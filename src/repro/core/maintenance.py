@@ -480,7 +480,7 @@ class _PushPull:
         return scheduled
 
     def _handle_modification(self, peer_id: str) -> None:
-        if not self._overlay.peer(peer_id).online:
+        if not self._overlay.is_online(peer_id):
             return
         now = self._simulator.now
         if isinstance(self._content, PlannedContentModel):
@@ -550,7 +550,7 @@ class _PushPull:
         online = {
             peer_id
             for peer_id in domain.partner_ids
-            if self._overlay.peer(peer_id).online
+            if self._overlay.is_online(peer_id)
             and self._assignment.get(peer_id) == sp_id
         }
         missed_ring: Dict[str, float] = {}

@@ -50,7 +50,7 @@ from repro.core.dynamicity import ChurnHandler, _Dynamicity
 from repro.core.maintenance import ColdStartRecord, MaintenanceEngine, _PushPull
 from repro.core.routing import QueryRouter, _QueryProcessing
 from repro.core.staleness import _StalenessMeasurement
-from repro.exceptions import ProtocolError
+from repro.exceptions import NetworkError, ProtocolError
 from repro.network.messages import MessageType
 from repro.network.metrics import MessageCounter, TrafficReport
 from repro.network.overlay import Overlay
@@ -203,8 +203,8 @@ class SummaryManagementSystem(
         from repro.core.service import LocalSummaryService
 
         for peer_id, database in databases.items():
-            peer = self._overlay.peer(peer_id)
-            peer.attach_database(database)
+            if peer_id not in self._overlay.links:
+                raise NetworkError(f"unknown peer {peer_id!r}")
             self._databases[peer_id] = database
             service = LocalSummaryService(
                 peer_id, self._background, database=database
@@ -280,7 +280,7 @@ class SummaryManagementSystem(
         online = {
             peer_id
             for peer_id in domain.partner_ids
-            if self._overlay.peer(peer_id).online
+            if self._overlay.is_online(peer_id)
             and self._assignment.get(peer_id) == sp_id
         }
         local = self.local_summaries() if self._services else None
@@ -403,13 +403,8 @@ class SummaryManagementSystem(
         )
         self._domains = report.domains
         self._assignment = dict(report.assignment)
-        for peer_id, sp_id in self._assignment.items():
-            distance = self._domains[sp_id].distance_to(peer_id)
-            self._overlay.peer(peer_id).join_domain(sp_id, distance)
         for sp_id, domain in self._domains.items():
             self._described[sp_id] = set(domain.partner_ids)
-            # Summary peers know each other (long-range links of Section 5.2.2).
-            self._overlay.peer(sp_id).known_summary_peers = set(self._domains) - {sp_id}
         return report
 
     def run(self, until: Optional[float] = None) -> int:

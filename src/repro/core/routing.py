@@ -369,8 +369,8 @@ class QueryRouter:
 
     def __init__(self) -> None:
         #: ``flooding_messages``' memo: peer -> its online neighbours, valid for
-        #: one version of one overlay (any status or structural change drops
-        #: the lot), so it never holds more entries than the overlay has peers.
+        #: one version of one overlay (any status change drops the lot), so it
+        #: never holds more entries than the overlay has peers.
         self._online_neighbours: Dict[str, Set[str]] = {}
         self._neighbours_stamp: Tuple[Optional[Overlay], int] = (None, -1)
         #: Metrics+trace hook (installed by the owning system); None keeps

@@ -1,4 +1,4 @@
-"""P2P network substrate: topology, peers, discrete-event simulation.
+"""P2P network substrate: topology, overlay, discrete-event simulation.
 
 The paper evaluates its protocols with the BRITE topology generator and the
 SimJava discrete-event simulation package.  Neither is available (nor needed)
@@ -7,8 +7,8 @@ here; this package provides functionally equivalent substitutes:
 * :mod:`repro.network.topology` — power-law overlay generation
   (Barabási–Albert preferential attachment, Waxman), average degree ≈ 4,
 * :mod:`repro.network.simulator` — a deterministic discrete-event simulator,
-* :mod:`repro.network.peer` / :mod:`repro.network.overlay` — peer and
-  superpeer-overlay models,
+* :mod:`repro.network.overlay` — the superpeer overlay: links and the
+  online set,
 * :mod:`repro.network.churn` — the skewed node-lifetime model of Table 3,
 * :mod:`repro.network.messages` / :mod:`repro.network.metrics` — message
   accounting, the primary metric of the evaluation,
@@ -29,7 +29,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "messages": "MessageType",
     "metrics": "MessageCounter TrafficReport",
     "overlay": "Overlay",
-    "peer": "PeerNode PeerRole",
     "simulator": "Event Simulator",
     "topology": "TopologyConfig power_law_topology",
 })
@@ -39,8 +38,6 @@ __all__ = [
     "Event",
     "TopologyConfig",
     "power_law_topology",
-    "PeerNode",
-    "PeerRole",
     "Overlay",
     "LifetimeDistribution",
     "MessageType",

@@ -1,11 +1,13 @@
 """The hybrid (superpeer) overlay.
 
-An :class:`Overlay` couples a topology with per-node state
-(:class:`~repro.network.peer.PeerNode`).  It answers the structural questions
-the protocols ask — neighbours, latencies, TTL-bounded broadcast reach — and
-implements the *selective walk* used to discover a summary peer: a random walk
-that always forwards to the highest-degree neighbour (Adamic et al. 2001, as
-cited by the paper).
+An :class:`Overlay` holds two things: a topology and the set of peers that
+are online.  A peer is its id; which domain it belongs to is the system's
+record (its assignment and the domains' cooperation lists), not the
+overlay's.  It answers the structural questions the protocols ask —
+neighbours, latencies, TTL-bounded broadcast reach — and implements the
+*selective walk* used to discover a summary peer: a random walk that always
+forwards to the highest-degree neighbour (Adamic et al. 2001, as cited by the
+paper).
 
 The topology is one insertion-ordered mapping, peer → neighbour → link latency,
 each link under both its ends (:attr:`Overlay.links`).  Both orders are
@@ -21,9 +23,10 @@ own latency.  Anything else costs one O(E log V) Dijkstra pass per *distinct
 destination* — a stdlib ``heapq`` pass over an integer-indexed adjacency read
 off the links once — whose result, a list of distances by peer index, is kept;
 every later question about that destination is one dict lookup and one list
-read.  The index, the adjacency and the tables are derived state: built on the
-first miss (never at construction or restore), dropped by :meth:`add_peer` and
-:meth:`remove_peer` — the only ways the links change — and never checkpointed.
+read.  The links are fixed once the overlay is built (peers go offline and
+come back, but none is added or removed), so the index, the adjacency and
+the tables are built on the first miss (never at construction or restore),
+kept for the overlay's life and never checkpointed.
 """
 
 from __future__ import annotations
@@ -31,17 +34,16 @@ from __future__ import annotations
 import random
 from heapq import heappop, heappush
 from math import inf
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import NetworkError
-from repro.network.peer import PeerNode, PeerRole
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.network.topology import TopologyConfig
 
 
 class Overlay:
-    """A symmetric link mapping plus the per-node protocol-visible state."""
+    """A symmetric link mapping plus the set of online peers."""
 
     def __init__(
         self, links: Dict[str, Dict[str, float]], rng: Optional[random.Random] = None
@@ -59,23 +61,17 @@ class Overlay:
                     )
         # Held, not copied: the overlay owns the mapping from here on.
         self._links = links
-        self._peers: Dict[str, PeerNode] = {
-            peer_id: PeerNode(peer_id=peer_id) for peer_id in links
-        }
-        # Incrementally tracked set of online peer ids.  Maintained by a
-        # status listener on every node (join/leave/churn/restore all funnel
-        # through ``PeerNode.online``), so per-query "who is reachable"
-        # questions stop scanning the whole population.  Like the latency
-        # cache it is derived state: checkpoints persist the per-peer flags
-        # and the set re-derives itself on restore.
+        # Every peer starts online, added one at a time in link order (a
+        # restore then discards the offline ids).  Not ``set(links)``: that
+        # presizes the table and would change the set's iteration order.
         self._online_ids: Set[str] = set()
-        # Bumped on every structural or online-status change; caches derived
-        # from the overlay (e.g. per-peer extra-domain neighbour counts for
+        for peer_id in links:
+            self._online_ids.add(peer_id)
+        # Bumped on every online-status change; caches derived from the
+        # overlay (e.g. per-peer extra-domain neighbour counts for
         # flooding-cost accounting) key their entries on it to invalidate
         # without listeners of their own.
         self._version = 0
-        for peer in self._peers.values():
-            peer.bind_status_listener(self._track_status)
         # The overlay's own tie-breaking RNG: selective walks invoked without
         # an explicit rng draw from this shared, advancing stream instead of a
         # fresh Random(0) per call (which replayed identical tie-breaks and
@@ -115,22 +111,21 @@ class Overlay:
 
     @property
     def peer_ids(self) -> List[str]:
-        return list(self._peers)
+        return list(self._links)
 
     @property
     def size(self) -> int:
-        return len(self._peers)
+        return len(self._links)
 
-    def peer(self, peer_id: str) -> PeerNode:
-        try:
-            return self._peers[peer_id]
-        except KeyError as exc:
-            raise NetworkError(f"unknown peer {peer_id!r}") from exc
+    def is_online(self, peer_id: str) -> bool:
+        if peer_id not in self._links:
+            raise NetworkError(f"unknown peer {peer_id!r}")
+        return peer_id in self._online_ids
 
-    def peers(self) -> List[PeerNode]:
-        return list(self._peers.values())
-
-    def _track_status(self, peer_id: str, online: bool) -> None:
+    def set_online(self, peer_id: str, online: bool) -> None:
+        """Bring ``peer_id`` online or take it offline (bumps :attr:`version`)."""
+        if peer_id not in self._links:
+            raise NetworkError(f"unknown peer {peer_id!r}")
         self._version += 1
         if online:
             self._online_ids.add(peer_id)
@@ -139,12 +134,12 @@ class Overlay:
 
     @property
     def version(self) -> int:
-        """Monotonic counter bumped on any membership or status change."""
+        """Monotonic counter bumped on any online-status change."""
         return self._version
 
     @property
     def online_ids(self) -> Set[str]:
-        """The ids of the currently online peers, tracked incrementally.
+        """The ids of the currently online peers.
 
         This is the live set (O(1) to obtain, updated by join/leave/churn
         events as they happen) — treat it as read-only and do not hold it
@@ -152,19 +147,14 @@ class Overlay:
         """
         return self._online_ids
 
-    def online_peers(self) -> List[PeerNode]:
-        return [peer for peer in self._peers.values() if peer.online]
-
-    def superpeers(self) -> List[PeerNode]:
-        return [peer for peer in self._peers.values() if peer.is_superpeer]
-
     def neighbors(self, peer_id: str, online_only: bool = True) -> List[str]:
         try:
             neighbours = list(self._links[peer_id])
         except KeyError as exc:
             raise NetworkError(f"unknown peer {peer_id!r}") from exc
         if online_only:
-            neighbours = [n for n in neighbours if self._peers[n].online]
+            online = self._online_ids
+            neighbours = [n for n in neighbours if n in online]
         return neighbours
 
     def degree(self, peer_id: str) -> int:
@@ -222,11 +212,6 @@ class Overlay:
         self._latency_cache[destination] = distances
         return distances
 
-    def _drop_latency_state(self) -> None:
-        self._latency_cache = {}
-        self._peer_index = {}
-        self._adjacency = []
-
     def average_degree(self) -> float:
         return sum(map(len, self._links.values())) / len(self._links)
 
@@ -237,7 +222,7 @@ class Overlay:
         count: Optional[int] = None,
         fraction: Optional[float] = None,
     ) -> List[str]:
-        """Promote the highest-degree nodes to superpeers.
+        """The highest-degree nodes, to be the summary peers.
 
         Exactly one of ``count`` / ``fraction`` may be given; the default is a
         1/16 fraction (so a 16-node network has a single domain, matching the
@@ -249,13 +234,7 @@ class Overlay:
             fraction = fraction if fraction is not None else 1.0 / 16.0
             count = max(1, round(fraction * self.size))
         count = min(count, self.size)
-        elected = sorted(self._links, key=self.degree, reverse=True)[:count]
-        superpeers = set(elected)
-        for peer in self._peers.values():
-            peer.role = (
-                PeerRole.SUPERPEER if peer.peer_id in superpeers else PeerRole.PEER
-            )
-        return elected
+        return sorted(self._links, key=self.degree, reverse=True)[:count]
 
     # -- reachability ------------------------------------------------------------------
 
@@ -348,42 +327,6 @@ class Overlay:
             if stop_condition(current):
                 return current, hop
         return None, max_hops
-
-    # -- membership changes ----------------------------------------------------------------
-
-    def add_peer(
-        self,
-        peer_id: str,
-        neighbors: Iterable[str],
-        latency_ms: float = 50.0,
-    ) -> PeerNode:
-        """Add a brand-new node connected to ``neighbors``."""
-        if peer_id in self._peers:
-            raise NetworkError(f"peer {peer_id!r} already exists")
-        # Validated before anything moves (a self-link is unknown too: no key yet).
-        new_links = dict.fromkeys(neighbors, float(latency_ms))
-        for neighbour in new_links:
-            if neighbour not in self._links:
-                raise NetworkError(f"unknown neighbour {neighbour!r}")
-        self._version += 1
-        self._drop_latency_state()
-        self._links[peer_id] = new_links
-        for neighbour, latency in new_links.items():
-            self._links[neighbour][peer_id] = latency
-        node = PeerNode(peer_id=peer_id)
-        self._peers[peer_id] = node
-        node.bind_status_listener(self._track_status)
-        return node
-
-    def remove_peer(self, peer_id: str) -> None:
-        """Remove a node entirely (used to model permanent departures)."""
-        self.peer(peer_id).bind_status_listener(None)  # raises on unknown peer
-        self._version += 1
-        self._online_ids.discard(peer_id)
-        self._drop_latency_state()
-        for neighbour in self._links.pop(peer_id):
-            del self._links[neighbour][peer_id]
-        del self._peers[peer_id]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Overlay({self.size} peers, avg degree {self.average_degree():.2f})"

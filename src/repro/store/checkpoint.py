@@ -1,7 +1,7 @@
 """Session checkpoint/restore: persist a whole :class:`NetworkSession`.
 
 A checkpoint captures everything a running session is made of — overlay graph
-and per-peer state, domains with their cooperation lists and global
+and which peers are offline, domains with their cooperation lists and global
 summaries, protocol configuration, content model (plan + RNG state), the
 message counter, the reconciliation and cold-start counts, the simulator
 clock and every pending churn/modification event — so that a session
@@ -19,7 +19,7 @@ Delta checkpoints
 ``save_session(..., base=<name>)`` persists a *delta*: a structural patch
 (:mod:`repro.store.deltas`) against the resolved payload of the ``base``
 checkpoint, instead of the full document.  Between two nearby simulation
-times most of a checkpoint — the overlay adjacency, peer states, domains —
+times most of a checkpoint — the overlay adjacency, domains, the assignment —
 is unchanged, so the delta is a small fraction of the full size.  Restoring
 a delta resolves its base chain first (a delta may build on another delta)
 and replays the patches; the resolved payload is byte-identical to what a
@@ -54,16 +54,27 @@ A checkpoint writes each fact once:
   their order.  An entry is ``[neighbour, latency]`` when the neighbour's
   row comes later, and the bare neighbour id when it came earlier (its row
   holds the latency): each link's latency is written once.
-* ``overlay.peers`` — one positional row per adjacency row, in the same
-  order: ``[role, online, summary_peer_id, summary_peer_distance,
-  known_summary_peers]``.
+* ``overlay.offline`` — the ids of the offline peers, in adjacency-row
+  order.  A peer is its id: which domain it belongs to is the
+  ``assignment`` and the domains' cooperation lists, so the overlay keeps
+  no other per-peer state.  An id that names no adjacency row raises a
+  :class:`~repro.exceptions.StoreError`.
+
+A format-2 document written before ``overlay.offline`` holds
+``overlay.peers`` instead: one positional row per adjacency row,
+``[role, online, summary_peer_id, summary_peer_distance,
+known_summary_peers]``.  It is still read, and only its ``online`` column
+is: the other columns mirrored the assignment, and nothing read them.
 
 Format 1 stored events and peers as dicts, each link under both of its ends
 and an unread ``overlay.nodes`` list.  Such a document is still read: its
 delta chain is replayed in format 1 (its patches were computed against that
 text) and the result passes through one upgrade, :func:`_from_format_1`,
-before the one restore path reads it.  A delta saved on a format-1 base is
-written in format 2 against the upgraded payload.  A malformed row raises a
+before the one restore path reads it.  The upgrade writes the
+``overlay.peers`` rows above, never ``overlay.offline``: format-2 deltas
+saved on format-1 bases before ``offline`` existed were computed against
+that text, and a new delta on such a base simply replaces ``peers`` with
+``offline``.  A malformed row raises a
 :class:`~repro.exceptions.StoreError`, and a link given two latencies, or
 one end only, a :class:`~repro.exceptions.NetworkError`.
 
@@ -99,7 +110,6 @@ from repro.core.protocol import SummaryManagementSystem
 from repro.exceptions import NetworkError, StoreError
 from repro.network.metrics import MessageCounter
 from repro.network.overlay import Overlay
-from repro.network.peer import PeerRole
 from repro.store.backend import StoreBackend, open_store, owns_backend
 from repro.store.deltas import apply_patch, diff_documents
 from repro.store.lazy import HierarchySource, StoredSnapshot
@@ -149,14 +159,6 @@ def _malformed(what: str) -> Iterator[None]:
         raise StoreError(f"malformed checkpoint {what}: {error!r}") from error
 
 
-def _finite(value: float) -> Optional[float]:
-    return None if value == float("inf") else value
-
-
-def _or_inf(value: Optional[float]) -> float:
-    return float("inf") if value is None else float(value)
-
-
 # -- overlay ----------------------------------------------------------------------
 
 
@@ -185,7 +187,7 @@ def _adjacency_rows(links: Dict[str, Dict[str, float]]) -> List[List[Any]]:
 
 
 def _overlay_payload(overlay: Overlay) -> Dict[str, Any]:
-    links = overlay.links
+    links, online = overlay.links, overlay.online_ids
     return {
         # The overlay's own tie-breaking RNG (used when a selective walk is
         # invoked without an explicit one): its state must survive restore or
@@ -193,17 +195,8 @@ def _overlay_payload(overlay: Overlay) -> Dict[str, Any]:
         "rng": _rng_payload(overlay.rng),
         # Per-node adjacency in its exact iteration order (see module notes).
         "adjacency": _adjacency_rows(links),
-        # One row per adjacency row, in the same order.
-        "peers": [
-            [
-                peer.role.value,
-                peer.online,
-                peer.summary_peer_id,
-                _finite(peer.summary_peer_distance),
-                sorted(peer.known_summary_peers),
-            ]
-            for peer in map(overlay.peer, links)
-        ],
+        # The offline peers, in adjacency-row order.
+        "offline": [peer_id for peer_id in links if peer_id not in online],
     }
 
 
@@ -232,24 +225,41 @@ def _overlay_from_payload(payload: Dict[str, Any]) -> Overlay:
                         "that links back: one-sided or unknown"
                     )
                 neighbours[entry] = latency
-    rows = payload["peers"]
-    if len(rows) != len(links):
-        raise StoreError(
-            f"checkpoint overlay has {len(links)} adjacency rows but "
-            f"{len(rows)} peer rows"
-        )
+    offline = _offline_ids(payload, links)
     # ``Overlay`` rejects a one-sided, unequal or dangling link with a NetworkError.
     overlay = Overlay(links)
     if "rng" in payload:
         _rng_restore(overlay.rng, payload["rng"])
-    for peer, row in zip(overlay.peers(), rows):
-        role, online, summary_peer, distance, known = row
-        peer.role = PeerRole(role)
-        peer.online = bool(online)
-        peer.summary_peer_id = summary_peer
-        peer.summary_peer_distance = _or_inf(distance)
-        peer.known_summary_peers = set(known)
+    for peer_id in offline:
+        overlay.set_online(peer_id, False)
     return overlay
+
+
+def _offline_ids(
+    payload: Dict[str, Any], links: Dict[str, Dict[str, float]]
+) -> List[str]:
+    """The ids ``overlay.offline`` names, each checked against the adjacency.
+
+    A document written before ``offline`` holds one ``peers`` row per
+    adjacency row instead; only its ``online`` column (``row[1]``) is read.
+    """
+    if "offline" not in payload:
+        rows = payload["peers"]
+        if len(rows) != len(links):
+            raise StoreError(
+                f"checkpoint overlay has {len(links)} adjacency rows but "
+                f"{len(rows)} peer rows"
+            )
+        return [peer_id for peer_id, row in zip(links, rows) if not row[1]]
+    offline = payload["offline"]
+    if not isinstance(offline, list):
+        raise StoreError(f"checkpoint overlay offline ids are not a list: {offline!r}")
+    for peer_id in offline:
+        if peer_id not in links:
+            raise StoreError(
+                f"checkpoint overlay offline id {peer_id!r} names no adjacency row"
+            )
+    return offline
 
 
 # -- protocol configuration -------------------------------------------------------
@@ -778,7 +788,9 @@ def _replay_chain(
 
     A patch applies to the text it was computed against: a format-1 prefix
     of the chain is replayed in format 1 and upgraded where the first
-    format-2 delta rests on it.
+    format-2 delta rests on it.  The upgrade must therefore produce the
+    exact text stored deltas were computed against, which is why
+    :func:`_from_format_1` never follows changes to what capture writes.
     """
     payload = seed
     for link, document in reversed(links):
@@ -814,6 +826,10 @@ def _from_format_1(payload: Dict[str, Any]) -> Dict[str, Any]:
     Format 1 held each pending event and each peer's state as a dict, each
     link under both of its ends, and an ``overlay.nodes`` list nothing read.
     A link whose two ends disagree raises a :class:`NetworkError`.
+
+    The output is frozen: format-2 deltas already stored on format-1 bases
+    were diffed against it, so it keeps the ``overlay.peers`` rows the first
+    format-2 writer produced, which :func:`_offline_ids` reads.
     """
     with _malformed("format-1 row"):
         simulator, overlay = payload["simulator"], payload["overlay"]
@@ -1082,8 +1098,9 @@ def _restore_session(
         for module in _REAL_QUERY_MODULES:
             importlib.import_module(module)
         for peer_id, database in _databases_from_payload(payload["databases"], background):
+            if peer_id not in overlay.links:
+                raise StoreError(f"checkpoint database of unknown peer {peer_id!r}")
             system._databases[peer_id] = database  # noqa: SLF001
-            overlay.peer(peer_id).attach_database(database)
         for peer_id, service_payload in payload["services"]:
             # The service learns its attributes and clustering parameters
             # from the hierarchy when (if ever) it is materialized.

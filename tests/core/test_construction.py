@@ -83,7 +83,7 @@ class TestDomainConstruction:
         victim = next(
             p for p in overlay.peer_ids if overlay.degree(p) <= 3
         )
-        overlay.peer(victim).go_offline()
+        overlay.set_online(victim, False)
         report = DomainBuilder().build(overlay)
         assert victim not in report.assignment
         for domain in report.domains.values():

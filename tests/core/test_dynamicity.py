@@ -37,7 +37,7 @@ class TestPeerLeaveAndFail:
         assert outcome.domain_id == sp_id
         assert counter.count(MessageType.PUSH) == before + 1
         assert domains[sp_id].cooperation.freshness_of(peer_id) is Freshness.STALE
-        assert not overlay.peer(peer_id).online
+        assert not overlay.is_online(peer_id)
 
     def test_silent_failure_sends_no_message(self, built_network):
         overlay, domains, assignment, handler, counter = built_network
@@ -49,7 +49,7 @@ class TestPeerLeaveAndFail:
         assert counter.count(MessageType.PUSH) == before
         # The stale descriptions linger: freshness still FRESH until reconciliation.
         assert domains[sp_id].cooperation.freshness_of(peer_id) is Freshness.FRESH
-        assert not overlay.peer(peer_id).online
+        assert not overlay.is_online(peer_id)
         # The peer is no longer assigned to any live domain.
         assert peer_id not in assignment
 
@@ -67,15 +67,25 @@ class TestPeerLeaveAndFail:
 class TestPeerJoin:
     def test_join_through_partner_neighbour(self, built_network):
         overlay, domains, assignment, handler, counter = built_network
-        anchors = [p for p in overlay.peer_ids if p in assignment][:2]
-        overlay.add_peer("newcomer", anchors, latency_ms=20.0)
+        # A partner with a neighbour in some domain goes offline, unassigned.
+        peer_id = next(
+            p
+            for p in assignment
+            if any(n in domains or n in assignment for n in overlay.neighbors(p))
+        )
+        domains[assignment.pop(peer_id)].remove_partner(peer_id)
+        overlay.set_online(peer_id, False)
+        first = next(
+            n for n in overlay.neighbors(peer_id) if n in domains or n in assignment
+        )
+        expected = first if first in domains else assignment[first]
         before = counter.count(MessageType.LOCALSUM)
-        outcome = handler.peer_join(overlay, domains, assignment, "newcomer")
-        assert outcome.new_domain_id in domains
+        outcome = handler.peer_join(overlay, domains, assignment, peer_id)
+        assert outcome.new_domain_id == expected
         assert counter.count(MessageType.LOCALSUM) == before + 1
-        sp_id = outcome.new_domain_id
-        assert domains[sp_id].cooperation.freshness_of("newcomer") is Freshness.STALE
-        assert assignment["newcomer"] == sp_id
+        assert domains[expected].cooperation.freshness_of(peer_id) is Freshness.STALE
+        assert assignment[peer_id] == expected
+        assert overlay.is_online(peer_id)
 
     def test_rejoin_after_leave(self, built_network):
         overlay, domains, assignment, handler, _counter = built_network
@@ -84,7 +94,7 @@ class TestPeerJoin:
         # The old entry is still in the cooperation list (stale); rejoining
         # re-registers the peer as a (stale) partner of some domain.
         outcome = handler.peer_join(overlay, domains, assignment, peer_id)
-        assert overlay.peer(peer_id).online
+        assert overlay.is_online(peer_id)
         assert outcome.new_domain_id in domains
 
 
@@ -99,7 +109,7 @@ class TestSummaryPeerDeparture:
         assert counter.count(MessageType.RELEASE) == len(partners)
         # Online released partners found a new domain.
         for peer_id in partners:
-            if overlay.peer(peer_id).online:
+            if overlay.is_online(peer_id):
                 assert assignment.get(peer_id) in domains
 
     def test_silent_failure_no_release_messages(self, built_network):

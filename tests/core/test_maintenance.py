@@ -78,7 +78,7 @@ class TestPushPhase:
         assert engine.counter.total == 0
         assert domain.is_partner(peer_id)
         assert domain.cooperation.freshness_of(peer_id) is Freshness.FRESH
-        assert not overlay.peer(peer_id).online and assignment == {}
+        assert not overlay.is_online(peer_id) and assignment == {}
 
 
 class TestReconciliation:

@@ -9,7 +9,7 @@ from repro.core.protocol import (
     SummaryManagementSystem,
 )
 from repro.core.routing import RoutingPolicy
-from repro.exceptions import ProtocolError
+from repro.exceptions import NetworkError, ProtocolError
 from repro.fuzzy.vocabularies import medical_background_knowledge
 from repro.network.churn import LifetimeDistribution
 from repro.network.messages import MessageType
@@ -45,12 +45,6 @@ class TestSetup:
         assert system.domain_of(sp_id).summary_peer_id == sp_id
         partner = next(iter(system.assignment))
         assert system.domain_of(partner) is not None
-
-    def test_superpeers_know_each_other(self):
-        system = _planned_system()
-        for sp_id in system.domains:
-            known = system.overlay.peer(sp_id).known_summary_peers
-            assert known == set(system.domains) - {sp_id}
 
     def test_query_without_content_raises(self):
         overlay = Overlay.generate(TopologyConfig(peer_count=16, seed=1))
@@ -189,6 +183,13 @@ class TestChurnAndMaintenance:
         assert scheduled > 0
         system.run()
         assert system.counter.count(MessageType.PUSH) > 0
+
+    def test_a_database_for_an_unknown_peer_is_refused(self, background):
+        overlay = Overlay.generate(TopologyConfig(peer_count=16, seed=2))
+        system = SummaryManagementSystem(overlay, background=background)
+        databases = build_peer_databases(["p999"], MedicalWorkload(records_per_peer=3))
+        with pytest.raises(NetworkError, match="unknown peer 'p999'"):
+            system.attach_databases(databases)
 
     def test_staleness_snapshot_requires_planned_content(self, background):
         overlay = Overlay.generate(TopologyConfig(peer_count=16, seed=2))

@@ -91,16 +91,19 @@ class TestMaintenanceSweep:
         overlays = []
 
         def rewire(scenario, overlay):
-            overlays.append((overlay, {p: dict(n) for p, n in overlay.links.items()}))
-            overlay.remove_peer(overlay.peer_ids[-1])
+            links = {p: dict(n) for p, n in overlay.links.items()}
+            overlays.append((overlay, links, set(overlay.online_ids)))
+            overlay.set_online(overlay.peer_ids[-1], False)
+            overlay.links[overlay.peer_ids[0]].clear()  # a row the next α must not see
             return scenario
 
         monkeypatch.setattr(runner, "run_maintenance_simulation", rewire)
         maintenance_sweep([48], [0.1, 0.3], 3600.0, seed=1)
-        (first, first_links), (second, second_links) = overlays
+        (first, first_links, _), (second, second_links, second_online) = overlays
         assert len(generated) == 1
         assert second is not first
         assert second_links == first_links
+        assert second_online == set(second.peer_ids)
         config = SimulationScenario(peer_count=48, seed=1).topology_config()
         assert first_links == Overlay.generate(config).links
 

@@ -151,7 +151,7 @@ class TestChurnEndToEnd:
         online_partners = [
             p
             for p, sp in system.assignment.items()
-            if system.overlay.peer(p).online and sp in system.domains
+            if system.overlay.is_online(p) and sp in system.domains
         ]
         if online_partners:
             result = system.pose_query(online_partners[0], query=paper_example_query())

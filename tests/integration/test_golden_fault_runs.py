@@ -26,35 +26,30 @@ def test_faulted_run_matches_recording(name):
     assert run_digests(name) == RECORDED[name]
 
 
-def _assignment_disagreements(session):
-    """Peers whose own state disagrees with the system's assignment.
+def _unlisted_assigned_peers(session):
+    """Assigned peers that their assigned domain does not list.
 
-    A peer's ``summary_peer_id`` should be ``system.assignment.get(peer)``, and
-    its ``summary_peer_distance`` the assigned domain's partner distance
-    (``inf`` when unassigned).
+    A peer the system assigns to a summary peer should be a partner of that
+    live domain, with a partner distance.
     """
     system = session.system
-    disagreements = []
-    for peer in system.overlay.peers():
-        summary_peer = system.assignment.get(peer.peer_id)
-        if summary_peer is None:
-            distance = float("inf")
-        else:
-            domain = system.domains.get(summary_peer)
-            distances = {} if domain is None else domain.partner_distances
-            distance = distances.get(peer.peer_id)
-        state = (peer.summary_peer_id, peer.summary_peer_distance)
-        if state != (summary_peer, distance):
-            disagreements.append((session.now, peer.peer_id))
-    return disagreements
+    unlisted = []
+    for peer_id, summary_peer in system.assignment.items():
+        domain = system.domains.get(summary_peer)
+        if (
+            domain is None
+            or not domain.is_partner(peer_id)
+            or peer_id not in domain.partner_distances
+        ):
+            unlisted.append((session.now, peer_id))
+    return unlisted
 
 
-#: Runs whose peers disagree with the assignment (see CHANGES.md, FOUND).
-_DISAGREEING = {
-    "partition-heal": "at 3600 s domain p0 has dropped partner p2, which "
-    "p2 and the assignment still give to p0",
-    "massacre": "at 3600 s summary peer p0, massacred and back, names itself "
-    "its summary peer but is unassigned",
+#: Runs whose domains stop listing peers the assignment still gives them.
+_UNLISTED = {
+    "partition-heal": "at 3600 s domains p0 and p4 no longer list 18 peers "
+    "(p13, p40, ...) the assignment still gives them; the heal handler reads "
+    "exactly this disagreement to pick the peers that rejoin",
 }
 
 
@@ -63,17 +58,17 @@ _DISAGREEING = {
     [
         pytest.param(
             name,
-            marks=[pytest.mark.xfail(strict=True, reason=_DISAGREEING[name])]
-            if name in _DISAGREEING
+            marks=[pytest.mark.xfail(strict=True, reason=_UNLISTED[name])]
+            if name in _UNLISTED
             else [],
         )
         for name in ADVERSITY_SCENARIOS
     ],
     ids=[n.replace("-", "_") for n in ADVERSITY_SCENARIOS],
 )
-def test_peer_state_agrees_with_the_assignment_at_every_stop(name):
-    disagreements = []
+def test_every_assigned_peer_is_listed_by_its_domain_at_every_stop(name):
+    unlisted = []
     run_digests(
-        name, lambda session: disagreements.extend(_assignment_disagreements(session))
+        name, lambda session: unlisted.extend(_unlisted_assigned_peers(session))
     )
-    assert disagreements == []
+    assert unlisted == []

@@ -1,50 +1,51 @@
-"""Incremental online-peer tracking on the overlay."""
+"""The overlay's online set: the one record of who is online."""
 
 from __future__ import annotations
 
-from repro.network.overlay import Overlay
-from repro.network.topology import TopologyConfig
+import pytest
+
+from repro.exceptions import NetworkError
 
 
-def _scanned_online(overlay: Overlay) -> set:
-    return {peer.peer_id for peer in overlay.peers() if peer.online}
+def _departed_by_content(session) -> set:
+    """Who is offline by the content model's own record of departures."""
+    overlay = session.overlay
+    return {p for p in overlay.peer_ids if session.system.content.is_departed(p)}
 
 
 class TestOnlineIds:
     def test_starts_with_everyone_online(self, small_overlay):
         assert small_overlay.online_ids == set(small_overlay.peer_ids)
+        assert all(map(small_overlay.is_online, small_overlay.peer_ids))
 
-    def test_tracks_go_offline_and_online(self, small_overlay):
+    def test_set_online_moves_the_set_and_the_version(self, small_overlay):
         victims = small_overlay.peer_ids[:5]
+        version = small_overlay.version
         for victim in victims:
-            small_overlay.peer(victim).go_offline()
-        assert small_overlay.online_ids == _scanned_online(small_overlay)
+            small_overlay.set_online(victim, False)
+        assert small_overlay.version == version + len(victims)
         assert set(victims).isdisjoint(small_overlay.online_ids)
-        small_overlay.peer(victims[0]).go_online()
+        assert not any(map(small_overlay.is_online, victims))
+        small_overlay.set_online(victims[0], True)
         assert victims[0] in small_overlay.online_ids
-        assert small_overlay.online_ids == _scanned_online(small_overlay)
+        assert small_overlay.is_online(victims[0])
+        offline = set(victims[1:])
+        assert small_overlay.online_ids == set(small_overlay.peer_ids) - offline
 
-    def test_tracks_direct_assignment(self, small_overlay):
-        # Checkpoint restore writes the flag directly; the set must follow.
-        victim = small_overlay.peer_ids[3]
-        small_overlay.peer(victim).online = False
-        assert victim not in small_overlay.online_ids
-        small_overlay.peer(victim).online = True
-        assert victim in small_overlay.online_ids
-
-    def test_tracks_membership_changes(self, small_overlay):
-        anchor = small_overlay.peer_ids[0]
-        node = small_overlay.add_peer("newcomer", neighbors=[anchor])
-        assert "newcomer" in small_overlay.online_ids
-        node.go_offline()
-        assert "newcomer" not in small_overlay.online_ids
-        node.go_online()
-        small_overlay.remove_peer("newcomer")
-        assert "newcomer" not in small_overlay.online_ids
-        assert small_overlay.online_ids == _scanned_online(small_overlay)
-        # The removed node's writes no longer reach the overlay.
-        node.go_offline()
-        assert small_overlay.online_ids == _scanned_online(small_overlay)
+    @pytest.mark.parametrize(
+        "touch",
+        [
+            lambda overlay: overlay.is_online("p999"),
+            lambda overlay: overlay.set_online("p999", False),
+        ],
+        ids=["is_online", "set_online"],
+    )
+    def test_an_unknown_peer_is_a_network_error(self, small_overlay, touch):
+        version = small_overlay.version
+        with pytest.raises(NetworkError, match="unknown peer 'p999'"):
+            touch(small_overlay)
+        assert small_overlay.version == version
+        assert small_overlay.online_ids == set(small_overlay.peer_ids)
 
     def test_consistent_under_simulated_churn(self):
         from repro.core.session import SystemBuilder
@@ -61,14 +62,12 @@ class TestOnlineIds:
         seen_offline = False
         for hour in (0.5, 1.0, 1.5, 2.0):
             session.run_until(hour * 3600.0)
-            assert overlay.online_ids == _scanned_online(overlay), hour
-            seen_offline = seen_offline or len(overlay.online_ids) < overlay.size
-            # The per-domain form query routing and staleness sampling read.
-            for domain in session.domains.values():
-                partners = set(domain.partner_ids)
-                assert partners & overlay.online_ids == {
-                    peer_id for peer_id in partners if overlay.peer(peer_id).online
-                }, (hour, domain.summary_peer_id)
+            offline = set(overlay.peer_ids) - overlay.online_ids
+            assert offline == _departed_by_content(session), hour
+            seen_offline = seen_offline or bool(offline)
+            # Every assigned peer and every summary peer is online.
+            assert set(session.system.assignment) <= overlay.online_ids, hour
+            assert set(session.domains) <= overlay.online_ids, hour
         assert seen_offline, "the churn schedule never took a peer offline"
 
     def test_consistent_after_checkpoint_restore(self):
@@ -84,27 +83,18 @@ class TestOnlineIds:
             .build()
         )
         session.run_until(1800.0)
+        assert len(session.overlay.online_ids) < session.overlay.size
         store = InMemoryBackend()
         session.checkpoint(store)
         restored = SystemBuilder.from_checkpoint(store)
-        assert restored.overlay.online_ids == _scanned_online(restored.overlay)
         assert restored.overlay.online_ids == session.overlay.online_ids
+        assert set(restored.overlay.peer_ids) - restored.overlay.online_ids == (
+            _departed_by_content(restored)
+        )
         # The set keeps tracking after restore.
+        session.run_until(3600.0)
         restored.run_until(3600.0)
-        assert restored.overlay.online_ids == _scanned_online(restored.overlay)
-
-
-class TestListenerLifecycle:
-    def test_standalone_peer_node_needs_no_listener(self):
-        from repro.network.peer import PeerNode
-
-        node = PeerNode(peer_id="loner")
-        node.go_offline()
-        node.go_online()
-        assert node.online
-
-    def test_generated_overlay_is_wired(self):
-        overlay = Overlay.generate(TopologyConfig(peer_count=16, seed=3))
-        victim = overlay.peer_ids[0]
-        overlay.peer(victim).go_offline()
-        assert victim not in overlay.online_ids
+        assert restored.overlay.online_ids == session.overlay.online_ids
+        assert set(restored.overlay.peer_ids) - restored.overlay.online_ids == (
+            _departed_by_content(restored)
+        )

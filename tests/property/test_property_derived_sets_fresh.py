@@ -200,7 +200,7 @@ def test_each_stamp_alone_refreshes_the_kept_sets():
     domain.add_partner(newcomer, distance=1.0)  # the membership version alone
     assert kept() == derived()
     assert newcomer in kept()[1] and newcomer not in kept()[0]
-    overlay.peer(newcomer).go_offline()  # Overlay.version alone
+    overlay.set_online(newcomer, False)  # Overlay.version alone
     assert kept() == derived()
     assert newcomer not in kept()[1]
     system._described[sp_id] = set(domain.partner_ids)  # noqa: SLF001 - a new described set alone

@@ -321,6 +321,17 @@ class TestRealContent:
             peer_id
         ]
 
+    def test_a_database_of_an_unknown_peer_is_a_store_error(
+        self, backend, real_session_factory
+    ):
+        background, live = real_session_factory()
+        live.checkpoint(backend, name="real")
+        document = backend.get(CHECKPOINT_KIND, "real")
+        document["databases"][0][0] = "p999"
+        backend.put(CHECKPOINT_KIND, "bad", document)
+        with pytest.raises(StoreError, match="unknown peer 'p999'"):
+            SystemBuilder.from_checkpoint(backend, name="bad", background=background)
+
     def test_real_restore_requires_background(self, backend, real_session_factory):
         _background, live = real_session_factory()
         live.checkpoint(backend, name="real")
@@ -510,11 +521,15 @@ class TestErrors:
         [
             lambda payload: payload["adjacency"][0][1].append(["p1", 1.0, "x"]),
             lambda payload: payload["adjacency"].append(["p99"]),
-            lambda payload: payload["peers"][0].pop(),
-            lambda payload: payload["peers"].pop(),
-            lambda payload: payload["peers"][0].__setitem__(0, "emperor"),
+            lambda payload: payload["offline"].append("p99"),
+            lambda payload: payload.__setitem__("offline", "p1"),
+            lambda payload: payload.__setitem__("offline", {"p1": False}),
+            lambda payload: payload["offline"].append(["p1"]),
         ],
-        ids=["entry", "adjacency-row", "peer-row", "peer-count", "role"],
+        ids=[
+            "entry", "adjacency-row", "offline-unknown-id", "offline-not-a-list",
+            "offline-a-dict", "offline-unhashable-id",
+        ],
     )
     def test_a_malformed_overlay_row_is_a_store_error(self, corrupt):
         payload = _overlay_payload(Overlay.generate(TopologyConfig(peer_count=8)))

@@ -67,14 +67,21 @@ class TestPublicSurface:
             for name in getattr(module, "__all__", []):
                 assert hasattr(module, name), f"{module_name}.{name} missing"
 
-    def test_network_exports_no_message_bus(self):
+    def test_network_exports_no_message_bus_and_no_peer_model(self):
         network = importlib.import_module("repro.network")
-        assert len(network.__all__) == 18
+        # A peer is an id: the overlay holds its links and online set.
+        assert sorted(network.__all__) == sorted(
+            "DomainFailureEvent Event FaultInjector FaultPlan FlashCrowdEvent"
+            " LifetimeDistribution LinkFaults MassacreEvent MessageCounter"
+            " MessageType Overlay PartitionEvent Simulator TopologyConfig"
+            " TrafficReport power_law_topology".split()
+        )
         for name in ("MessageBus", "Message", "ExpiringSet", "FaultStats"):
             assert name not in network.__all__
             assert not hasattr(network, name)
-        with pytest.raises(ModuleNotFoundError):
-            importlib.import_module("repro.network.transport")
+        for module in ("repro.network.transport", "repro.network.peer"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
 
     def test_module_docstring_example_runs(self):
         """The quick tour sketched in the package docstring actually works."""
