@@ -18,13 +18,16 @@ from repro.exceptions import ProtocolError
 class CooperationEntry(NamedTuple):
     """One partner's entry in the cooperation list.
 
-    Immutable: the list replaces an entry to change it, so the freshness it
+    A read-only view: the list keeps each partner's freshness and time in its
+    own maps and builds an entry when one is asked for, so the freshness it
     indexes cannot be written behind its back.
     """
 
     peer_id: str
     freshness: Freshness = Freshness.FRESH
-    #: Virtual time at which the entry last changed (diagnostic only).
+    #: Virtual time at which the entry last changed.  The protocol never
+    #: reads it, but it is state: a checkpoint writes it with each entry and
+    #: a restore puts it back (``store/checkpoint.py``'s domain payload).
     updated_at: float = 0.0
 
 
@@ -38,7 +41,10 @@ class CooperationList:
     """
 
     def __init__(self, mode: FreshnessMode = FreshnessMode.ONE_BIT) -> None:
-        self._entries: Dict[str, CooperationEntry] = {}
+        #: Each partner's freshness and the time it last changed, keyed alike
+        #: in cooperation-list order.
+        self._freshness: Dict[str, Freshness] = {}
+        self._updated_at: Dict[str, float] = {}
         self._mode = mode
         self._partners: Set[str] = set()
         self._old: Set[str] = set()
@@ -55,22 +61,21 @@ class CooperationList:
         """Monotonic counter bumped whenever a partner is added or removed."""
         return self._membership_version
 
-    def _store(self, peer_id: str, freshness: Freshness, now: float) -> CooperationEntry:
+    def _store(self, peer_id: str, freshness: Freshness, now: float) -> None:
         """Write one entry (in place when the id exists) and index its freshness."""
-        entry = CooperationEntry(peer_id, freshness, now)
-        self._entries[peer_id] = entry
+        self._freshness[peer_id] = freshness
+        self._updated_at[peer_id] = now
         if freshness.counts_as_old:
             self._old.add(peer_id)
         else:
             self._old.discard(peer_id)
-        return entry
 
     def add_partner(
         self,
         peer_id: str,
         freshness: Freshness = Freshness.FRESH,
         now: float = 0.0,
-    ) -> CooperationEntry:
+    ) -> None:
         """Add (or reset) a partner entry.
 
         Newly joining peers whose data is not yet merged enter with
@@ -79,40 +84,46 @@ class CooperationList:
         """
         self._partners.add(peer_id)
         self._membership_version += 1
-        return self._store(peer_id, freshness, now)
+        self._store(peer_id, freshness, now)
 
     def remove_partner(self, peer_id: str) -> None:
-        if peer_id not in self._entries:
+        if peer_id not in self._freshness:
             raise ProtocolError(f"peer {peer_id!r} is not a partner")
-        del self._entries[peer_id]
+        del self._freshness[peer_id]
+        del self._updated_at[peer_id]
         self._partners.discard(peer_id)
         self._old.discard(peer_id)
         self._membership_version += 1
 
     def is_partner(self, peer_id: str) -> bool:
-        return peer_id in self._entries
+        return peer_id in self._freshness
 
     def entry(self, peer_id: str) -> CooperationEntry:
         try:
-            return self._entries[peer_id]
+            return CooperationEntry(
+                peer_id, self._freshness[peer_id], self._updated_at[peer_id]
+            )
         except KeyError as exc:
             raise ProtocolError(f"peer {peer_id!r} is not a partner") from exc
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._freshness)
 
     def __iter__(self) -> Iterator[CooperationEntry]:
-        return iter(self._entries.values())
+        updated_at = self._updated_at
+        for peer_id, freshness in self._freshness.items():
+            yield CooperationEntry(peer_id, freshness, updated_at[peer_id])
 
     def __contains__(self, peer_id: object) -> bool:
-        return peer_id in self._entries
+        return peer_id in self._freshness
 
     # -- freshness updates -------------------------------------------------------------
 
     def set_freshness(
         self, peer_id: str, freshness: Freshness, now: float = 0.0
     ) -> None:
-        self.entry(peer_id)  # raises for a non-partner
+        if peer_id not in self._freshness:
+            raise ProtocolError(f"peer {peer_id!r} is not a partner")
         if self._mode is FreshnessMode.ONE_BIT and freshness is Freshness.UNAVAILABLE:
             freshness = Freshness.STALE
         self._store(peer_id, freshness, now)
@@ -126,15 +137,15 @@ class CooperationList:
 
     def reset_all(self, now: float = 0.0) -> None:
         """Reset every entry to fresh (end of a reconciliation, Section 4.2.2)."""
-        for peer_id in self._entries:
-            self._entries[peer_id] = CooperationEntry(peer_id, Freshness.FRESH, now)
+        self._freshness = dict.fromkeys(self._freshness, Freshness.FRESH)
+        self._updated_at = dict.fromkeys(self._freshness, now)
         self._old.clear()
 
     # -- views -----------------------------------------------------------------------------
 
     @property
     def partner_ids(self) -> List[str]:
-        return list(self._entries)
+        return list(self._freshness)
 
     @property
     def partner_set(self) -> Set[str]:
@@ -158,41 +169,40 @@ class CooperationList:
 
     def fresh_partners(self) -> List[str]:
         """``P_fresh`` — partners whose descriptions are fresh, in entry order."""
-        return [peer_id for peer_id in self._entries if peer_id not in self._old]
+        return [peer_id for peer_id in self._freshness if peer_id not in self._old]
 
     def old_partners(self) -> List[str]:
         """``P_old`` — partners whose descriptions are stale or unavailable,
         in entry order."""
-        return [peer_id for peer_id in self._entries if peer_id in self._old]
+        return [peer_id for peer_id in self._freshness if peer_id in self._old]
 
     def unavailable_partners(self) -> List[str]:
         return [
-            entry.peer_id
-            for entry in self._entries.values()
-            if entry.freshness is Freshness.UNAVAILABLE
+            peer_id
+            for peer_id, freshness in self._freshness.items()
+            if freshness is Freshness.UNAVAILABLE
         ]
 
     def old_fraction(self) -> float:
         """``sum(v) / |CL|`` in 1-bit terms: the quantity compared to α."""
-        if not self._entries:
+        if not self._freshness:
             return 0.0
-        return len(self._old) / len(self._entries)
+        return len(self._old) / len(self._freshness)
 
     def needs_reconciliation(self, alpha: float) -> bool:
         """The trigger condition of Section 4.2.2."""
-        if not self._entries:
+        if not self._freshness:
             return False
         return self.old_fraction() >= alpha
 
     def freshness_of(self, peer_id: str) -> Optional[Freshness]:
-        entry = self._entries.get(peer_id)
-        return entry.freshness if entry is not None else None
+        return self._freshness.get(peer_id)
 
     def validate(self) -> None:
         """Check the maintained sets against a fresh scan of the entries."""
-        if self._partners != set(self._entries):
+        if self._partners != set(self._freshness):
             raise ProtocolError("the maintained partner set drifted from the entries")
-        scanned = {e.peer_id for e in self._entries.values() if e.freshness.counts_as_old}
+        scanned = {p for p, f in self._freshness.items() if f.counts_as_old}
         if self._old != scanned:
             raise ProtocolError(
                 "the maintained P_old drifted from the entries: "
@@ -201,6 +211,6 @@ class CooperationList:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
-            f"CooperationList({len(self._entries)} partners, "
+            f"CooperationList({len(self._freshness)} partners, "
             f"{self.old_fraction():.2%} old)"
         )

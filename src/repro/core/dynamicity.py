@@ -22,7 +22,7 @@ from repro.core.domain import Domain
 from repro.core.freshness import Freshness
 from repro.core.maintenance import MaintenanceEngine
 from repro.exceptions import NetworkError, ProtocolError
-from repro.network.churn import LifetimeDistribution
+from repro.network.churn import LifetimeDistribution, lifetime_distribution
 from repro.network.messages import MessageType
 from repro.network.metrics import MessageCounter
 from repro.network.overlay import Overlay
@@ -382,9 +382,9 @@ class _Dynamicity:
                     peer_id,
                     start=rejoin_at,
                     horizon=horizon,
-                    lifetime=LifetimeDistribution(
-                        mean_seconds=float(spec["lifetime_mean_seconds"]),  # type: ignore[arg-type]
-                        median_seconds=float(spec["lifetime_median_seconds"]),  # type: ignore[arg-type]
+                    lifetime=lifetime_distribution(
+                        float(spec["lifetime_mean_seconds"]),  # type: ignore[arg-type]
+                        float(spec["lifetime_median_seconds"]),  # type: ignore[arg-type]
                     ),
                     downtime=float(spec["downtime_seconds"]),  # type: ignore[arg-type]
                     graceful_fraction=float(spec["graceful_fraction"]),  # type: ignore[arg-type]

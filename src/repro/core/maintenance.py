@@ -432,16 +432,15 @@ class MaintenanceEngine:
         order: those in ``available_partners`` (by default, every partner not
         marked unavailable) and the rest.
         """
+        partner_ids = domain.partner_ids
         if available_partners is None:
             freshness_of = domain.cooperation.freshness_of
             available_partners = {
-                p for p in domain.partner_ids
+                p for p in partner_ids
                 if freshness_of(p) is not Freshness.UNAVAILABLE
             }
-        available: List[str] = []
-        removed: List[str] = []
-        for peer_id in domain.partner_ids:
-            (available if peer_id in available_partners else removed).append(peer_id)
+        available = [p for p in partner_ids if p in available_partners]
+        removed = [p for p in partner_ids if p not in available_partners]
         return available, removed, self._ring_messages(len(available))
 
     def _ring_messages(self, participants: int) -> int:
@@ -547,11 +546,12 @@ class _PushPull:
         # A partner takes part in the reconciliation only if it is reachable
         # and still belongs to this domain (it may have re-joined elsewhere
         # since its departure; its stale entry is then dropped here).
+        online_ids = self._overlay.online_ids
+        assigned_to = self._assignment.get
         online = {
             peer_id
             for peer_id in domain.partner_ids
-            if self._overlay.is_online(peer_id)
-            and self._assignment.get(peer_id) == sp_id
+            if peer_id in online_ids and assigned_to(peer_id) == sp_id
         }
         missed_ring: Dict[str, float] = {}
         if self._faults is not None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import List, Optional
 
 from repro.exceptions import ConfigurationError
@@ -40,11 +41,11 @@ class LifetimeDistribution:
                 f"(got mean={self.mean_seconds}, median={self.median_seconds})"
             )
 
-    @property
+    @cached_property
     def mu(self) -> float:
         return math.log(self.median_seconds)
 
-    @property
+    @cached_property
     def sigma(self) -> float:
         ratio = self.mean_seconds / self.median_seconds
         return math.sqrt(max(0.0, 2.0 * math.log(ratio)))
@@ -77,6 +78,14 @@ class LifetimeDistribution:
             return 1.0 if horizon_seconds >= self.median_seconds else 0.0
         z = (math.log(horizon_seconds) - self.mu) / (self.sigma * math.sqrt(2.0))
         return 0.5 * (1.0 + math.erf(z))
+
+
+@lru_cache(maxsize=64)
+def lifetime_distribution(
+    mean_seconds: float, median_seconds: float
+) -> LifetimeDistribution:
+    """One shared distribution per (mean, median): its draws reuse ``mu`` and ``sigma``."""
+    return LifetimeDistribution(mean_seconds, median_seconds)
 
 
 @dataclass

@@ -5,6 +5,11 @@ carries a callback; running the simulation pops events in chronological order
 (ties broken by insertion order, which keeps runs fully deterministic) and
 invokes their callbacks, which may schedule further events.
 
+The heap holds ``(time, sequence, event)`` tuples, so every comparison runs
+in C on the float and the int; ``sequence`` is unique per queue, so the
+event itself is never compared.  :meth:`pending` and :meth:`due` sort the
+same tuples.
+
 The protocol engine layers message passing on top: ``send`` schedules a
 delivery event after the link latency, and the receiving peer's handler runs
 at delivery time.
@@ -13,17 +18,17 @@ at delivery time.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import NetworkError
 
 EventCallback = Callable[[], None]
 
 
-@dataclass(order=True)
+@dataclass(slots=True)
 class Event:
-    """A scheduled callback.  Ordering: time, then insertion sequence.
+    """A scheduled callback, fired in ``(time, sequence)`` order.
 
     ``spec`` is an optional declarative description of the event (plain
     JSON-compatible payload).  Callbacks are closures and cannot be
@@ -33,21 +38,16 @@ class Event:
 
     time: float
     sequence: int
-    callback: EventCallback = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    label: str = field(default="", compare=False)
-    spec: Optional[Dict[str, object]] = field(default=None, compare=False)
-
-    def cancel(self) -> None:
-        """Prevent the callback from running when the event is popped."""
-        self.cancelled = True
+    callback: EventCallback
+    label: str = ""
+    spec: Optional[Dict[str, object]] = None
 
 
 class Simulator:
     """Event queue + virtual clock."""
 
     def __init__(self) -> None:
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._next_sequence = 0
         self._now = 0.0
         self._processed = 0
@@ -63,7 +63,7 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        return sum(1 for event in self._queue if not event.cancelled)
+        return len(self._queue)
 
     def schedule(
         self,
@@ -75,15 +75,11 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise NetworkError(f"cannot schedule an event in the past (delay={delay})")
-        event = Event(
-            time=self._now + delay,
-            sequence=self._next_sequence,
-            callback=callback,
-            label=label,
-            spec=spec,
-        )
-        self._next_sequence += 1
-        heapq.heappush(self._queue, event)
+        time = self._now + delay
+        sequence = self._next_sequence
+        self._next_sequence = sequence + 1
+        event = Event(time, sequence, callback, label, spec)
+        heapq.heappush(self._queue, (time, sequence, event))
         return event
 
     def schedule_at(
@@ -108,8 +104,8 @@ class Simulator:
         return self._next_sequence
 
     def pending(self) -> List[Event]:
-        """Non-cancelled pending events in firing order (time, then sequence)."""
-        return sorted(event for event in self._queue if not event.cancelled)
+        """Pending events in firing order (time, then sequence)."""
+        return [entry[2] for entry in sorted(self._queue)]
 
     def load_state(self, now: float, processed: int, next_sequence: int) -> None:
         """Reset the simulator to a checkpointed clock (queue emptied).
@@ -138,23 +134,18 @@ class Simulator:
             raise NetworkError(
                 f"cannot restore an event at {time} before now ({self._now})"
             )
-        event = Event(
-            time=time, sequence=sequence, callback=callback, label=label, spec=spec
-        )
-        heapq.heappush(self._queue, event)
+        event = Event(time, sequence, callback, label, spec)
+        heapq.heappush(self._queue, (time, sequence, event))
         return event
 
     def step(self) -> bool:
         """Run the next pending event.  Returns False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self._now = event.time
-            event.callback()
-            self._processed += 1
-            return True
-        return False
+        if not self._queue:
+            return False
+        self._now, _sequence, event = heapq.heappop(self._queue)
+        event.callback()
+        self._processed += 1
+        return True
 
     def run(
         self,
@@ -165,47 +156,38 @@ class Simulator:
 
         Returns the number of events processed by this call.
         """
+        queue = self._queue
+        pop = heapq.heappop
         processed = 0
-        while self._queue:
+        while queue:
             if max_events is not None and processed >= max_events:
                 break
-            next_event = self._peek()
-            if next_event is None:
-                break
-            if until is not None and next_event.time > until:
+            if until is not None and queue[0][0] > until:
                 self._now = until
                 break
-            if not self.step():
-                break
+            self._now, _sequence, event = pop(queue)
+            event.callback()
+            self._processed += 1
             processed += 1
-        if until is not None and not self._queue and self._now < until:
+        if until is not None and not queue and self._now < until:
             self._now = until
         return processed
-
-    def _peek(self) -> Optional[Event]:
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0] if self._queue else None
 
     # -- queue inspection (used by repro.runtime backends) ------------------------
 
     def peek(self) -> Optional[Event]:
-        """The next non-cancelled event, without popping it (None when empty)."""
-        return self._peek()
+        """The next event, without popping it (None when empty)."""
+        return self._queue[0][2] if self._queue else None
 
     def due(self, until: float) -> List[Event]:
-        """Non-cancelled events with ``time <= until``, in firing order.
+        """Events with ``time <= until``, in firing order.
 
         A read-only window snapshot: nothing is popped, so running the queue
         afterwards processes exactly the same events in exactly the same
         order.  Execution backends use this to know which deliveries fall in
         the next drain window before draining it.
         """
-        return sorted(
-            event
-            for event in self._queue
-            if not event.cancelled and event.time <= until
-        )
+        return [entry[2] for entry in sorted(e for e in self._queue if e[0] <= until)]
 
     def advance_to(self, time: float) -> None:
         """Move the clock forward to ``time`` without running any event.
@@ -219,11 +201,10 @@ class Simulator:
             raise NetworkError(
                 f"cannot advance the clock to {time} before now ({self._now})"
             )
-        head = self._peek()
-        if head is not None and head.time < time:
+        if self._queue and self._queue[0][0] < time:
             raise NetworkError(
                 f"cannot advance the clock to {time} past the pending event "
-                f"at {head.time}"
+                f"at {self._queue[0][0]}"
             )
         self._now = time
 

@@ -6,7 +6,7 @@ import statistics
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.network.churn import ChurnSchedule, LifetimeDistribution
+from repro.network.churn import ChurnSchedule, LifetimeDistribution, lifetime_distribution
 
 
 class TestLifetimeDistribution:
@@ -45,6 +45,19 @@ class TestLifetimeDistribution:
         distribution = LifetimeDistribution(mean_seconds=60, median_seconds=60)
         assert distribution.sigma == 0.0
         assert distribution.sample(random.Random(0)) == 60
+
+    def test_one_shared_distribution_per_mean_and_median(self):
+        shared = lifetime_distribution(3 * 3600.0, 3600.0)
+        assert lifetime_distribution(3 * 3600.0, 3600.0) is shared
+        assert lifetime_distribution(2 * 3600.0, 3600.0) is not shared
+        assert shared == LifetimeDistribution()
+
+    def test_a_shared_distribution_draws_what_a_fresh_one_draws(self):
+        shared = lifetime_distribution(3 * 3600.0, 3600.0)
+        first, second = random.Random(5), random.Random(5)
+        assert [shared.sample(first) for _ in range(50)] == [
+            LifetimeDistribution().sample(second) for _ in range(50)
+        ]
 
     def test_staleness_probability_monotone(self):
         distribution = LifetimeDistribution()

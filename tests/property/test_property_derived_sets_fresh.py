@@ -159,7 +159,7 @@ def test_real_content_session_under_churn_and_modifications(seed, lengths):
     originator = session.default_originator()
     # Routing only: the approximate answer reads no derived set, and a restored
     # hierarchy's float masses can differ from the live one's in the last digit
-    # (merge order, ROADMAP item 1a).
+    # (merge order, ROADMAP item 3(a)).
     requests = [
         {
             "originator": originator,
