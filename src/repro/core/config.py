@@ -25,7 +25,9 @@ class ProtocolConfig:
         1-bit (paper's evaluation default) or 2-bit freshness encoding.
     drift_threshold:
         Fraction of descriptor churn in a local summary's intents above which
-        the partner sends a ``push`` message (Section 4.2.1).
+        the partner should send a ``push`` message (Section 4.2.1).  Nothing
+        reads it yet: every delivered modification pushes (ROADMAP item 4
+        wires it through ``LocalSummaryService.should_push``).
     flooding_ttl:
         TTL of the inter-domain flooding extension and of the pure-flooding
         baseline (the paper uses 3).

@@ -460,8 +460,8 @@ class _PushPull:
     ) -> int:
         """Schedule local data modification events (Poisson per peer).
 
-        Each event marks the peer's data as modified and, if the resulting
-        drift warrants it, sends a push message to its summary peer.
+        Each event marks the peer's data as modified and pushes to its summary
+        peer whatever the drift (ROADMAP item 4 wires ``drift_threshold``).
         """
         if rate_per_peer_per_second <= 0:
             return 0

@@ -120,7 +120,7 @@ class MessageCounter:
     @classmethod
     def from_state(cls, payload: Mapping[str, object]) -> "MessageCounter":
         counter = cls()
-        for value, count in payload.get("by_type", {}).items():  # type: ignore[union-attr]
+        for value, count in payload["by_type"].items():  # type: ignore[union-attr]
             counter._by_type[MessageType(value)] = int(count)
         for reason, count in payload.get("dropped", {}).items():  # type: ignore[union-attr]
             counter._dropped[reason] = int(count)

@@ -75,12 +75,7 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise NetworkError(f"cannot schedule an event in the past (delay={delay})")
-        time = self._now + delay
-        sequence = self._next_sequence
-        self._next_sequence = sequence + 1
-        event = Event(time, sequence, callback, label, spec)
-        heapq.heappush(self._queue, (time, sequence, event))
-        return event
+        return self.schedule_at(self._now + delay, callback, label=label, spec=spec)
 
     def schedule_at(
         self,
@@ -89,12 +84,16 @@ class Simulator:
         label: str = "",
         spec: Optional[Dict[str, object]] = None,
     ) -> Event:
-        """Schedule ``callback`` at an absolute virtual time."""
+        """Schedule ``callback`` at exactly the virtual time ``time``."""
         if time < self._now:
             raise NetworkError(
                 f"cannot schedule at {time} which is before now ({self._now})"
             )
-        return self.schedule(time - self._now, callback, label=label, spec=spec)
+        sequence = self._next_sequence
+        self._next_sequence = sequence + 1
+        event = Event(time, sequence, callback, label, spec)
+        heapq.heappush(self._queue, (time, sequence, event))
+        return event
 
     # -- checkpoint/restore hooks (used by repro.store.checkpoint) ---------------
 
@@ -163,7 +162,7 @@ class Simulator:
             if max_events is not None and processed >= max_events:
                 break
             if until is not None and queue[0][0] > until:
-                self._now = until
+                self._now = max(self._now, until)  # never moves back
                 break
             self._now, _sequence, event = pop(queue)
             event.callback()

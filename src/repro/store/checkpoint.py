@@ -38,9 +38,9 @@ referenced without being encoded again
 about that memo enters a checkpoint, and nothing is kept resident between
 saves: the base is parsed again by the next delta.
 
-Format 2
+Format 3
 --------
-A checkpoint writes each fact once:
+A checkpoint writes each fact once (older formats: :mod:`repro.store.migrate`):
 
 * ``simulator.events`` — one row per pending event,
   ``[time, sequence, key_index, *values]``.  ``key_index`` points into
@@ -60,23 +60,9 @@ A checkpoint writes each fact once:
   no other per-peer state.  An id that names no adjacency row raises a
   :class:`~repro.exceptions.StoreError`.
 
-A format-2 document written before ``overlay.offline`` holds
-``overlay.peers`` instead: one positional row per adjacency row,
-``[role, online, summary_peer_id, summary_peer_distance,
-known_summary_peers]``.  It is still read, and only its ``online`` column
-is: the other columns mirrored the assignment, and nothing read them.
-
-Format 1 stored events and peers as dicts, each link under both of its ends
-and an unread ``overlay.nodes`` list.  Such a document is still read: its
-delta chain is replayed in format 1 (its patches were computed against that
-text) and the result passes through one upgrade, :func:`_from_format_1`,
-before the one restore path reads it.  The upgrade writes the
-``overlay.peers`` rows above, never ``overlay.offline``: format-2 deltas
-saved on format-1 bases before ``offline`` existed were computed against
-that text, and a new delta on such a base simply replaces ``peers`` with
-``offline``.  A malformed row raises a
-:class:`~repro.exceptions.StoreError`, and a link given two latencies, or
-one end only, a :class:`~repro.exceptions.NetworkError`.
+Restore reads this one text by its exact keys: a missing key, or a malformed
+row, raises a :class:`~repro.exceptions.StoreError`, and a link given two
+latencies, or one end only, a :class:`~repro.exceptions.NetworkError`.
 
 Determinism notes
 -----------------
@@ -113,6 +99,7 @@ from repro.network.overlay import Overlay
 from repro.store.backend import StoreBackend, open_store, owns_backend
 from repro.store.deltas import apply_patch, diff_documents
 from repro.store.lazy import HierarchySource, StoredSnapshot
+from repro.store.migrate import FORMAT, check_format, upgrade
 from repro.store.snapshots import SnapshotStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -127,10 +114,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 CHECKPOINT_KIND = "checkpoint"
 #: Default checkpoint name when the caller does not pick one.
 DEFAULT_CHECKPOINT_NAME = "session"
-
-_CHECKPOINT_FORMAT = 2
-#: The format before pending events and peers became rows (see module notes).
-_FORMAT_1 = 1
 
 #: What a real query reaches past the system (which binds reformulation itself):
 #: a real-content restore imports it, so that no answer imports a module.
@@ -225,41 +208,19 @@ def _overlay_from_payload(payload: Dict[str, Any]) -> Overlay:
                         "that links back: one-sided or unknown"
                     )
                 neighbours[entry] = latency
-    offline = _offline_ids(payload, links)
-    # ``Overlay`` rejects a one-sided, unequal or dangling link with a NetworkError.
-    overlay = Overlay(links)
-    if "rng" in payload:
-        _rng_restore(overlay.rng, payload["rng"])
-    for peer_id in offline:
-        overlay.set_online(peer_id, False)
-    return overlay
-
-
-def _offline_ids(
-    payload: Dict[str, Any], links: Dict[str, Dict[str, float]]
-) -> List[str]:
-    """The ids ``overlay.offline`` names, each checked against the adjacency.
-
-    A document written before ``offline`` holds one ``peers`` row per
-    adjacency row instead; only its ``online`` column (``row[1]``) is read.
-    """
-    if "offline" not in payload:
-        rows = payload["peers"]
-        if len(rows) != len(links):
-            raise StoreError(
-                f"checkpoint overlay has {len(links)} adjacency rows but "
-                f"{len(rows)} peer rows"
-            )
-        return [peer_id for peer_id, row in zip(links, rows) if not row[1]]
     offline = payload["offline"]
     if not isinstance(offline, list):
         raise StoreError(f"checkpoint overlay offline ids are not a list: {offline!r}")
+    # ``Overlay`` rejects a one-sided, unequal or dangling link with a NetworkError.
+    overlay = Overlay(links)
+    _rng_restore(overlay.rng, payload["rng"])
     for peer_id in offline:
         if peer_id not in links:
             raise StoreError(
                 f"checkpoint overlay offline id {peer_id!r} names no adjacency row"
             )
-    return offline
+        overlay.set_online(peer_id, False)
+    return overlay
 
 
 # -- protocol configuration -------------------------------------------------------
@@ -284,12 +245,7 @@ def _config_payload(config: ProtocolConfig) -> Dict[str, Any]:
 
 
 def _config_from_payload(payload: Dict[str, Any]) -> ProtocolConfig:
-    # Named reads only: older checkpoints carry the retry_backoff_* keys.
-    named = {
-        field.name: payload[field.name]
-        for field in dataclasses.fields(ProtocolConfig)
-        if field.name in payload
-    }
+    named = {field.name: payload[field.name] for field in dataclasses.fields(ProtocolConfig)}
     named["freshness_mode"] = FreshnessMode(named["freshness_mode"])
     return ProtocolConfig(**named)
 
@@ -343,7 +299,7 @@ def _domain_from_payload(
             peer_id: float(distance) for peer_id, distance in payload["distances"]
         },
     )
-    summary_hash = payload.get("global_summary")
+    summary_hash = payload["global_summary"]
     if summary_hash is not None:
         if background is None:
             raise StoreError(
@@ -548,7 +504,7 @@ def capture_session(
     planned = isinstance(content, PlannedContentModel)
 
     payload: Dict[str, Any] = {
-        "format": _CHECKPOINT_FORMAT,
+        "format": FORMAT,
         "mode": "planned" if planned else "real",
         "horizon": session.horizon,
         "config": _config_payload(system.config),
@@ -639,9 +595,9 @@ def save_session(
         document = payload
         if links is not None:
             document = {
-                "format": _CHECKPOINT_FORMAT,
+                "format": FORMAT,
                 "base": base,
-                "patch": diff_documents(_in_format_2(_replay_chain(links)), payload),
+                "patch": diff_documents(upgrade(_replay_chain(links)), payload),
             }
         with backend.transaction():
             for digest in sorted(staged):
@@ -682,13 +638,13 @@ def _base_links(
 def _get_link(
     backend: StoreBackend, name: str, referrer: Optional[str] = None
 ) -> Dict[str, Any]:
-    """Fetch one chain link, turning a miss into a chain-context error.
+    """Fetch one chain link in a supported format, a miss as a chain-context error.
 
     One ``get`` per link on the common path; ``contains`` runs only on the
     error path to distinguish a missing document from a corrupt one.
     """
     try:
-        return backend.get(CHECKPOINT_KIND, name)
+        return check_format(backend.get(CHECKPOINT_KIND, name), name)
     except StoreError:
         if backend.contains(CHECKPOINT_KIND, name):
             raise  # stored but unreadable: surface the original error
@@ -724,7 +680,6 @@ def _walk_chain(
         if _cache is not None and current in _cache:
             return links, _cache[current]
         document = _get_link(backend, current, referrer)
-        _check_format(document, current)
         seen.add(current)
         links.append((current, document))
         base = document.get("base")
@@ -758,13 +713,13 @@ def resolve_checkpoint_payload(
     """The full payload of a checkpoint, replaying its delta chain if any.
 
     The payload is in the current format whatever format the chain was
-    written in (see :func:`_from_format_1`).  ``_cache`` (name → resolved
+    written in (see :mod:`repro.store.migrate`).  ``_cache`` (name → resolved
     payload, each in the format of its own link) lets a caller resolving
     *many* checkpoints — the GC resolves every stored one — replay each
     chain link once instead of re-resolving shared prefixes per checkpoint;
     treat the cached payloads as read-only.
     """
-    return _in_format_2(_resolve_stored(backend, name, _cache))
+    return upgrade(_resolve_stored(backend, name, _cache))
 
 
 def _resolve_stored(
@@ -786,11 +741,8 @@ def _replay_chain(
 ) -> Dict[str, Any]:
     """Resolve what :func:`_walk_chain` fetched: patches replayed base first.
 
-    A patch applies to the text it was computed against: a format-1 prefix
-    of the chain is replayed in format 1 and upgraded where the first
-    format-2 delta rests on it.  The upgrade must therefore produce the
-    exact text stored deltas were computed against, which is why
-    :func:`_from_format_1` never follows changes to what capture writes.
+    A patch applies to the text it was computed against: its base upgraded
+    to the patch's own format.  A delta older than its base is refused.
     """
     payload = seed
     for link, document in reversed(links):
@@ -798,68 +750,16 @@ def _replay_chain(
             payload = document
         else:
             assert payload is not None  # a delta always follows its base
-            if document["format"] != payload.get("format"):
-                if document["format"] == _FORMAT_1:
-                    raise StoreError(
-                        f"format-1 delta checkpoint {link!r} rests on a base "
-                        f"that is now format {payload.get('format')!r}"
-                    )
-                payload = _in_format_2(payload)
-            payload = apply_patch(payload, document["patch"])
+            if document["format"] < payload["format"]:
+                raise StoreError(
+                    f"format-{document['format']} delta checkpoint {link!r} rests "
+                    f"on a base that is now format {payload['format']}"
+                )
+            payload = apply_patch(upgrade(payload, document["format"]), document["patch"])
         if _cache is not None:
             _cache[link] = payload
     assert payload is not None  # a chain always ends in a full checkpoint
     return payload
-
-
-def _in_format_2(payload: Dict[str, Any]) -> Dict[str, Any]:
-    if payload.get("format") == _CHECKPOINT_FORMAT:
-        return payload
-    if payload.get("format") == _FORMAT_1:
-        return _from_format_1(payload)
-    raise StoreError(f"unsupported checkpoint format {payload.get('format')!r}")
-
-
-def _from_format_1(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """The one upgrade: a resolved format-1 payload as format 2 stores it.
-
-    Format 1 held each pending event and each peer's state as a dict, each
-    link under both of its ends, and an ``overlay.nodes`` list nothing read.
-    A link whose two ends disagree raises a :class:`NetworkError`.
-
-    The output is frozen: format-2 deltas already stored on format-1 bases
-    were diffed against it, so it keeps the ``overlay.peers`` rows the first
-    format-2 writer produced, which :func:`_offline_ids` reads.
-    """
-    with _malformed("format-1 row"):
-        simulator, overlay = payload["simulator"], payload["overlay"]
-        events = [
-            _event_row(event["time"], event["sequence"], event["label"], event["spec"])
-            for event in simulator["events"]
-        ]
-        links = {node: dict(neighbours) for node, neighbours in overlay["adjacency"]}
-        states = {state["peer_id"]: state for state in overlay["peers"]}
-        if states.keys() != links.keys():
-            raise StoreError("format-1 checkpoint peers do not match its adjacency")
-        peers = [
-            [
-                state["role"],
-                state["online"],
-                state["summary_peer_id"],
-                state["summary_peer_distance"],
-                state["known_summary_peers"],
-            ]
-            for state in map(states.__getitem__, links)
-        ]
-    upgraded = {"adjacency": _adjacency_rows(links), "peers": peers}
-    if "rng" in overlay:
-        upgraded["rng"] = overlay["rng"]
-    return {
-        **payload,
-        "format": _CHECKPOINT_FORMAT,
-        "simulator": {**simulator, "keys": _event_key_table(), "events": events},
-        "overlay": upgraded,
-    }
 
 
 def compact_checkpoint(
@@ -882,7 +782,6 @@ def compact_checkpoint(
     backend = open_store(target)
     try:
         document = _get_link(backend, name)
-        _check_format(document, name)
         if "base" not in document:
             return False
         backend.put(CHECKPOINT_KIND, name, _resolve_stored(backend, name))
@@ -904,7 +803,6 @@ def compact_checkpoints(target: Union[None, str, StoreBackend]) -> List[str]:
         resolved_cache: Dict[str, Dict[str, Any]] = {}
         for name in backend.keys(CHECKPOINT_KIND):
             document = _get_link(backend, name)
-            _check_format(document, name)
             if "base" not in document:
                 continue
             payload = _resolve_stored(backend, name, _cache=resolved_cache)
@@ -914,13 +812,6 @@ def compact_checkpoints(target: Union[None, str, StoreBackend]) -> List[str]:
     finally:
         if owns_backend(target):
             backend.close()
-
-
-def _check_format(document: Dict[str, Any], name: str) -> None:
-    if document.get("format") not in (_FORMAT_1, _CHECKPOINT_FORMAT):
-        raise StoreError(
-            f"unsupported checkpoint format in {name!r}: {document.get('format')!r}"
-        )
 
 
 # -- restore ----------------------------------------------------------------------
@@ -953,8 +844,7 @@ def restore_session(
 
     The restored session runs on the simulator unless ``runtime`` passes
     another backend.  A checkpoint records no backend: every backend
-    continues byte-identically, and a ``"runtime"`` key in an older payload
-    is ignored.
+    continues byte-identically.
     """
     backend = open_store(target)
     try:
@@ -1035,6 +925,7 @@ def _stored_snapshots(
     return loader
 
 
+@_malformed("payload")
 def _restore_session(
     backend: StoreBackend,
     name: str,
@@ -1067,17 +958,12 @@ def _restore_session(
 
     # Message accounting: the counter instance is shared with the maintenance
     # engine, churn handler and router, so it is rebuilt in place.
-    restored_counter = MessageCounter.from_state(payload["counter"])
-    counter = system.counter
-    counter.reset()
-    counter.merge(restored_counter)
+    system.counter.reset()
+    system.counter.merge(MessageCounter.from_state(payload["counter"]))
 
-    # Maintenance statistics (older checkpoints also carry message copies and
-    # a reconciliation history: the counter above is the one tally).
     stats = system.maintenance.stats
-    maintenance_payload = payload["maintenance"]
-    stats.reconciliations = int(maintenance_payload["reconciliations"])
-    stats.cold_starts = int(maintenance_payload.get("cold_starts", 0))
+    stats.reconciliations = int(payload["maintenance"]["reconciliations"])
+    stats.cold_starts = int(payload["maintenance"]["cold_starts"])
 
     # Content model, databases and services.
     if planned:
@@ -1118,7 +1004,7 @@ def _restore_session(
                 service_payload["database_version_summarized"]
             )
             system._services[peer_id] = service  # noqa: SLF001
-        for query_id, query_payload in payload.get("queries", []):
+        for query_id, query_payload in payload["queries"]:
             system._queries[int(query_id)] = query_from_payload(  # noqa: SLF001
                 query_payload
             )

@@ -17,8 +17,11 @@ The cases are the paper's 500-peer default and the 2000-peer point, seeds
 :class:`~repro.runtime.ConcurrentBackend` with a 2 ms I/O wait on every
 maintenance-shaped event (its windows drain through ``due`` and
 ``run(until=)``).  The digests were recorded once, before the event queue
-moved to tuple heap entries; ``test_golden_maintenance.py`` holds every
-later commit to them.  Regenerate only for a deliberate change of the
+moved to tuple heap entries; ``checkpoint`` and the half-horizon ``pending``
+were re-recorded once since, when checkpoints went to format 3 and
+``schedule_at(t)`` began storing ``t`` itself (it had stored
+``now + (t - now)``, one ulp off for a few departures).
+``test_golden_maintenance.py`` holds every later commit to them.  Regenerate only for a deliberate change of the
 maintenance protocol, the churn model or the checkpoint format::
 
     PYTHONPATH=src python tests/core/golden_maintenance.py

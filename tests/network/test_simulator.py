@@ -4,6 +4,8 @@ import pytest
 
 from repro.exceptions import NetworkError
 from repro.network.simulator import Simulator
+from repro.runtime.concurrent import ConcurrentBackend
+from repro.runtime.simulator import SimulatorBackend
 
 
 class TestScheduling:
@@ -39,6 +41,18 @@ class TestScheduling:
         simulator.schedule_at(2.0, lambda: times.append(simulator.now))
         simulator.run()
         assert times == [2.0]
+
+    def test_schedule_at_fires_at_exactly_the_given_time(self):
+        now, time = 691.3205405598512, 3359.0341193227237
+        assert now + (time - now) != time  # the clock must not round-trip it
+        simulator = Simulator()
+        simulator.schedule(now, lambda: None)
+        simulator.run()
+        fired = []
+        event = simulator.schedule_at(time, lambda: fired.append(simulator.now))
+        assert event.time == time
+        simulator.run()
+        assert fired == [time]
 
     def test_schedule_at_in_the_past_raises(self):
         simulator = Simulator()
@@ -164,12 +178,27 @@ class TestQueueContract:
         assert seen == [1.0, 5.0, 7.0]
         assert simulator.now == 20.0
 
-    def test_run_until_never_moves_the_clock_back(self):
-        simulator = Simulator()
-        simulator.schedule(4.0, lambda: None)
-        simulator.run()
-        assert simulator.run(until=1.0) == 0
-        assert simulator.now == 4.0
+    @pytest.mark.parametrize(
+        "make",
+        [
+            Simulator,
+            lambda: SimulatorBackend(io_model=lambda label: 0.0),
+            lambda: ConcurrentBackend(io_model=lambda label: 0.0),
+        ],
+        ids=["simulator", "simulator-backend-io", "concurrent-backend-io"],
+    )
+    def test_run_until_never_moves_the_clock_back(self, make):
+        clock = make()
+        clock.schedule(4.0, lambda: None)
+        assert clock.run(until=4.0) == 1
+        assert clock.run(until=1.0) == 0
+        assert clock.now == 4.0
+        clock.schedule(5.0, lambda: None)  # pending after ``until``
+        assert clock.run(until=1.0) == 0
+        assert clock.now == 4.0
+        with pytest.raises(NetworkError):
+            clock.schedule_at(2.0, lambda: None)
+        assert clock.pending_events == 1
 
     def test_max_events_leaves_the_clock_at_the_last_event_run(self):
         simulator = Simulator()

@@ -30,12 +30,12 @@ from repro.store import (
 )
 from repro.store.checkpoint import (
     _EVENT_KEYS,
-    _from_format_1,
     _overlay_from_payload,
     _overlay_payload,
     list_checkpoints,
     resolve_checkpoint_payload,
 )
+from repro.store.migrate import _from_format_1, upgrade
 from repro.workloads.patients import MedicalWorkload, build_peer_databases
 from repro.workloads.queries import paper_example_query
 from repro.workloads.registry import default_registry
@@ -473,7 +473,7 @@ class TestErrors:
         # Format 1 wrote each link under both ends; the upgrade checks them.
         recorded = json.loads(FORMAT_1_FIXTURE.read_text(encoding="utf-8"))["base"]
         overlay = recorded["overlay"]
-        upgraded = _from_format_1(recorded)["overlay"]
+        upgraded = upgrade(recorded)["overlay"]
         assert _overlay_from_payload(upgraded).links == dict(
             (node, dict(neighbours)) for node, neighbours in overlay["adjacency"]
         )
@@ -484,6 +484,21 @@ class TestErrors:
         del neighbours[0]  # the other direction alone
         with pytest.raises(NetworkError, match="one-sided or unequal"):
             _from_format_1(recorded)
+
+    @pytest.mark.parametrize(
+        "section,key", [("maintenance", "cold_starts"), ("overlay", "rng")]
+    )
+    def test_a_format_3_document_missing_a_key_is_a_store_error(
+        self, backend, section, key
+    ):
+        """Restore reads one shape: a key the writer always writes has no default."""
+        _build("smoke").checkpoint(backend, name="good")
+        document = backend.get(CHECKPOINT_KIND, "good")
+        assert document["format"] == 3
+        del document[section][key]
+        backend.put(CHECKPOINT_KIND, "bad", document)
+        with pytest.raises(StoreError, match=key):
+            SystemBuilder.from_checkpoint(backend, name="bad")
 
     def test_a_format_2_link_is_written_once(self):
         live = Overlay.generate(TopologyConfig(peer_count=8))

@@ -15,31 +15,39 @@ the live run's :func:`continuation` from the tip to the horizon.
   restored from that base: its patch was computed against the format-1
   upgrade and edits ``overlay.peers``, so it holds the upgrade to the text
   it produced then.
+* ``format2_offline_checkpoint.json`` — format 2 as written with
+  ``overlay.offline``, the last text stored under that number.
 
-The writer no longer produces any of them, so no fixture can be
+The writer (format 3) no longer produces any of them, so no fixture can be
 regenerated; they stand for every store written before the format changed.
 """
 
+import copy
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from repro.core.config import ProtocolConfig
 from repro.core.session import SystemBuilder
 from repro.exceptions import StoreError
 from repro.serve.wire import encode_answer
 from repro.store import CHECKPOINT_KIND, collect_garbage
 from repro.store.checkpoint import (
+    _rng_payload,
     compact_checkpoint,
     resolve_checkpoint_payload,
     save_session,
 )
+from repro.store.migrate import upgrade
 
 FIXTURES = {
     "format1": Path(__file__).with_name("format1_checkpoint.json"),
     "format2": Path(__file__).with_name("format2_checkpoint.json"),
     "format2-on-format1": Path(__file__).with_name("format2_on_format1_checkpoint.json"),
+    "format2-offline": Path(__file__).with_name("format2_offline_checkpoint.json"),
 }
 
 
@@ -90,29 +98,22 @@ def _store(backend, recorded):
     return backend
 
 
-def _offline_from_rows(payload):
-    """``payload`` with pre-``offline`` peer rows read as the offline ids."""
-    overlay = payload["overlay"]
-    if "peers" in overlay:
-        rows = overlay.pop("peers")
-        nodes = [node for node, _entries in overlay["adjacency"]]
-        overlay["offline"] = [node for node, row in zip(nodes, rows) if not row[1]]
-    return payload
-
-
 def test_fixtures_are_in_their_formats():
     format1, format2 = _load("format1"), _load("format2")
-    mixed = _load("format2-on-format1")
+    mixed, offline = _load("format2-on-format1"), _load("format2-offline")
     assert format1["base"]["format"] == format1["delta"]["format"] == 1
-    assert format2["base"]["format"] == format2["delta"]["format"] == 2
+    for fixture in (format2, offline):
+        assert fixture["base"]["format"] == fixture["delta"]["format"] == 2
     assert "peers" in format2["base"]["overlay"]
     assert "offline" not in format2["base"]["overlay"]
+    assert "offline" in offline["base"]["overlay"]
+    assert "peers" not in offline["base"]["overlay"]
     assert mixed["base"] == format1["base"] and mixed["delta"]["format"] == 2
     assert "peers" in mixed["delta"]["patch"]["$dict"]["overlay"]["$dict"]
-    for fixture in (format1, format2, mixed):
+    for fixture in (format1, format2, mixed, offline):
         assert fixture["delta"]["base"] == "base"
-    # One run, three writers: the same continuation.
-    assert format1["continuation"] == format2["continuation"] == mixed["continuation"]
+    # One run, four writers: the same continuation.
+    assert len({_load(name)["continuation"] for name in FIXTURES}) == 1
 
 
 @pytest.mark.parametrize("name", ["base", "tip"])
@@ -136,12 +137,12 @@ def test_a_delta_on_a_recorded_checkpoint_is_written_in_the_current_format(
     live.run_until(recorded["horizon"] / 2)
     save_session(live, backend, name="upgraded", base="base")
     document = backend.get(CHECKPOINT_KIND, "upgraded")
-    assert document["format"] == 2 and document["base"] == "base"
+    assert document["format"] == 3 and document["base"] == "base"
 
     resolved = resolve_checkpoint_payload(backend, "upgraded")
-    assert resolved["format"] == 2
+    assert resolved["format"] == 3
     assert "peers" not in resolved["overlay"]
-    assert resolved == _offline_from_rows(resolve_checkpoint_payload(backend, "tip"))
+    assert resolved == resolve_checkpoint_payload(backend, "tip")
     save_session(live, backend, name="full")
     assert resolved == backend.get(CHECKPOINT_KIND, "full")
 
@@ -158,7 +159,8 @@ def test_compaction_keeps_a_recorded_chain_in_its_format(backend, recorded):
     assert compact_checkpoint(backend, "tip")
     compacted = backend.get(CHECKPOINT_KIND, "tip")
     assert compacted["format"] == written
-    assert "peers" in compacted["overlay"]  # the text as written, not upgraded
+    # The text as written, not upgraded: format 3 holds no peer rows.
+    assert ("peers" in compacted["overlay"]) == ("peers" in recorded["base"]["overlay"])
     collect_garbage(backend)
     assert resolve_checkpoint_payload(backend, "child") == (
         resolve_checkpoint_payload(backend, "tip")
@@ -167,11 +169,47 @@ def test_compaction_keeps_a_recorded_chain_in_its_format(backend, recorded):
     assert continuation(restored, recorded["horizon"]) == recorded["continuation"]
 
 
-def test_a_format_1_delta_on_a_format_2_base_is_refused(backend):
-    _store(backend, _load("format1"))
+def test_format_2_to_3_fills_each_key_a_restore_once_defaulted():
+    upgraded = upgrade(_load("format2-offline")["base"])
+    older = _load("format2-offline")["base"]
+    del older["maintenance"]["cold_starts"], older["overlay"]["rng"]
+    del older["config"]["query_max_retries"]
+    older["config"]["retry_backoff_seconds"] = 2.0
+    older["runtime"] = "simulator"
+    for domain in older["domains"]:
+        del domain["global_summary"]
+    kept = copy.deepcopy(older)
+    filled = upgrade(older)
+    assert older == kept  # an upgrade never edits the payload it reads
+    assert filled["format"] == 3 and "runtime" not in filled
+    assert filled["maintenance"] == {**upgraded["maintenance"], "cold_starts": 0}
+    assert filled["overlay"]["rng"] == _rng_payload(random.Random(0))
+    assert filled["config"] == {
+        **upgraded["config"], "query_max_retries": ProtocolConfig().query_max_retries
+    }
+    assert filled["domains"] == upgraded["domains"]
+
+
+def _rewrite_base_in_format_2(backend):
+    backend.put(CHECKPOINT_KIND, "base", _load("format2")["base"])
+
+
+def _rewrite_base_in_format_3(backend):
     live = SystemBuilder.from_checkpoint(backend, name="base")
-    save_session(live, backend, name="base")  # the base rewritten in format 2
-    with pytest.raises(StoreError, match="format-1 delta"):
+    save_session(live, backend, name="base")
+
+
+@pytest.mark.parametrize(
+    "delta,rewrite",
+    [("format1", _rewrite_base_in_format_2), ("format2", _rewrite_base_in_format_3)],
+    ids=["1-on-2", "2-on-3"],
+)
+def test_a_delta_older_than_its_base_is_refused(backend, delta, rewrite):
+    """A patch applies to its base in the patch's own format, never a newer one."""
+    recorded = _load(delta)
+    _store(backend, recorded)
+    rewrite(backend)
+    with pytest.raises(StoreError, match=f"format-{recorded['delta']['format']} delta"):
         SystemBuilder.from_checkpoint(backend, name="tip")
 
 
