@@ -250,16 +250,17 @@ class PlannedContentModel(ContentModel):
     def state_payload(self) -> Dict[str, object]:
         """JSON-compatible snapshot of the whole plan (RNG state included)."""
         version, internal, position = self._rng.getstate()
+        # Keys in sorted order throughout, the order the store writes them.
+        matching = {
+            str(query_id): sorted(peers) for query_id, peers in self._matching.items()
+        }
         return {
-            "peer_ids": list(self._peer_ids),
-            "matching_fraction": self._matching_fraction,
-            "rng_state": [version, list(internal), position],
-            "matching": {
-                str(query_id): sorted(peers)
-                for query_id, peers in self._matching.items()
-            },
-            "modified_peers": sorted(self._modified_peers),
             "departed_peers": sorted(self._departed_peers),
+            "matching": dict(sorted(matching.items())),
+            "matching_fraction": self._matching_fraction,
+            "modified_peers": sorted(self._modified_peers),
+            "peer_ids": list(self._peer_ids),
+            "rng_state": [version, list(internal), position],
         }
 
     @classmethod

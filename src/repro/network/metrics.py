@@ -18,6 +18,8 @@ class MessageCounter:
     """
 
     def __init__(self) -> None:
+        # Keyed by each type's value: a ``str`` hashes in C, where a member
+        # hashes through the Python-level ``Enum.__hash__`` on every count.
         self._by_type: Counter = Counter()
         # Fault-layer accounting: how many messages never arrived or had to
         # be retransmitted.
@@ -26,7 +28,7 @@ class MessageCounter:
 
     def record_type(self, message_type: MessageType, count: int = 1) -> None:
         """Account for ``count`` messages of one type."""
-        self._by_type[message_type] += count
+        self._by_type[message_type._value_] += count
 
     def record_dropped(self, reason: str = "", count: int = 1) -> None:
         """Account for messages that were sent but never delivered."""
@@ -39,13 +41,13 @@ class MessageCounter:
     def count(self, message_type: Optional[MessageType] = None) -> int:
         if message_type is None:
             return sum(self._by_type.values())
-        return self._by_type[message_type]
+        return self._by_type[message_type._value_]
 
     def count_types(self, message_types: Iterable[MessageType]) -> int:
-        return sum(self._by_type[mt] for mt in message_types)
+        return sum(self._by_type[mt._value_] for mt in message_types)
 
     def by_type(self) -> Dict[MessageType, int]:
-        return dict(self._by_type)
+        return {MessageType(value): count for value, count in self._by_type.items()}
 
     @property
     def total(self) -> int:
@@ -83,12 +85,8 @@ class MessageCounter:
         counter this way mutates nothing here — :meth:`state_payload` is
         unchanged.
         """
-        for message_type in sorted(self._by_type, key=lambda mt: mt.value):
-            registry.inc(
-                "repro_messages_total",
-                self._by_type[message_type],
-                type=message_type.value,
-            )
+        for value in sorted(self._by_type):
+            registry.inc("repro_messages_total", self._by_type[value], type=value)
         for reason in sorted(self._dropped):
             registry.inc(
                 "repro_messages_dropped_total", self._dropped[reason], reason=reason
@@ -105,7 +103,7 @@ class MessageCounter:
         payloads stay byte-identical to those of earlier checkpoints.
         """
         payload: Dict[str, object] = {
-            "by_type": {mt.value: count for mt, count in self._by_type.items()},
+            "by_type": dict(self._by_type),
             # Constants kept for the bytes: every checkpoint ever written holds
             # exactly these, and the construction golden hashes this payload.
             "by_sender": {},
@@ -121,7 +119,7 @@ class MessageCounter:
     def from_state(cls, payload: Mapping[str, object]) -> "MessageCounter":
         counter = cls()
         for value, count in payload["by_type"].items():  # type: ignore[union-attr]
-            counter._by_type[MessageType(value)] = int(count)
+            counter._by_type[MessageType(value)._value_] = int(count)
         for reason, count in payload.get("dropped", {}).items():  # type: ignore[union-attr]
             counter._dropped[reason] = int(count)
         counter._retries = int(payload.get("retries", 0))  # type: ignore[arg-type]

@@ -136,7 +136,12 @@ class ConcurrentBackend(ExecutionBackend):
             window_end = head.time + self._quantum
             if until is not None:
                 window_end = min(window_end, until)
-            await self._overlap_window(clock.due(window_end))
+            events = clock.due(window_end)
+            if until is None:
+                # No horizon to park at: the window ends at its last event, so
+                # the clock stops there, as the simulator's does.
+                window_end = events[-1].time
+            await self._overlap_window(events)
             processed += clock.run(until=window_end)
             self._prune_actor_tags()
         if until is not None and clock.now < until:

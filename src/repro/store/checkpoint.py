@@ -29,14 +29,22 @@ guarantee below applies unchanged.
 A delta save costs what changed since its base, plus one look at what did
 not: each link of the base chain is read and parsed once (the walk that
 guards against cycles is the walk the base payload is replayed from), the
-diff confirms unchanged subtrees once per container per side and is a
-function of the two stored texts alone (:mod:`repro.store.deltas`), and
-hierarchies are filed by stamp — one that has not moved since it was last
+diff confirms unchanged subtrees once per container and is a function of
+the two stored texts alone (:mod:`repro.store.deltas`), and hierarchies are
+filed by stamp — one that has not moved since it was last
 addressed, and whose address the *destination* store already holds, is
 referenced without being encoded again
 (:meth:`~repro.store.snapshots.SnapshotStore.missing_snapshot`).  Nothing
 about that memo enters a checkpoint, and nothing is kept resident between
 saves: the base is parsed again by the next delta.
+
+A capture is laid out as the store will parse it back: every dict lists its
+keys sorted, the order the backend writes them (literals are written in
+that order; a ``state_payload()`` that keeps another order is sorted here),
+and an overlay's adjacency rows are built on its first capture and kept,
+weakly keyed by the overlay, since its links are fixed once it is built.
+Where nothing moved, a fresh capture is then ``marshal``-identical to the
+parsed base, and the diff confirms it without encoding either side.
 
 Format 3
 --------
@@ -85,6 +93,7 @@ import contextlib
 import dataclasses
 import importlib
 import random
+import weakref
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.config import ProtocolConfig
@@ -128,6 +137,15 @@ def _rng_payload(rng: random.Random) -> List[object]:
     return [version, list(internal), position]
 
 
+def _stored_order(node: Any) -> Any:
+    """``node`` with every dict's keys in the order the store writes them."""
+    if isinstance(node, dict):
+        return {key: _stored_order(node[key]) for key in sorted(node)}
+    if isinstance(node, list):
+        return [_stored_order(item) for item in node]
+    return node
+
+
 def _rng_restore(rng: random.Random, payload: List[object]) -> None:
     version, internal, position = payload
     rng.setstate((version, tuple(internal), position))
@@ -169,17 +187,25 @@ def _adjacency_rows(links: Dict[str, Dict[str, float]]) -> List[List[Any]]:
     return rows
 
 
+#: Each overlay's adjacency rows, built on its first capture: its links are
+#: fixed once it is built.  Held only while the overlay lives.
+_ROWS: "weakref.WeakKeyDictionary[Overlay, List[List[Any]]]" = weakref.WeakKeyDictionary()
+
+
 def _overlay_payload(overlay: Overlay) -> Dict[str, Any]:
     links, online = overlay.links, overlay.online_ids
+    rows = _ROWS.get(overlay)
+    if rows is None:
+        rows = _ROWS[overlay] = _adjacency_rows(links)
     return {
+        # Per-node adjacency in its exact iteration order (see module notes).
+        "adjacency": rows,
+        # The offline peers, in adjacency-row order.
+        "offline": [peer_id for peer_id in links if peer_id not in online],
         # The overlay's own tie-breaking RNG (used when a selective walk is
         # invoked without an explicit one): its state must survive restore or
         # post-restore default walks would diverge from the live session.
         "rng": _rng_payload(overlay.rng),
-        # Per-node adjacency in its exact iteration order (see module notes).
-        "adjacency": _adjacency_rows(links),
-        # The offline peers, in adjacency-row order.
-        "offline": [peer_id for peer_id in links if peer_id not in online],
     }
 
 
@@ -229,18 +255,18 @@ def _overlay_from_payload(payload: Dict[str, Any]) -> Overlay:
 def _config_payload(config: ProtocolConfig) -> Dict[str, Any]:
     return {
         "construction_ttl": config.construction_ttl,
-        "freshness_threshold": config.freshness_threshold,
-        "freshness_mode": config.freshness_mode.value,
+        "count_reconciliation_ring_hops": config.count_reconciliation_ring_hops,
         "drift_threshold": config.drift_threshold,
         "flooding_ttl": config.flooding_ttl,
-        "selective_walk_max_hops": config.selective_walk_max_hops,
-        "query_rate_per_peer": config.query_rate_per_peer,
+        "freshness_mode": config.freshness_mode.value,
+        "freshness_threshold": config.freshness_threshold,
         "modification_probability": config.modification_probability,
-        "superpeer_fraction": config.superpeer_fraction,
-        "count_reconciliation_ring_hops": config.count_reconciliation_ring_hops,
         "push_max_retries": config.push_max_retries,
-        "reconciliation_max_retries": config.reconciliation_max_retries,
         "query_max_retries": config.query_max_retries,
+        "query_rate_per_peer": config.query_rate_per_peer,
+        "reconciliation_max_retries": config.reconciliation_max_retries,
+        "selective_walk_max_hops": config.selective_walk_max_hops,
+        "superpeer_fraction": config.superpeer_fraction,
     }
 
 
@@ -268,17 +294,17 @@ def _domain_payload(domain: Domain, stage: Callable[[_Filed], str]) -> Dict[str,
     summary = _untouched(domain) or domain.global_summary
     summary_hash = None if summary is None else stage(summary)
     return {
-        "summary_peer_id": domain.summary_peer_id,
-        "mode": domain.cooperation.mode.value,
-        "entries": [
-            [entry.peer_id, int(entry.freshness), entry.updated_at]
-            for entry in domain.cooperation
-        ],
         "distances": [
             [peer_id, distance]
             for peer_id, distance in domain.partner_distances.items()
         ],
+        "entries": [
+            [entry.peer_id, int(entry.freshness), entry.updated_at]
+            for entry in domain.cooperation
+        ],
         "global_summary": summary_hash,
+        "mode": domain.cooperation.mode.value,
+        "summary_peer_id": domain.summary_peer_id,
     }
 
 
@@ -320,10 +346,10 @@ def _database_payload(database: LocalDatabase) -> Dict[str, Any]:
         relations.append(
             {
                 "name": name,
+                "records": [dict(sorted(record.as_dict().items())) for record in relation],
                 "schema": [
                     [a.name, a.type.value, a.nullable] for a in relation.schema.attributes
                 ],
-                "records": [record.as_dict() for record in relation],
                 "version": relation.version,
             }
         )
@@ -358,11 +384,11 @@ def _service_payload(
     service: LocalSummaryService, stage: Callable[[_Filed], str]
 ) -> Dict[str, Any]:
     return {
-        "summary": stage(_untouched(service) or service.summary),
+        "database_version_summarized": service._database_version_summarized,  # noqa: SLF001
         "published_signature": sorted(
             [d.attribute, d.label] for d in service._published_signature  # noqa: SLF001
         ),
-        "database_version_summarized": service._database_version_summarized,  # noqa: SLF001
+        "summary": stage(_untouched(service) or service.summary),
     }
 
 
@@ -509,13 +535,13 @@ def capture_session(
         "horizon": session.horizon,
         "config": _config_payload(system.config),
         "system_rng": _rng_payload(system.rng),
-        "counter": system.counter.state_payload(),
+        "counter": _stored_order(system.counter.state_payload()),
         "simulator": {
+            "events": events,
+            "keys": _event_key_table(),
+            "next_sequence": simulator.next_sequence,
             "now": simulator.now,
             "processed": simulator.processed_events,
-            "next_sequence": simulator.next_sequence,
-            "keys": _event_key_table(),
-            "events": events,
         },
         "overlay": _overlay_payload(system.overlay),
         "domains": [
@@ -526,8 +552,8 @@ def capture_session(
             [sp_id, sorted(peers)] for sp_id, peers in system.described.items()
         ],
         "maintenance": {
-            "reconciliations": system.maintenance.stats.reconciliations,
             "cold_starts": system.maintenance.stats.cold_starts,
+            "reconciliations": system.maintenance.stats.reconciliations,
         },
         "query_counter": system._query_counter,  # noqa: SLF001 - exact restore
     }
@@ -535,7 +561,7 @@ def capture_session(
         # The injector travels whole: plan, RNG mid-stream state and current
         # partition.  Its *scheduled* adversities need no re-scheduling —
         # they ride in the pending-event specs above.
-        payload["faults"] = system.faults.state_payload()
+        payload["faults"] = _stored_order(system.faults.state_payload())
     if planned:
         payload["content"] = content.state_payload()
     else:
@@ -550,10 +576,10 @@ def capture_session(
         from repro.database.query import query_payload
 
         payload["queries"] = [
-            [query_id, query_payload(query)]
+            [query_id, _stored_order(query_payload(query))]
             for query_id, query in system._queries.items()  # noqa: SLF001
         ]
-    return payload, snapshots
+    return dict(sorted(payload.items())), snapshots
 
 
 def save_session(

@@ -73,6 +73,25 @@ class TestMessageCounter:
         counter.by_type()[MessageType.PUSH] = 99
         assert counter.count(MessageType.PUSH) == 2
 
+    def test_record_type_never_hashes_a_message_type(self, monkeypatch):
+        """The per-message path pays no Python-level ``Enum.__hash__``."""
+        hashed = []
+        enum_hash = MessageType.__hash__
+        monkeypatch.setattr(
+            MessageType, "__hash__", lambda member: hashed.append(member) or enum_hash(member)
+        )
+        counter = MessageCounter()
+        order = [MessageType.QUERY, MessageType.PUSH, MessageType.SUMPEER]
+        for message_type in order + order:
+            counter.record_type(message_type)
+            counter.record_type(message_type, 2)
+        assert hashed == []
+        # First-recorded order is kept, in the tally and in its payload.
+        assert list(counter.by_type()) == order
+        assert list(counter.state_payload()["by_type"].items()) == [
+            ("query", 6), ("push", 6), ("sumpeer", 6)
+        ]
+
     @pytest.mark.parametrize(
         "name",
         ["record", "by_sender", "total_bytes", "record_duplicate", "duplicate_total"],

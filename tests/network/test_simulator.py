@@ -200,6 +200,28 @@ class TestQueueContract:
             clock.schedule_at(2.0, lambda: None)
         assert clock.pending_events == 1
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            Simulator,
+            lambda: SimulatorBackend(io_model=lambda label: 0.0),
+            lambda: ConcurrentBackend(io_model=lambda label: 0.0),
+        ],
+        ids=["simulator", "simulator-backend-io", "concurrent-backend-io"],
+    )
+    def test_run_without_until_stops_the_clock_at_the_last_event(self, make):
+        clock = make()
+        seen = []
+        clock.schedule(4.0, lambda: seen.append(clock.now))
+        assert clock.run() == 1
+        assert clock.now == 4.0
+        # Events far apart, and one a callback schedules past the window.
+        clock.schedule(10.0, lambda: clock.schedule(100.0, lambda: seen.append(clock.now)))
+        clock.schedule(500.0, lambda: seen.append(clock.now))
+        assert clock.run() == 3
+        assert seen == [4.0, 114.0, 504.0]
+        assert clock.now == 504.0
+
     def test_max_events_leaves_the_clock_at_the_last_event_run(self):
         simulator = Simulator()
         for delay in (1.0, 2.0, 3.0):

@@ -129,7 +129,7 @@ class TestDiffPatch:
         assert diff_documents([], events) == {"$set": events}
 
     def test_unchanged_children_are_confirmed_once_per_container(self, monkeypatch):
-        """One encoding per side for all the ``==``-equal children together."""
+        """The ``==``-equal children confirm together, by bytes before text."""
         import repro.store.deltas as deltas
 
         encoded = []
@@ -144,18 +144,28 @@ class TestDiffPatch:
         assert patch == {
             "$dict": {"peers": {"$list": [[17, {"$dict": {"online": {"$set": False}}}]]}}
         }
-        # The 199 unchanged peers, once per side (398 encodings before); "n"
-        # and the flipped peer's "peer_id" are the same objects on both sides.
-        assert len(encoded) == 2
+        # The 199 unchanged peers hold equal ``marshal`` bytes: no text at all
+        # (2 encodings, one per side, before; 398 before that).  "n" and the
+        # flipped peer's "peer_id" are the same objects on both sides.
+        assert encoded == []
 
-        # A lookalike inside one peer fails that container's confirmation,
-        # and only then is each candidate confirmed on its own.
+        # A lookalike inside one peer fails that container's bytes and text,
+        # and only then is each candidate confirmed on its own: the other 198
+        # by their bytes, peer 40 by its text, likewise its "online".
         flipped[40]["online"] = 1
         encoded.clear()
         patch = diff_documents({"peers": peers}, {"peers": flipped})
-        assert [index for index, _edit in patch["$dict"]["peers"]["$list"]] == [17, 40]
-        # The peers together, then one by one; peer 40's "online" likewise.
-        assert len(encoded) == (2 + 2 * 199) + (2 + 2)
+        assert patch == {
+            "$dict": {
+                "peers": {
+                    "$list": [
+                        [17, {"$dict": {"online": {"$set": False}}}],
+                        [40, {"$dict": {"online": {"$set": 1}}}],
+                    ]
+                }
+            }
+        }
+        assert len(encoded) == (2 + 2) + (2 + 2)
 
     def test_a_mostly_changed_list_is_set_without_diffing_its_children(
         self, monkeypatch
