@@ -31,12 +31,12 @@ not: each link of the base chain is read and parsed once (the walk that
 guards against cycles is the walk the base payload is replayed from), the
 diff confirms unchanged subtrees once per container and is a function of
 the two stored texts alone (:mod:`repro.store.deltas`), and hierarchies are
-filed by stamp — one that has not moved since it was last
-addressed, and whose address the *destination* store already holds, is
-referenced without being encoded again
+filed by stamp — one that has not moved since it was last addressed, and
+whose address the *destination* store already holds, is referenced without
+being encoded again
 (:meth:`~repro.store.snapshots.SnapshotStore.missing_snapshot`).  Nothing
-about that memo enters a checkpoint, and nothing is kept resident between
-saves: the base is parsed again by the next delta.
+about that memo enters a checkpoint, and the base is not kept resident
+between saves: it is parsed again by the next delta.
 
 A capture is laid out as the store will parse it back: every dict lists its
 keys sorted, the order the backend writes them (literals are written in
@@ -343,10 +343,15 @@ def _database_payload(database: LocalDatabase) -> Dict[str, Any]:
     relations = []
     for name in database.relation_names:
         relation = database.relation(name)
+        # A record holds every attribute, in schema order; stored order is sorted.
+        keys = sorted(a.name for a in relation.schema.attributes)
         relations.append(
             {
                 "name": name,
-                "records": [dict(sorted(record.as_dict().items())) for record in relation],
+                "records": [
+                    {key: record._values[key] for key in keys}  # noqa: SLF001
+                    for record in relation
+                ],
                 "schema": [
                     [a.name, a.type.value, a.nullable] for a in relation.schema.attributes
                 ],
@@ -499,6 +504,8 @@ def capture_session(
     not moved since it was filed there is referenced by its remembered
     address and not encoded again.  A restored summary that was never
     touched is filed from the text it was restored from, never decoded.
+    The payload shares its adjacency rows with every later capture of the
+    same overlay: treat it as read-only.
     """
     system = session.system
     snapshots: Dict[str, str] = {}

@@ -62,12 +62,13 @@ Why planned-content deltas are kept
 -----------------------------------
 A delta buys disk everywhere; on planned content it does not buy time.  On
 the 2000-peer Table-3 workload (``table3-planned-2000``, seed 1) a delta is
-192,077 B against a 701,234 B full save (0.27×), and it takes 1.7× a full
-save's time (0.067 s against 0.039 s, medians of ten benchmark runs over
-seeds 1–5 on a 2-core host): a 3.7× smaller document for under twice the
-time.  That is with the threshold decided before a list's children are
-diffed; while the diff still built the patches it then discarded, a delta
-took 2.3× a full save.  In checkpoint format 1, which wrote each link twice
+163,030 B against a 523,248 B full save (0.31×), and it takes 1.3× a full
+save's time (0.039 s against 0.029 s, medians of eleven benchmark runs over
+seeds 1–10 and 12 on a 2-core host): a 3.2× smaller document for a third
+more time.  Before unmoved subtrees were confirmed by their bytes, the
+same runs read 1.8× (0.052 s against 0.029 s); before the threshold was
+decided ahead of a list's children, while the diff still built the
+patches it then discarded, a delta took 2.3× a full save.  In checkpoint format 1, which wrote each link twice
 and each pending event and peer as a dict, the same pair was 206,734 B
 against 1,419,659 B (0.15×) at 1.8× the time.  On real content a delta is
 both smaller and cheaper.  So the mechanism stays for both kinds of
