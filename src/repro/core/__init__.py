@@ -39,7 +39,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "construction": "DomainBuilder",
     "cooperation": "CooperationList",
     "domain": "Domain",
-    "dynamicity": "ChurnHandler",
     "freshness": "Freshness FreshnessMode",
     "maintenance": "MaintenanceEngine",
     "protocol": "SummaryManagementSystem",
@@ -58,7 +57,6 @@ __all__ = [
     "Domain",
     "DomainBuilder",
     "MaintenanceEngine",
-    "ChurnHandler",
     "RoutingPolicy",
     "QueryRouter",
     "QueryRoutingResult",

@@ -2,262 +2,39 @@
 
 Section 4.3 of the paper.  In large P2P systems the arrival/departure rate
 dominates the data modification rate, so churn is the main driver of global
-summary staleness.  :class:`ChurnHandler` implements what a join, a
-departure or a failure does to the domains.  The system's event handlers at
-the end of this module schedule churn as declarative event specs (so pending
-events checkpoint), decide *when* each handler fires, and run the fault
-plan's events — partitions and their heal, correlated domain failures,
-summary-peer massacres, flash crowds — through the same paths.
+summary staleness.  The system's event handlers below schedule churn as
+declarative event specs (so pending events checkpoint), decide *when* each
+handler fires, and run the fault plan's events — partitions and their heal,
+correlated domain failures, summary-peer massacres, flash crowds — through
+the same paths.
+
+Membership is two records, the system's ``assignment`` (peer → summary peer)
+and each domain's cooperation list with its partner distances, and the
+system changes them in three ways only:
+
+* a **join** lists the peer in a domain and assigns it there;
+* a **departure** unassigns the peer; its listing stays, a stale description,
+  until the next reconciliation omits it;
+* an **omission** unlists the peer and unassigns it when its assignment
+  names that domain: a reconciliation or cold start leaves out a partner it
+  cannot reach ("descriptions of unavailable data will be then omitted"),
+  or a reclaiming summary peer takes a partner back.
+
+So every assigned peer is online, and the live domain it is assigned to
+lists it with a partner distance.  The reverse does not hold: a departed
+peer stays listed until its domain reconciles.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
-from repro.core.config import ProtocolConfig
 from repro.core.content import PlannedContentModel
 from repro.core.domain import Domain
 from repro.core.freshness import Freshness
-from repro.core.maintenance import MaintenanceEngine
 from repro.exceptions import NetworkError, ProtocolError
 from repro.network.churn import LifetimeDistribution, lifetime_distribution
 from repro.network.messages import MessageType
-from repro.network.metrics import MessageCounter
-from repro.network.overlay import Overlay
-
-
-@dataclass
-class ChurnEventOutcome:
-    """What a churn handler did: messages sent, reconciliation triggered, etc."""
-
-    event: str
-    peer_id: str
-    domain_id: Optional[str] = None
-    messages: int = 0
-    reconciliation_due: bool = False
-    new_domain_id: Optional[str] = None
-    details: Dict[str, object] = field(default_factory=dict)
-
-
-class ChurnHandler:
-    """Implements the join/leave/failure behaviours of Section 4.3."""
-
-    def __init__(
-        self,
-        config: Optional[ProtocolConfig] = None,
-        counter: Optional[MessageCounter] = None,
-        maintenance: Optional[MaintenanceEngine] = None,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        self._config = config or ProtocolConfig()
-        self._counter = counter if counter is not None else MessageCounter()
-        self._maintenance = maintenance or MaintenanceEngine(self._config, self._counter)
-        self._rng = rng or random.Random(0)
-
-    @property
-    def maintenance(self) -> MaintenanceEngine:
-        return self._maintenance
-
-    # -- peer joins ----------------------------------------------------------------------------
-
-    def peer_join(
-        self,
-        overlay: Overlay,
-        domains: Dict[str, Domain],
-        assignment: Dict[str, str],
-        peer_id: str,
-        now: float = 0.0,
-    ) -> ChurnEventOutcome:
-        """A (re)connecting peer looks for a domain through its neighbours.
-
-        If one of its neighbours is a partner (or a summary peer), the peer
-        sends its local summary to that summary peer and joins with freshness
-        value 1 — meaning "pull me at the next reconciliation".  Otherwise it
-        falls back to a selective walk.
-        """
-        overlay.set_online(peer_id, True)
-        outcome = ChurnEventOutcome(event="join", peer_id=peer_id)
-
-        sp_id = self._find_domain_via_neighbors(overlay, domains, assignment, peer_id)
-        walk_messages = 0
-        if sp_id is None:
-            sp_id, walk_messages = self._find_domain_via_walk(
-                overlay, domains, assignment, peer_id
-            )
-            if walk_messages:
-                self._counter.record_type(MessageType.FIND, walk_messages)
-        if sp_id is None:
-            outcome.details["orphan"] = True
-            outcome.messages = walk_messages
-            return outcome
-
-        domain = domains[sp_id]
-        self._counter.record_type(MessageType.LOCALSUM)
-        distance = overlay.latency(peer_id, sp_id)
-        domain.add_partner(
-            peer_id, distance=distance, freshness=Freshness.STALE, now=now
-        )
-        assignment[peer_id] = sp_id
-
-        outcome.domain_id = sp_id
-        outcome.new_domain_id = sp_id
-        outcome.messages = walk_messages + 1
-        outcome.reconciliation_due = domain.needs_reconciliation(
-            self._config.freshness_threshold
-        )
-        return outcome
-
-    def _find_domain_via_neighbors(
-        self,
-        overlay: Overlay,
-        domains: Dict[str, Domain],
-        assignment: Dict[str, str],
-        peer_id: str,
-    ) -> Optional[str]:
-        for neighbour in overlay.neighbors(peer_id):
-            if neighbour in domains:
-                return neighbour
-            # A neighbour may still reference a summary peer that has since
-            # departed; only live domains count.
-            sp_id = assignment.get(neighbour)
-            if sp_id is not None and sp_id in domains:
-                return sp_id
-        return None
-
-    def _find_domain_via_walk(
-        self,
-        overlay: Overlay,
-        domains: Dict[str, Domain],
-        assignment: Dict[str, str],
-        peer_id: str,
-    ) -> tuple:
-        def reaches_live_domain(candidate: str) -> bool:
-            if candidate in domains:
-                return True
-            sp_id = assignment.get(candidate)
-            return sp_id is not None and sp_id in domains
-
-        target, hops = overlay.selective_walk(
-            peer_id,
-            stop_condition=reaches_live_domain,
-            max_hops=self._config.selective_walk_max_hops,
-            rng=self._rng,
-        )
-        if target is None:
-            return None, hops
-        sp_id = target if target in domains else assignment[target]
-        return sp_id, max(hops, 1)
-
-    # -- peer departures ----------------------------------------------------------------------
-
-    def peer_leave(
-        self,
-        overlay: Overlay,
-        domains: Dict[str, Domain],
-        assignment: Dict[str, str],
-        peer_id: str,
-        now: float = 0.0,
-    ) -> ChurnEventOutcome:
-        """A graceful departure: push a freshness update, then go offline."""
-        outcome = ChurnEventOutcome(event="leave", peer_id=peer_id)
-        sp_id = assignment.pop(peer_id, None)
-        if sp_id is not None and sp_id in domains:
-            domain = domains[sp_id]
-            due = self._maintenance.push_departure(domain, peer_id, now=now)
-            outcome.domain_id = sp_id
-            outcome.messages = 1
-            outcome.reconciliation_due = due
-        overlay.set_online(peer_id, False)
-        return outcome
-
-    def peer_fail(
-        self,
-        overlay: Overlay,
-        domains: Dict[str, Domain],
-        assignment: Dict[str, str],
-        peer_id: str,
-        now: float = 0.0,
-    ) -> ChurnEventOutcome:
-        """A silent failure: no message; stale descriptions linger until reconciliation."""
-        outcome = ChurnEventOutcome(event="fail", peer_id=peer_id)
-        sp_id = assignment.pop(peer_id, None)
-        if sp_id is not None and sp_id in domains:
-            # Nothing is sent and no freshness changes: the partner's stale
-            # descriptions stay until the next reconciliation (Section 4.3).
-            outcome.domain_id = sp_id
-        overlay.set_online(peer_id, False)
-        return outcome
-
-    # -- summary peer departures -----------------------------------------------------------------
-
-    def summary_peer_leave(
-        self,
-        overlay: Overlay,
-        domains: Dict[str, Domain],
-        assignment: Dict[str, str],
-        sp_id: str,
-        now: float = 0.0,
-    ) -> ChurnEventOutcome:
-        """A summary peer leaves gracefully: ``release`` every partner.
-
-        Each released partner runs a selective walk to find a new summary peer
-        and joins it (with freshness 1, as for any late join).
-        """
-        if sp_id not in domains:
-            raise ProtocolError(f"{sp_id!r} is not a summary peer")
-        domain = domains.pop(sp_id)
-        outcome = ChurnEventOutcome(event="sp_leave", peer_id=sp_id, domain_id=sp_id)
-
-        partners = list(domain.partner_ids)
-        self._counter.record_type(MessageType.RELEASE, len(partners))
-        outcome.messages += len(partners)
-
-        overlay.set_online(sp_id, False)
-
-        relocated: List[str] = []
-        for peer_id in partners:
-            assignment.pop(peer_id, None)
-            if not overlay.is_online(peer_id):
-                continue
-            join_outcome = self.peer_join(overlay, domains, assignment, peer_id, now=now)
-            outcome.messages += join_outcome.messages
-            if join_outcome.new_domain_id is not None:
-                relocated.append(peer_id)
-        outcome.details["relocated"] = relocated
-        return outcome
-
-    def summary_peer_fail(
-        self,
-        overlay: Overlay,
-        domains: Dict[str, Domain],
-        assignment: Dict[str, str],
-        sp_id: str,
-        now: float = 0.0,
-    ) -> ChurnEventOutcome:
-        """A summary peer fails silently: partners discover it lazily.
-
-        The domain disappears; partners keep believing they are partners until
-        their next push or query fails, at which point they look for a new
-        summary peer (the protocol engine models that discovery by re-joining
-        them here, charging the same selective-walk traffic but no ``release``
-        messages).
-        """
-        if sp_id not in domains:
-            raise ProtocolError(f"{sp_id!r} is not a summary peer")
-        domain = domains.pop(sp_id)
-        outcome = ChurnEventOutcome(event="sp_fail", peer_id=sp_id, domain_id=sp_id)
-
-        overlay.set_online(sp_id, False)
-
-        for peer_id in list(domain.partner_ids):
-            assignment.pop(peer_id, None)
-            if not overlay.is_online(peer_id):
-                continue
-            join_outcome = self.peer_join(overlay, domains, assignment, peer_id, now=now)
-            outcome.messages += join_outcome.messages
-        return outcome
 
 
 class _Dynamicity:
@@ -397,21 +174,27 @@ class _Dynamicity:
         now = self._simulator.now
         if isinstance(self._content, PlannedContentModel):
             self._content.mark_departed(peer_id)
-        churn = self._churn
         if peer_id in self._domains:
-            leave = churn.summary_peer_leave if graceful else churn.summary_peer_fail
-            leave(self._overlay, self._domains, self._assignment, peer_id, now=now)
+            self._summary_peer_departs(peer_id, graceful, now)
             self._described.pop(peer_id, None)
             self._derived_sets.pop(peer_id, None)
             return
-        leave = churn.peer_leave if graceful else churn.peer_fail
-        self._reconcile_if_due(
-            leave(self._overlay, self._domains, self._assignment, peer_id, now=now)
+        # A departure unassigns the peer; its listing stays, stale, until the
+        # next reconciliation.  A graceful one first pushes a freshness update
+        # (2, or 1 in 1-bit mode); a silent failure sends nothing.
+        sp_id = self._assignment.pop(peer_id, None)
+        due = (
+            graceful
+            and sp_id in self._domains
+            and self._maintenance.push_departure(self._domains[sp_id], peer_id, now=now)
         )
+        self._overlay.set_online(peer_id, False)
+        if due:
+            self._run_reconciliation(sp_id)
 
-    def _reconcile_if_due(self, outcome: ChurnEventOutcome) -> None:
-        if outcome.reconciliation_due and outcome.domain_id is not None:
-            self._run_reconciliation(outcome.domain_id)
+    def _reconcile_if_due(self, sp_id: Optional[str]) -> None:
+        if sp_id is not None:
+            self._run_reconciliation(sp_id)
 
     def _handle_rejoin(self, peer_id: str) -> None:
         if self._overlay.is_online(peer_id):
@@ -420,9 +203,90 @@ class _Dynamicity:
             self._content.mark_rejoined(peer_id)
         if self._try_reclaim_domain(peer_id):
             return
-        self._reconcile_if_due(self._churn.peer_join(
-            self._overlay, self._domains, self._assignment, peer_id, now=self._simulator.now
-        ))
+        self._reconcile_if_due(self._join(peer_id, self._simulator.now))
+
+    # -- membership writes ----------------------------------------------------------------------
+
+    def _join(self, peer_id: str, now: float) -> Optional[str]:
+        """A (re)connecting peer looks for a domain through its neighbours.
+
+        If one of its neighbours is in a live domain (as a partner or its
+        summary peer), the peer sends its local summary to that summary peer
+        and joins with freshness value 1 — meaning "pull me at the next
+        reconciliation".  Otherwise it falls back to a selective walk; a peer
+        the walk does not place stays online and unassigned.  Returns the
+        summary peer whose domain the join tipped over α, if any.
+        """
+        self._overlay.set_online(peer_id, True)
+        live = self._live_domain_of
+        sp_id = next(filter(None, map(live, self._overlay.neighbors(peer_id))), None)
+        if sp_id is None:
+            target, hops = self._overlay.selective_walk(
+                peer_id,
+                stop_condition=lambda candidate: live(candidate) is not None,
+                max_hops=self._config.selective_walk_max_hops,
+                rng=self._rng,
+            )
+            if target is not None:
+                sp_id, hops = live(target), max(hops, 1)
+            if hops:
+                self._counter.record_type(MessageType.FIND, hops)
+            if sp_id is None:
+                return None
+        domain = self._domains[sp_id]
+        self._counter.record_type(MessageType.LOCALSUM)
+        domain.add_partner(
+            peer_id,
+            distance=self._overlay.latency(peer_id, sp_id),
+            freshness=Freshness.STALE,
+            now=now,
+        )
+        self._assignment[peer_id] = sp_id
+        if domain.needs_reconciliation(self._config.freshness_threshold):
+            return sp_id
+        return None
+
+    def _live_domain_of(self, peer_id: str) -> Optional[str]:
+        """The live domain ``peer_id`` is, or is assigned to, or None."""
+        if peer_id in self._domains:
+            return peer_id
+        # Only live domains count: in a checkpoint written before omissions
+        # unassigned, a peer can still name a summary peer that has departed.
+        sp_id = self._assignment.get(peer_id)
+        return sp_id if sp_id in self._domains else None
+
+    def _members(self, sp_id: str) -> List[str]:
+        """The peers assigned to ``sp_id``, in its listing order."""
+        assigned_to = self._assignment.get
+        return [p for p in self._domains[sp_id].partner_ids if assigned_to(p) == sp_id]
+
+    def _summary_peer_departs(self, sp_id: str, graceful: bool, now: float) -> None:
+        """A summary peer leaves (``release``) or fails; its members re-join.
+
+        A graceful departure sends ``release`` to every partner it lists: it
+        cannot tell a member from a stale listing.  A silent failure sends
+        nothing; its members discover it on their next push or query, which
+        is modelled by re-joining them here at the same selective-walk cost.
+        Only the members are unassigned and look for a new domain: a listed
+        peer that has since joined another domain stays there.  Their joins
+        do not trigger a reconciliation.
+        """
+        members = self._members(sp_id)
+        domain = self._domains.pop(sp_id)
+        if graceful:
+            self._counter.record_type(MessageType.RELEASE, len(domain.partner_ids))
+        self._overlay.set_online(sp_id, False)
+        for peer_id in members:
+            del self._assignment[peer_id]
+        for peer_id in members:
+            self._join(peer_id, now)
+
+    def _unassign_omitted(self, domain: Domain, omitted: List[str]) -> None:
+        """An omission: a peer ``domain`` no longer lists is not assigned to it."""
+        sp_id = domain.summary_peer_id
+        for peer_id in omitted:
+            if self._assignment.get(peer_id) == sp_id and not domain.is_partner(peer_id):
+                del self._assignment[peer_id]
 
     def _try_reclaim_domain(self, peer_id: str) -> bool:
         """A restarted summary peer reclaims its archived domain from the store.
@@ -456,6 +320,8 @@ class _Dynamicity:
                 distance = self._overlay.latency(partner_id, peer_id)
             except NetworkError:
                 continue  # no longer connected to its old summary peer
+            # Omitted from its current domain and listed here; the assignment
+            # is re-pointed in place, which keeps its position in the map.
             old_sp = self._assignment.get(partner_id)
             if old_sp is not None:
                 old_domain = self._domains.get(old_sp)
@@ -490,11 +356,12 @@ class _Dynamicity:
     def _handle_heal(self) -> None:
         """Re-merge the partition and repair the orphans it left behind.
 
-        While split, reconciliations drop unreachable partners from their
-        domains ("descriptions of unavailable data will be then omitted"),
-        leaving those peers online but domainless.  After the merge each
-        orphan re-joins through the normal churn path — charged like any
-        late join.
+        While split, a reconciliation omits the partners it cannot reach
+        ("descriptions of unavailable data will be then omitted"): they are
+        unlisted and unassigned, online but domainless.  Section 4.3 gives an
+        orphan no summary peer of its own side, so it waits for the heal;
+        after the merge each one re-joins through the normal join, charged
+        like any late join.
         """
         faults = self._ensure_faults()
         faults.clear_partition()
@@ -504,6 +371,9 @@ class _Dynamicity:
                 continue
             if not self._overlay.is_online(peer_id):
                 continue
+            # Not ``peer_id in assignment``: a checkpoint written before
+            # omissions unassigned can hold peers assigned to a domain that
+            # no longer lists them, and those must re-join too.
             sp_id = self._assignment.get(peer_id)
             if (
                 sp_id is not None
@@ -512,12 +382,10 @@ class _Dynamicity:
             ):
                 continue  # still validly attached
             self._assignment.pop(peer_id, None)
-            self._reconcile_if_due(self._churn.peer_join(
-                self._overlay, self._domains, self._assignment, peer_id, now=now
-            ))
+            self._reconcile_if_due(self._join(peer_id, now))
 
     def _handle_domain_failure(self, spec: Mapping[str, object]) -> None:
-        """Correlated failure: whole domains (partners + summary peer) die silently."""
+        """Correlated failure: whole domains (members + summary peer) die silently."""
         faults = self._ensure_faults()
         count = max(1, int(spec.get("count", 1)))  # type: ignore[arg-type]
         summary_peers = sorted(self._domains)
@@ -525,14 +393,9 @@ class _Dynamicity:
             return
         chosen = faults.rng.sample(summary_peers, min(count, len(summary_peers)))
         for sp_id in sorted(chosen):
-            domain = self._domains.get(sp_id)
-            if domain is None:
-                continue
-            for peer_id in list(domain.partner_ids):
-                if peer_id != sp_id and self._overlay.is_online(peer_id):
-                    self._handle_departure(peer_id, graceful=False)
-            if sp_id in self._domains and self._overlay.is_online(sp_id):
-                self._handle_departure(sp_id, graceful=False)
+            for peer_id in self._members(sp_id):
+                self._handle_departure(peer_id, graceful=False)
+            self._handle_departure(sp_id, graceful=False)
 
     def _handle_massacre(self, spec: Mapping[str, object]) -> None:
         """A fraction of all summary peers dies in the same instant."""

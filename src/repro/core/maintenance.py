@@ -556,8 +556,8 @@ class _PushPull:
         missed_ring: Dict[str, float] = {}
         if self._faults is not None:
             # Partition-separated partners cannot take the ring message; they
-            # are treated as unavailable and their descriptions omitted (the
-            # paper's rule) — the post-heal repair re-joins them.  A ring hop
+            # are treated as unavailable and omitted (the paper's rule):
+            # unlisted and unassigned, until the heal re-joins them.  A ring hop
             # lost on a lossy link is retried at once; a partner whose hop
             # never arrives misses this round (it is re-added below as stale —
             # described by nothing until the next round reaches it).
@@ -570,7 +570,7 @@ class _PushPull:
             missed_ring = {peer_id: domain.distance_to(peer_id) for peer_id in missed}
         local = self.local_summaries() if self._services else None
         now = self._simulator.now
-        self._maintenance.reconcile(
+        record = self._maintenance.reconcile(
             domain,
             local_summaries=local,
             available_partners=online,
@@ -589,6 +589,8 @@ class _PushPull:
             domain.add_partner(
                 peer_id, distance=distance, freshness=Freshness.STALE, now=now
             )
+        # A partner cut off by a partition is out of the domain until the heal.
+        self._unassign_omitted(domain, record.removed_partners)
         if planned and self._maintenance.store_attached:
             # Planned runs have no hierarchies to archive, but a metadata
             # head (the partner roster) is what lets a crashed summary

@@ -46,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from repro.core.config import ProtocolConfig
 from repro.core.content import ContentModel, PlannedContentModel, SummaryContentModel
 from repro.core.domain import Domain
-from repro.core.dynamicity import ChurnHandler, _Dynamicity
+from repro.core.dynamicity import _Dynamicity
 from repro.core.maintenance import ColdStartRecord, MaintenanceEngine, _PushPull
 from repro.core.routing import QueryRouter, _QueryProcessing
 from repro.core.staleness import _StalenessMeasurement
@@ -98,9 +98,6 @@ class SummaryManagementSystem(
         self._counter = MessageCounter()
         self._simulator = self._runtime.clock
         self._maintenance = MaintenanceEngine(self._config, self._counter)
-        self._churn = ChurnHandler(
-            self._config, self._counter, self._maintenance, rng=self._rng
-        )
         self._router = QueryRouter()
 
         self._domains: Dict[str, Domain] = {}
@@ -159,6 +156,13 @@ class SummaryManagementSystem(
 
     @property
     def assignment(self) -> Dict[str, str]:
+        """Peer → summary peer, for every peer that belongs to a domain.
+
+        Every assigned peer is online, and the live domain it is assigned to
+        lists it with a partner distance; a listed peer need not be assigned
+        (a departed one stays listed until its domain reconciles).  See
+        :mod:`repro.core.dynamicity` for the three writes that keep this.
+        """
         return dict(self._assignment)
 
     @property
@@ -290,6 +294,7 @@ class SummaryManagementSystem(
             available_partners=online,
             now=self._simulator.now,
         )
+        self._unassign_omitted(domain, record.removed_partners)
         self._described[sp_id] = set(domain.partner_ids)
         return record
 

@@ -1,128 +1,156 @@
-"""Unit tests for peer dynamicity handling (Section 4.3)."""
+"""Unit tests for peer dynamicity handling (Section 4.3), on a built system.
+
+Departures and rejoins are scheduled as the system's own event specs and
+run at the current time, so each test drives exactly the handler a churn or
+fault event would.
+"""
 
 import pytest
 
 from repro.core.config import ProtocolConfig
-from repro.core.construction import DomainBuilder
-from repro.core.dynamicity import ChurnHandler
 from repro.core.freshness import Freshness
-from repro.core.maintenance import MaintenanceEngine
-from repro.exceptions import ProtocolError
+from repro.core.protocol import SummaryManagementSystem
 from repro.network.messages import MessageType
-from repro.network.metrics import MessageCounter
 from repro.network.overlay import Overlay
 from repro.network.topology import TopologyConfig
 
 
+def built_system(peer_count=48, seed=5, alpha=0.3):
+    overlay = Overlay.generate(TopologyConfig(peer_count=peer_count, seed=seed))
+    system = SummaryManagementSystem(
+        overlay, ProtocolConfig(freshness_threshold=alpha), seed=seed
+    )
+    system.build_domains()
+    return system
+
+
+def depart(system, peer_id, graceful=True):
+    spec = {"kind": "departure", "peer_id": peer_id, "graceful": graceful, "rejoin": False}
+    system.schedule_event_from_spec(spec, at=system.simulator.now)
+    system.run()
+
+
+def rejoin(system, peer_id):
+    system.schedule_event_from_spec(
+        {"kind": "rejoin", "peer_id": peer_id}, at=system.simulator.now
+    )
+    system.run()
+
+
+def neighbour_domain(system, peer_id):
+    """The live domain a join finds through ``peer_id``'s neighbours, or None."""
+    assignment = system.assignment
+    for neighbour in system.overlay.neighbors(peer_id):
+        if neighbour in system.domains:
+            return neighbour
+        if assignment.get(neighbour) in system.domains:
+            return assignment[neighbour]
+    return None
+
+
 @pytest.fixture
-def built_network():
-    """An overlay with domains already constructed, plus a churn handler."""
-    overlay = Overlay.generate(TopologyConfig(peer_count=48, seed=5))
-    config = ProtocolConfig(freshness_threshold=0.3)
-    counter = MessageCounter()
-    maintenance = MaintenanceEngine(config, counter)
-    handler = ChurnHandler(config, counter, maintenance)
-    report = DomainBuilder(config).build(overlay, counter=counter)
-    return overlay, report.domains, dict(report.assignment), handler, counter
+def system():
+    return built_system()
+
+
+def _largest_domain(system):
+    return max(system.domains.items(), key=lambda kv: len(kv[1].partner_ids))
 
 
 class TestPeerLeaveAndFail:
-    def test_graceful_leave_pushes_and_marks_departed(self, built_network):
-        overlay, domains, assignment, handler, counter = built_network
-        peer_id = next(iter(assignment))
-        sp_id = assignment[peer_id]
-        before = counter.count(MessageType.PUSH)
-        outcome = handler.peer_leave(overlay, domains, assignment, peer_id)
-        assert outcome.event == "leave"
-        assert outcome.domain_id == sp_id
-        assert counter.count(MessageType.PUSH) == before + 1
-        assert domains[sp_id].cooperation.freshness_of(peer_id) is Freshness.STALE
-        assert not overlay.is_online(peer_id)
+    def test_graceful_leave_pushes_and_marks_departed(self, system):
+        peer_id, sp_id = next(iter(system.assignment.items()))
+        before = system.counter.count(MessageType.PUSH)
+        depart(system, peer_id)
+        assert system.counter.count(MessageType.PUSH) == before + 1
+        assert system.domains[sp_id].cooperation.freshness_of(peer_id) is Freshness.STALE
+        assert not system.overlay.is_online(peer_id)
+        assert peer_id not in system.assignment
 
-    def test_silent_failure_sends_no_message(self, built_network):
-        overlay, domains, assignment, handler, counter = built_network
-        peer_id = next(iter(assignment))
-        sp_id = assignment[peer_id]
-        before = counter.count(MessageType.PUSH)
-        outcome = handler.peer_fail(overlay, domains, assignment, peer_id)
-        assert outcome.event == "fail"
-        assert counter.count(MessageType.PUSH) == before
-        # The stale descriptions linger: freshness still FRESH until reconciliation.
-        assert domains[sp_id].cooperation.freshness_of(peer_id) is Freshness.FRESH
-        assert not overlay.is_online(peer_id)
+    def test_silent_failure_sends_no_message(self, system):
+        peer_id, sp_id = next(iter(system.assignment.items()))
+        before = system.counter.total
+        depart(system, peer_id, graceful=False)
+        assert system.counter.total == before
+        # The stale descriptions linger: listed, still FRESH, until reconciliation.
+        assert system.domains[sp_id].cooperation.freshness_of(peer_id) is Freshness.FRESH
+        assert not system.overlay.is_online(peer_id)
         # The peer is no longer assigned to any live domain.
-        assert peer_id not in assignment
+        assert peer_id not in system.assignment
 
-    def test_many_departures_signal_reconciliation(self, built_network):
-        overlay, domains, assignment, handler, _counter = built_network
-        sp_id, domain = max(domains.items(), key=lambda kv: len(kv[1].partner_ids))
+    def test_many_departures_trigger_a_reconciliation_that_omits_them(self, system):
+        sp_id, domain = _largest_domain(system)
         partners = list(domain.partner_ids)
-        due = False
         for peer_id in partners:
-            outcome = handler.peer_leave(overlay, domains, assignment, peer_id)
-            due = due or outcome.reconciliation_due
-        assert due
+            depart(system, peer_id)
+        assert system.maintenance.stats.reconciliations >= 1
+        assert not domain.is_partner(partners[0])
 
 
 class TestPeerJoin:
-    def test_join_through_partner_neighbour(self, built_network):
-        overlay, domains, assignment, handler, counter = built_network
-        # A partner with a neighbour in some domain goes offline, unassigned.
-        peer_id = next(
-            p
-            for p in assignment
-            if any(n in domains or n in assignment for n in overlay.neighbors(p))
-        )
-        domains[assignment.pop(peer_id)].remove_partner(peer_id)
-        overlay.set_online(peer_id, False)
-        first = next(
-            n for n in overlay.neighbors(peer_id) if n in domains or n in assignment
-        )
-        expected = first if first in domains else assignment[first]
-        before = counter.count(MessageType.LOCALSUM)
-        outcome = handler.peer_join(overlay, domains, assignment, peer_id)
-        assert outcome.new_domain_id == expected
-        assert counter.count(MessageType.LOCALSUM) == before + 1
-        assert domains[expected].cooperation.freshness_of(peer_id) is Freshness.STALE
-        assert assignment[peer_id] == expected
-        assert overlay.is_online(peer_id)
+    def test_join_through_partner_neighbour(self, system):
+        peer_id = next(p for p in system.assignment if neighbour_domain(system, p))
+        depart(system, peer_id, graceful=False)
+        expected = neighbour_domain(system, peer_id)
+        before = system.counter.count(MessageType.LOCALSUM)
+        rejoin(system, peer_id)
+        assert system.counter.count(MessageType.LOCALSUM) == before + 1
+        domain = system.domains[expected]
+        assert domain.cooperation.freshness_of(peer_id) is Freshness.STALE
+        assert system.assignment[peer_id] == expected
+        assert system.overlay.is_online(peer_id)
 
-    def test_rejoin_after_leave(self, built_network):
-        overlay, domains, assignment, handler, _counter = built_network
-        peer_id = next(iter(assignment))
-        handler.peer_leave(overlay, domains, assignment, peer_id)
+    def test_rejoin_after_leave(self, system):
+        peer_id = next(iter(system.assignment))
+        depart(system, peer_id)
         # The old entry is still in the cooperation list (stale); rejoining
         # re-registers the peer as a (stale) partner of some domain.
-        outcome = handler.peer_join(overlay, domains, assignment, peer_id)
-        assert overlay.is_online(peer_id)
-        assert outcome.new_domain_id in domains
+        rejoin(system, peer_id)
+        assert system.overlay.is_online(peer_id)
+        assert system.domains[system.assignment[peer_id]].is_partner(peer_id)
 
 
 class TestSummaryPeerDeparture:
-    def test_graceful_departure_releases_partners(self, built_network):
-        overlay, domains, assignment, handler, counter = built_network
-        sp_id, domain = max(domains.items(), key=lambda kv: len(kv[1].partner_ids))
+    def test_graceful_departure_releases_partners(self, system):
+        sp_id, domain = _largest_domain(system)
         partners = list(domain.partner_ids)
-        outcome = handler.summary_peer_leave(overlay, domains, assignment, sp_id)
-        assert outcome.event == "sp_leave"
-        assert sp_id not in domains
-        assert counter.count(MessageType.RELEASE) == len(partners)
+        depart(system, sp_id)
+        assert sp_id not in system.domains
+        assert system.counter.count(MessageType.RELEASE) == len(partners)
         # Online released partners found a new domain.
         for peer_id in partners:
-            if overlay.is_online(peer_id):
-                assert assignment.get(peer_id) in domains
+            assert system.overlay.is_online(peer_id)
+            assert system.assignment.get(peer_id) in system.domains
 
-    def test_silent_failure_no_release_messages(self, built_network):
-        overlay, domains, assignment, handler, counter = built_network
-        sp_id = next(iter(domains))
-        outcome = handler.summary_peer_fail(overlay, domains, assignment, sp_id)
-        assert outcome.event == "sp_fail"
-        assert counter.count(MessageType.RELEASE) == 0
-        assert sp_id not in domains
+    def test_silent_failure_no_release_messages(self, system):
+        sp_id = next(iter(system.domains))
+        depart(system, sp_id, graceful=False)
+        assert system.counter.count(MessageType.RELEASE) == 0
+        assert sp_id not in system.domains
 
-    def test_departure_of_unknown_summary_peer_raises(self, built_network):
-        overlay, domains, assignment, handler, _counter = built_network
-        with pytest.raises(ProtocolError):
-            handler.summary_peer_leave(overlay, domains, assignment, "ghost")
-        with pytest.raises(ProtocolError):
-            handler.summary_peer_fail(overlay, domains, assignment, "ghost")
+    @pytest.mark.parametrize("graceful", [True, False], ids=["leave", "fail"])
+    def test_a_stale_listing_that_joined_elsewhere_stays_there(self, system, graceful):
+        """Only the departing summary peer's members look for a new domain."""
+        for sp_id, domain in system.domains.items():
+            members = [p for p, sp in system.assignment.items() if sp == sp_id]
+            for peer_id in members:
+                depart(system, peer_id, graceful=False)
+            moved = next(
+                (p for p in members if neighbour_domain(system, p) not in (None, sp_id)),
+                None,
+            )
+            if moved is not None:
+                break
+        else:
+            pytest.fail("no departed member re-joins another domain")
+        rejoin(system, moved)
+        elsewhere = system.assignment[moved]
+        assert elsewhere != sp_id and domain.is_partner(moved)  # listed stale by sp_id
+        listed = len(domain.partner_ids)
+        counts = {t: system.counter.count(t) for t in (MessageType.LOCALSUM, MessageType.FIND)}
+        depart(system, sp_id, graceful=graceful)
+        assert sp_id not in system.domains
+        assert system.assignment[moved] == elsewhere
+        assert system.domains[elsewhere].is_partner(moved)
+        assert {t: system.counter.count(t) for t in counts} == counts
+        assert system.counter.count(MessageType.RELEASE) == (listed if graceful else 0)

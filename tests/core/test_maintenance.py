@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.config import ProtocolConfig
 from repro.core.domain import Domain
-from repro.core.dynamicity import ChurnHandler
 from repro.core.freshness import Freshness
 from repro.core.maintenance import MaintenanceEngine
 from repro.core.protocol import SummaryManagementSystem
@@ -67,18 +66,21 @@ class TestPushPhase:
         # descriptions stay in the global summary, fresh, until the next
         # reconciliation.
         overlay = Overlay.generate(TopologyConfig(peer_count=16, seed=5))
-        sp_id, peer_id = overlay.peer_ids[:2]
-        domain = Domain.create(sp_id)
-        domain.add_partner(peer_id, distance=1.0)
-        assignment = {peer_id: sp_id}
-        engine = MaintenanceEngine(ProtocolConfig(freshness_threshold=0.1))
-        handler = ChurnHandler(engine.config, engine.counter, engine)
-        outcome = handler.peer_fail(overlay, {sp_id: domain}, assignment, peer_id)
-        assert outcome.domain_id == sp_id and not outcome.reconciliation_due
-        assert engine.counter.total == 0
+        system = SummaryManagementSystem(overlay, ProtocolConfig(freshness_threshold=0.1))
+        system.build_domains()
+        peer_id, sp_id = next(iter(system.assignment.items()))
+        domain = system.domains[sp_id]
+        before = system.counter.total
+        system.schedule_event_from_spec(
+            {"kind": "departure", "peer_id": peer_id, "graceful": False, "rejoin": False},
+            at=0.0,
+        )
+        system.run()
+        assert system.counter.total == before
+        assert system.maintenance.stats.reconciliations == 0
         assert domain.is_partner(peer_id)
         assert domain.cooperation.freshness_of(peer_id) is Freshness.FRESH
-        assert not overlay.is_online(peer_id) and assignment == {}
+        assert not overlay.is_online(peer_id) and peer_id not in system.assignment
 
 
 class TestReconciliation:
