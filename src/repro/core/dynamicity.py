@@ -320,8 +320,7 @@ class _Dynamicity:
                 distance = self._overlay.latency(partner_id, peer_id)
             except NetworkError:
                 continue  # no longer connected to its old summary peer
-            # Omitted from its current domain and listed here; the assignment
-            # is re-pointed in place, which keeps its position in the map.
+            # Omitted from its current domain, listed and assigned here.
             old_sp = self._assignment.get(partner_id)
             if old_sp is not None:
                 old_domain = self._domains.get(old_sp)

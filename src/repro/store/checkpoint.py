@@ -46,7 +46,7 @@ weakly keyed by the overlay, since its links are fixed once it is built.
 Where nothing moved, a fresh capture is then ``marshal``-identical to the
 parsed base, and the diff confirms it without encoding either side.
 
-Format 3
+Format 4
 --------
 A checkpoint writes each fact once (older formats: :mod:`repro.store.migrate`):
 
@@ -66,6 +66,13 @@ A checkpoint writes each fact once (older formats: :mod:`repro.store.migrate`):
   order.  A peer is its id: which domain it belongs to is the
   ``assignment`` and the domains' cooperation lists, so the overlay keeps
   no other per-peer state.  An id that names no adjacency row raises a
+  :class:`~repro.exceptions.StoreError`.
+* ``assignment`` — one entry per adjacency row, in row order: the id of the
+  summary peer the row's peer belongs to, or ``null``.  The mapping's own
+  order is no protocol state (nothing iterates it), so a restored one
+  iterates in row order; and a list of fixed length diffs entry by entry,
+  where pairs in churned order needed a sequence alignment.  A list of
+  another length, or an entry naming no adjacency row, raises a
   :class:`~repro.exceptions.StoreError`.
 
 Restore reads this one text by its exact keys: a missing key, or a malformed
@@ -535,6 +542,7 @@ def capture_session(
     if content is None:
         raise StoreError("cannot checkpoint a session with no content configured")
     planned = isinstance(content, PlannedContentModel)
+    assigned_to = system._assignment.get  # noqa: SLF001 - read, never copied
 
     payload: Dict[str, Any] = {
         "format": FORMAT,
@@ -554,7 +562,7 @@ def capture_session(
         "domains": [
             _domain_payload(domain, stage) for domain in system.domains.values()
         ],
-        "assignment": [[peer, sp] for peer, sp in system.assignment.items()],
+        "assignment": [assigned_to(peer) for peer in system.overlay.links],
         "described": [
             [sp_id, sorted(peers)] for sp_id, peers in system.described.items()
         ],
@@ -1050,12 +1058,21 @@ def _restore_session(
 
         system.attach_fault_state(FaultInjector.from_state(payload["faults"]))
 
-    # Domains, assignment and described sets (insertion order preserved).
+    # Domains and described sets (insertion order preserved), the assignment
+    # by adjacency row.
     for domain_payload in payload["domains"]:
         domain = _domain_from_payload(domain_payload, loader, background)
         system._domains[domain.summary_peer_id] = domain  # noqa: SLF001
+    links, assignment = overlay.links, payload["assignment"]
+    with _malformed("assignment"):
+        unknown = [sp for sp in assignment if sp is not None and sp not in links]
+    if unknown or len(assignment) != len(links):
+        raise StoreError(
+            f"checkpoint assignment has {len(assignment)} entries for {len(links)} "
+            f"adjacency rows, {len(unknown)} naming no peer: {unknown[:3]!r}"
+        )
     system._assignment.update(  # noqa: SLF001
-        {peer: sp for peer, sp in payload["assignment"]}
+        {peer: sp for peer, sp in zip(links, assignment) if sp is not None}
     )
     for sp_id, peers in payload["described"]:
         system._described[sp_id] = set(peers)  # noqa: SLF001

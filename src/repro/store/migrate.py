@@ -15,12 +15,16 @@ and restores only :data:`FORMAT`; every older text reaches it through
   summary_peer_id, summary_peer_distance, known_summary_peers]``.  Once a
   peer became its id, the same number was written with ``overlay.offline``.
 * **Format 3** — that ``overlay.offline`` text, every key its writer always
-  writes present.
+  writes present, and ``assignment`` as ``[peer, summary_peer]`` pairs in the
+  mapping's insertion order, which churn reshuffles.
+* **Format 4** — ``assignment`` by position: one entry per adjacency row,
+  the summary peer's id or ``null``.
 
 1 → 2 is frozen: format-2 deltas stored on format-1 bases were diffed
 against its output, ``overlay.peers`` rows and all.  2 → 3 reads only each
 row's ``online`` column, and fills each key a restore once defaulted with
-that default.  A delta's patch applies to its base upgraded to the delta's
+that default.  3 → 4 lays the pairs out by row and refuses a pair whose
+peer has no row.  A delta's patch applies to its base upgraded to the delta's
 own format; a delta older than its base is refused.
 
 Restore keeps reading every older text through this module: no pass
@@ -36,12 +40,12 @@ from typing import Any, Dict
 from repro.exceptions import StoreError
 
 #: The format :mod:`repro.store.checkpoint` writes and restores.
-FORMAT = 3
+FORMAT = 4
 
 
 def check_format(document: Dict[str, Any], name: str) -> Dict[str, Any]:
     """``document`` itself, once its format is one :func:`upgrade` reads."""
-    if document.get("format") not in (1, 2, FORMAT):
+    if document.get("format") not in (1, 2, 3, FORMAT):
         raise StoreError(
             f"unsupported checkpoint format in {name!r}: {document.get('format')!r}"
         )
@@ -51,7 +55,7 @@ def check_format(document: Dict[str, Any], name: str) -> Dict[str, Any]:
 def upgrade(payload: Dict[str, Any], to_format: int = FORMAT) -> Dict[str, Any]:
     """A resolved payload as format ``to_format`` stores it (never downgraded)."""
     while payload["format"] < to_format:
-        payload = (_from_format_1, _from_format_2)[payload["format"] - 1](payload)
+        payload = (_from_format_1, _from_format_2, _from_format_3)[payload["format"] - 1](payload)
     return payload
 
 
@@ -125,3 +129,18 @@ def _from_format_2(payload: Dict[str, Any]) -> Dict[str, Any]:
         if upgraded["mode"] == "real":
             upgraded.setdefault("queries", [])
     return upgraded
+
+
+def _from_format_3(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """A format-3 payload as format 4 stores it: one assignment entry per row."""
+    from repro.store.checkpoint import _malformed
+
+    with _malformed("format-3 assignment"):
+        nodes = [node for node, _entries in payload["overlay"]["adjacency"]]
+        assigned = {peer: sp for peer, sp in payload["assignment"]}
+        unknown = assigned.keys() - set(nodes)
+        if unknown:
+            raise StoreError(
+                f"checkpoint assignment of {sorted(unknown)!r} names no adjacency row"
+            )
+    return {**payload, "format": 4, "assignment": [assigned.get(node) for node in nodes]}

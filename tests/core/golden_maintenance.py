@@ -20,7 +20,8 @@ maintenance-shaped event (its windows drain through ``due`` and
 moved to tuple heap entries; ``checkpoint`` and the half-horizon ``pending``
 were re-recorded once since, when checkpoints went to format 3 and
 ``schedule_at(t)`` began storing ``t`` itself (it had stored
-``now + (t - now)``, one ulp off for a few departures).
+``now + (t - now)``, one ulp off for a few departures); ``checkpoint`` alone
+again when format 4 wrote the assignment by adjacency row.
 ``test_golden_maintenance.py`` holds every later commit to them.  Regenerate only for a deliberate change of the
 maintenance protocol, the churn model or the checkpoint format::
 

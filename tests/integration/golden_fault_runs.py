@@ -16,7 +16,9 @@ Three SHA-256 digests per scenario were recorded once and
 
 ``partition-heal`` was re-recorded once since, when a reconciliation that
 omits a partner cut off by the partition began to unassign it too: the
-partner stops sending lost pushes into the partition until the heal.
+partner stops sending lost pushes into the partition until the heal.  Every
+``checkpoint`` was re-recorded alone when format 4 wrote the assignment by
+adjacency row.
 
 Regenerate only for a deliberate change of the fault or protocol
 accounting, or of the checkpoint format (which moves ``checkpoint`` alone)::

@@ -10,8 +10,10 @@ each branch of the patch grammar and the pairs ``==`` cannot tell apart
 list, equal dicts in a different key order, a ``==``-equal container with one
 such leaf deep inside).  The session entries are the SHA-256 of a 64-peer
 planned and a 16-peer medical checkpoint's base payload, tip payload and the
-patch between them.  Regenerate only for a deliberate change of the patch
-grammar or the checkpoint format::
+patch between them; they were re-recorded alone at each checkpoint format
+change, most recently for format 4 (``test_golden_patches.py`` keeps the
+format-3 payload digests to check the upgrade against).  Regenerate only for
+a deliberate change of the patch grammar or the checkpoint format::
 
     PYTHONPATH=src python tests/store/golden_patches.py
 """

@@ -35,7 +35,7 @@ from repro.store.checkpoint import (
     list_checkpoints,
     resolve_checkpoint_payload,
 )
-from repro.store.migrate import _from_format_1, upgrade
+from repro.store.migrate import FORMAT, _from_format_1, upgrade
 from repro.workloads.patients import MedicalWorkload, build_peer_databases
 from repro.workloads.queries import paper_example_query
 from repro.workloads.registry import default_registry
@@ -488,13 +488,13 @@ class TestErrors:
     @pytest.mark.parametrize(
         "section,key", [("maintenance", "cold_starts"), ("overlay", "rng")]
     )
-    def test_a_format_3_document_missing_a_key_is_a_store_error(
+    def test_a_current_format_document_missing_a_key_is_a_store_error(
         self, backend, section, key
     ):
         """Restore reads one shape: a key the writer always writes has no default."""
         _build("smoke").checkpoint(backend, name="good")
         document = backend.get(CHECKPOINT_KIND, "good")
-        assert document["format"] == 3
+        assert document["format"] == FORMAT
         del document[section][key]
         backend.put(CHECKPOINT_KIND, "bad", document)
         with pytest.raises(StoreError, match=key):

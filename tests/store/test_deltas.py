@@ -327,6 +327,19 @@ class TestDeltaCheckpoints:
         tip_bytes = backend.size_bytes(CHECKPOINT_KIND, "tip")
         assert tip_bytes <= self.FORMAT_1_MID_RUN_TIP_BYTES
 
+    def test_a_mid_run_delta_patches_the_assignment_by_position(self, backend):
+        """One assignment entry per adjacency row: churn edits entries in place."""
+        live = _build("churn-heavy", seed=1)
+        live.run_until(0.25 * live.horizon)
+        live.checkpoint(backend, name="base")
+        live.run_until(0.5 * live.horizon)
+        live.checkpoint(backend, name="tip", base="base")
+
+        patch = backend.get(CHECKPOINT_KIND, "tip")["patch"]["$dict"]["assignment"]
+        assert set(patch) == {"$list"}
+        assert patch["$list"]  # peers left and joined between the two saves
+        assert all(set(entry) == {"$set"} for _index, entry in patch["$list"])
+
     def test_restore_from_intermediate_link_works(self, backend):
         live = _build("smoke")
         live.run_until(0.5 * live.horizon)

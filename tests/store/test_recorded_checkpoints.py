@@ -17,17 +17,26 @@ the live run's :func:`continuation` from the tip to the horizon.
   it produced then.
 * ``format2_offline_checkpoint.json`` — format 2 as written with
   ``overlay.offline``, the last text stored under that number.
+* ``format3_checkpoint.json`` — format 3: ``assignment`` as ``[peer,
+  summary_peer]`` pairs in the mapping's insertion order.
 
-The writer (format 3) no longer produces any of them, so no fixture can be
+The writer (format 4) no longer produces any of them, so no fixture can be
 regenerated; they stand for every store written before the format changed.
 
-The run from ``base`` goes through the partition (from 1,800 s) under the
-current protocol, which no longer produces the recorded tip: a
-reconciliation that omits a partner cut off by the partition now unassigns
-it too, so it stops sending lost pushes into the partition until the heal.
-Each recorded tip still holds 18 peers that are assigned to a domain that
-does not list them, and continues to the recorded continuation; the base
-path continues to :data:`BASE_PATH`'s, the same for all four fixtures.
+The four older fixtures were recorded before a reconciliation that omits a
+partner cut off by the partition (from 1,800 s) also unassigned it, so it
+stops sending lost pushes into the partition until the heal.  The run from
+their ``base`` no longer produces their tip: each of those tips holds 18
+peers assigned to a domain that does not list them, and continues to
+:data:`OLDER_TIP_PATH`.  The format-3 fixture was recorded under the current
+protocol: its tip is the base path, and every base path continues to
+:data:`BASE_PATH`'s.
+
+A continuation hashes the assignment sorted: the mapping's order is no
+state, and a restore rebuilds it in adjacency-row order.  The four older
+fixtures' recorded ``continuation`` hashed it in insertion order; the
+order-free digests here were computed from the same restores by the writer
+that recorded the format-3 fixture.
 """
 
 import copy
@@ -49,21 +58,29 @@ from repro.store.checkpoint import (
     resolve_checkpoint_payload,
     save_session,
 )
-from repro.store.migrate import upgrade
+from repro.store.migrate import FORMAT, upgrade
 
 FIXTURES = {
     "format1": Path(__file__).with_name("format1_checkpoint.json"),
     "format2": Path(__file__).with_name("format2_checkpoint.json"),
     "format2-on-format1": Path(__file__).with_name("format2_on_format1_checkpoint.json"),
     "format2-offline": Path(__file__).with_name("format2_offline_checkpoint.json"),
+    "format3": Path(__file__).with_name("format3_checkpoint.json"),
 }
 
 
 #: What the run from each fixture's ``base`` reaches under the current
 #: protocol: the payload at the tip's time and the continuation from there.
 BASE_PATH = {
-    "tip": "bb655b186c02d2ef1856f18bde3e924b4d64264b178930b44d0e9ac32e072658",
-    "continuation": "19fc66cf003a6bc73e38c60d08e5c2d35000c0a7a774daf484e496da9b6e0512",
+    "tip": "c077f6809dd7a99a0ba6ce5bee526d92f613604641a2c3cb225dc2415b83d41c",
+    "continuation": "4691576ced4bdb91423c9144a03b16c91d1262b3acefd4e9cc8b269d936064f3",
+}
+#: Where the four older fixtures' tips continue to, order-free.
+OLDER_TIP_PATH = "db38ba752cb3b6d6857735ed1ba0fc1ba52f2fd0618b7081e671efec80f6403e"
+#: Each fixture's recorded ``continuation`` -> its tip's order-free one.
+TIP_PATH = {
+    "b2c3845eef49acbf4f6e1ed7721ef03c9ce5728f4847c2e44f37cb77258949fa": OLDER_TIP_PATH,
+    BASE_PATH["continuation"]: BASE_PATH["continuation"],
 }
 
 
@@ -76,7 +93,8 @@ def continuation(session, horizon: float) -> str:
     """Run ``session`` to ``horizon``, ask five queries, hash what it did.
 
     Nothing hashed here is checkpoint text: answers, the message counter,
-    clock, content and fault state, the overlay and the domains' reports.
+    clock, content and fault state, the overlay, the assignment (sorted: its
+    order is no state) and the domains' reports.
     """
     session.run_until(horizon)
     answers = session.query_batch(count=5, required_results=3)
@@ -91,7 +109,7 @@ def continuation(session, horizon: float) -> str:
             "content": system.content.state_payload(),
             "faults": system.faults.state_payload(),
             "links": [[node, list(nbrs.items())] for node, nbrs in links.items()],
-            "assignment": list(system.assignment.items()),
+            "assignment": sorted(system.assignment.items()),
             "traffic": repr(session.traffic()),
             "maintenance": repr(session.maintenance_report()),
             "staleness": repr(session.staleness()),
@@ -117,19 +135,25 @@ def _store(backend, recorded):
 def test_fixtures_are_in_their_formats():
     format1, format2 = _load("format1"), _load("format2")
     mixed, offline = _load("format2-on-format1"), _load("format2-offline")
+    format3 = _load("format3")
     assert format1["base"]["format"] == format1["delta"]["format"] == 1
     for fixture in (format2, offline):
         assert fixture["base"]["format"] == fixture["delta"]["format"] == 2
+    assert format3["base"]["format"] == format3["delta"]["format"] == 3
     assert "peers" in format2["base"]["overlay"]
     assert "offline" not in format2["base"]["overlay"]
-    assert "offline" in offline["base"]["overlay"]
-    assert "peers" not in offline["base"]["overlay"]
+    for fixture in (offline, format3):
+        assert "offline" in fixture["base"]["overlay"]
+        assert "peers" not in fixture["base"]["overlay"]
+    assert all(len(pair) == 2 for pair in format3["base"]["assignment"])
+    assert "$splice" in format3["delta"]["patch"]["$dict"]["assignment"]
     assert mixed["base"] == format1["base"] and mixed["delta"]["format"] == 2
     assert "peers" in mixed["delta"]["patch"]["$dict"]["overlay"]["$dict"]
-    for fixture in (format1, format2, mixed, offline):
+    for fixture in (format1, format2, mixed, offline, format3):
         assert fixture["delta"]["base"] == "base"
     # One run, four writers: the same continuation.
-    assert len({_load(name)["continuation"] for name in FIXTURES}) == 1
+    assert len({fixture["continuation"] for fixture in (format1, format2, mixed, offline)}) == 1
+    assert sorted(TIP_PATH) == sorted({_load(name)["continuation"] for name in FIXTURES})
 
 
 @pytest.mark.parametrize("name", ["base", "tip"])
@@ -139,7 +163,7 @@ def test_a_recorded_checkpoint_restores_and_continues_as_recorded(
     restored = SystemBuilder.from_checkpoint(_store(backend, recorded), name=name)
     if name == "tip":
         assert restored.now == recorded["horizon"] / 2
-        assert continuation(restored, recorded["horizon"]) == recorded["continuation"]
+        assert continuation(restored, recorded["horizon"]) == TIP_PATH[recorded["continuation"]]
     else:
         restored.run_until(recorded["horizon"] / 2)
         assert continuation(restored, recorded["horizon"]) == BASE_PATH["continuation"]
@@ -153,26 +177,34 @@ def test_a_delta_on_a_recorded_checkpoint_is_written_in_the_current_format(
     live.run_until(recorded["horizon"] / 2)
     save_session(live, backend, name="upgraded", base="base")
     document = backend.get(CHECKPOINT_KIND, "upgraded")
-    assert document["format"] == 3 and document["base"] == "base"
+    assert document["format"] == FORMAT and document["base"] == "base"
+    assert set(document["patch"]["$dict"].get("assignment", {"$list": []})) == {"$list"}
 
     resolved = resolve_checkpoint_payload(backend, "upgraded")
-    assert resolved["format"] == 3
+    assert resolved["format"] == FORMAT
     assert "peers" not in resolved["overlay"]
     assert _sha(resolved) == BASE_PATH["tip"]
     # The recorded tip, less the peers it assigns to a domain that omitted
-    # them, and less the pushes they lost into the partition.
+    # them (none in the format-3 fixture), and less the pushes they lost into
+    # the partition.
     tip = resolve_checkpoint_payload(backend, "tip")
     listed = {
         (peer, domain["summary_peer_id"])
         for domain in tip["domains"]
         for peer, _distance in domain["distances"]
     }
+    rows = [node for node, _entries in tip["overlay"]["adjacency"]]
     assert resolved["assignment"] == [
-        pair for pair in tip["assignment"] if tuple(pair) in listed
+        sp if (peer, sp) in listed else None for peer, sp in zip(rows, tip["assignment"])
     ]
-    assert len(tip["assignment"]) - len(resolved["assignment"]) == 18
+    unlisted = sum(sp is not None for sp in tip["assignment"]) - sum(
+        sp is not None for sp in resolved["assignment"]
+    )
     moved = {key for key in tip if resolved[key] != tip[key]}
-    assert moved == {"assignment", "counter"}
+    if recorded["base"]["format"] == 3:
+        assert unlisted == 0 and not moved
+    else:
+        assert unlisted == 18 and moved == {"assignment", "counter"}
     save_session(live, backend, name="full")
     assert resolved == backend.get(CHECKPOINT_KIND, "full")
 
@@ -196,11 +228,11 @@ def test_compaction_keeps_a_recorded_chain_in_its_format(backend, recorded):
         resolve_checkpoint_payload(backend, "tip")
     )
     restored = SystemBuilder.from_checkpoint(backend, name="child")
-    assert continuation(restored, recorded["horizon"]) == recorded["continuation"]
+    assert continuation(restored, recorded["horizon"]) == TIP_PATH[recorded["continuation"]]
 
 
 def test_format_2_to_3_fills_each_key_a_restore_once_defaulted():
-    upgraded = upgrade(_load("format2-offline")["base"])
+    upgraded = upgrade(_load("format2-offline")["base"], 3)
     older = _load("format2-offline")["base"]
     del older["maintenance"]["cold_starts"], older["overlay"]["rng"]
     del older["config"]["query_max_retries"]
@@ -209,7 +241,7 @@ def test_format_2_to_3_fills_each_key_a_restore_once_defaulted():
     for domain in older["domains"]:
         del domain["global_summary"]
     kept = copy.deepcopy(older)
-    filled = upgrade(older)
+    filled = upgrade(older, 3)
     assert older == kept  # an upgrade never edits the payload it reads
     assert filled["format"] == 3 and "runtime" not in filled
     assert filled["maintenance"] == {**upgraded["maintenance"], "cold_starts": 0}
@@ -225,14 +257,22 @@ def _rewrite_base_in_format_2(backend):
 
 
 def _rewrite_base_in_format_3(backend):
+    backend.put(CHECKPOINT_KIND, "base", _load("format3")["base"])
+
+
+def _rewrite_base_in_format_4(backend):
     live = SystemBuilder.from_checkpoint(backend, name="base")
     save_session(live, backend, name="base")
 
 
 @pytest.mark.parametrize(
     "delta,rewrite",
-    [("format1", _rewrite_base_in_format_2), ("format2", _rewrite_base_in_format_3)],
-    ids=["1-on-2", "2-on-3"],
+    [
+        ("format1", _rewrite_base_in_format_2),
+        ("format2", _rewrite_base_in_format_3),
+        ("format3", _rewrite_base_in_format_4),
+    ],
+    ids=["1-on-2", "2-on-3", "3-on-4"],
 )
 def test_a_delta_older_than_its_base_is_refused(backend, delta, rewrite):
     """A patch applies to its base in the patch's own format, never a newer one."""
@@ -256,4 +296,48 @@ def test_malformed_pre_offline_peer_rows_are_a_store_error(backend, corrupt):
     corrupt(base["overlay"])
     backend.put(CHECKPOINT_KIND, "bad", base)
     with pytest.raises(StoreError, match="overlay"):
+        SystemBuilder.from_checkpoint(backend, name="bad")
+
+
+def test_format_3_to_4_lays_the_pairs_out_by_adjacency_row():
+    recorded = _load("format3")["base"]
+    kept = copy.deepcopy(recorded)
+    upgraded = upgrade(recorded)
+    assert recorded == kept  # an upgrade never edits the payload it reads
+    rows = [node for node, _entries in recorded["overlay"]["adjacency"]]
+    assigned = dict(recorded["assignment"])
+    assert upgraded["format"] == 4
+    assert upgraded["assignment"] == [assigned.get(node) for node in rows]
+    assert {key for key in recorded if upgraded[key] != recorded[key]} == {
+        "assignment", "format"
+    }
+
+
+def test_a_format_3_pair_naming_no_peer_is_a_store_error(backend):
+    """The pair used to be restored, run with, and written into the next save."""
+    recorded = _load("format3")
+    recorded["base"]["assignment"].append(["nope", "also-nope"])
+    _store(backend, recorded)
+    for name in ("base", "tip"):
+        with pytest.raises(StoreError, match=r"assignment of \['nope'\] names no adjacency row"):
+            SystemBuilder.from_checkpoint(backend, name=name)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda assignment: assignment.pop(),
+        lambda assignment: assignment.append(None),
+        lambda assignment: assignment.__setitem__(assignment.index(None), "nope"),
+        lambda assignment: assignment.__setitem__(0, ["p0"]),
+    ],
+    ids=["short", "long", "unknown-peer", "not-an-id"],
+)
+def test_a_malformed_assignment_is_a_store_error(backend, corrupt):
+    live = SystemBuilder.from_checkpoint(_store(backend, _load("format3")), name="base")
+    save_session(live, backend, name="current")
+    document = copy.deepcopy(backend.get(CHECKPOINT_KIND, "current"))
+    corrupt(document["assignment"])
+    backend.put(CHECKPOINT_KIND, "bad", document)
+    with pytest.raises(StoreError, match="assignment"):
         SystemBuilder.from_checkpoint(backend, name="bad")
