@@ -22,8 +22,8 @@ Patch encoding (one node per changed subtree):
 * ``{"$dict": {key: patch, ...}, "$drop": [removed keys]}`` — merge into a
   dict: patch changed keys, drop removed ones, keep the rest;
 * ``{"$list": [[index, patch], ...]}`` — sparse per-index patches into a
-  same-length list (the common case for the 2000-entry overlay peer list
-  where a handful of peers flipped online state);
+  same-length list (the common case for the 2000-entry assignment, one
+  entry per peer, where a few hundred peers left or rejoined);
 * ``{"$splice": [[start, delete_count, [items...]], ...]}`` — sequence edits
   into a length-changed list, aligned with :class:`difflib.SequenceMatcher`
   (the pending-event queue between two checkpoint times is mostly the same
@@ -60,17 +60,20 @@ and ``described`` lists are each almost wholly changed between two times).
 
 Why planned-content deltas are kept
 -----------------------------------
-A delta buys disk everywhere; on planned content it does not buy time.  On
-the 2000-peer Table-3 workload (``table3-planned-2000``, seed 1) a delta is
-163,030 B against a 523,248 B full save (0.31×), and it takes 1.3× a full
-save's time (0.039 s against 0.029 s, medians of eleven benchmark runs over
-seeds 1–10 and 12 on a 2-core host): a 3.2× smaller document for a third
-more time.  Before unmoved subtrees were confirmed by their bytes, the
-same runs read 1.8× (0.052 s against 0.029 s); before the threshold was
-decided ahead of a list's children, while the diff still built the
-patches it then discarded, a delta took 2.3× a full save.  In checkpoint format 1, which wrote each link twice
-and each pending event and peer as a dict, the same pair was 206,734 B
-against 1,419,659 B (0.15×) at 1.8× the time.  On real content a delta is
+A delta buys disk everywhere, and on planned content about as much time as
+a full save.  On the 2000-peer Table-3 workload (``table3-planned-2000``,
+seed 1) a delta is 150,153 B against a 508,094 B full save (0.30×), and it
+takes 0.9× a full save's time (0.027 s against 0.030 s, medians of four
+benchmark runs over seeds 1–4 on a 2-core host).  While the assignment was
+stored as pairs in churned order (format 3), aligned here by
+:class:`difflib.SequenceMatcher`, the pair was 163,030 B against 523,248 B
+and a delta took 1.3× a full save's time (0.039 s against 0.029 s, medians
+of eleven runs over seeds 1–10 and 12).  Before unmoved subtrees were
+confirmed by their bytes, the same runs read 1.8×; before the threshold
+was decided ahead of a list's children, while the diff still built the
+patches it then discarded, 2.3×.  In checkpoint format 1, which wrote each
+link twice and each pending event and peer as a dict, the same pair was
+206,734 B against 1,419,659 B (0.15×) at 1.8× the time.  On real content a delta is
 both smaller and cheaper.  So the mechanism stays for both kinds of
 content, and nothing picks it per content kind.
 """
