@@ -145,6 +145,7 @@ def test_ablation_freshness_encoding(benchmark, mode):
         departures = 0
         reconciliations = 0
         for index in range(200):
+            # Every departure push is delivered here: the engine marks it.
             due = engine.push_departure(domain, f"p{index}")
             departures += 1
             if due:

@@ -46,13 +46,16 @@ class ProtocolConfig:
         reconciliation message is counted once, which is the accounting the
         paper's Figure 6 appears to use ("only one message is propagated").
     push_max_retries / reconciliation_max_retries / query_max_retries:
-        Bounded retransmission budgets used when a fault plan is active: how
-        many times a lost push, reconciliation ring hop or query probe is
-        retried before the sender gives up.  These budgets are the only bound
-        on retries: there is no backoff, a retransmission goes out at once
-        and adds no event to the schedule.  Every attempt, lost or not, is
-        charged to the run's message counter.  Irrelevant (and unused) on the
-        zero-fault path.
+        Bounded retransmission budgets used when a fault plan is active.
+        ``push_max_retries``: a modification or departure push and a join's
+        ``localsum``, retried across a partition too (one sender cannot tell
+        the far side is gone); ``reconciliation_max_retries``: each ring hop
+        of a reconciliation or a cold start, a ``release`` and a reclaim's
+        ``sumpeer``; ``query_max_retries``: a query's hops to the partners and
+        the probe of an unreachable domain.  These budgets are the only bound
+        on retries: there is no backoff, a retransmission goes out at once and
+        adds no event to the schedule.  Every attempt, lost or not, is charged
+        (:func:`repro.core.domain.send`).  Unused on the zero-fault path.
     """
 
     construction_ttl: int = 2

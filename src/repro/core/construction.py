@@ -8,6 +8,7 @@ switches only if the new SP is closer (lower latency), in which case it first
 sends a ``drop`` message to its old SP.  Peers reached by no broadcast find a
 summary peer with a *selective walk* (highest-degree-neighbour random walk)
 and the ``find`` message stops as soon as a partner or a summary peer is hit.
+It runs before any fault plan is installed: every message is a plain count.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.config import ProtocolConfig
-from repro.core.domain import Domain
+from repro.core.domain import Domain, send
 from repro.core.freshness import Freshness
 from repro.exceptions import ProtocolError
 from repro.network.messages import MessageType
@@ -123,9 +124,8 @@ class DomainBuilder:
             if not overlay.is_online(sp_id):
                 continue
             # Traffic of the TTL-bounded sumpeer broadcast.
-            report.messages.record_type(
-                MessageType.SUMPEER, overlay.flood_message_count(sp_id, ttl)
-            )
+            flood = overlay.flood_message_count(sp_id, ttl)
+            send(report.messages, None, MessageType.SUMPEER, count=flood)
             reached = overlay.within_ttl(sp_id, ttl)
             for peer_id, hops in sorted(reached.items(), key=lambda kv: (kv[1], kv[0])):
                 if peer_id in report.domains:
@@ -152,7 +152,7 @@ class DomainBuilder:
         current_distance = report.domains[current_sp].distance_to(peer_id)
         if distance < current_distance:
             # Drop the old partnership, then join the closer summary peer.
-            report.messages.record_type(MessageType.DROP)
+            send(report.messages, None, MessageType.DROP, count=1)
             report.domains[current_sp].remove_partner(peer_id)
             self._join(report, peer_id, sp_id, distance, now)
 
@@ -164,7 +164,7 @@ class DomainBuilder:
         distance: float,
         now: float,
     ) -> None:
-        report.messages.record_type(MessageType.LOCALSUM)
+        send(report.messages, None, MessageType.LOCALSUM, count=1)
         report.domains[sp_id].add_partner(
             peer_id, distance=distance, freshness=Freshness.FRESH, now=now
         )
@@ -193,7 +193,7 @@ class DomainBuilder:
                 max_hops=self._config.selective_walk_max_hops,
                 rng=self._rng,
             )
-            report.messages.record_type(MessageType.FIND, max(hops, 1))
+            send(report.messages, None, MessageType.FIND, count=max(hops, 1))
             if target is None:
                 report.orphan_peers.append(peer_id)
                 continue

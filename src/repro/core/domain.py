@@ -10,6 +10,12 @@ from repro.core.freshness import Freshness, FreshnessMode
 from repro.exceptions import ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from typing import Collection
+
+    from repro.network.faults import FaultInjector
+    from repro.network.messages import MessageType
+    from repro.network.metrics import MessageCounter
+    from repro.obs import Observability
     from repro.saintetiq.hierarchy import SummaryHierarchy
 
 #: ``(peer_id, local summary)`` pairs in the order a merge visits them.
@@ -255,3 +261,36 @@ class Domain:
             f"Domain(sp={self.summary_peer_id}, partners={len(self.cooperation)}, "
             f"old={self.old_fraction():.2%})"
         )
+
+
+def send(
+    counter: "MessageCounter",
+    faults: Optional["FaultInjector"],
+    message_type: "MessageType",
+    source: Optional[str] = None,
+    targets: Optional[Collection[str]] = None,
+    max_retries: int = 0,
+    count: Optional[int] = None,
+    obs: Optional["Observability"] = None,
+    retry_partitioned: bool = False,
+) -> Tuple[Optional[Collection[str]], Collection[str], int]:
+    """The one place a protocol message is charged and faulted.
+
+    ``source`` sends ``message_type`` to each of ``targets``; ``count``
+    messages (default: one per target) and every retry are charged.  **A
+    message that never arrives has the effect of one never sent**: callers act
+    on who was reached, and on nothing else.  With no plan installed everyone
+    is, at one counter add and no random draw; with one,
+    :meth:`FaultInjector.send <repro.network.faults.FaultInjector.send>`
+    decides, within ``max_retries`` (and retrying across a partition when
+    ``retry_partitioned``).  Without ``targets`` (a walk, a flood, a batched
+    tally) ``count`` is charged and no plan sees it.  Returns ``(delivered,
+    missed, retries)``.
+    """
+    if faults is None or targets is None:
+        counter.record_type(message_type, len(targets) if count is None else count)
+        return targets, (), 0
+    return faults.send(
+        message_type, source, targets, max_retries, counter, obs,
+        count=count, retry_partitioned=retry_partitioned,
+    )

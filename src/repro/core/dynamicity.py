@@ -23,6 +23,15 @@ system changes them in three ways only:
 So every assigned peer is online, and the live domain it is assigned to
 lists it with a partner distance.  The reverse does not hold: a departed
 peer stays listed until its domain reconciles.
+
+Every message leaves through one send (:func:`repro.core.domain.send`), and
+under a fault plan one that never arrives has the effect of one never sent.
+A lost departure push marks nothing: the listing stays until the next ring
+omits the peer, as after a silent failure.  A lost ``localsum`` leaves the
+joining peer online and unassigned, as when its walk finds no domain, until
+the heal or its next rejoin.  A lost ``release`` changes only the counts (the
+members re-join at once either way).  A former partner that a returning
+summary peer's ``sumpeer`` misses is not reclaimed.
 """
 
 from __future__ import annotations
@@ -183,17 +192,15 @@ class _Dynamicity:
         # next reconciliation.  A graceful one first pushes a freshness update
         # (2, or 1 in 1-bit mode); a silent failure sends nothing.
         sp_id = self._assignment.pop(peer_id, None)
+        domain = self._domains.get(sp_id) if graceful else None
         due = (
-            graceful
-            and sp_id in self._domains
-            and self._maintenance.push_departure(self._domains[sp_id], peer_id, now=now)
+            domain is not None
+            and domain.is_partner(peer_id)
+            and self._send_up(MessageType.PUSH, peer_id, sp_id)[0]
+            and self._maintenance.push_departure(domain, peer_id, now=now)
         )
         self._overlay.set_online(peer_id, False)
         if due:
-            self._run_reconciliation(sp_id)
-
-    def _reconcile_if_due(self, sp_id: Optional[str]) -> None:
-        if sp_id is not None:
             self._run_reconciliation(sp_id)
 
     def _handle_rejoin(self, peer_id: str) -> None:
@@ -203,19 +210,20 @@ class _Dynamicity:
             self._content.mark_rejoined(peer_id)
         if self._try_reclaim_domain(peer_id):
             return
-        self._reconcile_if_due(self._join(peer_id, self._simulator.now))
+        self._join(peer_id, self._simulator.now)
 
     # -- membership writes ----------------------------------------------------------------------
 
-    def _join(self, peer_id: str, now: float) -> Optional[str]:
+    def _join(self, peer_id: str, now: float) -> None:
         """A (re)connecting peer looks for a domain through its neighbours.
 
         If one of its neighbours is in a live domain (as a partner or its
         summary peer), the peer sends its local summary to that summary peer
         and joins with freshness value 1 — meaning "pull me at the next
         reconciliation".  Otherwise it falls back to a selective walk; a peer
-        the walk does not place stays online and unassigned.  Returns the
-        summary peer whose domain the join tipped over α, if any.
+        the walk does not place, or whose summary is lost on the way, stays
+        online and unassigned.  A join that tips its domain over α runs the
+        reconciliation there, whichever event made the join.
         """
         self._overlay.set_online(peer_id, True)
         live = self._live_domain_of
@@ -230,11 +238,12 @@ class _Dynamicity:
             if target is not None:
                 sp_id, hops = live(target), max(hops, 1)
             if hops:
-                self._counter.record_type(MessageType.FIND, hops)
+                self._send(MessageType.FIND, count=hops)
             if sp_id is None:
-                return None
+                return
+        if not self._send_up(MessageType.LOCALSUM, peer_id, sp_id)[0]:
+            return  # its summary was lost on the way
         domain = self._domains[sp_id]
-        self._counter.record_type(MessageType.LOCALSUM)
         domain.add_partner(
             peer_id,
             distance=self._overlay.latency(peer_id, sp_id),
@@ -243,8 +252,7 @@ class _Dynamicity:
         )
         self._assignment[peer_id] = sp_id
         if domain.needs_reconciliation(self._config.freshness_threshold):
-            return sp_id
-        return None
+            self._run_reconciliation(sp_id)
 
     def _live_domain_of(self, peer_id: str) -> Optional[str]:
         """The live domain ``peer_id`` is, or is assigned to, or None."""
@@ -268,13 +276,16 @@ class _Dynamicity:
         nothing; its members discover it on their next push or query, which
         is modelled by re-joining them here at the same selective-walk cost.
         Only the members are unassigned and look for a new domain: a listed
-        peer that has since joined another domain stays there.  Their joins
-        do not trigger a reconciliation.
+        peer that has since joined another domain stays there.  A join that
+        tips its new domain over α reconciles it, as any join does.
         """
         members = self._members(sp_id)
         domain = self._domains.pop(sp_id)
-        if graceful:
-            self._counter.record_type(MessageType.RELEASE, len(domain.partner_ids))
+        if graceful:  # lost or not, the members re-join at once
+            self._send(
+                MessageType.RELEASE, sp_id, domain.partner_ids,
+                self._config.reconciliation_max_retries,
+            )
         self._overlay.set_online(sp_id, False)
         for peer_id in members:
             del self._assignment[peer_id]
@@ -311,15 +322,24 @@ class _Dynamicity:
         self._domains[peer_id] = domain
         self._described[peer_id] = set()
 
-        former = [pid for pid, _digest in head["partners"] if pid != peer_id]
-        reclaimed = 0
-        for partner_id in former:
-            if not self._overlay.is_online(partner_id) or partner_id in self._domains:
+        former: Dict[str, float] = {}
+        for partner_id, _digest in head["partners"]:
+            if partner_id == peer_id or partner_id in self._domains:
                 continue
-            try:
-                distance = self._overlay.latency(partner_id, peer_id)
-            except NetworkError:
-                continue  # no longer connected to its old summary peer
+            if self._overlay.is_online(partner_id):
+                try:
+                    former[partner_id] = self._overlay.latency(partner_id, peer_id)
+                except NetworkError:
+                    pass  # no longer connected to its old summary peer
+        # The returning summary peer announces itself to each former partner
+        # it can reclaim (one lone sumpeer when there is none).
+        reached = self._send(
+            MessageType.SUMPEER, peer_id, former,
+            self._config.reconciliation_max_retries, max(1, len(former)),
+        )[0]
+        for partner_id, distance in former.items():
+            if partner_id not in reached:
+                continue  # the announcement missed it
             # Omitted from its current domain, listed and assigned here.
             old_sp = self._assignment.get(partner_id)
             if old_sp is not None:
@@ -330,10 +350,6 @@ class _Dynamicity:
                 partner_id, distance=distance, freshness=Freshness.STALE, now=now
             )
             self._assignment[partner_id] = peer_id
-            reclaimed += 1
-        # The returning summary peer announces itself (one sumpeer message per
-        # reclaimed partner; a lone announcement when nobody was reclaimable).
-        self._counter.record_type(MessageType.SUMPEER, max(1, reclaimed))
         self.cold_start_domain(peer_id)
         return True
 
@@ -381,7 +397,7 @@ class _Dynamicity:
             ):
                 continue  # still validly attached
             self._assignment.pop(peer_id, None)
-            self._reconcile_if_due(self._join(peer_id, now))
+            self._join(peer_id, now)
 
     def _handle_domain_failure(self, spec: Mapping[str, object]) -> None:
         """Correlated failure: whole domains (members + summary peer) die silently."""

@@ -21,10 +21,10 @@ cell for cell) and merges from empty otherwise.
 current virtual time as an explicit ``now`` argument and never touches a
 clock, scheduler, or :mod:`repro.runtime` backend directly.  Keep it that way
 — it is what lets the same maintenance logic run unchanged under the serial
-simulator and the concurrent backend.  The system's handlers at the end of
-this module decide *when* a push or a reconciliation runs, read the clock,
-and send the push and the ring through the fault layer when one is
-installed.
+simulator and the concurrent backend.  Nor does it send anything: the
+system's handlers at the end of this module decide *when* a push or a
+reconciliation runs, read the clock, and send the push and the ring through
+the one send (:func:`repro.core.domain.send`).
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.config import ProtocolConfig
 from repro.core.content import PlannedContentModel
-from repro.core.domain import Domain
+from repro.core.domain import Domain, send
 from repro.core.freshness import Freshness
 from repro.exceptions import StoreError
 from repro.network.messages import MessageType
-from repro.network.metrics import MessageCounter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fuzzy.background import BackgroundKnowledge
@@ -84,9 +83,9 @@ class ColdStartRecord:
 class MaintenanceStats:
     """How many reconciliations and cold starts one engine ran.
 
-    Messages are not counted here: the engine's :class:`MessageCounter` is
-    the one tally of what a run sent (``count(PUSH)``,
-    ``count(RECONCILIATION)``).
+    Messages are not counted here: the system's
+    :class:`~repro.network.metrics.MessageCounter` is the one tally of what a
+    run sent (``count(PUSH)``, ``count(RECONCILIATION)``).
     """
 
     reconciliations: int = 0
@@ -102,18 +101,13 @@ class MaintenanceStats:
 class MaintenanceEngine:
     """Implements the push/pull maintenance of the global summaries.
 
-    Every push and ring hop is charged to :attr:`counter`, the run's one
-    tally of messages; lost pushes and hops are charged there by the
-    protocol.  :attr:`stats` counts reconciliations and cold starts only.
+    The engine decides what a push marks, when α is reached, who takes part
+    in a ring and what it costs (:meth:`ring_messages`); it sends nothing, so
+    it charges nothing.  :attr:`stats` counts reconciliations and cold starts.
     """
 
-    def __init__(
-        self,
-        config: Optional[ProtocolConfig] = None,
-        counter: Optional[MessageCounter] = None,
-    ) -> None:
+    def __init__(self, config: Optional[ProtocolConfig] = None) -> None:
         self._config = config or ProtocolConfig()
-        self._counter = counter if counter is not None else MessageCounter()
         self._stats = MaintenanceStats()
         self._snapshots: Optional["SnapshotStore"] = None
         self._archive: Optional["DomainHeadArchive"] = None
@@ -122,10 +116,6 @@ class MaintenanceEngine:
     @property
     def config(self) -> ProtocolConfig:
         return self._config
-
-    @property
-    def counter(self) -> MessageCounter:
-        return self._counter
 
     @property
     def stats(self) -> MaintenanceStats:
@@ -215,22 +205,17 @@ class MaintenanceEngine:
     # -- push phase --------------------------------------------------------------------------
 
     def push_stale(self, domain: Domain, peer_id: str, now: float = 0.0) -> bool:
-        """A partner flags its descriptions as needing a refresh.
+        """A partner's delivered push flags its descriptions as needing a refresh.
 
         Returns True when the push tipped the domain over the α threshold
-        (i.e. a reconciliation should now run).
+        (i.e. a reconciliation should now run).  Only a listed partner
+        pushes: the sender checks that before it sends.
         """
-        if not domain.is_partner(peer_id):
-            return False
-        self._counter.record_type(MessageType.PUSH)
         domain.cooperation.mark_stale(peer_id, now=now)
         return domain.needs_reconciliation(self._config.freshness_threshold)
 
     def push_departure(self, domain: Domain, peer_id: str, now: float = 0.0) -> bool:
-        """A partner announces it is leaving (freshness 2, or 1 in 1-bit mode)."""
-        if not domain.is_partner(peer_id):
-            return False
-        self._counter.record_type(MessageType.PUSH)
+        """A partner's delivered departure push (freshness 2, or 1 in 1-bit mode)."""
         domain.cooperation.mark_departed(peer_id, now=now)
         return domain.needs_reconciliation(self._config.freshness_threshold)
 
@@ -268,7 +253,6 @@ class MaintenanceEngine:
             materialising reconciliation leaves no global summary at all.
         """
         available, removed, message_count = self._ring(domain, available_partners)
-        self._counter.record_type(MessageType.RECONCILIATION, message_count)
         self._stats.reconciliations += 1
 
         for peer_id in removed:
@@ -315,17 +299,14 @@ class MaintenanceEngine:
         head was ever archived for this domain, or when no local summaries
         are supplied (planned-content mode has nothing to merge).
         """
-        if not self.store_attached:
-            raise StoreError(
-                "cold_start needs an attached store: call attach_store(...) "
-                "with the snapshot store and domain-head archive first"
-            )
-        assert self._snapshots is not None and self._archive is not None
-        head = self._archive.head(domain.summary_peer_id)
-
         # ``full_messages``: what the full reconciliation this replaces would
         # have charged.
         available, removed, full_messages = self._ring(domain, available_partners)
+        changed_available, message_count = self.cold_start_ring(
+            domain, set(available), local_summaries
+        )
+        assert self._snapshots is not None and self._archive is not None
+        head = self._archive.head(domain.summary_peer_id)
 
         if head is None or local_summaries is None:
             fallback = self.reconcile(
@@ -353,7 +334,7 @@ class MaintenanceEngine:
 
         stored_pairs = [(peer_id, digest) for peer_id, digest in head["partners"]]
         stored_partners: Dict[str, str] = dict(stored_pairs)
-        changed = set(domain.changed_partners_since(set(stored_partners)))
+        changed = set(changed_available)
         sp_id = domain.summary_peer_id
 
         # Plan the contributions in full-reconciliation order: ``None`` marks
@@ -380,11 +361,6 @@ class MaintenanceEngine:
                 else:
                     plan.append((sp_id, None, own))
 
-        changed_available = [p for p in available if p in changed]
-        message_count = 0
-        if changed_available:
-            message_count = self._ring_messages(len(changed_available))
-            self._counter.record_type(MessageType.RECONCILIATION, message_count)
         self._stats.cold_starts += 1
 
         for peer_id in removed:
@@ -423,6 +399,29 @@ class MaintenanceEngine:
             full_messages=full_messages,
         )
 
+    def cold_start_ring(
+        self,
+        domain: Domain,
+        available_partners: Set[str],
+        local_summaries: Optional[Mapping[str, SummaryHierarchy]] = None,
+    ) -> Tuple[List[str], int]:
+        """Whom a :meth:`cold_start` ring visits, in ring order, and its messages:
+        every available partner on a fallback to :meth:`reconcile`, else the
+        ones that changed since the archived head (and no ring if none did)."""
+        if not self.store_attached:
+            raise StoreError(
+                "cold_start needs an attached store: call attach_store(...) "
+                "with the snapshot store and domain-head archive first"
+            )
+        head = self.archived_head(domain.summary_peer_id)
+        visits = [p for p in domain.partner_ids if p in available_partners]
+        if head is not None and local_summaries is not None:
+            changed = set(domain.changed_partners_since({p for p, _ in head["partners"]}))
+            visits = [p for p in visits if p in changed]
+            if not visits:
+                return visits, 0
+        return visits, self.ring_messages(len(visits))
+
     def _ring(
         self, domain: Domain, available_partners: Optional[Set[str]]
     ) -> Tuple[List[str], List[str], int]:
@@ -441,9 +440,9 @@ class MaintenanceEngine:
             }
         available = [p for p in partner_ids if p in available_partners]
         removed = [p for p in partner_ids if p not in available_partners]
-        return available, removed, self._ring_messages(len(available))
+        return available, removed, self.ring_messages(len(available))
 
-    def _ring_messages(self, participants: int) -> int:
+    def ring_messages(self, participants: int) -> int:
         """One message circulates: SP -> p1 -> ... -> pk -> SP (or, with
         ring hops not counted, one message in all)."""
         if not self._config.count_reconciliation_ring_hops:
@@ -496,30 +495,26 @@ class _PushPull:
             self._push_modification(peer_id, sp_id, now)
 
     def _push_modification(self, peer_id: str, sp_id: str, now: float) -> None:
-        """Deliver one modification's delta push (possibly through faults)."""
+        """Send one modification's delta push; a delivered one marks the partner."""
+        domain = self._domains[sp_id]
+        if not domain.is_partner(peer_id):
+            return
+        delivered, _missed, retries = self._send_up(MessageType.PUSH, peer_id, sp_id)
         obs = self._obs
-        delivered, retries = True, 0
-        if self._faults is not None:
-            # The push can fail: retry at once, up to push_max_retries times.
-            # An exhausted budget means the summary peer never learns of the
-            # modification — the description simply stays stale until the
-            # next reconciliation, exactly the degradation the staleness
-            # metrics measure.
-            reached, _missed, retries, lost = self._faults.send(
-                peer_id, [sp_id], self._config.push_max_retries, self._counter, obs,
-                "repro_push_retries_total", retry_partitioned=True,
-            )
-            delivered = bool(reached)
-            if lost:
-                self._counter.record_type(MessageType.PUSH, lost)
         if obs is not None:
             obs.observe("repro_push_retries_per_delta", retries)
             if not delivered:
                 obs.inc("repro_push_failed_total")
-        if delivered and self._maintenance.push_stale(
-            self._domains[sp_id], peer_id, now=now
-        ):
+        if delivered and self._maintenance.push_stale(domain, peer_id, now=now):
             self._run_reconciliation(sp_id)
+
+    def _send_up(self, message_type: MessageType, peer_id: str, sp_id: str):
+        """A peer's push or ``localsum`` to its summary peer: the push budget,
+        retried across a partition too.  Returns ``(delivered, missed, retries)``."""
+        return send(
+            self._counter, self._faults, message_type, peer_id, (sp_id,),
+            self._config.push_max_retries, 1, self._obs, True,
+        )
 
     def _run_reconciliation(self, sp_id: str) -> None:
         domain = self._domains.get(sp_id)
@@ -546,53 +541,48 @@ class _PushPull:
         # A partner takes part in the reconciliation only if it is reachable
         # and still belongs to this domain (it may have re-joined elsewhere
         # since its departure; its stale entry is then dropped here).
-        online_ids = self._overlay.online_ids
-        assigned_to = self._assignment.get
-        online = {
-            peer_id
-            for peer_id in domain.partner_ids
-            if peer_id in online_ids and assigned_to(peer_id) == sp_id
-        }
-        missed_ring: Dict[str, float] = {}
-        if self._faults is not None:
-            # Partition-separated partners cannot take the ring message; they
-            # are treated as unavailable and omitted (the paper's rule):
-            # unlisted and unassigned, until the heal re-joins them.  A ring hop
-            # lost on a lossy link is retried at once; a partner whose hop
-            # never arrives misses this round (it is re-added below as stale —
-            # described by nothing until the next round reaches it).
-            online, missed, _retries, lost = self._faults.send(
-                sp_id, online, self._config.reconciliation_max_retries,
-                self._counter, self._obs, "repro_reconciliation_retries_total",
-            )
-            if lost:
-                self._counter.record_type(MessageType.RECONCILIATION, lost)
-            missed_ring = {peer_id: domain.distance_to(peer_id) for peer_id in missed}
+        online = self._overlay.online_ids.intersection(self._members(sp_id))
         local = self.local_summaries() if self._services else None
         now = self._simulator.now
-        record = self._maintenance.reconcile(
-            domain,
-            local_summaries=local,
-            available_partners=online,
-            now=now,
+        record = self._ring_round(
+            domain, online, self._maintenance.ring_messages(len(online)),
+            lambda reached: self._maintenance.reconcile(
+                domain, local_summaries=local, available_partners=reached, now=now
+            ),
         )
-        self._described[sp_id] = set(domain.partner_ids)
-        planned = isinstance(self._content, PlannedContentModel)
-        if planned:
-            # Only the partners that actually took the ring message had their
-            # modifications incorporated; a partner whose hop was lost keeps
-            # its modified flag (and its stale freshness, re-added below).
-            for peer_id in domain.partner_ids:
+        if isinstance(self._content, PlannedContentModel):
+            # Only the partners the ring reached had their modifications
+            # incorporated; one whose hop was lost keeps its modified flag.
+            for peer_id in record.participants:
                 self._content.clear_modification(peer_id)
-        for peer_id, distance in sorted(missed_ring.items()):
-            # Still online and assigned here — it only missed the ring message.
-            domain.add_partner(
-                peer_id, distance=distance, freshness=Freshness.STALE, now=now
+            if self._maintenance.store_attached:
+                # Planned runs have no hierarchies to archive, but a metadata
+                # head (the partner roster) is what lets a crashed summary
+                # peer reclaim its domain on rejoin.
+                self._maintenance.record_metadata_head(domain, now=now)
+
+    def _ring_round(self, domain: Domain, partners: Set[str], messages: int, run):
+        """A ring of ``messages`` (none when 0) to ``partners``, then
+        ``run(reached)``: the one availability step of a reconciliation and of
+        a cold start.  A partner cut off by a partition is omitted (the paper's
+        rule for unavailable data) and unassigned until the heal re-joins it.
+        One whose hop was lost with all its retries misses the round: it is
+        listed again, stale, and described by nothing until the next round.
+        """
+        reached, missed = set(), ()
+        if messages:
+            reached, missed, _retries = self._send(
+                MessageType.RECONCILIATION, domain.summary_peer_id, partners,
+                self._config.reconciliation_max_retries, messages,
             )
-        # A partner cut off by a partition is out of the domain until the heal.
+        # Their distances, before the round unlists them.
+        lost = [(p, domain.distance_to(p)) for p in sorted(missed)] if missed else ()
+        record = run(reached)
+        self._described[domain.summary_peer_id] = set(domain.partner_ids)
+        for peer_id, distance in lost:
+            domain.add_partner(
+                peer_id, distance=distance, freshness=Freshness.STALE,
+                now=self._simulator.now,
+            )
         self._unassign_omitted(domain, record.removed_partners)
-        if planned and self._maintenance.store_attached:
-            # Planned runs have no hierarchies to archive, but a metadata
-            # head (the partner roster) is what lets a crashed summary
-            # peer reclaim its domain on rejoin.
-            self._maintenance.record_metadata_head(domain, now=now)
+        return record

@@ -45,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from repro.core.config import ProtocolConfig
 from repro.core.content import ContentModel, PlannedContentModel, SummaryContentModel
-from repro.core.domain import Domain
+from repro.core.domain import Domain, send
 from repro.core.dynamicity import _Dynamicity
 from repro.core.maintenance import ColdStartRecord, MaintenanceEngine, _PushPull
 from repro.core.routing import QueryRouter, _QueryProcessing
@@ -97,7 +97,7 @@ class SummaryManagementSystem(
         self._rng = self._runtime.create_rng(seed)
         self._counter = MessageCounter()
         self._simulator = self._runtime.clock
-        self._maintenance = MaintenanceEngine(self._config, self._counter)
+        self._maintenance = MaintenanceEngine(self._config)
         self._router = QueryRouter()
 
         self._domains: Dict[str, Domain] = {}
@@ -281,22 +281,16 @@ class SummaryManagementSystem(
         domain = self._domains.get(sp_id)
         if domain is None:
             raise ProtocolError(f"{sp_id!r} is not a live summary peer")
-        online = {
-            peer_id
-            for peer_id in domain.partner_ids
-            if self._overlay.is_online(peer_id)
-            and self._assignment.get(peer_id) == sp_id
-        }
+        online = self._overlay.online_ids.intersection(self._members(sp_id))
         local = self.local_summaries() if self._services else None
-        record = self._maintenance.cold_start(
-            domain,
-            local_summaries=local,
-            available_partners=online,
-            now=self._simulator.now,
+        # An unchanged partner is not visited: it is available as listed.
+        visits, messages = self._maintenance.cold_start_ring(domain, online, local)
+        return self._ring_round(
+            domain, set(visits), messages,
+            lambda reached: self._maintenance.cold_start(
+                domain, local, online.difference(visits) | reached, self._simulator.now
+            ),
         )
-        self._unassign_omitted(domain, record.removed_partners)
-        self._described[sp_id] = set(domain.partner_ids)
-        return record
 
     # -- fault injection -----------------------------------------------------------------------
 
@@ -319,34 +313,8 @@ class SummaryManagementSystem(
 
         injector = FaultInjector(plan)
         self._faults = injector
-        for partition in plan.partitions:
-            spec: Dict[str, object] = {
-                "kind": "partition",
-                "fraction": partition.fraction,
-            }
-            if partition.groups is not None:
-                spec["groups"] = [list(group) for group in partition.groups]
-            self.schedule_event_from_spec(spec, at=partition.at)
-            if partition.heal_at is not None:
-                self.schedule_event_from_spec({"kind": "heal"}, at=partition.heal_at)
-        for failure in plan.domain_failures:
-            self.schedule_event_from_spec(
-                {"kind": "domain_failure", "count": failure.count}, at=failure.at
-            )
-        for massacre in plan.massacres:
-            spec = {
-                "kind": "massacre",
-                "fraction": massacre.fraction,
-                "graceful": massacre.graceful,
-            }
-            if massacre.rejoin_after is not None:
-                spec["rejoin_after"] = massacre.rejoin_after
-            self.schedule_event_from_spec(spec, at=massacre.at)
-        for crowd in plan.flash_crowds:
-            spec = {"kind": "flash_crowd"}
-            if crowd.rejoin_count is not None:
-                spec["rejoin_count"] = crowd.rejoin_count
-            self.schedule_event_from_spec(spec, at=crowd.at)
+        for at, spec in plan.event_specs():
+            self.schedule_event_from_spec(spec, at=at)
         return injector
 
     def attach_fault_state(self, injector: FaultInjector) -> None:
@@ -364,6 +332,10 @@ class SummaryManagementSystem(
 
             self._faults = FaultInjector(FaultPlan())
         return self._faults
+
+    def _send(self, message_type: MessageType, *args, **options):
+        """:func:`repro.core.domain.send` with this system's counter, plan and obs."""
+        return send(self._counter, self._faults, message_type, *args, obs=self._obs, **options)
 
     # -- observability -------------------------------------------------------------------------
 

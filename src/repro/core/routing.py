@@ -38,7 +38,7 @@ from typing import (
 
 from repro.core.content import ContentModel
 from repro.core.cooperation import CooperationList
-from repro.core.domain import Domain
+from repro.core.domain import Domain, send
 from repro.exceptions import ProtocolError
 from repro.network.messages import MessageType
 from repro.network.metrics import MessageCounter
@@ -223,7 +223,7 @@ class _RoutePass:
 
     __slots__ = (
         "query_id", "bound", "policy", "online", "faults", "counter", "obs",
-        "rows", "max_retries", "hop",
+        "rows", "max_retries", "hop", "retries",
     )
 
     def __init__(
@@ -245,6 +245,8 @@ class _RoutePass:
         self.counter = scratch.counter
         self.max_retries = max_retries
         self.hop = 1 if charge_summary_peer_hop else 0
+        #: Retransmissions the send charged (the query's tally holds the rest).
+        self.retries = 0
         obs = self.obs = router.observability
         # Per-domain metrics are recorded at the query level (from the domain
         # outcomes) so the domain loop stays free of registry traffic.  Detail-
@@ -284,11 +286,14 @@ class _RoutePass:
 
         faults = self.faults
         if faults is not None:
-            reachable, _missed, retries, _lost = faults.send(
-                domain.summary_peer_id, reachable, self.max_retries, self.counter,
-                self.obs, "repro_query_retries_total",
+            # The first attempts are in the query's one tally; the send
+            # charges the retransmissions.
+            reachable, _missed, retries = send(
+                self.counter, faults, MessageType.QUERY, domain.summary_peer_id,
+                reachable, self.max_retries, count=0, obs=self.obs,
             )
             messages += retries  # each retry is one more QUERY on the wire
+            self.retries += retries
 
         # One ground-truth lookup: who of those that could answer holds
         # matching data.  Everyone reached is among them (V ⊆ partners), so
@@ -412,12 +417,10 @@ class QueryRouter:
         response — it is a false positive if contacted).  All three are only
         read.
 
-        ``scratch.faults`` makes the summary-peer → partner hops fallible: a
-        contacted partner on a lossy link is retried up to ``max_retries``
-        times (each retransmission is a charged QUERY message); a partner the
-        faults keep unreachable never responds and becomes a false positive.
-        Partition-separated partners are cut deterministically without
-        consuming randomness.
+        With ``scratch.faults`` the summary peer's hops to the contacted
+        partners pass the plan (:func:`repro.core.domain.send`, up to
+        ``max_retries`` charged retransmissions each); a partner never reached
+        does not respond and becomes a false positive.
         """
         route = _RoutePass(
             self, query_id, scratch, proposition, policy, online_peers,
@@ -649,11 +652,11 @@ class _QueryProcessing:
                 # nothing, and the answer is marked degraded instead of the
                 # query wedging or failing.
                 sp_id = domain.summary_peer_id
-                *_, lost = faults.send(
-                    originator, [sp_id], max_retries, counter, self._obs,
-                    retry_partitioned=True,
-                )
-                result.unreachable_probe_messages += lost
+                retries = send(
+                    counter, faults, MessageType.QUERY, originator, (sp_id,),
+                    max_retries, obs=self._obs, retry_partitioned=True,
+                )[2]
+                result.unreachable_probe_messages += 1 + retries
                 result.unreachable_domains.append(sp_id)
                 continue
             visited += 1
@@ -689,19 +692,19 @@ class _QueryProcessing:
         result.total_messages = (
             routed + result.flooding_messages + result.unreachable_probe_messages
         )
-        # The query's one tally.  A type is recorded — even with a count of
+        # The query's one tally, less what the sends above charged (the probes
+        # and the retransmissions).  A type is recorded — even with a count of
         # zero — exactly when some step of the loop above sends it, which is
         # what keeps the counter's payload the one per-message accounting gave.
-        if result.domain_outcomes or result.unreachable_domains:
-            counter.record_type(
-                MessageType.QUERY,
-                routed - results_gathered + result.unreachable_probe_messages,
-            )
         if result.domain_outcomes:
-            counter.record_type(MessageType.QUERY_RESPONSE, results_gathered)
+            send(
+                counter, None, MessageType.QUERY,
+                count=routed - results_gathered - route.retries,
+            )
+            send(counter, None, MessageType.QUERY_RESPONSE, count=results_gathered)
         if len(result.domain_outcomes) > 1:
-            counter.record_type(MessageType.FLOOD_REQUEST, flood_requests)
-            counter.record_type(MessageType.FLOOD_QUERY, flood_queries)
+            send(counter, None, MessageType.FLOOD_REQUEST, count=flood_requests)
+            send(counter, None, MessageType.FLOOD_QUERY, count=flood_queries)
         return result
 
     def _domain_sets(

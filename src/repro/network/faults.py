@@ -33,15 +33,24 @@ stream on the send path.  Two consequences the tests pin down:
 from __future__ import annotations
 
 import copy
+import json
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Collection, Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.network.messages import MessageType
     from repro.network.metrics import MessageCounter
     from repro.obs import Observability
+
+#: The series a type's retransmissions count in, keyed by the type's value.
+_RETRY_SERIES = {
+    "push": "repro_push_retries_total",
+    "reconciliation": "repro_reconciliation_retries_total",
+    "query": "repro_query_retries_total",
+}
 
 
 def _require_probability(value: float, name: str) -> None:
@@ -155,102 +164,66 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         # Accept lists for ergonomics, store tuples for hashability.
-        for name in ("partitions", "domain_failures", "massacres", "flash_crowds"):
+        for _kind, name, _event in _EVENTS:
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def any_faults(self) -> bool:
         """Whether this plan injects anything at all."""
-        return bool(
-            self.link.any
-            or self.partitions
-            or self.domain_failures
-            or self.massacres
-            or self.flash_crowds
-        )
+        return self.link.any or any(getattr(self, name) for _kind, name, _event in _EVENTS)
 
     # -- serialisation -------------------------------------------------------------
 
     def to_payload(self) -> Dict[str, object]:
-        return {
-            "seed": self.seed,
-            "link": {"drop_probability": self.link.drop_probability},
-            "partitions": [
-                {
-                    "at": event.at,
-                    "fraction": event.fraction,
-                    "heal_at": event.heal_at,
-                    "groups": (
-                        [list(group) for group in event.groups]
-                        if event.groups is not None
-                        else None
-                    ),
-                }
-                for event in self.partitions
-            ],
-            "domain_failures": [
-                {"at": event.at, "count": event.count}
-                for event in self.domain_failures
-            ],
-            "massacres": [
-                {
-                    "at": event.at,
-                    "fraction": event.fraction,
-                    "graceful": event.graceful,
-                    "rejoin_after": event.rejoin_after,
-                }
-                for event in self.massacres
-            ],
-            "flash_crowds": [
-                {"at": event.at, "rejoin_count": event.rejoin_count}
-                for event in self.flash_crowds
-            ],
-        }
+        """The plan as JSON reads it back: every field, tuples as lists."""
+        return json.loads(json.dumps(asdict(self)))
+
+    def event_specs(self) -> List[Tuple[float, Dict[str, object]]]:
+        """``(at, spec)`` of each scheduled adversity in schedule order, a
+        partition's heal right after it; a spec is the event's ``kind`` and its
+        fields, less the times and those left unset."""
+        specs: List[Tuple[float, Dict[str, object]]] = []
+        payload = self.to_payload()
+        for kind, name, _event in _EVENTS:
+            for fields in payload[name]:
+                at, heal_at = fields.pop("at"), fields.pop("heal_at", None)
+                spec = {key: value for key, value in fields.items() if value is not None}
+                specs.append((at, {"kind": kind, **spec}))
+                if heal_at is not None:
+                    specs.append((heal_at, {"kind": "heal"}))
+        return specs
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "FaultPlan":
         # Named reads only: older checkpoints carry link keys no longer read.
         link = dict(payload.get("link") or {})
+        events = {
+            name: tuple(
+                event(**{
+                    key: value if value is None or key not in _READ else _READ[key](value)
+                    for key, value in row.items()
+                    if key in event.__dataclass_fields__
+                })
+                for row in payload.get(name, [])  # type: ignore[union-attr]
+            )
+            for _kind, name, event in _EVENTS
+        }
         return cls(
             seed=int(payload.get("seed", 0)),
             link=LinkFaults(drop_probability=float(link.get("drop_probability", 0.0))),
-            partitions=tuple(
-                PartitionEvent(
-                    at=float(event["at"]),
-                    fraction=float(event.get("fraction", 0.5)),
-                    heal_at=event.get("heal_at"),
-                    groups=(
-                        tuple(tuple(group) for group in event["groups"])
-                        if event.get("groups") is not None
-                        else None
-                    ),
-                )
-                for event in payload.get("partitions", [])
-            ),
-            domain_failures=tuple(
-                DomainFailureEvent(at=float(event["at"]), count=int(event["count"]))
-                for event in payload.get("domain_failures", [])
-            ),
-            massacres=tuple(
-                MassacreEvent(
-                    at=float(event["at"]),
-                    fraction=float(event.get("fraction", 0.5)),
-                    graceful=bool(event.get("graceful", False)),
-                    rejoin_after=event.get("rejoin_after"),
-                )
-                for event in payload.get("massacres", [])
-            ),
-            flash_crowds=tuple(
-                FlashCrowdEvent(
-                    at=float(event["at"]),
-                    rejoin_count=(
-                        int(event["rejoin_count"])
-                        if event.get("rejoin_count") is not None
-                        else None
-                    ),
-                )
-                for event in payload.get("flash_crowds", [])
-            ),
+            **events,
         )
+
+
+#: Each scheduled adversity: its event spec's ``kind``, the plan field listing
+#: it and its event class.
+_EVENTS = (
+    ("partition", "partitions", PartitionEvent),
+    ("domain_failure", "domain_failures", DomainFailureEvent),
+    ("massacre", "massacres", MassacreEvent),
+    ("flash_crowd", "flash_crowds", FlashCrowdEvent),
+)
+#: How a payload's event field is read back (the rest are taken as they are).
+_READ = {"at": float, "fraction": float, "count": int, "graceful": bool, "rejoin_count": int}
 
 
 class FaultInjector:
@@ -319,10 +292,8 @@ class FaultInjector:
         Returns ``(delivered, retries_used)``.  A partitioned link fails
         every attempt *without* drawing (the outcome is certain); a clean
         reachable link succeeds immediately without drawing; only a lossy
-        reachable link consumes one draw per attempt.  The injector keeps
-        no tally: :meth:`send` charges what was lost and retried to the
-        run's :class:`~repro.network.metrics.MessageCounter`, the one count of
-        every message.
+        reachable link consumes one draw per attempt.  It charges nothing
+        (:meth:`send` does).
         """
         budget = max(0, int(max_retries))
         if not self.reachable(source, destination):
@@ -336,26 +307,27 @@ class FaultInjector:
 
     def send(
         self,
+        message_type: "MessageType",
         source: str,
-        destinations: Iterable[str],
+        destinations: Collection[str],
         max_retries: int,
         counter: "MessageCounter",
         obs: Optional["Observability"] = None,
-        retry_series: Optional[str] = None,
         *,
+        count: Optional[int] = None,
         retry_partitioned: bool = False,
-    ) -> Tuple[Set[str], Set[str], int, int]:
-        """Send one message from ``source`` to each destination, through faults.
+    ) -> Tuple[Set[str], Set[str], int]:
+        """Send one ``message_type`` from ``source`` to each destination, through faults.
 
         A destination across the partition is cut at once (one drop, no draw)
         unless ``retry_partitioned``: a single send that cannot tell the far
         side is gone retries it to the budget.  The rest go through
-        :meth:`attempt_delivery` in sorted order.  Drops are charged to
-        ``counter`` and ``repro_fault_dropped_total`` by reason, retries to
-        ``counter`` and ``retry_series``; the type of the lost messages is the
-        caller's to charge.  Returns ``(delivered, missed, retries, lost)``:
-        who was reached, who an attempt never reached (cut ones are in
-        neither), the retransmissions and the messages lost in attempts.
+        :meth:`attempt_delivery` in sorted order.  ``counter`` is charged
+        ``count`` messages of the type (default: one per destination) plus one
+        per retry, the lost attempts as drops by reason (also in
+        ``repro_fault_dropped_total``), the retries in the type's retry series
+        if any.  Returns ``(delivered, missed, retries)``: who was reached, who
+        an attempt never reached (cut ones are in neither), the retries.
         """
         pending = set(destinations)
         dropped = {"partitioned": 0, "link loss": 0}
@@ -363,27 +335,30 @@ class FaultInjector:
             cut = {p for p in pending if not self.reachable(source, p)}
             pending -= cut
             dropped["partitioned"] = len(cut)
-        delivered, retries, lost = pending, 0, 0
+        delivered, retries = pending, 0
         if pending and (self.lossy or retry_partitioned and self._group_of):
             delivered = set()
             for destination in sorted(pending):
                 arrived, used = self.attempt_delivery(source, destination, max_retries)
                 retries += used
-                lost += used + (not arrived)
                 reason = "link loss" if self.reachable(source, destination) else "partitioned"
                 dropped[reason] += used + (not arrived)
                 if arrived:
                     delivered.add(destination)
-        for reason, count in dropped.items():
-            if count:
-                counter.record_dropped(reason, count)
+        counter.record_type(
+            message_type, (len(destinations) if count is None else count) + retries
+        )
+        for reason, lost in dropped.items():
+            if lost:
+                counter.record_dropped(reason, lost)
                 if obs is not None:
-                    obs.inc("repro_fault_dropped_total", count, reason=reason)
+                    obs.inc("repro_fault_dropped_total", lost, reason=reason)
         if retries:
             counter.record_retry(retries)
-            if obs is not None and retry_series is not None:
-                obs.inc(retry_series, retries)
-        return delivered, pending - delivered, retries, lost
+            series = _RETRY_SERIES.get(message_type._value_)
+            if obs is not None and series is not None:
+                obs.inc(series, retries)
+        return delivered, pending - delivered, retries
 
     def scratch_copy(self) -> "FaultInjector":
         """A throwaway twin: its own RNG at this injector's state.

@@ -997,8 +997,8 @@ def _restore_session(
     )
     _rng_restore(system.rng, payload["system_rng"])
 
-    # Message accounting: the counter instance is shared with the maintenance
-    # engine, churn handler and router, so it is rebuilt in place.
+    # Message accounting: every send holds the system's counter instance, so
+    # it is rebuilt in place.
     system.counter.reset()
     system.counter.merge(MessageCounter.from_state(payload["counter"]))
 

@@ -128,6 +128,26 @@ class TestSummaryPeerDeparture:
         assert system.counter.count(MessageType.RELEASE) == 0
         assert sp_id not in system.domains
 
+    def test_a_silent_failure_whose_joins_tip_a_domain_reconciles_it(self):
+        """A join that tips its domain over α reconciles it, whichever event
+        made the join: here a failed summary peer's members re-joining."""
+        system = built_system(alpha=0.01)  # one stale listing tips any domain
+        reconciled = []
+        run_reconciliation = system._run_reconciliation
+        system._run_reconciliation = lambda sp_id: (
+            reconciled.append(sp_id), run_reconciliation(sp_id)
+        )
+        sp_id, _domain = _largest_domain(system)
+        members = [p for p, sp in system.assignment.items() if sp == sp_id]
+        depart(system, sp_id, graceful=False)
+        joined = {system.assignment[p] for p in members if p in system.assignment}
+        assert joined and set(reconciled) == joined
+        for peer_id, owner in system.assignment.items():
+            domain = system.domains[owner]
+            assert system.overlay.is_online(peer_id) and domain.is_partner(peer_id)
+        for owner in joined:
+            assert system.domains[owner].old_fraction() == 0.0
+
     @pytest.mark.parametrize("graceful", [True, False], ids=["leave", "fail"])
     def test_a_stale_listing_that_joined_elsewhere_stays_there(self, system, graceful):
         """Only the departing summary peer's members look for a new domain."""

@@ -7,9 +7,11 @@ stdout was recorded once for each run below, before the figures shared a
 sweep, and ``test_golden_figures.py`` holds every later commit to it.  The
 runs cover each maintenance figure, ``all`` (where one sweep feeds the three
 tables), a single-α ``fig4`` and an ``all`` whose α set differs from
-``fig4``'s default.  ROADMAP 2(e)'s tolerance register replaces this golden
-once it lands.  Regenerate only for a deliberate change of what a figure
-reports::
+``fig4``'s default.  The two ``all`` runs, whose output ends with the fault
+sweep, were re-recorded once when every message began to pass one send (the
+sweep's faulted rows moved; no figure did).  ROADMAP 2(e)'s tolerance
+register replaces this golden once it lands.  Regenerate only for a
+deliberate change of what a figure reports::
 
     PYTHONPATH=src python tests/experiments/golden_figures.py
 """

@@ -18,7 +18,11 @@ Three SHA-256 digests per scenario were recorded once and
 omits a partner cut off by the partition began to unassign it too: the
 partner stops sending lost pushes into the partition until the heal.  Every
 ``checkpoint`` was re-recorded alone when format 4 wrote the assignment by
-adjacency row.
+adjacency row.  ``partition-heal``, ``lossy-network`` and ``massacre`` were
+re-recorded when every message began to pass one send: a departure push, a
+join's ``localsum``, a ``release`` and a reclaim's ``sumpeer`` became subject
+to the plan, and a join that tips its domain over α began to reconcile it
+whichever event made the join.
 
 Regenerate only for a deliberate change of the fault or protocol
 accounting, or of the checkpoint format (which moves ``checkpoint`` alone)::

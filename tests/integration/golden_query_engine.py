@@ -13,10 +13,11 @@ recorded, so the served outcome's compact array shape is free to change.  ``test
 the batched path of every later commit to those digests.  The ``table3/``
 flows came later: recorded on the last commit that routed a query through
 one call per domain step, they pin the query path at Table-3 scale (mutable,
-batched and read-only) and the ordered fault draws of a lossy network.
-Running this module records the flows the fixture lacks and leaves every
-recorded digest alone; delete the fixture first only for a deliberate
-protocol change::
+batched and read-only) and the ordered fault draws of a lossy network; the
+lossy flow alone was re-recorded when departure pushes began to pass the
+fault plan, which moves the draws its queries see.  Running this module
+records the flows the fixture lacks and leaves every recorded digest alone;
+delete the fixture first only for a deliberate protocol change::
 
     PYTHONPATH=src python tests/integration/golden_query_engine.py
 """

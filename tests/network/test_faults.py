@@ -14,6 +14,7 @@ from repro.network.faults import (
     MassacreEvent,
     PartitionEvent,
 )
+from repro.network.messages import MessageType
 from repro.network.metrics import MessageCounter
 from repro.obs import Observability
 
@@ -195,8 +196,9 @@ class TestFaultInjector:
         injector = FaultInjector(FaultPlan(seed=3))
         counter = MessageCounter()
         before = injector.rng.getstate()
-        sent = injector.send("a", ["b", "c"], 4, counter)
-        assert sent == ({"b", "c"}, set(), 0, 0)
+        sent = injector.send(MessageType.QUERY, "a", ["b", "c"], 4, counter)
+        assert sent == ({"b", "c"}, set(), 0)
+        assert counter.count(MessageType.QUERY) == 2
         assert counter.dropped_total == counter.retry_total == 0
         assert injector.rng.getstate() == before
 
@@ -205,8 +207,12 @@ class TestFaultInjector:
         injector.set_partition([["a", "a2"], ["b1", "b2"]])
         counter, obs = MessageCounter(), Observability()
         before = injector.rng.getstate()
-        sent = injector.send("a", ["a2", "b1", "b2"], 4, counter, obs, "retries")
-        assert sent == ({"a2"}, set(), 0, 0)
+        sent = injector.send(
+            MessageType.RECONCILIATION, "a", ["a2", "b1", "b2"], 4, counter, obs
+        )
+        assert sent == ({"a2"}, set(), 0)
+        # Every first attempt is charged, the two cut ones as drops too.
+        assert counter.count(MessageType.RECONCILIATION) == 3
         assert counter.dropped_by_reason() == {"partitioned": 2}
         assert counter.retry_total == 0
         assert obs.metrics.counter_series("repro_fault_dropped_total") == {
@@ -218,22 +224,41 @@ class TestFaultInjector:
         injector = FaultInjector(FaultPlan(seed=3))
         injector.set_partition([["a"], ["b"]])
         counter, obs = MessageCounter(), Observability()
-        sent = injector.send("a", ["b"], 2, counter, obs, "retries", retry_partitioned=True)
-        assert sent == (set(), {"b"}, 2, 3)
+        sent = injector.send(
+            MessageType.PUSH, "a", ["b"], 2, counter, obs, retry_partitioned=True
+        )
+        assert sent == (set(), {"b"}, 2)
+        assert counter.count(MessageType.PUSH) == 3
         assert counter.dropped_by_reason() == {"partitioned": 3}
         assert counter.retry_total == 2
-        assert obs.metrics.counter_series("retries") == {(): 2}
+        assert obs.metrics.counter_series("repro_push_retries_total") == {(): 2}
 
     def test_send_over_lossy_links_charges_every_lost_attempt(self):
         injector = FaultInjector(FaultPlan(link=LinkFaults(drop_probability=1.0)))
         counter, obs = MessageCounter(), Observability()
-        sent = injector.send("a", ["c", "b"], 3, counter, obs)
-        assert sent == (set(), {"b", "c"}, 6, 8)
+        sent = injector.send(MessageType.QUERY, "a", ["c", "b"], 3, counter, obs)
+        assert sent == (set(), {"b", "c"}, 6)
+        assert counter.count(MessageType.QUERY) == 8
         assert counter.dropped_by_reason() == {"link loss": 8}
         assert counter.retry_total == 6
         assert obs.metrics.counter_series("repro_fault_dropped_total") == {
             (("reason", "link loss"),): 8
         }
+        assert obs.metrics.counter_series("repro_query_retries_total") == {(): 6}
+
+    def test_send_charges_a_given_count_plus_the_retries(self):
+        # A ring is charged its cost, a query's hops only their retries.
+        injector = FaultInjector(FaultPlan(link=LinkFaults(drop_probability=1.0)))
+        counter = MessageCounter()
+        injector.send(MessageType.RECONCILIATION, "a", ["b", "c"], 1, counter, count=3)
+        injector.send(MessageType.QUERY, "a", ["b"], 2, counter, count=0)
+        injector.send(MessageType.RELEASE, "a", [], 2, counter)
+        assert counter.by_type() == {
+            MessageType.RECONCILIATION: 3 + 2,
+            MessageType.QUERY: 2,
+            MessageType.RELEASE: 0,
+        }
+        assert counter.retry_total == 4
 
     def test_negative_retry_budget_means_one_attempt(self):
         injector = FaultInjector(FaultPlan(link=LinkFaults(drop_probability=1.0)))
